@@ -457,17 +457,6 @@ let fleet_cmd =
             "Where the injected crash fires relative to the journal append: $(b,before) (record \
              lost), $(b,write) (record persisted, effect lost) or $(b,effect) (both landed).")
   in
-  let read_lines file =
-    let ic = open_in_bin file in
-    let rec go acc =
-      match input_line ic with
-      | line -> go (line :: acc)
-      | exception End_of_file ->
-          close_in ic;
-          List.rev acc
-    in
-    go []
-  in
   let read_all file =
     let ic = open_in_bin file in
     let n = in_channel_length ic in
@@ -475,21 +464,47 @@ let fleet_cmd =
     close_in ic;
     s
   in
-  (* Daemon mode: one durable world. The journal file is rewritten from
-     its (verified) replayed prefix and appended live, flushed per line
-     so a kill leaves at worst one torn final line — which resume
-     tolerates. The snapshot file is atomically rewritten per mark. *)
+  (* Daemon mode: one durable world. The journal is appended live and
+     flushed per line, so a kill leaves at worst one unterminated final
+     line: resume drops it as a torn write, and [Journal.parse_lines]
+     refuses interior corruption. A resumed journal is rewritten only
+     once re-execution has verified its whole prefix, so a refused resume
+     leaves it as it was. The snapshot file is atomically rewritten per
+     mark. A refusal is one line on stderr and exit 2; a crash exits 3. *)
   let run_daemon ~config ~seed ~journal_file ~resume_file ~snapshot_file ~snapshot_every ~crash =
-    let journal_lines = match resume_file with None -> [] | Some f -> read_lines f in
+    let refuse msg =
+      prerr_endline ("lifeguard: " ^ msg);
+      exit 2
+    in
+    let read what f =
+      try read_all f with Sys_error e -> refuse (Printf.sprintf "cannot read %s: %s" what e)
+    in
+    let journal_lines =
+      match resume_file with
+      | None -> []
+      | Some f -> (
+          (* Every persisted line ends in a newline: whatever follows the
+             last one is torn, even when it happens to parse. *)
+          let complete =
+            match List.rev (String.split_on_char '\n' (read "journal" f)) with
+            | _unterminated :: lines -> List.rev lines
+            | [] -> []
+          in
+          match Recover.Journal.parse_lines complete with
+          | Ok records -> List.map Recover.Record.to_line records
+          | Error e -> refuse (Printf.sprintf "corrupt journal %s: %s" f e))
+    in
     let resuming = journal_lines <> [] in
     let snapshot =
       match snapshot_file with
       | Some f when resuming && Sys.file_exists f -> begin
-          match Recover.Snapshot.parse_result (read_all f) with
-          | Ok s -> Some s
-          | Error e ->
-              prerr_endline ("lifeguard: unreadable snapshot " ^ f ^ ": " ^ e);
-              exit 2
+          match Recover.Snapshot.parse_result (read "snapshot" f) with
+          | Ok s
+            when String.equal s.Recover.Snapshot.config_fp
+                   (Fleet.Service.config_fingerprint ~config ~seed) ->
+              Some s
+          | Ok _ -> refuse ("snapshot " ^ f ^ " was taken under a different config or seed")
+          | Error e -> refuse ("unreadable snapshot " ^ f ^ ": " ^ e)
         end
       | _ -> None
     in
@@ -499,11 +514,30 @@ let fleet_cmd =
       | None, Some f -> f
       | None, None -> assert false
     in
-    let oc = open_out_bin out_journal in
+    (* Opened on first use: the verified prefix goes to a temporary file
+       renamed over [out_journal], then fresh lines are appended. *)
+    let oc = ref None in
+    let journal_out () =
+      match !oc with
+      | Some c -> c
+      | None ->
+          let tmp = out_journal ^ ".tmp" in
+          let c = open_out_bin tmp in
+          List.iter (fun l -> output_string c (l ^ "\n")) journal_lines;
+          close_out c;
+          Sys.rename tmp out_journal;
+          let c = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 out_journal in
+          oc := Some c;
+          c
+    in
+    let to_replay = ref (List.length journal_lines) in
     let journal_sink line =
-      output_string oc line;
-      output_char oc '\n';
-      flush oc
+      if !to_replay > 0 then decr to_replay
+      else begin
+        let c = journal_out () in
+        output_string c (line ^ "\n");
+        flush c
+      end
     in
     let snapshot_sink s =
       match snapshot_file with
@@ -517,10 +551,23 @@ let fleet_cmd =
     in
     let snapshot_every = if snapshot_every > 0.0 then Some snapshot_every else None in
     let outcome =
-      Fleet.Service.run_durable ~config ~seed ~journal:journal_lines ?snapshot ?crash
-        ?snapshot_every ~journal_sink ~snapshot_sink ()
+      match
+        Fleet.Service.run_durable ~config ~seed ~journal:journal_lines ?snapshot ?crash
+          ?snapshot_every ~journal_sink ~snapshot_sink ()
+      with
+      | outcome -> outcome
+      | exception (Recover.Journal.Divergence _ as e) ->
+          refuse
+            (Printf.sprintf "journal %s does not replay under this config and seed: %s"
+               (Option.value resume_file ~default:out_journal)
+               (Printexc.to_string e))
+      | exception Recover.Snapshot.Mismatch { mark } ->
+          refuse
+            (Printf.sprintf "snapshot %s does not match re-execution at mark %d"
+               (Option.value snapshot_file ~default:"-")
+               mark)
     in
-    close_out oc;
+    close_out (journal_out ());
     match outcome with
     | Fleet.Service.Finished { report; recovery } ->
         List.iter print_endline (Fleet.Service.render_report report);

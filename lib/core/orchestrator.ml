@@ -116,16 +116,30 @@ let log_src = Logs.Src.create "lifeguard.orchestrator" ~doc:"LIFEGUARD control l
 
 module Log = (val Logs.src_log log_src : Logs.LOG)
 
+(* Where an in-flight pipeline stands, and so what its [p_due] deadline
+   means. Declared after [state], so a bare [Isolating] is this type's
+   unless the expected type says otherwise. *)
+type pipeline_phase =
+  | Isolating  (** mid-isolation *)
+  | Deciding  (** decision scheduled at [p_due] *)
+  | Waiting  (** Wait verdict; recheck at [p_due] *)
+  | Backoff  (** lost/denied attempt; retry at [p_due] *)
+
+let phase_to_string = function
+  | Isolating -> "isolating"
+  | Deciding -> "deciding"
+  | Waiting -> "waiting"
+  | Backoff -> "backoff"
+
 (* One in-flight isolate/decide pipeline per affected target. The phase
    and deadline mirror what would otherwise live only inside an engine
-   timer closure: they are what the snapshot schema records and what
-   [restore] re-arms. *)
+   timer closure, so the snapshot digest covers them. *)
 type pipeline = {
   p_vp : Asn.t;
   p_target : Asn.t;
   p_started : float;
   mutable p_attempt : int;
-  mutable p_phase : Recover.Snapshot.pipeline_phase;
+  mutable p_phase : pipeline_phase;
   mutable p_due : float;
 }
 
@@ -296,8 +310,7 @@ let give_up t ~target reason =
   finish t target (Gave_up_on reason)
 
 (* The paced half of a rollback: withdraw, give up on every covered
-   target, free the prefix. Split out of [rollback] so a restored
-   controller can re-arm a rollback that was pending at capture time. *)
+   target, free the prefix. Runs inline or from the spacing timer. *)
 let roll_now t ap ~pump =
   match t.active with
   | Some current when current == ap ->
@@ -340,9 +353,7 @@ let rollback t ap ~pump reason =
     if delay <= 0.0 then roll_now t ap ~pump
     else begin
       ap.ap_rollback_due <- Some (now t +. delay);
-      ignore
-        (Sim.Engine.after_named (engine t) ~name:"orch.rollback" ~delay (fun () ->
-             roll_now t ap ~pump))
+      Sim.Engine.schedule_after (engine t) ~delay (fun () -> roll_now t ap ~pump)
     end
   end
 
@@ -423,8 +434,8 @@ let watchdog_tick t ap ~pump =
         end
   end
 
-(* The paced half of a repair-confirmed withdrawal; standalone so a
-   restored controller can re-arm an unpoison pending at capture time. *)
+(* The paced half of a repair-confirmed withdrawal. Runs inline or from
+   the spacing timer. *)
 let unpoison_now t ap ~pump =
   match t.active with
   | Some current when current == ap ->
@@ -441,13 +452,12 @@ let unpoison_now t ap ~pump =
 
 (* While poisoned, test the sentinel periodically; unpoison on repair,
    otherwise let the watchdog supervise the announcement itself. The
-   armed deadline lives in [ap_next_check] (and the engine's named timer
-   set), so a snapshot records it and a restore re-arms it. *)
-let rec arm_recovery_check t ap ~pump ~delay =
+   armed deadline lives in [ap_next_check], so the snapshot digest
+   covers it. *)
+let rec arm_recovery_check t ap ~pump =
+  let delay = t.config.recheck_interval in
   ap.ap_next_check <- now t +. delay;
-  ignore
-    (Sim.Engine.after_named (engine t) ~name:"orch.recheck" ~delay (fun () ->
-         recovery_tick t ap ~pump))
+  Sim.Engine.schedule_after (engine t) ~delay (fun () -> recovery_tick t ap ~pump)
 
 and recovery_tick t ap ~pump =
   match t.active with
@@ -461,22 +471,16 @@ and recovery_tick t ap ~pump =
         if delay <= 0.0 then unpoison_now t ap ~pump
         else begin
           ap.ap_unpoison_due <- Some (now t +. delay);
-          ignore
-            (Sim.Engine.after_named (engine t) ~name:"orch.unpoison" ~delay (fun () ->
-                 unpoison_now t ap ~pump))
+          Sim.Engine.schedule_after (engine t) ~delay (fun () -> unpoison_now t ap ~pump)
         end
       end
       else begin
         watchdog_tick t ap ~pump;
         match t.active with
-        | Some current when current == ap ->
-            arm_recovery_check t ap ~pump ~delay:t.config.recheck_interval
+        | Some current when current == ap -> arm_recovery_check t ap ~pump
         | _ -> ()
       end
   | _ -> ()
-
-let schedule_recovery_checks t ap ~pump =
-  arm_recovery_check t ap ~pump ~delay:t.config.recheck_interval
 
 (* Apply a poison now (spacing already satisfied), unless the outage
    resolved while the announcement waited its turn or the blamed AS has
@@ -519,7 +523,7 @@ let rec apply_poison t ~vp ~target ~poison_target ~planned =
     t.active <- Some ap;
     t.last_announce <- now t;
     log t (Poison_announced poison_target);
-    schedule_recovery_checks t ap ~pump:(fun () -> pump_queue t)
+    arm_recovery_check t ap ~pump:(fun () -> pump_queue t)
   end
 
 (* Drain the remediation queue once the prefix is free: the next poison
@@ -535,9 +539,7 @@ and pump_queue t =
       else begin
         let delay = announce_delay t in
         if delay > 0.0 then
-          ignore
-            (Sim.Engine.after_named (engine t) ~name:"orch.pump" ~delay (fun () ->
-                 pump_queue t))
+          Sim.Engine.schedule_after (engine t) ~delay (fun () -> pump_queue t)
         else
           match Queue.take_opt t.queue with
           | None -> ()
@@ -570,9 +572,7 @@ let request_poison t ~vp ~target ~poison_target ~planned =
       else begin
         log t (Poison_queued { target; poison = poison_target });
         Queue.add (target, poison_target, planned) t.queue;
-        ignore
-          (Sim.Engine.after_named (engine t) ~name:"orch.pump" ~delay (fun () ->
-               pump_queue t))
+        Sim.Engine.schedule_after (engine t) ~delay (fun () -> pump_queue t)
       end
 
 let pipeline_alive t p =
@@ -617,15 +617,13 @@ let run_decision t p diagnosis =
     | Decide.Poison poison_target -> request_poison t ~vp ~target ~poison_target ~planned
     | Decide.Hopeless reason -> stand_down t ~target reason
     | Decide.Wait _ ->
-        p.p_phase <- Recover.Snapshot.Waiting;
+        p.p_phase <- Waiting;
         p.p_due <- now t +. t.config.recheck_interval;
-        ignore
-          (Sim.Engine.after_named (engine t) ~name:"orch.wait"
-             ~delay:t.config.recheck_interval (fun () ->
-               if not (pipeline_alive t p) then ()
-               else if target_reachable t ~vp ~target then
-                 stand_down t ~target "outage resolved on its own"
-               else decide_and_act ()))
+        Sim.Engine.schedule_after (engine t) ~delay:t.config.recheck_interval (fun () ->
+            if not (pipeline_alive t p) then ()
+            else if target_reachable t ~vp ~target then
+              stand_down t ~target "outage resolved on its own"
+            else decide_and_act ())
   and decide_and_act () =
     if now t -. p.p_started > t.config.pipeline_timeout then
       give_up t ~target "pipeline timeout"
@@ -639,12 +637,10 @@ let run_decision t p diagnosis =
              exactly the pre-planning one. *)
           if t.config.decision_latency <= 0.0 then act ~planned:false (decide_fresh ())
           else begin
-            p.p_phase <- Recover.Snapshot.Deciding;
+            p.p_phase <- Deciding;
             p.p_due <- now t +. t.config.decision_latency;
-            ignore
-              (Sim.Engine.after_named (engine t) ~name:"orch.decide"
-                 ~delay:t.config.decision_latency (fun () ->
-                   if pipeline_alive t p then act ~planned:false (decide_fresh ())))
+            Sim.Engine.schedule_after (engine t) ~delay:t.config.decision_latency (fun () ->
+                if pipeline_alive t p then act ~planned:false (decide_fresh ()))
           end
     end
   in
@@ -657,7 +653,7 @@ let rec attempt_isolation t p =
   if not (pipeline_alive t p) then ()
   else begin
     p.p_attempt <- p.p_attempt + 1;
-    p.p_phase <- Recover.Snapshot.Isolating;
+    p.p_phase <- Isolating;
     p.p_due <- now t;
     let outcome =
       match t.hooks.isolation_attempt with
@@ -670,23 +666,19 @@ let rec attempt_isolation t p =
         log t (Diagnosed diagnosis);
         (* The decision happens once isolation completes; model its latency
            by scheduling the decision after [elapsed]. *)
-        p.p_phase <- Recover.Snapshot.Deciding;
+        p.p_phase <- Deciding;
         p.p_due <- now t +. diagnosis.Isolation.elapsed;
-        ignore
-          (Sim.Engine.after_named (engine t) ~name:"orch.decide"
-             ~delay:diagnosis.Isolation.elapsed (fun () ->
-               if pipeline_alive t p then run_decision t p diagnosis))
+        Sim.Engine.schedule_after (engine t) ~delay:diagnosis.Isolation.elapsed (fun () ->
+            if pipeline_alive t p then run_decision t p diagnosis)
     | `Lost | `Denied ->
         if p.p_attempt >= t.config.max_isolation_attempts then
           give_up t ~target:p.p_target "isolation retry budget exhausted"
         else begin
           let delay = backoff_delay t.config p.p_attempt in
           log t (Isolation_retry { target = p.p_target; attempt = p.p_attempt; delay });
-          p.p_phase <- Recover.Snapshot.Backoff;
+          p.p_phase <- Backoff;
           p.p_due <- now t +. delay;
-          ignore
-            (Sim.Engine.after_named (engine t) ~name:"orch.backoff" ~delay (fun () ->
-                 attempt_isolation t p))
+          Sim.Engine.schedule_after (engine t) ~delay (fun () -> attempt_isolation t p)
         end
   end
 
@@ -715,7 +707,7 @@ let notify_outage t ~vp ~target =
         p_target = target;
         p_started = now t;
         p_attempt = 0;
-        p_phase = Recover.Snapshot.Isolating;
+        p_phase = Isolating;
         p_due = now t;
       }
     in
@@ -750,7 +742,7 @@ let watch t ~targets =
   in
   t.monitors <- monitor :: t.monitors
 
-let state t =
+let state t : state =
   match t.active with
   | Some ap -> Poisoned ap.ap_target
   | None -> if Hashtbl.length t.pipelines > 0 then Isolating else Idle
@@ -772,177 +764,42 @@ let plan t = t.plan
 let collector t = t.collector
 
 (* The state-ownership contract: everything mutable in this module that
-   is not reconstructible from the world goes through here. The
+   is not reconstructible from the world is rendered here, canonically
+   (tables sorted, floats as hex floats), for the snapshot digest. The
    LG-ROB-SNAPSHOT lint rule holds this function to that promise — every
    mutable field of the records above must be referenced below. *)
-let capture t : Recover.Snapshot.orch =
-  let pipelines =
-    Hashtbl.fold
-      (fun _ p acc ->
-        {
-          Recover.Snapshot.sp_vp = p.p_vp;
-          sp_target = p.p_target;
-          sp_started = p.p_started;
-          sp_attempt = p.p_attempt;
-          sp_phase = p.p_phase;
-          sp_due = p.p_due;
-        }
-        :: acc)
-      t.pipelines []
-    |> List.sort (fun a b ->
-           Asn.compare a.Recover.Snapshot.sp_target b.Recover.Snapshot.sp_target)
+let capture t =
+  let buf = Buffer.create 256 in
+  let line fmt =
+    Printf.ksprintf (fun l -> Buffer.add_string buf l; Buffer.add_char buf '\n') fmt
   in
-  let active =
-    match t.active with
-    | None -> None
-    | Some ap ->
-        Some
-          {
-            Recover.Snapshot.sa_poison = ap.ap_target;
-            sa_affected = ap.ap_affected;
-            sa_first = ap.ap_first;
-            sa_planned = ap.ap_planned;
-            sa_announcements = ap.ap_announcements;
-            sa_confirmed = ap.ap_confirmed;
-            sa_rolling_back = ap.ap_rolling_back;
-            sa_rollback_reason = ap.ap_rollback_reason;
-            sa_next_check = ap.ap_next_check;
-            sa_unpoison_due = ap.ap_unpoison_due;
-            sa_rollback_due = ap.ap_rollback_due;
-          }
-  in
-  let queue = List.rev (Queue.fold (fun acc entry -> entry :: acc) [] t.queue) in
-  let outage_started =
-    Hashtbl.fold (fun target started acc -> (target, started) :: acc) t.outage_started []
-    |> List.sort (fun (a, _) (b, _) -> Asn.compare a b)
-  in
-  let breaker =
-    Hashtbl.fold (fun target () acc -> target :: acc) t.breaker [] |> List.sort Asn.compare
-  in
-  {
-    Recover.Snapshot.so_pipelines = pipelines;
-    so_active = active;
-    so_queue = queue;
-    so_last_announce = t.last_announce;
-    so_outage_started = outage_started;
-    so_breaker = breaker;
-    so_reannounced = t.reannounced;
-    so_rolled_back = t.rolled_back;
-    so_breaker_trips = t.breaker_trips;
-    so_events = List.length t.events;
-    so_outcomes = List.length t.outcomes;
-    so_monitors = List.length t.monitors;
-  }
-
-(* Warm restore from a snapshot: rebuild the controller's tables and
-   re-arm its deadlines against the (already restored) engine clock.
-   The baseline is NOT re-announced and no new collector is attached —
-   the world (including any standing poison) is assumed to carry the
-   announcements the journal says went out; [restore] only rebuilds the
-   controller's own view of them.
-
-   Pipelines are restored by re-running isolation at the recorded
-   deadline: the diagnosis closure itself died with the process, and
-   isolation is a read-only measurement, so re-measuring is safe. For
-   phases past the attempt gate (Isolating/Deciding/Waiting) the
-   recorded attempt had already succeeded, so it is handed back —
-   re-running it must not burn retry budget. A Backoff attempt had
-   failed; its count stands. *)
-let restore ?(config = default_config) ?(hooks = no_hooks) ?journal ~env ~atlas
-    ~responsiveness ~plan ~vantage_points ~collector (s : Recover.Snapshot.orch) () =
-  let t =
-    {
-      config;
-      hooks;
-      env;
-      atlas;
-      responsiveness;
-      plan;
-      vantage_points;
-      pipelines = Hashtbl.create 8;
-      active = None;
-      queue = Queue.create ();
-      last_announce = s.Recover.Snapshot.so_last_announce;
-      events = [];
-      outcomes = [];
-      monitors = [];
-      outage_started = Hashtbl.create 8;
-      collector;
-      breaker = Hashtbl.create 4;
-      reannounced = s.Recover.Snapshot.so_reannounced;
-      rolled_back = s.Recover.Snapshot.so_rolled_back;
-      breaker_trips = s.Recover.Snapshot.so_breaker_trips;
-      journal;
-    }
-  in
-  List.iter
-    (fun (target, started) -> Hashtbl.replace t.outage_started target started)
-    s.Recover.Snapshot.so_outage_started;
-  List.iter (fun target -> Hashtbl.replace t.breaker target ()) s.Recover.Snapshot.so_breaker;
-  List.iter (fun entry -> Queue.add entry t.queue) s.Recover.Snapshot.so_queue;
-  let delay_until due = Float.max 0.0 (due -. now t) in
-  (match s.Recover.Snapshot.so_active with
-  | None -> ()
-  | Some sa ->
-      let ap =
-        {
-          ap_target = sa.Recover.Snapshot.sa_poison;
-          ap_affected = sa.Recover.Snapshot.sa_affected;
-          ap_first = sa.Recover.Snapshot.sa_first;
-          ap_planned = sa.Recover.Snapshot.sa_planned;
-          ap_announcements = sa.Recover.Snapshot.sa_announcements;
-          ap_confirmed = sa.Recover.Snapshot.sa_confirmed;
-          ap_rolling_back = sa.Recover.Snapshot.sa_rolling_back;
-          ap_rollback_reason = sa.Recover.Snapshot.sa_rollback_reason;
-          ap_next_check = sa.Recover.Snapshot.sa_next_check;
-          ap_unpoison_due = sa.Recover.Snapshot.sa_unpoison_due;
-          ap_rollback_due = sa.Recover.Snapshot.sa_rollback_due;
-        }
-      in
-      t.active <- Some ap;
-      let pump () = pump_queue t in
-      if ap.ap_rolling_back then begin
-        let delay =
-          match ap.ap_rollback_due with Some due -> delay_until due | None -> 0.0
-        in
-        ignore
-          (Sim.Engine.after_named (engine t) ~name:"orch.rollback" ~delay (fun () ->
-               roll_now t ap ~pump))
-      end
-      else begin
-        match ap.ap_unpoison_due with
-        | Some due ->
-            ignore
-              (Sim.Engine.after_named (engine t) ~name:"orch.unpoison"
-                 ~delay:(delay_until due) (fun () -> unpoison_now t ap ~pump))
-        | None -> arm_recovery_check t ap ~pump ~delay:(delay_until ap.ap_next_check)
-      end);
-  List.iter
-    (fun sp ->
-      let attempt =
-        match sp.Recover.Snapshot.sp_phase with
-        | Recover.Snapshot.Isolating | Recover.Snapshot.Deciding | Recover.Snapshot.Waiting
-          ->
-            Int.max 0 (sp.Recover.Snapshot.sp_attempt - 1)
-        | Recover.Snapshot.Backoff -> sp.Recover.Snapshot.sp_attempt
-      in
-      let p =
-        {
-          p_vp = sp.Recover.Snapshot.sp_vp;
-          p_target = sp.Recover.Snapshot.sp_target;
-          p_started = sp.Recover.Snapshot.sp_started;
-          p_attempt = attempt;
-          p_phase = sp.Recover.Snapshot.sp_phase;
-          p_due = sp.Recover.Snapshot.sp_due;
-        }
-      in
-      Hashtbl.replace t.pipelines p.p_target p;
-      ignore
-        (Sim.Engine.after_named (engine t) ~name:"orch.restart"
-           ~delay:(delay_until sp.Recover.Snapshot.sp_due) (fun () ->
-             attempt_isolation t p)))
-    s.Recover.Snapshot.so_pipelines;
+  let fl = Recover.Record.float_field and asn = Asn.to_string in
+  let b01 x = if x then "1" else "0" in
+  let opt_fl = function None -> "-" | Some f -> fl f in
+  line "counts %d %d %d %d %d %d" t.reannounced t.rolled_back t.breaker_trips
+    (List.length t.events) (List.length t.outcomes) (List.length t.monitors);
+  line "last_announce %s" (fl t.last_announce);
+  Hashtbl.fold (fun _ p acc -> p :: acc) t.pipelines []
+  |> List.sort (fun p q -> Asn.compare p.p_target q.p_target)
+  |> List.iter (fun p ->
+         line "pipeline %s %s %s %d %s %s" (asn p.p_vp) (asn p.p_target) (fl p.p_started)
+           p.p_attempt (phase_to_string p.p_phase) (fl p.p_due));
   (match t.active with
-  | None -> if not (Queue.is_empty t.queue) then pump_queue t
-  | Some _ -> ());
-  t
+  | None -> ()
+  | Some ap ->
+      line "active %s %s %s %d %s %s %s %s %s %s" (asn ap.ap_target) (fl ap.ap_first)
+        (b01 ap.ap_planned) ap.ap_announcements (b01 ap.ap_confirmed) (b01 ap.ap_rolling_back)
+        (fl ap.ap_next_check) (opt_fl ap.ap_unpoison_due) (opt_fl ap.ap_rollback_due)
+        (Recover.Record.escape ap.ap_rollback_reason);
+      List.iter (fun a -> line "affected %s" (asn a)) ap.ap_affected);
+  Queue.iter
+    (fun (target, poison, planned) ->
+      line "queue %s %s %s" (asn target) (asn poison) (b01 planned))
+    t.queue;
+  Hashtbl.fold (fun target started acc -> (target, started) :: acc) t.outage_started []
+  |> List.sort (fun (a, _) (b, _) -> Asn.compare a b)
+  |> List.iter (fun (a, started) -> line "outage %s %s" (asn a) (fl started));
+  Hashtbl.fold (fun target () acc -> target :: acc) t.breaker []
+  |> List.sort Asn.compare
+  |> List.iter (fun a -> line "breaker %s" (asn a));
+  Buffer.contents buf

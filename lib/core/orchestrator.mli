@@ -211,33 +211,12 @@ val plan : t -> Remediate.plan
 
 val collector : t -> Bgp.Network.Collector.t
 (** The watchdog's vantage-feed collector — exposed so reconciliation
-    can compare journal state against collector ground truth, and so
-    {!restore} can re-attach to the original feed. *)
+    can compare journal state against collector ground truth. *)
 
-val capture : t -> Recover.Snapshot.orch
-(** Declarative snapshot of the controller's own state: pipelines (with
-    phase and deadline), the active poison and its watchdog deadlines,
-    the poison queue, pacing, outage-start estimates, breaker set and
-    counters. Pure read — capturing never perturbs the run. *)
-
-val restore :
-  ?config:config ->
-  ?hooks:hooks ->
-  ?journal:Recover.Journal.t ->
-  env:Dataplane.Probe.env ->
-  atlas:Measurement.Atlas.t ->
-  responsiveness:Measurement.Responsiveness.t ->
-  plan:Remediate.plan ->
-  vantage_points:Asn.t list ->
-  collector:Bgp.Network.Collector.t ->
-  Recover.Snapshot.orch ->
-  unit ->
-  t
-(** Warm restore from a {!capture}: rebuilds tables and re-arms every
-    recorded deadline against the engine clock. Unlike {!create} it does
-    {e not} re-announce the baseline or attach a new collector — the
-    world is assumed to already carry whatever the journal says went
-    out; pass the original [collector] (see {!val-collector}).
-    In-flight pipelines are re-isolated at their recorded deadlines;
-    attempts that had already passed the gate are handed back so
-    re-running them cannot burn retry budget. *)
+val capture : t -> string
+(** Canonical rendering of the controller's own state, the orchestrator
+    share of the snapshot digest: pipelines (with phase and deadline),
+    the active poison and its watchdog deadlines, the poison queue,
+    pacing, outage-start estimates, breaker set, counters and the
+    event/outcome/monitor log lengths. Pure read — capturing never
+    perturbs the run. *)

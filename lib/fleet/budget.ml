@@ -85,49 +85,22 @@ let admit_vp s ~vp ~now ~cost =
     else false
   end
 
-(* Token levels are controller state the world cannot reconstruct: a
-   resumed run that reset them to full burst would admit probes the
-   crashed run had already spent. The [bucket] helper lives inside
+(* Token levels are controller state the world cannot reconstruct, so
+   the snapshot digest covers them: a replay that admitted different
+   probes shows up at the next mark. The [bucket] helper lives inside
    [capture] so every mutable field read is syntactically in its body —
    the LG-ROB-SNAPSHOT contract. *)
-let capture s : Recover.Snapshot.bucket list =
+let capture s =
   let bucket name (b : t) =
-    {
-      Recover.Snapshot.bk_name = name;
-      bk_tokens = b.tokens;
-      bk_updated = b.updated;
-      bk_granted = b.granted;
-      bk_denied = b.denied;
-    }
+    Printf.sprintf "bucket %s %s %s %d %d\n" name (Recover.Record.float_field b.tokens)
+      (Recover.Record.float_field b.updated) b.granted b.denied
   in
   let vps =
     Hashtbl.fold (fun vp b acc -> (vp, b) :: acc) s.vps []
     |> List.sort (fun (a, _) (b, _) -> Asn.compare a b)
     |> List.map (fun (vp, b) -> bucket ("vp:" ^ string_of_int (Asn.to_int vp)) b)
   in
-  bucket "global" s.global :: vps
-
-let restore s (buckets : Recover.Snapshot.bucket list) =
-  let apply b (bk : Recover.Snapshot.bucket) =
-    b.tokens <- bk.Recover.Snapshot.bk_tokens;
-    b.updated <- bk.Recover.Snapshot.bk_updated;
-    b.granted <- bk.Recover.Snapshot.bk_granted;
-    b.denied <- bk.Recover.Snapshot.bk_denied
-  in
-  List.iter
-    (fun (bk : Recover.Snapshot.bucket) ->
-      let name = bk.Recover.Snapshot.bk_name in
-      if String.equal name "global" then apply s.global bk
-      else begin
-        let prefix = "vp:" in
-        let plen = String.length prefix in
-        if String.length name > plen && String.equal (String.sub name 0 plen) prefix then begin
-          match int_of_string_opt (String.sub name plen (String.length name - plen)) with
-          | Some n when n >= 0 -> apply (vp_bucket s (Asn.of_int n)) bk
-          | Some _ | None -> ()
-        end
-      end)
-    buckets
+  String.concat "" (bucket "global" s.global :: vps)
 
 let scheduler_granted s = granted s.global
 

@@ -35,13 +35,11 @@ val admit_vp : scheduler -> vp:Asn.t -> now:float -> cost:int -> bool
 (** Admit only if both the VP's bucket and the global bucket agree; a
     refusal by either consumes nothing from the global bucket. *)
 
-val capture : scheduler -> Recover.Snapshot.bucket list
-(** Token levels and counters of every bucket: ["global"] first, then
-    the per-VP caps sorted by ASN (named ["vp:<asn>"]). Pure read. *)
-
-val restore : scheduler -> Recover.Snapshot.bucket list -> unit
-(** Set bucket levels back to a {!capture}'s values; per-VP buckets are
-    created on demand, unknown names are ignored. *)
+val capture : scheduler -> string
+(** Canonical rendering of every bucket's token level and counters, the
+    budget share of the snapshot digest: ["global"] first, then the
+    per-VP caps sorted by ASN (named ["vp:<asn>"]), one line each. Pure
+    read. *)
 
 val scheduler_granted : scheduler -> int
 (** Total cost admitted through the global bucket. *)

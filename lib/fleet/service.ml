@@ -192,14 +192,7 @@ let config_fingerprint ~config ~seed =
   Buffer.add_string b (if config.planning then "planning;" else "fresh;");
   f config.decision_latency;
   i (match config.shards with None -> 0 | Some k -> k);
-  (* FNV-1a offset basis truncated to OCaml's 63-bit int. *)
-  let h = ref 0xbf29ce484222325 in
-  String.iter
-    (fun c ->
-      h := !h lxor Char.code c;
-      h := !h * 0x100000001b3)
-    (Buffer.contents b);
-  Printf.sprintf "%016x" (!h land max_int)
+  Recover.Snapshot.digest (Buffer.contents b)
 
 (* Byte-stable report codec: one [key value] line per field, floats as
    hex floats, lists comma-joined. This is what a snapshot's head-segment
@@ -789,19 +782,24 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
                  ~base:(fun _ -> 0)
                  ~days:(window /. 86400.0) ()
              in
+             let plan =
+               match cache with
+               | Some c -> "plan " ^ Recover.Record.escape (Plan.Cache.capture c) ^ "\n"
+               | None -> ""
+             in
              let snap =
                {
-                 Recover.Snapshot.version = Recover.Snapshot.version;
-                 at = Sim.Engine.now engine;
+                 Recover.Snapshot.at = Sim.Engine.now engine;
                  mark;
                  seed;
                  config_fp = fp;
                  journal_len = Recover.Journal.length d.d_journal;
-                 orch = Lifeguard.Orchestrator.capture orch;
+                 state =
+                   Recover.Snapshot.digest
+                     (Lifeguard.Orchestrator.capture orch ^ Budget.capture sched ^ plan);
+                 events = List.length (Lifeguard.Orchestrator.events orch);
+                 outcomes = List.length (Lifeguard.Orchestrator.outcomes orch);
                  counters = counter_values ();
-                 buckets = Budget.capture sched;
-                 plan =
-                   (match cache with Some c -> Some (Plan.Cache.capture c) | None -> None);
                  head = render_report head;
                }
              in
@@ -886,8 +884,8 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
               | None -> None
               | Some head ->
                   Some
-                    (segment ~skip_events:s.Recover.Snapshot.orch.Recover.Snapshot.so_events
-                       ~skip_outcomes:s.Recover.Snapshot.orch.Recover.Snapshot.so_outcomes
+                    (segment ~skip_events:s.Recover.Snapshot.events
+                       ~skip_outcomes:s.Recover.Snapshot.outcomes
                        ~base:(Recover.Snapshot.counter s)
                        ~days:((config.duration /. 86400.0) -. head.days)
                        ())

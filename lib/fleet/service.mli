@@ -195,7 +195,8 @@ val run_durable :
     pass the persisted [journal] lines (and the last [snapshot], if any
     — its [config_fp] must match, [Invalid_argument] otherwise).
     [snapshot_every] > 0 arms periodic snapshot marks on the simulation
-    clock; [journal_sink] sees each persisted line as it is appended
+    clock; a supplied [snapshot] is verified at its mark only when they
+    are armed, at the cadence it was captured at. [journal_sink] sees each persisted line as it is appended
     (replayed lines included, in order); [snapshot_sink] sees each
     captured snapshot. [crash] injects a crash at the given journal
     append boundary — the run dies as {!Interrupted} exactly as a real

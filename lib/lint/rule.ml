@@ -77,8 +77,9 @@ let describe = function
        errors along with the expected failure — match the specific exceptions"
   | Rob_snapshot ->
       "mutable or container-typed record field in a file defining a snapshot [capture] \
-       that capture's body never reads; state the crash-recovery snapshot would silently \
-       reset on restore — capture the field or move it out of the snapshotted record"
+       that capture's body never reads; state not covered by the snapshot digest, so \
+       replay drift in it goes unnoticed — capture the field or move it out of the \
+       snapshotted record"
   | Eff_clock ->
       "exported library function transitively reaches the wall clock (through any number \
        of wrappers) outside Obs.Clock; breaks determinism — thread simulation time or the \

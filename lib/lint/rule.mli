@@ -20,7 +20,7 @@ type t =
       (** in a [lib/] file defining a toplevel [capture] (the
           crash-recovery snapshot contract): a mutable or container-typed
           field of a locally declared record type that [capture]'s body
-          never references — restore would silently reset it *)
+          never references — state not covered by the snapshot digest *)
   | Eff_clock
       (** exported [lib/] function {e transitively} reaches the wall clock
           outside [Obs.Clock] — the interprocedural closure of

@@ -385,8 +385,8 @@ let scan_structure ~kind ~file str =
   (* LG-ROB-SNAPSHOT: a file defining a toplevel [capture] has opted into
      the crash-recovery snapshot contract — every mutable (or
      container-typed, hence mutable-inside) field of every record type
-     the file declares must be read somewhere in [capture]'s body, or a
-     restore silently resets it. Purely syntactic like everything else
+     the file declares must be read somewhere in [capture]'s body, or the
+     snapshot digest does not cover it. Purely syntactic like everything else
      here: "read" means the field's name appears as an identifier, field
      access/update, or record-pattern label inside [capture]. *)
   if kind.in_lib then begin
@@ -479,8 +479,8 @@ let scan_structure ~kind ~file str =
             if not (Hashtbl.mem referenced name) then
               add Rule.Rob_snapshot loc
                 (Printf.sprintf
-                   "mutable field %s is not read by this file's snapshot [capture]; restore \
-                    would silently reset it"
+                   "mutable field %s is not read by this file's snapshot [capture]; it is not \
+                    covered by the snapshot digest"
                    name))
           (List.rev !flagged_fields)
   end;

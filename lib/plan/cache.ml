@@ -168,7 +168,7 @@ let record t ~target ~diagnosis ~verdict =
       end
 
 (* Deterministic one-line rendering of the cache's mutable state for the
-   snapshot schema: fingerprint, counters, demotion set and log. Opaque
+   snapshot digest: fingerprint, counters, demotion set and log. Opaque
    to recovery (a resumed run rebuilds the cache by re-execution); its
    job is to make cache drift visible in snapshot comparisons. *)
 let capture t =

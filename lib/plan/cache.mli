@@ -74,7 +74,7 @@ val invalidate : t -> reason:string -> unit
 val capture : t -> string
 (** Deterministic one-line rendering of the cache's mutable state
     (fingerprint, size, counters, demotion set and log) for the recovery
-    snapshot schema. Pure read; spaces in demotion reasons are folded to
+    snapshot digest. Pure read; spaces in demotion reasons are folded to
     ['_'] so the line stays single-token. *)
 
 val hits : t -> int

@@ -1,64 +1,13 @@
-open Net
-
-type pipeline_phase = Isolating | Deciding | Waiting | Backoff
-
-type pipeline = {
-  sp_vp : Asn.t;
-  sp_target : Asn.t;
-  sp_started : float;
-  sp_attempt : int;
-  sp_phase : pipeline_phase;
-  sp_due : float;
-}
-
-type active = {
-  sa_poison : Asn.t;
-  sa_affected : Asn.t list;
-  sa_first : float;
-  sa_planned : bool;
-  sa_announcements : int;
-  sa_confirmed : bool;
-  sa_rolling_back : bool;
-  sa_rollback_reason : string;
-  sa_next_check : float;
-  sa_unpoison_due : float option;
-  sa_rollback_due : float option;
-}
-
-type orch = {
-  so_pipelines : pipeline list;
-  so_active : active option;
-  so_queue : (Asn.t * Asn.t * bool) list;
-  so_last_announce : float;
-  so_outage_started : (Asn.t * float) list;
-  so_breaker : Asn.t list;
-  so_reannounced : int;
-  so_rolled_back : int;
-  so_breaker_trips : int;
-  so_events : int;
-  so_outcomes : int;
-  so_monitors : int;
-}
-
-type bucket = {
-  bk_name : string;
-  bk_tokens : float;
-  bk_updated : float;
-  bk_granted : int;
-  bk_denied : int;
-}
-
 type t = {
-  version : int;
   at : float;
   mark : int;
   seed : int;
   config_fp : string;
   journal_len : int;
-  orch : orch;
+  state : string;
+  events : int;
+  outcomes : int;
   counters : (string * int) list;
-  buckets : bucket list;
-  plan : string option;
   head : string list;
 }
 
@@ -74,64 +23,32 @@ let () =
              mark)
     | _ -> None)
 
-let version = 1
-let phase_to_string = function
-  | Isolating -> "isolating"
-  | Deciding -> "deciding"
-  | Waiting -> "waiting"
-  | Backoff -> "backoff"
+let header = "recover-snapshot v2"
 
-let phase_of_string = function
-  | "isolating" -> Some Isolating
-  | "deciding" -> Some Deciding
-  | "waiting" -> Some Waiting
-  | "backoff" -> Some Backoff
-  | _ -> None
-
-let fl = Record.float_field
-let asn a = string_of_int (Asn.to_int a)
-let b01 b = if b then "1" else "0"
-let opt_fl = function None -> "-" | Some f ->fl f
+(* FNV-1a offset basis and prime; the basis is truncated to OCaml's
+   63-bit int and the product wraps there. *)
+let digest s =
+  let h = ref 0xbf29ce484222325 in
+  String.iter
+    (fun c ->
+      h := !h lxor Char.code c;
+      h := !h * 0x100000001b3)
+    s;
+  Printf.sprintf "%016x" (!h land max_int)
 
 let render s =
   let b = Buffer.create 1024 in
   let line fmt = Printf.ksprintf (fun l -> Buffer.add_string b l; Buffer.add_char b '\n') fmt in
-  line "recover-snapshot v%d" s.version;
-  line "at %s" (fl s.at);
+  line "%s" header;
+  line "at %s" (Record.float_field s.at);
   line "mark %d" s.mark;
   line "seed %d" s.seed;
   line "config %s" (Record.escape s.config_fp);
   line "journal %d" s.journal_len;
-  let o = s.orch in
-  line "orch.counts %d %d %d %d %d %d" o.so_reannounced o.so_rolled_back o.so_breaker_trips
-    o.so_events o.so_outcomes o.so_monitors;
-  line "orch.last_announce %s" (fl o.so_last_announce);
-  List.iter
-    (fun p ->
-      line "orch.pipeline %s %s %s %d %s %s" (asn p.sp_vp) (asn p.sp_target) (fl p.sp_started)
-        p.sp_attempt (phase_to_string p.sp_phase) (fl p.sp_due))
-    o.so_pipelines;
-  (match o.so_active with
-  | None -> ()
-  | Some a ->
-      line "orch.active %s %s %s %d %s %s %s %s %s %s" (asn a.sa_poison) (fl a.sa_first)
-        (b01 a.sa_planned) a.sa_announcements (b01 a.sa_confirmed) (b01 a.sa_rolling_back)
-        (fl a.sa_next_check) (opt_fl a.sa_unpoison_due) (opt_fl a.sa_rollback_due)
-        (Record.escape a.sa_rollback_reason);
-      List.iter (fun t -> line "orch.affected %s" (asn t)) a.sa_affected);
-  List.iter
-    (fun (target, poison, planned) ->
-      line "orch.queue %s %s %s" (asn target) (asn poison) (b01 planned))
-    o.so_queue;
-  List.iter (fun (a, at) -> line "orch.outage %s %s" (asn a) (fl at)) o.so_outage_started;
-  List.iter (fun a -> line "orch.breaker %s" (asn a)) o.so_breaker;
+  line "state %s" (Record.escape s.state);
+  line "events %d" s.events;
+  line "outcomes %d" s.outcomes;
   List.iter (fun (name, v) -> line "counter %s %d" (Record.escape name) v) s.counters;
-  List.iter
-    (fun bk ->
-      line "bucket %s %s %s %d %d" (Record.escape bk.bk_name) (fl bk.bk_tokens)
-        (fl bk.bk_updated) bk.bk_granted bk.bk_denied)
-    s.buckets;
-  (match s.plan with None -> () | Some p -> line "plan %s" (Record.escape p));
   List.iter (fun l -> line "head %s" (Record.escape l)) s.head;
   line "end";
   Buffer.contents b
@@ -140,237 +57,72 @@ let equal a b = String.equal (render a) (render b)
 
 (* ---- parsing ---- *)
 
-let ( let* ) o f = Option.bind o f
-
-let asn_of s =
-  let* n = int_of_string_opt s in
-  if n < 0 then None else Some (Asn.of_int n)
-
-let bool_of = function "1" -> Some true | "0" -> Some false | _ -> None
-let float_of = float_of_string_opt
-let opt_float_of = function "-" -> Some None | s -> Option.map Option.some (float_of s)
-
-type builder = {
-  mutable p_at : float option;
-  mutable p_mark : int option;
-  mutable p_seed : int option;
-  mutable p_config : string option;
-  mutable p_journal : int option;
-  mutable p_counts : (int * int * int * int * int * int) option;
-  mutable p_last_announce : float option;
-  mutable p_pipelines : pipeline list;  (* newest first *)
-  mutable p_active : active option;
-  mutable p_queue : (Asn.t * Asn.t * bool) list;  (* newest first *)
-  mutable p_outages : (Asn.t * float) list;
-  mutable p_breaker : Asn.t list;
-  mutable p_counters : (string * int) list;
-  mutable p_buckets : bucket list;
-  mutable p_plan : string option;
-  mutable p_head : string list;
-  mutable p_done : bool;
-}
-
-let parse_line bld line =
-  match String.split_on_char ' ' line with
-  | [ "at"; v ] ->
-      let* v = float_of v in
-      bld.p_at <- Some v;
-      Some ()
-  | [ "mark"; v ] ->
-      let* v = int_of_string_opt v in
-      bld.p_mark <- Some v;
-      Some ()
-  | [ "seed"; v ] ->
-      let* v = int_of_string_opt v in
-      bld.p_seed <- Some v;
-      Some ()
-  | [ "config"; v ] ->
-      let* v = Record.unescape v in
-      bld.p_config <- Some v;
-      Some ()
-  | [ "journal"; v ] ->
-      let* v = int_of_string_opt v in
-      bld.p_journal <- Some v;
-      Some ()
-  | [ "orch.counts"; a; b; c; d; e; f ] ->
-      let* a = int_of_string_opt a in
-      let* b = int_of_string_opt b in
-      let* c = int_of_string_opt c in
-      let* d = int_of_string_opt d in
-      let* e = int_of_string_opt e in
-      let* f = int_of_string_opt f in
-      bld.p_counts <- Some (a, b, c, d, e, f);
-      Some ()
-  | [ "orch.last_announce"; v ] ->
-      let* v = float_of v in
-      bld.p_last_announce <- Some v;
-      Some ()
-  | [ "orch.pipeline"; vp; target; started; attempt; phase; due ] ->
-      let* sp_vp = asn_of vp in
-      let* sp_target = asn_of target in
-      let* sp_started = float_of started in
-      let* sp_attempt = int_of_string_opt attempt in
-      let* sp_phase = phase_of_string phase in
-      let* sp_due = float_of due in
-      bld.p_pipelines <-
-        { sp_vp; sp_target; sp_started; sp_attempt; sp_phase; sp_due } :: bld.p_pipelines;
-      Some ()
-  | [ "orch.active"; poison; first; planned; ann; confirmed; rolling; next; unp; roll; reason ]
-    ->
-      let* sa_poison = asn_of poison in
-      let* sa_first = float_of first in
-      let* sa_planned = bool_of planned in
-      let* sa_announcements = int_of_string_opt ann in
-      let* sa_confirmed = bool_of confirmed in
-      let* sa_rolling_back = bool_of rolling in
-      let* sa_next_check = float_of next in
-      let* sa_unpoison_due = opt_float_of unp in
-      let* sa_rollback_due = opt_float_of roll in
-      let* sa_rollback_reason = Record.unescape reason in
-      bld.p_active <-
-        Some
-          {
-            sa_poison;
-            sa_affected = [];
-            sa_first;
-            sa_planned;
-            sa_announcements;
-            sa_confirmed;
-            sa_rolling_back;
-            sa_rollback_reason;
-            sa_next_check;
-            sa_unpoison_due;
-            sa_rollback_due;
-          };
-      Some ()
-  | [ "orch.affected"; v ] ->
-      let* t = asn_of v in
-      let* a = bld.p_active in
-      bld.p_active <- Some { a with sa_affected = t :: a.sa_affected };
-      Some ()
-  | [ "orch.queue"; target; poison; planned ] ->
-      let* target = asn_of target in
-      let* poison = asn_of poison in
-      let* planned = bool_of planned in
-      bld.p_queue <- (target, poison, planned) :: bld.p_queue;
-      Some ()
-  | [ "orch.outage"; a; at ] ->
-      let* a = asn_of a in
-      let* at = float_of at in
-      bld.p_outages <- (a, at) :: bld.p_outages;
-      Some ()
-  | [ "orch.breaker"; a ] ->
-      let* a = asn_of a in
-      bld.p_breaker <- a :: bld.p_breaker;
-      Some ()
-  | [ "counter"; name; v ] ->
-      let* name = Record.unescape name in
-      let* v = int_of_string_opt v in
-      bld.p_counters <- (name, v) :: bld.p_counters;
-      Some ()
-  | [ "bucket"; name; tokens; updated; granted; denied ] ->
-      let* bk_name = Record.unescape name in
-      let* bk_tokens = float_of tokens in
-      let* bk_updated = float_of updated in
-      let* bk_granted = int_of_string_opt granted in
-      let* bk_denied = int_of_string_opt denied in
-      bld.p_buckets <- { bk_name; bk_tokens; bk_updated; bk_granted; bk_denied } :: bld.p_buckets;
-      Some ()
-  | [ "plan"; v ] ->
-      let* v = Record.unescape v in
-      bld.p_plan <- Some v;
-      Some ()
-  | [ "head"; v ] ->
-      let* v = Record.unescape v in
-      bld.p_head <- v :: bld.p_head;
-      Some ()
-  | [ "end" ] ->
-      bld.p_done <- true;
-      Some ()
-  | _ -> None
-
-let parse text =
-  match String.split_on_char '\n' text with
-  | header :: rest when String.equal header (Printf.sprintf "recover-snapshot v%d" version) ->
-      let bld =
-        {
-          p_at = None;
-          p_mark = None;
-          p_seed = None;
-          p_config = None;
-          p_journal = None;
-          p_counts = None;
-          p_last_announce = None;
-          p_pipelines = [];
-          p_active = None;
-          p_queue = [];
-          p_outages = [];
-          p_breaker = [];
-          p_counters = [];
-          p_buckets = [];
-          p_plan = None;
-          p_head = [];
-          p_done = false;
-        }
-      in
-      let rec feed = function
-        | [] -> Ok ()
-        | line :: rest ->
-            if String.length line = 0 || bld.p_done then feed rest
-            else begin
-              match parse_line bld line with
-              | Some () -> feed rest
-              | None -> Error (Printf.sprintf "snapshot: malformed line: %s" line)
-            end
-      in
-      let* () = Result.to_option (feed rest) in
-      if not bld.p_done then None
-      else begin
-        let* at = bld.p_at in
-        let* mark = bld.p_mark in
-        let* seed = bld.p_seed in
-        let* config_fp = bld.p_config in
-        let* journal_len = bld.p_journal in
-        let* reann, rolled, trips, events, outcomes, monitors = bld.p_counts in
-        let* last_announce = bld.p_last_announce in
-        let active =
-          Option.map (fun a -> { a with sa_affected = List.rev a.sa_affected }) bld.p_active
-        in
-        Some
-          {
-            version;
-            at;
-            mark;
-            seed;
-            config_fp;
-            journal_len;
-            orch =
-              {
-                so_pipelines = List.rev bld.p_pipelines;
-                so_active = active;
-                so_queue = List.rev bld.p_queue;
-                so_last_announce = last_announce;
-                so_outage_started = List.rev bld.p_outages;
-                so_breaker = List.rev bld.p_breaker;
-                so_reannounced = reann;
-                so_rolled_back = rolled;
-                so_breaker_trips = trips;
-                so_events = events;
-                so_outcomes = outcomes;
-                so_monitors = monitors;
-              };
-            counters = List.rev bld.p_counters;
-            buckets = List.rev bld.p_buckets;
-            plan = bld.p_plan;
-            head = List.rev bld.p_head;
-          }
-      end
-  | _ -> None
+let ( let* ) = Result.bind
 
 let parse_result text =
-  match parse text with
-  | Some s -> Ok s
-  | None -> Error "snapshot: unparseable or truncated"
+  let at = ref None and mark = ref None and seed = ref None and config = ref None in
+  let journal = ref None and state = ref None and events = ref None and outcomes = ref None in
+  let counters = ref [] and head = ref [] in
+  let set r conv v = Option.map (fun x -> r := Some x) (conv v) in
+  (* [Some ()] when [line] is well-formed (and recorded), [None] otherwise. *)
+  let parse_line line =
+    match String.split_on_char ' ' line with
+    | [ "at"; v ] -> set at float_of_string_opt v
+    | [ "mark"; v ] -> set mark int_of_string_opt v
+    | [ "seed"; v ] -> set seed int_of_string_opt v
+    | [ "config"; v ] -> set config Record.unescape v
+    | [ "journal"; v ] -> set journal int_of_string_opt v
+    | [ "state"; v ] -> set state Record.unescape v
+    | [ "events"; v ] -> set events int_of_string_opt v
+    | [ "outcomes"; v ] -> set outcomes int_of_string_opt v
+    | [ "counter"; name; v ] -> (
+        match (Record.unescape name, int_of_string_opt v) with
+        | Some name, Some v ->
+            counters := (name, v) :: !counters;
+            Some ()
+        | _ -> None)
+    | [ "head"; v ] ->
+        Option.map (fun v -> head := v :: !head) (Record.unescape v)
+    | _ -> None
+  in
+  (* Lines after [end] are ignored; a missing [end] is a truncation. *)
+  let rec feed = function
+    | [] -> Error "snapshot: truncated (no end line)"
+    | "end" :: _ -> Ok ()
+    | "" :: rest -> feed rest
+    | line :: rest -> (
+        match parse_line line with
+        | Some () -> feed rest
+        | None -> Error (Printf.sprintf "snapshot: malformed line: %S" line))
+  in
+  let need name r = Option.to_result ~none:("snapshot: missing " ^ name ^ " line") !r in
+  let* () =
+    match String.split_on_char '\n' text with
+    | first :: rest when String.equal first header -> feed rest
+    | first :: _ -> Error (Printf.sprintf "snapshot: bad header %S (want %S)" first header)
+    | [] -> Error "snapshot: empty"
+  in
+  let* at = need "at" at in
+  let* mark = need "mark" mark in
+  let* seed = need "seed" seed in
+  let* config_fp = need "config" config in
+  let* journal_len = need "journal" journal in
+  let* state = need "state" state in
+  let* events = need "events" events in
+  let* outcomes = need "outcomes" outcomes in
+  Ok
+    {
+      at;
+      mark;
+      seed;
+      config_fp;
+      journal_len;
+      state;
+      events;
+      outcomes;
+      counters = List.rev !counters;
+      head = List.rev !head;
+    }
 
 let counter s name =
   let rec find = function

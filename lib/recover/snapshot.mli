@@ -1,113 +1,58 @@
-(** Snapshot schema: the controller's full declarative state.
+(** Snapshot: a state digest plus the head report.
 
-    A snapshot is the explicit state-ownership contract between the
-    fleet service and recovery: everything the controller owns that is
-    not reconstructible from the world itself is named here — per-target
-    isolation pipelines (with the phase and deadline previously buried
-    in engine timers), the active poison and its watchdog state
-    (next-check, pending-unpoison and pending-rollback deadlines,
-    re-announce budget), the queued poisons, pacing ([last_announce]),
-    outage-start estimates, breaker set, budget token levels, the plan
-    cache's fingerprint + demotion set, and the counter baselines that
-    let a resumed run compute its segment report.
+    Recovery of a {e byte-identical} run goes through deterministic
+    re-execution verified against the journal ({!Journal.replaying}):
+    the heap of the discrete-event engine holds closures and is never
+    serialized. A snapshot therefore stores the minimum that
+    re-execution cannot recompute on its own, and a digest of the rest:
 
-    The heap of the discrete-event engine holds closures and therefore
-    cannot be serialized; recovery of a {e byte-identical} run goes
-    through deterministic re-execution verified against the journal
-    ({!Journal.replaying}). The snapshot plays three roles there:
-    replay-fidelity check (when re-execution reaches the snapshot's
-    mark, the freshly captured snapshot must render byte-identically —
-    {!Mismatch} otherwise), counter baselines for segment reports, and
-    the warm-restore schema for [Orchestrator.restore].
+    - [state]: the {!digest} of the controller's canonical captures —
+      orchestrator (pipelines with phase and deadline, the active poison
+      and its watchdog deadlines, queue, pacing, outage starts, breaker,
+      counters, log lengths), probe-budget buckets and plan cache. When
+      re-execution reaches the snapshot's mark, the freshly captured
+      snapshot must render byte-identically — {!Mismatch} otherwise —
+      so a digest checks replay fidelity exactly as well as the
+      captures themselves would;
+    - [events], [outcomes] and [counters]: the baselines a resumed run
+      needs to compute its tail-segment report;
+    - [head]: the rendered head-segment report.
 
     Rendering is line-based, deterministic and byte-stable (floats as
     hex floats, free text percent-escaped); {!equal} is byte equality
     of {!render}. *)
 
-open Net
-
-type pipeline_phase =
-  | Isolating  (** mid-isolation (transient; re-isolate on restore) *)
-  | Deciding  (** decision scheduled at [sp_due] *)
-  | Waiting  (** Wait verdict; recheck at [sp_due] *)
-  | Backoff  (** lost/denied attempt; retry at [sp_due] *)
-
-type pipeline = {
-  sp_vp : Asn.t;
-  sp_target : Asn.t;
-  sp_started : float;
-  sp_attempt : int;
-  sp_phase : pipeline_phase;
-  sp_due : float;
-}
-
-type active = {
-  sa_poison : Asn.t;
-  sa_affected : Asn.t list;  (** newest first, as the controller holds it *)
-  sa_first : float;
-  sa_planned : bool;
-  sa_announcements : int;
-  sa_confirmed : bool;
-  sa_rolling_back : bool;
-  sa_rollback_reason : string;
-  sa_next_check : float;  (** next watchdog/recovery check *)
-  sa_unpoison_due : float option;  (** pending paced unpoison *)
-  sa_rollback_due : float option;  (** pending paced rollback *)
-}
-
-type orch = {
-  so_pipelines : pipeline list;  (** sorted by target *)
-  so_active : active option;
-  so_queue : (Asn.t * Asn.t * bool) list;  (** (target, poison, planned), FIFO *)
-  so_last_announce : float;
-  so_outage_started : (Asn.t * float) list;  (** sorted by target *)
-  so_breaker : Asn.t list;  (** sorted *)
-  so_reannounced : int;
-  so_rolled_back : int;
-  so_breaker_trips : int;
-  so_events : int;  (** event-log length (the log itself is observability, not state) *)
-  so_outcomes : int;
-  so_monitors : int;
-}
-
-type bucket = {
-  bk_name : string;  (** ["global"] or ["vp:<asn>"] *)
-  bk_tokens : float;
-  bk_updated : float;
-  bk_granted : int;
-  bk_denied : int;
-}
-
 type t = {
-  version : int;
   at : float;  (** simulation time of the capture *)
   mark : int;  (** 1-based snapshot index within the run *)
   seed : int;
   config_fp : string;  (** fingerprint of (config, seed); resume refuses a mismatch *)
   journal_len : int;  (** journal records persisted at capture time *)
-  orch : orch;
+  state : string;  (** {!digest} of the orchestrator, budget and plan captures *)
+  events : int;  (** orchestrator event-log length at capture *)
+  outcomes : int;  (** orchestrator outcome-log length at capture *)
   counters : (string * int) list;  (** absolute counter values at capture, sorted *)
-  buckets : bucket list;
-  plan : string option;  (** opaque [Plan.Cache.capture] rendering *)
   head : string list;  (** rendered head-segment report *)
 }
 
 exception Mismatch of { mark : int }
 (** Re-execution reached [mark] but captured a different snapshot. *)
 
-val version : int
+val digest : string -> string
+(** 64-bit FNV-1a (truncated to OCaml's 63-bit [int]) as 16 hex digits.
+    Not cryptographic: it detects replay drift, not tampering. *)
 
 val render : t -> string
-(** Deterministic multi-line rendering (ends with ["end\n"]). *)
+(** Deterministic multi-line rendering (header [recover-snapshot v2],
+    ends with ["end\n"]). *)
 
-val parse : string -> t option
 val parse_result : string -> (t, string) result
+(** Inverse of {!render}. Total: any input either parses or yields an
+    error naming the first malformed line (or the missing header,
+    field or terminator). *)
 
 val equal : t -> t -> bool
 (** Byte equality of {!render}. *)
 
 val counter : t -> string -> int
 (** Baseline lookup; 0 when absent. *)
-
-val phase_to_string : pipeline_phase -> string
-val phase_of_string : string -> pipeline_phase option

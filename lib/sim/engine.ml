@@ -18,13 +18,6 @@ type t = {
   mutable size : int;
   mutable clock : float;
   mutable next_seq : int;
-  mutable named : (string * float * timer) list;
-      (* Control-plane timers registered through [after_named]: the
-         snapshotable subset of the pending set. The heap holds closures
-         and cannot be captured; named timers carry (name, due) so a
-         snapshot can record — and a restore re-arm — the controller's
-         deadlines. Few and long-lived (watchdog ticks, backoffs), so a
-         list is fine. *)
 }
 
 let create ?(now = 0.0) () =
@@ -33,7 +26,6 @@ let create ?(now = 0.0) () =
     size = 0;
     clock = now;
     next_seq = 0;
-    named = [];
   }
 
 let now t = t.clock
@@ -136,25 +128,6 @@ let every t ~every ?until f =
 
 let cancel tm = tm.cancelled <- true
 let active tm = not tm.cancelled
-
-let after_named t ~name ~delay action =
-  let tm = { cancelled = false } in
-  let due = t.clock +. delay in
-  t.named <- (name, due, tm) :: t.named;
-  schedule_after t ~delay (fun () ->
-      t.named <- List.filter (fun (_, _, tm') -> tm' != tm) t.named;
-      if not tm.cancelled then action ());
-  tm
-
-let named_pending t =
-  let live =
-    List.filter_map (fun (n, d, tm) -> if tm.cancelled then None else Some (n, d)) t.named
-  in
-  List.sort
-    (fun (n1, d1) (n2, d2) ->
-      let c = Float.compare d1 d2 in
-      if c <> 0 then c else String.compare n1 n2)
-    live
 
 let step t =
   match pop t with

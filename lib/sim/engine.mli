@@ -45,7 +45,9 @@ val schedule_every :
 type timer
 
 val after : t -> delay:float -> (unit -> unit) -> timer
-(** Like {!schedule_after}, but returns a handle that {!cancel} disarms. *)
+(** Like {!schedule_after}, but returns a handle that {!cancel} disarms.
+    Schedules identically: the same event order and the same sequence
+    numbers, one per call. *)
 
 val every :
   t -> every:float -> ?until:float -> (float -> [ `Continue | `Stop ]) -> timer
@@ -58,20 +60,6 @@ val cancel : timer -> unit
 
 val active : timer -> bool
 (** [true] until {!cancel} is called. *)
-
-val after_named : t -> name:string -> delay:float -> (unit -> unit) -> timer
-(** {!after}, registered in the engine's {e named timer set}: the
-    snapshotable subset of the pending events. The heap holds closures
-    and cannot be serialized; a control plane that schedules its
-    deadlines through [after_named] can capture them as (name, due)
-    pairs and re-arm them against a restored engine clock. The entry is
-    removed when the timer fires (cancelled timers drop out of
-    {!named_pending} immediately). Scheduling behavior — event order,
-    sequence numbers — is identical to {!after}. *)
-
-val named_pending : t -> (string * float) list
-(** Live named timers as (name, due-time) pairs, sorted by (due, name).
-    Cancelled and already-fired timers are excluded. *)
 
 val run : ?until:float -> t -> unit
 (** Execute events in order until the queue empties, or until the clock

@@ -1,11 +1,10 @@
 (* Crash tolerance (lib/recover): the journal line codec, crash-point
    boundaries, replay divergence, reconciliation, snapshot round-trips,
    durable-mode inertness, the crash matrix (every boundary class, with
-   and without sharding, byte-identical resume), segment merge, and warm
-   orchestrator capture/restore. *)
+   and without sharding, byte-identical resume), segment merge, snapshot
+   fidelity mismatches, and totality of the recovery parsers. *)
 
 open Net
-open Helpers
 
 let an = Asn.of_int
 let weird = "spaces % percent|pipe\nnewline\ttab"
@@ -354,93 +353,180 @@ let test_segment_merge () =
   Alcotest.(check (list string)) "merge head tail == full report" (render full)
     (render (Fleet.Service.merge ~seed:42 ~config head tail))
 
-(* ---------- warm orchestrator capture/restore ---------- *)
+(* ---------- snapshot fidelity: Mismatch is raised ---------- *)
 
-(* The paper's target scenario (as in the orchestrator tests): A
-   silently drops traffic toward the origin's announced space. *)
-let reverse_failure_spec =
-  Dataplane.Failure.spec ~toward:sentinel (Dataplane.Failure.Node a)
+(* One reference durable run with marks, shared by the tests below. *)
+let reference_run =
+  lazy
+    (let snaps = ref [] in
+     let _, rc =
+       finished "reference"
+         (Fleet.Service.run_durable ~config:(fleet_config None) ~seed:42 ~snapshot_every:2700.0
+            ~snapshot_sink:(fun s -> snaps := s :: !snaps)
+            ())
+     in
+     (rc.Fleet.Service.rc_journal, List.rev !snaps))
 
-let orch_world ~targets =
-  let w = fig2_world () in
-  announce_all_infrastructure w;
-  let plan = Lifeguard.Remediate.plan ~sentinel ~origin:o ~production () in
-  let atlas = Measurement.Atlas.create () in
-  let responsiveness = Measurement.Responsiveness.create () in
-  let config =
+let mark_snapshot m =
+  let _, snaps = Lazy.force reference_run in
+  match List.find_opt (fun s -> s.Recover.Snapshot.mark = m) snaps with
+  | Some s -> s
+  | None -> Alcotest.failf "expected a mark-%d snapshot" m
+
+let test_snapshot_mismatch () =
+  let journal, _ = Lazy.force reference_run in
+  let snap = mark_snapshot 2 in
+  (* A resume whose snapshot no longer matches re-execution at its mark
+     is refused there — whether the state digest or the head report was
+     altered. Marks (and so the check) run only at a snapshot cadence. *)
+  let expect_mismatch label altered =
+    match
+      Fleet.Service.run_durable ~config:(fleet_config None) ~seed:42 ~journal ~snapshot:altered
+        ~snapshot_every:2700.0 ()
+    with
+    | exception Recover.Snapshot.Mismatch { mark } ->
+        Alcotest.(check int) (label ^ ": refused at the snapshot's mark") 2 mark
+    | _ -> Alcotest.failf "%s: altered snapshot must raise Mismatch" label
+  in
+  let flip_first s =
+    String.mapi (fun i c -> if i = 0 then if Char.equal c '0' then '1' else '0' else c) s
+  in
+  expect_mismatch "state digest" { snap with Recover.Snapshot.state = flip_first snap.state };
+  expect_mismatch "head report"
     {
-      Lifeguard.Orchestrator.default_config with
-      Lifeguard.Orchestrator.decide =
-        { Lifeguard.Decide.default_config with Lifeguard.Decide.min_outage_age = 200.0 };
+      snap with
+      Recover.Snapshot.head =
+        List.map
+          (fun l -> if String.starts_with ~prefix:"injected " l then "injected 9999" else l)
+          snap.head;
     }
-  in
-  let orc =
-    Lifeguard.Orchestrator.create ~config ~env:w.probe ~atlas ~responsiveness ~plan
-      ~vantage_points:[ d; c ] ()
-  in
-  converge w;
-  Lifeguard.Orchestrator.watch orc ~targets;
-  (w, config, plan, atlas, responsiveness, orc)
 
-let restore_of (w, config, plan, atlas, responsiveness, orc) snap =
-  Lifeguard.Orchestrator.restore ~config ~env:w.probe ~atlas ~responsiveness ~plan
-    ~vantage_points:[ d; c ]
-    ~collector:(Lifeguard.Orchestrator.collector orc)
-    snap ()
+(* ---------- recovery parsers are total ---------- *)
 
-let test_warm_restore () =
-  let ((w, _, _, _, _, orc) as world) = orch_world ~targets:[ e ] in
-  Sim.Engine.run ~until:600.0 w.engine;
-  Dataplane.Failure.add w.failures reverse_failure_spec;
-  Sim.Engine.run ~until:2400.0 w.engine;
-  (match Lifeguard.Orchestrator.state orc with
-  | Lifeguard.Orchestrator.Poisoned _ -> ()
-  | _ -> Alcotest.fail "expected the poisoned steady state");
-  Alcotest.(check int) "no pipelines at capture" 0
-    (Lifeguard.Orchestrator.active_pipelines orc);
-  let snap = Lifeguard.Orchestrator.capture orc in
-  let restored = restore_of world snap in
-  let snap' = Lifeguard.Orchestrator.capture restored in
-  (* The event/outcome/monitor logs are observability, not state: a
-     restored controller restarts them empty.  Everything else — the
-     active poison with its watchdog deadlines, pacing, breaker set,
-     counters — must survive the round-trip byte-for-byte. *)
-  Alcotest.(check int) "event log restarts empty" 0 snap'.Recover.Snapshot.so_events;
-  Alcotest.(check int) "outcome log restarts empty" 0 snap'.Recover.Snapshot.so_outcomes;
-  let normalized =
-    {
-      snap' with
-      Recover.Snapshot.so_events = snap.Recover.Snapshot.so_events;
-      so_outcomes = snap.Recover.Snapshot.so_outcomes;
-      so_monitors = snap.Recover.Snapshot.so_monitors;
-    }
+(* Damage a valid input the way crashes and bit rot do: truncate, flip,
+   insert or delete a byte, one to three times over. *)
+let mutated base =
+  let open QCheck.Gen in
+  let once s =
+    let n = String.length s in
+    int_bound (max 0 n) >>= fun k ->
+    char >>= fun c ->
+    oneofl
+      (if n = 0 then [ String.make 1 c ]
+       else
+         let k' = k mod n in
+         [
+           String.sub s 0 k;
+           String.mapi (fun i x -> if i = k' then c else x) s;
+           String.sub s 0 k ^ String.make 1 c ^ String.sub s k (n - k);
+           String.sub s 0 k' ^ String.sub s (k' + 1) (n - k' - 1);
+         ])
   in
-  Alcotest.(check bool) "capture . restore . capture = capture" true (snap = normalized);
-  Alcotest.(check bool) "restored state is poisoned" true
-    (match Lifeguard.Orchestrator.state restored with
-    | Lifeguard.Orchestrator.Poisoned _ -> true
-    | _ -> false)
+  int_range 1 3 >>= fun times ->
+  let rec go s i = if i = 0 then return s else once s >>= fun s -> go s (i - 1) in
+  go base times
 
-let test_restore_mid_pipeline () =
-  let ((w, _, _, _, _, orc) as world) = orch_world ~targets:[ e; f ] in
-  Sim.Engine.run ~until:600.0 w.engine;
-  Dataplane.Failure.add w.failures reverse_failure_spec;
-  Sim.Engine.run ~until:730.0 w.engine;
-  let live = Lifeguard.Orchestrator.active_pipelines orc in
-  Alcotest.(check int) "two pipelines in flight" 2 live;
-  let snap = Lifeguard.Orchestrator.capture orc in
-  Alcotest.(check int) "snapshot carries the pipelines" live
-    (List.length snap.Recover.Snapshot.so_pipelines);
-  let restored = restore_of world snap in
-  Alcotest.(check int) "pipelines restored" live
-    (Lifeguard.Orchestrator.active_pipelines restored);
-  (* Every restored pipeline is re-armed as a named restart timer so a
-     resumed engine picks the work back up at its recorded deadline. *)
-  let restarts =
-    List.filter (fun (n, _) -> String.equal n "orch.restart")
-      (Sim.Engine.named_pending w.engine)
+(* Arbitrary bytes half the time, a damaged valid input the other half.
+   The valid inputs are forced on first use, so building the suite runs
+   no world. *)
+let damaged valid =
+  let open QCheck.Gen in
+  let gen =
+    frequency
+      [
+        (1, string_size ~gen:char (int_bound 200));
+        (1, return () >>= fun () -> oneofl (Lazy.force valid) >>= mutated);
+      ]
   in
-  Alcotest.(check bool) "restart timers armed" true (List.length restarts >= live)
+  QCheck.make ~print:(Printf.sprintf "%S") gen
+
+let total name arb prop =
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+    (QCheck.Test.make ~name ~count:500 arb (fun x ->
+         match prop x with
+         | ok -> ok
+         | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e)))
+
+let lines_of text = String.split_on_char '\n' text
+
+let record_lines = List.map Recover.Record.to_line sample_records
+
+let prop_record =
+  total "Record.of_line is total and canonical" (damaged (lazy record_lines)) (fun line ->
+      match Recover.Record.of_line line with
+      | Error _ -> true
+      | Ok r -> (
+          let canon = Recover.Record.to_line r in
+          match Recover.Record.of_line canon with
+          | Ok r' -> String.equal canon (Recover.Record.to_line r')
+          | Error _ -> false))
+
+let prop_journal =
+  total "Journal.parse_lines is total" (damaged (lazy [ String.concat "\n" record_lines ]))
+    (fun text ->
+      match Recover.Journal.parse_lines (lines_of text) with Ok _ | Error _ -> true)
+
+(* A journal cut anywhere is a torn write: it always loads, as a prefix
+   of what was persisted. *)
+let prop_journal_truncated =
+  let text = String.concat "\n" record_lines ^ "\n" in
+  total "Journal.parse_lines loads every truncation as a prefix"
+    QCheck.(int_bound (String.length text))
+    (fun k ->
+      match Recover.Journal.parse_lines (lines_of (String.sub text 0 k)) with
+      | Error _ -> false
+      | Ok rs ->
+          let got = List.map Recover.Record.to_line rs in
+          let n = List.length got in
+          n <= List.length record_lines
+          && List.for_all2 String.equal
+               (List.filteri (fun i _ -> i < n - 1) got)
+               (List.filteri (fun i _ -> i < n - 1) record_lines))
+
+let reference_snapshots f = lazy (List.map f (snd (Lazy.force reference_run)))
+
+let prop_snapshot =
+  total "Snapshot.parse_result is total and canonical"
+    (damaged (reference_snapshots Recover.Snapshot.render))
+    (fun text ->
+      match Recover.Snapshot.parse_result text with
+      | Error _ -> true
+      | Ok s -> (
+          let canon = Recover.Snapshot.render s in
+          match Recover.Snapshot.parse_result canon with
+          | Ok s' -> String.equal canon (Recover.Snapshot.render s')
+          | Error _ -> false))
+
+let prop_report =
+  let heads = reference_snapshots (fun s -> String.concat "\n" s.Recover.Snapshot.head) in
+  total "Service.parse_report is total and canonical" (damaged heads) (fun text ->
+      match Fleet.Service.parse_report (lines_of text) with
+      | None -> true
+      | Some r -> (
+          let canon = render r in
+          match Fleet.Service.parse_report canon with
+          | Some r' -> List.equal String.equal canon (render r')
+          | None -> false))
+
+let test_snapshot_parse_errors () =
+  let txt = Recover.Snapshot.render (mark_snapshot 1) in
+  let err text =
+    match Recover.Snapshot.parse_result text with
+    | Ok _ -> Alcotest.fail "damaged snapshot must not parse"
+    | Error e -> e
+  in
+  let bad =
+    lines_of txt
+    |> List.map (fun l -> if String.starts_with ~prefix:"mark " l then "mark two" else l)
+    |> String.concat "\n"
+  in
+  Alcotest.(check string) "names the first malformed line"
+    "snapshot: malformed line: \"mark two\"" (err bad);
+  Alcotest.(check string) "names the missing terminator" "snapshot: truncated (no end line)"
+    (err (String.sub txt 0 (String.length txt - 4)));
+  Alcotest.(check string) "names a v1 header"
+    "snapshot: bad header \"recover-snapshot v1\" (want \"recover-snapshot v2\")"
+    (err "recover-snapshot v1\nend\n")
 
 let suite =
   [
@@ -459,7 +545,13 @@ let suite =
       test_crash_matrix;
     Alcotest.test_case "segment merge reproduces the full report" `Quick
       test_segment_merge;
-    Alcotest.test_case "warm capture/restore round-trip" `Quick test_warm_restore;
-    Alcotest.test_case "mid-pipeline restore re-arms the work" `Quick
-      test_restore_mid_pipeline;
+    Alcotest.test_case "altered snapshot raises Mismatch at its mark" `Quick
+      test_snapshot_mismatch;
+    Alcotest.test_case "snapshot parse errors name the damage" `Quick
+      test_snapshot_parse_errors;
+    prop_record;
+    prop_journal;
+    prop_journal_truncated;
+    prop_snapshot;
+    prop_report;
   ]
