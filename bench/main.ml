@@ -206,7 +206,7 @@ let micro_benchmarks () =
       (Staged.stage (fun () -> ignore (Bgp.Decision.best entries)))
   in
   (* Longest-prefix-match trie. *)
-  let trie_test =
+  let trie_tests =
     let rng = Prng.create ~seed in
     let trie =
       List.fold_left
@@ -225,10 +225,16 @@ let micro_benchmarks () =
           Net.Ipv4.of_octets 10 (Prng.int rng 256) (Prng.int rng 256) (Prng.int rng 256))
     in
     let i = ref 0 in
-    Test.make ~name:"prefix trie: longest-prefix match"
-      (Staged.stage (fun () ->
-           incr i;
-           ignore (Net.Prefix_trie.lookup addresses.(!i land 63) trie)))
+    [
+      Test.make ~name:"prefix trie: longest-prefix match"
+        (Staged.stage (fun () ->
+             incr i;
+             ignore (Net.Prefix_trie.lookup addresses.(!i land 63) trie)));
+      Test.make ~name:"prefix trie: find_longest (no prefix)"
+        (Staged.stage (fun () ->
+             incr i;
+             ignore (Net.Prefix_trie.find_longest addresses.(!i land 63) trie)));
+    ]
   in
   (* Valley-free reachability on a realistic topology. *)
   let gen = Topology.Topo_gen.generate ~seed () in
@@ -354,7 +360,8 @@ let micro_benchmarks () =
   in
   let tests =
     Test.make_grouped ~name:"lifeguard"
-      ([ decision_test; trie_test; reach_test; engine_test; walk_test ]
+      ((decision_test :: trie_tests)
+      @ [ reach_test; engine_test; walk_test ]
       @ equality_tests
       @ [ ann_equal_test; session_flap_test; shard_test ])
   in
@@ -398,27 +405,6 @@ let micro_benchmarks () =
     !medians;
   Stats.Table.print table;
   !medians
-
-(* ------------------------------------------------------------------ *)
-(* Metrics summary (--metrics). *)
-
-let print_metrics_summary () =
-  let snap = Obs.Metrics.snapshot () in
-  let table =
-    Stats.Table.create ~title:"Obs metrics (cumulative, merged over domains)"
-      ~columns:[ "metric"; "kind"; "value" ]
-  in
-  List.iter
-    (fun (n, v) -> Stats.Table.add_row table [ n; "counter"; string_of_int v ])
-    snap.Obs.Metrics.counters;
-  List.iter
-    (fun (n, v) -> Stats.Table.add_row table [ n; "gauge (max)"; string_of_int v ])
-    snap.Obs.Metrics.gauges;
-  List.iter
-    (fun (h : Obs.Metrics.hist_row) ->
-      Stats.Table.add_row table [ h.hname; "histogram"; Printf.sprintf "n=%d" h.total ])
-    snap.Obs.Metrics.hists;
-  Stats.Table.print table
 
 (* ------------------------------------------------------------------ *)
 (* Machine-readable run summary. *)
@@ -923,7 +909,7 @@ let () =
   in
   if !show_metrics then begin
     banner "Metrics";
-    print_metrics_summary ()
+    Experiments.Metrics_report.print ()
   end;
   (match !json_path with
   | Some path -> write_json ~date ~path ~micro

@@ -58,24 +58,6 @@ let obs_term =
   let v trace metrics = { trace; metrics } in
   Term.(const v $ trace $ metrics)
 
-let print_metrics_summary () =
-  let snap = Obs.Metrics.snapshot () in
-  let table =
-    Stats.Table.create ~title:"Obs metrics (merged over domains)"
-      ~columns:[ "metric"; "kind"; "value" ]
-  in
-  List.iter
-    (fun (n, v) -> Stats.Table.add_row table [ n; "counter"; string_of_int v ])
-    snap.Obs.Metrics.counters;
-  List.iter
-    (fun (n, v) -> Stats.Table.add_row table [ n; "gauge (max)"; string_of_int v ])
-    snap.Obs.Metrics.gauges;
-  List.iter
-    (fun (h : Obs.Metrics.hist_row) ->
-      Stats.Table.add_row table [ h.hname; "histogram"; Printf.sprintf "n=%d" h.total ])
-    snap.Obs.Metrics.hists;
-  Stats.Table.print table
-
 let with_obs o f =
   if o.metrics || o.trace <> None then begin
     (* Libraries only read time through the injected Obs.Clock; the
@@ -88,7 +70,7 @@ let with_obs o f =
     ~finally:(fun () -> Obs.Trace.close ())
     (fun () ->
       let r = f () in
-      if o.metrics then print_metrics_summary ();
+      if o.metrics then Experiments.Metrics_report.print ();
       r)
 
 let fig1_cmd =
@@ -429,7 +411,8 @@ let fleet_cmd =
       & info [ "snapshot" ] ~docv:"FILE"
           ~doc:
             "Daemon mode: rewrite $(docv) with the latest state snapshot at every mark; on \
-             $(b,--resume), an existing $(docv) is loaded and verified against re-execution.")
+             $(b,--resume), an existing $(docv) is loaded and verified against re-execution at \
+             the marks $(b,--snapshot-every) sets (so resuming with $(docv) requires it).")
   in
   let snapshot_every =
     Arg.(
@@ -581,7 +564,10 @@ let fleet_cmd =
           (Recover.Crash.boundary_to_string boundary)
           (List.length journal);
         Format.eprintf "lifeguard: resume with: lifeguard fleet --resume %s%s@." out_journal
-          (match snapshot_file with Some f -> " --snapshot " ^ f | None -> "");
+          (match (snapshot_file, snapshot_every) with
+          | Some f, Some every -> Printf.sprintf " --snapshot %s --snapshot-every %g" f every
+          | Some f, None -> " --snapshot " ^ f
+          | None, _ -> "");
         exit 3
   in
   let run obs seed duration targets outages probe_loss vp_mtbf staleness planning jobs shards
@@ -596,6 +582,11 @@ let fleet_cmd =
     check (crash_at >= 0) (Printf.sprintf "--crash-at must be >= 0 (got %d)" crash_at);
     check (snapshot_every >= 0.0)
       (Printf.sprintf "--snapshot-every must be >= 0 (got %g)" snapshot_every);
+    (* A resumed run compares a loaded snapshot with re-execution only at
+       a mark, so without marks the snapshot would go unchecked. *)
+    check
+      (not (Option.is_some resume_file && Option.is_some snapshot_file && snapshot_every = 0.0))
+      "--resume with --snapshot needs --snapshot-every: the snapshot is verified only at marks";
     let shards = shards_opt shards in
     with_obs obs (fun () ->
         let config =

@@ -116,6 +116,9 @@ type t = {
   shard_ix : int Asn.Table.t;  (** AS -> shard index; empty in legacy mode *)
   mutable barrier : boundary_msg Shard.Barrier.t option;  (** None = legacy *)
   partition_cut : int;
+  fib_epoch : int Atomic.t;
+      (** Handed to every speaker, which bumps it on each FIB install.
+          Atomic because sharded windows install from pool domains. *)
 }
 
 let delivery_bucket_width = 1.0
@@ -147,9 +150,9 @@ let engine t = t.engine
 let graph t = t.graph
 
 let speaker t asn =
-  match Asn.Table.find_opt t.speakers asn with
-  | Some sp -> sp
-  | None -> invalid_arg (Printf.sprintf "Network: unknown %s" (Asn.to_string asn))
+  match Asn.Table.find t.speakers asn with
+  | sp -> sp
+  | exception Not_found -> invalid_arg (Printf.sprintf "Network: unknown %s" (Asn.to_string asn))
 
 let path_store t = t.store
 let shards t = Array.length t.shards
@@ -365,6 +368,7 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
           Partition.cut_edges part )
   in
   let speakers = Asn.Table.create 256 in
+  let fib_epoch = Atomic.make 0 in
   List.iter
     (fun asn ->
       let sstore =
@@ -372,7 +376,7 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
         else shard_states.(Asn.Table.find shard_ix_tbl asn).sstore
       in
       let sp =
-        Speaker.create ~store:sstore ~asn ~config:(config_of asn)
+        Speaker.create ~store:sstore ~fib_epoch ~asn ~config:(config_of asn)
           ~neighbors:(As_graph.neighbors graph asn) ()
       in
       Asn.Table.replace speakers asn sp)
@@ -394,6 +398,7 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
       shard_ix = shard_ix_tbl;
       barrier = None;
       partition_cut;
+      fib_epoch;
     }
   in
   (match shard_count with
@@ -543,6 +548,14 @@ let best_route t asn prefix =
 let fib_lookup t asn ip =
   sync t;
   Speaker.fib_lookup (speaker t asn) ip
+
+let fib_find t asn ip =
+  sync t;
+  Speaker.fib_find (speaker t asn) ip
+
+let fib_epoch t =
+  sync t;
+  Atomic.get t.fib_epoch
 
 let bgp_busy t =
   let acc = ref 0 in

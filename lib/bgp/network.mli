@@ -153,6 +153,18 @@ val fib_lookup : t -> Asn.t -> Ipv4.t -> (Prefix.t * Route.entry) option
 (** Longest-prefix match against [asn]'s FIB — the data-plane view,
     which can lag the loc-RIB when FIB install latency is modeled. *)
 
+val fib_find : t -> Asn.t -> Ipv4.t -> Route.entry option
+(** {!fib_lookup} without the matched prefix, allocating nothing
+    ({!Speaker.fib_find} after the same {!sync}). *)
+
+val fib_epoch : t -> int
+(** The world's forwarding epoch: a counter bumped by every
+    {!Speaker.install_fib} of every speaker — immediate and delayed
+    installs alike, since that function is the only FIB writer. While it
+    is unchanged, every {!fib_lookup} answers as it did. Reading it
+    first {!sync}s the shards, so a sharded network never reports the
+    epoch of a FIB state the control clock has already moved past. *)
+
 val run_until_quiet : ?timeout:float -> t -> unit
 (** Drive the engine until no BGP events remain queued (or [timeout]
     simulated seconds elapsed, default 3600). Other events scheduled on

@@ -46,6 +46,9 @@ type t = {
   locals : origination Prefix.Table.t;
   best_table : Route.entry Prefix.Table.t;
   mutable fib : Route.entry Prefix_trie.t;
+  fib_epoch : int Atomic.t;
+      (** Bumped by every [install_fib]; shared by all speakers of a
+          {!Network}, so one read tells whether any FIB in the world moved. *)
   adj_out : Route.announcement Prefix.Table.t Asn.Table.t;
       (** Per-neighbor adj-RIB-out index: neighbor -> (prefix -> last sent).
           Keyed by neighbor first so [session_down] clears one sub-table
@@ -58,7 +61,7 @@ type t = {
 
 and damp_state = { mutable penalty : float; mutable last : float; mutable suppressed : bool }
 
-let create ?store ~asn ~config ~neighbors () =
+let create ?store ?fib_epoch ~asn ~config ~neighbors () =
   let neighbor_rel = Asn.Table.create 16 in
   List.iter (fun (n, rel) -> Asn.Table.replace neighbor_rel n rel) neighbors;
   let peers =
@@ -80,6 +83,7 @@ let create ?store ~asn ~config ~neighbors () =
     locals = Prefix.Table.create 4;
     best_table = Prefix.Table.create 16;
     fib = Prefix_trie.empty;
+    fib_epoch = (match fib_epoch with Some e -> e | None -> Atomic.make 0);
     adj_out = Asn.Table.create 16;
     on_best_change = None;
     fib_commit = None;
@@ -155,6 +159,7 @@ let is_suppressed t ~now prefix neighbor =
     end
 
 let install_fib t prefix entry =
+  Atomic.incr t.fib_epoch;
   match entry with
   | Some e -> t.fib <- Prefix_trie.add prefix e t.fib
   | None -> t.fib <- Prefix_trie.remove prefix t.fib
@@ -454,6 +459,7 @@ let refresh_prefix t ~prefix =
 
 let best t prefix = Prefix.Table.find_opt t.best_table prefix
 let fib_lookup t ip = Prefix_trie.lookup ip t.fib
+let fib_find t ip = Prefix_trie.find_longest ip t.fib
 
 let prefixes t =
   Prefix.Table.fold (fun p _ acc -> p :: acc) t.best_table [] |> List.sort_uniq Prefix.compare

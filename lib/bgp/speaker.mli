@@ -20,6 +20,7 @@ type action = Announce of Route.announcement | Withdraw of Prefix.t
 
 val create :
   ?store:Path_store.t ->
+  ?fib_epoch:int Atomic.t ->
   asn:Asn.t ->
   config:Policy.config ->
   neighbors:(Asn.t * Relationship.t) list ->
@@ -29,7 +30,10 @@ val create :
     world's path/announcement interner — {!Network.create} passes one
     store to every speaker of a world so their RIBs share physical values;
     a standalone speaker (tests) defaults to a private store. Never share
-    a store across worlds: lib/par worlds are share-nothing. *)
+    a store across worlds: lib/par worlds are share-nothing.
+    [fib_epoch] is the counter {!install_fib} bumps; {!Network.create}
+    hands one counter to every speaker of a world (default: a private
+    one). *)
 
 val path_store : t -> Path_store.t
 (** The interner this speaker stores paths and announcements in. *)
@@ -96,13 +100,18 @@ val fib_lookup : t -> Ipv4.t -> (Prefix.t * Route.entry) option
     the data plane behind the control plane, the window in which real
     routers blackhole or loop packets during convergence. *)
 
+val fib_find : t -> Ipv4.t -> Route.entry option
+(** [Option.map snd (fib_lookup t ip)] without allocating: the per-hop
+    lookup of the data plane's verdict walk. *)
+
 val set_fib_commit_hook : t -> (Prefix.t -> Route.entry option -> unit) -> unit
 (** Divert FIB installs: when set, loc-RIB changes invoke the hook
     instead of updating the FIB; the hook (or anyone) must eventually
     call {!install_fib}. *)
 
 val install_fib : t -> Prefix.t -> Route.entry option -> unit
-(** Install (or remove, on [None]) the data-plane entry for a prefix. *)
+(** Install (or remove, on [None]) the data-plane entry for a prefix, and
+    bump the FIB epoch. This is the only writer of the FIB. *)
 
 val prefixes : t -> Prefix.t list
 (** All prefixes with a loc-RIB entry. *)

@@ -30,41 +30,62 @@ let scope_equal a b =
 let spec_equal a b =
   scope_equal a.scope b.scope && a.mode = b.mode && Option.equal Prefix.equal a.toward b.toward
 
-type set = { mutable specs : spec list }
+(* [version] moves on every write, so a reader holding a verdict derived
+   from the set can tell in one comparison whether it may still hold. *)
+type set = { mutable specs : spec list; mutable version : int }
 
-let create () = { specs = [] }
+let create () = { specs = []; version = 0 }
 let is_empty t = t.specs = []
 let active t = t.specs
-let add t spec = t.specs <- spec :: t.specs
-let remove t spec = t.specs <- List.filter (fun s -> not (spec_equal s spec)) t.specs
-let clear t = t.specs <- []
+let version t = t.version
+
+let write t specs =
+  t.specs <- specs;
+  t.version <- t.version + 1
+
+let add t spec = write t (spec :: t.specs)
+let remove t spec = write t (List.filter (fun s -> not (spec_equal s spec)) t.specs)
+let clear t = write t []
 
 let toward_matches spec dst =
   match spec.toward with
   | None -> true
   | Some p -> Prefix.mem dst p
 
-let blocks_hop t ~from_ ~to_ ~dst =
-  List.find_opt
-    (fun spec ->
-      toward_matches spec dst
-      &&
-      match spec.scope with
-      | Node a -> Asn.equal a to_
-      | Link (a, b) ->
-          (Asn.equal a from_ && Asn.equal b to_) || (Asn.equal a to_ && Asn.equal b from_)
-      | Link_dir (a, b) -> Asn.equal a from_ && Asn.equal b to_)
-    t.specs
+(* Both matchers run once per forwarding hop, so they are plain
+   recursions rather than [List.find_opt] with a closure: no allocation
+   unless a failure matches. *)
+let rec blocks_hop_in specs ~from_ ~to_ ~dst =
+  match specs with
+  | [] -> None
+  | spec :: rest ->
+      if
+        toward_matches spec dst
+        &&
+        match spec.scope with
+        | Node a -> Asn.equal a to_
+        | Link (a, b) ->
+            (Asn.equal a from_ && Asn.equal b to_) || (Asn.equal a to_ && Asn.equal b from_)
+        | Link_dir (a, b) -> Asn.equal a from_ && Asn.equal b to_
+      then Some spec
+      else blocks_hop_in rest ~from_ ~to_ ~dst
 
-let blocks_source t asn ~dst =
-  List.find_opt
-    (fun spec ->
-      toward_matches spec dst
-      &&
-      match spec.scope with
-      | Node a -> Asn.equal a asn
-      | Link _ | Link_dir _ -> false)
-    t.specs
+let blocks_hop t ~from_ ~to_ ~dst = blocks_hop_in t.specs ~from_ ~to_ ~dst
+
+let rec blocks_source_in specs asn ~dst =
+  match specs with
+  | [] -> None
+  | spec :: rest ->
+      if
+        toward_matches spec dst
+        &&
+        match spec.scope with
+        | Node a -> Asn.equal a asn
+        | Link _ | Link_dir _ -> false
+      then Some spec
+      else blocks_source_in rest asn ~dst
+
+let blocks_source t asn ~dst = blocks_source_in t.specs asn ~dst
 
 let control_action f net spec =
   match spec.scope with

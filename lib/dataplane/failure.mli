@@ -48,6 +48,14 @@ val remove : set -> spec -> unit
 (** Remove a failure equal to [spec]; no-op when absent. *)
 
 val clear : set -> unit
+(** [add], [remove] and [clear] are the only writers of a set; each one
+    bumps its {!version}. *)
+
+val version : set -> int
+(** A counter that moves on every {!add}, {!remove} and {!clear} (even a
+    [remove] of an absent failure). While it is unchanged, {!blocks_hop}
+    and {!blocks_source} answer as they did: what {!Probe}'s reachability
+    memo checks before reusing a verdict. *)
 
 val blocks_hop : set -> from_:Asn.t -> to_:Asn.t -> dst:Ipv4.t -> spec option
 (** Does any active failure kill a packet traversing the [from_ -> to_]

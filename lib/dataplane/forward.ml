@@ -40,7 +40,35 @@ let responding_router graph asn ~dst =
   in
   routers.(i).As_graph.address
 
-let walk net failures ~src ~dst ?(max_hops = 64) () =
+let default_max_hops = 64
+
+(* One forwarding decision, shared by [walk] and [delivers] so the two
+   cannot drift apart: at [current], the FIB entry (or a stub's default
+   provider) picks the next AS; the packet then either loops back to an
+   AS [seen] already, is dropped by a failure on the hop, or moves on. *)
+type step = Arrive | Halt of outcome | Hop of Asn.t
+
+let forward_to failures ~seen ~dst current next =
+  if seen next then Halt Loop
+  else
+    match Failure.blocks_hop failures ~from_:current ~to_:next ~dst with
+    | Some by -> Halt (Dropped { at = next; by })
+    | None -> Hop next
+
+let next_hop net failures ~seen ~dst current =
+  match Bgp.Network.fib_find net current dst with
+  | Some entry ->
+      if Bgp.Route.is_local entry then Arrive
+      else forward_to failures ~seen ~dst current entry.Bgp.Route.neighbor
+  | None -> begin
+      (* Stub default route: forward unmatched traffic to the configured
+         provider. *)
+      match (Bgp.Speaker.config (Bgp.Network.speaker net current)).Bgp.Policy.default_provider with
+      | Some p when not (Asn.equal p current) -> forward_to failures ~seen ~dst current p
+      | Some _ | None -> Halt (No_route current)
+    end
+
+let walk net failures ~src ~dst ?(max_hops = default_max_hops) () =
   let graph = Bgp.Network.graph net in
   let hop_of asn = { asn; address = responding_router graph asn ~dst } in
   match Failure.blocks_source failures src ~dst with
@@ -48,43 +76,34 @@ let walk net failures ~src ~dst ?(max_hops = 64) () =
   | None ->
       let rec go current visited hops_rev steps =
         if steps > max_hops then { hops = List.rev hops_rev; outcome = Loop }
-        else begin
-          let next_hop =
-            match Bgp.Network.fib_lookup net current dst with
-            | Some (_, entry) ->
-                if Bgp.Route.is_local entry then `Deliver else `Forward entry.Bgp.Route.neighbor
-            | None -> begin
-                (* Stub default route: forward unmatched traffic to the
-                   configured provider. *)
-                match
-                  (Bgp.Speaker.config (Bgp.Network.speaker net current)).Bgp.Policy
-                  .default_provider
-                with
-                | Some p when not (Asn.equal p current) -> `Forward p
-                | _ -> `No_route
-              end
-          in
-          match next_hop with
-          | `Deliver -> { hops = List.rev hops_rev; outcome = Delivered }
-          | `No_route -> { hops = List.rev hops_rev; outcome = No_route current }
-          | `Forward next ->
-              if Asn.Set.mem next visited then { hops = List.rev hops_rev; outcome = Loop }
-              else begin
-                match Failure.blocks_hop failures ~from_:current ~to_:next ~dst with
-                | Some by ->
-                    { hops = List.rev (hop_of next :: hops_rev);
-                      outcome = Dropped { at = next; by } }
-                | None ->
-                    go next (Asn.Set.add next visited) (hop_of next :: hops_rev) (steps + 1)
-              end
-        end
+        else
+          match next_hop net failures ~seen:(fun a -> Asn.Set.mem a visited) ~dst current with
+          | Arrive -> { hops = List.rev hops_rev; outcome = Delivered }
+          | Halt (Dropped { at; _ } as outcome) ->
+              (* The hop that dropped the packet still appears. *)
+              { hops = List.rev (hop_of at :: hops_rev); outcome }
+          | Halt outcome -> { hops = List.rev hops_rev; outcome }
+          | Hop next -> go next (Asn.Set.add next visited) (hop_of next :: hops_rev) (steps + 1)
       in
       go src (Asn.Set.singleton src) [ hop_of src ] 0
 
+(* The verdict walk keeps no visited set: forwarding at an AS depends
+   only on that AS (and [dst]), so a packet that revisits an AS circles
+   forever and the hop bound ends it with [walk]'s verdict. *)
+let unseen _ = false
+
+let rec delivers_from net failures ~dst current steps =
+  steps <= default_max_hops
+  &&
+  match next_hop net failures ~seen:unseen ~dst current with
+  | Arrive -> true
+  | Halt _ -> false
+  | Hop next -> delivers_from net failures ~dst next (steps + 1)
+
 let delivers net failures ~src ~dst =
-  match (walk net failures ~src ~dst ()).outcome with
-  | Delivered -> true
-  | No_route _ | Loop | Dropped _ -> false
+  match Failure.blocks_source failures src ~dst with
+  | Some _ -> false
+  | None -> delivers_from net failures ~dst src 0
 
 let as_path_of_walk w =
   let rec dedup = function

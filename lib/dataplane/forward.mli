@@ -31,7 +31,11 @@ val walk :
     configured default provider forward unmatched packets there. *)
 
 val delivers : Bgp.Network.t -> Failure.set -> src:Asn.t -> dst:Ipv4.t -> bool
-(** Whether the walk outcome is [Delivered]. *)
+(** Whether [walk]'s outcome (at the default [max_hops]) is [Delivered],
+    computed without the walk: the same per-hop forwarding rule, but no
+    hop list, no responding-router choice and no visited set (a loop
+    runs into the hop bound instead), and an allocation-free FIB lookup
+    ({!Bgp.Network.fib_find}). A ping needs only this verdict. *)
 
 val as_path_of_walk : walk -> Asn.t list
 (** The AS-level path traversed (source first, duplicates collapsed). *)

@@ -9,12 +9,38 @@
 
 open Net
 
-type env = { net : Bgp.Network.t; failures : Failure.set; mutable probes_sent : int }
-(** A probing context: the control plane, the active failures and a
-    running count of probe packets. *)
+type memo
+(** The reachability memo: {!Forward.delivers} verdicts keyed by
+    (source AS, destination address). *)
+
+type env = private {
+  net : Bgp.Network.t;
+  failures : Failure.set;
+  mutable probes_sent : int;
+  memo : memo;
+}
+(** A probing context: the control plane, the active failures, a
+    running count of probe packets and a reachability memo.
+
+    Pings, the reply legs of traceroutes and reverse traceroute's
+    feasibility check need only yes/no reachability. They answer it from
+    the memo while the world's forwarding epoch
+    ({!Bgp.Network.fib_epoch}) and the failure set's
+    {!Failure.version} are both unchanged since the verdict was computed;
+    if either has moved, the whole memo is flushed first. A memoized
+    answer is therefore always the one a fresh walk would give, and every
+    call still charges its probes, so [probes_sent] (and the
+    [meas.probes] counter) are unaffected. The record is [private]: only
+    this module writes it. The Obs counters [dataplane.memo_hits],
+    [dataplane.memo_misses] and [dataplane.memo_flushes] count the
+    memo's hits, misses (walks) and flushes. *)
 
 val env : Bgp.Network.t -> Failure.set -> env
 val reset_probe_count : env -> unit
+
+val charge : env -> int -> unit
+(** Add [n] probe packets to [probes_sent] and to [meas.probes]: for
+    measurement techniques built outside this module. *)
 
 val responder : env -> Ipv4.t -> Asn.t option
 (** The AS that would answer probes to this address: the owner of the

@@ -26,3 +26,4 @@ module Case_study = Case_study
 module Fleet_study = Fleet_study
 module Fault_study = Fault_study
 module Plan_study = Plan_study
+module Metrics_report = Metrics_report

@@ -5,7 +5,8 @@
     benchmark harness ([bench/main.exe]) runs them all; the CLI
     ([bin/lifeguard_cli]) runs them individually. This interface exists
     to pin the library surface to exactly these drivers (plus
-    {!Runner}); helper modules stay internal. *)
+    {!Runner} and the [--metrics] summary {!Metrics_report}); helper
+    modules stay internal. *)
 
 module Runner = Runner
 module Fig1_durations = Fig1_durations
@@ -28,3 +29,4 @@ module Case_study = Case_study
 module Fleet_study = Fleet_study
 module Fault_study = Fault_study
 module Plan_study = Plan_study
+module Metrics_report = Metrics_report

@@ -98,9 +98,9 @@ let try_variant variant =
     | Dns_redirection ->
         (* The captive's service continuity comes from the resolver
            steering it to the unpoisoned second prefix. *)
-        Option.is_some (Bgp.Network.fib_lookup net f (Prefix.nth_address second_production 9))
+        Option.is_some (Bgp.Network.fib_find net f (Prefix.nth_address second_production 9))
     | Covering_less_specific | Disjoint_unused | No_sentinel ->
-        Option.is_some (Bgp.Network.fib_lookup net f (Prefix.nth_address production 9))
+        Option.is_some (Bgp.Network.fib_find net f (Prefix.nth_address production 9))
   in
   (* Repair detection: the probe source whose replies can traverse A
      while the production prefix is poisoned. *)

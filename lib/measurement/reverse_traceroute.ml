@@ -42,7 +42,7 @@ let support_hash t asn salt =
 let supports_rr t asn = support_hash t asn 0x5252 < t.config.rr_support
 let supports_ts t asn = support_hash t asn 0x5453 < t.config.ts_support
 
-let spend t n = t.env.Dataplane.Probe.probes_sent <- t.env.Dataplane.Probe.probes_sent + n
+let spend t n = Dataplane.Probe.charge t.env n
 
 (* The data-plane truth: the AS-level path a packet from [hop] takes
    toward [to_ip], as a list with [hop] first. *)

@@ -77,6 +77,20 @@ let lookup_bits addr max_len t =
   go t 0 None
 
 let lookup ip t = lookup_bits ip 32 t
+
+(* [lookup] without the matched prefix: the deepest [value] option met on
+   the way down is returned as is, and the loop is a top-level function
+   rather than a closure over [ip], so nothing is allocated. *)
+let rec find_longest_from ip t depth best =
+  match t with
+  | Leaf -> best
+  | Node { value; zero; one } ->
+      let best = match value with Some _ -> value | None -> best in
+      if depth >= 32 then best
+      else if bit_at ip depth then find_longest_from ip one (depth + 1) best
+      else find_longest_from ip zero (depth + 1) best
+
+let find_longest ip t = find_longest_from ip t 0 None
 let lookup_prefix prefix t = lookup_bits (Prefix.network prefix) (Prefix.length prefix) t
 
 let fold f t acc =

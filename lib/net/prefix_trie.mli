@@ -23,6 +23,11 @@ val find_exact : Prefix.t -> 'a t -> 'a option
 val lookup : Ipv4.t -> 'a t -> (Prefix.t * 'a) option
 (** Longest-prefix match for an address. *)
 
+val find_longest : Ipv4.t -> 'a t -> 'a option
+(** [Option.map snd (lookup ip t)], allocating nothing: the value bound
+    to the most specific prefix covering the address. The forwarding
+    walk's per-hop lookup. *)
+
 val lookup_prefix : Prefix.t -> 'a t -> (Prefix.t * 'a) option
 (** Longest match among prefixes that cover the given prefix entirely
     (including itself). *)

@@ -193,6 +193,20 @@ let snapshot () =
   Mutex.unlock lock;
   { counters; gauges; hists }
 
+let quantile h q =
+  if h.total = 0 then None
+  else begin
+    (* The first bucket whose cumulative count reaches rank ceil(q n). *)
+    let rank = max 1 (int_of_float (Float.ceil (q *. float_of_int h.total))) in
+    let n = Array.length h.bounds in
+    let rec go i acc =
+      let acc = acc + h.counts.(i) in
+      if acc >= rank || i = n then Some (if i < n then h.bounds.(i) else infinity)
+      else go (i + 1) acc
+    in
+    go 0 0
+  end
+
 let counter_value snap name =
   match List.assoc_opt name snap.counters with Some v -> v | None -> 0
 

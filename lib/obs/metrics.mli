@@ -93,6 +93,12 @@ val snapshot : unit -> snapshot
     worker domains mid-trial); a concurrent snapshot never crashes but
     may miss in-flight increments. *)
 
+val quantile : hist_row -> float -> float option
+(** [quantile h q] (for [q] in (0, 1]) is the upper bound of the bucket
+    holding the [q]-quantile of [h]'s observations — so the quantile is
+    at most that value — or [infinity] when it falls in the overflow
+    bucket. [None] for an empty histogram. *)
+
 val counter_value : snapshot -> string -> int
 (** The merged value of a named counter in a snapshot; 0 when absent. *)
 

@@ -193,6 +193,214 @@ let test_control_and_data_failure () =
   check_path "E back on the short path" [ 30; 20; 10 ]
     (path_of_best (Bgp.Network.best_route w.net e production))
 
+(* ---- The verdict walk and the reachability memo ---- *)
+
+module Sc = Workloads.Scenarios
+
+let walk_delivers net failures ~src ~dst =
+  match (Dataplane.Forward.walk net failures ~src ~dst ()).Dataplane.Forward.outcome with
+  | Dataplane.Forward.Delivered -> true
+  | Dataplane.Forward.No_route _ | Dataplane.Forward.Loop | Dataplane.Forward.Dropped _ -> false
+
+(* [Probe.ping_from] recomputed from full walks, bypassing the memo. *)
+let fresh_ping (bed : Sc.testbed) ~src ~src_ip ~dst =
+  walk_delivers bed.net bed.failures ~src ~dst
+  &&
+  match Dataplane.Probe.responder bed.probe dst with
+  | Some r -> walk_delivers bed.net bed.failures ~src:r ~dst:src_ip
+  | None -> false
+
+(* A small BGP-Mux world with every AS's infrastructure announced and
+   the baseline converged. *)
+let mux_world ?shards ?fib_install_delay seed =
+  let m = Sc.bgpmux ~ases:60 ~feed_count:6 ?shards ?fib_install_delay ~seed () in
+  Lifeguard.Remediate.announce_baseline m.Sc.bed.Sc.net m.Sc.plan;
+  Bgp.Network.run_until_quiet m.Sc.bed.Sc.net;
+  m
+
+let random_spec rng (bed : Sc.testbed) ~mode =
+  let ases = Array.of_list (Topology.As_graph.as_list bed.graph) in
+  let x = Prng.pick rng ases in
+  let scope =
+    match Prng.int rng 3 with
+    | 0 -> Dataplane.Failure.Node x
+    | k ->
+        let y, _ = Prng.pick_list rng (Topology.As_graph.neighbors bed.graph x) in
+        if k = 1 then Dataplane.Failure.Link (x, y) else Dataplane.Failure.Link_dir (x, y)
+  in
+  let toward =
+    match Prng.int rng 3 with
+    | 0 -> None
+    | 1 -> Some Sc.sentinel_prefix
+    | _ -> Some (infra (Prng.pick rng ases))
+  in
+  Dataplane.Failure.spec ~mode ?toward scope
+
+(* Sources and destinations to probe between: the origin and a few
+   vantage points, toward router and production addresses. *)
+let probe_pairs (m : Sc.mux) =
+  let net = m.Sc.bed.Sc.net in
+  let vps = List.filteri (fun i _ -> i < 5) m.Sc.bed.Sc.vantage_points in
+  let srcs = m.Sc.origin :: vps in
+  let dsts =
+    Prefix.nth_address Sc.production_prefix 1
+    :: List.map (Dataplane.Forward.probe_address net) (m.Sc.providers @ srcs)
+  in
+  List.concat_map (fun s -> List.map (fun d -> (s, d)) dsts) srcs
+
+let qcheck_fixed test = QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |]) test
+
+let prop_delivers_matches_walk =
+  let worlds = Array.init 3 (fun i -> lazy (mux_world (i + 1))) in
+  qcheck_fixed
+    (QCheck.Test.make ~name:"delivers = (walk outcome = Delivered)" ~count:40
+       QCheck.(pair (int_bound 2) (int_bound 1_000_000))
+       (fun (wi, seed) ->
+         let m = Lazy.force worlds.(wi) in
+         let bed = m.Sc.bed in
+         let rng = Prng.create ~seed in
+         Dataplane.Failure.clear bed.failures;
+         for _ = 1 to Prng.int rng 5 do
+           Dataplane.Failure.add bed.failures (random_spec rng bed ~mode:Dataplane.Failure.Data_only)
+         done;
+         let ok =
+           List.for_all
+             (fun (src, dst) ->
+               Bool.equal
+                 (Dataplane.Forward.delivers bed.net bed.failures ~src ~dst)
+                 (walk_delivers bed.net bed.failures ~src ~dst))
+             (probe_pairs m)
+         in
+         Dataplane.Failure.clear bed.failures;
+         ok))
+
+(* One step of the interleaved script: control-plane changes, failure
+   changes and partial runs that stop mid-convergence (with FIB-install
+   latency the data plane trails the control plane). *)
+let script_step rng (m : Sc.mux) =
+  let bed = m.Sc.bed in
+  let net = bed.Sc.net in
+  match Prng.int rng 8 with
+  | 0 ->
+      let transit = Topology.Topo_gen.transit_ases (Option.get bed.Sc.gen) in
+      Lifeguard.Remediate.poison net m.Sc.plan ~target:(Prng.pick_list rng transit)
+  | 1 -> Lifeguard.Remediate.unpoison net m.Sc.plan
+  | 2 | 3 ->
+      let spec =
+        random_spec rng bed
+          ~mode:(if Prng.bool rng then Dataplane.Failure.Data_only else Dataplane.Failure.Control_and_data)
+      in
+      Dataplane.Failure.inject net bed.failures spec
+  | 4 -> (
+      match Dataplane.Failure.active bed.failures with
+      | [] -> ()
+      | specs -> Dataplane.Failure.heal net bed.failures (Prng.pick_list rng specs))
+  | 5 ->
+      let x = Prng.pick_list rng m.Sc.providers in
+      if Prng.bool rng then Bgp.Network.fail_link net ~a:m.Sc.origin ~b:x
+      else Bgp.Network.restore_link net ~a:m.Sc.origin ~b:x
+  | 6 -> Bgp.Network.run_until_quiet net
+  | _ ->
+      for _ = 1 to 1 + Prng.int rng 600 do
+        ignore (Sim.Engine.step bed.Sc.engine)
+      done
+
+(* Runs the script and checks, after every step, that every memoized
+   ping verdict is the fresh walks' verdict, and that [delivers] agrees
+   with [walk] mid-convergence too. Returns the number of disagreements,
+   of checks and of looping walks seen. *)
+let memo_script ?shards seed =
+  let m = mux_world ?shards ~fib_install_delay:20.0 seed in
+  let bed = m.Sc.bed in
+  let src_ip = Dataplane.Forward.probe_address bed.Sc.net in
+  let rng = Prng.create ~seed in
+  let pairs = probe_pairs m in
+  let checks = ref 0 and wrong = ref 0 and loops = ref 0 in
+  for _ = 1 to 40 do
+    script_step rng m;
+    List.iter
+      (fun (src, dst) ->
+        let walk = Dataplane.Forward.walk bed.net bed.failures ~src ~dst () in
+        let delivered =
+          match walk.Dataplane.Forward.outcome with
+          | Dataplane.Forward.Delivered -> true
+          | Dataplane.Forward.Loop ->
+              incr loops;
+              false
+          | Dataplane.Forward.No_route _ | Dataplane.Forward.Dropped _ -> false
+        in
+        incr checks;
+        if not (Bool.equal delivered (Dataplane.Forward.delivers bed.net bed.failures ~src ~dst))
+        then incr wrong)
+      pairs;
+    (* Twice per state: the second round is answered from the memo. *)
+    for round = 1 to 2 do
+      List.iteri
+        (fun i (src, dst) ->
+          let fresh () = fresh_ping bed ~src ~src_ip:(src_ip src) ~dst in
+          let memo () = Dataplane.Probe.ping_from bed.probe ~src ~src_ip:(src_ip src) ~dst in
+          (* Alternate which side runs first; the memo goes first right
+             after each step, before anything has synced the shards. *)
+          let agree =
+            if (i + round) land 1 = 1 then Bool.equal (memo ()) (fresh ())
+            else Bool.equal (fresh ()) (memo ())
+          in
+          incr checks;
+          if not agree then incr wrong)
+        pairs
+    done
+  done;
+  (!wrong, !checks, !loops)
+
+let test_memo_script shards () =
+  Obs.Metrics.reset ();
+  Obs.Metrics.enable ();
+  let results = List.map (fun seed -> memo_script ?shards seed) [ 11; 12; 13; 14; 15 ] in
+  let snap = Obs.Metrics.snapshot () in
+  Obs.Metrics.disable ();
+  Obs.Metrics.reset ();
+  List.iteri
+    (fun i (wrong, checks, _) ->
+      Alcotest.(check int) (Printf.sprintf "script %d: memo <> fresh walk in %d checks" i checks) 0 wrong)
+    results;
+  let loops = List.fold_left (fun acc (_, _, l) -> acc + l) 0 results in
+  Alcotest.(check bool) (Printf.sprintf "transient loops exercised (%d)" loops) true (loops > 0);
+  (* The script both reuses verdicts and invalidates them. *)
+  let c = Obs.Metrics.counter_value snap in
+  Alcotest.(check bool) "memo hits" true (c "dataplane.memo_hits" > 0);
+  Alcotest.(check bool) "memo flushes" true (c "dataplane.memo_flushes" > 30)
+
+let test_probe_counts_unchanged_by_memo () =
+  (* A memo hit is still charged as a probe. *)
+  let w = ready_world () in
+  Dataplane.Probe.reset_probe_count w.probe;
+  for _ = 1 to 5 do
+    ignore (Dataplane.Probe.ping w.probe ~src:o ~dst:(addr w e))
+  done;
+  Alcotest.(check int) "five pings" 5 w.probe.Dataplane.Probe.probes_sent;
+  (* A failure-set write invalidates the cached verdict. *)
+  Dataplane.Failure.add w.failures (Dataplane.Failure.spec ~toward:(infra o) (Dataplane.Failure.Node a));
+  Alcotest.(check bool) "failure seen" false (Dataplane.Probe.ping w.probe ~src:o ~dst:(addr w e));
+  Dataplane.Failure.clear w.failures;
+  Alcotest.(check bool) "heal seen" true (Dataplane.Probe.ping w.probe ~src:o ~dst:(addr w e));
+  (* So does a FIB change: O withdraws its infrastructure prefix. *)
+  Bgp.Network.withdraw w.net ~origin:o ~prefix:(infra o);
+  converge w;
+  Alcotest.(check bool) "withdrawal seen" false (Dataplane.Probe.ping w.probe ~src:o ~dst:(addr w e))
+
+let test_delivers_allocation () =
+  (* The verdict walk builds no hop list: a few words per call, not
+     hundreds. *)
+  let w = ready_world () in
+  let dst = addr w o in
+  ignore (Dataplane.Forward.delivers w.net w.failures ~src:e ~dst);
+  let w0 = Gc.minor_words () in
+  for _ = 1 to 1000 do
+    ignore (Dataplane.Forward.delivers w.net w.failures ~src:e ~dst)
+  done;
+  let per_call = (Gc.minor_words () -. w0) /. 1000. in
+  Alcotest.(check bool) (Printf.sprintf "words per delivers (%.1f)" per_call) true (per_call < 24.)
+
 let suite =
   [
     Alcotest.test_case "basic delivery" `Quick test_basic_delivery;
@@ -209,4 +417,11 @@ let suite =
     Alcotest.test_case "probe accounting" `Quick test_probe_accounting;
     Alcotest.test_case "failure equality / heal" `Quick test_failure_spec_equality_and_heal;
     Alcotest.test_case "control+data failure" `Quick test_control_and_data_failure;
+    Alcotest.test_case "memo keeps probe counts and sees writes" `Quick
+      test_probe_counts_unchanged_by_memo;
+    Alcotest.test_case "delivers allocates little" `Quick test_delivers_allocation;
+    prop_delivers_matches_walk;
+    Alcotest.test_case "memo = fresh walk through a script" `Quick (test_memo_script None);
+    Alcotest.test_case "memo = fresh walk through a script, 2 shards" `Quick
+      (test_memo_script (Some 2));
   ]

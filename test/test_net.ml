@@ -126,6 +126,24 @@ let prop_trie_matches_naive =
       let via_trie = Option.map (fun (p, _) -> Prefix.length p) (Prefix_trie.lookup address trie) in
       naive = via_trie)
 
+let prop_find_longest_is_lookup =
+  QCheck.Test.make ~name:"trie find_longest = value of lookup" ~count:300
+    QCheck.(pair (small_list arbitrary_prefix) (quad (int_range 0 255) (int_range 0 255) (int_range 0 255) (int_range 0 255)))
+    (fun (prefixes, (a, b, c, d)) ->
+      let address = Ipv4.of_octets a b c d in
+      (* Also look up addresses inside the generated prefixes, which the
+         random address rarely hits. *)
+      let addresses = address :: List.map (fun p -> Prefix.nth_address p (d land 0xFF)) prefixes in
+      let trie =
+        List.fold_left (fun t p -> Prefix_trie.add p (Prefix.to_string p) t) Prefix_trie.empty
+          prefixes
+      in
+      List.for_all
+        (fun ip ->
+          Option.equal String.equal (Prefix_trie.find_longest ip trie)
+            (Option.map snd (Prefix_trie.lookup ip trie)))
+        addresses)
+
 let prop_prefix_roundtrip =
   QCheck.Test.make ~name:"prefix string roundtrip" ~count:300 arbitrary_prefix (fun p ->
       match Prefix.of_string (Prefix.to_string p) with
@@ -155,6 +173,7 @@ let suite =
     Alcotest.test_case "trie lookup_prefix" `Quick test_trie_lookup_prefix;
     Alcotest.test_case "default route /0" `Quick test_default_route_prefix;
     QCheck_alcotest.to_alcotest prop_trie_matches_naive;
+    QCheck_alcotest.to_alcotest prop_find_longest_is_lookup;
     QCheck_alcotest.to_alcotest prop_prefix_roundtrip;
     QCheck_alcotest.to_alcotest prop_split_partitions;
   ]

@@ -115,6 +115,13 @@ let test_merge_across_domains () =
   Alcotest.(check int) "hist total merged" 4000 hp.Obs.Metrics.total;
   Alcotest.(check (array int)) "hist buckets merged equal sequential"
     hs.Obs.Metrics.counts hp.Obs.Metrics.counts;
+  (* Values 0..19 evenly: 10% fall in <=1, 45% in <=10, 45% overflow. *)
+  let quantile q = Obs.Metrics.quantile hp q in
+  Alcotest.(check (option (float 0.))) "p10 at the first bound" (Some 1.0) (quantile 0.1);
+  Alcotest.(check (option (float 0.))) "p50 in the second bucket" (Some 10.0) (quantile 0.5);
+  Alcotest.(check (option (float 0.))) "p90 overflows" (Some infinity) (quantile 0.9);
+  Alcotest.(check (option (float 0.))) "empty histogram" None
+    (Obs.Metrics.quantile { hp with Obs.Metrics.counts = [| 0; 0; 0 |]; total = 0 } 0.5);
   reset_obs ()
 
 (* ---- golden: traced fig6 event counts are --jobs invariant ---- *)
