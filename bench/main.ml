@@ -7,7 +7,9 @@
                    [--metrics] [--no-shard-sweep]
    Experiment names: fig1 fig5 alt-paths efficacy fig6 loss selective
    accuracy scalability load hubble anomalies sentinel ablation damping
-   fleet faults plan case-study table1.
+   fleet faults plan recover case-study lint table1. A malformed number,
+   an unknown flag or an unknown experiment name is one line on stderr
+   and exit 2, before anything runs.
 
    --jobs N shards experiment trials over N domains (default: the
    machine's recommended domain count; 1 forces the sequential path).
@@ -22,7 +24,11 @@
    BENCH_<date>.json. The shard sweep runs only on full (non --quick)
    runs; --no-shard-sweep skips it there too. --trace streams
    structured JSONL events to FILE (and implies --metrics); --metrics
-   records Obs counters and prints a summary table. *)
+   records Obs counters and prints a summary table.
+
+   The run exits 1, after every table and the JSON summary are written,
+   when a crash-resumed run or a shard sweep diverges from its
+   reference. *)
 
 let seed = ref 42
 let quick = ref false
@@ -35,12 +41,28 @@ let trace_path : string option ref = ref None
 let show_metrics = ref false
 let shard_sweep = ref true
 
+module Names = Set.Make (String)
+
+let experiment_names =
+  [
+    "fig1"; "fig5"; "alt-paths"; "efficacy"; "fig6"; "loss"; "selective"; "accuracy";
+    "scalability"; "load"; "hubble"; "anomalies"; "sentinel"; "ablation"; "damping"; "fleet";
+    "faults"; "plan"; "recover"; "case-study"; "lint"; "table1";
+  ]
+
 (* The run date is read from the wall clock exactly once, at the top of
    [main], and threaded everywhere a date is rendered — so the default
    --json filename and the "date" field inside it can never disagree
    across a midnight rollover mid-run. *)
 let parse_args ~date =
   let default_json_path = Printf.sprintf "BENCH_%s.json" date in
+  let refuse fmt = Printf.ksprintf (fun msg -> prerr_endline msg; exit 2) fmt in
+  let known = Names.of_list experiment_names in
+  let int_arg flag n =
+    match int_of_string_opt n with
+    | Some v -> v
+    | None -> refuse "%s expects an integer, got %S" flag n
+  in
   let rec go = function
     | [] -> ()
     | "--quick" :: rest ->
@@ -50,13 +72,13 @@ let parse_args ~date =
         run_micro := false;
         go rest
     | "--seed" :: n :: rest ->
-        seed := int_of_string n;
+        seed := int_arg "--seed" n;
         go rest
     | "--jobs" :: n :: rest ->
-        jobs := max 1 (int_of_string n);
+        jobs := max 1 (int_arg "--jobs" n);
         go rest
     | "--shards" :: n :: rest ->
-        shards := max 0 (int_of_string n);
+        shards := max 0 (int_arg "--shards" n);
         go rest
     | "--json" :: path :: rest when String.length path < 2 || String.sub path 0 2 <> "--"
       ->
@@ -76,12 +98,18 @@ let parse_args ~date =
         go rest
     | "--only" :: names :: rest ->
         only := String.split_on_char ',' names;
+        (match List.find_opt (fun name -> not (Names.mem name known)) !only with
+        | Some name ->
+            refuse "unknown experiment %S (known: %s)" name (String.concat " " experiment_names)
+        | None -> ());
         go rest
-    | arg :: _ ->
-        Printf.eprintf "unknown argument %s\n" arg;
-        exit 2
+    | arg :: _ -> refuse "unknown argument %s" arg
   in
   go (List.tl (Array.to_list Sys.argv))
+
+(* What diverged from its reference (crash-resume, shard sweep), in
+   run order; a non-empty list makes the run exit 1 at the end. *)
+let diverged : string list ref = ref []
 
 let wanted name =
   match !only with
@@ -816,7 +844,8 @@ let () =
           "[recover: %d journal lines, %d snapshot bytes, capture %.3f ms, crash@%d resume \
            %.1fs, %s]\n"
           journal_lines snapshot_bytes capture_ms crash_append resume_seconds
-          (if identical then "byte-identical" else "DIVERGED")
+          (if identical then "byte-identical" else "DIVERGED");
+        if not identical then diverged := !diverged @ [ "recover: crash-resume" ]
   end;
 
   (* The shard sweep re-runs the fault study three times; keep it out of
@@ -854,7 +883,9 @@ let () =
     List.iter
       (fun (k, dt, same) ->
         Printf.printf "[faults at %d shard(s): %.1fs, tables %s]\n" k dt
-          (if same then "byte-identical to K=1" else "DIVERGED from K=1"))
+          (if same then "byte-identical to K=1" else "DIVERGED from K=1");
+        if not same then
+          diverged := !diverged @ [ Printf.sprintf "faults: %d shard(s) vs K=1" k ])
       !faults_shards
   end;
 
@@ -918,4 +949,9 @@ let () =
   | Some path ->
       Obs.Trace.close ();
       Printf.printf "\n[wrote trace %s]\n" path
-  | None -> ())
+  | None -> ());
+  match !diverged with
+  | [] -> ()
+  | what ->
+      Printf.eprintf "DIVERGED: %s\n" (String.concat "; " what);
+      exit 1

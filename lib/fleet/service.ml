@@ -21,10 +21,6 @@ let m_rolled_back = Obs.Metrics.counter "fleet.watchdog.rolled_back"
 let m_breaker_trips = Obs.Metrics.counter "fleet.watchdog.breaker_trips"
 let m_session_flaps = Obs.Metrics.counter "fleet.faults.session_flaps"
 let m_router_crashes = Obs.Metrics.counter "fleet.faults.router_crashes"
-let m_plan_hits = Obs.Metrics.counter "fleet.plan.hits"
-let m_plan_misses = Obs.Metrics.counter "fleet.plan.misses"
-let m_plan_invalidations = Obs.Metrics.counter "fleet.plan.invalidations"
-let m_plan_demotions = Obs.Metrics.counter "fleet.plan.demotions"
 
 type config = {
   ases : int;
@@ -195,7 +191,7 @@ let config_fingerprint ~config ~seed =
   Recover.Snapshot.digest (Buffer.contents b)
 
 (* Byte-stable report codec: one [key value] line per field, floats as
-   hex floats, lists comma-joined. This is what a snapshot's head-segment
+   hex floats, lists comma-joined. This is what a snapshot's head
    report is stored as, and what the crash tests compare byte-for-byte. *)
 let render_report r =
   let fl = Printf.sprintf "%h" in
@@ -242,175 +238,6 @@ let render_report r =
     "plan_demotions " ^ string_of_int r.plan_demotions;
   ]
 
-let parse_report lines =
-  let tbl = Hashtbl.create 64 in
-  List.iter
-    (fun line ->
-      match String.index_opt line ' ' with
-      | Some i ->
-          Hashtbl.replace tbl
-            (String.sub line 0 i)
-            (String.sub line (i + 1) (String.length line - i - 1))
-      | None -> ())
-    lines;
-  let ( let* ) = Option.bind in
-  let int k = Option.bind (Hashtbl.find_opt tbl k) int_of_string_opt in
-  let flt k = Option.bind (Hashtbl.find_opt tbl k) float_of_string_opt in
-  let fll k =
-    let* raw = Hashtbl.find_opt tbl k in
-    if String.equal raw "-" then Some []
-    else
-      List.fold_left
-        (fun acc part ->
-          let* acc = acc in
-          let* x = float_of_string_opt part in
-          Some (x :: acc))
-        (Some [])
-        (String.split_on_char ',' raw)
-      |> Option.map List.rev
-  in
-  let* days = flt "days" in
-  let* injected = int "injected" in
-  let* drawn = int "drawn" in
-  let* unplaceable = int "unplaceable" in
-  let* detected = int "detected" in
-  let* repaired = int "repaired" in
-  let* stood_down = int "stood_down" in
-  let* gave_up = int "gave_up" in
-  let* unfinished = int "unfinished" in
-  let* poisons = int "poisons" in
-  let* unpoisons = int "unpoisons" in
-  let* time_to_repair = fll "time_to_repair" in
-  let* time_to_confirm = fll "time_to_confirm" in
-  let* monitor_pairs = int "monitor_pairs" in
-  let* monitor_skipped = int "monitor_skipped" in
-  let* probes_sent = int "probes_sent" in
-  let* budget_granted = int "budget_granted" in
-  let* budget_denied = int "budget_denied" in
-  let* isolation_retries = int "isolation_retries" in
-  let* vp_crashes = int "vp_crashes" in
-  let* lost_probes = int "lost_probes" in
-  let* stale_refreshes = int "stale_refreshes" in
-  let* collector_updates = int "collector_updates" in
-  let* injected_ge15 = int "injected_ge15" in
-  let* injected_h15 = flt "injected_h15" in
-  let* measured_updates_per_day = flt "measured_updates_per_day" in
-  let* predicted_updates_per_day = flt "predicted_updates_per_day" in
-  let* reannounced = int "reannounced" in
-  let* rolled_back = int "rolled_back" in
-  let* breaker_trips = int "breaker_trips" in
-  let* session_flaps = int "session_flaps" in
-  let* link_failures = int "link_failures" in
-  let* router_crashes = int "router_crashes" in
-  let* updates_dropped = int "updates_dropped" in
-  let* updates_duplicated = int "updates_duplicated" in
-  let* plan_hits = int "plan_hits" in
-  let* plan_misses = int "plan_misses" in
-  let* plan_invalidations = int "plan_invalidations" in
-  let* plan_demotions = int "plan_demotions" in
-  Some
-    {
-      days;
-      injected;
-      drawn;
-      unplaceable;
-      detected;
-      repaired;
-      stood_down;
-      gave_up;
-      unfinished;
-      poisons;
-      unpoisons;
-      time_to_repair;
-      time_to_confirm;
-      monitor_pairs;
-      monitor_skipped;
-      probes_sent;
-      budget_granted;
-      budget_denied;
-      isolation_retries;
-      vp_crashes;
-      lost_probes;
-      stale_refreshes;
-      collector_updates;
-      injected_ge15;
-      injected_h15;
-      measured_updates_per_day;
-      predicted_updates_per_day;
-      reannounced;
-      rolled_back;
-      breaker_trips;
-      session_flaps;
-      link_failures;
-      router_crashes;
-      updates_dropped;
-      updates_duplicated;
-      plan_hits;
-      plan_misses;
-      plan_invalidations;
-      plan_demotions;
-    }
-
-(* Segment-report merge: counters and lists form a monoid (sums and
-   concatenation); point-in-time fields take the right operand (the later
-   segment's horizon view); derived rates are recomputed from the merged
-   raw sums — never averaged — so merge is associative and
-   [merge head tail] of a split run reproduces the uninterrupted report
-   byte-for-byte when the window boundaries are exact binary fractions
-   of a day. *)
-let merge ~seed ~config a b =
-  let days = a.days +. b.days in
-  let poisons = a.poisons + b.poisons in
-  let unpoisons = a.unpoisons + b.unpoisons in
-  let injected_ge15 = a.injected_ge15 + b.injected_ge15 in
-  let injected_h15 =
-    if days <= 0.0 then 0.0 else float_of_int injected_ge15 /. days
-  in
-  {
-    days;
-    injected = a.injected + b.injected;
-    drawn = a.drawn + b.drawn;
-    unplaceable = a.unplaceable + b.unplaceable;
-    detected = a.detected + b.detected;
-    repaired = a.repaired + b.repaired;
-    stood_down = a.stood_down + b.stood_down;
-    gave_up = a.gave_up + b.gave_up;
-    unfinished = b.unfinished;
-    poisons;
-    unpoisons;
-    time_to_repair = a.time_to_repair @ b.time_to_repair;
-    time_to_confirm = a.time_to_confirm @ b.time_to_confirm;
-    monitor_pairs = a.monitor_pairs + b.monitor_pairs;
-    monitor_skipped = a.monitor_skipped + b.monitor_skipped;
-    probes_sent = a.probes_sent + b.probes_sent;
-    budget_granted = a.budget_granted + b.budget_granted;
-    budget_denied = a.budget_denied + b.budget_denied;
-    isolation_retries = a.isolation_retries + b.isolation_retries;
-    vp_crashes = a.vp_crashes + b.vp_crashes;
-    lost_probes = a.lost_probes + b.lost_probes;
-    stale_refreshes = a.stale_refreshes + b.stale_refreshes;
-    collector_updates = a.collector_updates + b.collector_updates;
-    injected_ge15;
-    injected_h15;
-    measured_updates_per_day =
-      (if days <= 0.0 then 0.0 else float_of_int (poisons + unpoisons) /. days);
-    predicted_updates_per_day =
-      predict_updates_per_day ~seed ~h15:injected_h15
-        ~min_outage_age:config.min_outage_age ~monitor_interval:config.monitor_interval;
-    reannounced = a.reannounced + b.reannounced;
-    rolled_back = a.rolled_back + b.rolled_back;
-    breaker_trips = a.breaker_trips + b.breaker_trips;
-    session_flaps = a.session_flaps + b.session_flaps;
-    link_failures = a.link_failures + b.link_failures;
-    router_crashes = a.router_crashes + b.router_crashes;
-    updates_dropped = a.updates_dropped + b.updates_dropped;
-    updates_duplicated = a.updates_duplicated + b.updates_duplicated;
-    plan_hits = a.plan_hits + b.plan_hits;
-    plan_misses = a.plan_misses + b.plan_misses;
-    plan_invalidations = a.plan_invalidations + b.plan_invalidations;
-    plan_demotions = a.plan_demotions + b.plan_demotions;
-  }
-
 let pick_targets rng mux ~count =
   let bed = mux.Scenarios.bed in
   let vps = Asn.Set.of_list bed.Scenarios.vantage_points in
@@ -442,7 +269,6 @@ type recovery = {
   rc_journal : string list;
   rc_replayed : int;
   rc_marks : int;
-  rc_tail : report option;
 }
 
 type outcome =
@@ -589,68 +415,11 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
            Measurement.Atlas.refresh_all atlas bed.Scenarios.probe ~vps:[ origin ]
              ~dsts:targets ~now;
          `Continue));
-  (* Harvest, parameterized for segment reports: [skip_events] and
-     [skip_outcomes] drop the prefix a snapshot already accounted for,
-     [base] supplies counter baselines (constantly 0 for a whole run)
-     and [days] the segment's window. Cross-boundary repairs still find
-     their detection: the detection list is always searched in full.
+  (* Harvest the report of the run so far over a window of [days].
      Everything here is a pure read, so a snapshot mark can harvest the
-     head segment mid-run without perturbing it. *)
-  let counter_values () =
-    let plan_c f = match cache with Some c -> f c | None -> 0 in
-    [
-      ("arrivals.drawn", Arrivals.drawn_count arrivals);
-      ( "arrivals.ge15",
-        List.length
-          (List.filter (fun i -> i.Arrivals.duration >= 900.0) (Arrivals.injected arrivals))
-      );
-      ("arrivals.injected", Arrivals.injected_count arrivals);
-      ("arrivals.unplaceable", Arrivals.unplaceable_count arrivals);
-      ("budget.denied", Budget.scheduler_denied sched);
-      ("budget.granted", Budget.scheduler_granted sched);
-      ("chaos.lost_probes", Chaos.lost_probe_count chaos);
-      ("chaos.stale_refreshes", Chaos.stale_refresh_count chaos);
-      ("chaos.vp_crashes", Chaos.crash_count chaos);
-      ("collector.updates", List.length (Bgp.Network.Collector.log mux.Scenarios.collector));
-      ("faults.link_failures", Bgp.Faults.link_failure_count faults);
-      ("faults.router_crashes", Bgp.Faults.router_crash_count faults);
-      ("faults.session_flaps", Bgp.Faults.session_flap_count faults);
-      ("faults.updates_dropped", Bgp.Faults.updates_dropped faults);
-      ("faults.updates_duplicated", Bgp.Faults.updates_duplicated faults);
-      ( "monitor.pairs",
-        List.fold_left
-          (fun acc m -> acc + Measurement.Monitor.probe_count m)
-          0
-          (Lifeguard.Orchestrator.monitors orch) );
-      ( "monitor.skipped",
-        List.fold_left
-          (fun acc m -> acc + Measurement.Monitor.skipped_count m)
-          0
-          (Lifeguard.Orchestrator.monitors orch) );
-      ("orch.breaker_trips", Lifeguard.Orchestrator.breaker_trip_count orch);
-      ("orch.reannounced", Lifeguard.Orchestrator.reannounce_count orch);
-      ("orch.rolled_back", Lifeguard.Orchestrator.rollback_count orch);
-      ("plan.demotions", plan_c Plan.Cache.demotions);
-      ("plan.hits", plan_c Plan.Cache.hits);
-      ("plan.invalidations", plan_c Plan.Cache.invalidations);
-      ("plan.misses", plan_c Plan.Cache.misses);
-      ("probes.sent", bed.Scenarios.probe.Dataplane.Probe.probes_sent);
-    ]
-  in
-  let segment ~skip_events ~skip_outcomes ~base ~days () =
-    let rec drop n xs =
-      if n <= 0 then xs else match xs with [] -> [] | _ :: tl -> drop (n - 1) tl
-    in
-    let cur = counter_values () in
-    let c name =
-      let rec find = function
-        | [] -> 0
-        | (n, v) :: tl -> if String.equal n name then v else find tl
-      in
-      find cur - base name
-    in
-    let all_events = Lifeguard.Orchestrator.events orch in
-    let events = drop skip_events all_events in
+     head mid-run without perturbing it. *)
+  let harvest ~days =
+    let events = Lifeguard.Orchestrator.events orch in
     let count_events f = List.length (List.filter f events) in
     let detected =
       count_events (function
@@ -675,7 +444,7 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
         (function
           | at, Lifeguard.Orchestrator.Outage_detected { target; _ } -> Some (at, target)
           | _ -> None)
-        all_events
+        events
     in
     let detection_before ~target ~at =
       List.fold_left
@@ -683,7 +452,6 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
           if Asn.equal dtarget target && dt <= at then Some dt else acc)
         None detections
     in
-    let outcomes = drop skip_outcomes (Lifeguard.Orchestrator.outcomes orch) in
     let repaired = ref 0 and stood_down = ref 0 and gave_up = ref 0 in
     let ttr = ref [] in
     List.iter
@@ -696,7 +464,7 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
             | None -> ())
         | Lifeguard.Orchestrator.Stood_down _ -> incr stood_down
         | Lifeguard.Orchestrator.Gave_up_on _ -> incr gave_up)
-      outcomes;
+      (Lifeguard.Orchestrator.outcomes orch);
     let time_to_confirm =
       List.filter_map
         (function
@@ -708,7 +476,14 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
           | _ -> None)
         events
     in
-    let injected_ge15 = c "arrivals.ge15" in
+    let sum_monitors f =
+      List.fold_left (fun acc m -> acc + f m) 0 (Lifeguard.Orchestrator.monitors orch)
+    in
+    let plan_c f = match cache with Some c -> f c | None -> 0 in
+    let injected_ge15 =
+      List.length
+        (List.filter (fun i -> i.Arrivals.duration >= 900.0) (Arrivals.injected arrivals))
+    in
     let injected_h15 =
       if days <= 0.0 then 0.0 else float_of_int injected_ge15 /. days
     in
@@ -717,9 +492,9 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
     in
     {
       days;
-      injected = c "arrivals.injected";
-      drawn = c "arrivals.drawn";
-      unplaceable = c "arrivals.unplaceable";
+      injected = Arrivals.injected_count arrivals;
+      drawn = Arrivals.drawn_count arrivals;
+      unplaceable = Arrivals.unplaceable_count arrivals;
       detected;
       repaired = !repaired;
       stood_down = !stood_down;
@@ -732,34 +507,34 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
       unpoisons;
       time_to_repair = List.rev !ttr;
       time_to_confirm;
-      monitor_pairs = c "monitor.pairs";
-      monitor_skipped = c "monitor.skipped";
-      probes_sent = c "probes.sent";
-      budget_granted = c "budget.granted";
-      budget_denied = c "budget.denied";
+      monitor_pairs = sum_monitors Measurement.Monitor.probe_count;
+      monitor_skipped = sum_monitors Measurement.Monitor.skipped_count;
+      probes_sent = bed.Scenarios.probe.Dataplane.Probe.probes_sent;
+      budget_granted = Budget.scheduler_granted sched;
+      budget_denied = Budget.scheduler_denied sched;
       isolation_retries;
-      vp_crashes = c "chaos.vp_crashes";
-      lost_probes = c "chaos.lost_probes";
-      stale_refreshes = c "chaos.stale_refreshes";
-      collector_updates = c "collector.updates";
+      vp_crashes = Chaos.crash_count chaos;
+      lost_probes = Chaos.lost_probe_count chaos;
+      stale_refreshes = Chaos.stale_refresh_count chaos;
+      collector_updates = List.length (Bgp.Network.Collector.log mux.Scenarios.collector);
       injected_ge15;
       injected_h15;
       measured_updates_per_day;
       predicted_updates_per_day =
         predict_updates_per_day ~seed ~h15:injected_h15 ~min_outage_age:config.min_outage_age
           ~monitor_interval:config.monitor_interval;
-      reannounced = c "orch.reannounced";
-      rolled_back = c "orch.rolled_back";
-      breaker_trips = c "orch.breaker_trips";
-      session_flaps = c "faults.session_flaps";
-      link_failures = c "faults.link_failures";
-      router_crashes = c "faults.router_crashes";
-      updates_dropped = c "faults.updates_dropped";
-      updates_duplicated = c "faults.updates_duplicated";
-      plan_hits = c "plan.hits";
-      plan_misses = c "plan.misses";
-      plan_invalidations = c "plan.invalidations";
-      plan_demotions = c "plan.demotions";
+      reannounced = Lifeguard.Orchestrator.reannounce_count orch;
+      rolled_back = Lifeguard.Orchestrator.rollback_count orch;
+      breaker_trips = Lifeguard.Orchestrator.breaker_trip_count orch;
+      session_flaps = Bgp.Faults.session_flap_count faults;
+      link_failures = Bgp.Faults.link_failure_count faults;
+      router_crashes = Bgp.Faults.router_crash_count faults;
+      updates_dropped = Bgp.Faults.updates_dropped faults;
+      updates_duplicated = Bgp.Faults.updates_duplicated faults;
+      plan_hits = plan_c Plan.Cache.hits;
+      plan_misses = plan_c Plan.Cache.misses;
+      plan_invalidations = plan_c Plan.Cache.invalidations;
+      plan_demotions = plan_c Plan.Cache.demotions;
     }
   in
   (* Snapshot marks: pure-read captures on the simulation clock, armed
@@ -776,12 +551,7 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
       ignore
         (Sim.Engine.every engine ~every:every_s ~until:horizon (fun _ ->
              let mark = !marks_done + 1 in
-             let window = float_of_int mark *. every_s in
-             let head =
-               segment ~skip_events:0 ~skip_outcomes:0
-                 ~base:(fun _ -> 0)
-                 ~days:(window /. 86400.0) ()
-             in
+             let head = harvest ~days:(float_of_int mark *. every_s /. 86400.0) in
              let plan =
                match cache with
                | Some c -> "plan " ^ Recover.Record.escape (Plan.Cache.capture c) ^ "\n"
@@ -797,9 +567,6 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
                  state =
                    Recover.Snapshot.digest
                      (Lifeguard.Orchestrator.capture orch ^ Budget.capture sched ^ plan);
-                 events = List.length (Lifeguard.Orchestrator.events orch);
-                 outcomes = List.length (Lifeguard.Orchestrator.outcomes orch);
-                 counters = counter_values ();
                  head = render_report head;
                }
              in
@@ -813,10 +580,7 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
              `Continue))
   | _ -> ());
   Sim.Engine.run ~until:horizon engine;
-  let report =
-    segment ~skip_events:0 ~skip_outcomes:0 ~base:(fun _ -> 0)
-      ~days:(config.duration /. 86400.0) ()
-  in
+  let report = harvest ~days:(config.duration /. 86400.0) in
   Obs.Metrics.add m_injected report.injected;
   Obs.Metrics.add m_detected report.detected;
   Obs.Metrics.add m_repaired report.repaired;
@@ -834,14 +598,8 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
   Obs.Metrics.add m_breaker_trips report.breaker_trips;
   Obs.Metrics.add m_session_flaps report.session_flaps;
   Obs.Metrics.add m_router_crashes report.router_crashes;
-  Obs.Metrics.add m_plan_hits report.plan_hits;
-  Obs.Metrics.add m_plan_misses report.plan_misses;
-  Obs.Metrics.add m_plan_invalidations report.plan_invalidations;
-  Obs.Metrics.add m_plan_demotions report.plan_demotions;
   (* Recovery accounting: reconcile the journal against the collector's
-     ground truth (the exactly-once verdict), and — when resuming — the
-     tail-segment report whose merge with the snapshot's head must
-     reproduce the uninterrupted report. *)
+     ground truth (the exactly-once verdict). *)
   let recovery =
     match durable with
     | None -> None
@@ -876,28 +634,12 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
             ~grace:(2.0 *. config.recheck_interval)
             ~horizon:(Sim.Engine.now engine) ~poisoned_views (Recover.Journal.records j)
         in
-        let tail =
-          match d.d_verify with
-          | None -> None
-          | Some s -> begin
-              match parse_report s.Recover.Snapshot.head with
-              | None -> None
-              | Some head ->
-                  Some
-                    (segment ~skip_events:s.Recover.Snapshot.events
-                       ~skip_outcomes:s.Recover.Snapshot.outcomes
-                       ~base:(Recover.Snapshot.counter s)
-                       ~days:((config.duration /. 86400.0) -. head.days)
-                       ())
-            end
-        in
         Some
           {
             rc_reconcile = rc;
             rc_journal = Recover.Journal.lines j;
             rc_replayed = Recover.Journal.replayed j;
             rc_marks = !marks_done;
-            rc_tail = tail;
           }
   in
   (report, recovery)
@@ -929,6 +671,8 @@ let run_durable ?(config = default_config) ~seed ?(journal = []) ?snapshot ?cras
   (match snapshot with
   | Some s when not (String.equal s.Recover.Snapshot.config_fp fp) ->
       invalid_arg "Service.run_durable: snapshot was taken under a different (config, seed)"
+  | Some _ when Option.value snapshot_every ~default:0.0 <= 0.0 ->
+      invalid_arg "Service.run_durable: a snapshot is verified only at marks; pass snapshot_every"
   | _ -> ());
   let j =
     match journal with

@@ -147,18 +147,6 @@ val render_report : report -> string list
     line; floats as lossless hex floats. Byte-stable: two reports are
     equal iff their renderings are. *)
 
-val parse_report : string list -> report option
-(** Inverse of {!render_report}. [None] on missing or malformed
-    fields. *)
-
-val merge : seed:int -> config:config -> report -> report -> report
-(** Associative segment merge: counters sum, latency lists concatenate
-    in order, [unfinished] takes the later segment's point-in-time
-    value, and the derived rates ([injected_h15], measured and predicted
-    updates/day) are recomputed from the merged raw sums — so merging a
-    snapshot's head report with the resumed tail reproduces the
-    uninterrupted report byte-for-byte. *)
-
 type recovery = {
   rc_reconcile : Recover.Reconcile.t;
       (** Journal-vs-collector reconciliation: exactly-once poison
@@ -166,9 +154,6 @@ type recovery = {
   rc_journal : string list;  (** Full journal after the run, oldest first. *)
   rc_replayed : int;  (** Journal lines verified as the replay prefix. *)
   rc_marks : int;  (** Snapshot marks captured during this run. *)
-  rc_tail : report option;
-      (** Resumes only: the report of the segment after the snapshot's
-          mark; [merge snapshot_head rc_tail] equals the full report. *)
 }
 
 type outcome =
@@ -193,12 +178,14 @@ val run_durable :
   outcome
 (** The durable entry point. Fresh run: leave [journal] empty. Resume:
     pass the persisted [journal] lines (and the last [snapshot], if any
-    — its [config_fp] must match, [Invalid_argument] otherwise).
-    [snapshot_every] > 0 arms periodic snapshot marks on the simulation
-    clock; a supplied [snapshot] is verified at its mark only when they
-    are armed, at the cadence it was captured at. [journal_sink] sees each persisted line as it is appended
-    (replayed lines included, in order); [snapshot_sink] sees each
-    captured snapshot. [crash] injects a crash at the given journal
-    append boundary — the run dies as {!Interrupted} exactly as a real
-    process death at that point would. Deterministic in every
-    argument. *)
+    — its [config_fp] must match, [Invalid_argument] otherwise). The
+    resumed run re-executes from [t = 0], so its report is the
+    whole-run report. [snapshot_every] > 0 arms periodic snapshot marks
+    on the simulation clock. A supplied [snapshot] is verified only at
+    its mark, so it needs marks armed at the cadence it was captured at:
+    [Invalid_argument] when [snapshot_every] is absent or not positive.
+    [journal_sink] sees each persisted line as it is appended (replayed
+    lines included, in order); [snapshot_sink] sees each captured
+    snapshot. [crash] injects a crash at the given journal append
+    boundary — the run dies as {!Interrupted} exactly as a real process
+    death at that point would. Deterministic in every argument. *)

@@ -5,9 +5,6 @@ type t = {
   config_fp : string;
   journal_len : int;
   state : string;
-  events : int;
-  outcomes : int;
-  counters : (string * int) list;
   head : string list;
 }
 
@@ -23,7 +20,7 @@ let () =
              mark)
     | _ -> None)
 
-let header = "recover-snapshot v2"
+let header = "recover-snapshot v3"
 
 (* FNV-1a offset basis and prime; the basis is truncated to OCaml's
    63-bit int and the product wraps there. *)
@@ -46,9 +43,6 @@ let render s =
   line "config %s" (Record.escape s.config_fp);
   line "journal %d" s.journal_len;
   line "state %s" (Record.escape s.state);
-  line "events %d" s.events;
-  line "outcomes %d" s.outcomes;
-  List.iter (fun (name, v) -> line "counter %s %d" (Record.escape name) v) s.counters;
   List.iter (fun l -> line "head %s" (Record.escape l)) s.head;
   line "end";
   Buffer.contents b
@@ -61,8 +55,7 @@ let ( let* ) = Result.bind
 
 let parse_result text =
   let at = ref None and mark = ref None and seed = ref None and config = ref None in
-  let journal = ref None and state = ref None and events = ref None and outcomes = ref None in
-  let counters = ref [] and head = ref [] in
+  let journal = ref None and state = ref None and head = ref [] in
   let set r conv v = Option.map (fun x -> r := Some x) (conv v) in
   (* [Some ()] when [line] is well-formed (and recorded), [None] otherwise. *)
   let parse_line line =
@@ -73,14 +66,6 @@ let parse_result text =
     | [ "config"; v ] -> set config Record.unescape v
     | [ "journal"; v ] -> set journal int_of_string_opt v
     | [ "state"; v ] -> set state Record.unescape v
-    | [ "events"; v ] -> set events int_of_string_opt v
-    | [ "outcomes"; v ] -> set outcomes int_of_string_opt v
-    | [ "counter"; name; v ] -> (
-        match (Record.unescape name, int_of_string_opt v) with
-        | Some name, Some v ->
-            counters := (name, v) :: !counters;
-            Some ()
-        | _ -> None)
     | [ "head"; v ] ->
         Option.map (fun v -> head := v :: !head) (Record.unescape v)
     | _ -> None
@@ -108,25 +93,4 @@ let parse_result text =
   let* config_fp = need "config" config in
   let* journal_len = need "journal" journal in
   let* state = need "state" state in
-  let* events = need "events" events in
-  let* outcomes = need "outcomes" outcomes in
-  Ok
-    {
-      at;
-      mark;
-      seed;
-      config_fp;
-      journal_len;
-      state;
-      events;
-      outcomes;
-      counters = List.rev !counters;
-      head = List.rev !head;
-    }
-
-let counter s name =
-  let rec find = function
-    | [] -> 0
-    | (n, v) :: rest -> if String.equal n name then v else find rest
-  in
-  find s.counters
+  Ok { at; mark; seed; config_fp; journal_len; state; head = List.rev !head }

@@ -3,20 +3,22 @@
     Recovery of a {e byte-identical} run goes through deterministic
     re-execution verified against the journal ({!Journal.replaying}):
     the heap of the discrete-event engine holds closures and is never
-    serialized. A snapshot therefore stores the minimum that
-    re-execution cannot recompute on its own, and a digest of the rest:
+    serialized. A resumed run re-executes from [t = 0], so its report is
+    already the whole-run report and a snapshot restores nothing. It is
+    a replay-fidelity check at its mark:
 
     - [state]: the {!digest} of the controller's canonical captures —
       orchestrator (pipelines with phase and deadline, the active poison
       and its watchdog deadlines, queue, pacing, outage starts, breaker,
-      counters, log lengths), probe-budget buckets and plan cache. When
-      re-execution reaches the snapshot's mark, the freshly captured
-      snapshot must render byte-identically — {!Mismatch} otherwise —
-      so a digest checks replay fidelity exactly as well as the
-      captures themselves would;
-    - [events], [outcomes] and [counters]: the baselines a resumed run
-      needs to compute its tail-segment report;
-    - [head]: the rendered head-segment report.
+      counters, event and outcome log lengths), probe-budget buckets and
+      plan cache;
+    - [head]: the rendered report of the run up to the mark, which holds
+      every service counter.
+
+    When re-execution reaches the snapshot's mark, the freshly captured
+    snapshot must render byte-identically — {!Mismatch} otherwise — so a
+    digest checks replay fidelity exactly as well as the captures
+    themselves would.
 
     Rendering is line-based, deterministic and byte-stable (floats as
     hex floats, free text percent-escaped); {!equal} is byte equality
@@ -29,10 +31,7 @@ type t = {
   config_fp : string;  (** fingerprint of (config, seed); resume refuses a mismatch *)
   journal_len : int;  (** journal records persisted at capture time *)
   state : string;  (** {!digest} of the orchestrator, budget and plan captures *)
-  events : int;  (** orchestrator event-log length at capture *)
-  outcomes : int;  (** orchestrator outcome-log length at capture *)
-  counters : (string * int) list;  (** absolute counter values at capture, sorted *)
-  head : string list;  (** rendered head-segment report *)
+  head : string list;  (** rendered report of the run up to the mark *)
 }
 
 exception Mismatch of { mark : int }
@@ -43,8 +42,9 @@ val digest : string -> string
     Not cryptographic: it detects replay drift, not tampering. *)
 
 val render : t -> string
-(** Deterministic multi-line rendering (header [recover-snapshot v2],
-    ends with ["end\n"]). *)
+(** Deterministic multi-line rendering: header [recover-snapshot v3],
+    then the [at], [mark], [seed], [config], [journal], [state] and
+    [head] lines, ending with ["end\n"]. *)
 
 val parse_result : string -> (t, string) result
 (** Inverse of {!render}. Total: any input either parses or yields an
@@ -53,6 +53,3 @@ val parse_result : string -> (t, string) result
 
 val equal : t -> t -> bool
 (** Byte equality of {!render}. *)
-
-val counter : t -> string -> int
-(** Baseline lookup; 0 when absent. *)

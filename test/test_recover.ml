@@ -1,8 +1,9 @@
 (* Crash tolerance (lib/recover): the journal line codec, crash-point
    boundaries, replay divergence, reconciliation, snapshot round-trips,
    durable-mode inertness, the crash matrix (every boundary class, with
-   and without sharding, byte-identical resume), segment merge, snapshot
-   fidelity mismatches, and totality of the recovery parsers. *)
+   and without sharding, byte-identical resume), snapshot fidelity
+   mismatches, snapshots refused without marks, and totality of the
+   recovery parsers. *)
 
 open Net
 
@@ -234,7 +235,7 @@ let test_snapshot_roundtrip () =
   | Ok _ -> Alcotest.fail "truncated snapshot must not parse"
   | Error _ -> ());
   (* A snapshot from another (config, seed) world is refused loudly. *)
-  match Fleet.Service.run_durable ~config ~seed:43 ~snapshot:s () with
+  match Fleet.Service.run_durable ~config ~seed:43 ~snapshot:s ~snapshot_every:2700.0 () with
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "foreign snapshot must be refused"
 
@@ -318,41 +319,6 @@ let test_crash_matrix () =
         Recover.Crash.boundaries)
     [ None; Some 2; Some 4 ]
 
-let test_segment_merge () =
-  let config = fleet_config None in
-  let snaps = ref [] in
-  let full, full_rc =
-    finished "full"
-      (Fleet.Service.run_durable ~config ~seed:42 ~snapshot_every:2700.0
-         ~snapshot_sink:(fun s -> snaps := s :: !snaps)
-         ())
-  in
-  let snap =
-    match List.find_opt (fun s -> s.Recover.Snapshot.mark = 2) !snaps with
-    | Some s -> s
-    | None -> Alcotest.fail "expected a mark-2 snapshot"
-  in
-  let resumed, rc =
-    finished "resume"
-      (Fleet.Service.run_durable ~config ~seed:42
-         ~journal:full_rc.Fleet.Service.rc_journal ~snapshot:snap ())
-  in
-  Alcotest.(check (list string)) "re-execution reproduces the report" (render full)
-    (render resumed);
-  let head =
-    match Fleet.Service.parse_report snap.Recover.Snapshot.head with
-    | Some r -> r
-    | None -> Alcotest.fail "snapshot head must parse"
-  in
-  let tail =
-    match rc.Fleet.Service.rc_tail with
-    | Some t -> t
-    | None -> Alcotest.fail "resume must produce a tail segment"
-  in
-  (* The merge monoid: head-at-mark + tail-after-mark = whole run. *)
-  Alcotest.(check (list string)) "merge head tail == full report" (render full)
-    (render (Fleet.Service.merge ~seed:42 ~config head tail))
-
 (* ---------- snapshot fidelity: Mismatch is raised ---------- *)
 
 (* One reference durable run with marks, shared by the tests below. *)
@@ -400,6 +366,21 @@ let test_snapshot_mismatch () =
           (fun l -> if String.starts_with ~prefix:"injected " l then "injected 9999" else l)
           snap.head;
     }
+
+(* Without armed marks a snapshot would never be compared with
+   re-execution, so run_durable refuses it rather than resume unchecked. *)
+let test_snapshot_needs_marks () =
+  let journal, _ = Lazy.force reference_run in
+  let snapshot = mark_snapshot 2 in
+  List.iter
+    (fun (label, snapshot_every) ->
+      match
+        Fleet.Service.run_durable ~config:(fleet_config None) ~seed:42 ~journal ~snapshot
+          ?snapshot_every ()
+      with
+      | exception Invalid_argument _ -> ()
+      | _ -> Alcotest.failf "%s: a snapshot without marks must be refused" label)
+    [ ("no snapshot_every", None); ("snapshot_every 0", Some 0.0) ]
 
 (* ---------- recovery parsers are total ---------- *)
 
@@ -497,17 +478,6 @@ let prop_snapshot =
           | Ok s' -> String.equal canon (Recover.Snapshot.render s')
           | Error _ -> false))
 
-let prop_report =
-  let heads = reference_snapshots (fun s -> String.concat "\n" s.Recover.Snapshot.head) in
-  total "Service.parse_report is total and canonical" (damaged heads) (fun text ->
-      match Fleet.Service.parse_report (lines_of text) with
-      | None -> true
-      | Some r -> (
-          let canon = render r in
-          match Fleet.Service.parse_report canon with
-          | Some r' -> List.equal String.equal canon (render r')
-          | None -> false))
-
 let test_snapshot_parse_errors () =
   let txt = Recover.Snapshot.render (mark_snapshot 1) in
   let err text =
@@ -524,9 +494,9 @@ let test_snapshot_parse_errors () =
     "snapshot: malformed line: \"mark two\"" (err bad);
   Alcotest.(check string) "names the missing terminator" "snapshot: truncated (no end line)"
     (err (String.sub txt 0 (String.length txt - 4)));
-  Alcotest.(check string) "names a v1 header"
-    "snapshot: bad header \"recover-snapshot v1\" (want \"recover-snapshot v2\")"
-    (err "recover-snapshot v1\nend\n")
+  Alcotest.(check string) "names a v2 header"
+    "snapshot: bad header \"recover-snapshot v2\" (want \"recover-snapshot v3\")"
+    (err "recover-snapshot v2\nend\n")
 
 let suite =
   [
@@ -543,15 +513,14 @@ let suite =
     Alcotest.test_case "durable mode is byte-inert" `Quick test_durable_inert;
     Alcotest.test_case "crash matrix: byte-identical resume at every boundary" `Quick
       test_crash_matrix;
-    Alcotest.test_case "segment merge reproduces the full report" `Quick
-      test_segment_merge;
     Alcotest.test_case "altered snapshot raises Mismatch at its mark" `Quick
       test_snapshot_mismatch;
+    Alcotest.test_case "snapshot without marks is refused" `Quick
+      test_snapshot_needs_marks;
     Alcotest.test_case "snapshot parse errors name the damage" `Quick
       test_snapshot_parse_errors;
     prop_record;
     prop_journal;
     prop_journal_truncated;
     prop_snapshot;
-    prop_report;
   ]
