@@ -3,43 +3,34 @@
    bechamel micro-benchmarks of the hot code paths.
 
    Usage: main.exe [--quick] [--seed N] [--only NAME[,NAME...]] [--no-micro]
-                   [--jobs N] [--shards K] [--json [PATH]] [--trace FILE]
-                   [--metrics] [--no-shard-sweep]
+                   [--jobs N] [--json [PATH]] [--trace FILE] [--metrics]
    Experiment names: fig1 fig5 alt-paths efficacy fig6 loss selective
    accuracy scalability load hubble anomalies sentinel ablation damping
    fleet faults plan recover case-study lint table1. A malformed number,
    an unknown flag or an unknown experiment name is one line on stderr
    and exit 2, before anything runs.
 
-   --jobs N shards experiment trials over N domains (default: the
+   --jobs N spreads experiment trials over N domains (default: the
    machine's recommended domain count; 1 forces the sequential path).
-   Output tables are identical for every jobs value. --shards K
-   partitions each fleet/faults world over K shard domains advanced
-   between deterministic time barriers (0, the default, keeps the legacy
-   single-queue engine); tables are byte-identical for every K >= 1.
-   --json writes a machine-readable run summary (per-experiment
-   wall-clock, jobs, seed, micro-benchmark medians, a faults shard sweep
-   at K = 1/2/4, the plan study's hit rate, and — when metrics are on —
-   per-experiment counter totals) to PATH, defaulting to
-   BENCH_<date>.json. The shard sweep runs only on full (non --quick)
-   runs; --no-shard-sweep skips it there too. --trace streams
-   structured JSONL events to FILE (and implies --metrics); --metrics
-   records Obs counters and prints a summary table.
+   Output tables are identical for every jobs value. --json writes a
+   machine-readable run summary (per-experiment wall-clock, jobs, seed,
+   micro-benchmark medians, the plan study's hit rate, and — when
+   metrics are on — per-experiment counter totals) to PATH, defaulting
+   to BENCH_<date>.json. --trace streams structured JSONL events to FILE
+   (and implies --metrics); --metrics records Obs counters and prints a
+   summary table.
 
    The run exits 1, after every table and the JSON summary are written,
-   when a crash-resumed run or a shard sweep diverges from its
-   reference. *)
+   when a crash-resumed run diverges from its reference. *)
 
 let seed = ref 42
 let quick = ref false
 let only : string list ref = ref []
 let run_micro = ref true
 let jobs = ref (Par.Pool.default_jobs ())
-let shards = ref 0
 let json_path : string option ref = ref None
 let trace_path : string option ref = ref None
 let show_metrics = ref false
-let shard_sweep = ref true
 
 module Names = Set.Make (String)
 
@@ -77,9 +68,6 @@ let parse_args ~date =
     | "--jobs" :: n :: rest ->
         jobs := max 1 (int_arg "--jobs" n);
         go rest
-    | "--shards" :: n :: rest ->
-        shards := max 0 (int_arg "--shards" n);
-        go rest
     | "--json" :: path :: rest when String.length path < 2 || String.sub path 0 2 <> "--"
       ->
         json_path := Some path;
@@ -93,9 +81,6 @@ let parse_args ~date =
     | "--metrics" :: rest ->
         show_metrics := true;
         go rest
-    | "--no-shard-sweep" :: rest ->
-        shard_sweep := false;
-        go rest
     | "--only" :: names :: rest ->
         only := String.split_on_char ',' names;
         (match List.find_opt (fun name -> not (Names.mem name known)) !only with
@@ -107,8 +92,8 @@ let parse_args ~date =
   in
   go (List.tl (Array.to_list Sys.argv))
 
-(* What diverged from its reference (crash-resume, shard sweep), in
-   run order; a non-empty list makes the run exit 1 at the end. *)
+(* What diverged from its reference (crash-resume), in run order; a
+   non-empty list makes the run exit 1 at the end. *)
 let diverged : string list ref = ref []
 
 let wanted name =
@@ -122,10 +107,6 @@ let banner title =
 (* Wall-clock per experiment, in run order, for the JSON summary. *)
 let timings : (string * float) list ref = ref []
 
-(* --json only: the faults study re-run at K = 1/2/4 shard domains —
-   (shards, seconds, tables byte-identical to K=1) per row. *)
-let faults_shards : (int * float * bool) list ref = ref []
-
 (* --json only: the plan study's headline numbers — (hit rate, planned
    median reroute s, computed median reroute s). *)
 let plan_summary : (float * float option * float option) option ref = ref None
@@ -134,8 +115,6 @@ let plan_summary : (float * float option * float option) option ref = ref None
    (snapshot_bytes, journal_lines, capture_ms, resume_seconds,
    crash_resume_identical). *)
 let recover_summary : (int * int * float * float * bool) option ref = ref None
-
-let shards_opt () = if !shards = 0 then None else Some !shards
 
 (* Per-experiment counter deltas (name, counters), newest first. Metrics
    accumulate across the whole run; [timed] diffs consecutive snapshots
@@ -364,34 +343,12 @@ let micro_benchmarks () =
            ignore (Bgp.Speaker.session_down sp ~now:1.0 ~neighbor:flapper);
            ignore (Bgp.Speaker.session_up sp ~now:2.0 ~neighbor:flapper)))
   in
-  (* Barrier exchange: a 2-shard world converging one announcement, with
-     every delivery crossing the barrier and on the order of 100 updates
-     crossing the shard boundary itself. Times the full partition →
-     window → exchange → re-intern loop. *)
-  let shard_test =
-    let sgen = Topology.Topo_gen.generate ~params:(Topology.Topo_gen.sized 150) ~seed () in
-    let sgraph = sgen.Topology.Topo_gen.graph in
-    let origin = List.hd sgen.Topology.Topo_gen.stub_list in
-    let prefix = Net.Prefix.of_string_exn "203.0.113.0/24" in
-    let converge () =
-      let net =
-        Bgp.Network.create ~engine:(Sim.Engine.create ()) ~graph:sgraph ~shards:2 ()
-      in
-      Bgp.Network.announce net ~origin ~prefix ();
-      Bgp.Network.run_until_quiet ~timeout:36000.0 net;
-      net
-    in
-    let boundary = Bgp.Network.cut_message_count (converge ()) in
-    Test.make
-      ~name:(Printf.sprintf "shard: 2-shard barrier exchange, %d boundary msgs" boundary)
-      (Staged.stage (fun () -> ignore (converge ())))
-  in
   let tests =
     Test.make_grouped ~name:"lifeguard"
       ((decision_test :: trie_tests)
       @ [ reach_test; engine_test; walk_test ]
       @ equality_tests
-      @ [ ann_equal_test; session_flap_test; shard_test ])
+      @ [ ann_equal_test; session_flap_test ])
   in
   let benchmark () =
     let ols =
@@ -437,67 +394,38 @@ let micro_benchmarks () =
 (* ------------------------------------------------------------------ *)
 (* Machine-readable run summary. *)
 
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c when Char.code c < 0x20 -> Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 let write_json ~date ~path ~micro =
   let buf = Buffer.create 1024 in
+  let esc = Obs.Trace.add_escaped in
+  let sep i n = if i < n - 1 then "," else "" in
   Buffer.add_string buf "{\n";
-  Buffer.add_string buf (Printf.sprintf "  \"date\": \"%s\",\n" date);
-  Buffer.add_string buf (Printf.sprintf "  \"seed\": %d,\n" !seed);
-  Buffer.add_string buf (Printf.sprintf "  \"quick\": %b,\n" !quick);
-  Buffer.add_string buf (Printf.sprintf "  \"jobs\": %d,\n" !jobs);
-  Buffer.add_string buf (Printf.sprintf "  \"shards\": %d,\n" !shards);
+  Printf.bprintf buf "  \"date\": \"%s\",\n" date;
+  Printf.bprintf buf "  \"seed\": %d,\n" !seed;
+  Printf.bprintf buf "  \"quick\": %b,\n" !quick;
+  Printf.bprintf buf "  \"jobs\": %d,\n" !jobs;
   Buffer.add_string buf "  \"experiments\": [\n";
   let rows = List.rev !timings in
   List.iteri
     (fun i (name, dt) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    { \"name\": \"%s\", \"seconds\": %.3f }%s\n" (json_escape name)
-           dt
-           (if i < List.length rows - 1 then "," else "")))
+      Printf.bprintf buf "    { \"name\": \"%a\", \"seconds\": %.3f }%s\n" esc name dt
+        (sep i (List.length rows)))
     rows;
   Buffer.add_string buf "  ],\n";
-  (match !faults_shards with
-  | [] -> ()
-  | rows ->
-      Buffer.add_string buf "  \"faults_shards\": [\n";
-      let n = List.length rows in
-      List.iteri
-        (fun i (k, dt, same) ->
-          Buffer.add_string buf
-            (Printf.sprintf "    { \"shards\": %d, \"seconds\": %.3f, \"identical\": %b }%s\n" k dt
-               same
-               (if i < n - 1 then "," else "")))
-        rows;
-      Buffer.add_string buf "  ],\n");
   (match !plan_summary with
   | None -> ()
   | Some (hit_rate, planned_p50, computed_p50) ->
       let opt = function None -> "null" | Some v -> Printf.sprintf "%.1f" v in
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  \"plan\": { \"hit_rate\": %.4f, \"reroute_p50_planned\": %s, \
-            \"reroute_p50_computed\": %s },\n"
-           hit_rate (opt planned_p50) (opt computed_p50)));
+      Printf.bprintf buf
+        "  \"plan\": { \"hit_rate\": %.4f, \"reroute_p50_planned\": %s, \
+         \"reroute_p50_computed\": %s },\n"
+        hit_rate (opt planned_p50) (opt computed_p50));
   (match !recover_summary with
   | None -> ()
   | Some (snapshot_bytes, journal_lines, capture_ms, resume_seconds, identical) ->
-      Buffer.add_string buf
-        (Printf.sprintf
-           "  \"recover\": { \"snapshot_bytes\": %d, \"journal_lines\": %d, \"capture_ms\": \
-            %.3f, \"resume_seconds\": %.3f, \"crash_resume_identical\": %b },\n"
-           snapshot_bytes journal_lines capture_ms resume_seconds identical));
+      Printf.bprintf buf
+        "  \"recover\": { \"snapshot_bytes\": %d, \"journal_lines\": %d, \"capture_ms\": \
+         %.3f, \"resume_seconds\": %.3f, \"crash_resume_identical\": %b },\n"
+        snapshot_bytes journal_lines capture_ms resume_seconds identical);
   (match List.rev !exp_metrics with
   | [] -> ()
   | per_exp ->
@@ -505,24 +433,20 @@ let write_json ~date ~path ~micro =
       let n_exp = List.length per_exp in
       List.iteri
         (fun i (name, counters) ->
-          let pairs =
-            List.map
-              (fun (k, v) -> Printf.sprintf "\"%s\": %d" (json_escape k) v)
-              counters
-          in
-          Buffer.add_string buf
-            (Printf.sprintf "    { \"name\": \"%s\", \"counters\": { %s } }%s\n"
-               (json_escape name) (String.concat ", " pairs)
-               (if i < n_exp - 1 then "," else "")))
+          Printf.bprintf buf "    { \"name\": \"%a\", \"counters\": { " esc name;
+          List.iteri
+            (fun k (key, v) ->
+              Printf.bprintf buf "%s\"%a\": %d" (if k > 0 then ", " else "") esc key v)
+            counters;
+          Printf.bprintf buf " } }%s\n" (sep i n_exp))
         per_exp;
       Buffer.add_string buf "  ],\n");
   Buffer.add_string buf "  \"micro_ns\": {\n";
   List.iteri
     (fun i (name, ns) ->
-      Buffer.add_string buf
-        (Printf.sprintf "    \"%s\": %s%s\n" (json_escape name)
-           (match ns with Some e -> Printf.sprintf "%.1f" e | None -> "null")
-           (if i < List.length micro - 1 then "," else "")))
+      Printf.bprintf buf "    \"%a\": %s%s\n" esc name
+        (match ns with Some e -> Printf.sprintf "%.1f" e | None -> "null")
+        (sep i (List.length micro)))
     micro;
   Buffer.add_string buf "  }\n}\n";
   let oc = open_out path in
@@ -713,7 +637,6 @@ let () =
       {
         Fleet.Service.default_config with
         Fleet.Service.duration = (if !quick then 10800.0 else 86400.0);
-        shards = shards_opt ();
       }
     in
     let r =
@@ -731,7 +654,6 @@ let () =
       {
         Fleet.Service.default_config with
         Fleet.Service.duration = (if !quick then 10800.0 else 21600.0);
-        shards = shards_opt ();
       }
     in
     let r =
@@ -750,7 +672,6 @@ let () =
       {
         Experiments.Plan_study.default_config with
         Fleet.Service.duration = (if !quick then 21600.0 else 43200.0);
-        shards = shards_opt ();
       }
     in
     let r =
@@ -784,7 +705,6 @@ let () =
         Fleet.Service.duration = (if !quick then 10800.0 else 21600.0);
         target_count = 12;
         outages_per_day = 96.0;
-        shards = shards_opt ();
       }
     in
     let snapshot_every = config.Fleet.Service.duration /. 4.0 in
@@ -846,47 +766,6 @@ let () =
           journal_lines snapshot_bytes capture_ms crash_append resume_seconds
           (if identical then "byte-identical" else "DIVERGED");
         if not identical then diverged := !diverged @ [ "recover: crash-resume" ]
-  end;
-
-  (* The shard sweep re-runs the fault study three times; keep it out of
-     smoke runs (--quick) and behind an explicit opt-out for full runs. *)
-  if wanted "faults" && !json_path <> None && !shard_sweep && not !quick then begin
-    (* Per-shard-count rows for the JSON summary: the same (reduced)
-       fault study at K = 1, 2 and 4 shard domains, with the rendered
-       tables compared byte-for-byte against K=1 — the invariance tests'
-       discipline, enforced on every --json bench run. *)
-    banner "Fault study: shard sweep (K = 1/2/4)";
-    let run_k k =
-      let config =
-        {
-          Fleet.Service.default_config with
-          Fleet.Service.duration = 10800.0;
-          shards = Some k;
-        }
-      in
-      let t0 = Unix.gettimeofday () in
-      let r =
-        Experiments.Fault_study.run ~config ~intensities:[ 0.0; 1.0 ] ~targets:25
-          ~jobs:!jobs ~seed ()
-      in
-      let dt = Unix.gettimeofday () -. t0 in
-      (dt, String.concat "\n" (List.map Stats.Table.render (Experiments.Fault_study.to_tables r)))
-    in
-    let dt1, tables1 = run_k 1 in
-    faults_shards := [ (1, dt1, true) ];
-    List.iter
-      (fun k ->
-        let dt, tables = run_k k in
-        faults_shards := (k, dt, String.equal tables1 tables) :: !faults_shards)
-      [ 2; 4 ];
-    faults_shards := List.rev !faults_shards;
-    List.iter
-      (fun (k, dt, same) ->
-        Printf.printf "[faults at %d shard(s): %.1fs, tables %s]\n" k dt
-          (if same then "byte-identical to K=1" else "DIVERGED from K=1");
-        if not same then
-          diverged := !diverged @ [ Printf.sprintf "faults: %d shard(s) vs K=1" k ])
-      !faults_shards
   end;
 
   if wanted "case-study" then begin

@@ -31,14 +31,27 @@ let jobs =
   in
   Arg.(value & opt int (Par.Pool.default_jobs ()) & info [ "jobs"; "j" ] ~docv:"N" ~doc)
 
-let shards_arg =
-  let doc =
-    "Partition each simulated world over $(docv) shard domains advanced \
-     between deterministic time barriers. Tables are byte-identical for \
-     every $(docv) >= 1 and compose with $(b,--jobs); 0 (the default) \
-     keeps the legacy single-queue engine."
-  in
-  Arg.(value & opt int 0 & info [ "shards" ] ~docv:"K" ~doc)
+(* Flag-domain validation: cmdliner catches malformed values (a
+   non-numeric seed), but in-domain nonsense (negative durations, zero
+   targets) must not reach the simulator. One line on stderr, exit 2. *)
+let check cond msg =
+  if not cond then begin
+    prerr_endline ("lifeguard: " ^ msg);
+    exit 2
+  end
+
+let check_positive_f flag v = check (v > 0.0) (Printf.sprintf "%s must be positive (got %g)" flag v)
+let check_positive_i flag v = check (v > 0) (Printf.sprintf "%s must be positive (got %d)" flag v)
+
+let check_rate flag v =
+  check (v >= 0.0) (Printf.sprintf "%s must be non-negative (got %g)" flag v)
+
+let check_probability flag v =
+  check (v >= 0.0 && v <= 1.0) (Printf.sprintf "%s must be within [0,1] (got %g)" flag v)
+
+let check_ases ases =
+  let least = Topology.Topo_gen.min_ases in
+  check (ases >= least) (Printf.sprintf "--ases must be at least %d (got %d)" least ases)
 
 (* Observability options, shared by every experiment subcommand. *)
 type obs_opts = { trace : string option; metrics : bool }
@@ -78,6 +91,7 @@ let fig1_cmd =
     Arg.(value & opt int 10308 & info [ "outages" ] ~docv:"N" ~doc:"Dataset size.")
   in
   let run obs seed outages =
+    check_positive_i "--outages" outages;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Fig1_durations.to_tables (Experiments.Fig1_durations.run ~n:outages ~seed ())))
@@ -104,6 +118,7 @@ let alt_paths_cmd =
     Arg.(value & opt int 400 & info [ "outages" ] ~docv:"N" ~doc:"Failures to inject.")
   in
   let run obs seed ases outages =
+    check_ases ases;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Sec22_alt_paths.to_tables
@@ -118,6 +133,7 @@ let poisons_arg =
 
 let efficacy_cmd =
   let run obs seed ases poisons jobs =
+    check_ases ases;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Sec51_efficacy.to_tables
@@ -129,6 +145,7 @@ let efficacy_cmd =
 
 let fig6_cmd =
   let run obs seed ases poisons jobs =
+    check_ases ases;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Fig6_convergence.to_tables
@@ -140,6 +157,7 @@ let fig6_cmd =
 
 let loss_cmd =
   let run obs seed ases poisons jobs =
+    check_ases ases;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Sec52_loss.to_tables
@@ -152,6 +170,7 @@ let loss_cmd =
 let selective_cmd =
   let feeds = Arg.(value & opt int 40 & info [ "feeds" ] ~docv:"N" ~doc:"Feed ASes to test.") in
   let run obs seed ases feeds jobs =
+    check_ases ases;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Sec52_selective.to_tables
@@ -166,6 +185,7 @@ let accuracy_cmd =
     Arg.(value & opt int 120 & info [ "failures" ] ~docv:"N" ~doc:"Failures to isolate.")
   in
   let run obs seed ases failures jobs =
+    check_ases ases;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Sec53_accuracy.to_tables
@@ -177,6 +197,7 @@ let accuracy_cmd =
 
 let scalability_cmd =
   let run obs seed ases jobs =
+    check_ases ases;
     with_obs obs (fun () ->
         let accuracy = Experiments.Sec53_accuracy.run ~ases ~failure_count:60 ~jobs ~seed () in
         print_tables
@@ -199,6 +220,8 @@ let load_cmd =
 let hubble_cmd =
   let days = Arg.(value & opt float 7.0 & info [ "days" ] ~docv:"D" ~doc:"Observation window.") in
   let run obs seed ases days jobs =
+    check_ases ases;
+    check_positive_f "--days" days;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Hubble_study.to_tables
@@ -210,6 +233,7 @@ let hubble_cmd =
 
 let anomalies_cmd =
   let run obs seed ases jobs =
+    check_ases ases;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Sec71_anomalies.to_tables
@@ -231,6 +255,7 @@ let sentinel_cmd =
 let ablation_cmd =
   let poisons = Arg.(value & opt int 8 & info [ "poisons" ] ~docv:"N" ~doc:"Poisonings per row.") in
   let run obs seed ases poisons jobs =
+    check_ases ases;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Ablation.to_tables
@@ -242,6 +267,7 @@ let ablation_cmd =
 
 let damping_cmd =
   let run obs seed ases jobs =
+    check_ases ases;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Damping.to_tables
@@ -262,6 +288,7 @@ let case_study_cmd =
 
 let topo_cmd =
   let run seed ases =
+    check_ases ases;
     let gen = Topology.Topo_gen.generate ~params:(Topology.Topo_gen.sized ases) ~seed () in
     Format.printf "%a@." Topology.As_graph.pp_stats gen.Topology.Topo_gen.graph;
     let g = gen.Topology.Topo_gen.graph in
@@ -283,6 +310,7 @@ let poison_cmd =
     Arg.(value & opt (some int) None & info [ "target" ] ~docv:"ASN" ~doc:"AS to poison (default: first harvested).")
   in
   let run seed ases target =
+    check_ases ases;
     let mux = Workloads.Scenarios.bgpmux ~ases ~seed () in
     let net = mux.Workloads.Scenarios.bed.Workloads.Scenarios.net in
     Lifeguard.Remediate.announce_baseline net mux.Workloads.Scenarios.plan;
@@ -320,28 +348,6 @@ let poison_cmd =
   Cmd.v
     (Cmd.info "poison" ~doc:"Poison one AS on a synthetic Internet and show who reroutes")
     Term.(const run $ seed $ ases $ target)
-
-(* Flag-domain validation: cmdliner catches malformed values (a
-   non-numeric seed), but in-domain nonsense (negative durations, zero
-   targets) must not reach the simulator. One line on stderr, exit 2. *)
-let check cond msg =
-  if not cond then begin
-    prerr_endline ("lifeguard: " ^ msg);
-    exit 2
-  end
-
-let check_positive_f flag v = check (v > 0.0) (Printf.sprintf "%s must be positive (got %g)" flag v)
-let check_positive_i flag v = check (v > 0) (Printf.sprintf "%s must be positive (got %d)" flag v)
-
-let check_rate flag v =
-  check (v >= 0.0) (Printf.sprintf "%s must be non-negative (got %g)" flag v)
-
-let check_probability flag v =
-  check (v >= 0.0 && v <= 1.0) (Printf.sprintf "%s must be within [0,1] (got %g)" flag v)
-
-let shards_opt shards =
-  check (shards >= 0) (Printf.sprintf "--shards must be >= 0 (got %d)" shards);
-  if shards = 0 then None else Some shards
 
 let fleet_cmd =
   let duration =
@@ -570,7 +576,7 @@ let fleet_cmd =
           | None, _ -> "");
         exit 3
   in
-  let run obs seed duration targets outages probe_loss vp_mtbf staleness planning jobs shards
+  let run obs seed duration targets outages probe_loss vp_mtbf staleness planning jobs
       journal_file resume_file snapshot_file snapshot_every crash_at crash_boundary =
     check_positive_f "--duration" duration;
     check_positive_i "--targets" targets;
@@ -587,7 +593,6 @@ let fleet_cmd =
     check
       (not (Option.is_some resume_file && Option.is_some snapshot_file && snapshot_every = 0.0))
       "--resume with --snapshot needs --snapshot-every: the snapshot is verified only at marks";
-    let shards = shards_opt shards in
     with_obs obs (fun () ->
         let config =
           {
@@ -597,7 +602,6 @@ let fleet_cmd =
             chaos =
               { Fleet.Chaos.none with Fleet.Chaos.probe_loss; vp_mtbf; atlas_staleness = staleness };
             planning;
-            shards;
           }
         in
         match (journal_file, resume_file) with
@@ -630,7 +634,7 @@ let fleet_cmd =
           crash-tolerant world")
     Term.(
       const run $ obs_term $ seed $ duration $ targets $ outages $ probe_loss $ vp_mtbf $ staleness
-      $ planning $ jobs $ shards_arg $ journal_file $ resume_file $ snapshot_file $ snapshot_every
+      $ planning $ jobs $ journal_file $ resume_file $ snapshot_file $ snapshot_every
       $ crash_at $ crash_boundary)
 
 let faults_cmd =
@@ -710,7 +714,7 @@ let faults_cmd =
           ~doc:"Per-message update duplication probability at intensity 1.")
   in
   let run obs seed duration targets outages intensities flap_mtbf flap_downtime link_mtbf
-      link_mttr router_mtbf router_mttr update_loss update_dup jobs shards =
+      link_mttr router_mtbf router_mttr update_loss update_dup jobs =
     check_positive_f "--duration" duration;
     check_positive_i "--targets" targets;
     check_rate "--outages-per-day" outages;
@@ -724,7 +728,6 @@ let faults_cmd =
     check_probability "--update-loss" update_loss;
     check_probability "--update-dup" update_dup;
     check_positive_i "--jobs" jobs;
-    let shards = shards_opt shards in
     let profile =
       {
         Bgp.Faults.session_flap_mtbf = flap_mtbf;
@@ -751,7 +754,6 @@ let faults_cmd =
             Fleet.Service.default_config with
             Fleet.Service.duration;
             outages_per_day = outages;
-            shards;
           }
         in
         print_tables
@@ -766,7 +768,7 @@ let faults_cmd =
     Term.(
       const run $ obs_term $ seed $ duration $ targets $ outages $ intensities $ flap_mtbf
       $ flap_downtime $ link_mtbf $ link_mttr $ router_mtbf $ router_mttr $ update_loss
-      $ update_dup $ jobs $ shards_arg)
+      $ update_dup $ jobs)
 
 let plan_cmd =
   let duration =
@@ -791,13 +793,12 @@ let plan_cmd =
       & info [ "decision-latency" ] ~docv:"SECONDS"
           ~doc:"Simulated cost of one fresh decision round; plan hits skip it.")
   in
-  let run obs seed duration targets outages latency jobs shards =
+  let run obs seed duration targets outages latency jobs =
     check_positive_f "--duration" duration;
     check_positive_i "--targets" targets;
     check_rate "--outages-per-day" outages;
     check_rate "--decision-latency" latency;
     check_positive_i "--jobs" jobs;
-    let shards = shards_opt shards in
     with_obs obs (fun () ->
         let config =
           {
@@ -805,7 +806,6 @@ let plan_cmd =
             Fleet.Service.duration;
             outages_per_day = outages;
             decision_latency = latency;
-            shards;
           }
         in
         print_tables
@@ -818,7 +818,7 @@ let plan_cmd =
          "Plan study: precomputed remediation plans vs compute-from-scratch on a \
           recurring-outage workload (hit rate, invalidations, repair latency)")
     Term.(
-      const run $ obs_term $ seed $ duration $ targets $ outages $ latency $ jobs $ shards_arg)
+      const run $ obs_term $ seed $ duration $ targets $ outages $ latency $ jobs)
 
 let main =
   let doc = "LIFEGUARD (SIGCOMM 2012) reproduction: failure localization and BGP-poisoning repair" in

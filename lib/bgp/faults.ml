@@ -64,22 +64,6 @@ let scale c factor =
     }
   end
 
-(* Per-directed-link wire state for sharded networks. The verdict hook
-   runs inside barrier windows — on whatever domain is advancing the
-   sender's shard — so it cannot share a PRNG (or any cross-link mutable
-   state) without making outcomes depend on global message order. Instead
-   each directed link keeps its own message counter and the verdict is a
-   pure hash of (seed, from, to, counter): the i-th message on a given
-   link gets the same fate at any shard count and any pool width. Cells
-   are fully pre-created before the hook is installed (the table is only
-   ever read afterwards) and each is mutated only by the one domain
-   advancing the sender's shard. *)
-type wire_cell = {
-  mutable wn : int;
-  mutable wdropped : int;
-  mutable wduplicated : int;
-}
-
 type t = {
   config : config;
   rng : Prng.t;
@@ -90,7 +74,6 @@ type t = {
           ASN pair packed into one int (so the table stays int-keyed).
           Guards flap/failure processes sharing a link. *)
   down_routers : (Asn.t, unit) Hashtbl.t;
-  wire_cells : (int, wire_cell) Hashtbl.t;  (** directed; sharded mode only *)
   mutable session_flaps : int;
   mutable link_failures : int;
   mutable router_crashes : int;
@@ -107,7 +90,6 @@ let create ?(config = none) ~rng ~net () =
     engine = Network.engine net;
     down_links = Hashtbl.create 16;
     down_routers = Hashtbl.create 8;
-    wire_cells = Hashtbl.create 16;
     session_flaps = 0;
     link_failures = 0;
     router_crashes = 0;
@@ -118,24 +100,6 @@ let create ?(config = none) ~rng ~net () =
 let link_key a b =
   let ia = Asn.to_int a and ib = Asn.to_int b in
   if ia <= ib then (ia lsl 31) lor ib else (ib lsl 31) lor ia
-
-let directed_key a b = (Asn.to_int a lsl 31) lor Asn.to_int b
-
-(* Pure wire fate in [0,1): an explicit integer mix (murmur-style
-   finalizer) of the run seed, the directed link and that link's message
-   ordinal. No runtime [Hashtbl.hash], no shared PRNG — the value is a
-   function of what the message is, not of when some other shard asked. *)
-let wire_hash ~seed ~from ~to_ ~n =
-  let z =
-    seed
-    lxor (Asn.to_int from * 0x9E3779B1)
-    lxor (Asn.to_int to_ * 0x85EBCA6B)
-    lxor (n * 0xC2B2AE35)
-  in
-  let z = (z lxor (z lsr 15)) * 0x2C1B3C6D in
-  let z = (z lxor (z lsr 12)) * 0x297A2D39 in
-  let z = z lxor (z lsr 15) in
-  float_of_int (z land 0xFFFFFF) /. 16777216.0
 
 let router_down t asn = Hashtbl.mem t.down_routers asn
 
@@ -229,64 +193,24 @@ let start t ?(protect = []) ~until () =
     in
     List.iter (fun asn -> schedule_router_fault t ~asn ~until) routers
   end;
-  if t.config.update_loss > 0.0 || t.config.update_dup > 0.0 then begin
-    if Network.is_sharded t.net then begin
-      (* Sharded: the verdict hook runs on shard domains, so draw one
-         seed from the shared PRNG now (control domain, deterministic
-         point in the stream) and decide each message's fate by pure
-         hash over per-link counters — order-independent, hence
-         byte-identical at any shard count and pool width. *)
-      let seed = Prng.int t.rng 0x3FFFFFFF in
-      List.iter
-        (fun (a, b) ->
-          Hashtbl.replace t.wire_cells (directed_key a b)
-            { wn = 0; wdropped = 0; wduplicated = 0 };
-          Hashtbl.replace t.wire_cells (directed_key b a)
-            { wn = 0; wdropped = 0; wduplicated = 0 })
-        links;
-      Network.set_link_faults t.net
-        (Some
-           (fun ~from ~to_ ->
-             match Hashtbl.find_opt t.wire_cells (directed_key from to_) with
-             | None -> `Deliver
-             | Some cell ->
-                 let u = wire_hash ~seed ~from ~to_ ~n:cell.wn in
-                 cell.wn <- cell.wn + 1;
-                 if u < t.config.update_loss then begin
-                   cell.wdropped <- cell.wdropped + 1;
-                   `Drop
-                 end
-                 else if u < t.config.update_loss +. t.config.update_dup then begin
-                   cell.wduplicated <- cell.wduplicated + 1;
-                   `Duplicate
-                 end
-                 else `Deliver))
-    end
-    else
-      Network.set_link_faults t.net
-        (Some
-           (fun ~from:_ ~to_:_ ->
-             let u = Prng.float t.rng in
-             if u < t.config.update_loss then begin
-               t.updates_dropped <- t.updates_dropped + 1;
-               `Drop
-             end
-             else if u < t.config.update_loss +. t.config.update_dup then begin
-               t.updates_duplicated <- t.updates_duplicated + 1;
-               `Duplicate
-             end
-             else `Deliver))
-  end
+  if t.config.update_loss > 0.0 || t.config.update_dup > 0.0 then
+    Network.set_link_faults t.net
+      (Some
+         (fun ~from:_ ~to_:_ ->
+           let u = Prng.float t.rng in
+           if u < t.config.update_loss then begin
+             t.updates_dropped <- t.updates_dropped + 1;
+             `Drop
+           end
+           else if u < t.config.update_loss +. t.config.update_dup then begin
+             t.updates_duplicated <- t.updates_duplicated + 1;
+             `Duplicate
+           end
+           else `Deliver))
 
 let session_flap_count t = t.session_flaps
 let link_failure_count t = t.link_failures
 let router_crash_count t = t.router_crashes
 
-(* Wire counters live in per-link cells in sharded mode; harvest runs on
-   the control domain after the barrier has quiesced (summation is
-   order-free either way). *)
-let updates_dropped t =
-  Hashtbl.fold (fun _ c acc -> acc + c.wdropped) t.wire_cells t.updates_dropped
-
-let updates_duplicated t =
-  Hashtbl.fold (fun _ c acc -> acc + c.wduplicated) t.wire_cells t.updates_duplicated
+let updates_dropped t = t.updates_dropped
+let updates_duplicated t = t.updates_duplicated

@@ -12,7 +12,7 @@
     Every fault is drawn from the caller's seeded {!Prng.t} on the
     simulation clock, so a fault schedule is deterministic and — because
     each trial world owns its injector, like [Fleet.Chaos] — invariant
-    under [--jobs] sharding. With {!none} (all rates zero) [start]
+    under [--jobs]. With {!none} (all rates zero) [start]
     schedules nothing and draws nothing: a fault-free run is
     byte-identical to a build without this module. *)
 

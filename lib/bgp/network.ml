@@ -76,10 +76,9 @@ type boundary_msg = {
 }
 
 (* The per-shard slice of the world: its own event queue, path interner
-   and delivery accounting. A shard's state is touched only by (a) its
-   own window execution — possibly on a pool domain — and (b) the
-   control domain while every shard is quiescent, so no two domains ever
-   race on it. Legacy networks are a single shard whose engine IS the
+   and delivery accounting. A shard's state is touched only by its own
+   window execution and by the control plane while every shard is
+   quiescent. Legacy networks are a single shard whose engine IS the
    control engine. *)
 type shard_state = {
   six : int;
@@ -115,10 +114,7 @@ type t = {
   shards : shard_state array;
   shard_ix : int Asn.Table.t;  (** AS -> shard index; empty in legacy mode *)
   mutable barrier : boundary_msg Shard.Barrier.t option;  (** None = legacy *)
-  partition_cut : int;
-  fib_epoch : int Atomic.t;
-      (** Handed to every speaker, which bumps it on each FIB install.
-          Atomic because sharded windows install from pool domains. *)
+  fib_epoch : int ref;  (** Handed to every speaker, which bumps it on each FIB install. *)
 }
 
 let delivery_bucket_width = 1.0
@@ -155,9 +151,6 @@ let speaker t asn =
   | exception Not_found -> invalid_arg (Printf.sprintf "Network: unknown %s" (Asn.to_string asn))
 
 let path_store t = t.store
-let shards t = Array.length t.shards
-let is_sharded t = Option.is_some t.barrier
-let cut_edges t = t.partition_cut
 
 let shard_ix t asn =
   if Array.length t.shards = 1 then 0
@@ -167,7 +160,6 @@ let shard_ix t asn =
     | None -> invalid_arg (Printf.sprintf "Network: unknown %s" (Asn.to_string asn))
   end
 
-let shard_of_asn = shard_ix
 let shard_for t asn = t.shards.(shard_ix t asn)
 
 let barrier_count t =
@@ -287,7 +279,7 @@ and schedule_delivery t sh ~from ~to_ action =
            the barrier outbox, so arrival order at each speaker is the
            canonical (time, src, dst, prefix) order whatever the
            partitioning. Engine sequence numbers differ across shard
-           counts; the outbox ordering is what makes --shards K
+           counts; the outbox ordering is what makes results
            byte-identical for every K. *)
         sh.outbox <-
           {
@@ -329,8 +321,7 @@ let inject_boundary t msg =
       deliver t sh ~from:msg.b_from ~to_:msg.b_to msg.b_action)
 
 let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
-    ?(fib_install_delay = 0.0) ?shards:shard_count ?shard_pool
-    ?(record_barriers = false) () =
+    ?(fib_install_delay = 0.0) ?shards:shard_count ?(record_barriers = false) () =
   let config_of =
     match config_of with
     | Some f -> f
@@ -351,24 +342,21 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
       outbox_n = 0;
     }
   in
-  let shard_states, partition_cut =
+  let shard_states =
     match shard_count with
-    | None -> ([| mk_shard 0 engine store |], 0)
+    | None -> [| mk_shard 0 engine store |]
     | Some k ->
         (* Deterministic partition: a fixed seed keeps the cut a pure
-           function of (graph, k), which the --shards byte-equality
+           function of (graph, k), which the shard-count byte-equality
            tests rely on. *)
         let part = Partition.compute graph ~parts:(max 1 k) ~seed:0x51ED in
         let k = Partition.parts part in
         List.iter (fun a -> Asn.Table.replace shard_ix_tbl a (Partition.shard_of part a)) ases;
-        ( Array.init k (fun i ->
-              mk_shard i
-                (Sim.Engine.create ~now:(Sim.Engine.now engine) ())
-                (Path_store.create ())),
-          Partition.cut_edges part )
+        Array.init k (fun i ->
+            mk_shard i (Sim.Engine.create ~now:(Sim.Engine.now engine) ()) (Path_store.create ()))
   in
   let speakers = Asn.Table.create 256 in
-  let fib_epoch = Atomic.make 0 in
+  let fib_epoch = ref 0 in
   List.iter
     (fun asn ->
       let sstore =
@@ -397,7 +385,6 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
       shards = shard_states;
       shard_ix = shard_ix_tbl;
       barrier = None;
-      partition_cut;
       fib_epoch;
     }
   in
@@ -444,12 +431,10 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
               | c -> c);
         }
       in
-      let b =
-        Shard.Barrier.create ~control:engine ~lookahead
-          ~shards:(Array.length shard_states) ~record_history:record_barriers hooks
-      in
-      Shard.Barrier.set_pool b shard_pool;
-      t.barrier <- Some b);
+      t.barrier <-
+        Some
+          (Shard.Barrier.create ~control:engine ~lookahead
+             ~shards:(Array.length shard_states) ~record_history:record_barriers hooks));
   (* Collector instrumentation: every speaker reports loc-RIB changes
      into its own shard's collector slice. *)
   Asn.Table.iter
@@ -499,11 +484,6 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
         (As_graph.neighbors graph a))
     ases;
   t
-
-let set_shard_pool t pool =
-  match t.barrier with
-  | None -> ()
-  | Some b -> Shard.Barrier.set_pool b pool
 
 let announce t ~origin ~prefix ?per_neighbor () =
   sync t;
@@ -555,7 +535,7 @@ let fib_find t asn ip =
 
 let fib_epoch t =
   sync t;
-  Atomic.get t.fib_epoch
+  !(t.fib_epoch)
 
 let bgp_busy t =
   let acc = ref 0 in
@@ -650,7 +630,7 @@ module Collector = struct
               { crecords = []; clatest = Peer_prefix_tbl.create 64 });
         csync = (fun () -> sync net);
         cshard_of = (fun asn -> shard_ix net asn);
-        csharded = is_sharded net;
+        csharded = Option.is_some net.barrier;
       }
     in
     net.collectors <- c :: net.collectors;

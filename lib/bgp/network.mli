@@ -35,7 +35,6 @@ val create :
   ?mrai:float ->
   ?fib_install_delay:float ->
   ?shards:int ->
-  ?shard_pool:Par.Pool.t ->
   ?record_barriers:bool ->
   unit ->
   t
@@ -49,38 +48,19 @@ val create :
     per-AS), modeling the RIB-to-FIB latency that causes transient
     blackholes and micro-loops during convergence.
 
-    [shards] switches the network into {e sharded mode}: the AS graph is
-    partitioned into that many domains ({!Topology.Partition}, fixed
-    seed, cut-minimizing), each with its own event queue and path store,
-    advanced between deterministic time barriers
-    ({!Shard.Barrier}) driven from [engine] (which becomes the {e
-    control} engine). Every BGP delivery is exchanged at barriers in the
-    canonical [(arrival, src, dst, prefix)] order, so results are
-    byte-identical at any shard count and any [shard_pool] width — but
-    note they may differ from the unsharded ([?shards] absent) engine,
-    whose delivery interleaving at equal timestamps follows scheduling
-    order instead. [shard_pool] (settable later with {!set_shard_pool})
-    runs barrier windows on pool domains; without it shards advance
-    sequentially inline, with identical results. [record_barriers]
-    (tests only) retains per-barrier history rows for
-    {!barrier_history}. *)
-
-val shards : t -> int
-(** Number of shards ([1] for a legacy, unsharded network). *)
-
-val is_sharded : t -> bool
-(** Whether the network was created with [?shards] (barrier mode). *)
-
-val shard_of_asn : t -> Asn.t -> int
-(** The shard owning an AS's speaker ([0] for unsharded networks). *)
-
-val cut_edges : t -> int
-(** Undirected adjacencies whose endpoints landed in different shards
-    ([0] for unsharded networks). *)
-
-val set_shard_pool : t -> Par.Pool.t option -> unit
-(** Install (or remove) the worker pool barrier windows fan out on. The
-    caller owns the pool's lifecycle. No-op on unsharded networks. *)
+    [shards] switches the network into {e sharded mode}, which no
+    product path uses: it is kept for the benchmark's barrier-cost
+    figures. The AS graph is partitioned into that many parts
+    ({!Topology.Partition}, fixed seed, cut-minimizing), each with its
+    own event queue and path store, advanced one after another between
+    deterministic time barriers ({!Shard.Barrier}) driven from [engine]
+    (which becomes the {e control} engine). Every BGP delivery is
+    exchanged at barriers in the canonical [(arrival, src, dst, prefix)]
+    order, so results are byte-identical at any shard count — but they
+    may differ from the unsharded ([?shards] absent) engine, whose
+    delivery interleaving at equal timestamps follows scheduling order
+    instead. [record_barriers] (tests only) retains per-barrier history
+    rows for {!barrier_history}. *)
 
 val barrier_count : t -> int
 (** Barriers executed so far ([0] for unsharded networks). *)

@@ -46,7 +46,7 @@ type t = {
   locals : origination Prefix.Table.t;
   best_table : Route.entry Prefix.Table.t;
   mutable fib : Route.entry Prefix_trie.t;
-  fib_epoch : int Atomic.t;
+  fib_epoch : int ref;
       (** Bumped by every [install_fib]; shared by all speakers of a
           {!Network}, so one read tells whether any FIB in the world moved. *)
   adj_out : Route.announcement Prefix.Table.t Asn.Table.t;
@@ -83,7 +83,7 @@ let create ?store ?fib_epoch ~asn ~config ~neighbors () =
     locals = Prefix.Table.create 4;
     best_table = Prefix.Table.create 16;
     fib = Prefix_trie.empty;
-    fib_epoch = (match fib_epoch with Some e -> e | None -> Atomic.make 0);
+    fib_epoch = (match fib_epoch with Some e -> e | None -> ref 0);
     adj_out = Asn.Table.create 16;
     on_best_change = None;
     fib_commit = None;
@@ -159,7 +159,7 @@ let is_suppressed t ~now prefix neighbor =
     end
 
 let install_fib t prefix entry =
-  Atomic.incr t.fib_epoch;
+  incr t.fib_epoch;
   match entry with
   | Some e -> t.fib <- Prefix_trie.add prefix e t.fib
   | None -> t.fib <- Prefix_trie.remove prefix t.fib

@@ -20,7 +20,7 @@ type action = Announce of Route.announcement | Withdraw of Prefix.t
 
 val create :
   ?store:Path_store.t ->
-  ?fib_epoch:int Atomic.t ->
+  ?fib_epoch:int ref ->
   asn:Asn.t ->
   config:Policy.config ->
   neighbors:(Asn.t * Relationship.t) list ->

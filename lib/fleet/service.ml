@@ -48,10 +48,6 @@ type config = {
   decision_latency : float;
       (** Modeled cost of a fresh decision (simulated seconds); plan hits
           skip it. Default 0. *)
-  shards : int option;
-      (** [Some k]: run the world sharded over [k] domains with barrier
-          exchange (see [Shard.Barrier]); results are byte-identical at
-          any [k]. [None] (default): the legacy single-queue engine. *)
 }
 
 let default_config =
@@ -75,7 +71,6 @@ let default_config =
     faults = Bgp.Faults.none;
     planning = false;
     decision_latency = 0.0;
-    shards = None;
   }
 
 type report = {
@@ -187,7 +182,6 @@ let config_fingerprint ~config ~seed =
   f config.faults.Bgp.Faults.update_dup;
   Buffer.add_string b (if config.planning then "planning;" else "fresh;");
   f config.decision_latency;
-  i (match config.shards with None -> 0 | Some k -> k);
   Recover.Snapshot.digest (Buffer.contents b)
 
 (* Byte-stable report codec: one [key value] line per field, floats as
@@ -280,11 +274,10 @@ type outcome =
       snapshot : Recover.Snapshot.t option;
     }
 
-let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
+let run_in ?(config = default_config) ?durable ~seed () =
   let retry = Retry.validate config.retry in
   let mux =
-    Scenarios.bgpmux ~ases:config.ases ~infrastructure:Scenarios.No_infrastructure
-      ?shards:config.shards ?shard_pool ~seed ()
+    Scenarios.bgpmux ~ases:config.ases ~infrastructure:Scenarios.No_infrastructure ~seed ()
   in
   let bed = mux.Scenarios.bed in
   let engine = bed.Scenarios.engine in
@@ -644,17 +637,7 @@ let run_in ?(config = default_config) ?durable ~seed ~shard_pool () =
   in
   (report, recovery)
 
-(* Sharded runs own a worker pool for the trial's lifetime: barrier
-   windows fan out on it, and it is torn down before the report returns
-   so nested per-trial pools (the fleet study's outer jobs) never
-   accumulate domains. Pool width changes wall-clock only, never
-   results. *)
-let run ?(config = default_config) ~seed () =
-  match config.shards with
-  | Some k when k > 1 ->
-      Par.Pool.with_pool ~jobs:k (fun pool ->
-          fst (run_in ~config ~seed ~shard_pool:(Some pool) ()))
-  | _ -> fst (run_in ~config ~seed ~shard_pool:None ())
+let run ?(config = default_config) ~seed () = fst (run_in ~config ~seed ())
 
 (* The durable entry point: same world, same schedule, plus the
    write-ahead journal, optional snapshot marks, and crash injection.
@@ -664,7 +647,7 @@ let run ?(config = default_config) ~seed () =
    as a replay-fidelity check at its mark. Because re-execution re-derives
    every action, an effect lost to an [After_write] crash is re-applied
    exactly once, and the final report is byte-identical to the
-   uninterrupted run's at any jobs x shards. *)
+   uninterrupted run's at any --jobs. *)
 let run_durable ?(config = default_config) ~seed ?(journal = []) ?snapshot ?crash
     ?snapshot_every ?(journal_sink = fun _ -> ()) ?(snapshot_sink = fun _ -> ()) () =
   let fp = config_fingerprint ~config ~seed in
@@ -691,14 +674,7 @@ let run_durable ?(config = default_config) ~seed ?(journal = []) ?snapshot ?cras
           snapshot_sink s);
     }
   in
-  let go () =
-    match config.shards with
-    | Some k when k > 1 ->
-        Par.Pool.with_pool ~jobs:k (fun pool ->
-            run_in ~config ~durable ~seed ~shard_pool:(Some pool) ())
-    | _ -> run_in ~config ~durable ~seed ~shard_pool:None ()
-  in
-  match go () with
+  match run_in ~config ~durable ~seed () with
   | report, Some recovery -> Finished { report; recovery }
   | _, None -> assert false (* run_in always returns recovery when durable *)
   | exception Recover.Crash.Crashed { boundary; append } ->

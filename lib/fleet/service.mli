@@ -45,13 +45,6 @@ type config = {
   decision_latency : float;
       (** Modeled cost of computing a remediation from scratch (simulated
           seconds); plan-cache hits skip it. Default 0. *)
-  shards : int option;
-      (** [Some k]: partition the world over [k] shard domains advanced
-          between deterministic time barriers, with a worker pool owned
-          for the trial's lifetime — tables are byte-identical at any
-          [k >= 1] and any pool width (but may differ from [None], the
-          legacy single-queue engine, whose equal-timestamp delivery
-          interleaving follows scheduling order). Default [None]. *)
 }
 
 val default_config : config
@@ -118,10 +111,7 @@ type report = {
 
 val run : ?config:config -> seed:int -> unit -> report
 (** Build the world, run the service for [config.duration] simulated
-    seconds, and account for everything. Deterministic in [(config, seed)].
-    With [config.shards = Some k] the world runs sharded (see
-    {!type:config}); the per-run worker pool is created and torn down
-    inside this call. *)
+    seconds, and account for everything. Deterministic in [(config, seed)]. *)
 
 (** {1 Durable (crash-tolerant) runs}
 
@@ -136,7 +126,7 @@ val run : ?config:config -> seed:int -> unit -> report
     ({!Recover.Snapshot.Mismatch} otherwise). Because replay re-derives
     every action, an effect lost to an [After_write] crash is re-applied
     exactly once, and the resumed run's report is byte-identical to the
-    uninterrupted run's at any jobs/shards width. *)
+    uninterrupted run's at any [--jobs] width. *)
 
 val config_fingerprint : config:config -> seed:int -> string
 (** Stable 16-hex-digit fingerprint of [(config, seed)], stamped into

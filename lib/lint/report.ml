@@ -12,20 +12,6 @@ let format_of_string = function
   | "github" -> Some Github
   | _ -> None
 
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | c when Char.code c < 0x20 -> Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let text_line (v : Source_scan.violation) =
   Printf.sprintf "%s:%d:%d: [%s] %s" v.file v.line v.col (Rule.id v.rule) v.message
 
@@ -35,17 +21,26 @@ let github_line ?(level = "warning") (v : Source_scan.violation) =
   Printf.sprintf "::%s file=%s,line=%d,col=%d,title=%s::%s" level v.file v.line (v.col + 1)
     (Rule.id v.rule) v.message
 
+let esc = Obs.Trace.add_escaped
+
 let render_json ~violations ~errors =
-  let item (v : Source_scan.violation) =
-    Printf.sprintf "{\"rule\":\"%s\",\"file\":\"%s\",\"line\":%d,\"col\":%d,\"message\":\"%s\"}"
-      (Rule.id v.rule) (json_escape v.file) v.line v.col (json_escape v.message)
-  in
-  let err (f, e) =
-    Printf.sprintf "{\"file\":\"%s\",\"error\":\"%s\"}" (json_escape f) (json_escape e)
-  in
-  Printf.sprintf "{\"violations\":[%s],\"errors\":[%s]}\n"
-    (String.concat "," (List.map item violations))
-    (String.concat "," (List.map err errors))
+  let b = Buffer.create 1024 in
+  Buffer.add_string b "{\"violations\":[";
+  List.iteri
+    (fun i (v : Source_scan.violation) ->
+      if i > 0 then Buffer.add_char b ',';
+      Printf.bprintf b
+        "{\"rule\":\"%s\",\"file\":\"%a\",\"line\":%d,\"col\":%d,\"message\":\"%a\"}"
+        (Rule.id v.rule) esc v.file v.line v.col esc v.message)
+    violations;
+  Buffer.add_string b "],\"errors\":[";
+  List.iteri
+    (fun i (f, e) ->
+      if i > 0 then Buffer.add_char b ',';
+      Printf.bprintf b "{\"file\":\"%a\",\"error\":\"%a\"}" esc f esc e)
+    errors;
+  Buffer.add_string b "]}\n";
+  Buffer.contents b
 
 (* Minimal SARIF 2.1.0: one run, the full rule catalogue as tool rules,
    one result per violation. Columns are 1-based in SARIF. *)
@@ -57,20 +52,18 @@ let render_sarif ~violations ~errors =
   List.iteri
     (fun i r ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%s\"}}" (Rule.id r)
-           (json_escape (Rule.describe r))))
+      Printf.bprintf b "{\"id\":\"%s\",\"shortDescription\":{\"text\":\"%a\"}}" (Rule.id r) esc
+        (Rule.describe r))
     Rule.all;
   Buffer.add_string b "]}},\"results\":[";
   List.iteri
     (fun i (v : Source_scan.violation) ->
       if i > 0 then Buffer.add_char b ',';
-      Buffer.add_string b
-        (Printf.sprintf
-           "{\"ruleId\":\"%s\",\"level\":\"warning\",\"message\":{\"text\":\"%s\"},\
-            \"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"%s\"},\
-            \"region\":{\"startLine\":%d,\"startColumn\":%d}}}]}"
-           (Rule.id v.rule) (json_escape v.message) (json_escape v.file) v.line (v.col + 1)))
+      Printf.bprintf b
+        "{\"ruleId\":\"%s\",\"level\":\"warning\",\"message\":{\"text\":\"%a\"},\
+         \"locations\":[{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"%a\"},\
+         \"region\":{\"startLine\":%d,\"startColumn\":%d}}}]}"
+        (Rule.id v.rule) esc v.message esc v.file v.line (v.col + 1))
     violations;
   Buffer.add_string b "]";
   (match errors with
@@ -81,9 +74,8 @@ let render_sarif ~violations ~errors =
       List.iteri
         (fun i (f, e) ->
           if i > 0 then Buffer.add_char b ',';
-          Buffer.add_string b
-            (Printf.sprintf "{\"level\":\"error\",\"message\":{\"text\":\"%s: %s\"}}"
-               (json_escape f) (json_escape e)))
+          Printf.bprintf b "{\"level\":\"error\",\"message\":{\"text\":\"%a: %a\"}}" esc f esc
+            e)
         errs;
       Buffer.add_string b "]}]");
   Buffer.add_string b "}]}\n";

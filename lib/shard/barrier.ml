@@ -1,8 +1,8 @@
 (* Barrier accounting (Obs): barriers executed, swept messages split by
    whether they cross a shard boundary, and the simulated width of each
-   window. All simulation-derived and merged commutatively across domain
-   shards, so metrics never perturb the byte-identical --shards/--jobs
-   discipline. *)
+   window. All simulation-derived and merged commutatively across
+   domains, so metrics never perturb the byte-identical shard-count and
+   --jobs discipline. *)
 let m_barriers = Obs.Metrics.counter "shard.barriers"
 let m_cut = Obs.Metrics.counter "shard.cut_msgs"
 let m_local = Obs.Metrics.counter "shard.local_msgs"
@@ -26,7 +26,6 @@ type 'msg t = {
   indices : int list;
   hooks : 'msg hooks;
   record_history : bool;
-  mutable pool : Par.Pool.t option;
   mutable backlog : 'msg list;  (** sorted by (arrival, order), oldest sweep first *)
   mutable backlog_len : int;
   mutable frontier : float;
@@ -47,7 +46,6 @@ let create ~control ~lookahead ~shards ?(record_history = false) hooks =
     indices = List.init shards (fun i -> i);
     hooks;
     record_history;
-    pool = None;
     backlog = [];
     backlog_len = 0;
     frontier = Sim.Engine.now control;
@@ -62,7 +60,6 @@ let backlog t = t.backlog_len
 let barriers t = t.barriers
 let cut_messages t = t.cut_msgs
 let history t = List.rev t.history
-let set_pool t pool = t.pool <- pool
 
 (* Canonical message order: arrival time first, then the embedder's
    (src, dst, payload) tiebreak. The sort below is stable and equal keys
@@ -131,19 +128,14 @@ let inject_due t ~before =
   in
   loop 0 0 t.backlog
 
-let advance_all t ~before =
-  match t.pool with
-  | None -> List.iter (fun i -> t.hooks.advance i ~before) t.indices
-  | Some pool -> ignore (Par.Pool.map pool (fun i -> t.hooks.advance i ~before) t.indices)
-
 (* One window [frontier, until): inject due messages in canonical order,
-   run every shard up to the barrier (in parallel when pooled), then
-   sweep what the window emitted. [work] is the earliest pending work —
+   run every shard up to the barrier, in shard-index order, then sweep
+   what the window emitted. [work] is the earliest pending work —
    a window that contains none of it is a frontier hop, not a barrier. *)
 let run_window t ~work ~until =
   let start = t.frontier in
   let injected, cut_injected = inject_due t ~before:until in
-  advance_all t ~before:until;
+  List.iter (fun i -> t.hooks.advance i ~before:until) t.indices;
   sweep t;
   t.frontier <- until;
   if injected > 0 || work < until then begin

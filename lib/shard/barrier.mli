@@ -1,13 +1,13 @@
-(** Deterministic time-barrier scheduler for domain-partitioned worlds.
+(** Deterministic time-barrier scheduler for partitioned worlds.
 
     A sharded world splits its state over [shards] independent
-    {!Sim.Engine} event queues that may run concurrently on {!Par.Pool}
-    domains, synchronising at {e time barriers}: windows of simulated
-    time no wider than the [lookahead] (the minimum cross-shard message
-    latency). Within a window the shards are causally independent — any
-    message emitted inside the window arrives at or after the window's
-    end — so the windows can execute in parallel and still replay
-    identically at any shard count.
+    {!Sim.Engine} event queues, synchronised at {e time barriers}:
+    windows of simulated time no wider than the [lookahead] (the minimum
+    cross-shard message latency). Within a window the shards are
+    causally independent — any message emitted inside the window arrives
+    at or after the window's end — so the windows replay identically at
+    any shard count. Shards advance one after another on the calling
+    domain.
 
     The barrier owns the cross-window message flow:
 
@@ -21,8 +21,7 @@
       window back to the embedder (which schedules it on the destination
       shard's engine, re-interning any shared values on shard entry);
     + {b advance} — run every shard engine up to the window end
-      ({!Sim.Engine.run_before}), in parallel when a pool is installed,
-      inline otherwise — with identical results either way.
+      ({!Sim.Engine.run_before}), in shard-index order.
 
     Windows are {e adaptive}: the next window starts at the earliest
     pending work (shard event or backlog arrival) rather than on a fixed
@@ -37,26 +36,23 @@
     Observability: each barrier records into [shard.barriers] (counter),
     [shard.cut_msgs] / [shard.local_msgs] (messages swept whose source
     and destination shard differ / coincide) and [shard.barrier_wait]
-    (histogram of the simulated-time width of each window — the
-    virtual-time slack a lagging shard would have to wait out at the
-    barrier). All are deterministic, simulation-derived quantities, so
-    enabling metrics keeps tables byte-identical at any [--shards] and
-    [--jobs] value. *)
+    (histogram of the simulated-time width of each window). All are
+    deterministic, simulation-derived quantities, so enabling metrics
+    never changes a result. *)
 
 type 'msg hooks = {
   next_work : int -> float option;
       (** Earliest pending local event of a shard; [None] when idle. *)
   advance : int -> before:float -> unit;
       (** Run one shard's events strictly before the barrier time and
-          leave its clock there ({!Sim.Engine.run_before}). May be
-          called from a pool domain; must touch only that shard's
-          state. *)
+          leave its clock there ({!Sim.Engine.run_before}). Must touch
+          only that shard's state. *)
   drain : int -> 'msg list;
       (** Take (and clear) a shard's outbox, in emission order. Called
-          from the control domain while shards are quiescent. *)
+          between windows, while shards are quiescent. *)
   inject : 'msg -> unit;
       (** Schedule one due message on its destination shard's engine.
-          Called from the control domain, in canonical order. *)
+          Called between windows, in canonical order. *)
   arrival : 'msg -> float;  (** Simulated delivery time. *)
   src_shard : 'msg -> int;
   dst_shard : 'msg -> int;
@@ -110,9 +106,3 @@ val history : 'msg t -> (float * int * int) list
 (** With [record_history]: per-barrier [(window start, messages
     injected, cut messages injected)] rows, oldest first. Empty
     otherwise. *)
-
-val set_pool : 'msg t -> Par.Pool.t option -> unit
-(** Install (or remove, with [None]) the worker pool the [advance] fan
-    -out runs on. Without a pool shards advance inline on the control
-    domain — byte-identical results, no parallelism. The caller owns
-    the pool's lifecycle and must keep it alive while installed. *)

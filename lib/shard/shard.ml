@@ -1,7 +1,7 @@
 (** Sharded single-world simulation: deterministic time-barrier
-    scheduling over domain-partitioned {!Sim.Engine} event queues. The
-    graph partitioner lives in {!Topology.Partition}; the BGP embedding
+    scheduling over partitioned {!Sim.Engine} event queues. The graph
+    partitioner lives in {!Topology.Partition}; the BGP embedding
     (per-shard speakers, stores and boundary sessions) in
-    [Bgp.Network]'s sharded mode. *)
+    [Bgp.Network]'s sharded mode, which no product path uses. *)
 
 module Barrier = Barrier

@@ -23,7 +23,7 @@
 
     Every step iterates in a sorted or seeded-PRNG order, so the result
     is a pure function of [(graph, parts, seed)] — the property the
-    byte-identical [--shards 1/2/4] discipline rests on. *)
+    byte-identical shard-count (1/2/4) discipline rests on. *)
 
 open Net
 

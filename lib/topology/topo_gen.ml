@@ -21,8 +21,11 @@ let default_params =
     multihoming = [ (0.30, 1); (0.45, 2); (0.25, 3) ];
   }
 
+let min_ases = 20
+
 let sized n =
-  if n < 20 then invalid_arg "Topo_gen.sized: need at least 20 ASes";
+  if n < min_ases then
+    invalid_arg (Printf.sprintf "Topo_gen.sized: need at least %d ASes" min_ases);
   let scale part = max 1 (part * n / 318) in
   {
     default_params with

@@ -28,9 +28,12 @@ val default_params : params
     large enough for stable poisoning statistics, small enough that a full
     evaluation run completes in seconds. *)
 
+val min_ases : int
+(** The smallest AS count {!sized} accepts. *)
+
 val sized : int -> params
 (** [sized n] scales {!default_params} to roughly [n] ASes, preserving the
-    tier proportions. *)
+    tier proportions. Raises [Invalid_argument] when [n < min_ases]. *)
 
 type t = {
   graph : As_graph.t;

@@ -20,12 +20,11 @@ let jittered_config _ = { Bgp.Policy.default with Bgp.Policy.pref_jitter = 8 }
 type infrastructure = All | Endpoints_only of Asn.t list | No_infrastructure
 
 let testbed_of_graph ?(mrai = 30.0) ?config_of ?fib_install_delay ?gen
-    ?(infrastructure = All) ?shards ?shard_pool ?record_barriers ~vantage_points ~targets
-    graph =
+    ?(infrastructure = All) ?shards ?record_barriers ~vantage_points ~targets graph =
   let engine = Sim.Engine.create () in
   let net =
     Bgp.Network.create ~engine ~graph ?config_of ~mrai ?fib_install_delay ?shards
-      ?shard_pool ?record_barriers ()
+      ?record_barriers ()
   in
   let failures = Dataplane.Failure.create () in
   let probe = Dataplane.Probe.env net failures in
@@ -96,7 +95,7 @@ let production_prefix = Prefix.of_string_exn "203.0.113.0/24"
 let sentinel_prefix = Prefix.of_string_exn "203.0.112.0/23"
 
 let bgpmux ?(ases = 318) ?(provider_count = 5) ?(feed_count = 40) ?mrai ?(prepend_copies = 3)
-    ?fib_install_delay ?infrastructure ?shards ?shard_pool ?record_barriers ~seed () =
+    ?fib_install_delay ?infrastructure ?shards ?record_barriers ~seed () =
   let rng = Prng.create ~seed in
   let gen = Topo_gen.generate ~params:(Topo_gen.sized ases) ~seed:(Prng.int rng 1000000) () in
   let graph = gen.Topo_gen.graph in
@@ -135,7 +134,7 @@ let bgpmux ?(ases = 318) ?(provider_count = 5) ?(feed_count = 40) ?mrai ?(prepen
   in
   let bed =
     testbed_of_graph ?mrai ~config_of:jittered_config ?fib_install_delay ~gen ?infrastructure
-      ?shards ?shard_pool ?record_barriers ~vantage_points ~targets:[] graph
+      ?shards ?record_barriers ~vantage_points ~targets:[] graph
   in
   let collector = Bgp.Network.Collector.attach bed.net ~name:"collector" ~peers:feeds in
   let plan =

@@ -87,7 +87,6 @@ val bgpmux :
   ?fib_install_delay:float ->
   ?infrastructure:infrastructure ->
   ?shards:int ->
-  ?shard_pool:Par.Pool.t ->
   ?record_barriers:bool ->
   seed:int ->
   unit ->
@@ -99,7 +98,8 @@ val bgpmux :
     each experiment controls its own announcements. [infrastructure]
     (default [All]) selects which ASes announce infrastructure prefixes;
     control-plane experiments pass [No_infrastructure] so per-trial
-    worlds build in milliseconds. *)
+    worlds build in milliseconds. [shards] and [record_barriers] pass
+    through to {!Bgp.Network.create}. *)
 
 val harvest_on_path_ases : mux -> Asn.t list
 (** The transit ASes appearing on collector peers' current paths to the

@@ -53,7 +53,7 @@ let test_trace_roundtrip () =
       ("i", Obs.Trace.Int 42);
       ("f", Obs.Trace.Float 2.5);
       ("b", Obs.Trace.Bool true);
-      ("s", Obs.Trace.Str "a\"b\\c\nd");
+      ("s", Obs.Trace.Str "a\"b\\c\nd\te\rf\x01");
     ];
   Obs.Trace.event ~ts:2.0 ~span:"other" [];
   Obs.Trace.close ();
@@ -74,7 +74,8 @@ let test_trace_roundtrip () =
   Alcotest.(check bool) "int kv" true (contains l1 "\"i\":42");
   Alcotest.(check bool) "float kv" true (contains l1 "\"f\":2.5");
   Alcotest.(check bool) "bool kv" true (contains l1 "\"b\":true");
-  Alcotest.(check bool) "string kv escaped" true (contains l1 "\"a\\\"b\\\\c\\nd\"");
+  Alcotest.(check bool) "string kv escaped" true
+    (contains l1 "\"a\\\"b\\\\c\\nd\\te\\rf\\u0001\"");
   Alcotest.(check bool) "empty kv object" true (contains l2 "\"kv\":{}")
 
 (* ---- merging 4 domains' shards equals the sequential totals ---- *)

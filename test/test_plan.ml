@@ -1,7 +1,7 @@
 (* lib/plan: precomputed remediation plans — the planner's failure map,
    the cache's byte-identical hit path, its invalidation layers (topology
    churn, breaker trips), watchdog-divergence demotion, and the plan
-   study's determinism across jobs and shards. *)
+   study's determinism across jobs. *)
 
 open Net
 open Helpers
@@ -246,8 +246,7 @@ let test_watchdog_divergence_demotes () =
   | Some _ -> Alcotest.fail "a demoted plan must not be served"
 
 (* The plan experiment's rendered tables are a pure function of
-   (config, targets, seed): byte-identical at any --jobs and any shard
-   count. *)
+   (config, targets, seed): byte-identical at any --jobs. *)
 let small_config =
   {
     Experiments.Plan_study.default_config with
@@ -261,7 +260,7 @@ let render_tables config ~jobs =
        (Experiments.Plan_study.to_tables
           (Experiments.Plan_study.run ~config ~targets:20 ~jobs ~seed:7 ())))
 
-let test_tables_jobs_and_shards_invariant () =
+let test_tables_jobs_invariant () =
   let base = render_tables small_config ~jobs:1 in
   List.iter
     (fun jobs ->
@@ -269,14 +268,7 @@ let test_tables_jobs_and_shards_invariant () =
         (Printf.sprintf "tables at jobs=%d" jobs)
         base
         (render_tables small_config ~jobs))
-    [ 2; 4 ];
-  List.iter
-    (fun k ->
-      Alcotest.(check string)
-        (Printf.sprintf "tables at shards=%d" k)
-        base
-        (render_tables { small_config with Fleet.Service.shards = Some k } ~jobs:2))
-    [ 1; 2 ]
+    [ 2; 4 ]
 
 (* The headline claims on the recurring-outage workload, pinned at the
    benchmark's default scale: most lookups are served from plan, and the
@@ -307,8 +299,7 @@ let suite =
       test_no_service_when_breaker_open;
     Alcotest.test_case "watchdog divergence demotes to compute-fresh" `Quick
       test_watchdog_divergence_demotes;
-    Alcotest.test_case "experiment tables: jobs/shards invariant" `Quick
-      test_tables_jobs_and_shards_invariant;
+    Alcotest.test_case "experiment tables: jobs invariant" `Quick test_tables_jobs_invariant;
     Alcotest.test_case "recurring workload: hit rate + faster reroute" `Quick
       test_recurring_workload_wins;
   ]

@@ -1,7 +1,7 @@
 (* Crash tolerance (lib/recover): the journal line codec, crash-point
    boundaries, replay divergence, reconciliation, snapshot round-trips,
-   durable-mode inertness, the crash matrix (every boundary class, with
-   and without sharding, byte-identical resume), snapshot fidelity
+   durable-mode inertness, the crash matrix (every boundary class,
+   byte-identical resume), snapshot fidelity
    mismatches, snapshots refused without marks, and totality of the
    recovery parsers. *)
 
@@ -184,13 +184,12 @@ let test_reconcile_rules () =
 
 (* ---------- durable fleet runs ---------- *)
 
-let fleet_config shards =
+let fleet_config =
   {
     Fleet.Service.default_config with
     Fleet.Service.duration = 10800.0;
     target_count = 12;
     outages_per_day = 96.0;
-    shards;
   }
 
 let render = Fleet.Service.render_report
@@ -212,7 +211,7 @@ let poison_count lines =
        lines)
 
 let test_snapshot_roundtrip () =
-  let config = fleet_config None in
+  let config = fleet_config in
   let snaps = ref [] in
   let _, rc =
     finished "fresh"
@@ -240,84 +239,74 @@ let test_snapshot_roundtrip () =
   | _ -> Alcotest.fail "foreign snapshot must be refused"
 
 let test_durable_inert () =
-  List.iter
-    (fun shards ->
-      let config = fleet_config shards in
-      let plain = render (Fleet.Service.run ~config ~seed:42 ()) in
-      let bare, _ = finished "bare" (Fleet.Service.run_durable ~config ~seed:42 ()) in
-      let marked, _ =
-        finished "marked"
-          (Fleet.Service.run_durable ~config ~seed:42 ~snapshot_every:2700.0 ())
-      in
-      Alcotest.(check (list string)) "durable-off == durable-on" plain (render bare);
-      Alcotest.(check (list string)) "snapshot marks are inert" plain (render marked))
-    [ None; Some 2 ]
+  let config = fleet_config in
+  let plain = render (Fleet.Service.run ~config ~seed:42 ()) in
+  let bare, _ = finished "bare" (Fleet.Service.run_durable ~config ~seed:42 ()) in
+  let marked, _ =
+    finished "marked" (Fleet.Service.run_durable ~config ~seed:42 ~snapshot_every:2700.0 ())
+  in
+  Alcotest.(check (list string)) "durable-off == durable-on" plain (render bare);
+  Alcotest.(check (list string)) "snapshot marks are inert" plain (render marked)
 
 let test_crash_matrix () =
+  let config = fleet_config in
+  let reference, ref_rc =
+    finished "reference"
+      (Fleet.Service.run_durable ~config ~seed:42 ~snapshot_every:2700.0 ())
+  in
+  let ref_render = render reference in
+  let ref_lines = ref_rc.Fleet.Service.rc_journal in
+  let total = List.length ref_lines in
+  Alcotest.(check bool) "journal has records" true (total >= 2);
+  Alcotest.(check bool) "reference saw a poison" true (poison_count ref_lines >= 1);
+  let appends = [ 1; total / 2 ] in
   List.iter
-    (fun shards ->
-      let config = fleet_config shards in
-      let reference, ref_rc =
-        finished "reference"
-          (Fleet.Service.run_durable ~config ~seed:42 ~snapshot_every:2700.0 ())
-      in
-      let ref_render = render reference in
-      let ref_lines = ref_rc.Fleet.Service.rc_journal in
-      let total = List.length ref_lines in
-      Alcotest.(check bool) "journal has records" true (total >= 2);
-      Alcotest.(check bool) "reference saw a poison" true (poison_count ref_lines >= 1);
-      let appends = match shards with None -> [ 1; total / 2 ] | Some _ -> [ total / 2 ] in
+    (fun boundary ->
       List.iter
-        (fun boundary ->
-          List.iter
-            (fun append ->
-              let label =
-                Printf.sprintf "shards=%s %s@%d"
-                  (match shards with None -> "-" | Some k -> string_of_int k)
-                  (Recover.Crash.boundary_to_string boundary)
-                  append
+        (fun append ->
+          let label =
+            Printf.sprintf "%s@%d" (Recover.Crash.boundary_to_string boundary) append
+          in
+          match
+            Fleet.Service.run_durable ~config ~seed:42 ~snapshot_every:2700.0
+              ~crash:{ Recover.Crash.boundary; append } ()
+          with
+          | Fleet.Service.Finished _ -> Alcotest.failf "%s: crash did not fire" label
+          | Fleet.Service.Interrupted { boundary = b; append = a; journal; snapshot } ->
+              Alcotest.(check bool) (label ^ ": boundary") true
+                (Recover.Crash.boundary_equal b boundary);
+              Alcotest.(check int) (label ^ ": append") append a;
+              let persisted =
+                match boundary with
+                | Recover.Crash.Before_write -> append - 1
+                | Recover.Crash.After_write | Recover.Crash.After_effect -> append
               in
-              match
-                Fleet.Service.run_durable ~config ~seed:42 ~snapshot_every:2700.0
-                  ~crash:{ Recover.Crash.boundary; append } ()
-              with
-              | Fleet.Service.Finished _ -> Alcotest.failf "%s: crash did not fire" label
-              | Fleet.Service.Interrupted { boundary = b; append = a; journal; snapshot } ->
-                  Alcotest.(check bool) (label ^ ": boundary") true
-                    (Recover.Crash.boundary_equal b boundary);
-                  Alcotest.(check int) (label ^ ": append") append a;
-                  let persisted =
-                    match boundary with
-                    | Recover.Crash.Before_write -> append - 1
-                    | Recover.Crash.After_write | Recover.Crash.After_effect -> append
-                  in
-                  Alcotest.(check int) (label ^ ": persisted lines") persisted
-                    (List.length journal);
-                  let resumed, rc =
-                    finished (label ^ ": resume")
-                      (Fleet.Service.run_durable ~config ~seed:42 ~snapshot_every:2700.0
-                         ~journal ?snapshot ())
-                  in
-                  (* The headline invariant: a crashed-and-resumed run is
-                     byte-identical to the uninterrupted one. *)
-                  Alcotest.(check (list string)) (label ^ ": report byte-identical")
-                    ref_render (render resumed);
-                  Alcotest.(check (list string)) (label ^ ": journal identical") ref_lines
-                    rc.Fleet.Service.rc_journal;
-                  Alcotest.(check int) (label ^ ": replayed the persisted prefix")
-                    persisted rc.Fleet.Service.rc_replayed;
-                  Alcotest.(check int) (label ^ ": exactly-once poisons")
-                    (poison_count ref_lines)
-                    (poison_count rc.Fleet.Service.rc_journal);
-                  Alcotest.(check int) (label ^ ": no double poison") 0
-                    rc.Fleet.Service.rc_reconcile.Recover.Reconcile.double_poisons;
-                  Alcotest.(check int) (label ^ ": no orphaned poison") 0
-                    rc.Fleet.Service.rc_reconcile.Recover.Reconcile.orphaned;
-                  Alcotest.(check bool) (label ^ ": reconcile clean") true
-                    rc.Fleet.Service.rc_reconcile.Recover.Reconcile.clean)
-            appends)
-        Recover.Crash.boundaries)
-    [ None; Some 2; Some 4 ]
+              Alcotest.(check int) (label ^ ": persisted lines") persisted
+                (List.length journal);
+              let resumed, rc =
+                finished (label ^ ": resume")
+                  (Fleet.Service.run_durable ~config ~seed:42 ~snapshot_every:2700.0
+                     ~journal ?snapshot ())
+              in
+              (* The headline invariant: a crashed-and-resumed run is
+                 byte-identical to the uninterrupted one. *)
+              Alcotest.(check (list string)) (label ^ ": report byte-identical")
+                ref_render (render resumed);
+              Alcotest.(check (list string)) (label ^ ": journal identical") ref_lines
+                rc.Fleet.Service.rc_journal;
+              Alcotest.(check int) (label ^ ": replayed the persisted prefix")
+                persisted rc.Fleet.Service.rc_replayed;
+              Alcotest.(check int) (label ^ ": exactly-once poisons")
+                (poison_count ref_lines)
+                (poison_count rc.Fleet.Service.rc_journal);
+              Alcotest.(check int) (label ^ ": no double poison") 0
+                rc.Fleet.Service.rc_reconcile.Recover.Reconcile.double_poisons;
+              Alcotest.(check int) (label ^ ": no orphaned poison") 0
+                rc.Fleet.Service.rc_reconcile.Recover.Reconcile.orphaned;
+              Alcotest.(check bool) (label ^ ": reconcile clean") true
+                rc.Fleet.Service.rc_reconcile.Recover.Reconcile.clean)
+        appends)
+    Recover.Crash.boundaries
 
 (* ---------- snapshot fidelity: Mismatch is raised ---------- *)
 
@@ -327,7 +316,7 @@ let reference_run =
     (let snaps = ref [] in
      let _, rc =
        finished "reference"
-         (Fleet.Service.run_durable ~config:(fleet_config None) ~seed:42 ~snapshot_every:2700.0
+         (Fleet.Service.run_durable ~config:fleet_config ~seed:42 ~snapshot_every:2700.0
             ~snapshot_sink:(fun s -> snaps := s :: !snaps)
             ())
      in
@@ -347,7 +336,7 @@ let test_snapshot_mismatch () =
      altered. Marks (and so the check) run only at a snapshot cadence. *)
   let expect_mismatch label altered =
     match
-      Fleet.Service.run_durable ~config:(fleet_config None) ~seed:42 ~journal ~snapshot:altered
+      Fleet.Service.run_durable ~config:fleet_config ~seed:42 ~journal ~snapshot:altered
         ~snapshot_every:2700.0 ()
     with
     | exception Recover.Snapshot.Mismatch { mark } ->
@@ -375,7 +364,7 @@ let test_snapshot_needs_marks () =
   List.iter
     (fun (label, snapshot_every) ->
       match
-        Fleet.Service.run_durable ~config:(fleet_config None) ~seed:42 ~journal ~snapshot
+        Fleet.Service.run_durable ~config:fleet_config ~seed:42 ~journal ~snapshot
           ?snapshot_every ()
       with
       | exception Invalid_argument _ -> ()

@@ -1,5 +1,5 @@
 (* Sharded single-world simulation: the graph partitioner, the barrier
-   exchange, and the --shards byte-equality discipline. *)
+   exchange, and byte-equality across shard counts. *)
 
 open Net
 open Topology
@@ -66,16 +66,15 @@ let test_partition_edge_cases () =
      with Invalid_argument _ -> true)
 
 (* ------------------------------------------------------------------ *)
-(* Sharded worlds: byte-equality across shard counts and pool widths. *)
+(* Sharded worlds: byte-equality across shard counts. *)
 
 (* A compact but busy run: announce, converge, break a boundary-crossing
    link mid-flight, converge, restore, converge. The fingerprint captures
    every observable the experiments read: message totals, each feed's
    final view, and the full collector timeline. *)
-let mux_fingerprint ?shards ?shard_pool () =
+let mux_fingerprint ~shards =
   let mux =
-    Scenarios.bgpmux ~ases:80 ~infrastructure:Scenarios.No_infrastructure ?shards ?shard_pool
-      ~seed:3 ()
+    Scenarios.bgpmux ~ases:80 ~infrastructure:Scenarios.No_infrastructure ~shards ~seed:3 ()
   in
   let bed = mux.Scenarios.bed in
   let net = bed.Scenarios.net in
@@ -117,21 +116,13 @@ let check_fingerprint_equal label (m1, v1, l1) (m2, v2, l2) =
   Alcotest.(check (list string)) (label ^ ": collector log") l1 l2
 
 let test_shard_count_invariance () =
-  let k1 = mux_fingerprint ~shards:1 () in
-  let k2 = mux_fingerprint ~shards:2 () in
-  let k4 = mux_fingerprint ~shards:4 () in
+  let k1 = mux_fingerprint ~shards:1 in
+  let k2 = mux_fingerprint ~shards:2 in
+  let k4 = mux_fingerprint ~shards:4 in
   check_fingerprint_equal "shards 1 vs 2" k1 k2;
   check_fingerprint_equal "shards 1 vs 4" k1 k4;
   let _, _, log = k1 in
   Alcotest.(check bool) "the run did something" true (List.length log > 10)
-
-let test_pool_width_invariance () =
-  let inline = mux_fingerprint ~shards:2 () in
-  let pooled j =
-    Par.Pool.with_pool ~jobs:j (fun pool -> mux_fingerprint ~shards:2 ~shard_pool:pool ())
-  in
-  check_fingerprint_equal "inline vs 2-domain pool" inline (pooled 2);
-  check_fingerprint_equal "inline vs 4-domain pool" inline (pooled 4)
 
 (* ------------------------------------------------------------------ *)
 (* Barrier exchange: the 2-shard golden run. *)
@@ -171,54 +162,6 @@ let test_barrier_exchange_golden () =
   in
   Alcotest.(check bool) "window starts are monotone" true (monotone history)
 
-(* ------------------------------------------------------------------ *)
-(* The fleet service, sharded: full-report equality under faults. *)
-
-let fleet_config =
-  {
-    Fleet.Service.default_config with
-    Fleet.Service.target_count = 6;
-    duration = 10800.0;
-    outages_per_day = 48.0;
-    faults =
-      {
-        Bgp.Faults.none with
-        Bgp.Faults.session_flap_mtbf = 14400.0;
-        link_mtbf = 43200.0;
-        router_mtbf = 86400.0;
-        update_loss = 0.01;
-        update_dup = 0.005;
-      };
-  }
-
-let report_fingerprint (r : Fleet.Service.report) =
-  Printf.sprintf
-    "inj=%d drawn=%d det=%d rep=%d stood=%d gave=%d unfin=%d poi=%d unpoi=%d pairs=%d \
-     skip=%d probes=%d granted=%d denied=%d retries=%d coll=%d flaps=%d links=%d crashes=%d \
-     drop=%d dup=%d rean=%d roll=%d trips=%d ttr=[%s]"
-    r.Fleet.Service.injected r.Fleet.Service.drawn r.Fleet.Service.detected
-    r.Fleet.Service.repaired r.Fleet.Service.stood_down r.Fleet.Service.gave_up
-    r.Fleet.Service.unfinished r.Fleet.Service.poisons r.Fleet.Service.unpoisons
-    r.Fleet.Service.monitor_pairs r.Fleet.Service.monitor_skipped r.Fleet.Service.probes_sent
-    r.Fleet.Service.budget_granted r.Fleet.Service.budget_denied
-    r.Fleet.Service.isolation_retries r.Fleet.Service.collector_updates
-    r.Fleet.Service.session_flaps r.Fleet.Service.link_failures
-    r.Fleet.Service.router_crashes r.Fleet.Service.updates_dropped
-    r.Fleet.Service.updates_duplicated r.Fleet.Service.reannounced
-    r.Fleet.Service.rolled_back r.Fleet.Service.breaker_trips
-    (String.concat ";" (List.map (Printf.sprintf "%.3f") r.Fleet.Service.time_to_repair))
-
-let test_fleet_shard_invariance () =
-  let run shards =
-    report_fingerprint
-      (Fleet.Service.run
-         ~config:{ fleet_config with Fleet.Service.shards }
-         ~seed:11 ())
-  in
-  let k1 = run (Some 1) in
-  Alcotest.(check string) "shards 1 vs 2" k1 (run (Some 2));
-  Alcotest.(check string) "shards 1 vs 4" k1 (run (Some 4))
-
 let suite =
   [
     Alcotest.test_case "partitioner is deterministic" `Quick test_partition_deterministic;
@@ -226,9 +169,6 @@ let suite =
       test_partition_balanced_and_bounded;
     Alcotest.test_case "partitioner edge cases" `Quick test_partition_edge_cases;
     Alcotest.test_case "shard count never changes results" `Quick test_shard_count_invariance;
-    Alcotest.test_case "pool width never changes results" `Quick test_pool_width_invariance;
     Alcotest.test_case "2-shard barrier exchange golden run" `Quick
       test_barrier_exchange_golden;
-    Alcotest.test_case "sharded fleet day is shard-count-invariant" `Slow
-      test_fleet_shard_invariance;
   ]
