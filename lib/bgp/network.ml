@@ -100,7 +100,6 @@ type t = {
           live here). In legacy mode it is also the single shard's store,
           shared by every speaker; in sharded mode each shard has its own
           interner and paths are re-interned on shard entry. *)
-  delay_of : Asn.t -> Asn.t -> float;
   sessions : session Asn_pair_tbl.t;  (** keyed (from, to) *)
   owners : Asn.t Prefix.Table.t;
   mutable originations : (Asn.t -> As_path.t option) Prefix.Map.t;
@@ -262,7 +261,7 @@ and emit t sh ~from ~to_ action =
   end
 
 and schedule_delivery t sh ~from ~to_ action =
-  let delay = t.delay_of from to_ in
+  let delay = default_delay from to_ in
   (match action with
   | Speaker.Announce _ -> Obs.Metrics.incr m_announce_sent
   | Speaker.Withdraw _ -> Obs.Metrics.incr m_withdraw_sent);
@@ -320,7 +319,7 @@ let inject_boundary t msg =
       sh.s_bgp_events <- sh.s_bgp_events - 1;
       deliver t sh ~from:msg.b_from ~to_:msg.b_to msg.b_action)
 
-let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
+let create ~engine ~graph ?config_of ?(mrai = 30.0)
     ?(fib_install_delay = 0.0) ?shards:shard_count ?(record_barriers = false) () =
   let config_of =
     match config_of with
@@ -375,7 +374,6 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
       graph;
       speakers;
       store;
-      delay_of;
       sessions = Asn_pair_tbl.create 1024;
       owners = Prefix.Table.create 16;
       originations = Prefix.Map.empty;
@@ -398,7 +396,7 @@ let create ~engine ~graph ?config_of ?(delay_of = default_delay) ?(mrai = 30.0)
         List.fold_left
           (fun acc a ->
             List.fold_left
-              (fun acc (b, _) -> Float.min acc (delay_of a b))
+              (fun acc (b, _) -> Float.min acc (default_delay a b))
               acc (As_graph.neighbors graph a))
           infinity ases
       in

@@ -31,7 +31,6 @@ val create :
   engine:Sim.Engine.t ->
   graph:As_graph.t ->
   ?config_of:(Asn.t -> Policy.config) ->
-  ?delay_of:(Asn.t -> Asn.t -> float) ->
   ?mrai:float ->
   ?fib_install_delay:float ->
   ?shards:int ->
@@ -39,10 +38,10 @@ val create :
   unit ->
   t
 (** Build a speaker per AS of [graph]. [config_of] supplies per-AS policy
-    (default {!Policy.default}); [delay_of] the one-way update propagation
-    delay per directed link (default: deterministic 50–250 ms derived from
-    the ASN pair); [mrai] the min-route-advertisement interval (default
-    30 s, applied per session with per-session deterministic jitter).
+    (default {!Policy.default}); every directed link's one-way update
+    propagation delay is a deterministic 50–250 ms derived from the ASN
+    pair; [mrai] the min-route-advertisement interval (default 30 s,
+    applied per session with per-session deterministic jitter).
     [fib_install_delay] (default 0: atomic) delays data-plane FIB commits
     behind loc-RIB changes by up to that many seconds (deterministic
     per-AS), modeling the RIB-to-FIB latency that causes transient

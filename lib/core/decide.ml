@@ -1,9 +1,9 @@
 open Net
 open Topology
 
-type config = { min_outage_age : float; require_alternate_path : bool }
+type config = { min_outage_age : float }
 
-let default_config = { min_outage_age = 300.0; require_alternate_path = true }
+let default_config = { min_outage_age = 300.0 }
 
 type verdict = Poison of Asn.t | Wait of string | Hopeless of string
 
@@ -40,8 +40,7 @@ let decide ?feasible config graph ~origin ~diagnosis ~outage_age =
             (* The party that must route around the blamed AS is the
                remote destination, whose reverse path toward the origin
                is the broken one. *)
-            config.require_alternate_path
-            && not (feasible ~src:diagnosis.dst ~avoid:target)
+            not (feasible ~src:diagnosis.dst ~avoid:target)
           then
             Hopeless
               (Printf.sprintf "no policy-compliant path around %s" (Asn.to_string target))

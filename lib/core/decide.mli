@@ -15,7 +15,6 @@ type config = {
   min_outage_age : float;
       (** Only poison outages at least this old (default 300 s: detection
           plus the ~140 s isolation pipeline, as in §4.2). *)
-  require_alternate_path : bool;  (** Skip poisoning when no path exists (default true). *)
 }
 
 val default_config : config

@@ -3,15 +3,8 @@ open Net
 type config = {
   decide : Decide.config;
   recheck_interval : float;
-  monitor_interval : float;
   announce_spacing : float;
-  max_isolation_attempts : int;
-  retry_backoff : float;
-  backoff_multiplier : float;
-  max_backoff : float;
-  pipeline_timeout : float;
   poison_deadline : float;
-  max_poison_announcements : int;
   decision_latency : float;
 }
 
@@ -19,17 +12,20 @@ let default_config =
   {
     decide = Decide.default_config;
     recheck_interval = 120.0;
-    monitor_interval = 30.0;
     announce_spacing = 0.0;
-    max_isolation_attempts = 3;
-    retry_backoff = 60.0;
-    backoff_multiplier = 2.0;
-    max_backoff = 600.0;
-    pipeline_timeout = 21600.0;
     poison_deadline = 3600.0;
-    max_poison_announcements = 3;
     decision_latency = 0.0;
   }
+
+let monitor_interval = 30.0
+let detection_lag = float_of_int Measurement.Monitor.default_fail_threshold *. monitor_interval
+
+let max_isolation_attempts = 3
+let retry_backoff = 60.0
+let backoff_multiplier = 2.0
+let max_backoff = 600.0
+let pipeline_timeout = 21600.0
+let max_poison_announcements = 3
 
 type hooks = {
   probe_gate : (now:float -> cost:int -> bool) option;
@@ -289,9 +285,8 @@ let target_reachable t ~vp ~target =
    between poisonings) from the previous announcement. *)
 let announce_delay t = Float.max 0.0 (t.last_announce +. t.config.announce_spacing -. now t)
 
-let backoff_delay config attempt =
-  let d = config.retry_backoff *. (config.backoff_multiplier ** float_of_int (attempt - 1)) in
-  Float.min config.max_backoff d
+let backoff_delay attempt =
+  Float.min max_backoff (retry_backoff *. (backoff_multiplier ** float_of_int (attempt - 1)))
 
 let stand_down t ~target reason =
   Hashtbl.remove t.outage_started target;
@@ -416,7 +411,7 @@ let watchdog_tick t ap ~pump =
         end
         else if settled then begin
           (* Stale views: some router flushed or filtered the poison. *)
-          if ap.ap_announcements >= t.config.max_poison_announcements then
+          if ap.ap_announcements >= max_poison_announcements then
             rollback t ap ~pump
               (Printf.sprintf "poison flushed or filtered after %d announcements"
                  ap.ap_announcements)
@@ -625,7 +620,7 @@ let run_decision t p diagnosis =
               stand_down t ~target "outage resolved on its own"
             else decide_and_act ())
   and decide_and_act () =
-    if now t -. p.p_started > t.config.pipeline_timeout then
+    if now t -. p.p_started > pipeline_timeout then
       give_up t ~target "pipeline timeout"
     else begin
       match consult () with
@@ -671,10 +666,10 @@ let rec attempt_isolation t p =
         Sim.Engine.schedule_after (engine t) ~delay:diagnosis.Isolation.elapsed (fun () ->
             if pipeline_alive t p then run_decision t p diagnosis)
     | `Lost | `Denied ->
-        if p.p_attempt >= t.config.max_isolation_attempts then
+        if p.p_attempt >= max_isolation_attempts then
           give_up t ~target:p.p_target "isolation retry budget exhausted"
         else begin
-          let delay = backoff_delay t.config p.p_attempt in
+          let delay = backoff_delay p.p_attempt in
           log t (Isolation_retry { target = p.p_target; attempt = p.p_attempt; delay });
           p.p_phase <- Backoff;
           p.p_due <- now t +. delay;
@@ -700,7 +695,7 @@ let notify_outage t ~vp ~target =
     (match Hashtbl.find_opt t.outage_started target with
     | Some _ -> ()
     | None ->
-        Hashtbl.replace t.outage_started target (now t -. (4.0 *. t.config.monitor_interval)));
+        Hashtbl.replace t.outage_started target (now t -. detection_lag));
     let p =
       {
         p_vp = vp;
@@ -720,7 +715,7 @@ let watch t ~targets =
   Measurement.Atlas.refresh_all t.atlas t.env ~vps:[ origin ] ~dsts:targets ~now:(now t);
   let monitor =
     Measurement.Monitor.create ~env:t.env ~engine:(engine t)
-      ~interval:t.config.monitor_interval ~responsiveness:t.responsiveness
+      ~interval:monitor_interval ~responsiveness:t.responsiveness
       ~on_outage:(fun outage ->
         match
           Bgp.Network.owner_of_address t.env.Dataplane.Probe.net

@@ -21,27 +21,14 @@ open Net
 type config = {
   decide : Decide.config;
   recheck_interval : float;  (** How often to re-test the sentinel while poisoned (s). *)
-  monitor_interval : float;  (** Ping-pair period for the built-in monitors (s). *)
   announce_spacing : float;
       (** Minimum seconds between BGP announcements (poison or unpoison).
           The paper suggests ~90 min between poisonings to stay clear of
           flap damping; the default is 0 (no pacing). *)
-  max_isolation_attempts : int;
-      (** Isolation attempts per outage before giving up (default 3). *)
-  retry_backoff : float;  (** First retry delay after a lost isolation attempt (s). *)
-  backoff_multiplier : float;  (** Exponential backoff factor between retries. *)
-  max_backoff : float;  (** Retry delay ceiling (s). *)
-  pipeline_timeout : float;
-      (** Overall per-outage deadline: a pipeline still undecided after
-          this long stands down (s). *)
   poison_deadline : float;
       (** Watchdog: if no vantage feed shows the poison in force within
           this long of the first announcement, it never propagated —
           roll back (s, default 3600). *)
-  max_poison_announcements : int;
-      (** Watchdog: total announcements (initial + re-announces) per
-          poison before the circuit breaker trips and the poison is
-          rolled back (default 3). *)
   decision_latency : float;
       (** Modeled cost (simulated seconds) of computing a remediation
           from scratch; charged before acting on every fresh verdict. A
@@ -51,6 +38,23 @@ type config = {
 }
 
 val default_config : config
+
+(** {1 Fixed operating parameters}
+
+    Not configurable: a pipeline gets 3 isolation attempts, backing off
+    60 s after the first lost or denied one and doubling up to a 600 s
+    ceiling, then gives up; a pipeline still undecided after 6 h gives
+    up; a poison announced 3 times (initial + re-announces) without
+    holding trips the circuit breaker and is rolled back. *)
+
+val monitor_interval : float
+(** Ping-pair period of the built-in monitors: 30 s. *)
+
+val detection_lag : float
+(** How long an outage has already lasted when a monitor declares it:
+    {!Measurement.Monitor.default_fail_threshold} failed rounds of
+    {!monitor_interval}, i.e. 120 s. The age gate counts from this
+    estimated start. *)
 
 (** Hooks let a harness (the fleet service) inject probe budgets and
     chaos without the orchestrator knowing about either. All default to
@@ -117,8 +121,8 @@ type event =
           all sends of this poison including the first. *)
   | Poison_rolled_back of { target : Asn.t; reason : string }
       (** The watchdog withdrew a failed poison: collateral damage,
-          never propagated within the deadline, or flushed more times
-          than [max_poison_announcements] tolerates. *)
+          never propagated within the deadline, or flushed after its
+          third announcement. *)
   | Breaker_open of Asn.t
       (** A poison verdict against an AS whose breaker is open was
           refused outright. *)

@@ -40,7 +40,7 @@ let responding_router graph asn ~dst =
   in
   routers.(i).As_graph.address
 
-let default_max_hops = 64
+let max_hops = 64
 
 (* One forwarding decision, shared by [walk] and [delivers] so the two
    cannot drift apart: at [current], the FIB entry (or a stub's default
@@ -68,7 +68,7 @@ let next_hop net failures ~seen ~dst current =
       | Some _ | None -> Halt (No_route current)
     end
 
-let walk net failures ~src ~dst ?(max_hops = default_max_hops) () =
+let walk net failures ~src ~dst =
   let graph = Bgp.Network.graph net in
   let hop_of asn = { asn; address = responding_router graph asn ~dst } in
   match Failure.blocks_source failures src ~dst with
@@ -93,7 +93,7 @@ let walk net failures ~src ~dst ?(max_hops = default_max_hops) () =
 let unseen _ = false
 
 let rec delivers_from net failures ~dst current steps =
-  steps <= default_max_hops
+  steps <= max_hops
   &&
   match next_hop net failures ~seen:unseen ~dst current with
   | Arrive -> true

@@ -24,17 +24,16 @@ type walk = { hops : hop list; outcome : outcome }
 
 val pp_walk : Format.formatter -> walk -> unit
 
-val walk :
-  Bgp.Network.t -> Failure.set -> src:Asn.t -> dst:Ipv4.t -> ?max_hops:int -> unit -> walk
-(** Forward a packet from [src] toward [dst]. [max_hops] (default 64)
-    bounds the walk; exceeding it reports [Loop]. Stub ASes with a
-    configured default provider forward unmatched packets there. *)
+val walk : Bgp.Network.t -> Failure.set -> src:Asn.t -> dst:Ipv4.t -> walk
+(** Forward a packet from [src] toward [dst]. A 64-hop bound ends the
+    walk; exceeding it reports [Loop]. Stub ASes with a configured
+    default provider forward unmatched packets there. *)
 
 val delivers : Bgp.Network.t -> Failure.set -> src:Asn.t -> dst:Ipv4.t -> bool
-(** Whether [walk]'s outcome (at the default [max_hops]) is [Delivered],
-    computed without the walk: the same per-hop forwarding rule, but no
-    hop list, no responding-router choice and no visited set (a loop
-    runs into the hop bound instead), and an allocation-free FIB lookup
+(** Whether [walk]'s outcome is [Delivered], computed without the walk:
+    the same per-hop forwarding rule, but no hop list, no
+    responding-router choice and no visited set (a loop runs into the
+    hop bound instead), and an allocation-free FIB lookup
     ({!Bgp.Network.fib_find}). A ping needs only this verdict. *)
 
 val as_path_of_walk : walk -> Asn.t list

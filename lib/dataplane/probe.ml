@@ -145,7 +145,7 @@ let visible_path trace =
   take [] trace.hops
 
 let trace_with_replies t ~src ~reply_to ~dst =
-  let walk = Forward.walk t.net t.failures ~src ~dst () in
+  let walk = Forward.walk t.net t.failures ~src ~dst in
   charge t (List.length walk.Forward.hops);
   (* The hop a failure consumed the packet at never saw it with a live
      TTL, so it cannot answer. *)
@@ -198,7 +198,7 @@ let reverse_traceroute t ~vantage_points ~from_ ~to_ip =
     (* Amortized cost from the paper's atlas accounting: ~10 IP-option
        probes plus ~2 supporting traceroutes of ~8 hops. *)
     charge t (10 + 16);
-    let walk = Forward.walk t.net t.failures ~src:from_ ~dst:to_ip () in
+    let walk = Forward.walk t.net t.failures ~src:from_ ~dst:to_ip in
     let hops = List.map (fun h -> { hop = h; responded = true }) walk.Forward.hops in
     let reached =
       match walk.Forward.outcome with

@@ -63,8 +63,7 @@ let run () =
       ~config:
         {
           Lifeguard.Orchestrator.default_config with
-          Lifeguard.Orchestrator.decide =
-            { Lifeguard.Decide.default_config with Lifeguard.Decide.min_outage_age = 240.0 };
+          Lifeguard.Orchestrator.decide = { Lifeguard.Decide.min_outage_age = 240.0 };
         }
       ~env:bed.Scenarios.probe ~atlas ~responsiveness ~plan:cs.plan
       ~vantage_points:bed.Scenarios.vantage_points ()

@@ -46,7 +46,6 @@ let mesh_paths bed =
             let walk =
               Dataplane.Forward.walk bed.net bed.failures ~src
                 ~dst:(Dataplane.Forward.probe_address bed.net dst)
-                ()
             in
             match walk.Dataplane.Forward.outcome with
             | Dataplane.Forward.Delivered ->
@@ -93,7 +92,6 @@ let run ?(ases = 318) ?(outage_count = 400) ~seed () =
     let walk =
       Dataplane.Forward.walk bed.Scenarios.net bed.Scenarios.failures ~src
         ~dst:(Dataplane.Forward.probe_address bed.Scenarios.net dst)
-        ()
     in
     let path = Dataplane.Forward.as_path_of_walk walk in
     let interior =

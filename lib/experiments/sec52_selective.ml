@@ -70,7 +70,6 @@ let forward_avoidable_for mux ~dst =
     Dataplane.Forward.walk bed.Scenarios.net bed.Scenarios.failures
       ~src:mux.Scenarios.origin
       ~dst:(Dataplane.Forward.probe_address bed.Scenarios.net dst)
-      ()
   in
   match List.rev (Dataplane.Forward.as_path_of_walk walk) with
   | last :: penultimate :: _ when Asn.equal last dst ->

@@ -3,6 +3,5 @@
     of the core control loop. *)
 
 module Budget = Budget
-module Retry = Retry
 module Chaos = Chaos
 module Service = Service

@@ -4,6 +4,5 @@
     exactly these modules. *)
 
 module Budget = Budget
-module Retry = Retry
 module Chaos = Chaos
 module Service = Service

@@ -1,43 +1,16 @@
 open Net
 open Workloads
 
-(* Fleet observability: per-run totals recorded at teardown so a trial
-   world's whole story lands in one snapshot (merged across domains by
-   Obs when trials run in parallel). *)
-let m_injected = Obs.Metrics.counter "fleet.outages.injected"
-let m_detected = Obs.Metrics.counter "fleet.outages.detected"
-let m_repaired = Obs.Metrics.counter "fleet.repaired"
-let m_stood_down = Obs.Metrics.counter "fleet.stood_down"
-let m_gave_up = Obs.Metrics.counter "fleet.gave_up"
-let m_poisons = Obs.Metrics.counter "fleet.poisons"
-let m_unpoisons = Obs.Metrics.counter "fleet.unpoisons"
+(* Per-run totals recorded at teardown, merged across domains by Obs
+   when trials run in parallel. Every other count is a [report] field. *)
 let m_monitor_pairs = Obs.Metrics.counter "fleet.monitor.pairs"
-let m_monitor_skipped = Obs.Metrics.counter "fleet.monitor.skipped"
-let m_budget_denied = Obs.Metrics.counter "fleet.budget.denied"
 let m_isolation_retries = Obs.Metrics.counter "fleet.isolation.retries"
-let m_vp_crashes = Obs.Metrics.counter "fleet.chaos.vp_crashes"
-let m_reannounced = Obs.Metrics.counter "fleet.watchdog.reannounced"
-let m_rolled_back = Obs.Metrics.counter "fleet.watchdog.rolled_back"
-let m_breaker_trips = Obs.Metrics.counter "fleet.watchdog.breaker_trips"
-let m_session_flaps = Obs.Metrics.counter "fleet.faults.session_flaps"
-let m_router_crashes = Obs.Metrics.counter "fleet.faults.router_crashes"
 
 type config = {
   ases : int;
   target_count : int;
   duration : float;
   outages_per_day : float;
-  monitor_interval : float;
-  atlas_refresh_interval : float;
-  probe_rate : float;
-  probe_burst : float;
-  per_vp_rate : float;
-  per_vp_burst : float;
-  isolation_cost : int;
-  announce_spacing : float;
-  min_outage_age : float;
-  recheck_interval : float;
-  retry : Retry.policy;
   chaos : Chaos.config;
   faults : Bgp.Faults.config;
   planning : bool;
@@ -56,22 +29,19 @@ let default_config =
     target_count = 25;
     duration = 86400.0;
     outages_per_day = 12.0;
-    monitor_interval = 30.0;
-    atlas_refresh_interval = 3600.0;
-    probe_rate = 8.0;
-    probe_burst = 400.0;
-    per_vp_rate = infinity;
-    per_vp_burst = infinity;
-    isolation_cost = 35;
-    announce_spacing = 5400.0;
-    min_outage_age = 300.0;
-    recheck_interval = 120.0;
-    retry = Retry.default;
     chaos = Chaos.none;
     faults = Bgp.Faults.none;
     planning = false;
     decision_latency = 0.0;
   }
+
+(* The deployment's fixed operating point (see the interface). The
+   announcement spacing is the paper's ~90 min damping margin. *)
+let atlas_refresh_interval = 3600.0
+let probe_rate = 8.0
+let probe_burst = 400.0
+let isolation_cost = 35
+let announce_spacing = 5400.0
 
 type report = {
   days : float;
@@ -123,7 +93,7 @@ type report = {
    before the poison goes out — the decision gate plus the detection lag
    — and each remediated outage costs two announcements (poison +
    unpoison). *)
-let predict_updates_per_day ~seed ~h15 ~min_outage_age ~monitor_interval =
+let predict_updates_per_day ~seed ~h15 =
   if h15 <= 0.0 then 0.0
   else begin
     let durations = Outage_gen.durations ~seed:(seed + 77) ~n:4096 () in
@@ -136,9 +106,9 @@ let predict_updates_per_day ~seed ~h15 ~min_outage_age ~monitor_interval =
         updates_per_poison = 2.0;
       }
     in
-    let detection_lag = 4.0 *. monitor_interval (* the monitor's threshold crossing *) in
+    let gate = Lifeguard.Decide.default_config.min_outage_age in
     Lifeguard.Load_model.daily_path_changes params ~durations ~i:1.0 ~t:1.0
-      ~d_minutes:((min_outage_age +. detection_lag) /. 60.0)
+      ~d_minutes:((gate +. Lifeguard.Orchestrator.detection_lag) /. 60.0)
   end
 
 (* FNV-1a over a canonical rendering of every config knob plus the seed:
@@ -154,20 +124,6 @@ let config_fingerprint ~config ~seed =
   i config.target_count;
   f config.duration;
   f config.outages_per_day;
-  f config.monitor_interval;
-  f config.atlas_refresh_interval;
-  f config.probe_rate;
-  f config.probe_burst;
-  f config.per_vp_rate;
-  f config.per_vp_burst;
-  i config.isolation_cost;
-  f config.announce_spacing;
-  f config.min_outage_age;
-  f config.recheck_interval;
-  i config.retry.Retry.max_attempts;
-  f config.retry.Retry.base_delay;
-  f config.retry.Retry.multiplier;
-  f config.retry.Retry.max_delay;
   f config.chaos.Chaos.probe_loss;
   f config.chaos.Chaos.vp_mtbf;
   f config.chaos.Chaos.vp_mttr;
@@ -275,7 +231,6 @@ type outcome =
     }
 
 let run_in ?(config = default_config) ?durable ~seed () =
-  let retry = Retry.validate config.retry in
   let mux =
     Scenarios.bgpmux ~ases:config.ases ~infrastructure:Scenarios.No_infrastructure ~seed ()
   in
@@ -300,11 +255,7 @@ let run_in ?(config = default_config) ?durable ~seed () =
       ~net:bed.Scenarios.net ()
   in
   let sched =
-    Budget.scheduler ~per_vp_rate:config.per_vp_rate ~per_vp_burst:config.per_vp_burst
-      ~global:(Budget.create ~rate:config.probe_rate ~burst:config.probe_burst ()) ()
-  in
-  let decide_config =
-    { Lifeguard.Decide.default_config with min_outage_age = config.min_outage_age }
+    Budget.scheduler ~global:(Budget.create ~rate:probe_rate ~burst:probe_burst ()) ()
   in
   (* The plan cache: seeded offline by the planner over this world's
      graph, fingerprinted on the structural fault counters (links and
@@ -323,8 +274,8 @@ let run_in ?(config = default_config) ?durable ~seed () =
         Bgp.Faults.link_failure_count faults + Bgp.Faults.router_crash_count faults
       in
       Some
-        (Plan.Cache.create ~fingerprint ~seed:seed_plans ~config:decide_config ~origin
-           ~paths ())
+        (Plan.Cache.create ~fingerprint ~seed:seed_plans
+           ~config:Lifeguard.Decide.default_config ~origin ~paths ())
     end
   in
   let hooks =
@@ -336,7 +287,7 @@ let run_in ?(config = default_config) ?durable ~seed () =
         Some
           (fun ~target:_ ~attempt:_ ->
             let now = Sim.Engine.now engine in
-            if not (Budget.admit_vp sched ~vp:origin ~now ~cost:config.isolation_cost) then
+            if not (Budget.admit_vp sched ~vp:origin ~now ~cost:isolation_cost) then
               `Denied
             else if Chaos.lose_probe chaos then `Lost
             else `Proceed);
@@ -366,15 +317,8 @@ let run_in ?(config = default_config) ?durable ~seed () =
   let orch_config =
     {
       Lifeguard.Orchestrator.default_config with
-      Lifeguard.Orchestrator.decide = decide_config;
-      decision_latency = config.decision_latency;
-      recheck_interval = config.recheck_interval;
-      monitor_interval = config.monitor_interval;
-      announce_spacing = config.announce_spacing;
-      max_isolation_attempts = retry.Retry.max_attempts;
-      retry_backoff = retry.Retry.base_delay;
-      backoff_multiplier = retry.Retry.multiplier;
-      max_backoff = retry.Retry.max_delay;
+      Lifeguard.Orchestrator.decision_latency = config.decision_latency;
+      announce_spacing;
     }
   in
   let orch =
@@ -403,7 +347,7 @@ let run_in ?(config = default_config) ?durable ~seed () =
   (* Periodic atlas refreshes keep isolation off the on-demand slow path;
      the staleness knob makes them silently unreliable. *)
   ignore
-    (Sim.Engine.every engine ~every:config.atlas_refresh_interval ~until:horizon (fun now ->
+    (Sim.Engine.every engine ~every:atlas_refresh_interval ~until:horizon (fun now ->
          if not (Chaos.skip_refresh chaos) then
            Measurement.Atlas.refresh_all atlas bed.Scenarios.probe ~vps:[ origin ]
              ~dsts:targets ~now;
@@ -514,8 +458,7 @@ let run_in ?(config = default_config) ?durable ~seed () =
       injected_h15;
       measured_updates_per_day;
       predicted_updates_per_day =
-        predict_updates_per_day ~seed ~h15:injected_h15 ~min_outage_age:config.min_outage_age
-          ~monitor_interval:config.monitor_interval;
+        predict_updates_per_day ~seed ~h15:injected_h15;
       reannounced = Lifeguard.Orchestrator.reannounce_count orch;
       rolled_back = Lifeguard.Orchestrator.rollback_count orch;
       breaker_trips = Lifeguard.Orchestrator.breaker_trip_count orch;
@@ -574,23 +517,8 @@ let run_in ?(config = default_config) ?durable ~seed () =
   | _ -> ());
   Sim.Engine.run ~until:horizon engine;
   let report = harvest ~days:(config.duration /. 86400.0) in
-  Obs.Metrics.add m_injected report.injected;
-  Obs.Metrics.add m_detected report.detected;
-  Obs.Metrics.add m_repaired report.repaired;
-  Obs.Metrics.add m_stood_down report.stood_down;
-  Obs.Metrics.add m_gave_up report.gave_up;
-  Obs.Metrics.add m_poisons report.poisons;
-  Obs.Metrics.add m_unpoisons report.unpoisons;
   Obs.Metrics.add m_monitor_pairs report.monitor_pairs;
-  Obs.Metrics.add m_monitor_skipped report.monitor_skipped;
-  Obs.Metrics.add m_budget_denied report.budget_denied;
   Obs.Metrics.add m_isolation_retries report.isolation_retries;
-  Obs.Metrics.add m_vp_crashes report.vp_crashes;
-  Obs.Metrics.add m_reannounced report.reannounced;
-  Obs.Metrics.add m_rolled_back report.rolled_back;
-  Obs.Metrics.add m_breaker_trips report.breaker_trips;
-  Obs.Metrics.add m_session_flaps report.session_flaps;
-  Obs.Metrics.add m_router_crashes report.router_crashes;
   (* Recovery accounting: reconcile the journal against the collector's
      ground truth (the exactly-once verdict). *)
   let recovery =
@@ -624,7 +552,7 @@ let run_in ?(config = default_config) ?durable ~seed () =
         in
         let rc =
           Recover.Reconcile.check ~replayed:(Recover.Journal.replayed j)
-            ~grace:(2.0 *. config.recheck_interval)
+            ~grace:(2.0 *. Lifeguard.Orchestrator.default_config.recheck_interval)
             ~horizon:(Sim.Engine.now engine) ~poisoned_views (Recover.Journal.records j)
         in
         Some

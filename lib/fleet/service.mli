@@ -9,26 +9,22 @@
     that paces announcements to stay clear of route-flap damping —
     optionally under chaos (probe loss, vantage-point crashes, stale path
     atlases). Everything is seeded, so a day of fleet operations is a pure
-    function of its configuration. *)
+    function of its configuration.
+
+    The operating point is fixed, not configurable: a global probe
+    budget of 8 ping pairs/s with a 400-pair bucket (no per-VP cap),
+    35 pairs per isolation attempt, an hourly path-atlas refresh,
+    5400 s (the paper's ~90 min damping margin) between announcements,
+    and the {!Lifeguard.Decide} / {!Lifeguard.Orchestrator} defaults for
+    the 300 s age gate, the 120 s recheck period, the 30 s monitor
+    period and the isolation retry policy (3 attempts, 60 s first
+    backoff, doubling, capped at 600 s). *)
 
 type config = {
   ases : int;  (** Synthetic Internet size (default 150). *)
   target_count : int;  (** Monitored edge networks (default 25). *)
   duration : float;  (** Observation window in seconds (default 86400). *)
   outages_per_day : float;  (** Poisson arrival rate (default 12/day). *)
-  monitor_interval : float;  (** Ping-pair period per target (default 30 s). *)
-  atlas_refresh_interval : float;  (** Path-atlas refresh period (default 3600 s). *)
-  probe_rate : float;  (** Global budget: probe pairs per second (default 4). *)
-  probe_burst : float;  (** Global budget bucket size (default 120). *)
-  per_vp_rate : float;  (** Per-VP cap rate; [infinity] = uncapped (default). *)
-  per_vp_burst : float;  (** Per-VP cap bucket size. *)
-  isolation_cost : int;  (** Budget cost of one isolation attempt (default 35). *)
-  announce_spacing : float;
-      (** Seconds between BGP announcements — the paper's ~90 min damping
-          margin (default 5400). *)
-  min_outage_age : float;  (** Decision age gate (default 300 s). *)
-  recheck_interval : float;  (** Wait/recovery recheck period (default 120 s). *)
-  retry : Retry.policy;  (** Isolation retry/backoff policy. *)
   chaos : Chaos.config;  (** Chaos knobs (default {!Chaos.none}). *)
   faults : Bgp.Faults.config;
       (** Control-plane fault schedule (default {!Bgp.Faults.none}):

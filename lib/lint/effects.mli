@@ -36,7 +36,7 @@ val is_direct : t -> int -> eff -> bool
 val trace : t -> int -> eff -> string list
 (** Witness chain from a definition to the primitive that grounds the
     effect, as display names, e.g.
-    [\["Fleet.Service.run"; "Fleet.Retry.sleep"; "Unix.gettimeofday"\]]. *)
+    [\["Main.timed"; "Unix.gettimeofday"\]]. *)
 
 val trace_string : t -> int -> eff -> string
 (** {!trace} joined with [" -> "]. *)

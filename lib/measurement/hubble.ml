@@ -91,8 +91,7 @@ let tick t now =
      upgraded (Hubble re-probes continuously). *)
   t
 
-let create ~env ~engine ?(ping_interval = 120.0) ?(fail_threshold = 3) ~central
-    ~vantage_points ~targets () =
+let create ~env ~engine ?(fail_threshold = 3) ~central ~vantage_points ~targets () =
   let states =
     List.map
       (fun asn ->
@@ -108,7 +107,7 @@ let create ~env ~engine ?(ping_interval = 120.0) ?(fail_threshold = 3) ~central
   let t =
     { env; engine; central; vantage_points; states; history = []; probes = 0 }
   in
-  Sim.Engine.schedule_every engine ~every:ping_interval (fun now ->
+  Sim.Engine.schedule_every engine ~every:120.0 (* Hubble's rate *) (fun now ->
       ignore (tick t now);
       List.iter
         (fun state ->

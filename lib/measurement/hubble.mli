@@ -38,17 +38,16 @@ type t
 val create :
   env:Dataplane.Probe.env ->
   engine:Sim.Engine.t ->
-  ?ping_interval:float ->
   ?fail_threshold:int ->
   central:Asn.t ->
   vantage_points:Asn.t list ->
   targets:Asn.t list ->
   unit ->
   t
-(** Start monitoring: the [central] site pings each target every
-    [ping_interval] (default 120 s, Hubble's rate); [fail_threshold]
-    (default 3) consecutive failures trigger distributed classification
-    from [vantage_points]. Runs until the engine stops being driven. *)
+(** Start monitoring: the [central] site pings each target every 120 s
+    (Hubble's rate); [fail_threshold] (default 3) consecutive failures
+    trigger distributed classification from [vantage_points]. Runs until
+    the engine stops being driven. *)
 
 val incidents : t -> incident list
 (** All incidents, oldest first (open ones included). *)

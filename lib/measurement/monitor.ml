@@ -85,8 +85,11 @@ let probe_target t state now =
     end
   end
 
-let create ~env ~engine ?(interval = 30.0) ?(fail_threshold = 4) ?(on_outage = ignore)
-    ?(on_recovery = ignore) ?responsiveness ?src_ip ?gate ?loss ~vp ~targets () =
+let default_fail_threshold = 4
+
+let create ~env ~engine ?(interval = 30.0) ?(fail_threshold = default_fail_threshold)
+    ?(on_outage = ignore) ?(on_recovery = ignore) ?responsiveness ?src_ip ?gate ?loss ~vp
+    ~targets () =
   if interval <= 0.0 then invalid_arg "Monitor.create: interval must be positive";
   if fail_threshold < 1 then invalid_arg "Monitor.create: threshold must be >= 1";
   let t =

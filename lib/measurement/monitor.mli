@@ -24,6 +24,10 @@ val duration : outage -> now:float -> float
 
 type t
 
+val default_fail_threshold : int
+(** Consecutive failed ping pairs that declare an outage when {!create}
+    is not given [fail_threshold] (4). *)
+
 val create :
   env:Dataplane.Probe.env ->
   engine:Sim.Engine.t ->
@@ -40,11 +44,11 @@ val create :
   unit ->
   t
 (** Start monitoring; probing begins one [interval] (default 30 s) after
-    creation and runs until {!stop}. [fail_threshold] (default 4)
-    consecutive failed pairs trigger [on_outage]. Probe results are noted
-    in [responsiveness] when provided. [src_ip] overrides the address
-    replies are sent to (a LIFEGUARD origin monitors from inside its
-    production prefix).
+    creation and runs until {!stop}. [fail_threshold] (default
+    {!default_fail_threshold}) consecutive failed pairs trigger
+    [on_outage]. Probe results are noted in [responsiveness] when
+    provided. [src_ip] overrides the address replies are sent to (a
+    LIFEGUARD origin monitors from inside its production prefix).
 
     [gate] is consulted once per target per round with [cost:1] (one ping
     pair); when it refuses, the round is skipped for that target — no

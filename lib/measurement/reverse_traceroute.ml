@@ -49,7 +49,7 @@ let spend t n = Dataplane.Probe.charge t.env n
 let actual_path_from t hop ~to_ip =
   let walk =
     Dataplane.Forward.walk t.env.Dataplane.Probe.net t.env.Dataplane.Probe.failures ~src:hop
-      ~dst:to_ip ()
+      ~dst:to_ip
   in
   (Dataplane.Forward.as_path_of_walk walk, walk.Dataplane.Forward.outcome)
 
@@ -62,7 +62,7 @@ let hop_distance t ~from_ ~to_asn =
   let address = Dataplane.Forward.probe_address t.env.Dataplane.Probe.net to_asn in
   let walk =
     Dataplane.Forward.walk t.env.Dataplane.Probe.net t.env.Dataplane.Probe.failures ~src:from_
-      ~dst:address ()
+      ~dst:address
   in
   match walk.Dataplane.Forward.outcome with
   | Dataplane.Forward.Delivered ->
@@ -133,7 +133,7 @@ let measure t ~from_ ~to_ip ?(cached = []) () =
       match source_as with
       | Some src ->
           let walk =
-            Dataplane.Forward.walk net t.env.Dataplane.Probe.failures ~src ~dst:from_address ()
+            Dataplane.Forward.walk net t.env.Dataplane.Probe.failures ~src ~dst:from_address
           in
           List.rev (Dataplane.Forward.as_path_of_walk walk)
       | None -> []

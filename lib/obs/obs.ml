@@ -4,4 +4,3 @@
 module Clock = Clock
 module Metrics = Metrics
 module Trace = Trace
-module Span = Span

@@ -1,5 +1,5 @@
-(** Observability for the simulator itself: structured tracing, metrics
-    and span timing, shared by every layer between the event engine and
+(** Observability for the simulator itself: structured tracing and
+    metrics, shared by every layer between the event engine and
     the CLIs.
 
     Everything here is stdlib-only and domain-safe by construction: all
@@ -24,6 +24,3 @@ module Metrics = Metrics
 
 module Trace = Trace
 (** JSONL event sink with per-domain buffering. *)
-
-module Span = Span
-(** Begin/end phase brackets over {!Trace} + {!Clock}. *)

@@ -17,7 +17,7 @@ type t = {
 
 let create () = { injected = []; drawn = 0; unplaceable = 0 }
 
-let start ?outage_params ?toward_src t ~rng ~bed ~src ~targets ~mean_interarrival ~until () =
+let start ?toward_src t ~rng ~bed ~src ~targets ~mean_interarrival ~until () =
   if mean_interarrival <= 0.0 then
     invalid_arg "Arrivals.start: mean interarrival must be positive";
   if targets = [] then invalid_arg "Arrivals.start: no targets";
@@ -27,7 +27,7 @@ let start ?outage_params ?toward_src t ~rng ~bed ~src ~targets ~mean_interarriva
       Sim.Engine.schedule engine ~at (fun () ->
           t.drawn <- t.drawn + 1;
           let target = Prng.pick_list rng targets in
-          let shape = Outage_gen.shape ?params:outage_params rng in
+          let shape = Outage_gen.shape rng in
           (match Scenarios.Placement.on_path rng bed ?toward_src ~src ~dst:target ~shape () with
           | Some placed ->
               let spec = placed.Scenarios.Placement.spec in

@@ -25,7 +25,6 @@ type t
 val create : unit -> t
 
 val start :
-  ?outage_params:Outage_gen.params ->
   ?toward_src:Prefix.t ->
   t ->
   rng:Prng.t ->

@@ -260,7 +260,6 @@ module Placement = struct
     let walk =
       Dataplane.Forward.walk bed.net bed.failures ~src:from_
         ~dst:(Dataplane.Forward.probe_address bed.net to_)
-        ()
     in
     let path = Dataplane.Forward.as_path_of_walk walk in
     (* Interior hops only: breaking an endpoint is not a routable-around

@@ -35,7 +35,7 @@ let test_default_route_forwarding () =
   Alcotest.(check bool) "stub has no RIB route" true
     (Bgp.Network.best_route w.net stub (infra origin) = None);
   let walk =
-    Dataplane.Forward.walk w.net w.failures ~src:stub ~dst:(addr w origin) ()
+    Dataplane.Forward.walk w.net w.failures ~src:stub ~dst:(addr w origin)
   in
   Alcotest.(check bool) "default route still delivers" true
     (walk.Dataplane.Forward.outcome = Dataplane.Forward.Delivered);
@@ -161,7 +161,7 @@ let test_orchestrator_wait_then_poison () =
       Lifeguard.Orchestrator.default_config with
       Lifeguard.Orchestrator.decide =
         (* High threshold: the first decision must be Wait. *)
-        { Lifeguard.Decide.default_config with Lifeguard.Decide.min_outage_age = 500.0 };
+        { Lifeguard.Decide.min_outage_age = 500.0 };
       Lifeguard.Orchestrator.recheck_interval = 120.0;
     }
   in
@@ -200,8 +200,7 @@ let test_orchestrator_gives_up_on_transient () =
   let config =
     {
       Lifeguard.Orchestrator.default_config with
-      Lifeguard.Orchestrator.decide =
-        { Lifeguard.Decide.default_config with Lifeguard.Decide.min_outage_age = 500.0 };
+      Lifeguard.Orchestrator.decide = { Lifeguard.Decide.min_outage_age = 500.0 };
       Lifeguard.Orchestrator.recheck_interval = 120.0;
     }
   in

@@ -16,7 +16,7 @@ let addr w x = Dataplane.Forward.probe_address w.net x
 
 let test_basic_delivery () =
   let w = ready_world () in
-  let walk = Dataplane.Forward.walk w.net w.failures ~src:e ~dst:(addr w o) () in
+  let walk = Dataplane.Forward.walk w.net w.failures ~src:e ~dst:(addr w o) in
   Alcotest.(check bool) "delivered" true (walk.Dataplane.Forward.outcome = Dataplane.Forward.Delivered);
   Alcotest.(check (list int)) "AS-level path" [ 60; 30; 20; 10 ]
     (List.map Asn.to_int (Dataplane.Forward.as_path_of_walk walk));
@@ -26,7 +26,7 @@ let test_basic_delivery () =
 let test_no_route () =
   let w = fig2_world () in
   (* Nothing announced: no FIB entries anywhere. *)
-  let walk = Dataplane.Forward.walk w.net w.failures ~src:e ~dst:(addr w o) () in
+  let walk = Dataplane.Forward.walk w.net w.failures ~src:e ~dst:(addr w o) in
   match walk.Dataplane.Forward.outcome with
   | Dataplane.Forward.No_route at -> Alcotest.(check int) "stops at source" 60 (Asn.to_int at)
   | _ -> Alcotest.fail "expected No_route"
@@ -34,7 +34,7 @@ let test_no_route () =
 let test_node_failure_blocks () =
   let w = ready_world () in
   Dataplane.Failure.add w.failures (Dataplane.Failure.spec (Dataplane.Failure.Node a));
-  let walk = Dataplane.Forward.walk w.net w.failures ~src:e ~dst:(addr w o) () in
+  let walk = Dataplane.Forward.walk w.net w.failures ~src:e ~dst:(addr w o) in
   (match walk.Dataplane.Forward.outcome with
   | Dataplane.Forward.Dropped { at; _ } -> Alcotest.(check int) "dropped at A" 30 (Asn.to_int at)
   | _ -> Alcotest.fail "expected Dropped");
@@ -198,7 +198,7 @@ let test_control_and_data_failure () =
 module Sc = Workloads.Scenarios
 
 let walk_delivers net failures ~src ~dst =
-  match (Dataplane.Forward.walk net failures ~src ~dst ()).Dataplane.Forward.outcome with
+  match (Dataplane.Forward.walk net failures ~src ~dst).Dataplane.Forward.outcome with
   | Dataplane.Forward.Delivered -> true
   | Dataplane.Forward.No_route _ | Dataplane.Forward.Loop | Dataplane.Forward.Dropped _ -> false
 
@@ -320,7 +320,7 @@ let memo_script ?shards seed =
     script_step rng m;
     List.iter
       (fun (src, dst) ->
-        let walk = Dataplane.Forward.walk bed.net bed.failures ~src ~dst () in
+        let walk = Dataplane.Forward.walk bed.net bed.failures ~src ~dst in
         let delivered =
           match walk.Dataplane.Forward.outcome with
           | Dataplane.Forward.Delivered -> true

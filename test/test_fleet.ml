@@ -1,4 +1,4 @@
-(* The fleet layer: probe budgets, retry policies, chaos knobs, and the
+(* The fleet layer: probe budgets, chaos knobs, and the
    continuous service loop end to end. *)
 
 open Net
@@ -34,22 +34,6 @@ let test_budget_validation () =
   let raises f = Alcotest.(check bool) "rejects" true (try ignore (f ()); false with Invalid_argument _ -> true) in
   raises (fun () -> Fleet.Budget.create ~rate:(-1.0) ~burst:10.0 ());
   raises (fun () -> Fleet.Budget.create ~rate:1.0 ~burst:0.0 ())
-
-(* ------------------------------------------------------------------ *)
-(* Retry policy. *)
-
-let test_retry_policy () =
-  let p = { Fleet.Retry.max_attempts = 4; base_delay = 60.0; multiplier = 2.0; max_delay = 200.0 } in
-  Alcotest.(check (float 0.001)) "first delay" 60.0 (Fleet.Retry.delay_for p ~attempt:1);
-  Alcotest.(check (float 0.001)) "doubles" 120.0 (Fleet.Retry.delay_for p ~attempt:2);
-  Alcotest.(check (float 0.001)) "capped" 200.0 (Fleet.Retry.delay_for p ~attempt:3);
-  Alcotest.(check bool) "not exhausted early" false (Fleet.Retry.exhausted p ~attempt:3);
-  Alcotest.(check bool) "exhausted at budget" true (Fleet.Retry.exhausted p ~attempt:4);
-  Alcotest.(check (float 0.001)) "total bound" (60.0 +. 120.0 +. 200.0)
-    (Fleet.Retry.total_delay_bound p);
-  let raises f = Alcotest.(check bool) "rejects" true (try ignore (f ()); false with Invalid_argument _ -> true) in
-  raises (fun () -> Fleet.Retry.validate { p with Fleet.Retry.max_attempts = 0 });
-  raises (fun () -> Fleet.Retry.validate { p with Fleet.Retry.multiplier = 0.5 })
 
 (* ------------------------------------------------------------------ *)
 (* Chaos. *)
@@ -153,6 +137,78 @@ let test_service_chaos_terminates () =
     (Printf.sprintf "only horizon-adjacent pipelines open (got %d)" r.unfinished)
     true
     (r.unfinished <= 2)
+
+(* The resume guard: every config field, down to each chaos and fault
+   knob, must reach [config_fingerprint]. The base record is spelled out
+   in full, so a new field fails to compile here until it gets a row. *)
+let test_fingerprint_covers_config () =
+  let chaos =
+    { Fleet.Chaos.probe_loss = 0.1; vp_mtbf = 7200.0; vp_mttr = 600.0; atlas_staleness = 0.2 }
+  in
+  let faults =
+    {
+      Bgp.Faults.session_flap_mtbf = 14400.0;
+      session_flap_downtime = 30.0;
+      link_mtbf = 43200.0;
+      link_mttr = 900.0;
+      router_mtbf = 86400.0;
+      router_mttr = 300.0;
+      update_loss = 0.01;
+      update_dup = 0.005;
+    }
+  in
+  let base =
+    {
+      Fleet.Service.ases = 150;
+      target_count = 25;
+      duration = 86400.0;
+      outages_per_day = 12.0;
+      chaos;
+      faults;
+      planning = false;
+      decision_latency = 0.0;
+    }
+  in
+  let open Fleet.Service in
+  let variants =
+    [
+      ("ases", { base with ases = 151 });
+      ("target_count", { base with target_count = 26 });
+      ("duration", { base with duration = 86401.0 });
+      ("outages_per_day", { base with outages_per_day = 13.0 });
+      ("chaos.probe_loss", { base with chaos = { chaos with Fleet.Chaos.probe_loss = 0.2 } });
+      ("chaos.vp_mtbf", { base with chaos = { chaos with Fleet.Chaos.vp_mtbf = 3600.0 } });
+      ("chaos.vp_mttr", { base with chaos = { chaos with Fleet.Chaos.vp_mttr = 60.0 } });
+      ( "chaos.atlas_staleness",
+        { base with chaos = { chaos with Fleet.Chaos.atlas_staleness = 0.3 } } );
+      ( "faults.session_flap_mtbf",
+        { base with faults = { faults with Bgp.Faults.session_flap_mtbf = 7200.0 } } );
+      ( "faults.session_flap_downtime",
+        { base with faults = { faults with Bgp.Faults.session_flap_downtime = 60.0 } } );
+      ("faults.link_mtbf", { base with faults = { faults with Bgp.Faults.link_mtbf = 1.0 } });
+      ("faults.link_mttr", { base with faults = { faults with Bgp.Faults.link_mttr = 1.0 } });
+      ("faults.router_mtbf", { base with faults = { faults with Bgp.Faults.router_mtbf = 1.0 } });
+      ("faults.router_mttr", { base with faults = { faults with Bgp.Faults.router_mttr = 1.0 } });
+      ("faults.update_loss", { base with faults = { faults with Bgp.Faults.update_loss = 0.02 } });
+      ("faults.update_dup", { base with faults = { faults with Bgp.Faults.update_dup = 0.01 } });
+      ("planning", { base with planning = true });
+      ("decision_latency", { base with decision_latency = 180.0 });
+    ]
+  in
+  let fp config = config_fingerprint ~config ~seed:42 in
+  Alcotest.(check string) "stable" (fp base) (fp { base with ases = 150 });
+  Alcotest.(check bool) "seed counts" false
+    (String.equal (fp base) (config_fingerprint ~config:base ~seed:43));
+  let seen = Hashtbl.create 32 in
+  Hashtbl.replace seen (fp base) "base";
+  List.iter
+    (fun (field, config) ->
+      let f = fp config in
+      (match Hashtbl.find_opt seen f with
+      | Some other -> Alcotest.failf "changing %s gives the fingerprint of %s" field other
+      | None -> ());
+      Hashtbl.replace seen f field)
+    variants
 
 (* ------------------------------------------------------------------ *)
 (* Control-plane fault injection. *)
@@ -265,13 +321,14 @@ let suite =
     Alcotest.test_case "budget: token bucket" `Quick test_budget_bucket;
     Alcotest.test_case "budget: per-VP scheduler" `Quick test_budget_scheduler;
     Alcotest.test_case "budget: validation" `Quick test_budget_validation;
-    Alcotest.test_case "retry: backoff policy" `Quick test_retry_policy;
     Alcotest.test_case "chaos: deterministic coins" `Quick test_chaos_determinism;
     Alcotest.test_case "chaos: VP crash/recover" `Quick test_chaos_vp_crashes;
     Alcotest.test_case "chaos: validation" `Quick test_chaos_validation;
     Alcotest.test_case "service: deterministic" `Quick test_service_deterministic;
     Alcotest.test_case "service: pipeline accounting" `Quick test_service_accounting;
     Alcotest.test_case "service: terminates under chaos" `Quick test_service_chaos_terminates;
+    Alcotest.test_case "service: fingerprint covers every config field" `Quick
+      test_fingerprint_covers_config;
     Alcotest.test_case "faults: validation" `Quick test_faults_validation;
     Alcotest.test_case "faults: terminal outcomes under fault schedule" `Quick
       test_service_faults_terminal;

@@ -134,7 +134,7 @@ let prop_forwarding_follows_routes =
       let address = Prefix.nth_address production 1 in
       List.for_all
         (fun asn ->
-          let walk = Dataplane.Forward.walk net failures ~src:asn ~dst:address () in
+          let walk = Dataplane.Forward.walk net failures ~src:asn ~dst:address in
           match walk.Dataplane.Forward.outcome with
           | Dataplane.Forward.Delivered | Dataplane.Forward.No_route _ -> true
           | Dataplane.Forward.Loop | Dataplane.Forward.Dropped _ -> false)

@@ -223,8 +223,7 @@ let test_orchestrator_end_to_end () =
   let config =
     {
       Lifeguard.Orchestrator.default_config with
-      Lifeguard.Orchestrator.decide =
-        { Lifeguard.Decide.default_config with Lifeguard.Decide.min_outage_age = 200.0 };
+      Lifeguard.Orchestrator.decide = { Lifeguard.Decide.min_outage_age = 200.0 };
     }
   in
   let orc =
@@ -258,6 +257,49 @@ let test_orchestrator_end_to_end () =
     (has (function Lifeguard.Orchestrator.Unpoisoned -> true | _ -> false));
   ignore (addr w e)
 
+(* Bounded isolation retries: when every attempt is lost, the pipeline
+   backs off 60 s then 120 s (doubling from the first delay) and gives up
+   after the third attempt — a terminal outcome, never a wedge. *)
+let test_orchestrator_isolation_retries () =
+  let w = fig2_world () in
+  announce_all_infrastructure w;
+  let plan = Lifeguard.Remediate.plan ~sentinel ~origin:o ~production () in
+  let atlas = Measurement.Atlas.create () in
+  let responsiveness = Measurement.Responsiveness.create () in
+  let hooks =
+    {
+      Lifeguard.Orchestrator.no_hooks with
+      Lifeguard.Orchestrator.isolation_attempt = Some (fun ~target:_ ~attempt:_ -> `Lost);
+    }
+  in
+  let orc =
+    Lifeguard.Orchestrator.create ~hooks ~env:w.probe ~atlas ~responsiveness ~plan
+      ~vantage_points:[ d; c ] ()
+  in
+  converge w;
+  Lifeguard.Orchestrator.watch orc ~targets:[ e ];
+  Sim.Engine.run ~until:600.0 w.engine;
+  Dataplane.Failure.add w.failures reverse_failure_spec;
+  Sim.Engine.run ~until:2400.0 w.engine;
+  let events = Lifeguard.Orchestrator.events orc in
+  let delays =
+    List.filter_map
+      (function
+        | _, Lifeguard.Orchestrator.Isolation_retry { delay; _ } -> Some delay | _ -> None)
+      events
+  in
+  Alcotest.(check (list (float 0.0))) "backoff delays" [ 60.0; 120.0 ] delays;
+  Alcotest.(check bool) "never diagnosed" false
+    (List.exists
+       (function _, Lifeguard.Orchestrator.Diagnosed _ -> true | _ -> false)
+       events);
+  (match Lifeguard.Orchestrator.outcomes orc with
+  | [ (_, target, Lifeguard.Orchestrator.Gave_up_on reason) ] ->
+      Alcotest.(check int) "target" (Asn.to_int e) (Asn.to_int target);
+      Alcotest.(check string) "terminal give-up" "isolation retry budget exhausted" reason
+  | _ -> Alcotest.fail "expected exactly one Gave_up_on outcome");
+  Alcotest.(check int) "no pipeline left" 0 (Lifeguard.Orchestrator.active_pipelines orc)
+
 (* Two overlapping outages on disjoint prefixes: one reverse failure at A
    breaks both monitored targets at once. E (dual-homed) gets the poison;
    F (captive behind A, invisible to the vantage points valley-free) runs
@@ -273,8 +315,7 @@ let test_orchestrator_reentrancy () =
   let config =
     {
       Lifeguard.Orchestrator.default_config with
-      Lifeguard.Orchestrator.decide =
-        { Lifeguard.Decide.default_config with Lifeguard.Decide.min_outage_age = 200.0 };
+      Lifeguard.Orchestrator.decide = { Lifeguard.Decide.min_outage_age = 200.0 };
       announce_spacing = 3600.0;
     }
   in
@@ -371,8 +412,7 @@ let test_orchestrator_queue_not_dropped () =
   let config =
     {
       Lifeguard.Orchestrator.default_config with
-      Lifeguard.Orchestrator.decide =
-        { Lifeguard.Decide.default_config with Lifeguard.Decide.min_outage_age = 200.0 };
+      Lifeguard.Orchestrator.decide = { Lifeguard.Decide.min_outage_age = 200.0 };
       announce_spacing = 3600.0;
     }
   in
@@ -449,8 +489,7 @@ let watchdog_world ~announce_spacing ~poison_deadline =
   let config =
     {
       Lifeguard.Orchestrator.default_config with
-      Lifeguard.Orchestrator.decide =
-        { Lifeguard.Decide.default_config with Lifeguard.Decide.min_outage_age = 200.0 };
+      Lifeguard.Orchestrator.decide = { Lifeguard.Decide.min_outage_age = 200.0 };
       announce_spacing;
       poison_deadline;
     }
@@ -609,6 +648,8 @@ let suite =
       test_orchestrator_queue_not_dropped;
     Alcotest.test_case "residual durations" `Quick test_residual;
     Alcotest.test_case "orchestrator end-to-end" `Quick test_orchestrator_end_to_end;
+    Alcotest.test_case "orchestrator isolation retries back off, then give up" `Quick
+      test_orchestrator_isolation_retries;
     Alcotest.test_case "watchdog re-announces a lost poison exactly once" `Quick
       test_watchdog_reannounce_after_lost_poison;
     Alcotest.test_case "watchdog rollback + circuit breaker" `Quick

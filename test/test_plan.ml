@@ -177,7 +177,7 @@ let test_watchdog_divergence_demotes () =
   let rplan = Lifeguard.Remediate.plan ~sentinel ~origin:o ~production () in
   let atlas = Measurement.Atlas.create () in
   let responsiveness = Measurement.Responsiveness.create () in
-  let decide = { Lifeguard.Decide.default_config with Lifeguard.Decide.min_outage_age = 200.0 } in
+  let decide = { Lifeguard.Decide.min_outage_age = 200.0 } in
   let store = Bgp.Network.path_store w.net in
   let seed = Plan.Planner.build ~graph:w.graph ~store ~plan:rplan ~targets:[ e ] in
   let cache = Plan.Cache.create ~seed ~config:decide ~origin:o ~paths:store () in
