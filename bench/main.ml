@@ -680,15 +680,7 @@ let () =
             ~targets:(if !quick then 20 else 40)
             ~jobs:!jobs ~seed ())
     in
-    let median samples =
-      match samples with
-      | [] -> None
-      | _ ->
-          Some
-            (Stats.Ecdf.quantile
-               (Stats.Ecdf.of_samples (Array.of_list samples))
-               0.5)
-    in
+    let median samples = Experiments.Plan_study.quantile samples 0.5 in
     plan_summary :=
       Some
         ( Experiments.Plan_study.hit_rate r.Experiments.Plan_study.planned,

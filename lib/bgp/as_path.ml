@@ -49,9 +49,6 @@ let contains asn t = Array.exists (Asn.equal asn) t.asns
 let count asn t =
   Array.fold_left (fun n a -> if Asn.equal asn a then n + 1 else n) 0 t.asns
 
-let unique_ases t =
-  Array.fold_left (fun acc a -> Asn.Set.add a acc) Asn.Set.empty t.asns
-
 let traversed ~origin t =
   let n = Array.length t.asns in
   let rec cut i = if i >= n || Asn.equal t.asns.(i) origin then i else cut (i + 1) in

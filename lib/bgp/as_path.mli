@@ -43,8 +43,6 @@ val fold : ('a -> Asn.t -> 'a) -> 'a -> t -> 'a
 val count : Asn.t -> t -> int
 (** Occurrences of an AS in the path. *)
 
-val unique_ases : t -> Asn.Set.t
-
 val traversed : origin:Asn.t -> t -> t
 (** The portion of the path that traffic actually traverses: everything
     before the first occurrence of [origin]. A poisoned announcement

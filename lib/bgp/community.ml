@@ -15,6 +15,5 @@ let hash t = ((t.asn * 0x9E3779B1) lxor (t.value * 0x85EBCA6B)) land max_int
 
 let pp fmt t = Format.fprintf fmt "%d:%d" t.asn t.value
 let no_export = { asn = 65535; value = 65281 }
-let no_export_to_peers ~asn = { asn; value = 666 }
 let is_no_export t = equal t no_export
 let is_no_export_to_peers ~asn t = t.asn = asn && t.value = 666

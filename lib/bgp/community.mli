@@ -21,9 +21,9 @@ val no_export : t
 (** Well-known NO_EXPORT (65535:65281): do not advertise beyond the
     receiving AS. *)
 
-val no_export_to_peers : asn:int -> t
-(** The SAVVIS-style provider community ["asn:666"] asking [asn] not to
-    export the route to its peers. Only honored by [asn] itself. *)
-
 val is_no_export : t -> bool
+
 val is_no_export_to_peers : asn:int -> t -> bool
+(** Whether the community is the SAVVIS-style provider community
+    ["asn:666"] asking [asn] not to export the route to its peers. Only
+    honored by [asn] itself. *)

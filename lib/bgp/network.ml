@@ -86,7 +86,6 @@ type shard_state = {
   sstore : Path_store.t;
   mutable s_bgp_events : int;  (** BGP events queued in this shard's engine *)
   mutable s_delivered : int;
-  mutable s_buckets : int array;
   mutable outbox : boundary_msg list;  (** reversed emission order *)
   mutable outbox_n : int;
 }
@@ -105,7 +104,7 @@ type t = {
   mutable originations : (Asn.t -> As_path.t option) Prefix.Map.t;
       (** Administrative intent: the latest per-neighbor path function
           each originated prefix was announced with. Survives a router
-          crash (the config outlives the loc-RIB) so {!restart_node} can
+          crash (the config outlives the loc-RIB) so {!reoriginate} can
           re-originate from it. *)
   mutable owner_trie : Asn.t Prefix_trie.t;
   mutable link_faults : (from:Asn.t -> to_:Asn.t -> [ `Deliver | `Drop | `Duplicate ]) option;
@@ -115,19 +114,6 @@ type t = {
   mutable barrier : boundary_msg Shard.Barrier.t option;  (** None = legacy *)
   fib_epoch : int ref;  (** Handed to every speaker, which bumps it on each FIB install. *)
 }
-
-let delivery_bucket_width = 1.0
-
-let record_delivery sh time =
-  let idx = int_of_float (time /. delivery_bucket_width) in
-  let idx = if idx < 0 then 0 else idx in
-  let cap = Array.length sh.s_buckets in
-  if idx >= cap then begin
-    let bigger = Array.make (max (idx + 1) (2 * cap)) 0 in
-    Array.blit sh.s_buckets 0 bigger 0 cap;
-    sh.s_buckets <- bigger
-  end;
-  sh.s_buckets.(idx) <- sh.s_buckets.(idx) + 1
 
 (* Deterministic per-pair pseudo-random factor in [0,1): mix the ASN pair
    so runs are reproducible without threading a PRNG through the hot
@@ -197,7 +183,6 @@ let action_prefix = function
 let rec deliver t sh ~from ~to_ action =
   sh.s_delivered <- sh.s_delivered + 1;
   let now = Sim.Engine.now sh.sengine in
-  record_delivery sh now;
   Obs.Metrics.incr m_delivered;
   if Obs.Trace.on () then begin
     let kind, prefix =
@@ -336,7 +321,6 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
       sstore;
       s_bgp_events = 0;
       s_delivered = 0;
-      s_buckets = Array.make 1024 0;
       outbox = [];
       outbox_n = 0;
     }
@@ -516,7 +500,6 @@ let refresh t ~origin ~prefix =
   emit_all t origin out;
   poke t
 
-let owner t prefix = Prefix.Table.find_opt t.owners prefix
 let owner_of_address t ip = Prefix_trie.lookup ip t.owner_trie
 
 let best_route t asn prefix =
@@ -582,7 +565,7 @@ let owned_prefixes t asn =
 (* A crash loses the whole loc-RIB: sessions drop (flushing the adj-RIBs
    on both sides) and local originations are forgotten. The
    administrative intent in [originations] survives, which is what
-   {!restart_node} re-originates from — so a restarted origin re-announces
+   {!reoriginate} re-announces from — so a restarted origin re-announces
    whatever it was last configured to announce (a standing poison
    included), as a router reloading its config would. *)
 let crash_node t asn =
@@ -605,10 +588,6 @@ let reoriginate t asn =
       | None -> ())
     (owned_prefixes t asn);
   poke t
-
-let restart_node t asn =
-  restore_node t asn;
-  reoriginate t asn
 
 let set_link_faults t f = t.link_faults <- f
 
@@ -676,20 +655,3 @@ end
 let message_count t =
   sync t;
   Array.fold_left (fun acc sh -> acc + sh.s_delivered) 0 t.shards
-
-let messages_between t ~since ~until =
-  sync t;
-  if until < since then 0
-  else begin
-    let w = delivery_bucket_width in
-    let total = ref 0 in
-    Array.iter
-      (fun sh ->
-        let lo = max 0 (int_of_float (since /. w)) in
-        let hi = min (Array.length sh.s_buckets - 1) (int_of_float (until /. w)) in
-        for i = lo to hi do
-          total := !total + sh.s_buckets.(i)
-        done)
-      t.shards;
-    !total
-  end

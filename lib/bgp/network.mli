@@ -112,9 +112,6 @@ val refresh : t -> origin:Asn.t -> prefix:Prefix.t -> unit
     lost the announcement downstream: re-calling {!announce} with the
     same paths is a no-op, this is not. MRAI pacing still applies. *)
 
-val owner : t -> Prefix.t -> Asn.t option
-(** The AS currently originating exactly this prefix. *)
-
 val owner_of_address : t -> Ipv4.t -> (Prefix.t * Asn.t) option
 (** The most specific originated prefix covering the address, with its
     originating AS — whose hosts answer probes sent to that address. *)
@@ -164,19 +161,15 @@ val restore_node : t -> Asn.t -> unit
 val crash_node : t -> Asn.t -> unit
 (** Router crash with loc-RIB loss: every session drops {e and} the AS
     forgets its local originations. Learned routes were already flushed
-    by the session drops; after {!restart_node} the speaker re-learns
-    the world from its neighbors and re-originates from the
-    administrative intent recorded by {!announce}. *)
-
-val restart_node : t -> Asn.t -> unit
-(** Bring a crashed router back: sessions re-establish (neighbors
-    re-advertise their tables) and every prefix this AS was configured
-    to originate is re-announced with its last-announced paths. *)
+    by the session drops; after {!restore_node} and {!reoriginate} the
+    speaker re-learns the world from its neighbors and re-originates
+    from the administrative intent recorded by {!announce}. *)
 
 val reoriginate : t -> Asn.t -> unit
-(** Just the re-origination half of {!restart_node}: re-announce every
-    prefix the AS is configured to originate. For callers (the fault
-    injector) that restore sessions selectively. *)
+(** Re-announce every prefix the AS is configured to originate, with
+    its last-announced paths: the half of a crashed router's restart
+    that {!restore_node} does not do. Callers (the fault injector)
+    restore sessions selectively first. *)
 
 val set_link_faults :
   t -> (from:Asn.t -> to_:Asn.t -> [ `Deliver | `Drop | `Duplicate ]) option -> unit
@@ -219,15 +212,3 @@ end
 
 val message_count : t -> int
 (** Total update messages delivered since creation (load accounting). *)
-
-val delivery_bucket_width : float
-(** Resolution of the delivery-time accounting behind
-    {!messages_between}: deliveries are counted into fixed-width time
-    buckets of this many seconds rather than logged individually. *)
-
-val messages_between : t -> since:float -> until:float -> int
-(** Update messages delivered in a time window, at
-    {!delivery_bucket_width} resolution: every bucket overlapping
-    [\[since, until\]] is counted in full, so the window effectively
-    rounds outward to bucket boundaries. Exact for windows aligned to
-    (or wider than) the bucket grid; [0] when [until < since]. *)

@@ -61,9 +61,6 @@ let local_entry_of ~ann ~self ~now =
   make_entry ~ann ~neighbor:self ~rel:Relationship.Customer
     ~local_pref:local_pref_local ~learned_at:now ()
 
-let local_entry ~prefix ~self ~path ~now =
-  local_entry_of ~ann:(announcement ~prefix ~path ()) ~self ~now
-
 let is_local e = e.local_pref = local_pref_local
 
 let pp_entry fmt e =

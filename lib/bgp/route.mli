@@ -37,7 +37,7 @@ type entry = {
           dominated the decision step. *)
 }
 (** An adj-RIB-in / loc-RIB entry. Build with {!make_entry} or
-    {!local_entry} so the cached fields stay consistent with [ann]. *)
+    {!local_entry_of} so the cached fields stay consistent with [ann]. *)
 
 val tiebreak_rank : salt:int -> Asn.t -> int
 (** The salted tiebreak rank used as the penultimate decision step: a
@@ -58,13 +58,12 @@ val make_entry :
     salt (typically its ASN); omitting it gives rank [0], i.e. the
     plain lowest-neighbor-ASN final tiebreak. *)
 
-val local_entry : prefix:Prefix.t -> self:Asn.t -> path:As_path.t -> now:float -> entry
-(** The locally-originated route for a prefix: highest preference, treated
-    as customer-learned for export purposes (exported to everyone). *)
-
 val local_entry_of : ann:announcement -> self:Asn.t -> now:float -> entry
-(** {!local_entry} from a pre-built (typically interned) announcement, so
-    a speaker can reuse one shared local announcement across refreshes. *)
+(** The locally-originated route for an announcement: highest
+    preference, treated as customer-learned for export purposes
+    (exported to everyone). Taking a pre-built (typically interned)
+    announcement lets a speaker reuse one shared local announcement
+    across refreshes. *)
 
 val is_local : entry -> bool
 (** Whether the entry is a local origination (neighbor = self). *)

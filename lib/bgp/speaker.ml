@@ -467,9 +467,6 @@ let prefixes t =
 let originated t =
   Prefix.Table.fold (fun p _ acc -> p :: acc) t.locals [] |> List.sort_uniq Prefix.compare
 
-let adj_in_size t =
-  Prefix.Table.fold (fun _ table acc -> acc + Asn.Table.length table) t.adj_in 0
-
 let reevaluate t ~now prefix = refresh_best t ~now prefix
 
 let suppressed_candidates t prefix =

@@ -119,9 +119,6 @@ val prefixes : t -> Prefix.t list
 val originated : t -> Prefix.t list
 (** Prefixes this speaker currently originates locally. *)
 
-val adj_in_size : t -> int
-(** Total adj-RIB-in entries across all prefixes (memory accounting). *)
-
 val set_on_best_change : t -> (now:float -> Prefix.t -> Route.entry option -> unit) -> unit
 (** Hook invoked after every loc-RIB change (used by route collectors and
     convergence instrumentation). *)

@@ -2,18 +2,14 @@ open Net
 
 type config = {
   decide : Decide.config;
-  recheck_interval : float;
   announce_spacing : float;
-  poison_deadline : float;
   decision_latency : float;
 }
 
 let default_config =
   {
     decide = Decide.default_config;
-    recheck_interval = 120.0;
     announce_spacing = 0.0;
-    poison_deadline = 3600.0;
     decision_latency = 0.0;
   }
 
@@ -26,6 +22,8 @@ let backoff_multiplier = 2.0
 let max_backoff = 600.0
 let pipeline_timeout = 21600.0
 let max_poison_announcements = 3
+let recheck_interval = 120.0
+let poison_deadline = 3600.0
 
 type hooks = {
   probe_gate : (now:float -> cost:int -> bool) option;
@@ -384,14 +382,14 @@ let watchdog_tick t ap ~pump =
           List.partition (fun (_, v) -> match v with Some _ -> true | None -> false) rest
         in
         (* Let a fresh announcement converge before judging the views. *)
-        let settled = now t -. t.last_announce >= 2.0 *. t.config.recheck_interval in
+        let settled = now t -. t.last_announce >= 2.0 *. recheck_interval in
         if 2 * List.length lost > List.length views then begin
           if settled then
             rollback t ap ~pump
               (Printf.sprintf "collateral damage: %d of %d vantage feeds lost the route"
                  (List.length lost) (List.length views))
         end
-        else if poisoned = [] && now t -. ap.ap_first > t.config.poison_deadline then
+        else if poisoned = [] && now t -. ap.ap_first > poison_deadline then
           rollback t ap ~pump "poison never propagated within deadline"
         else if stale = [] then begin
           match poisoned with
@@ -450,7 +448,7 @@ let unpoison_now t ap ~pump =
    armed deadline lives in [ap_next_check], so the snapshot digest
    covers it. *)
 let rec arm_recovery_check t ap ~pump =
-  let delay = t.config.recheck_interval in
+  let delay = recheck_interval in
   ap.ap_next_check <- now t +. delay;
   Sim.Engine.schedule_after (engine t) ~delay (fun () -> recovery_tick t ap ~pump)
 
@@ -613,8 +611,8 @@ let run_decision t p diagnosis =
     | Decide.Hopeless reason -> stand_down t ~target reason
     | Decide.Wait _ ->
         p.p_phase <- Waiting;
-        p.p_due <- now t +. t.config.recheck_interval;
-        Sim.Engine.schedule_after (engine t) ~delay:t.config.recheck_interval (fun () ->
+        p.p_due <- now t +. recheck_interval;
+        Sim.Engine.schedule_after (engine t) ~delay:recheck_interval (fun () ->
             if not (pipeline_alive t p) then ()
             else if target_reachable t ~vp ~target then
               stand_down t ~target "outage resolved on its own"

@@ -20,15 +20,10 @@ open Net
 
 type config = {
   decide : Decide.config;
-  recheck_interval : float;  (** How often to re-test the sentinel while poisoned (s). *)
   announce_spacing : float;
       (** Minimum seconds between BGP announcements (poison or unpoison).
           The paper suggests ~90 min between poisonings to stay clear of
           flap damping; the default is 0 (no pacing). *)
-  poison_deadline : float;
-      (** Watchdog: if no vantage feed shows the poison in force within
-          this long of the first announcement, it never propagated —
-          roll back (s, default 3600). *)
   decision_latency : float;
       (** Modeled cost (simulated seconds) of computing a remediation
           from scratch; charged before acting on every fresh verdict. A
@@ -45,10 +40,15 @@ val default_config : config
     60 s after the first lost or denied one and doubling up to a 600 s
     ceiling, then gives up; a pipeline still undecided after 6 h gives
     up; a poison announced 3 times (initial + re-announces) without
-    holding trips the circuit breaker and is rolled back. *)
+    holding trips the circuit breaker and is rolled back; a poison no
+    vantage feed shows in force within 3600 s of its first announcement
+    never propagated and is rolled back. *)
 
 val monitor_interval : float
 (** Ping-pair period of the built-in monitors: 30 s. *)
+
+val recheck_interval : float
+(** Sentinel re-test period while a poison stands: 120 s. *)
 
 val detection_lag : float
 (** How long an outage has already lasted when a monitor declares it:
@@ -170,12 +170,6 @@ val watch : t -> targets:Asn.t list -> unit
 (** Start monitors from the origin toward each target's infrastructure
     address, refreshing the atlas first so isolation has history. The
     monitors inherit the [probe_gate] and [monitor_loss] hooks. *)
-
-val notify_outage : t -> vp:Asn.t -> target:Asn.t -> unit
-(** Report an externally-detected outage on the reverse path from
-    [target] back to the origin (e.g. from a monitor owned by the
-    caller). Starts an isolate/decide pipeline for [target] unless one is
-    already running, queued, or covered by the standing poison. *)
 
 val state : t -> state
 

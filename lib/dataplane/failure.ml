@@ -35,7 +35,6 @@ let spec_equal a b =
 type set = { mutable specs : spec list; mutable version : int }
 
 let create () = { specs = []; version = 0 }
-let is_empty t = t.specs = []
 let active t = t.specs
 let version t = t.version
 

@@ -40,7 +40,6 @@ type set
 (** A mutable collection of active failures. *)
 
 val create : unit -> set
-val is_empty : set -> bool
 val active : set -> spec list
 
 val add : set -> spec -> unit

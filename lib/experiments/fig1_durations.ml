@@ -15,9 +15,6 @@ type result = {
       (** (minutes, fraction of total unavailability) *)
 }
 
-let paper_fraction_events_le_10min = 0.90
-let paper_unavailability_share_gt_10min = 0.84
-
 let cdf_points =
   (* Log-spaced sample positions in minutes, matching the figure's x axis
      (1.5 min .. one week). *)

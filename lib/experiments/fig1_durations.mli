@@ -15,9 +15,6 @@ type result = {
       (** (minutes, fraction of total unavailability) *)
 }
 
-val paper_fraction_events_le_10min : float
-val paper_unavailability_share_gt_10min : float
-
 val run : ?n:int -> seed:int -> unit -> result
 (** Draw [n] outage durations (default the paper's 10,308) from the
     calibrated model and summarize both CDFs. Deterministic in [seed]. *)

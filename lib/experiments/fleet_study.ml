@@ -53,23 +53,22 @@ type result = {
   updates_duplicated : int;
 }
 
+let worlds ~config ~targets ~seed =
+  let per_world = max 1 config.Fleet.Service.target_count in
+  let n = (targets + per_world - 1) / per_world in
+  List.init n (fun i ->
+      (* The last world takes the remainder so the fleet monitors
+         exactly [targets] networks. *)
+      let count = if i = n - 1 then targets - (per_world * (n - 1)) else per_world in
+      fun () ->
+        Fleet.Service.run ~config:{ config with Fleet.Service.target_count = count }
+          ~seed:(seed + i) ())
+
 let run ?(config = Fleet.Service.default_config) ?(targets = 250) ?(jobs = 1) ~seed () =
   if targets <= 0 then invalid_arg "Fleet_study.run: targets must be positive";
-  let per_world = max 1 config.Fleet.Service.target_count in
-  let shards = (targets + per_world - 1) / per_world in
-  let reports =
-    Runner.run_trials ~jobs
-      (List.init shards (fun shard ->
-           (* The last world takes the remainder so the fleet monitors
-              exactly [targets] networks. *)
-           let count =
-             if shard = shards - 1 then targets - (per_world * (shards - 1)) else per_world
-           in
-           fun () ->
-             Fleet.Service.run
-               ~config:{ config with Fleet.Service.target_count = count }
-               ~seed:(seed + shard) ()))
-  in
+  let trials = worlds ~config ~targets ~seed in
+  let shards = List.length trials in
+  let reports = Runner.run_trials ~jobs trials in
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
   let sumf f = List.fold_left (fun acc r -> acc +. f r) 0.0 reports in
   let open Fleet.Service in

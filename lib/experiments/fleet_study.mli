@@ -43,10 +43,16 @@ type result = {
   updates_duplicated : int;  (** ...zero when [config.faults] is [none]. *)
 }
 
+val worlds :
+  config:Fleet.Service.config -> targets:int -> seed:int -> (unit -> Fleet.Service.report) list
+(** The fleet's world decomposition, one trial per world:
+    [ceil (targets / config.target_count)] {!Fleet.Service} runs of
+    [config.target_count] targets each, the last taking the remainder;
+    world [i] runs at seed [seed + i]. *)
+
 val run :
   ?config:Fleet.Service.config -> ?targets:int -> ?jobs:int -> seed:int -> unit -> result
-(** Run [ceil (targets / config.target_count)] independent service worlds
-    (default 250 targets in worlds of [config.target_count]) and merge.
+(** Run the {!worlds} of [targets] (default 250) and merge them.
     Deterministic in [(config, targets, seed)]. *)
 
 val ttr_cdf : result -> Stats.Ecdf.t option

@@ -10,10 +10,9 @@
     the answer ready.
 
     Worlds decompose and merge exactly as in {!Fleet_study}
-    ([config.target_count] targets per world, world seeds [seed + shard]),
+    ([config.target_count] targets per world, world seeds [seed + i]),
     and both modes of one world share a seed — so the comparison is
-    paired, and every table is byte-identical at any [--jobs] (and any
-    [config.shards]). *)
+    paired, and every table is byte-identical at any [--jobs]. *)
 
 type mode = {
   detected : int;
@@ -75,32 +74,14 @@ let merge reports =
 
 let run ?(config = default_config) ?(targets = 40) ?(jobs = 1) ~seed () =
   if targets <= 0 then invalid_arg "Plan_study.run: targets must be positive";
-  let per_world = max 1 config.Fleet.Service.target_count in
-  let worlds = (targets + per_world - 1) / per_world in
-  let trial ~planning shard =
-    let count =
-      if shard = worlds - 1 then targets - (per_world * (worlds - 1)) else per_world
-    in
-    fun () ->
-      Fleet.Service.run
-        ~config:{ config with Fleet.Service.target_count = count; planning }
-        ~seed:(seed + shard) ()
-  in
+  let arm planning = Fleet_study.worlds ~config:{ config with planning } ~targets ~seed in
+  let planned = arm true in
+  let worlds = List.length planned in
   (* One trial list, planned worlds first: paired seeds, fixed order, and
      the worker pool drains both modes concurrently. *)
-  let reports =
-    Runner.run_trials ~jobs
-      (List.init (2 * worlds) (fun i ->
-           if i < worlds then trial ~planning:true i else trial ~planning:false (i - worlds)))
-  in
-  let rec split n = function
-    | rest when n = 0 -> ([], rest)
-    | [] -> ([], [])
-    | r :: rest ->
-        let a, b = split (n - 1) rest in
-        (r :: a, b)
-  in
-  let planned_reports, computed_reports = split worlds reports in
+  let reports = Runner.run_trials ~jobs (planned @ arm false) in
+  let planned_reports = List.filteri (fun i _ -> i < worlds) reports in
+  let computed_reports = List.filteri (fun i _ -> i >= worlds) reports in
   {
     worlds;
     targets;

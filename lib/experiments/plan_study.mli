@@ -34,18 +34,21 @@ type result = {
 
 val default_config : Fleet.Service.config
 (** Few targets failing often (recurring outages), chaos and
-    control-plane faults off, [decision_latency = 120s]. *)
+    control-plane faults off, [decision_latency = 180s]. *)
 
 val run :
   ?config:Fleet.Service.config -> ?targets:int -> ?jobs:int -> seed:int -> unit -> result
-(** [run ~seed ()] decomposes [targets] (default 40) into worlds of
-    [config.target_count] each (world seeds [seed + shard], shared by
-    both arms) and runs both arms — in parallel when [jobs > 1]. The
+(** [run ~seed ()] decomposes [targets] (default 40) into worlds as
+    {!Fleet_study.worlds} does (world seeds shared by both arms) and runs both arms — in parallel when [jobs > 1]. The
     result is a pure function of [(config, targets, seed)]; [jobs] never
     changes a byte of output. *)
 
 val hit_rate : mode -> float
 (** Hits over lookups, in [0, 1]; [0.] when there were no lookups. *)
+
+val quantile : float list -> float -> float option
+(** [quantile samples q] is the empirical [q]-quantile of [samples];
+    [None] when there are none. *)
 
 val to_tables : result -> Stats.Table.t list
 (** Two tables: plan-cache effectiveness (hits/misses/hit rate,

@@ -346,12 +346,11 @@ let run_in ?(config = default_config) ?durable ~seed () =
   Bgp.Faults.start faults ~protect:[ origin ] ~until:horizon ();
   (* Periodic atlas refreshes keep isolation off the on-demand slow path;
      the staleness knob makes them silently unreliable. *)
-  ignore
-    (Sim.Engine.every engine ~every:atlas_refresh_interval ~until:horizon (fun now ->
-         if not (Chaos.skip_refresh chaos) then
-           Measurement.Atlas.refresh_all atlas bed.Scenarios.probe ~vps:[ origin ]
-             ~dsts:targets ~now;
-         `Continue));
+  Sim.Engine.schedule_every engine ~every:atlas_refresh_interval ~until:horizon (fun now ->
+      if not (Chaos.skip_refresh chaos) then
+        Measurement.Atlas.refresh_all atlas bed.Scenarios.probe ~vps:[ origin ]
+          ~dsts:targets ~now;
+      `Continue);
   (* Harvest the report of the run so far over a window of [days].
      Everything here is a pure read, so a snapshot mark can harvest the
      head mid-run without perturbing it. *)
@@ -484,36 +483,35 @@ let run_in ?(config = default_config) ?durable ~seed () =
   (match durable with
   | Some ({ d_snapshot_every = Some every_s; _ } as d) when every_s > 0.0 ->
       let fp = config_fingerprint ~config ~seed in
-      ignore
-        (Sim.Engine.every engine ~every:every_s ~until:horizon (fun _ ->
-             let mark = !marks_done + 1 in
-             let head = harvest ~days:(float_of_int mark *. every_s /. 86400.0) in
-             let plan =
-               match cache with
-               | Some c -> "plan " ^ Recover.Record.escape (Plan.Cache.capture c) ^ "\n"
-               | None -> ""
-             in
-             let snap =
-               {
-                 Recover.Snapshot.at = Sim.Engine.now engine;
-                 mark;
-                 seed;
-                 config_fp = fp;
-                 journal_len = Recover.Journal.length d.d_journal;
-                 state =
-                   Recover.Snapshot.digest
-                     (Lifeguard.Orchestrator.capture orch ^ Budget.capture sched ^ plan);
-                 head = render_report head;
-               }
-             in
-             (match d.d_verify with
-             | Some expected when expected.Recover.Snapshot.mark = mark ->
-                 if not (Recover.Snapshot.equal snap expected) then
-                   raise (Recover.Snapshot.Mismatch { mark })
-             | _ -> ());
-             marks_done := mark;
-             d.d_on_snapshot snap;
-             `Continue))
+      Sim.Engine.schedule_every engine ~every:every_s ~until:horizon (fun _ ->
+          let mark = !marks_done + 1 in
+          let head = harvest ~days:(float_of_int mark *. every_s /. 86400.0) in
+          let plan =
+            match cache with
+            | Some c -> "plan " ^ Recover.Record.escape (Plan.Cache.capture c) ^ "\n"
+            | None -> ""
+          in
+          let snap =
+            {
+              Recover.Snapshot.at = Sim.Engine.now engine;
+              mark;
+              seed;
+              config_fp = fp;
+              journal_len = Recover.Journal.length d.d_journal;
+              state =
+                Recover.Snapshot.digest
+                  (Lifeguard.Orchestrator.capture orch ^ Budget.capture sched ^ plan);
+              head = render_report head;
+            }
+          in
+          (match d.d_verify with
+          | Some expected when expected.Recover.Snapshot.mark = mark ->
+              if not (Recover.Snapshot.equal snap expected) then
+                raise (Recover.Snapshot.Mismatch { mark })
+          | _ -> ());
+          marks_done := mark;
+          d.d_on_snapshot snap;
+          `Continue)
   | _ -> ());
   Sim.Engine.run ~until:horizon engine;
   let report = harvest ~days:(config.duration /. 86400.0) in
@@ -552,7 +550,7 @@ let run_in ?(config = default_config) ?durable ~seed () =
         in
         let rc =
           Recover.Reconcile.check ~replayed:(Recover.Journal.replayed j)
-            ~grace:(2.0 *. Lifeguard.Orchestrator.default_config.recheck_interval)
+            ~grace:(2.0 *. Lifeguard.Orchestrator.recheck_interval)
             ~horizon:(Sim.Engine.now engine) ~poisoned_views (Recover.Journal.records j)
         in
         Some

@@ -1,7 +1,7 @@
 (* Driver for lifeguard-lint: directory walking, the one-parse pipeline
    feeding both the per-file syntactic pass and the interprocedural
-   Callgraph/Effects pass, report rendering (text / json / sarif /
-   github), baseline checking, and the CLI entry point shared by
+   Callgraph/Effects pass, report rendering (text / github), baseline
+   checking, and the CLI entry point shared by
    bin/lifeguard_lint and the test suite. *)
 
 module Rule = Rule
@@ -128,11 +128,11 @@ let effects_table ?kind ~dirs () =
   (Buffer.contents b, errors)
 
 let usage =
-  "lifeguard_lint [--check | --update-baseline | --effects] [--format FMT] [--json]\n\
+  "lifeguard_lint [--check | --update-baseline | --effects] [--format FMT]\n\
   \               [--baseline FILE] [--root DIR] [--treat-as-lib] [DIR ...]\n\
    Static analysis for domain-safety, determinism and hot-path hygiene,\n\
    including the interprocedural LG-EFF-* effect rules.\n\
-   FMT is one of: text json sarif github. Default directories: lib bin bench examples."
+   FMT is one of: text github. Default directories: lib bin bench examples."
 
 let main ?(out = Format.std_formatter) argv =
   let check = ref false in
@@ -157,8 +157,7 @@ let main ?(out = Format.std_formatter) argv =
             match Report.format_of_string s with
             | Some f -> format := f
             | None -> bad_format := Some s),
-        "FMT report format: text json sarif github (default text)" );
-      ("--json", Arg.Unit (fun () -> format := Report.Json), " shorthand for --format json");
+        "FMT report format: text github (default text)" );
       ("--baseline", Arg.Set_string baseline_path, "FILE baseline file (default lint.baseline)");
       ("--root", Arg.Set_string root, "DIR chdir here first; paths are reported relative to it");
       ("--treat-as-lib", Arg.Set as_lib, " apply library-strict rules to every scanned file");
@@ -184,7 +183,7 @@ let main ?(out = Format.std_formatter) argv =
   | () -> (
       match !bad_format with
       | Some s ->
-          Printf.eprintf "lifeguard-lint: unknown --format %s (text json sarif github)\n" s;
+          Printf.eprintf "lifeguard-lint: unknown --format %s (text github)\n" s;
           2
       | None ->
           let dirs = if !dirs = [] then default_dirs else List.rev !dirs in
@@ -218,8 +217,7 @@ let main ?(out = Format.std_formatter) argv =
                 run_check ~format:!format ~oc:stdout ~baseline_path:!baseline_path r
               else begin
                 (* lint: allow LG-OBS-PRINTF (reports go to stdout by CLI contract) *)
-                print_string
-                  (Report.render !format ~violations:r.violations ~errors:r.errors);
+                print_string (Report.render !format ~violations:r.violations);
                 0
               end
             end

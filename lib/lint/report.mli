@@ -1,11 +1,10 @@
-(** Output formats for lint reports: plain text, JSON, SARIF 2.1.0 (for
-    CI code-scanning upload) and GitHub workflow commands (inline diff
-    annotations). *)
+(** Output formats for lint reports: plain text and GitHub workflow
+    commands (inline diff annotations). *)
 
-type format = Text | Json | Sarif | Github
+type format = Text | Github
 
 val format_of_string : string -> format option
-(** ["text"], ["json"], ["sarif"], ["github"]. *)
+(** ["text"], ["github"]. *)
 
 val text_line : Source_scan.violation -> string
 
@@ -13,12 +12,6 @@ val github_line : ?level:string -> Source_scan.violation -> string
 (** A [::warning]/[::error] workflow command ([level] defaults to
     ["warning"]). *)
 
-val render :
-  format -> violations:Source_scan.violation list -> errors:(string * string) list -> string
-(** Render a whole report. Deterministic for a deterministic input
-    order. *)
-
-val json_valid : string -> (unit, string) result
-(** Recursive-descent JSON well-formedness check (no values
-    materialized, no dependencies) — keeps the SARIF/JSON emitters
-    honest at test time. *)
+val render : format -> violations:Source_scan.violation list -> string
+(** Render a whole report, one line per violation. Deterministic for a
+    deterministic input order. *)

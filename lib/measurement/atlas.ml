@@ -14,9 +14,9 @@ type pair_state = {
   mutable reverse : snapshot list;
 }
 
-type t = { pairs : (int, pair_state) Hashtbl.t; mutable snapshots : int }
+type t = { pairs : (int, pair_state) Hashtbl.t }
 
-let create () = { pairs = Hashtbl.create 256; snapshots = 0 }
+let create () = { pairs = Hashtbl.create 256 }
 
 (* Pack the (vp, dst) ASN pair into one immediate int key: ASNs fit in
    31 bits, so the pair fits a 63-bit OCaml int without collision. *)
@@ -34,22 +34,20 @@ let state t ~vp ~dst =
 (* Consecutive duplicate paths are collapsed into the newest snapshot:
    Internet paths are stable [37], so this keeps histories short without
    losing change points. *)
-let push t existing ~now path =
+let push existing ~now path =
   match existing with
   | { taken_at = _; path = prev } :: rest when List.length prev = List.length path
                                                 && List.for_all2 Asn.equal prev path ->
       { taken_at = now; path } :: rest
-  | _ ->
-      t.snapshots <- t.snapshots + 1;
-      { taken_at = now; path } :: existing
+  | _ -> { taken_at = now; path } :: existing
 
 let record_forward t ~vp ~dst ~now path =
   let s = state t ~vp ~dst in
-  s.forward <- push t s.forward ~now path
+  s.forward <- push s.forward ~now path
 
 let record_reverse t ~vp ~dst ~now path =
   let s = state t ~vp ~dst in
-  s.reverse <- push t s.reverse ~now path
+  s.reverse <- push s.reverse ~now path
 
 let forward_history t ~vp ~dst = (state t ~vp ~dst).forward
 let reverse_history t ~vp ~dst = (state t ~vp ~dst).reverse
@@ -107,4 +105,3 @@ let refresh_all t env ~vps ~dsts ~now =
   List.iter (fun vp -> List.iter (fun dst -> refresh t env ~vp ~dst ~now) dsts) vps
 
 let pair_count t = Hashtbl.length t.pairs
-let snapshot_count t = t.snapshots

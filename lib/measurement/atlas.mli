@@ -47,4 +47,3 @@ val refresh_all : t -> Dataplane.Probe.env -> vps:Asn.t list -> dsts:Asn.t list 
 (** Refresh every (vp, dst) pair. *)
 
 val pair_count : t -> int
-val snapshot_count : t -> int

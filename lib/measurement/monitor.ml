@@ -136,6 +136,5 @@ let create ~env ~engine ?(interval = 30.0) ?(fail_threshold = default_fail_thres
 
 let stop t = t.stopped <- true
 let outages t = List.rev t.history
-let open_outages t = List.filter (fun o -> Option.is_none o.ended_at) (outages t)
 let probe_count t = t.pairs_sent
 let skipped_count t = t.pairs_skipped

@@ -62,7 +62,6 @@ val stop : t -> unit
 val outages : t -> outage list
 (** All outages detected so far, oldest first (including open ones). *)
 
-val open_outages : t -> outage list
 val probe_count : t -> int
 (** Ping pairs sent so far. *)
 

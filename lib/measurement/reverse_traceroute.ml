@@ -2,12 +2,6 @@ open Net
 
 type how = Spoofed_record_route | Timestamp | Assumed_symmetric | Confirmed_cached
 
-let how_to_string = function
-  | Spoofed_record_route -> "rr"
-  | Timestamp -> "ts"
-  | Assumed_symmetric -> "sym"
-  | Confirmed_cached -> "cached"
-
 type hop = { asn : Asn.t; how : how }
 
 type measurement = {

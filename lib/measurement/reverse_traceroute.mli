@@ -30,8 +30,6 @@ type how =
   | Assumed_symmetric  (** Mirrored from the forward path: unverified. *)
   | Confirmed_cached  (** Re-confirmed from a previous measurement. *)
 
-val how_to_string : how -> string
-
 type hop = { asn : Asn.t; how : how }
 
 type measurement = {

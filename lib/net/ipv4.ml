@@ -40,7 +40,6 @@ let of_string_exn s =
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 let equal = Int32.equal
 let compare = Int32.unsigned_compare
-let succ t = Int32.add t 1l
 let add t n = Int32.add t (Int32.of_int n)
 
 module Ord = struct

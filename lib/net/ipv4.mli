@@ -27,9 +27,6 @@ val equal : t -> t -> bool
 val compare : t -> t -> int
 (** Unsigned comparison, so ["10.0.0.1" < "192.0.2.1" < "224.0.0.1"]. *)
 
-val succ : t -> t
-(** Next address, wrapping at [255.255.255.255]. *)
-
 val add : t -> int -> t
 (** [add t n] offsets the address by [n] (unsigned wraparound). *)
 

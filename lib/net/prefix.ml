@@ -61,9 +61,6 @@ let first_address t = t.network
 let size t =
   if t.length = 0 then max_int else 1 lsl (32 - t.length)
 
-let last_address t =
-  Ipv4.add t.network (size t - 1)
-
 let nth_address t i =
   if i < 0 || (t.length > 0 && i >= size t) then
     invalid_arg "Prefix.nth_address: index out of range";

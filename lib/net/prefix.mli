@@ -44,9 +44,6 @@ val split : t -> (t * t) option
 val first_address : t -> Ipv4.t
 (** Lowest address of the prefix (the network address). *)
 
-val last_address : t -> Ipv4.t
-(** Highest address of the prefix (the broadcast address). *)
-
 val nth_address : t -> int -> Ipv4.t
 (** [nth_address p i] is the [i]-th address of [p]; raises if out of
     range. *)

@@ -7,10 +7,6 @@ type 'a t = Leaf | Node of { value : 'a option; zero : 'a t; one : 'a t }
 
 let empty = Leaf
 
-let is_empty = function
-  | Leaf -> true
-  | Node _ -> false
-
 let node value zero one =
   match (value, zero, one) with
   | None, Leaf, Leaf -> Leaf
@@ -47,19 +43,7 @@ let remove prefix t =
   in
   go t 0
 
-let find_exact prefix t =
-  let addr = Prefix.network prefix and len = Prefix.length prefix in
-  let rec go t depth =
-    match t with
-    | Leaf -> None
-    | Node { value; zero; one } ->
-        if depth = len then value
-        else if bit_at addr depth then go one (depth + 1)
-        else go zero (depth + 1)
-  in
-  go t 0
-
-let lookup_bits addr max_len t =
+let lookup ip t =
   (* Walk down following the address bits, remembering the deepest value. *)
   let rec go t depth best =
     match t with
@@ -67,16 +51,14 @@ let lookup_bits addr max_len t =
     | Node { value; zero; one } ->
         let best =
           match value with
-          | Some v -> Some (Prefix.make addr depth, v)
+          | Some v -> Some (Prefix.make ip depth, v)
           | None -> best
         in
-        if depth >= max_len then best
-        else if bit_at addr depth then go one (depth + 1) best
+        if depth >= 32 then best
+        else if bit_at ip depth then go one (depth + 1) best
         else go zero (depth + 1) best
   in
   go t 0 None
-
-let lookup ip t = lookup_bits ip 32 t
 
 (* [lookup] without the matched prefix: the deepest [value] option met on
    the way down is returned as is, and the loop is a top-level function
@@ -91,7 +73,6 @@ let rec find_longest_from ip t depth best =
       else find_longest_from ip zero (depth + 1) best
 
 let find_longest ip t = find_longest_from ip t 0 None
-let lookup_prefix prefix t = lookup_bits (Prefix.network prefix) (Prefix.length prefix) t
 
 let fold f t acc =
   let rec go t depth addr acc =
@@ -109,5 +90,4 @@ let fold f t acc =
   in
   go t 0 0l acc
 
-let bindings t = List.rev (fold (fun p v acc -> (p, v) :: acc) t [])
 let cardinal t = fold (fun _ _ acc -> acc + 1) t 0

@@ -42,8 +42,6 @@ let flush t =
   t.invalidations <- t.invalidations + 1;
   Obs.Metrics.incr m_invalidations
 
-let invalidate t ~reason:_ = flush t
-
 let check_fingerprint t =
   match t.fingerprint with
   | None -> ()

@@ -4,11 +4,10 @@
     A lookup replays the memoized feasibility bit through
     [Decide.decide ~feasible], so a hit yields the byte-identical verdict
     a fresh decision would — the cache changes {e when} the answer is
-    known, never {e what} it is. Three things stop a plan being served:
+    known, never {e what} it is. Two things stop a plan being served:
 
     - {b topology churn}: a changed [fingerprint] (wired by the fleet to
       the world's fault counters) flushes the whole map;
-    - {b policy change}: an explicit {!invalidate};
     - {b breaker trips}: a plan poisoning a breaker-open AS is dropped at
       lookup and the fresh decision refuses at the breaker identically.
 
@@ -67,9 +66,6 @@ val record : t -> target:Asn.t -> diagnosis:Isolation.diagnosis -> verdict:Decid
 val note_outcome : t -> poison:Asn.t -> [ `Confirmed | `Diverged of string ] -> unit
 (** Watchdog feedback for a served plan: [`Confirmed] keeps it,
     [`Diverged reason] demotes every plan poisoning that AS. *)
-
-val invalidate : t -> reason:string -> unit
-(** Policy-change invalidation: flush the whole map (demotions persist). *)
 
 val capture : t -> string
 (** Deterministic one-line rendering of the cache's mutable state

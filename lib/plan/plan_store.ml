@@ -14,12 +14,6 @@ let poisons = function
   | Poison _ | Selective_poison _ -> true
   | Alternate_path | Hopeless _ -> false
 
-let remedy_name = function
-  | Poison _ -> "poison"
-  | Selective_poison _ -> "selective-poison"
-  | Alternate_path -> "alternate-path"
-  | Hopeless _ -> "hopeless"
-
 module Key = struct
   type t = Asn.t * Failure_class.t
 

@@ -28,8 +28,6 @@ val feasible : remedy -> bool
 val poisons : remedy -> bool
 (** Does this remedy announce a poison? (Breaker invalidation applies.) *)
 
-val remedy_name : remedy -> string
-
 type t
 
 val empty : t

@@ -71,10 +71,6 @@ let int t n =
 let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t ~p = float t < p
 
-let range_float t ~lo ~hi =
-  if lo > hi then invalid_arg "Prng.range_float: lo > hi";
-  lo +. ((hi -. lo) *. float t)
-
 let pick t arr =
   if Array.length arr = 0 then invalid_arg "Prng.pick: empty array";
   arr.(int t (Array.length arr))
@@ -120,41 +116,4 @@ module Dist = struct
     mu +. (sigma *. z)
 
   let lognormal t ~mu ~sigma = exp (normal t ~mu ~sigma)
-
-  let weibull t ~shape ~scale =
-    let u = 1.0 -. float t in
-    scale *. ((-.log u) ** (1.0 /. shape))
-
-  let mixture t components =
-    let u = float t in
-    let rec go acc = function
-      | [] -> invalid_arg "Prng.Dist.mixture: empty or weights < 1"
-      | [ (_, sampler) ] -> sampler t
-      | (w, sampler) :: rest ->
-          let acc = acc +. w in
-          if u < acc then sampler t else go acc rest
-    in
-    go 0.0 components
-
-  let zipf t ~n ~s =
-    if n <= 0 then invalid_arg "Prng.Dist.zipf: n <= 0";
-    (* Inverse-CDF over the (small) support; n is at most a few thousand in
-       topology generation so the linear scan is fine. *)
-    let norm = ref 0.0 in
-    for k = 1 to n do
-      norm := !norm +. (1.0 /. (Float.of_int k ** s))
-    done;
-    let target = float t *. !norm in
-    let acc = ref 0.0 in
-    let result = ref n in
-    (try
-       for k = 1 to n do
-         acc := !acc +. (1.0 /. (Float.of_int k ** s));
-         if !acc >= target then begin
-           result := k;
-           raise Exit
-         end
-       done
-     with Exit -> ());
-    !result
 end

@@ -39,9 +39,6 @@ val bool : t -> bool
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p]. *)
 
-val range_float : t -> lo:float -> hi:float -> float
-(** Uniform in [\[lo, hi)]. Requires [lo <= hi]. *)
-
 val pick : t -> 'a array -> 'a
 (** Uniform element of a non-empty array. *)
 
@@ -69,17 +66,4 @@ module Dist : sig
 
   val normal : t -> mu:float -> sigma:float -> float
   (** Normal via Box–Muller. *)
-
-  val weibull : t -> shape:float -> scale:float -> float
-  (** Weibull; [shape < 1] gives decreasing hazard, matching the
-      "the longer it lasted, the longer it will last" behaviour of Internet
-      outages (paper Fig. 5). *)
-
-  val mixture : t -> (float * (t -> float)) list -> float
-  (** [mixture t components] picks a component with the given weights
-      (which must sum to ~1) and samples it. *)
-
-  val zipf : t -> n:int -> s:float -> int
-  (** Zipf-distributed rank in [\[1, n\]] with exponent [s]; used for
-      power-law degree targets in topology generation. *)
 end

@@ -50,7 +50,6 @@ let check_crash j boundary =
       raise (Crash.Crashed { boundary; append = j.appends })
   | _ -> ()
 
-let prefix_len j = Array.length j.expected
 let replaying_now j = j.seq < Array.length j.expected
 
 let trace_replay_done j ~at =

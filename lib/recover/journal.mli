@@ -55,9 +55,6 @@ val appended : t -> int
 val replayed : t -> int
 (** Records verified against the replay prefix so far. *)
 
-val prefix_len : t -> int
-(** Length of the replay prefix (0 for a fresh journal). *)
-
 val replaying_now : t -> bool
 (** Still inside the replay prefix. *)
 

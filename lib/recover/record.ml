@@ -137,12 +137,3 @@ let of_line line =
       | _ -> Error (Printf.sprintf "malformed journal line: %s" line)
     end
   | _ -> Error (Printf.sprintf "malformed journal line: %s" line)
-
-let poison_of = function
-  | Poison_announce { poison; _ }
-  | Poison_reannounce { poison; _ }
-  | Unpoison { poison; _ }
-  | Breaker_trip { poison; _ }
-  | Plan_demotion { poison; _ } ->
-      Some poison
-  | Outcome _ -> None

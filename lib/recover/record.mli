@@ -47,9 +47,6 @@ val to_line : t -> string
 
 val of_line : string -> (t, string) result
 
-val poison_of : action -> Asn.t option
-(** The poisoned AS the action concerns, when it concerns one. *)
-
 val escape : string -> string
 (** Percent-encode ['%'], ['|'], [' '] and line breaks (exposed for the
     snapshot codec, which reuses the framing). *)

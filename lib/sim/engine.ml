@@ -11,8 +11,6 @@ let m_time_advance = Obs.Metrics.histogram "sim.time_advance"
 
 type event = { time : float; seq : int; action : unit -> unit }
 
-type timer = { mutable cancelled : bool }
-
 type t = {
   mutable heap : event array;
   mutable size : int;
@@ -111,23 +109,6 @@ let schedule_every t ~every ?until f =
     end
   in
   schedule_after t ~delay:every tick
-
-(* Cancellable timers: the heap has no random-access removal, so a timer
-   is a shared flag the wrapped action checks at fire time. A cancelled
-   one-shot fires as a no-op; a cancelled recurring timer stops
-   rescheduling at its next tick. *)
-let after t ~delay action =
-  let tm = { cancelled = false } in
-  schedule_after t ~delay (fun () -> if not tm.cancelled then action ());
-  tm
-
-let every t ~every ?until f =
-  let tm = { cancelled = false } in
-  schedule_every t ~every ?until (fun now -> if tm.cancelled then `Stop else f now);
-  tm
-
-let cancel tm = tm.cancelled <- true
-let active tm = not tm.cancelled
 
 let step t =
   match pop t with

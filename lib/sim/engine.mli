@@ -32,34 +32,8 @@ val schedule_every :
   t -> every:float -> ?until:float -> (float -> [ `Continue | `Stop ]) -> unit
 (** [schedule_every t ~every f] runs [f now] at the current time plus
     [every], then repeatedly every [every] seconds while it returns
-    [`Continue] (and, if [until] is given, while the clock is before it). *)
-
-(** {2 Cancellable timers}
-
-    The fleet service arms per-target timeouts and retry backoffs that it
-    must be able to disarm when the pipeline reaches a terminal state
-    first. Timers are cancellation flags checked at fire time: the event
-    stays in the heap but does nothing (one-shot) or stops rescheduling
-    (recurring). *)
-
-type timer
-
-val after : t -> delay:float -> (unit -> unit) -> timer
-(** Like {!schedule_after}, but returns a handle that {!cancel} disarms.
-    Schedules identically: the same event order and the same sequence
-    numbers, one per call. *)
-
-val every :
-  t -> every:float -> ?until:float -> (float -> [ `Continue | `Stop ]) -> timer
-(** Like {!schedule_every}, but returns a handle that {!cancel} stops at
-    the next tick. *)
-
-val cancel : timer -> unit
-(** Disarm a timer; idempotent. A cancelled one-shot never runs its
-    action; a cancelled recurring timer stops rescheduling. *)
-
-val active : timer -> bool
-(** [true] until {!cancel} is called. *)
+    [`Continue] (and, if [until] is given, while the clock has not passed
+    it: a tick that lands exactly on [until] still runs). *)
 
 val run : ?until:float -> t -> unit
 (** Execute events in order until the queue empties, or until the clock

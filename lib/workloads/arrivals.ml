@@ -54,14 +54,3 @@ let injected t = List.rev t.injected
 let injected_count t = List.length t.injected
 let drawn_count t = t.drawn
 let unplaceable_count t = t.unplaceable
-
-(* The rate the load model's H(d) talks about: injected outages per day
-   that last at least [d_minutes] — reading the ledger is the ground
-   truth a measured run compares its poison rate against. *)
-let daily_rate_at_least t ~observed_days ~d_minutes =
-  if observed_days <= 0.0 then 0.0
-  else begin
-    let threshold = d_minutes *. 60.0 in
-    let n = List.length (List.filter (fun i -> i.duration >= threshold) t.injected) in
-    float_of_int n /. observed_days
-  end

@@ -52,7 +52,3 @@ val drawn_count : t -> int
 
 val unplaceable_count : t -> int
 (** Arrivals skipped because no transit hop was available to break. *)
-
-val daily_rate_at_least : t -> observed_days:float -> d_minutes:float -> float
-(** Injected outages per day lasting at least [d_minutes] — the measured
-    analogue of the load model's H(d). *)

@@ -162,7 +162,6 @@ let test_orchestrator_wait_then_poison () =
       Lifeguard.Orchestrator.decide =
         (* High threshold: the first decision must be Wait. *)
         { Lifeguard.Decide.min_outage_age = 500.0 };
-      Lifeguard.Orchestrator.recheck_interval = 120.0;
     }
   in
   let orc =
@@ -201,7 +200,6 @@ let test_orchestrator_gives_up_on_transient () =
     {
       Lifeguard.Orchestrator.default_config with
       Lifeguard.Orchestrator.decide = { Lifeguard.Decide.min_outage_age = 500.0 };
-      Lifeguard.Orchestrator.recheck_interval = 120.0;
     }
   in
   let orc =

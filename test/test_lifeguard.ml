@@ -480,7 +480,7 @@ let test_orchestrator_queue_not_dropped () =
 (* Watchdog regressions. All three run the fig. 2 world with the A
    reverse failure; they differ in what the control plane does to the
    poison after it is announced. *)
-let watchdog_world ~announce_spacing ~poison_deadline =
+let watchdog_world ~announce_spacing =
   let w = fig2_world () in
   announce_all_infrastructure w;
   let plan = Lifeguard.Remediate.plan ~sentinel ~origin:o ~production () in
@@ -491,7 +491,6 @@ let watchdog_world ~announce_spacing ~poison_deadline =
       Lifeguard.Orchestrator.default_config with
       Lifeguard.Orchestrator.decide = { Lifeguard.Decide.min_outage_age = 200.0 };
       announce_spacing;
-      poison_deadline;
     }
   in
   let orc =
@@ -511,7 +510,7 @@ let count_events orc f =
    once, paced by announce_spacing — and the repair must then complete
    normally. *)
 let test_watchdog_reannounce_after_lost_poison () =
-  let w, orc = watchdog_world ~announce_spacing:1800.0 ~poison_deadline:7200.0 in
+  let w, orc = watchdog_world ~announce_spacing:1800.0 in
   Sim.Engine.run ~until:600.0 w.engine;
   Dataplane.Failure.add w.failures reverse_failure_spec;
   Bgp.Network.set_link_faults w.net
@@ -555,7 +554,7 @@ let test_watchdog_reannounce_after_lost_poison () =
    circuit breaker — and the next detection of the same outage must be
    refused by the breaker instead of re-poisoning forever. *)
 let test_watchdog_rollback_and_breaker () =
-  let w, orc = watchdog_world ~announce_spacing:1800.0 ~poison_deadline:3600.0 in
+  let w, orc = watchdog_world ~announce_spacing:1800.0 in
   Sim.Engine.run ~until:600.0 w.engine;
   Dataplane.Failure.add w.failures reverse_failure_spec;
   Bgp.Network.set_link_faults w.net
@@ -599,7 +598,7 @@ let test_watchdog_rollback_and_breaker () =
    but re-establishment re-syncs the adj-RIB-out, so the poison comes
    back on its own — the watchdog must NOT burn an announcement on it. *)
 let test_watchdog_session_reset_resync () =
-  let w, orc = watchdog_world ~announce_spacing:1800.0 ~poison_deadline:3600.0 in
+  let w, orc = watchdog_world ~announce_spacing:1800.0 in
   Sim.Engine.run ~until:600.0 w.engine;
   Dataplane.Failure.add w.failures reverse_failure_spec;
   Sim.Engine.run ~until:2400.0 w.engine;

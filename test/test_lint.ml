@@ -235,27 +235,9 @@ let test_pragma () =
 
 let test_report_formats () =
   let r = scan_dir "eff_bad" in
-  let sarif = Lint.Report.render Lint.Report.Sarif ~violations:r.Lint.violations ~errors:[] in
-  (match Lint.Report.json_valid sarif with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "SARIF output is not well-formed JSON: %s" e);
-  Alcotest.(check bool) "sarif carries the schema" true
-    (contains ~needle:"sarif-2.1.0.json" sarif);
-  Alcotest.(check bool) "sarif carries rule ids" true (contains ~needle:"LG-EFF-CLOCK" sarif);
-  let json = Lint.Report.render Lint.Report.Json ~violations:r.Lint.violations ~errors:[] in
-  (match Lint.Report.json_valid json with
-  | Ok () -> ()
-  | Error e -> Alcotest.failf "JSON output is not well-formed: %s" e);
   (* Workflow commands: one ::warning per violation, file= anchored. *)
-  let gh = Lint.Report.render Lint.Report.Github ~violations:r.Lint.violations ~errors:[] in
-  Alcotest.(check bool) "github warnings" true (contains ~needle:"::warning file=" gh);
-  (* The validator itself rejects garbage. *)
-  (match Lint.Report.json_valid "{\"a\": [1, 2,]}" with
-  | Ok () -> Alcotest.fail "trailing comma accepted"
-  | Error _ -> ());
-  match Lint.Report.json_valid "{\"a\": 1} trailing" with
-  | Ok () -> Alcotest.fail "trailing content accepted"
-  | Error _ -> ()
+  let gh = Lint.Report.render Lint.Report.Github ~violations:r.Lint.violations in
+  Alcotest.(check bool) "github warnings" true (contains ~needle:"::warning file=" gh)
 
 let test_effects_cli () =
   let buf = Buffer.create 4096 in

@@ -199,7 +199,6 @@ let test_watchdog_divergence_demotes () =
       Lifeguard.Orchestrator.default_config with
       Lifeguard.Orchestrator.decide;
       announce_spacing = 1800.0;
-      poison_deadline = 3600.0;
     }
   in
   let orc =

@@ -81,24 +81,33 @@ let test_normal_moments () =
   Alcotest.(check bool) "mean ~5" true (Float.abs (mean -. 5.0) < 0.1);
   Alcotest.(check bool) "sd ~2" true (Float.abs (sd -. 2.0) < 0.1)
 
-let test_zipf_range () =
+let test_lognormal_support () =
   let rng = Prng.create ~seed:29 in
-  for _ = 1 to 500 do
-    let k = Prng.Dist.zipf rng ~n:50 ~s:1.1 in
-    Alcotest.(check bool) "in [1,50]" true (k >= 1 && k <= 50)
-  done
+  let n = 20000 in
+  let logs =
+    Array.init n (fun _ ->
+        let x = Prng.Dist.lognormal rng ~mu:1.0 ~sigma:0.5 in
+        Alcotest.(check bool) "x > 0" true (x > 0.0);
+        log x)
+  in
+  let mean = Stats.Descriptive.mean logs in
+  Alcotest.(check bool)
+    (Printf.sprintf "log mean ~1 (got %.2f)" mean)
+    true
+    (Float.abs (mean -. 1.0) < 0.05)
 
-let test_mixture_weights () =
+let test_pick_membership () =
   let rng = Prng.create ~seed:31 in
-  let n = 10000 in
-  let low = ref 0 in
-  for _ = 1 to n do
-    let x = Prng.Dist.mixture rng [ (0.7, fun _ -> 1.0); (0.3, fun _ -> 2.0) ] in
-    if x = 1.0 then incr low
+  let arr = [| 3; 5; 7 |] in
+  let seen = Array.make 3 false in
+  for _ = 1 to 300 do
+    let x = Prng.pick rng arr in
+    let y = Prng.pick_list rng (Array.to_list arr) in
+    Alcotest.(check bool) "pick in array" true (Array.mem x arr);
+    Alcotest.(check bool) "pick_list in list" true (Array.mem y arr);
+    Array.iteri (fun i v -> if v = x then seen.(i) <- true) arr
   done;
-  let f = float_of_int !low /. float_of_int n in
-  Alcotest.(check bool) (Printf.sprintf "~70%% low component (got %.2f)" f) true
-    (f > 0.66 && f < 0.74)
+  Alcotest.(check bool) "every element drawn" true (Array.for_all Fun.id seen)
 
 let prop_float_unit =
   QCheck.Test.make ~name:"float in [0,1)" ~count:500 QCheck.small_int (fun seed ->
@@ -130,8 +139,8 @@ let suite =
     Alcotest.test_case "exponential mean" `Quick test_exponential_mean;
     Alcotest.test_case "pareto support" `Quick test_pareto_support;
     Alcotest.test_case "normal moments" `Quick test_normal_moments;
-    Alcotest.test_case "zipf range" `Quick test_zipf_range;
-    Alcotest.test_case "mixture weights" `Quick test_mixture_weights;
+    Alcotest.test_case "lognormal support" `Quick test_lognormal_support;
+    Alcotest.test_case "pick membership" `Quick test_pick_membership;
     QCheck_alcotest.to_alcotest prop_float_unit;
     QCheck_alcotest.to_alcotest prop_int_uniformish;
     QCheck_alcotest.to_alcotest prop_bernoulli_extremes;

@@ -59,6 +59,16 @@ let test_schedule_every_until () =
   Sim.Engine.run e;
   Alcotest.(check int) "bounded by until" 4 !count
 
+(* A tick landing exactly on [until] still runs: 1, 2, 3 and 4. *)
+let test_schedule_every_until_boundary () =
+  let e = Sim.Engine.create () in
+  let count = ref 0 in
+  Sim.Engine.schedule_every e ~every:1.0 ~until:4.0 (fun _ ->
+      incr count;
+      `Continue);
+  Sim.Engine.run e;
+  Alcotest.(check int) "tick at until runs" 4 !count
+
 let test_past_rejected () =
   let e = Sim.Engine.create () in
   Sim.Engine.schedule e ~at:5.0 ignore;
@@ -106,6 +116,8 @@ let suite =
     Alcotest.test_case "run ~until" `Quick test_run_until;
     Alcotest.test_case "schedule_every stop" `Quick test_schedule_every_stop;
     Alcotest.test_case "schedule_every until" `Quick test_schedule_every_until;
+    Alcotest.test_case "schedule_every until boundary" `Quick
+      test_schedule_every_until_boundary;
     Alcotest.test_case "past rejected" `Quick test_past_rejected;
     Alcotest.test_case "step" `Quick test_step;
     QCheck_alcotest.to_alcotest prop_heap_order;
