@@ -215,18 +215,12 @@ let micro_benchmarks () =
   (* Longest-prefix-match trie. *)
   let trie_tests =
     let rng = Prng.create ~seed in
-    let trie =
-      List.fold_left
-        (fun acc i ->
-          let p =
-            Net.Prefix.make
-              (Net.Ipv4.of_octets 10 (i mod 256) ((i * 7) mod 256) 0)
-              (16 + (i mod 9))
-          in
-          Net.Prefix_trie.add p i acc)
-        Net.Prefix_trie.empty
-        (List.init 500 (fun i -> i))
-    in
+    let trie = Net.Prefix_trie.create () in
+    for i = 0 to 499 do
+      Net.Prefix_trie.replace trie
+        (Net.Prefix.make (Net.Ipv4.of_octets 10 (i mod 256) ((i * 7) mod 256) 0) (16 + (i mod 9)))
+        i
+    done;
     let addresses =
       Array.init 64 (fun _ ->
           Net.Ipv4.of_octets 10 (Prng.int rng 256) (Prng.int rng 256) (Prng.int rng 256))
@@ -236,11 +230,11 @@ let micro_benchmarks () =
       Test.make ~name:"prefix trie: longest-prefix match"
         (Staged.stage (fun () ->
              incr i;
-             ignore (Net.Prefix_trie.lookup addresses.(!i land 63) trie)));
+             ignore (Net.Prefix_trie.lookup trie addresses.(!i land 63))));
       Test.make ~name:"prefix trie: find_longest (no prefix)"
         (Staged.stage (fun () ->
              incr i;
-             ignore (Net.Prefix_trie.find_longest addresses.(!i land 63) trie)));
+             ignore (Net.Prefix_trie.find_longest trie addresses.(!i land 63))));
     ]
   in
   (* Valley-free reachability on a realistic topology. *)

@@ -28,13 +28,6 @@ type session = {
   jittered_mrai : float;
 }
 
-module Asn_pair_tbl = Hashtbl.Make (struct
-  type t = Asn.t * Asn.t
-
-  let equal (a1, b1) (a2, b2) = Asn.equal a1 a2 && Asn.equal b1 b2
-  let hash (a, b) = ((Asn.hash a * 0x9E3779B1) lxor Asn.hash b) land max_int
-end)
-
 module Peer_prefix_tbl = Hashtbl.Make (struct
   type t = Asn.t * Prefix.t
 
@@ -99,14 +92,15 @@ type t = {
           live here). In legacy mode it is also the single shard's store,
           shared by every speaker; in sharded mode each shard has its own
           interner and paths are re-interned on shard entry. *)
-  sessions : session Asn_pair_tbl.t;  (** keyed (from, to) *)
+  sessions : session Asn.Table.t Asn.Table.t;
+      (** sender -> receiver -> pacing state of that directed session *)
   owners : Asn.t Prefix.Table.t;
   mutable originations : (Asn.t -> As_path.t option) Prefix.Map.t;
       (** Administrative intent: the latest per-neighbor path function
           each originated prefix was announced with. Survives a router
           crash (the config outlives the loc-RIB) so {!reoriginate} can
           re-originate from it. *)
-  mutable owner_trie : Asn.t Prefix_trie.t;
+  owner_trie : Asn.t Prefix_trie.t;
   mutable link_faults : (from:Asn.t -> to_:Asn.t -> [ `Deliver | `Drop | `Duplicate ]) option;
   mutable collectors : collector_state list;
   shards : shard_state array;
@@ -166,10 +160,16 @@ let sync t =
 
 let poke t = match t.barrier with None -> () | Some b -> Shard.Barrier.poke b
 
-let session t a b =
-  match Asn_pair_tbl.find_opt t.sessions (a, b) with
-  | Some s -> s
-  | None ->
+(* The sessions [a] sends on, keyed by receiver. *)
+let sessions_from t a =
+  match Asn.Table.find t.sessions a with
+  | out -> out
+  | exception Not_found -> invalid_arg (Printf.sprintf "Network: unknown %s" (Asn.to_string a))
+
+let session out a b =
+  match Asn.Table.find out b with
+  | s -> s
+  | exception Not_found ->
       invalid_arg
         (Printf.sprintf "Network: no session %s -> %s" (Asn.to_string a) (Asn.to_string b))
 
@@ -204,12 +204,15 @@ let rec deliver t sh ~from ~to_ action =
 and emit_all t from out =
   match out with
   | [] -> ()
-  | _ ->
-      let sh = shard_for t from in
-      List.iter (fun (to_, action) -> emit t sh ~from ~to_ action) out
+  | _ -> emit_each t (shard_for t from) (sessions_from t from) ~from out
 
-and emit t sh ~from ~to_ action =
-  let s = session t from to_ in
+and emit_each t sh sessions ~from = function
+  | [] -> ()
+  | (to_, action) :: rest ->
+      emit t sh (session sessions from to_) ~from ~to_ action;
+      emit_each t sh sessions ~from rest
+
+and emit t sh s ~from ~to_ action =
   let now = Sim.Engine.now sh.sengine in
   let prefix = action_prefix action in
   if now -. s.last_sent >= s.jittered_mrai && Prefix.Table.length s.pending = 0 then begin
@@ -223,62 +226,45 @@ and emit t sh ~from ~to_ action =
       s.timer_armed <- true;
       let fire_at = Float.max now (s.last_sent +. s.jittered_mrai) in
       sh.s_bgp_events <- sh.s_bgp_events + 1;
-      Sim.Engine.schedule sh.sengine ~at:fire_at (fun () ->
-          sh.s_bgp_events <- sh.s_bgp_events - 1;
-          s.timer_armed <- false;
-          s.last_sent <- Sim.Engine.now sh.sengine;
-          let batch =
-            Prefix.Table.fold (fun p a acc -> (p, a) :: acc) s.pending []
-            |> List.sort (fun (p1, _) (p2, _) -> Prefix.compare p1 p2)
-            |> List.map snd
-          in
-          Prefix.Table.reset s.pending;
-          Obs.Metrics.incr m_mrai_rounds;
-          if Obs.Trace.on () then
-            Obs.Trace.event ~ts:(Sim.Engine.now sh.sengine) ~span:"bgp.mrai"
-              [
-                ("from", Obs.Trace.Int (Asn.to_int from));
-                ("to", Obs.Trace.Int (Asn.to_int to_));
-                ("batch", Obs.Trace.Int (List.length batch));
-              ];
-          List.iter (fun action -> schedule_delivery t sh ~from ~to_ action) batch)
+      Sim.Engine.schedule sh.sengine ~at:fire_at (fun () -> flush t sh s ~from ~to_)
     end
   end
+
+(* The MRAI timer of session [s] fires: send the coalesced batch. *)
+and flush t sh s ~from ~to_ =
+  sh.s_bgp_events <- sh.s_bgp_events - 1;
+  s.timer_armed <- false;
+  s.last_sent <- Sim.Engine.now sh.sengine;
+  let batch =
+    Prefix.Table.fold (fun _ a acc -> a :: acc) s.pending []
+    |> List.sort (fun a1 a2 -> Prefix.compare (action_prefix a1) (action_prefix a2))
+  in
+  (* [clear], not [reset]: keep the bucket array a burst grew rather than
+     reallocate it every round. *)
+  Prefix.Table.clear s.pending;
+  Obs.Metrics.incr m_mrai_rounds;
+  if Obs.Trace.on () then
+    Obs.Trace.event ~ts:(Sim.Engine.now sh.sengine) ~span:"bgp.mrai"
+      [
+        ("from", Obs.Trace.Int (Asn.to_int from));
+        ("to", Obs.Trace.Int (Asn.to_int to_));
+        ("batch", Obs.Trace.Int (List.length batch));
+      ];
+  schedule_each t sh ~from ~to_ batch
+
+and schedule_each t sh ~from ~to_ = function
+  | [] -> ()
+  | action :: rest ->
+      schedule_delivery t sh ~from ~to_ action;
+      schedule_each t sh ~from ~to_ rest
 
 and schedule_delivery t sh ~from ~to_ action =
   let delay = default_delay from to_ in
   (match action with
   | Speaker.Announce _ -> Obs.Metrics.incr m_announce_sent
   | Speaker.Withdraw _ -> Obs.Metrics.incr m_withdraw_sent);
-  let send ~delay =
-    match t.barrier with
-    | None ->
-        (* Legacy: direct scheduling on the (single, control) engine. *)
-        sh.s_bgp_events <- sh.s_bgp_events + 1;
-        Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
-            sh.s_bgp_events <- sh.s_bgp_events - 1;
-            deliver t sh ~from ~to_ action)
-    | Some _ ->
-        (* Sharded: every delivery — intra-shard included — goes through
-           the barrier outbox, so arrival order at each speaker is the
-           canonical (time, src, dst, prefix) order whatever the
-           partitioning. Engine sequence numbers differ across shard
-           counts; the outbox ordering is what makes results
-           byte-identical for every K. *)
-        sh.outbox <-
-          {
-            b_arrival = Sim.Engine.now sh.sengine +. delay;
-            b_from = from;
-            b_to = to_;
-            b_src_shard = sh.six;
-            b_dst_shard = shard_ix t to_;
-            b_action = action;
-          }
-          :: sh.outbox;
-        sh.outbox_n <- sh.outbox_n + 1
-  in
   match t.link_faults with
-  | None -> send ~delay
+  | None -> send t sh ~from ~to_ action ~delay
   | Some verdict -> begin
       (* Fault injection samples once per wire message, after the MRAI
          batching decided what goes out: a dropped update is silently
@@ -286,12 +272,39 @@ and schedule_delivery t sh ~from ~to_ action =
          arrives twice with the copy trailing by half a propagation
          delay. *)
       match verdict ~from ~to_ with
-      | `Deliver -> send ~delay
+      | `Deliver -> send t sh ~from ~to_ action ~delay
       | `Drop -> ()
       | `Duplicate ->
-          send ~delay;
-          send ~delay:(delay *. 1.5)
+          send t sh ~from ~to_ action ~delay;
+          send t sh ~from ~to_ action ~delay:(delay *. 1.5)
     end
+
+and send t sh ~from ~to_ action ~delay =
+  match t.barrier with
+  | None ->
+      (* Legacy: direct scheduling on the (single, control) engine. *)
+      sh.s_bgp_events <- sh.s_bgp_events + 1;
+      Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
+          sh.s_bgp_events <- sh.s_bgp_events - 1;
+          deliver t sh ~from ~to_ action)
+  | Some _ ->
+      (* Sharded: every delivery — intra-shard included — goes through
+         the barrier outbox, so arrival order at each speaker is the
+         canonical (time, src, dst, prefix) order whatever the
+         partitioning. Engine sequence numbers differ across shard
+         counts; the outbox ordering is what makes results
+         byte-identical for every K. *)
+      sh.outbox <-
+        {
+          b_arrival = Sim.Engine.now sh.sengine +. delay;
+          b_from = from;
+          b_to = to_;
+          b_src_shard = sh.six;
+          b_dst_shard = shard_ix t to_;
+          b_action = action;
+        }
+        :: sh.outbox;
+      sh.outbox_n <- sh.outbox_n + 1
 
 (* Barrier injection: put one due message on its destination shard's
    queue. Runs on the control domain while shards are quiescent; the
@@ -303,6 +316,17 @@ let inject_boundary t msg =
   Sim.Engine.schedule sh.sengine ~at:msg.b_arrival (fun () ->
       sh.s_bgp_events <- sh.s_bgp_events - 1;
       deliver t sh ~from:msg.b_from ~to_:msg.b_to msg.b_action)
+
+(* Log a loc-RIB change of [asn] into each collector peering with it. *)
+let rec record_change six asn ~now prefix route = function
+  | [] -> ()
+  | c :: rest ->
+      if Asn.Set.mem asn c.peer_set then begin
+        let slice = c.subs.(six) in
+        slice.crecords <- { time = now; speaker = asn; prefix; route } :: slice.crecords;
+        Peer_prefix_tbl.replace slice.clatest (asn, prefix) route
+      end;
+      record_change six asn ~now prefix route rest
 
 let create ~engine ~graph ?config_of ?(mrai = 30.0)
     ?(fib_install_delay = 0.0) ?shards:shard_count ?(record_barriers = false) () =
@@ -358,10 +382,10 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
       graph;
       speakers;
       store;
-      sessions = Asn_pair_tbl.create 1024;
+      sessions = Asn.Table.create 256;
       owners = Prefix.Table.create 16;
       originations = Prefix.Map.empty;
-      owner_trie = Prefix_trie.empty;
+      owner_trie = Prefix_trie.create ();
       link_faults = None;
       collectors = [];
       shards = shard_states;
@@ -423,14 +447,7 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
     (fun asn sp ->
       let sh = shard_for t asn in
       Speaker.set_on_best_change sp (fun ~now prefix route ->
-          List.iter
-            (fun c ->
-              if Asn.Set.mem asn c.peer_set then begin
-                let slice = c.subs.(sh.six) in
-                slice.crecords <- { time = now; speaker = asn; prefix; route } :: slice.crecords;
-                Peer_prefix_tbl.replace slice.clatest (asn, prefix) route
-              end)
-            t.collectors);
+          record_change sh.six asn ~now prefix route t.collectors);
       (* Damping reuse timers: when a speaker suppresses a route, wake it
          up to re-run its decision once the penalty has decayed. These
          are shard-local events, scheduled on the speaker's own engine. *)
@@ -454,16 +471,18 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
   (* Session pacing state per directed adjacency. *)
   List.iter
     (fun a ->
+      let out = Asn.Table.create 8 in
       List.iter
         (fun (b, _) ->
-          Asn_pair_tbl.replace t.sessions (a, b)
+          Asn.Table.replace out b
             {
               last_sent = neg_infinity;
               pending = Prefix.Table.create 4;
               timer_armed = false;
               jittered_mrai = mrai *. (0.75 +. (0.25 *. pair_hash a b));
             })
-        (As_graph.neighbors graph a))
+        (As_graph.neighbors graph a);
+      Asn.Table.replace t.sessions a out)
     ases;
   t
 
@@ -478,7 +497,7 @@ let announce t ~origin ~prefix ?per_neighbor () =
   in
   Prefix.Table.replace t.owners prefix origin;
   t.originations <- Prefix.Map.add prefix per_neighbor t.originations;
-  t.owner_trie <- Prefix_trie.add prefix origin t.owner_trie;
+  Prefix_trie.replace t.owner_trie prefix origin;
   let out =
     Speaker.originate (speaker t origin) ~now:(Sim.Engine.now t.engine) ~prefix ~per_neighbor
   in
@@ -489,7 +508,7 @@ let withdraw t ~origin ~prefix =
   sync t;
   Prefix.Table.remove t.owners prefix;
   t.originations <- Prefix.Map.remove prefix t.originations;
-  t.owner_trie <- Prefix_trie.remove prefix t.owner_trie;
+  Prefix_trie.remove t.owner_trie prefix;
   let out = Speaker.stop_originating (speaker t origin) ~now:(Sim.Engine.now t.engine) ~prefix in
   emit_all t origin out;
   poke t
@@ -500,7 +519,7 @@ let refresh t ~origin ~prefix =
   emit_all t origin out;
   poke t
 
-let owner_of_address t ip = Prefix_trie.lookup ip t.owner_trie
+let owner_of_address t ip = Prefix_trie.lookup t.owner_trie ip
 
 let best_route t asn prefix =
   sync t;
@@ -520,9 +539,11 @@ let fib_epoch t =
 
 let bgp_busy t =
   let acc = ref 0 in
-  Array.iter (fun sh -> acc := !acc + sh.s_bgp_events + sh.outbox_n) t.shards;
-  (match t.barrier with Some b -> acc := !acc + Shard.Barrier.backlog b | None -> ());
-  !acc
+  for i = 0 to Array.length t.shards - 1 do
+    let sh = t.shards.(i) in
+    acc := !acc + sh.s_bgp_events + sh.outbox_n
+  done;
+  match t.barrier with Some b -> !acc + Shard.Barrier.backlog b | None -> !acc
 
 let run_until_quiet ?(timeout = 3600.0) t =
   poke t;

@@ -35,7 +35,7 @@ let default =
   }
 
 let local_pref_for config ~self ~neighbor ~rel =
-  match List.assoc_opt neighbor (List.map (fun (a, p) -> (a, p)) config.local_pref_override) with
+  match List.assoc_opt neighbor config.local_pref_override with
   | Some pref -> pref
   | None ->
       (* Explicit integer mix, not the polymorphic [Hashtbl.hash], so the

@@ -27,32 +27,37 @@ end
 
 module Damp_tbl = Hashtbl.Make (Damp_key)
 
+(* One record per neighbor session, in the speaker's neighbor order. *)
+type session = {
+  asn : Asn.t;
+  rel : Relationship.t;  (** Our relationship to the neighbor. *)
+  adj_out : Route.announcement Prefix.Table.t;
+      (** Adj-RIB-out toward the neighbor: prefix -> last sent. *)
+  index : unit Prefix.Table.t;
+      (** Reverse index of [adj_in] for this neighbor: the prefixes it
+          currently has a candidate for, so [affected_prefixes] and
+          [session_down] never fold the whole adj-RIB-in. *)
+  mutable down : bool;
+}
+
 type t = {
   self : Asn.t;
   config : Policy.config;
   store : Path_store.t;
       (* The world's interner: shared with every other speaker of the same
          [Network], never across worlds (share-nothing). *)
-  neighbor_rel : Relationship.t Asn.Table.t;
-  neighbor_list : (Asn.t * Relationship.t) list ref;
-  peers_of_self : Asn.Set.t ref;
-  down_sessions : unit Asn.Table.t;
+  sessions : session array;
+      (** In neighbor order, which fixes the order of every export list. *)
+  session_of : session Asn.Table.t;
+  peers_of_self : Asn.Set.t;
   adj_in : Route.entry Asn.Table.t Prefix.Table.t;
       (** prefix -> (neighbor -> candidate route) *)
-  neighbor_index : unit Prefix.Table.t Asn.Table.t;
-      (** Reverse index of [adj_in]: neighbor -> prefixes it currently has a
-          candidate for. Kept exactly in sync so [affected_prefixes] and
-          [session_down] never fold the whole adj-RIB-in. *)
   locals : origination Prefix.Table.t;
   best_table : Route.entry Prefix.Table.t;
-  mutable fib : Route.entry Prefix_trie.t;
+  fib : Route.entry Prefix_trie.t;
   fib_epoch : int ref;
       (** Bumped by every [install_fib]; shared by all speakers of a
           {!Network}, so one read tells whether any FIB in the world moved. *)
-  adj_out : Route.announcement Prefix.Table.t Asn.Table.t;
-      (** Per-neighbor adj-RIB-out index: neighbor -> (prefix -> last sent).
-          Keyed by neighbor first so [session_down] clears one sub-table
-          instead of walking [best_table] + [locals]. *)
   mutable on_best_change : (now:float -> Prefix.t -> Route.entry option -> unit) option;
   mutable fib_commit : (Prefix.t -> Route.entry option -> unit) option;
   damp : damp_state Damp_tbl.t;
@@ -62,9 +67,22 @@ type t = {
 and damp_state = { mutable penalty : float; mutable last : float; mutable suppressed : bool }
 
 let create ?store ?fib_epoch ~asn ~config ~neighbors () =
-  let neighbor_rel = Asn.Table.create 16 in
-  List.iter (fun (n, rel) -> Asn.Table.replace neighbor_rel n rel) neighbors;
-  let peers =
+  let sessions =
+    Array.of_list
+      (List.map
+         (fun (n, rel) ->
+           {
+             asn = n;
+             rel;
+             adj_out = Prefix.Table.create 8;
+             index = Prefix.Table.create 8;
+             down = false;
+           })
+         neighbors)
+  in
+  let session_of = Asn.Table.create 16 in
+  Array.iter (fun s -> Asn.Table.replace session_of s.asn s) sessions;
+  let peers_of_self =
     List.fold_left
       (fun acc (n, rel) ->
         if Relationship.equal rel Relationship.Peer then Asn.Set.add n acc else acc)
@@ -74,17 +92,14 @@ let create ?store ?fib_epoch ~asn ~config ~neighbors () =
     self = asn;
     config;
     store = (match store with Some s -> s | None -> Path_store.create ());
-    neighbor_rel;
-    neighbor_list = ref neighbors;
-    peers_of_self = ref peers;
-    down_sessions = Asn.Table.create 4;
+    sessions;
+    session_of;
+    peers_of_self;
     adj_in = Prefix.Table.create 64;
-    neighbor_index = Asn.Table.create 16;
     locals = Prefix.Table.create 4;
     best_table = Prefix.Table.create 16;
-    fib = Prefix_trie.empty;
+    fib = Prefix_trie.create ();
     fib_epoch = (match fib_epoch with Some e -> e | None -> ref 0);
-    adj_out = Asn.Table.create 16;
     on_best_change = None;
     fib_commit = None;
     damp = Damp_tbl.create 16;
@@ -94,7 +109,6 @@ let create ?store ?fib_epoch ~asn ~config ~neighbors () =
 let asn t = t.self
 let config t = t.config
 let path_store t = t.store
-let neighbors t = !(t.neighbor_list)
 let set_on_best_change t f = t.on_best_change <- Some f
 let set_reuse_scheduler t f = t.reuse_scheduler <- Some f
 let set_fib_commit_hook t f = t.fib_commit <- Some f
@@ -161,15 +175,13 @@ let is_suppressed t ~now prefix neighbor =
 let install_fib t prefix entry =
   incr t.fib_epoch;
   match entry with
-  | Some e -> t.fib <- Prefix_trie.add prefix e t.fib
-  | None -> t.fib <- Prefix_trie.remove prefix t.fib
+  | Some e -> Prefix_trie.replace t.fib prefix e
+  | None -> Prefix_trie.remove t.fib prefix
 
-let session_is_down t n = Asn.Table.mem t.down_sessions n
-
-let rel_of t n =
-  match Asn.Table.find_opt t.neighbor_rel n with
-  | Some rel -> rel
-  | None -> invalid_arg (Printf.sprintf "Speaker %s: unknown neighbor %s"
+let session t n =
+  match Asn.Table.find t.session_of n with
+  | s -> s
+  | exception Not_found -> invalid_arg (Printf.sprintf "Speaker %s: unknown neighbor %s"
                            (Asn.to_string t.self) (Asn.to_string n))
 
 let adj_in_table t prefix =
@@ -179,30 +191,6 @@ let adj_in_table t prefix =
       let table = Asn.Table.create 8 in
       Prefix.Table.replace t.adj_in prefix table;
       table
-
-let adj_out_for t neighbor =
-  match Asn.Table.find_opt t.adj_out neighbor with
-  | Some out -> out
-  | None ->
-      let out = Prefix.Table.create 32 in
-      Asn.Table.replace t.adj_out neighbor out;
-      out
-
-let index_add t neighbor prefix =
-  let tbl =
-    match Asn.Table.find_opt t.neighbor_index neighbor with
-    | Some tbl -> tbl
-    | None ->
-        let tbl = Prefix.Table.create 16 in
-        Asn.Table.replace t.neighbor_index neighbor tbl;
-        tbl
-  in
-  Prefix.Table.replace tbl prefix ()
-
-let index_remove t neighbor prefix =
-  match Asn.Table.find_opt t.neighbor_index neighbor with
-  | Some tbl -> Prefix.Table.remove tbl prefix
-  | None -> ()
 
 (* The loc-RIB best for a prefix: a local origination wins outright;
    otherwise the decision process over the adj-RIB-in candidates. *)
@@ -227,81 +215,61 @@ let compute_best t ~now prefix =
           end
     end
 
-(* Desired announcement toward one neighbor for a prefix, or None. *)
-let desired_export t prefix neighbor =
-  if session_is_down t neighbor then None
+(* The announcement the loc-RIB best [entry] goes out as. It is the same
+   toward every neighbor, so a sync builds and interns it at most once. *)
+let best_export t entry =
+  Path_store.intern_ann t.store (Policy.export_ann t.config ~self:t.self ~entry)
+
+(* Desired announcement toward session [s] for [prefix], or None. [local]
+   and [best] are the prefix's origination and loc-RIB best; [best_out]
+   is [best_export] of [best] once a caller has built it (None before),
+   and an export of [best] reuses it. *)
+let desired t s ~prefix local best best_out =
+  if s.down then None
   else begin
-    match Prefix.Table.find_opt t.locals prefix with
+    match local with
     | Some { per_neighbor; _ } -> begin
-        match per_neighbor neighbor with
+        match per_neighbor s.asn with
         | Some path ->
             Some (Path_store.intern_ann t.store (Route.announcement ~prefix ~path ()))
         | None -> None
       end
     | None -> begin
-        match Prefix.Table.find_opt t.best_table prefix with
+        match best with
         | None -> None
         | Some entry ->
             if
-              Policy.export_allowed t.config ~self:t.self ~entry ~to_neighbor:neighbor
-                ~to_rel:(rel_of t neighbor)
-            then
-              Some (Path_store.intern_ann t.store (Policy.export_ann t.config ~self:t.self ~entry))
+              Policy.export_allowed t.config ~self:t.self ~entry ~to_neighbor:s.asn
+                ~to_rel:s.rel
+            then match best_out with Some _ -> best_out | None -> Some (best_export t entry)
             else None
       end
   end
 
 (* Diff desired exports against adj-RIB-out; mutate adj-RIB-out and return
-   the updates to put on the wire. The best-route outgoing announcement is
-   neighbor-independent, so it is rewritten and interned at most once per
-   sync and shared by every permitted neighbor. *)
+   the updates to put on the wire, in neighbor order. *)
 let sync_exports t prefix =
   let local = Prefix.Table.find_opt t.locals prefix in
   let best = Prefix.Table.find_opt t.best_table prefix in
-  let best_out =
-    lazy
-      (match best with
-      | None -> None
-      | Some entry ->
-          Some (Path_store.intern_ann t.store (Policy.export_ann t.config ~self:t.self ~entry)))
-  in
-  let desired n =
-    if session_is_down t n then None
-    else begin
-      match local with
-      | Some { per_neighbor; _ } -> begin
-          match per_neighbor n with
-          | Some path ->
-              Some (Path_store.intern_ann t.store (Route.announcement ~prefix ~path ()))
-          | None -> None
-        end
-      | None -> begin
-          match best with
-          | None -> None
-          | Some entry ->
-              if
-                Policy.export_allowed t.config ~self:t.self ~entry ~to_neighbor:n
-                  ~to_rel:(rel_of t n)
-              then Lazy.force best_out
-              else None
-        end
-    end
-  in
-  List.filter_map
-    (fun (n, _) ->
-      let out = adj_out_for t n in
-      let desired = desired n in
-      let current = Prefix.Table.find_opt out prefix in
-      match (desired, current) with
-      | None, None -> None
-      | Some d, Some c when Route.announcement_equal d c -> None
-      | Some d, _ ->
-          Prefix.Table.replace out prefix d;
-          Some (n, Announce d)
-      | None, Some _ ->
-          Prefix.Table.remove out prefix;
-          Some (n, Withdraw prefix))
-    (neighbors t)
+  let best_out = ref None in
+  let updates = ref [] in
+  for i = 0 to Array.length t.sessions - 1 do
+    let s = t.sessions.(i) in
+    let desired = desired t s ~prefix local best !best_out in
+    (match (local, desired) with
+    | None, Some _ -> best_out := desired
+    | _ -> ());
+    match (desired, Prefix.Table.find_opt s.adj_out prefix) with
+    | None, None -> ()
+    | Some d, Some c when Route.announcement_equal d c -> ()
+    | Some d, _ ->
+        Prefix.Table.replace s.adj_out prefix d;
+        updates := (s.asn, Announce d) :: !updates
+    | None, Some _ ->
+        Prefix.Table.remove s.adj_out prefix;
+        updates := (s.asn, Withdraw prefix) :: !updates
+  done;
+  List.rev !updates
 
 (* [force_sync] matters when per-neighbor desired exports can move without
    the loc-RIB best changing: an origination change (the local best keeps
@@ -348,79 +316,77 @@ let stop_originating t ~now ~prefix =
   refresh_best ~force_sync:true t ~now prefix
 
 let receive t ~now ~from action =
-  if session_is_down t from then []
+  let s = session t from in
+  if s.down then []
   else begin
     match action with
     | Withdraw prefix ->
-        if Asn.Table.mem (adj_in_table t prefix) from then
+        let table = adj_in_table t prefix in
+        if Asn.Table.mem table from then begin
           ignore (note_flap t ~now prefix from);
-        Asn.Table.remove (adj_in_table t prefix) from;
-        index_remove t from prefix;
+          Asn.Table.remove table from
+        end;
+        Prefix.Table.remove s.index prefix;
         refresh_best t ~now prefix
     | Announce ann -> begin
         let ann = Path_store.intern_ann t.store ann in
         let prefix = ann.Route.prefix in
+        let table = adj_in_table t prefix in
         (* A changed announcement from a neighbor that already had a route
            is a flap. *)
-        (match Asn.Table.find_opt (adj_in_table t prefix) from with
+        (match Asn.Table.find_opt table from with
         | Some previous
           when not (Route.announcement_equal previous.Route.ann ann) ->
             ignore (note_flap t ~now prefix from)
         | Some _ | None -> ());
-        let rel = rel_of t from in
         match
-          Policy.import t.config ~self:t.self ~peers_of_self:!(t.peers_of_self)
-            ~neighbor:from ~rel ann
+          Policy.import t.config ~self:t.self ~peers_of_self:t.peers_of_self
+            ~neighbor:from ~rel:s.rel ann
         with
         | Policy.Rejected _ ->
             (* An update that fails import replaces (removes) whatever this
                neighbor previously announced for the prefix. *)
-            Asn.Table.remove (adj_in_table t prefix) from;
-            index_remove t from prefix;
+            Asn.Table.remove table from;
+            Prefix.Table.remove s.index prefix;
             refresh_best t ~now prefix
         | Policy.Accepted local_pref ->
-            Asn.Table.replace (adj_in_table t prefix) from
+            Asn.Table.replace table from
               (Route.make_entry ~salt:(Asn.to_int t.self) ~ann ~neighbor:from
-                 ~rel ~local_pref ~learned_at:now ());
-            index_add t from prefix;
+                 ~rel:s.rel ~local_pref ~learned_at:now ());
+            Prefix.Table.replace s.index prefix ();
             refresh_best t ~now prefix
       end
   end
 
-let affected_prefixes t neighbor =
-  let from_adj =
-    match Asn.Table.find_opt t.neighbor_index neighbor with
-    | None -> Prefix.Set.empty
-    | Some tbl -> Prefix.Table.fold (fun p () acc -> Prefix.Set.add p acc) tbl Prefix.Set.empty
-  in
+let affected_prefixes t s =
+  let from_adj = Prefix.Table.fold (fun p () acc -> Prefix.Set.add p acc) s.index Prefix.Set.empty in
   Prefix.Table.fold (fun p _ acc -> Prefix.Set.add p acc) t.locals from_adj
 
 let session_down t ~now ~neighbor =
-  if session_is_down t neighbor then []
+  let s = session t neighbor in
+  if s.down then []
   else begin
-    Asn.Table.replace t.down_sessions neighbor ();
-    let affected = affected_prefixes t neighbor in
-    (match Asn.Table.find_opt t.neighbor_index neighbor with
-    | Some tbl ->
-        Prefix.Table.iter (fun p () -> Asn.Table.remove (adj_in_table t p) neighbor) tbl;
-        Asn.Table.remove t.neighbor_index neighbor
-    | None -> ());
+    s.down <- true;
+    let affected = affected_prefixes t s in
+    Prefix.Table.iter (fun p () -> Asn.Table.remove (adj_in_table t p) neighbor) s.index;
+    Prefix.Table.clear s.index;
     (* Clear adj-RIB-out toward the dead session so a later session_up
-       re-announces from scratch: one sub-table drop, not a walk of
-       best_table + locals. *)
-    Asn.Table.remove t.adj_out neighbor;
+       re-announces from scratch: one table cleared in place, not a walk
+       of best_table + locals. *)
+    Prefix.Table.clear s.adj_out;
     List.concat_map (fun p -> refresh_best t ~now p) (Prefix.Set.elements affected)
   end
 
 let damping_pending t = Damp_tbl.length t.damp <> 0
 
 let session_up t ~now ~neighbor =
-  if not (session_is_down t neighbor) then []
+  let s = session t neighbor in
+  if not s.down then []
   else begin
-    Asn.Table.remove t.down_sessions neighbor;
+    s.down <- false;
     let all =
       Prefix.Table.fold (fun p _ acc -> Prefix.Set.add p acc) t.best_table Prefix.Set.empty
-      |> fun s -> Prefix.Table.fold (fun p _ acc -> Prefix.Set.add p acc) t.locals s
+      |> fun set -> Prefix.Table.fold (fun p _ acc -> Prefix.Set.add p acc) t.locals set
     in
     if damping_pending t then
       (* With damping state live, re-running the decision process can
@@ -434,12 +400,13 @@ let session_up t ~now ~neighbor =
          this neighbor's adj-RIB-out — so the only possible updates are
          announcements of current state toward the revived neighbor.
          Same output, without an all-neighbors sync per prefix. *)
-      let out = adj_out_for t neighbor in
       List.filter_map
         (fun p ->
-          match desired_export t p neighbor with
+          let local = Prefix.Table.find_opt t.locals p in
+          let best = Prefix.Table.find_opt t.best_table p in
+          match desired t s ~prefix:p local best None with
           | Some d ->
-              Prefix.Table.replace out p d;
+              Prefix.Table.replace s.adj_out p d;
               Some (neighbor, Announce d)
           | None -> None)
         (Prefix.Set.elements all)
@@ -451,15 +418,12 @@ let refresh_prefix t ~prefix =
      desired announcement even when it is unchanged: the receiving side
      may have flushed or lost it (session reset, filtered update), which
      the diff against our own adj-RIB-out cannot see. *)
-  List.iter
-    (fun (n, _) ->
-      if not (session_is_down t n) then Prefix.Table.remove (adj_out_for t n) prefix)
-    (neighbors t);
+  Array.iter (fun s -> if not s.down then Prefix.Table.remove s.adj_out prefix) t.sessions;
   sync_exports t prefix
 
 let best t prefix = Prefix.Table.find_opt t.best_table prefix
-let fib_lookup t ip = Prefix_trie.lookup ip t.fib
-let fib_find t ip = Prefix_trie.find_longest ip t.fib
+let fib_lookup t ip = Prefix_trie.lookup t.fib ip
+let fib_find t ip = Prefix_trie.find_longest t.fib ip
 
 let prefixes t =
   Prefix.Table.fold (fun p _ acc -> p :: acc) t.best_table [] |> List.sort_uniq Prefix.compare

@@ -44,9 +44,6 @@ val asn : t -> Asn.t
 val config : t -> Policy.config
 (** The import/export policy configuration the speaker was built with. *)
 
-val neighbors : t -> (Asn.t * Relationship.t) list
-(** The speaker's sessions, each with our relationship to that neighbor. *)
-
 val originate :
   t -> now:float -> prefix:Prefix.t -> per_neighbor:(Asn.t -> As_path.t option) -> (Asn.t * action) list
 (** Start (or change) originating [prefix]. [per_neighbor] gives the AS
@@ -61,7 +58,9 @@ val stop_originating : t -> now:float -> prefix:Prefix.t -> (Asn.t * action) lis
 val receive : t -> now:float -> from:Asn.t -> action -> (Asn.t * action) list
 (** Process one update from a neighbor: import policy, loc-RIB decision,
     and the resulting exports. A rejected announcement acts as an implicit
-    withdraw of that neighbor's previous route. *)
+    withdraw of that neighbor's previous route. Raises [Invalid_argument]
+    when [from] is not a neighbor (so do {!session_down} and
+    {!session_up}). *)
 
 val session_down : t -> now:float -> neighbor:Asn.t -> (Asn.t * action) list
 (** Drop every route learned from [neighbor] and stop exporting to it

@@ -14,7 +14,10 @@ val of_int : int -> t
 val to_int : t -> int
 val equal : t -> t -> bool
 val compare : t -> t -> int
+
 val hash : t -> int
+(** Explicit integer mix (not the polymorphic [Hashtbl.hash]); {!Table}
+    hashes with it. *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as ["AS174"]. *)

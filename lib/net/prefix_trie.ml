@@ -1,49 +1,67 @@
-(* A path-uncompressed binary trie over address bits. Prefix lengths are at
-   most 32, and the routing tables in this reproduction hold at most a few
-   thousand prefixes, so the simple representation is plenty fast and easy
-   to verify. *)
+(* A path-uncompressed binary trie over address bits, updated in place.
+   Prefix lengths are at most 32, and the routing tables in this
+   reproduction hold at most a few thousand prefixes, so the simple
+   representation is plenty fast and easy to verify. An install touches
+   the nodes on its path and allocates only the nodes it adds (and the
+   [Some] it stores); the node record is inline in the constructor, so a
+   lookup follows exactly one pointer per bit. *)
 
-type 'a t = Leaf | Node of { value : 'a option; zero : 'a t; one : 'a t }
+type 'a node =
+  | Leaf
+  | Node of { mutable value : 'a option; mutable zero : 'a node; mutable one : 'a node }
 
-let empty = Leaf
+(* The root is always a [Node], so every update has a record to write. *)
+type 'a t = 'a node
 
-let node value zero one =
-  match (value, zero, one) with
-  | None, Leaf, Leaf -> Leaf
-  | _ -> Node { value; zero; one }
+let create () = Node { value = None; zero = Leaf; one = Leaf }
 
 let bit_at addr i =
   (* Bit [i] counting from the most significant (i = 0 is the /1 bit). *)
   Int32.logand (Int32.shift_right_logical (Ipv4.to_int32 addr) (31 - i)) 1l = 1l
 
-let add prefix v t =
-  let addr = Prefix.network prefix and len = Prefix.length prefix in
-  let rec go t depth =
-    match t with
-    | Leaf ->
-        if depth = len then node (Some v) Leaf Leaf
-        else if bit_at addr depth then node None Leaf (go Leaf (depth + 1))
-        else node None (go Leaf (depth + 1)) Leaf
-    | Node { value; zero; one } ->
-        if depth = len then node (Some v) zero one
-        else if bit_at addr depth then node value zero (go one (depth + 1))
-        else node value (go zero (depth + 1)) one
-  in
-  go t 0
+(* The update loops are top-level functions rather than closures over
+   the prefix, so an update allocates nothing but new nodes and the
+   stored [Some]. *)
+let rec replace_from addr len v node depth =
+  match node with
+  | Leaf -> ()
+  | Node n ->
+      if depth = len then n.value <- Some v
+      else if bit_at addr depth then begin
+        (match n.one with Leaf -> n.one <- create () | Node _ -> ());
+        replace_from addr len v n.one (depth + 1)
+      end
+      else begin
+        (match n.zero with Leaf -> n.zero <- create () | Node _ -> ());
+        replace_from addr len v n.zero (depth + 1)
+      end
 
-let remove prefix t =
-  let addr = Prefix.network prefix and len = Prefix.length prefix in
-  let rec go t depth =
-    match t with
-    | Leaf -> Leaf
-    | Node { value; zero; one } ->
-        if depth = len then node None zero one
-        else if bit_at addr depth then node value zero (go one (depth + 1))
-        else node value (go zero (depth + 1)) one
-  in
-  go t 0
+let replace t prefix v = replace_from (Prefix.network prefix) (Prefix.length prefix) v t 0
 
-let lookup ip t =
+let is_empty = function
+  | Leaf -> true
+  | Node { value = None; zero = Leaf; one = Leaf } -> true
+  | Node _ -> false
+
+(* Clear the binding and prune the nodes it leaves holding nothing, so
+   the trie has the same shape as one built without the prefix. *)
+let rec remove_from addr len node depth =
+  match node with
+  | Leaf -> ()
+  | Node n ->
+      if depth = len then n.value <- None
+      else if bit_at addr depth then begin
+        remove_from addr len n.one (depth + 1);
+        if is_empty n.one then n.one <- Leaf
+      end
+      else begin
+        remove_from addr len n.zero (depth + 1);
+        if is_empty n.zero then n.zero <- Leaf
+      end
+
+let remove t prefix = remove_from (Prefix.network prefix) (Prefix.length prefix) t 0
+
+let lookup t ip =
   (* Walk down following the address bits, remembering the deepest value. *)
   let rec go t depth best =
     match t with
@@ -61,8 +79,7 @@ let lookup ip t =
   go t 0 None
 
 (* [lookup] without the matched prefix: the deepest [value] option met on
-   the way down is returned as is, and the loop is a top-level function
-   rather than a closure over [ip], so nothing is allocated. *)
+   the way down is returned as is, so nothing is allocated. *)
 let rec find_longest_from ip t depth best =
   match t with
   | Leaf -> best
@@ -72,22 +89,4 @@ let rec find_longest_from ip t depth best =
       else if bit_at ip depth then find_longest_from ip one (depth + 1) best
       else find_longest_from ip zero (depth + 1) best
 
-let find_longest ip t = find_longest_from ip t 0 None
-
-let fold f t acc =
-  let rec go t depth addr acc =
-    match t with
-    | Leaf -> acc
-    | Node { value; zero; one } ->
-        let acc =
-          match value with
-          | Some v -> f (Prefix.make (Ipv4.of_int32 addr) depth) v acc
-          | None -> acc
-        in
-        let acc = go zero (depth + 1) addr acc in
-        let one_addr = Int32.logor addr (Int32.shift_left 1l (31 - depth)) in
-        go one (depth + 1) one_addr acc
-  in
-  go t 0 0l acc
-
-let cardinal t = fold (fun _ _ acc -> acc + 1) t 0
+let find_longest t ip = find_longest_from ip t 0 None

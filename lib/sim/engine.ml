@@ -9,18 +9,28 @@ let m_events = Obs.Metrics.counter "sim.events"
 let m_queue_depth = Obs.Metrics.gauge "sim.queue_depth"
 let m_time_advance = Obs.Metrics.histogram "sim.time_advance"
 
-type event = { time : float; seq : int; action : unit -> unit }
-
+(* The heap is three parallel arrays indexed by slot: event times in a
+   flat [float array], sequence numbers and actions. Scheduling allocates
+   no event record and stores no boxed time, and both sifts move a hole
+   instead of swapping, so each level costs one write per array. Slots at
+   or past [size] hold [noop], so an action that has run is not kept
+   reachable by the queue. *)
 type t = {
-  mutable heap : event array;
+  mutable times : float array;
+  mutable seqs : int array;
+  mutable actions : (unit -> unit) array;
   mutable size : int;
   mutable clock : float;
   mutable next_seq : int;
 }
 
+let noop () = ()
+
 let create ?(now = 0.0) () =
   {
-    heap = Array.make 64 { time = 0.0; seq = 0; action = ignore };
+    times = Array.make 64 0.0;
+    seqs = Array.make 64 0;
+    actions = Array.make 64 noop;
     size = 0;
     clock = now;
     next_seq = 0;
@@ -28,66 +38,81 @@ let create ?(now = 0.0) () =
 
 let now t = t.clock
 
-let earlier a b = a.time < b.time || (a.time = b.time && a.seq < b.seq)
-
 let grow t =
-  let cap = Array.length t.heap in
-  if t.size = cap then begin
-    let bigger = Array.make (2 * cap) t.heap.(0) in
-    Array.blit t.heap 0 bigger 0 cap;
-    t.heap <- bigger
-  end
+  let cap = Array.length t.times in
+  let times = Array.make (2 * cap) 0.0 in
+  let seqs = Array.make (2 * cap) 0 in
+  let actions = Array.make (2 * cap) noop in
+  Array.blit t.times 0 times 0 cap;
+  Array.blit t.seqs 0 seqs 0 cap;
+  Array.blit t.actions 0 actions 0 cap;
+  t.times <- times;
+  t.seqs <- seqs;
+  t.actions <- actions
 
-let push t ev =
-  grow t;
+(* Slot [j] to slot [i]. *)
+let move t ~src:j ~dst:i =
+  t.times.(i) <- t.times.(j);
+  t.seqs.(i) <- t.seqs.(j);
+  t.actions.(i) <- t.actions.(j)
+
+(* Whether the event in slot [i] runs before the one in slot [j]. The
+   comparisons against the event being placed are written out in the
+   sifts, so no float is passed, and boxed, per level. *)
+let earlier t i j =
+  let ti = t.times.(i) and tj = t.times.(j) in
+  ti < tj || (ti = tj && t.seqs.(i) < t.seqs.(j))
+
+let push t time seq action =
+  if t.size = Array.length t.times then grow t;
   let i = ref t.size in
   t.size <- t.size + 1;
-  t.heap.(!i) <- ev;
   let continue = ref true in
   while !continue && !i > 0 do
     let parent = (!i - 1) / 2 in
-    if earlier t.heap.(!i) t.heap.(parent) then begin
-      let tmp = t.heap.(parent) in
-      t.heap.(parent) <- t.heap.(!i);
-      t.heap.(!i) <- tmp;
+    let tp = t.times.(parent) in
+    if tp < time || (tp = time && t.seqs.(parent) < seq) then continue := false
+    else begin
+      move t ~src:parent ~dst:!i;
       i := parent
     end
-    else continue := false
-  done
+  done;
+  t.times.(!i) <- time;
+  t.seqs.(!i) <- seq;
+  t.actions.(!i) <- action
 
-let pop t =
-  if t.size = 0 then None
-  else begin
-    let top = t.heap.(0) in
-    t.size <- t.size - 1;
-    if t.size > 0 then begin
-      t.heap.(0) <- t.heap.(t.size);
-      let i = ref 0 in
-      let continue = ref true in
-      while !continue do
-        let l = (2 * !i) + 1 and r = (2 * !i) + 2 in
-        let smallest = ref !i in
-        if l < t.size && earlier t.heap.(l) t.heap.(!smallest) then smallest := l;
-        if r < t.size && earlier t.heap.(r) t.heap.(!smallest) then smallest := r;
-        if !smallest <> !i then begin
-          let tmp = t.heap.(!smallest) in
-          t.heap.(!smallest) <- t.heap.(!i);
-          t.heap.(!i) <- tmp;
-          i := !smallest
+(* Drop the earliest event (slot 0): the last event fills the hole, sifted
+   down from the root. *)
+let remove_min t =
+  let n = t.size - 1 in
+  t.size <- n;
+  let time = t.times.(n) and seq = t.seqs.(n) and action = t.actions.(n) in
+  t.actions.(n) <- noop;
+  if n > 0 then begin
+    let i = ref 0 in
+    let continue = ref true in
+    while !continue do
+      let l = (2 * !i) + 1 in
+      if l >= n then continue := false
+      else begin
+        let c = if l + 1 < n && earlier t (l + 1) l then l + 1 else l in
+        let tc = t.times.(c) in
+        if tc < time || (tc = time && t.seqs.(c) < seq) then begin
+          move t ~src:c ~dst:!i;
+          i := c
         end
         else continue := false
-      done
-    end;
-    Some top
+      end
+    done;
+    t.times.(!i) <- time;
+    t.seqs.(!i) <- seq;
+    t.actions.(!i) <- action
   end
-
-let peek t = if t.size = 0 then None else Some t.heap.(0)
 
 let schedule t ~at action =
   if at < t.clock then invalid_arg "Engine.schedule: time in the past";
-  let ev = { time = at; seq = t.next_seq; action } in
+  push t at t.next_seq action;
   t.next_seq <- t.next_seq + 1;
-  push t ev;
   Obs.Metrics.observe_max m_queue_depth t.size
 
 let schedule_after t ~delay action =
@@ -111,27 +136,28 @@ let schedule_every t ~every ?until f =
   schedule_after t ~delay:every tick
 
 let step t =
-  match pop t with
-  | None -> false
-  | Some ev ->
-      Obs.Metrics.incr m_events;
-      Obs.Metrics.observe m_time_advance (ev.time -. t.clock);
-      t.clock <- ev.time;
-      ev.action ();
-      true
+  if t.size = 0 then false
+  else begin
+    let time = t.times.(0) and action = t.actions.(0) in
+    remove_min t;
+    Obs.Metrics.incr m_events;
+    if Obs.Metrics.on () then Obs.Metrics.observe m_time_advance (time -. t.clock);
+    t.clock <- time;
+    action ();
+    true
+  end
 
 let run ?until t =
   let continue = ref true in
   while !continue do
-    match peek t with
-    | None -> continue := false
-    | Some ev -> begin
-        match until with
-        | Some deadline when ev.time > deadline ->
-            t.clock <- deadline;
-            continue := false
-        | _ -> ignore (step t)
-      end
+    if t.size = 0 then continue := false
+    else begin
+      match until with
+      | Some deadline when t.times.(0) > deadline ->
+          t.clock <- deadline;
+          continue := false
+      | _ -> ignore (step t)
+    end
   done
 
 (* Half-open variant of [run] for barrier-windowed stepping: process
@@ -141,17 +167,11 @@ let run ?until t =
    network treat every shard engine's clock as "this shard has observed
    everything before the frontier". *)
 let run_before t ~before =
-  let continue = ref true in
-  while !continue do
-    match peek t with
-    | Some ev when ev.time < before -> ignore (step t)
-    | _ -> continue := false
+  while t.size > 0 && t.times.(0) < before do
+    ignore (step t)
   done;
   if before > t.clock then t.clock <- before
 
-let next_time t =
-  match peek t with
-  | Some ev -> Some ev.time
-  | None -> None
+let next_time t = if t.size = 0 then None else Some t.times.(0)
 
 let pending t = t.size

@@ -3,7 +3,8 @@
     The BGP network, the monitoring loops and LIFEGUARD's orchestrator all
     run on a single shared clock: events are closures scheduled at absolute
     times and executed in time order (FIFO among equal times). Time is in
-    seconds as a float.
+    seconds as a float. The queue drops its reference to an action once
+    the action has run, so whatever the closure captured can be collected.
 
     The engine feeds three {!Obs.Metrics} instruments: the [sim.events]
     counter (one per dispatched event), the [sim.queue_depth] max-gauge

@@ -394,6 +394,34 @@ let test_session_up_poison_same_window () =
   Alcotest.(check (list (pair int (list int))))
     "slow path: poison/restore order is immaterial" slow1 slow2
 
+(* The allocation of the BGP update path, pinned: minor words per
+   delivered update over five poisons of a converged 100-AS world (about
+   a thousand deliveries, at about 106 words each). The
+   words are what the update path allocates (receive, decision, FIB,
+   export, MRAI and the engine event), so a regression that brings back
+   per-update garbage fails here before any benchmark sees it. *)
+let test_words_per_update () =
+  let module Sc = Workloads.Scenarios in
+  let m = Sc.bgpmux ~ases:100 ~infrastructure:Sc.No_infrastructure ~seed:42 () in
+  let net = m.Sc.bed.Sc.net in
+  Lifeguard.Remediate.announce_baseline net m.Sc.plan;
+  Bgp.Network.run_until_quiet net;
+  let targets = Array.of_list (Sc.harvest_on_path_ases m) in
+  Alcotest.(check bool) "poison targets" true (Array.length targets > 0);
+  let before = Bgp.Network.message_count net in
+  let w0 = Gc.minor_words () in
+  for i = 0 to 4 do
+    Lifeguard.Remediate.poison net m.Sc.plan ~target:targets.(i mod Array.length targets);
+    Bgp.Network.run_until_quiet net
+  done;
+  let words = Gc.minor_words () -. w0 in
+  let delivered = Bgp.Network.message_count net - before in
+  let per_update = words /. float_of_int delivered in
+  Alcotest.(check bool) "poisons deliver updates" true (delivered > 500);
+  if per_update >= 150.0 then
+    Alcotest.failf "%.1f minor words per delivered update (%d updates), want < 150" per_update
+      delivered
+
 let suite =
   suite
   @ [
@@ -402,4 +430,5 @@ let suite =
       Alcotest.test_case "no damping unless configured" `Quick test_no_damping_without_config;
       Alcotest.test_case "session_up vs same-window poison (fig2)" `Quick
         test_session_up_poison_same_window;
+      Alcotest.test_case "words per delivered update < 150" `Quick test_words_per_update;
     ]

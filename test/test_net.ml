@@ -55,16 +55,18 @@ let test_prefix_split_and_addresses () =
   Alcotest.(check string) "first" "203.0.112.0" (Ipv4.to_string (Prefix.first_address p));
   Alcotest.(check string) "nth" "203.0.112.7" (Ipv4.to_string (Prefix.nth_address p 7))
 
+let trie_of bindings =
+  let t = Prefix_trie.create () in
+  List.iter (fun (p, v) -> Prefix_trie.replace t p v) bindings;
+  t
+
 let test_trie_lpm () =
-  let open Prefix_trie in
   let t =
-    empty
-    |> add (pfx "10.0.0.0/8") "eight"
-    |> add (pfx "10.1.0.0/16") "sixteen"
-    |> add (pfx "10.1.2.0/24") "twentyfour"
+    trie_of
+      [ (pfx "10.0.0.0/8", "eight"); (pfx "10.1.0.0/16", "sixteen"); (pfx "10.1.2.0/24", "twentyfour") ]
   in
   let lookup_name a =
-    match lookup (ip a) t with
+    match Prefix_trie.lookup t (ip a) with
     | Some (_, v) -> v
     | None -> "none"
   in
@@ -72,18 +74,20 @@ let test_trie_lpm () =
   Alcotest.(check string) "mid" "sixteen" (lookup_name "10.1.3.1");
   Alcotest.(check string) "outer" "eight" (lookup_name "10.2.0.1");
   Alcotest.(check string) "miss" "none" (lookup_name "11.0.0.1");
-  Alcotest.(check int) "cardinal" 3 (cardinal t);
-  let t' = remove (pfx "10.1.2.0/24") t in
-  Alcotest.(check string) "after remove, falls back" "sixteen"
-    (match lookup (ip "10.1.2.3") t' with
-    | Some (_, v) -> v
-    | None -> "none")
+  List.iter
+    (fun (a, p) ->
+      Alcotest.(check (option string)) ("matched prefix for " ^ a) (Some p)
+        (Option.map (fun (q, _) -> Prefix.to_string q) (Prefix_trie.lookup t (ip a))))
+    [ ("10.1.2.3", "10.1.2.0/24"); ("10.1.3.1", "10.1.0.0/16"); ("10.2.0.1", "10.0.0.0/8") ];
+  Prefix_trie.remove t (pfx "10.1.2.0/24");
+  Alcotest.(check string) "after remove, falls back" "sixteen" (lookup_name "10.1.2.3");
+  Prefix_trie.replace t (pfx "10.1.0.0/16") "sixteen'";
+  Alcotest.(check string) "replace rebinds in place" "sixteen'" (lookup_name "10.1.2.3")
 
 let test_default_route_prefix () =
   (* A /0 matches everything: usable as a default route entry. *)
-  let open Prefix_trie in
-  let t = empty |> add (pfx "0.0.0.0/0") "default" in
-  match lookup (ip "198.51.100.77") t with
+  let t = trie_of [ (pfx "0.0.0.0/0", "default") ] in
+  match Prefix_trie.lookup t (ip "198.51.100.77") with
   | Some (_, v) -> Alcotest.(check string) "default matches" "default" v
   | None -> Alcotest.fail "default route missed"
 
@@ -93,41 +97,71 @@ let arbitrary_prefix =
     (fun (a, b, c, len) -> Prefix.make (Ipv4.of_octets a b c 0) len)
     QCheck.(quad (int_range 0 255) (int_range 0 255) (int_range 0 255) (int_range 0 24))
 
+let arbitrary_address =
+  QCheck.map
+    (fun (a, b, c, d) -> Ipv4.of_octets a b c d)
+    QCheck.(quad (int_range 0 255) (int_range 0 255) (int_range 0 255) (int_range 0 255))
+
+(* An interleaved script of [replace] and [remove] over a small pool of
+   prefixes (so removals hit bound prefixes and rebinding happens),
+   checked after every step against an association-list model: [lookup]
+   must return the longest bound prefix covering the address with its
+   value, and [find_longest] that value. *)
 let prop_trie_matches_naive =
   QCheck.Test.make ~name:"trie lookup = naive longest match" ~count:300
-    QCheck.(pair (small_list arbitrary_prefix) (quad (int_range 0 255) (int_range 0 255) (int_range 0 255) (int_range 0 255)))
-    (fun (prefixes, (a, b, c, d)) ->
-      let address = Ipv4.of_octets a b c d in
-      let trie =
-        List.fold_left (fun t p -> Prefix_trie.add p (Prefix.to_string p) t) Prefix_trie.empty
-          prefixes
-      in
-      let naive =
-        List.filter (fun p -> Prefix.mem address p) prefixes
-        |> List.sort (fun p q -> Int.compare (Prefix.length q) (Prefix.length p))
+    QCheck.(
+      triple
+        (list_of_size (Gen.int_range 1 6) arbitrary_prefix)
+        (small_list (triple bool small_nat small_nat))
+        arbitrary_address)
+    (fun (pool, script, address) ->
+      let pool = Array.of_list pool in
+      let addresses = address :: List.map (fun p -> Prefix.nth_address p 1) (Array.to_list pool) in
+      let trie = Prefix_trie.create () in
+      let model = ref [] in
+      let naive ip =
+        List.filter (fun (p, _) -> Prefix.mem ip p) !model
+        |> List.sort (fun (p, _) (q, _) -> Int.compare (Prefix.length q) (Prefix.length p))
         |> function
-        | best :: _ -> Some (Prefix.length best)
+        | best :: _ -> Some best
         | [] -> None
       in
-      let via_trie = Option.map (fun (p, _) -> Prefix.length p) (Prefix_trie.lookup address trie) in
-      naive = via_trie)
+      let agrees ip =
+        let expected = naive ip in
+        Option.equal
+          (fun (p, v) (q, w) -> Prefix.equal p q && Int.equal v w)
+          expected (Prefix_trie.lookup trie ip)
+        && Option.equal Int.equal (Option.map snd expected) (Prefix_trie.find_longest trie ip)
+      in
+      List.for_all
+        (fun (bind, k, v) ->
+          let p = pool.(k mod Array.length pool) in
+          let others = List.filter (fun (q, _) -> not (Prefix.equal p q)) !model in
+          if bind then begin
+            Prefix_trie.replace trie p v;
+            model := (p, v) :: others
+          end
+          else begin
+            Prefix_trie.remove trie p;
+            model := others
+          end;
+          List.for_all agrees addresses)
+        script
+      && List.for_all agrees addresses)
 
 let prop_find_longest_is_lookup =
   QCheck.Test.make ~name:"trie find_longest = value of lookup" ~count:300
-    QCheck.(pair (small_list arbitrary_prefix) (quad (int_range 0 255) (int_range 0 255) (int_range 0 255) (int_range 0 255)))
-    (fun (prefixes, (a, b, c, d)) ->
-      let address = Ipv4.of_octets a b c d in
+    QCheck.(pair (small_list arbitrary_prefix) arbitrary_address)
+    (fun (prefixes, address) ->
       (* Also look up addresses inside the generated prefixes, which the
          random address rarely hits. *)
-      let addresses = address :: List.map (fun p -> Prefix.nth_address p (d land 0xFF)) prefixes in
-      let trie =
-        List.fold_left (fun t p -> Prefix_trie.add p (Prefix.to_string p) t) Prefix_trie.empty
-          prefixes
-      in
+      let d = Int32.to_int (Ipv4.to_int32 address) land 0xFF in
+      let addresses = address :: List.map (fun p -> Prefix.nth_address p d) prefixes in
+      let trie = trie_of (List.map (fun p -> (p, Prefix.to_string p)) prefixes) in
       List.for_all
         (fun ip ->
-          Option.equal String.equal (Prefix_trie.find_longest ip trie)
-            (Option.map snd (Prefix_trie.lookup ip trie)))
+          Option.equal String.equal (Prefix_trie.find_longest trie ip)
+            (Option.map snd (Prefix_trie.lookup trie ip)))
         addresses)
 
 let prop_prefix_roundtrip =

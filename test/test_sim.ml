@@ -108,6 +108,71 @@ let prop_heap_order =
       in
       sorted fired)
 
+(* More than 64 events (so the heap grows past its first capacity) at a
+   few integer times (so most of them tie), some scheduling a child from
+   inside their action. Dispatch must follow a reference queue that pops
+   the earliest time and, among equal times, the event scheduled first:
+   a stable sort of the event ids by time. *)
+let prop_ties_growth_nested =
+  QCheck.Test.make ~name:"ties, growth and nested schedules keep (time, seq) order" ~count:100
+    QCheck.(list_of_size (Gen.int_range 65 200) (pair (int_range 0 4) (int_range 0 5)))
+    (fun specs ->
+      (* [(t, k)]: a root event at time [t]; when it runs, [k < 3]
+         schedules a child [k] seconds later. Ids count in scheduling
+         order. *)
+      let e = Sim.Engine.create () in
+      let dispatched = ref [] in
+      let next_id = ref 0 in
+      let fresh () =
+        let id = !next_id in
+        incr next_id;
+        id
+      in
+      List.iter
+        (fun (t, k) ->
+          let id = fresh () in
+          Sim.Engine.schedule e ~at:(float_of_int t) (fun () ->
+              dispatched := id :: !dispatched;
+              if k < 3 then begin
+                let child = fresh () in
+                Sim.Engine.schedule_after e ~delay:(float_of_int k) (fun () ->
+                    dispatched := child :: !dispatched)
+              end))
+        specs;
+      Sim.Engine.run e;
+      (* The reference: pending (time, id, k) in scheduling order. *)
+      let rec model pending next acc =
+        match pending with
+        | [] -> List.rev acc
+        | (t0, _, _) :: _ ->
+            let tmin = List.fold_left (fun m (t, _, _) -> min m t) t0 pending in
+            let ((t, id, k) as first) = List.find (fun (t, _, _) -> t = tmin) pending in
+            let rest = List.filter (fun x -> x != first) pending in
+            if k < 3 then model (rest @ [ (t + k, next, 3) ]) (next + 1) (id :: acc)
+            else model rest next (id :: acc)
+      in
+      let roots = List.mapi (fun id (t, k) -> (t, id, k)) specs in
+      model roots (List.length specs) [] = List.rev !dispatched)
+
+(* Once an action has run, the queue must not keep it (or what it
+   captured) reachable: a drained heap holds no stale event. *)
+let test_ran_action_released () =
+  let e = Sim.Engine.create () in
+  let w = Weak.create 1 in
+  let ran = ref 0 in
+  let schedule_capturing () =
+    let v = Bytes.make 16 'x' in
+    Weak.set w 0 (Some v);
+    Sim.Engine.schedule e ~at:1.0 (fun () -> ran := !ran + Bytes.length v)
+  in
+  (Sys.opaque_identity schedule_capturing) ();
+  Sim.Engine.run e;
+  Gc.full_major ();
+  Alcotest.(check int) "action ran" 16 !ran;
+  Alcotest.(check bool) "captured value collected" false (Weak.check w 0);
+  (* The engine itself is still live here. *)
+  Alcotest.(check int) "queue drained" 0 (Sim.Engine.pending e)
+
 let suite =
   [
     Alcotest.test_case "time ordering" `Quick test_time_ordering;
@@ -121,4 +186,6 @@ let suite =
     Alcotest.test_case "past rejected" `Quick test_past_rejected;
     Alcotest.test_case "step" `Quick test_step;
     QCheck_alcotest.to_alcotest prop_heap_order;
+    QCheck_alcotest.to_alcotest prop_ties_growth_nested;
+    Alcotest.test_case "ran action released" `Quick test_ran_action_released;
   ]
