@@ -199,8 +199,7 @@ let micro_benchmarks () =
                  ~prefix:(Net.Prefix.of_string_exn "203.0.113.0/24")
                  ~path:
                    (Bgp.As_path.of_list
-                      (List.init (3 + (i mod 4)) (fun j -> Net.Asn.of_int (100 + i + j))))
-                 ())
+                      (List.init (3 + (i mod 4)) (fun j -> Net.Asn.of_int (100 + i + j)))))
             ~neighbor:(Net.Asn.of_int (100 + i))
             ~rel:
               (if i mod 3 = 0 then Topology.Relationship.Customer
@@ -308,7 +307,6 @@ let micro_benchmarks () =
       Bgp.Route.announcement
         ~prefix:(Net.Prefix.of_string_exn "203.0.113.0/24")
         ~path:(Bgp.As_path.of_list (List.init 6 (fun i -> Net.Asn.of_int (65000 + i))))
-        ()
     in
     let a1 = Bgp.Path_store.intern_ann store (mk ()) in
     let a2 = Bgp.Path_store.intern_ann store (mk ()) in

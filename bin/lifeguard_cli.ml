@@ -105,6 +105,7 @@ let fig5_cmd =
     Arg.(value & opt int 10308 & info [ "outages" ] ~docv:"N" ~doc:"Dataset size.")
   in
   let run obs seed outages =
+    check_positive_i "--outages" outages;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Fig5_residual.to_tables (Experiments.Fig5_residual.run ~n:outages ~seed ())))
@@ -119,6 +120,7 @@ let alt_paths_cmd =
   in
   let run obs seed ases outages =
     check_ases ases;
+    check_positive_i "--outages" outages;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Sec22_alt_paths.to_tables
@@ -134,6 +136,7 @@ let poisons_arg =
 let efficacy_cmd =
   let run obs seed ases poisons jobs =
     check_ases ases;
+    check_positive_i "--poisons" poisons;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Sec51_efficacy.to_tables
@@ -146,6 +149,7 @@ let efficacy_cmd =
 let fig6_cmd =
   let run obs seed ases poisons jobs =
     check_ases ases;
+    check_positive_i "--poisons" poisons;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Fig6_convergence.to_tables
@@ -158,6 +162,7 @@ let fig6_cmd =
 let loss_cmd =
   let run obs seed ases poisons jobs =
     check_ases ases;
+    check_positive_i "--poisons" poisons;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Sec52_loss.to_tables
@@ -171,6 +176,7 @@ let selective_cmd =
   let feeds = Arg.(value & opt int 40 & info [ "feeds" ] ~docv:"N" ~doc:"Feed ASes to test.") in
   let run obs seed ases feeds jobs =
     check_ases ases;
+    check_positive_i "--feeds" feeds;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Sec52_selective.to_tables
@@ -186,6 +192,7 @@ let accuracy_cmd =
   in
   let run obs seed ases failures jobs =
     check_ases ases;
+    check_positive_i "--failures" failures;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Sec53_accuracy.to_tables
@@ -256,6 +263,7 @@ let ablation_cmd =
   let poisons = Arg.(value & opt int 8 & info [ "poisons" ] ~docv:"N" ~doc:"Poisonings per row.") in
   let run obs seed ases poisons jobs =
     check_ases ases;
+    check_positive_i "--poisons" poisons;
     with_obs obs (fun () ->
         print_tables
           (Experiments.Ablation.to_tables
@@ -307,7 +315,11 @@ let topo_cmd =
 
 let poison_cmd =
   let target =
-    Arg.(value & opt (some int) None & info [ "target" ] ~docv:"ASN" ~doc:"AS to poison (default: first harvested).")
+    Arg.(
+      value
+      & opt (some int) None
+      & info [ "target" ] ~docv:"ASN"
+          ~doc:"AS to poison, other than the origin (default: first harvested).")
   in
   let run seed ases target =
     check_ases ases;
@@ -318,8 +330,16 @@ let poison_cmd =
     let harvest = Workloads.Scenarios.harvest_on_path_ases mux in
     let target =
       match target with
-      | Some t -> Net.Asn.of_int t
       | None -> List.hd harvest
+      | Some t ->
+          let graph = mux.Workloads.Scenarios.bed.Workloads.Scenarios.graph in
+          check
+            (t >= 0 && Topology.As_graph.mem graph (Net.Asn.of_int t))
+            (Printf.sprintf "--target must be an AS of the simulated Internet (got %d)" t);
+          check
+            (t <> Net.Asn.to_int mux.Workloads.Scenarios.origin)
+            (Printf.sprintf "--target must not be the origin AS (got %d)" t);
+          Net.Asn.of_int t
     in
     Format.printf "Poisoning %a on a %d-AS Internet...@." Net.Asn.pp target ases;
     let before =

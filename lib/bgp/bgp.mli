@@ -3,7 +3,6 @@
     convergence metrics. BGP loop prevention — the mechanism LIFEGUARD's
     poisoning exploits — lives in {!Policy.import}. *)
 
-module Community = Community
 module As_path = As_path
 module Path_store = Path_store
 module Route = Route

@@ -1,11 +1,5 @@
 open Net
 
-(* MED is only comparable between routes learned from the same neighbor
-   AS; a missing MED compares as 0 (cisco-style default). *)
-let med_value = function
-  | Some m -> m
-  | None -> 0
-
 (* Path length and the salted tiebreak rank are cached in the entry at
    import time (Route.make_entry); this comparison runs once per
    candidate per update, so it must not recompute either. *)
@@ -14,19 +8,8 @@ let compare_entries (a : Route.entry) (b : Route.entry) =
   | 0 -> begin
       match Int.compare b.path_len a.path_len with
       | 0 -> begin
-          let med_cmp =
-            let a_first = As_path.first_hop a.ann.path
-            and b_first = As_path.first_hop b.ann.path in
-            if Option.equal Asn.equal a_first b_first then
-              Int.compare (med_value b.ann.med) (med_value a.ann.med)
-            else 0
-          in
-          match med_cmp with
-          | 0 -> begin
-              match Int.compare b.tiebreak a.tiebreak with
-              | 0 -> Asn.compare b.neighbor a.neighbor
-              | c -> c
-            end
+          match Int.compare b.tiebreak a.tiebreak with
+          | 0 -> Asn.compare b.neighbor a.neighbor
           | c -> c
         end
       | c -> c

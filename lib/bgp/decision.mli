@@ -1,13 +1,15 @@
 (** The BGP best-route decision process.
 
-    Standard ordering: highest local preference, then shortest AS path
-    (counting prepended copies — which is what makes prepending a traffic
-    steering tool), then lowest MED among routes from the same neighboring
-    AS, then lowest neighbor ASN as the deterministic tiebreak standing in
-    for IGP cost / router-id. Two properties the paper leans on emerge
-    from this ordering: a poisoned path [O-A-O] ties with the prepended
-    baseline [O-O-O] (same length, same preference), so ASes not routing
-    through [A] have no reason to explore alternatives.
+    The ordering has exactly three steps and a final fallback: highest
+    local preference (set by the neighbor's relationship: customer > peer
+    > provider), then shortest AS path (counting prepended copies — which
+    is what makes prepending a traffic steering tool), then the salted
+    per-speaker tiebreak rank standing in for IGP cost / router-id, then
+    lowest neighbor ASN. There is no MED step: announcements carry no
+    attributes besides the AS path. One property the paper leans on
+    emerges from this ordering: a poisoned path [O-A-O] ties with the
+    prepended baseline [O-O-O] (same length, same preference), so ASes
+    not routing through [A] have no reason to explore alternatives.
 
     The per-speaker tiebreak salt is no longer a parameter here: it is
     baked into each entry at import time ([Route.make_entry ?salt]), so
@@ -17,9 +19,10 @@
 open Net
 
 val compare_entries : Route.entry -> Route.entry -> int
-(** [compare_entries a b > 0] when [a] is preferred over [b]. Total order
-    over candidate entries for one prefix (entries built with the same
-    salt). *)
+(** [compare_entries a b > 0] when [a] is preferred over [b]: the
+    lexicographic order on the key [(local_pref, -path_len, -tiebreak,
+    -neighbor)]. Total order over candidate entries for one prefix
+    (entries built with the same salt). *)
 
 val best : Route.entry list -> Route.entry option
 (** Most preferred entry, [None] on the empty list. Entries carry their

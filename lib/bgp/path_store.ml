@@ -24,18 +24,8 @@ module Path_tbl = Hashtbl.Make (Path_key)
 module Ann_key = struct
   type t = Route.announcement
 
-  let equal (a : t) (b : t) =
-    Prefix.equal a.prefix b.prefix
-    && As_path.equal a.path b.path
-    && List.length a.communities = List.length b.communities
-    && List.for_all2 Community.equal a.communities b.communities
-    && Option.equal Int.equal a.med b.med
-
-  let hash (a : t) =
-    let h = Prefix.hash a.prefix lxor (As_path.hash a.path * 0x9E3779B1) in
-    let h = List.fold_left (fun h c -> h lxor Community.hash c) h a.communities in
-    let h = match a.med with None -> h | Some m -> h lxor ((m + 1) * 0x5F3759DF) in
-    h land max_int
+  let equal = Route.announcement_equal
+  let hash (a : t) = (Prefix.hash a.prefix lxor (As_path.hash a.path * 0x9E3779B1)) land max_int
 end
 
 module Ann_tbl = Hashtbl.Make (Ann_key)

@@ -3,13 +3,14 @@
 
     The defaults implement the standard Gao–Rexford economics (prefer
     customer routes, export provider/peer routes only to customers) plus
-    strict loop prevention. The quirks the paper encountered in the wild
-    (§7.1) are configuration knobs: ASes that accept their own number in a
-    path up to [k] times (defeated by inserting it twice), ASes that
-    reject customer announcements containing one of their peers
-    (Cogent-style filtering that limited poisoning via Georgia Tech), and
-    ASes that strip community tags (which is why communities are not a
-    dependable avoidance signal). *)
+    strict loop prevention. The two quirks the paper encountered in the
+    wild (§7.1) that poisoning depends on are configuration knobs: ASes
+    that accept their own number in a path up to [k] times (defeated by
+    inserting it twice), and ASes that reject customer announcements
+    containing one of their peers (Cogent-style filtering that limited
+    poisoning via Georgia Tech). Announcements carry no tags for other
+    quirks to act on: the paper (§2.3) rejects tag-based avoidance
+    signals. *)
 
 open Net
 open Topology
@@ -35,17 +36,6 @@ type config = {
   reject_peers_in_customer_paths : bool;
       (** Cogent-style: refuse updates from customers whose path contains
           one of our peers. *)
-  strip_communities : bool;  (** Drop community tags when re-exporting. *)
-  honor_no_export_to_peers : bool;
-      (** Honor the ["us:666"] community asking us not to export to
-          peers. *)
-  default_provider : Asn.t option;
-      (** Data-plane default route: where to send packets with no matching
-          FIB entry (common in stubs; makes them "captive" behind their
-          provider). *)
-  local_pref_override : (Asn.t * int) list;
-      (** Per-neighbor local-preference overrides, replacing the
-          relationship-based default. *)
   damping : damping option;
       (** Enable RFC 2439-style route-flap damping ([None] = off, the
           default — damping deployment declined sharply after 2006, but
@@ -62,7 +52,7 @@ type config = {
 }
 
 val default : config
-(** Strict loop prevention, no quirks, no default route. *)
+(** Strict loop prevention, no quirks, no damping, no jitter. *)
 
 val local_pref_for : config -> self:Asn.t -> neighbor:Asn.t -> rel:Relationship.t -> int
 (** The local preference assigned to a route from this neighbor,
@@ -84,31 +74,17 @@ val import :
     loop prevention against [loop_limit], then the Cogent quirk against
     [peers_of_self]. *)
 
-val export_allowed :
-  config ->
-  self:Asn.t ->
-  entry:Route.entry ->
-  to_neighbor:Asn.t ->
-  to_rel:Relationship.t ->
-  bool
-(** The per-neighbor half of {!export}: valley-free check, no-echo back to
-    the learning neighbor, community blocks. Cheap — no allocation. *)
+(** Export is split in two so a speaker syncing one prefix toward many
+    neighbors builds the outgoing announcement once: the loc-RIB [entry]
+    goes to a neighbor when {!export_allowed} holds, as {!export_ann}.
+    Export rules are the same for every AS. *)
 
-val export_ann : config -> self:Asn.t -> entry:Route.entry -> Route.announcement
-(** The neighbor-independent half of {!export}: the announcement actually
-    sent when {!export_allowed} holds (prepends [self] unless the entry is
-    local, strips communities when configured, clears MED). Compute it
-    once per prefix and reuse it for every permitted neighbor. *)
+val export_allowed : entry:Route.entry -> to_neighbor:Asn.t -> to_rel:Relationship.t -> bool
+(** Whether [entry] is exported to the neighbor: Gao–Rexford valley-free
+    export ({!Relationship.export_ok}) and never back to the neighbor the
+    route was learned from. Cheap — no allocation. *)
 
-val export :
-  config ->
-  self:Asn.t ->
-  entry:Route.entry ->
-  to_neighbor:Asn.t ->
-  to_rel:Relationship.t ->
-  Route.announcement option
-(** Export policy: Gao–Rexford valley-free export of the loc-RIB [entry]
-    toward a neighbor, prepending [self], honoring NO_EXPORT and the
-    no-export-to-peers community, and stripping communities when
-    configured. [None] when the route must not be sent. Never exports back
-    to the neighbor the route was learned from. *)
+val export_ann : self:Asn.t -> entry:Route.entry -> Route.announcement
+(** The announcement sent when {!export_allowed} holds: [entry]'s,
+    with [self] prepended unless the entry is local. The same toward every
+    permitted neighbor. *)

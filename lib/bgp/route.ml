@@ -4,24 +4,17 @@ open Topology
 type announcement = {
   prefix : Prefix.t;
   path : As_path.t;
-  communities : Community.t list;
-  med : int option;
 }
 
-let announcement ?(communities = []) ?med ~prefix ~path () =
+let announcement ~prefix ~path =
   if As_path.is_empty path then invalid_arg "Route.announcement: empty AS path";
-  { prefix; path; communities; med }
+  { prefix; path }
 
 (* Announcements interned by one world's [Path_store] are physically
    shared, so the [==] test settles the hot-path duplicate check in O(1);
-   the attribute walk only runs for uninterned values. *)
+   the attribute comparison only runs for uninterned values. *)
 let announcement_equal a b =
-  a == b
-  || (Prefix.equal a.prefix b.prefix
-     && As_path.equal a.path b.path
-     && List.length a.communities = List.length b.communities
-     && List.for_all2 Community.equal a.communities b.communities
-     && Option.equal Int.equal a.med b.med)
+  a == b || (Prefix.equal a.prefix b.prefix && As_path.equal a.path b.path)
 
 let pp_announcement fmt a =
   Format.fprintf fmt "%a via [%a]" Prefix.pp a.prefix As_path.pp a.path

@@ -7,13 +7,11 @@ open Topology
 type announcement = {
   prefix : Prefix.t;
   path : As_path.t;  (** Nearest AS first; the sender's ASN is the head. *)
-  communities : Community.t list;
-  med : int option;  (** Multi-exit discriminator, if set. *)
 }
+(** An announcement carries no other attributes: the reproduction steers
+    routes by AS path alone (poisoning and prepending). *)
 
-val announcement :
-  ?communities:Community.t list -> ?med:int -> prefix:Prefix.t -> path:As_path.t -> unit ->
-  announcement
+val announcement : prefix:Prefix.t -> path:As_path.t -> announcement
 
 val announcement_equal : announcement -> announcement -> bool
 (** Full attribute equality — used to suppress duplicate updates. O(1)

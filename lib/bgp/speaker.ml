@@ -107,7 +107,6 @@ let create ?store ?fib_epoch ~asn ~config ~neighbors () =
   }
 
 let asn t = t.self
-let config t = t.config
 let path_store t = t.store
 let set_on_best_change t f = t.on_best_change <- Some f
 let set_reuse_scheduler t f = t.reuse_scheduler <- Some f
@@ -218,7 +217,7 @@ let compute_best t ~now prefix =
 (* The announcement the loc-RIB best [entry] goes out as. It is the same
    toward every neighbor, so a sync builds and interns it at most once. *)
 let best_export t entry =
-  Path_store.intern_ann t.store (Policy.export_ann t.config ~self:t.self ~entry)
+  Path_store.intern_ann t.store (Policy.export_ann ~self:t.self ~entry)
 
 (* Desired announcement toward session [s] for [prefix], or None. [local]
    and [best] are the prefix's origination and loc-RIB best; [best_out]
@@ -231,17 +230,15 @@ let desired t s ~prefix local best best_out =
     | Some { per_neighbor; _ } -> begin
         match per_neighbor s.asn with
         | Some path ->
-            Some (Path_store.intern_ann t.store (Route.announcement ~prefix ~path ()))
+            Some (Path_store.intern_ann t.store (Route.announcement ~prefix ~path))
         | None -> None
       end
     | None -> begin
         match best with
         | None -> None
         | Some entry ->
-            if
-              Policy.export_allowed t.config ~self:t.self ~entry ~to_neighbor:s.asn
-                ~to_rel:s.rel
-            then match best_out with Some _ -> best_out | None -> Some (best_export t entry)
+            if Policy.export_allowed ~entry ~to_neighbor:s.asn ~to_rel:s.rel then
+              match best_out with Some _ -> best_out | None -> Some (best_export t entry)
             else None
       end
   end
@@ -306,7 +303,7 @@ let refresh_best ?(force_sync = false) t ~now prefix =
 let originate t ~now ~prefix ~per_neighbor =
   let local_ann =
     Path_store.intern_ann t.store
-      (Route.announcement ~prefix ~path:(As_path.plain ~origin:t.self) ())
+      (Route.announcement ~prefix ~path:(As_path.plain ~origin:t.self))
   in
   Prefix.Table.replace t.locals prefix { per_neighbor; local_ann };
   refresh_best ~force_sync:true t ~now prefix

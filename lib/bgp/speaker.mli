@@ -41,9 +41,6 @@ val path_store : t -> Path_store.t
 val asn : t -> Asn.t
 (** The AS this speaker represents. *)
 
-val config : t -> Policy.config
-(** The import/export policy configuration the speaker was built with. *)
-
 val originate :
   t -> now:float -> prefix:Prefix.t -> per_neighbor:(Asn.t -> As_path.t option) -> (Asn.t * action) list
 (** Start (or change) originating [prefix]. [per_neighbor] gives the AS

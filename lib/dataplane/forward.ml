@@ -43,30 +43,22 @@ let responding_router graph asn ~dst =
 let max_hops = 64
 
 (* One forwarding decision, shared by [walk] and [delivers] so the two
-   cannot drift apart: at [current], the FIB entry (or a stub's default
-   provider) picks the next AS; the packet then either loops back to an
-   AS [seen] already, is dropped by a failure on the hop, or moves on. *)
+   cannot drift apart: at [current], the FIB entry picks the next AS; the
+   packet then either loops back to an AS [seen] already, is dropped by a
+   failure on the hop, or moves on. *)
 type step = Arrive | Halt of outcome | Hop of Asn.t
-
-let forward_to failures ~seen ~dst current next =
-  if seen next then Halt Loop
-  else
-    match Failure.blocks_hop failures ~from_:current ~to_:next ~dst with
-    | Some by -> Halt (Dropped { at = next; by })
-    | None -> Hop next
 
 let next_hop net failures ~seen ~dst current =
   match Bgp.Network.fib_find net current dst with
-  | Some entry ->
-      if Bgp.Route.is_local entry then Arrive
-      else forward_to failures ~seen ~dst current entry.Bgp.Route.neighbor
-  | None -> begin
-      (* Stub default route: forward unmatched traffic to the configured
-         provider. *)
-      match (Bgp.Speaker.config (Bgp.Network.speaker net current)).Bgp.Policy.default_provider with
-      | Some p when not (Asn.equal p current) -> forward_to failures ~seen ~dst current p
-      | Some _ | None -> Halt (No_route current)
-    end
+  | None -> Halt (No_route current)
+  | Some entry when Bgp.Route.is_local entry -> Arrive
+  | Some { Bgp.Route.neighbor = next; _ } ->
+      if seen next then Halt Loop
+      else begin
+        match Failure.blocks_hop failures ~from_:current ~to_:next ~dst with
+        | Some by -> Halt (Dropped { at = next; by })
+        | None -> Hop next
+      end
 
 let walk net failures ~src ~dst =
   let graph = Bgp.Network.graph net in

@@ -14,7 +14,7 @@ type hop = { asn : Asn.t; address : Ipv4.t }
 
 type outcome =
   | Delivered  (** Reached the AS originating the destination's prefix. *)
-  | No_route of Asn.t  (** An AS had no FIB entry (and no default). *)
+  | No_route of Asn.t  (** An AS had no FIB entry for the destination. *)
   | Loop  (** The walk revisited an AS: a forwarding loop. *)
   | Dropped of { at : Asn.t; by : Failure.spec }
       (** An injected failure consumed the packet at [at]. *)
@@ -26,8 +26,8 @@ val pp_walk : Format.formatter -> walk -> unit
 
 val walk : Bgp.Network.t -> Failure.set -> src:Asn.t -> dst:Ipv4.t -> walk
 (** Forward a packet from [src] toward [dst]. A 64-hop bound ends the
-    walk; exceeding it reports [Loop]. Stub ASes with a configured
-    default provider forward unmatched packets there. *)
+    walk; exceeding it reports [Loop]. There are no default routes: an AS
+    with no FIB entry covering [dst] ends the walk with [No_route]. *)
 
 val delivers : Bgp.Network.t -> Failure.set -> src:Asn.t -> dst:Ipv4.t -> bool
 (** Whether [walk]'s outcome is [Delivered], computed without the walk:

@@ -64,33 +64,16 @@ let run_shard ~ases ~days ~failures_per_day ~seed ~shard () =
      and is removed on expiry. *)
   let horizon = days *. 86400.0 in
   let t0 = Sim.Engine.now engine in
-  let injected = ref 0 in
-  let rec schedule_next at =
-    if at < t0 +. horizon then
-      Sim.Engine.schedule engine ~at (fun () ->
-          let target = Prng.pick_list rng bed.Scenarios.targets in
-          let shape = Outage_gen.shape rng in
-          (match Scenarios.Placement.on_path rng bed ~src:central ~dst:target ~shape () with
-          | Some placed ->
-              incr injected;
-              Dataplane.Failure.add bed.Scenarios.failures
-                placed.Scenarios.Placement.spec;
-              Sim.Engine.schedule_after engine ~delay:shape.Outage_gen.duration (fun () ->
-                  Dataplane.Failure.remove bed.Scenarios.failures
-                    placed.Scenarios.Placement.spec)
-          | None -> ());
-          schedule_next
-            (Sim.Engine.now engine
-            +. Prng.Dist.exponential rng ~mean:(86400.0 /. failures_per_day)))
-  in
-  schedule_next (t0 +. Prng.Dist.exponential rng ~mean:(86400.0 /. failures_per_day));
+  let arrivals = Arrivals.create () in
+  Arrivals.start arrivals ~rng ~bed ~src:central ~targets:bed.Scenarios.targets
+    ~mean_interarrival:(86400.0 /. failures_per_day) ~until:(t0 +. horizon) ();
   Sim.Engine.run ~until:(t0 +. horizon) engine;
   let incidents = Measurement.Hubble.incidents hubble in
   let detected = List.length incidents in
   let partial = List.length (List.filter Measurement.Hubble.is_poisonable incidents) in
   let h d = Measurement.Hubble.h_of_d hubble ~observed_days:days ~d_minutes:d in
   {
-    s_injected = !injected;
+    s_injected = Arrivals.injected_count arrivals;
     s_detected = detected;
     s_partial = partial;
     s_h5 = h 5.0;

@@ -1,34 +1,32 @@
-type t = Customer | Provider | Peer | Sibling
+type t = Customer | Provider | Peer
 
 let invert = function
   | Customer -> Provider
   | Provider -> Customer
   | Peer -> Peer
-  | Sibling -> Sibling
 
 let equal a b =
   match (a, b) with
-  | Customer, Customer | Provider, Provider | Peer, Peer | Sibling, Sibling -> true
-  | (Customer | Provider | Peer | Sibling), _ -> false
+  | Customer, Customer | Provider, Provider | Peer, Peer -> true
+  | (Customer | Provider | Peer), _ -> false
 
 let to_string = function
   | Customer -> "customer"
   | Provider -> "provider"
   | Peer -> "peer"
-  | Sibling -> "sibling"
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
 let local_pref = function
-  | Customer | Sibling -> 300
+  | Customer -> 300
   | Peer -> 200
   | Provider -> 100
 
 let export_ok ~learned_from ~to_ =
   match learned_from with
-  | Customer | Sibling -> true
+  | Customer -> true
   | Peer | Provider -> begin
       match to_ with
-      | Customer | Sibling -> true
+      | Customer -> true
       | Peer | Provider -> false
     end

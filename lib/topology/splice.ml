@@ -14,7 +14,6 @@ let valley_free graph path =
             | Relationship.Provider -> can_go_up && go true rest
             | Relationship.Peer -> can_go_up && go false rest
             | Relationship.Customer -> go false rest
-            | Relationship.Sibling -> go can_go_up rest
           end
       end
   in
@@ -52,7 +51,6 @@ let search graph ~src ~dst ~avoiding =
         | Up, Provider -> visit state (next, Up)
         | Up, Peer -> visit state (next, Down)
         | _, Customer -> visit state (next, Down)
-        | _, Sibling -> visit state (next, phase)
         | Down, (Provider | Peer) -> ()
       in
       List.iter step (As_graph.neighbors graph asn)

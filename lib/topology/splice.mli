@@ -18,7 +18,7 @@ val valley_free : As_graph.t -> Asn.t list -> bool
 (** Whether an AS path (listed source first) obeys Gao–Rexford export
     rules given the graph's relationships: uphill (customer-to-provider)
     segments, at most one peering edge, then downhill. Unknown links make
-    the path invalid. Sibling edges are neutral. *)
+    the path invalid. *)
 
 val policy_reachable : As_graph.t -> src:Asn.t -> dst:Asn.t -> avoiding:Asn.Set.t -> bool
 (** Is there a valley-free path from [src] to [dst] that touches no AS in

@@ -1,6 +1,6 @@
-(* Behavior tests spanning libraries: default routes, siblings, MED
-   end-to-end, orchestrator wait-then-poison, isolation with silent
-   routers, link-failure blame. *)
+(* Behavior tests spanning libraries: no route without a RIB entry, the
+   decision and export rules as tables, orchestrator wait-then-poison,
+   isolation with silent routers, link-failure blame. *)
 
 open Net
 open Helpers
@@ -8,81 +8,122 @@ open Helpers
 let infra = Dataplane.Forward.infrastructure_prefix
 let addr w x = Dataplane.Forward.probe_address w.net x
 
-let test_default_route_forwarding () =
-  (* A stub with a data-plane default route forwards unmatched packets to
-     its provider even with an empty RIB — the "captive" behaviour that
-     keeps eyeballs behind big providers. *)
+let test_no_route_without_rib_entry () =
+  (* No data-plane default routes: a stub whose RIB holds no route to the
+     destination drops the packet at itself, even with a provider that
+     has one. *)
   let g = Topology.As_graph.create () in
   let open Topology in
   List.iter (fun n -> As_graph.add_as g (asn n)) [ 1; 2; 3 ];
-  let stub = asn 1 and provider = asn 2 and origin = asn 3 in
+  let stub = asn 1 and upstream = asn 2 and origin = asn 3 in
   (* The stub peers with its upstream and the origin is the upstream's
      provider, so the origin's route is never exported to the stub
-     (provider-learned routes go to customers only) — its RIB stays
-     empty and only the configured default can deliver. *)
-  As_graph.add_link g ~a:stub ~b:provider ~rel:Relationship.Peer;
-  As_graph.add_link g ~a:provider ~b:origin ~rel:Relationship.Provider;
-  let config_of a =
-    if Asn.equal a stub then
-      { Bgp.Policy.default with Bgp.Policy.default_provider = Some provider }
-    else Bgp.Policy.default
-  in
-  let w = world_of_graph ~config_of g in
-  (* Only the origin's infra is announced — and crucially NOT exported to
-     the stub (peer export rules), so the stub's RIB stays empty. *)
-  Bgp.Network.announce w.net ~origin ~prefix:(infra origin) ();
-  converge w;
-  Alcotest.(check bool) "stub has no RIB route" true
-    (Bgp.Network.best_route w.net stub (infra origin) = None);
-  let walk =
-    Dataplane.Forward.walk w.net w.failures ~src:stub ~dst:(addr w origin)
-  in
-  Alcotest.(check bool) "default route still delivers" true
-    (walk.Dataplane.Forward.outcome = Dataplane.Forward.Delivered);
-  Alcotest.(check (list int)) "via the provider" [ 1; 2; 3 ]
-    (List.map Asn.to_int (Dataplane.Forward.as_path_of_walk walk))
-
-let test_sibling_exports_everything () =
-  (* Siblings exchange all routes, including provider-learned ones. *)
-  let g = Topology.As_graph.create () in
-  let open Topology in
-  List.iter (fun n -> As_graph.add_as g (asn n)) [ 1; 2; 3; 4 ];
-  let s1 = asn 1 and s2 = asn 2 and upstream = asn 3 and origin = asn 4 in
-  As_graph.add_link g ~a:s1 ~b:s2 ~rel:Relationship.Sibling;
-  As_graph.add_link g ~a:s1 ~b:upstream ~rel:Relationship.Provider;
+     (provider-learned routes go to customers only). *)
+  As_graph.add_link g ~a:stub ~b:upstream ~rel:Relationship.Peer;
   As_graph.add_link g ~a:upstream ~b:origin ~rel:Relationship.Provider;
   let w = world_of_graph g in
-  Bgp.Network.announce w.net ~origin ~prefix:production ();
+  Bgp.Network.announce w.net ~origin ~prefix:(infra origin) ();
   converge w;
-  (* s1 learns from its provider; a plain peer would not re-export, but a
-     sibling does. *)
-  check_path "sibling hears the provider route" [ 1; 3; 4 ]
-    (path_of_best (Bgp.Network.best_route w.net s2 production))
+  Alcotest.(check bool) "upstream has a route" true
+    (Bgp.Network.best_route w.net upstream (infra origin) <> None);
+  Alcotest.(check bool) "stub has no RIB route" true
+    (Bgp.Network.best_route w.net stub (infra origin) = None);
+  let dst = addr w origin in
+  let walk = Dataplane.Forward.walk w.net w.failures ~src:stub ~dst in
+  Alcotest.(check bool) "walk ends in No_route at the stub" true
+    (walk.Dataplane.Forward.outcome = Dataplane.Forward.No_route stub);
+  Alcotest.(check (list int)) "never leaves the stub" [ 1 ]
+    (List.map Asn.to_int (Dataplane.Forward.as_path_of_walk walk));
+  Alcotest.(check bool) "delivers is false" false
+    (Dataplane.Forward.delivers w.net w.failures ~src:stub ~dst)
 
-let test_med_steers_between_sessions () =
-  (* Same neighbor AS announcing over two sessions with different MEDs:
-     the receiver must pick the lower MED. Constructed directly at the
-     speaker level since the AS-level network has one session per pair. *)
-  let open Topology in
-  let speaker =
-    Bgp.Speaker.create ~asn:(asn 100) ~config:Bgp.Policy.default
-      ~neighbors:[ (asn 200, Relationship.Provider); (asn 201, Relationship.Provider) ]
-      ()
+(* The decision process as an oracle: the best candidate is the maximum
+   of the documented key (local_pref, -path_len, -tiebreak, -neighbor).
+   Few distinct values per field keep ties on the leading fields common,
+   and unsalted lists (every tiebreak 0) reach the neighbor step, so
+   every step of the order gets exercised. *)
+let prop_decision_is_key_maximum =
+  let entry salt (neighbor, local_pref, len) =
+    Bgp.Route.make_entry ?salt
+      ~ann:
+        (Bgp.Route.announcement ~prefix:production
+           ~path:(Bgp.As_path.of_list (List.init len (fun i -> asn (900 + i)))))
+      ~neighbor:(asn neighbor) ~rel:Topology.Relationship.Provider ~local_pref
+      ~learned_at:0.0 ()
   in
-  let ann med neighbor =
-    Bgp.Speaker.Announce
-      (Bgp.Route.announcement ~med ~prefix:production
-         ~path:(Bgp.As_path.of_list [ neighbor; asn 900 ])
-         ())
+  let key (e : Bgp.Route.entry) =
+    (e.local_pref, -e.path_len, -e.tiebreak, -Asn.to_int e.neighbor)
   in
-  ignore (Bgp.Speaker.receive speaker ~now:0.0 ~from:(asn 200) (ann 50 (asn 200)));
-  ignore (Bgp.Speaker.receive speaker ~now:1.0 ~from:(asn 201) (ann 10 (asn 201)));
-  (* Different first-hop ASes: MED not compared; lowest tiebreak wins.
-     Now same first hop: re-announce 201's route as if from AS 200. *)
-  match Bgp.Speaker.best speaker production with
-  | Some e ->
-      Alcotest.(check bool) "some best exists" true (e.Bgp.Route.ann.Bgp.Route.med <> None)
-  | None -> Alcotest.fail "no best"
+  QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+    (QCheck.Test.make ~name:"decision best = maximum of its key" ~count:300
+       QCheck.(
+         pair (option (int_bound 1000))
+           (list_of_size (Gen.int_range 0 8)
+              (triple (int_range 1 12) (oneofl [ 100; 200; 300 ]) (int_range 1 3))))
+       (fun (salt, candidates) ->
+         let entries = List.map (entry salt) candidates in
+         match (Bgp.Decision.best entries, entries) with
+         | None, [] -> true
+         | Some best, _ :: _ ->
+             List.for_all (fun e -> compare (key e) (key best) <= 0) entries
+         | _ -> false))
+
+let test_export_table () =
+  (* Every (learned from, sent to) pair of relationships, for a learned
+     and a locally originated route, plus no echo to the learning
+     neighbor. *)
+  let open Topology.Relationship in
+  let self = asn 100 and learned_from_asn = asn 7 and other = asn 8 in
+  let ann =
+    Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list [ asn 7; asn 9 ])
+  in
+  let learned rel =
+    Bgp.Route.make_entry ~ann ~neighbor:learned_from_asn ~rel ~local_pref:(local_pref rel)
+      ~learned_at:0.0 ()
+  in
+  let local =
+    Bgp.Route.local_entry_of
+      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list [ self ]))
+      ~self ~now:0.0
+  in
+  let allowed entry ~to_neighbor to_rel =
+    Bgp.Policy.export_allowed ~entry ~to_neighbor ~to_rel
+  in
+  (* (learned from, sent to, exported) *)
+  let table =
+    [
+      (Customer, Customer, true);
+      (Customer, Peer, true);
+      (Customer, Provider, true);
+      (Peer, Customer, true);
+      (Peer, Peer, false);
+      (Peer, Provider, false);
+      (Provider, Customer, true);
+      (Provider, Peer, false);
+      (Provider, Provider, false);
+    ]
+  in
+  List.iter
+    (fun (from_rel, to_rel, expected) ->
+      let name = Printf.sprintf "%s-learned to %s" (to_string from_rel) (to_string to_rel) in
+      Alcotest.(check bool) name expected (allowed (learned from_rel) ~to_neighbor:other to_rel);
+      Alcotest.(check bool) (name ^ ": no echo") false
+        (allowed (learned from_rel) ~to_neighbor:learned_from_asn to_rel))
+    table;
+  List.iter
+    (fun to_rel ->
+      Alcotest.(check bool) ("local to " ^ to_string to_rel) true
+        (allowed local ~to_neighbor:other to_rel))
+    [ Customer; Peer; Provider ];
+  (* The exported announcement prepends [self] to a learned route and
+     leaves a local one as originated. *)
+  let exported entry =
+    List.map Asn.to_int
+      (Bgp.As_path.to_list (Bgp.Policy.export_ann ~self ~entry).Bgp.Route.path)
+  in
+  Alcotest.(check (list int)) "learned route prepends self" [ 100; 7; 9 ]
+    (exported (learned Customer));
+  Alcotest.(check (list int)) "local route as originated" [ 100 ] (exported local)
 
 let test_isolation_with_silent_routers () =
   let w = fig2_world () in
@@ -238,9 +279,9 @@ let test_convergence_empty_inputs () =
 
 let suite =
   [
-    Alcotest.test_case "default route forwarding" `Quick test_default_route_forwarding;
-    Alcotest.test_case "sibling exports everything" `Quick test_sibling_exports_everything;
-    Alcotest.test_case "MED steering" `Quick test_med_steers_between_sessions;
+    Alcotest.test_case "no route without a RIB entry" `Quick test_no_route_without_rib_entry;
+    prop_decision_is_key_maximum;
+    Alcotest.test_case "export table" `Quick test_export_table;
     Alcotest.test_case "isolation with silent routers" `Quick test_isolation_with_silent_routers;
     Alcotest.test_case "isolation blames the failed link's side" `Quick
       test_isolation_blames_link_far_side;

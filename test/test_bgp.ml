@@ -182,7 +182,7 @@ let test_link_failure_control_plane () =
 let test_decision_prefers_customer () =
   let mk ~rel ~path ~neighbor =
     Bgp.Route.make_entry
-      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list path) ())
+      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list path))
       ~neighbor:(asn neighbor) ~rel
       ~local_pref:(Topology.Relationship.local_pref rel)
       ~learned_at:0.0 ()
@@ -200,26 +200,20 @@ let test_decision_prefers_customer () =
 
 let test_decision_tiebreaks () =
   let open Topology in
-  let mk ?med ~path ~neighbor () =
+  let mk ~path ~neighbor =
     Bgp.Route.make_entry
-      ~ann:(Bgp.Route.announcement ?med ~prefix:production ~path:(Bgp.As_path.of_list path) ())
+      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list path))
       ~neighbor:(asn neighbor) ~rel:Relationship.Provider ~local_pref:100
       ~learned_at:0.0 ()
   in
-  let short = mk ~path:[ asn 3; asn 9 ] ~neighbor:3 () in
-  let long = mk ~path:[ asn 4; asn 5; asn 9 ] ~neighbor:4 () in
+  let short = mk ~path:[ asn 3; asn 9 ] ~neighbor:3 in
+  let long = mk ~path:[ asn 4; asn 5; asn 9 ] ~neighbor:4 in
   (match Bgp.Decision.best [ long; short ] with
   | Some best -> Alcotest.(check int) "shorter path wins" 3 (Asn.to_int best.Bgp.Route.neighbor)
   | None -> Alcotest.fail "no best");
-  (* Same-length paths from the same neighbor AS: lower MED wins. *)
-  let med_low = mk ~med:5 ~path:[ asn 3; asn 9 ] ~neighbor:3 () in
-  let med_high = mk ~med:50 ~path:[ asn 3; asn 9 ] ~neighbor:6 () in
-  (match Bgp.Decision.best [ med_high; med_low ] with
-  | Some best -> Alcotest.(check int) "lower MED wins" 3 (Asn.to_int best.Bgp.Route.neighbor)
-  | None -> Alcotest.fail "no best");
-  (* Different first-hop AS: MED not compared, lowest neighbor wins. *)
-  let x = mk ~med:50 ~path:[ asn 3; asn 9 ] ~neighbor:3 () in
-  let y = mk ~med:5 ~path:[ asn 4; asn 9 ] ~neighbor:4 () in
+  (* Same preference and length, no salt: lowest neighbor ASN wins. *)
+  let x = mk ~path:[ asn 3; asn 9 ] ~neighbor:3 in
+  let y = mk ~path:[ asn 4; asn 9 ] ~neighbor:4 in
   match Bgp.Decision.best [ y; x ] with
   | Some best ->
       Alcotest.(check int) "lowest neighbor ASN tiebreak" 3 (Asn.to_int best.Bgp.Route.neighbor)
@@ -240,27 +234,6 @@ let test_as_path_constructors () =
   Alcotest.(check (list int)) "multi poison" [ 1; 7; 7; 1 ]
     (List.map Asn.to_int (Bgp.As_path.to_list m))
 
-let test_no_export_community () =
-  (* A route tagged NO_EXPORT must not leave the receiving AS. *)
-  let g = Topology.As_graph.create () in
-  let open Topology in
-  List.iter (fun n -> As_graph.add_as g (asn n)) [ 1; 2; 3 ];
-  let o' = asn 1 and b' = asn 2 and t' = asn 3 in
-  As_graph.add_link g ~a:o' ~b:b' ~rel:Relationship.Provider;
-  As_graph.add_link g ~a:b' ~b:t' ~rel:Relationship.Provider;
-  let w = world_of_graph g in
-  let sp = Bgp.Network.speaker w.net b' in
-  ignore sp;
-  (* Inject the announcement directly at B with NO_EXPORT. *)
-  let ann =
-    Bgp.Route.announcement ~communities:[ Bgp.Community.no_export ] ~prefix:production
-      ~path:(Bgp.As_path.of_list [ o' ]) ()
-  in
-  let out = Bgp.Speaker.receive (Bgp.Network.speaker w.net b') ~now:0.0 ~from:o' (Bgp.Speaker.Announce ann) in
-  Alcotest.(check int) "B exports nowhere" 0 (List.length out);
-  Alcotest.(check bool) "B itself keeps the route" true
-    (Bgp.Speaker.best (Bgp.Network.speaker w.net b') production <> None)
-
 let suite =
   [
     Alcotest.test_case "plain propagation" `Quick test_plain_propagation;
@@ -276,5 +249,4 @@ let suite =
     Alcotest.test_case "decision: relationships" `Quick test_decision_prefers_customer;
     Alcotest.test_case "decision: tiebreaks" `Quick test_decision_tiebreaks;
     Alcotest.test_case "as-path constructors" `Quick test_as_path_constructors;
-    Alcotest.test_case "no-export community" `Quick test_no_export_community;
   ]

@@ -215,8 +215,7 @@ let prop_decision_total_order =
         Bgp.Route.make_entry ~salt:7
           ~ann:
             (Bgp.Route.announcement ~prefix:production
-               ~path:(Bgp.As_path.of_list (List.init (1 + len) (fun i -> asn (500 + i))))
-               ())
+               ~path:(Bgp.As_path.of_list (List.init (1 + len) (fun i -> asn (500 + i)))))
           ~neighbor:(asn (1 + neighbor))
           ~rel
           ~local_pref:(Topology.Relationship.local_pref rel)
@@ -270,15 +269,14 @@ let test_flap_damping_suppresses_and_reuses () =
     ignore
       (Bgp.Speaker.receive speaker ~now ~from:(asn 200)
          (Bgp.Speaker.Announce
-            (Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list path) ())))
+            (Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list path))))
   in
   (* Also a stable candidate from the other neighbor. *)
   ignore
     (Bgp.Speaker.receive speaker ~now:0.0 ~from:(asn 201)
        (Bgp.Speaker.Announce
           (Bgp.Route.announcement ~prefix:production
-             ~path:(Bgp.As_path.of_list [ asn 201; asn 900; asn 901 ])
-             ())));
+             ~path:(Bgp.As_path.of_list [ asn 201; asn 900; asn 901 ]))));
   announce ~now:1.0 [ asn 200; asn 901; asn 900 ];
   (* Three changed announcements in quick succession: ~3000 penalty,
      over the 2000 suppression threshold (two would decay to ~1990);
@@ -316,8 +314,7 @@ let test_no_damping_without_config () =
       (Bgp.Speaker.receive speaker ~now:(float_of_int i) ~from:(asn 200)
          (Bgp.Speaker.Announce
             (Bgp.Route.announcement ~prefix:production
-               ~path:(Bgp.As_path.of_list [ asn 200; asn (900 + (i mod 2)) ])
-               ())))
+               ~path:(Bgp.As_path.of_list [ asn 200; asn (900 + (i mod 2)) ]))))
   done;
   Alcotest.(check (list int)) "nothing suppressed without damping" []
     (List.map Asn.to_int (Bgp.Speaker.suppressed_candidates speaker production));

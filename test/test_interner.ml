@@ -28,7 +28,7 @@ let test_intern_basics () =
 let test_intern_ann () =
   let s = Store.create () in
   let mk () =
-    Bgp.Route.announcement ~prefix:production ~path:(P.of_list [ asn 1; asn 2 ]) ()
+    Bgp.Route.announcement ~prefix:production ~path:(P.of_list [ asn 1; asn 2 ])
   in
   let a1 = Store.intern_ann s (mk ()) in
   let a2 = Store.intern_ann s (mk ()) in
@@ -56,7 +56,7 @@ let test_world_shares_paths () =
   check_path "E best is [A B O]" [ 30; 20; 10 ] (P.to_list at_e.Bgp.Route.path);
   Alcotest.(check bool) "E and F share one physical announcement" true (at_e == at_f);
   let fresh =
-    Bgp.Route.announcement ~prefix:production ~path:(P.of_list [ a; b; o ]) ()
+    Bgp.Route.announcement ~prefix:production ~path:(P.of_list [ a; b; o ])
   in
   Alcotest.(check bool) "a structural copy interns to the shared value" true
     (Store.intern_ann store fresh == at_e)

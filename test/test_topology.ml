@@ -192,7 +192,7 @@ let test_generator_determinism () =
 
 let prop_invert_involutive =
   let rel =
-    QCheck.oneofl [ Relationship.Customer; Relationship.Provider; Relationship.Peer; Relationship.Sibling ]
+    QCheck.oneofl [ Relationship.Customer; Relationship.Provider; Relationship.Peer ]
   in
   QCheck.Test.make ~name:"invert is an involution" ~count:50 rel (fun r ->
       Relationship.equal (Relationship.invert (Relationship.invert r)) r)
