@@ -787,11 +787,9 @@ let () =
   (match (efficacy, convergence, loss, selective, accuracy, scalability) with
   | Some e, Some c, Some l, Some sel, Some a, Some sc when wanted "table1" ->
       banner "Table 1: summary of key results";
-      let r =
-        Experiments.Tab1_summary.of_parts ~efficacy:e ~convergence:c ~loss:l ~selective:sel
-          ~accuracy:a ~scalability:sc
-      in
-      print_tables (Experiments.Tab1_summary.to_tables r)
+      print_tables
+        (Experiments.Tab1_summary.to_tables ~efficacy:e ~convergence:c ~loss:l ~selective:sel
+           ~accuracy:a ~scalability:sc)
   | _ -> ());
 
   let micro =

@@ -1,28 +1,12 @@
-(** Ablations of the design choices the paper motivates.
-
-    Three knobs, each varied in isolation on the same poisoning workload:
-
-    - {b Baseline prepending} (the §3.1.1 insight): poisoning from a plain
-      [O] baseline vs the [O-O-O] baseline. Measured by the share of
-      unaffected collector peers that reconverge instantly and the mean
-      updates per peer.
-    - {b MRAI}: the min-route-advertisement interval drives convergence
-      time; halving it speeds convergence at the cost of more updates.
-    - {b RIB-to-FIB install latency}: with slower FIB installs the data
-      plane lags the control plane longer, lengthening the window where
-      convergence can drop packets (§5.2's loss).
-
-    Each row reports medians over the same set of poisonings. *)
-
 open Net
 open Workloads
 
 type row = {
   label : string;
-  instant_unaffected : float;  (** Fraction of unaffected peers converging instantly. *)
+  instant_unaffected : float;
   mean_updates : float;
-  global_median : float;  (** Median global convergence time (s). *)
-  structural_loss : float;  (** Mean structural loss rate across poisonings. *)
+  global_median : float;
+  structural_loss : float;
 }
 
 type result = { rows : row list }
@@ -50,55 +34,33 @@ let measure ~label ~seed ~ases ~n ~mrai ~fib_install_delay ~prepend =
     ~per_neighbor:(fun _ -> Some baseline)
     ();
   Bgp.Network.run_until_quiet net;
-  let harvest = Scenarios.harvest_on_path_ases mux in
-  let rng = Prng.create ~seed:(seed + 9) in
-  let targets =
-    let arr = Array.of_list harvest in
-    Prng.shuffle rng arr;
-    Array.to_list (Array.sub arr 0 (min n (Array.length arr)))
-  in
+  let targets = Poisoning.targets mux ~rng:(Prng.create ~seed:(seed + 9)) ~n in
   let samplers = bed.Scenarios.vantage_points in
   let instants = ref [] and updates = ref [] and globals = ref [] and losses = ref [] in
   List.iter
     (fun target ->
-      Bgp.Network.announce net ~origin ~prefix:production
-        ~per_neighbor:(fun _ -> Some baseline)
-        ();
-      Bgp.Network.run_until_quiet net;
-      Scenarios.settle bed ~seconds:(2.0 *. mrai +. 60.0);
-      let affected =
-        List.fold_left
-          (fun acc peer ->
-            match Bgp.Network.best_route net peer production with
-            | Some e when Bgp.As_path.traverses ~origin ~target e.Bgp.Route.ann.Bgp.Route.path
-              ->
-                Asn.Set.add peer acc
-            | Some _ | None -> acc)
-          Asn.Set.empty mux.Scenarios.feeds
-      in
-      Bgp.Network.Collector.clear mux.Scenarios.collector;
-      let t0 = Sim.Engine.now engine in
       (* Sample the data plane every 2 s through convergence. *)
       let lost = ref 0 and total = ref 0 in
-      Sim.Engine.schedule_every engine ~every:2.0 ~until:(t0 +. 120.0) (fun _ ->
-          List.iter
-            (fun vp ->
-              incr total;
-              if
-                not
-                  (Dataplane.Forward.delivers net bed.Scenarios.failures ~src:vp
-                     ~dst:(Prefix.nth_address production 1))
-              then incr lost)
-            samplers;
-          `Continue);
-      Bgp.Network.announce net ~origin ~prefix:production
-        ~per_neighbor:(fun _ -> Some (Bgp.As_path.poisoned ~origin ~poison:target))
-        ();
-      Bgp.Network.run_until_quiet net;
-      Sim.Engine.run ~until:(t0 +. 121.0) engine;
+      let sample t0 =
+        Sim.Engine.schedule_every engine ~every:2.0 ~until:(t0 +. 120.0) (fun _ ->
+            List.iter
+              (fun vp ->
+                incr total;
+                if
+                  not
+                    (Dataplane.Forward.delivers net bed.Scenarios.failures ~src:vp
+                       ~dst:(Prefix.nth_address production 1))
+                then incr lost)
+              samplers;
+            `Continue)
+      in
+      let round =
+        Poisoning.round mux ~baseline ~settle:((2.0 *. mrai) +. 60.0) ~target ~sample
+      in
+      Sim.Engine.run ~until:(round.Poisoning.t0 +. 121.0) engine;
       let reports =
-        Bgp.Convergence.analyze mux.Scenarios.collector ~event_time:t0 ~prefix:production
-          ~affected:(fun p -> Asn.Set.mem p affected)
+        Bgp.Convergence.analyze mux.Scenarios.collector ~event_time:round.Poisoning.t0
+          ~prefix:production ~affected:round.Poisoning.affected
         |> List.filter (fun r -> r.Bgp.Convergence.has_final_route)
       in
       let unaffected = List.filter (fun r -> not r.Bgp.Convergence.affected) reports in
@@ -121,7 +83,7 @@ let measure ~label ~seed ~ases ~n ~mrai ~fib_install_delay ~prepend =
     structural_loss = mean !losses;
   }
 
-let run ?(ases = 200) ?(poisons = 8) ?(jobs = 1) ~seed () =
+let run ~ases ~poisons ~jobs ~seed () =
   (* [measure] already builds a fresh world per configuration, so each
      row is an independent trial for the pool. *)
   let m ~label ~mrai ~fib_install_delay ~prepend () =

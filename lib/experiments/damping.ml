@@ -1,23 +1,11 @@
-(** Route-flap damping vs. LIFEGUARD's announcement schedule.
-
-    The paper kept every experimental announcement in place for 90
-    minutes "to allow convergence and to avoid flap dampening effects"
-    (§5). This experiment shows why on a damping-enabled Internet:
-    cycling poison/unpoison announcements minutes apart accumulates
-    RFC 2439 penalties until routers suppress the production prefix
-    outright — self-inflicted unreachability — while the same cycles
-    spaced 90 minutes apart never trip suppression. *)
-
 open Net
 open Workloads
 
 type result = {
   ases : int;
   rapid_suppressors : int;
-      (** ASes holding a damped (suppressed) candidate after three
-          poison/unpoison cycles spaced 60 s apart. *)
-  rapid_cutoff : int;  (** ASes left with no production route at all. *)
-  spaced_suppressors : int;  (** Same after 90-minute spacing; expected 0. *)
+  rapid_cutoff : int;
+  spaced_suppressors : int;
   spaced_cutoff : int;
 }
 
@@ -28,8 +16,7 @@ let cycles mux ~spacing =
   let net = bed.Scenarios.net in
   let origin = mux.Scenarios.origin in
   let plan = mux.Scenarios.plan in
-  Lifeguard.Remediate.announce_baseline net plan;
-  Bgp.Network.run_until_quiet net;
+  Poisoning.converge_baseline mux;
   Scenarios.settle bed ~seconds:spacing;
   let target = List.hd (Scenarios.harvest_on_path_ases mux) in
   for _ = 1 to 3 do
@@ -57,7 +44,7 @@ let cycles mux ~spacing =
   in
   (List.length suppressors, List.length cutoff, List.length all)
 
-let run ?(ases = 150) ?(jobs = 1) ~seed () =
+let run ~ases ~jobs ~seed () =
   let damped_config _ =
     {
       Bgp.Policy.default with

@@ -1,12 +1,3 @@
-(** Figure 5: residual outage duration after X minutes have elapsed.
-
-    The paper's point: once an outage has survived a few minutes, it will
-    most likely survive several more — so spending ~5 minutes detecting
-    and isolating before poisoning still leaves most of the unavailability
-    on the table to be repaired. Key anchors: of outages lasting at least
-    5 minutes, 51% lasted at least 5 more; of those lasting 10, 68%
-    lasted at least 5 more. *)
-
 type point = {
   elapsed_min : float;
   survivors : int;
@@ -17,12 +8,9 @@ type point = {
 
 type result = {
   points : point list;
-  survival_5_plus_5 : float;  (** P(>= 10 min | >= 5 min); paper: 0.51. *)
-  survival_10_plus_5 : float;  (** P(>= 15 min | >= 10 min); paper: 0.68. *)
+  survival_5_plus_5 : float;
+  survival_10_plus_5 : float;
   repairable_share : float;
-      (** Unavailability in outages still alive 7 minutes in (5 min to
-          locate + 2 min convergence) — the "up to 80%" LIFEGUARD could
-          address. *)
 }
 
 let paper_survival_5_plus_5 = 0.51
@@ -31,7 +19,7 @@ let paper_repairable_share = 0.80
 
 let elapsed_grid = [ 0.; 1.; 2.; 3.; 5.; 7.; 10.; 15.; 20.; 25.; 30. ]
 
-let run ?(n = 10308) ~seed () =
+let run ~n ~seed () =
   let durations = Workloads.Outage_gen.durations ~seed ~n () in
   let points =
     List.filter_map

@@ -1,37 +1,16 @@
-(** Figure 6 and §5.2: convergence behaviour after poisoned announcements.
-
-    For each harvested AS the paper poisoned twice — once from a plain
-    baseline [O] and once from the prepended baseline [O-O-O] — and
-    measured, per route-collector peer, the time from its first update to
-    its stable post-poison route. Peers are split by whether they had been
-    routing through the poisoned AS ("change" vs "no change"). Anchors:
-    with prepending, >95% of unaffected peers converge instantly and 97%
-    make a single update; without prepending only ~70% converge instantly
-    and 64% make one update. Global convergence medians: 91 s with
-    prepending vs 133 s without. *)
-
-open Net
 open Workloads
 
-type series = {
-  label : string;
-  samples : float array;  (** Per-peer convergence times, seconds. *)
-  instant : float;  (** Fraction converging with a single first=last update. *)
-  single_update : float;
-  within_50s : float;
-}
+type series = { label : string; samples : float array; instant : float; single_update : float }
 
 type result = {
-  series : series list;  (** prepend/no-prepend x change/no-change. *)
+  series : series list;
   global_median_prepend : float;
   global_p90_prepend : float;
   global_median_noprepend : float;
   global_p90_noprepend : float;
   poisons : int;
   u_affected : float;
-      (** Mean loc-RIB changes per poisoning for routers that had been
-          routing via the poisoned AS; the paper's U = 2.03. *)
-  u_unaffected : float;  (** Same for the rest; paper: 1.07. *)
+  u_unaffected : float;
 }
 
 let paper =
@@ -51,42 +30,17 @@ let mk_series label reports =
     samples;
     instant = Bgp.Convergence.fraction_instant reports;
     single_update = Bgp.Convergence.fraction_single_update reports;
-    within_50s =
-      Stats.Descriptive.fraction (fun t -> t <= 50.0) samples;
   }
 
-(* One poisoning round: set the baseline, converge, snapshot who routes
-   through the target, poison, measure per-peer convergence from the
-   collector feed. *)
+(* One poisoning round, measured as per-peer convergence from the
+   collector feed. The paper spaced announcements 90 minutes apart to
+   avoid flap dampening; at minimum every MRAI window must expire so the
+   poison propagates like a fresh event. *)
 let poison_round mux ~baseline ~target =
-  let bed = mux.Scenarios.bed in
-  let net = bed.Scenarios.net in
-  let prefix = Scenarios.production_prefix in
-  let origin = mux.Scenarios.origin in
-  Bgp.Network.announce net ~origin ~prefix ~per_neighbor:(fun _ -> Some baseline) ();
-  Bgp.Network.run_until_quiet net;
-  (* The paper spaced announcements 90 minutes apart to avoid flap
-     dampening; at minimum every MRAI window must expire so the poison
-     propagates like a fresh event. *)
-  Scenarios.settle bed ~seconds:120.0;
-  let affected_set =
-    List.fold_left
-      (fun acc peer ->
-        match Bgp.Network.best_route net peer prefix with
-        | Some entry
-          when Bgp.As_path.traverses ~origin ~target entry.Bgp.Route.ann.Bgp.Route.path ->
-            Asn.Set.add peer acc
-        | Some _ | None -> acc)
-      Asn.Set.empty mux.Scenarios.feeds
-  in
-  Bgp.Network.Collector.clear mux.Scenarios.collector;
-  let event_time = Sim.Engine.now bed.Scenarios.engine in
-  let poisoned = Bgp.As_path.poisoned ~origin ~poison:target in
-  Bgp.Network.announce net ~origin ~prefix ~per_neighbor:(fun _ -> Some poisoned) ();
-  Bgp.Network.run_until_quiet net;
+  let round = Poisoning.round mux ~baseline ~settle:120.0 ~target ~sample:ignore in
   let reports =
-    Bgp.Convergence.analyze mux.Scenarios.collector ~event_time ~prefix
-      ~affected:(fun peer -> Asn.Set.mem peer affected_set)
+    Bgp.Convergence.analyze mux.Scenarios.collector ~event_time:round.Poisoning.t0
+      ~prefix:Scenarios.production_prefix ~affected:round.Poisoning.affected
   in
   (* Peers with no post-poison route (captives) are excluded, as in the
      paper's measurement. *)
@@ -104,20 +58,13 @@ let poison_round mux ~baseline ~target =
 let build_mux ~ases ~seed =
   Scenarios.bgpmux ~ases ~infrastructure:Scenarios.No_infrastructure ~seed ()
 
-let run ?(ases = 318) ?(max_poisons = 25) ?(jobs = 1) ~seed () =
+let run ~ases ~max_poisons ~jobs ~seed () =
   (* Scout world: announce the baseline once to harvest which ASes are on
      collector paths, i.e. worth poisoning. *)
   let targets, origin =
     let mux = build_mux ~ases ~seed in
-    let net = mux.Scenarios.bed.Scenarios.net in
-    Lifeguard.Remediate.announce_baseline net mux.Scenarios.plan;
-    Bgp.Network.run_until_quiet net;
-    let harvest = Scenarios.harvest_on_path_ases mux in
-    let rng = Prng.create ~seed:(seed + 2) in
-    let arr = Array.of_list harvest in
-    Prng.shuffle rng arr;
-    ( Array.to_list (Array.sub arr 0 (min max_poisons (Array.length arr))),
-      mux.Scenarios.origin )
+    Poisoning.converge_baseline mux;
+    (Poisoning.targets mux ~rng:(Prng.create ~seed:(seed + 2)) ~n:max_poisons, mux.Scenarios.origin)
   in
   let plain_baseline = Bgp.As_path.plain ~origin in
   let prepended_baseline = Bgp.As_path.prepended ~origin ~copies:3 in

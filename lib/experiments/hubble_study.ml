@@ -1,33 +1,23 @@
-(** A week of Hubble-style monitoring: deriving H(d) from first principles.
-
-    Table 2's load model rests on H(d), the daily rate of poisonable
-    outages lasting at least d minutes, which the paper takes from the
-    Hubble study [20] (anchored at d = 15) and extrapolates to d = 5 with
-    the EC2 duration distribution. Here the whole pipeline runs live: a
-    synthetic Internet, a Poisson process injecting silent failures with
-    calibrated durations, a {!Measurement.Hubble} monitor detecting and
-    classifying them, and H(d) read off the resulting incident ledger.
-    The interesting check is relative: the decay of H(d) with d should
-    match the ratios implied by Table 2 (H(5):H(15):H(60) ~ 2.85:1:0.42),
-    since the absolute rate just scales with the injection rate. *)
-
 open Workloads
 
 type result = {
   days : float;
   injected : int;
   detected : int;
-  partial : int;  (** Poisonable (some vantage points unaffected). *)
+  partial : int;
   h5 : float;
   h15 : float;
   h60 : float;
-  ratio_5_over_15 : float;  (** Paper-implied: ~2.85. *)
-  ratio_60_over_15 : float;  (** Paper-implied: ~0.42. *)
+  ratio_5_over_15 : float;
+  ratio_60_over_15 : float;
   probes : int;
 }
 
 let paper_ratio_5_over_15 = 783.0 /. 275.0
 let paper_ratio_60_over_15 = 115.0 /. 275.0
+
+(* Silent failures injected per simulated day. *)
+let failures_per_day = 18.0
 
 (* Monitoring probes run between the central site, the vantage points and
    the targets only, so shard worlds announce just those ASes'
@@ -46,7 +36,7 @@ type shard_result = {
    with its own PRNG. Incident rates merge linearly across shards (each
    shard's H(d) is a per-day rate over its own window), so a week shards
    into independent days. *)
-let run_shard ~ases ~days ~failures_per_day ~seed ~shard () =
+let run_shard ~ases ~days ~seed ~shard () =
   let bed =
     Scenarios.planetlab ~ases ~sites:14 ~target_count:20
       ~infrastructure:Scenarios.Sites ~seed ()
@@ -82,7 +72,7 @@ let run_shard ~ases ~days ~failures_per_day ~seed ~shard () =
     s_probes = Measurement.Hubble.probe_count hubble;
   }
 
-let run ?(ases = 200) ?(days = 7.0) ?(failures_per_day = 18.0) ?(jobs = 1) ~seed () =
+let run ~ases ~days ~jobs ~seed () =
   (* Shard the observation window into roughly one-day independent
      simulations — a decomposition fixed by [days], never by [jobs]. *)
   let shards = max 1 (int_of_float (ceil days)) in
@@ -90,7 +80,7 @@ let run ?(ases = 200) ?(days = 7.0) ?(failures_per_day = 18.0) ?(jobs = 1) ~seed
   let results =
     Runner.run_trials ~jobs
       (List.init shards (fun shard ->
-           run_shard ~ases ~days:shard_days ~failures_per_day ~seed ~shard))
+           run_shard ~ases ~days:shard_days ~seed ~shard))
   in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 results in
   (* Each shard's H(d) is a per-day rate over shard_days; equal windows

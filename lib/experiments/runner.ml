@@ -14,8 +14,6 @@
    one domain, so the delta is exact and deterministic even though other
    trials run concurrently on other domains. *)
 
-let default_jobs = Par.Pool.default_jobs
-
 let m_trials = Obs.Metrics.counter "runner.trials"
 let m_engine_events = Obs.Metrics.counter "sim.events"
 

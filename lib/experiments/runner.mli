@@ -9,9 +9,6 @@
     [~jobs]. The share-nothing contract on the closures is enforced
     statically by [lifeguard-lint] (rule [LG-DOM-MUT]). *)
 
-val default_jobs : unit -> int
-(** One worker per available core ({!Par.Pool.default_jobs}). *)
-
 val run_trials : jobs:int -> (unit -> 'a) list -> 'a list
 (** Run the closures on a fresh pool of [jobs] workers ([jobs <= 1] runs
     inline on the caller); results in submission order; the earliest

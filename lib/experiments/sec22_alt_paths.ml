@@ -1,32 +1,12 @@
-(** §2.2: do policy-compliant alternate paths exist during failures?
-
-    The paper ran traceroutes between all PlanetLab site pairs for a week
-    and, for each observed outage, tried to splice a working path from
-    the source with a working path into the destination, joining at a
-    shared hop and accepting the joint only if the three-AS subpath at
-    the splice point had been observed (a conservative stand-in for
-    export policies). Alternate paths existed for 49% of all outages and
-    83% of outages lasting at least an hour; 98% of alternates present in
-    a failure's first round persisted throughout.
-
-    We reproduce the pipeline: collect a mesh of AS paths between
-    vantage points, inject transit failures with durations from the
-    calibrated outage model, and splice around the AS where the failing
-    traceroute terminates. Longer outages are modeled as in the paper's
-    data by biasing long failures toward better-connected transit ASes
-    (core failures persist; edge flaps clear quickly). *)
-
 open Net
 open Workloads
 
 type result = {
   outages : int;
-  with_alternate : int;
-  fraction_all : float;  (** Paper: 0.49. *)
+  fraction_all : float;
   long_outages : int;
-  long_with_alternate : int;
-  fraction_long : float;  (** Paper: 0.83. *)
-  persistence : float;  (** Alternates present at start that persist; paper: 0.98. *)
+  fraction_long : float;
+  persistence : float;
 }
 
 let paper_fraction_all = 0.49
@@ -55,7 +35,7 @@ let mesh_paths bed =
         sites)
     sites
 
-let run ?(ases = 318) ?(outage_count = 400) ~seed () =
+let run ~ases ~outage_count ~seed () =
   let bed = Scenarios.planetlab ~ases ~sites:24 ~seed () in
   let rng = Prng.create ~seed:(seed + 4) in
   let paths = mesh_paths bed in
@@ -157,10 +137,8 @@ let run ?(ases = 318) ?(outage_count = 400) ~seed () =
   let frac a b = if b = 0 then 0.0 else float_of_int a /. float_of_int b in
   {
     outages = !outages;
-    with_alternate = !with_alt;
     fraction_all = frac !with_alt !outages;
     long_outages = !long_outages;
-    long_with_alternate = !long_with_alt;
     fraction_long = frac !long_with_alt !long_outages;
     persistence = frac !persisted !persistence_cases;
   }

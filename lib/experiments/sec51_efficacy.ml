@@ -1,25 +1,13 @@
-(** §5.1 Efficacy: do ASes find routes around a poisoned AS?
-
-    The paper announced prefixes via BGP-Mux, harvested the transit ASes
-    on collector-peer paths, poisoned each in turn, and watched whether
-    peers that had been routing through the poisoned AS found alternates:
-    77% did (two-thirds of the failures were peers captive behind their
-    only provider). A large-scale simulation over an AS topology predicted
-    alternate paths in 90% of 10M cases and agreed with the live
-    poisonings 92.5% of the time. *)
-
 open Net
 
 type result = {
   poisons_attempted : int;
-  cases : int;  (** (collector peer, poisoned AS) pairs with the peer routing via it. *)
-  rerouted : int;  (** Peer found a path avoiding the poisoned AS. *)
-  fraction_rerouted : float;  (** Paper: 0.77. *)
-  captive : int;  (** Cut-off peers that were captive (poisoned their only provider path). *)
-  sim_cases : int;
-  sim_with_alternate : int;
-  fraction_sim : float;  (** Paper: 0.90. *)
-  agreement : float;  (** Simulation prediction vs live poisoning outcome; paper: 0.925. *)
+  cases : int;
+  rerouted : int;
+  fraction_rerouted : float;
+  captive : int;
+  fraction_sim : float;
+  agreement : float;
 }
 
 let paper_fraction_rerouted = 0.77
@@ -39,13 +27,9 @@ let peer_route_contains mux peer target =
 
 (* Per-trial statistics for one poisoned AS, measured in the trial's own
    freshly built world. *)
-type trial_stats = {
-  t_cases : int;
-  t_rerouted : int;
-  t_captive : int;
-  t_agree : int;
-  t_live : int;
-}
+type trial_stats = { t_cases : int; t_rerouted : int; t_captive : int; t_agree : int }
+
+let no_stats = { t_cases = 0; t_rerouted = 0; t_captive = 0; t_agree = 0 }
 
 (* All measurement here is control-plane (collector RIBs + topology
    analysis), so trial worlds skip infrastructure announcement. *)
@@ -53,23 +37,18 @@ let build_mux ~ases ~seed =
   Workloads.Scenarios.bgpmux ~ases
     ~infrastructure:Workloads.Scenarios.No_infrastructure ~seed ()
 
-let announce_and_converge mux =
-  let net = mux.Workloads.Scenarios.bed.Workloads.Scenarios.net in
-  Lifeguard.Remediate.announce_baseline net mux.Workloads.Scenarios.plan;
-  Bgp.Network.run_until_quiet net
-
 let poison_trial ~ases ~seed target () =
   let mux = build_mux ~ases ~seed in
   let net = mux.Workloads.Scenarios.bed.Workloads.Scenarios.net in
   let graph = mux.Workloads.Scenarios.bed.Workloads.Scenarios.graph in
   let origin = mux.Workloads.Scenarios.origin in
-  announce_and_converge mux;
+  Poisoning.converge_baseline mux;
   let peers_via =
     List.filter
       (fun peer -> Option.value ~default:false (peer_route_contains mux peer target))
       mux.Workloads.Scenarios.feeds
   in
-  if peers_via = [] then { t_cases = 0; t_rerouted = 0; t_captive = 0; t_agree = 0; t_live = 0 }
+  if peers_via = [] then no_stats
   else begin
     Lifeguard.Remediate.poison net mux.Workloads.Scenarios.plan ~target;
     Bgp.Network.run_until_quiet net;
@@ -91,27 +70,19 @@ let poison_trial ~ases ~seed target () =
           t_rerouted = (acc.t_rerouted + if found then 1 else 0);
           t_captive = (acc.t_captive + if captive then 1 else 0);
           t_agree = (acc.t_agree + if predicted = found then 1 else 0);
-          t_live = acc.t_live + 1;
         })
-      { t_cases = 0; t_rerouted = 0; t_captive = 0; t_agree = 0; t_live = 0 }
-      peers_via
+      no_stats peers_via
   end
 
-let run ?(ases = 318) ?(max_poisons = 40) ?(jobs = 1) ~seed () =
+let run ~ases ~max_poisons ~jobs ~seed () =
   (* Scout world: harvest the poisoning targets and run the large-scale
      simulation part over the converged baseline. *)
   let mux = build_mux ~ases ~seed in
   let net = mux.Workloads.Scenarios.bed.Workloads.Scenarios.net in
   let graph = mux.Workloads.Scenarios.bed.Workloads.Scenarios.graph in
   let origin = mux.Workloads.Scenarios.origin in
-  announce_and_converge mux;
-  let harvest = Workloads.Scenarios.harvest_on_path_ases mux in
-  let rng = Prng.create ~seed:(seed + 1) in
-  let targets =
-    let arr = Array.of_list harvest in
-    Prng.shuffle rng arr;
-    Array.to_list (Array.sub arr 0 (min max_poisons (Array.length arr)))
-  in
+  Poisoning.converge_baseline mux;
+  let targets = Poisoning.targets mux ~rng:(Prng.create ~seed:(seed + 1)) ~n:max_poisons in
   (* Each poisoning runs in its own deterministic world, so the trial
      list is independent of [jobs] and results are bit-identical to a
      sequential run. *)
@@ -126,14 +97,9 @@ let run ?(ases = 318) ?(max_poisons = 40) ?(jobs = 1) ~seed () =
           t_rerouted = acc.t_rerouted + s.t_rerouted;
           t_captive = acc.t_captive + s.t_captive;
           t_agree = acc.t_agree + s.t_agree;
-          t_live = acc.t_live + s.t_live;
         })
-      { t_cases = 0; t_rerouted = 0; t_captive = 0; t_agree = 0; t_live = 0 }
-      stats
+      no_stats stats
   in
-  let cases = ref totals.t_cases and rerouted = ref totals.t_rerouted in
-  let captive = ref totals.t_captive in
-  let agree = ref totals.t_agree and live_cases = ref totals.t_live in
   (* Large-scale simulation: every transit AS on every feed path. *)
   let sim_cases = ref 0 and sim_alt = ref 0 in
   List.iter
@@ -160,14 +126,12 @@ let run ?(ases = 318) ?(max_poisons = 40) ?(jobs = 1) ~seed () =
   let fraction num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den in
   {
     poisons_attempted = List.length targets;
-    cases = !cases;
-    rerouted = !rerouted;
-    fraction_rerouted = fraction !rerouted !cases;
-    captive = !captive;
-    sim_cases = !sim_cases;
-    sim_with_alternate = !sim_alt;
+    cases = totals.t_cases;
+    rerouted = totals.t_rerouted;
+    fraction_rerouted = fraction totals.t_rerouted totals.t_cases;
+    captive = totals.t_captive;
     fraction_sim = fraction !sim_alt !sim_cases;
-    agreement = fraction !agree !live_cases;
+    agreement = fraction totals.t_agree totals.t_cases;
   }
 
 let to_tables r =

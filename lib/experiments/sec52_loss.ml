@@ -1,32 +1,12 @@
-(** §5.2: packet loss on working paths during poison-induced convergence.
-
-    The paper pinged ~300 PlanetLab sites from the poisoned prefix every
-    ten seconds across each poisoning; after 60% of poisonings the loss
-    rate during convergence was under 1%, after 98% under 2%, and only 2%
-    of poisonings had any 10-second round above 10% loss.
-
-    Reproduction notes. Two loss sources are modeled. {e Structural} loss
-    is what the simulator's data plane actually drops: forwarding through
-    an AS whose FIB lags its loc-RIB (RIB-to-FIB install latency), no
-    route, or a transient loop. With the prepended baseline this is close
-    to zero — the paper's central claim — because old paths keep
-    forwarding while announcements converge. {e Ambient} loss models the
-    low-grade background loss of real PlanetLab paths (the paper filtered
-    obvious unrelated problems but the sub-1% floor remains); it is drawn
-    per (site, poisoning) from a log-normal calibrated to a ~0.3% median.
-    The table reports the combined rates (comparable to the paper) and
-    the structural component alone. *)
-
 open Net
 open Workloads
 
 type result = {
   poisons : int;
-  loss_rates : float array;  (** Combined rate per poisoning. *)
-  structural_rates : float array;  (** Simulator-attributable loss only. *)
-  fraction_under_1pct : float;  (** Paper: 0.60. *)
-  fraction_under_2pct : float;  (** Paper: 0.98. *)
-  fraction_with_bad_round : float;  (** Rounds > 10% loss; paper: 0.02 of poisonings. *)
+  loss_rates : float array;
+  fraction_under_1pct : float;
+  fraction_under_2pct : float;
+  fraction_with_bad_round : float;
   max_structural : float;
 }
 
@@ -39,11 +19,6 @@ let loss_during_poisoning mux rng ~samplers ~target =
   let net = bed.Scenarios.net in
   let engine = bed.Scenarios.engine in
   let prefix = Scenarios.production_prefix in
-  let origin = mux.Scenarios.origin in
-  let baseline = Bgp.As_path.prepended ~origin ~copies:3 in
-  Bgp.Network.announce net ~origin ~prefix ~per_neighbor:(fun _ -> Some baseline) ();
-  Bgp.Network.run_until_quiet net;
-  Scenarios.settle bed ~seconds:120.0;
   let production_address = Prefix.nth_address prefix 1 in
   (* Per-site ambient loss for this poisoning: log-normal around 0.3%. *)
   let ambient =
@@ -53,24 +28,23 @@ let loss_during_poisoning mux rng ~samplers ~target =
       samplers
   in
   let ambient_of vp = List.assoc vp ambient in
-  let t0 = Sim.Engine.now engine in
   let horizon = 400.0 in
   let rounds : (float * Asn.t * bool * bool) list ref = ref [] in
-  Sim.Engine.schedule_every engine ~every:10.0 ~until:(t0 +. horizon) (fun now ->
-      List.iter
-        (fun vp ->
-          let delivered =
-            Dataplane.Forward.delivers net bed.Scenarios.failures ~src:vp
-              ~dst:production_address
-          in
-          let ambient_drop = Prng.bernoulli rng ~p:(ambient_of vp) in
-          rounds := (now, vp, delivered, ambient_drop) :: !rounds)
-        samplers;
-      `Continue);
-  Bgp.Network.Collector.clear mux.Scenarios.collector;
-  let poisoned = Bgp.As_path.poisoned ~origin ~poison:target in
-  Bgp.Network.announce net ~origin ~prefix ~per_neighbor:(fun _ -> Some poisoned) ();
-  Bgp.Network.run_until_quiet net;
+  let sample t0 =
+    Sim.Engine.schedule_every engine ~every:10.0 ~until:(t0 +. horizon) (fun now ->
+        List.iter
+          (fun vp ->
+            let delivered =
+              Dataplane.Forward.delivers net bed.Scenarios.failures ~src:vp
+                ~dst:production_address
+            in
+            let ambient_drop = Prng.bernoulli rng ~p:(ambient_of vp) in
+            rounds := (now, vp, delivered, ambient_drop) :: !rounds)
+          samplers;
+        `Continue)
+  in
+  let baseline = Bgp.As_path.prepended ~origin:mux.Scenarios.origin ~copies:3 in
+  let { Poisoning.t0; _ } = Poisoning.round mux ~baseline ~settle:120.0 ~target ~sample in
   Sim.Engine.run ~until:(t0 +. horizon +. 1.0) engine;
   let reports =
     Bgp.Convergence.analyze mux.Scenarios.collector ~event_time:t0 ~prefix
@@ -126,18 +100,12 @@ let build_mux ~ases ~seed =
   Scenarios.bgpmux ~ases ~fib_install_delay:6.0
     ~infrastructure:Scenarios.No_infrastructure ~seed ()
 
-let run ?(ases = 318) ?(max_poisons = 20) ?(jobs = 1) ~seed () =
+let run ~ases ~max_poisons ~jobs ~seed () =
   (* Scout world: harvest the poisoning targets. *)
   let targets =
     let mux = build_mux ~ases ~seed in
-    let net = mux.Scenarios.bed.Scenarios.net in
-    Lifeguard.Remediate.announce_baseline net mux.Scenarios.plan;
-    Bgp.Network.run_until_quiet net;
-    let harvest = Scenarios.harvest_on_path_ases mux in
-    let rng = Prng.create ~seed:(seed + 3) in
-    let arr = Array.of_list harvest in
-    Prng.shuffle rng arr;
-    Array.to_list (Array.sub arr 0 (min max_poisons (Array.length arr)))
+    Poisoning.converge_baseline mux;
+    Poisoning.targets mux ~rng:(Prng.create ~seed:(seed + 3)) ~n:max_poisons
   in
   (* One freshly built world per poisoning, each with its own PRNG keyed
      on (seed, trial index): trials share nothing and their outcomes
@@ -156,19 +124,16 @@ let run ?(ases = 318) ?(max_poisons = 20) ?(jobs = 1) ~seed () =
   in
   let outcomes = Runner.run_trials ~jobs (List.mapi trial targets) in
   let loss_rates = Array.of_list (List.map (fun (a, _, _) -> a) outcomes) in
-  let structural_rates = Array.of_list (List.map (fun (_, s, _) -> s) outcomes) in
   let frac pred = Stats.Descriptive.fraction pred loss_rates in
   {
     poisons = List.length targets;
     loss_rates;
-    structural_rates;
     fraction_under_1pct = frac (fun l -> l < 0.01);
     fraction_under_2pct = frac (fun l -> l < 0.02);
     fraction_with_bad_round =
       Stats.Descriptive.fraction_list (fun (_, _, bad) -> bad) outcomes;
-    max_structural =
-      (if Array.length structural_rates = 0 then 0.0
-       else snd (Stats.Descriptive.min_max structural_rates));
+    (* Rates are non-negative, so 0 is also the empty case's value. *)
+    max_structural = List.fold_left (fun acc (_, s, _) -> Float.max acc s) 0.0 outcomes;
   }
 
 let to_tables r =

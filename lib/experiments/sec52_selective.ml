@@ -1,26 +1,11 @@
-(** §5.2 and §2.3: selective poisoning and provider path diversity.
-
-    Reverse direction: announcing the poison through all muxes but one
-    shifts the target AS onto its other ingress without disturbing
-    anything else; the paper could steer 73% of the feed ASes off their
-    first-hop AS link while leaving them with a route. Forward direction:
-    with the same five university providers, silently failing the last AS
-    link before a destination could be routed around via a different
-    provider 90% of the time (§2.3). *)
-
 open Net
 open Workloads
 
 type result = {
   feeds_tested : int;
-  reverse_avoidable : int;
-  fraction_reverse : float;  (** Paper: 0.73. *)
-  forward_tested : int;
-  forward_avoidable : int;
-  fraction_forward : float;  (** Paper: 0.90. *)
+  fraction_reverse : float;
+  fraction_forward : float;
   undisturbed_ok : bool;
-      (** Sanity from the I2/WiscNet demo: peers not using the poisoned
-          AS keep their route under selective poisoning. *)
 }
 
 let paper_fraction_reverse = 0.73
@@ -83,32 +68,22 @@ let forward_avoidable_for mux ~dst =
            mux.Scenarios.providers)
   | _ -> None
 
-let announce_and_converge mux =
-  let net = mux.Scenarios.bed.Scenarios.net in
-  Lifeguard.Remediate.announce_baseline net mux.Scenarios.plan;
-  Bgp.Network.run_until_quiet net
-
-let run ?(ases = 318) ?(max_feeds = 40) ?(jobs = 1) ~seed () =
+let run ~ases ~max_feeds ~jobs ~seed () =
   (* Scout world (control-plane only): pick the feeds and run the
      undisturbed-peers sanity check. *)
   let mux =
     Scenarios.bgpmux ~ases ~infrastructure:Scenarios.No_infrastructure ~seed ()
   in
   let net = mux.Scenarios.bed.Scenarios.net in
-  announce_and_converge mux;
+  Poisoning.converge_baseline mux;
   (* Feed ASes that can be poisoned at all: transit or multi-homed, not
      the origin's own providers. *)
   let feeds =
     List.filter
       (fun f -> not (List.exists (Asn.equal f) mux.Scenarios.providers))
       mux.Scenarios.feeds
+    |> List.filteri (fun i _ -> i < max_feeds)
   in
-  let rec take n = function
-    | [] -> []
-    | _ when n = 0 -> []
-    | x :: rest -> x :: take (n - 1) rest
-  in
-  let feeds = take max_feeds feeds in
   (* Per-feed trial in its own world. The forward walk targets the feed's
      probe address, so only that feed's infrastructure prefix needs
      announcing; the reverse measurement is pure control plane. Forward
@@ -119,7 +94,7 @@ let run ?(ases = 318) ?(max_feeds = 40) ?(jobs = 1) ~seed () =
       Scenarios.bgpmux ~ases
         ~infrastructure:(Scenarios.Endpoints_only [ feed ]) ~seed ()
     in
-    announce_and_converge mux;
+    Poisoning.converge_baseline mux;
     let fwd = forward_avoidable_for mux ~dst:feed in
     let rev = reverse_avoidable_for mux ~peer:feed in
     (rev, fwd)
@@ -162,16 +137,13 @@ let run ?(ases = 318) ?(max_feeds = 40) ?(jobs = 1) ~seed () =
         ok
       end
   in
-  let count l = List.length (List.filter (fun x -> x) l) in
   let frac l =
-    if l = [] then 0.0 else float_of_int (count l) /. float_of_int (List.length l)
+    if l = [] then 0.0
+    else float_of_int (List.length (List.filter Fun.id l)) /. float_of_int (List.length l)
   in
   {
     feeds_tested = List.length reverse_results;
-    reverse_avoidable = count reverse_results;
     fraction_reverse = frac reverse_results;
-    forward_tested = List.length forward_results;
-    forward_avoidable = count forward_results;
     fraction_forward = frac forward_results;
     undisturbed_ok;
   }

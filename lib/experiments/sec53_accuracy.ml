@@ -1,24 +1,8 @@
-(** §5.3 Accuracy of failure isolation.
-
-    The paper evaluated LIFEGUARD on failures between PlanetLab hosts,
-    giving the system only its own vantage points and checking its
-    conclusion against traceroutes from the far side: consistent in
-    169/182 (93%) of isolated unidirectional failures. Separately, for
-    320 candidate outages, the system's location differed from what an
-    operator would conclude from traceroute alone 40% of the time.
-
-    Here the simulator gives exact ground truth — the injected failure —
-    so consistency is checked against it directly, which is strictly
-    harder than the paper's proxy. *)
-
 open Net
 open Workloads
 
 type case = {
-  direction_truth : Outage_gen.direction;
   diagnosis : Lifeguard.Isolation.diagnosis;
-  truth_location : Asn.t;
-  truth_far_side : Asn.t option;
   correct : bool;
   direction_correct : bool;
   traceroute_differs : bool;
@@ -28,9 +12,9 @@ type result = {
   cases : case list;
   isolated : int;
   consistent : int;
-  fraction_consistent : float;  (** Paper: 0.93. *)
+  fraction_consistent : float;
   fraction_direction_correct : float;
-  fraction_traceroute_differs : float;  (** Paper: 0.40. *)
+  fraction_traceroute_differs : float;
   mean_probes : float;
   mean_elapsed : float;
 }
@@ -115,10 +99,7 @@ let run_shard ~ases ~seed ~shard ~quota () =
         in
         cases :=
           {
-            direction_truth = shape.Outage_gen.direction;
             diagnosis;
-            truth_location = truth;
-            truth_far_side = far;
             correct;
             direction_correct;
             traceroute_differs;
@@ -127,7 +108,7 @@ let run_shard ~ases ~seed ~shard ~quota () =
   done;
   List.rev !cases
 
-let run ?(ases = 318) ?(failure_count = 120) ?(jobs = 1) ~seed () =
+let run ~ases ~failure_count ~jobs ~seed () =
   (* Distribute the quota over a fixed number of shards (never a function
      of [jobs]); each shard hunts its share of failures in its own
      world. *)

@@ -1,32 +1,20 @@
-(** §5.4 Scalability: atlas refresh cost and isolation overhead.
-
-    Paper figures: the reverse-path atlas refreshes an average (peak) of
-    225 (502) paths per minute within its probing budget, using an
-    amortized ~10 IP-option probes and ~2 forward traceroutes per path
-    (vs. 35 option probes for a from-scratch reverse traceroute); fault
-    isolation costs ~280 probe packets per outage and completes in 140 s
-    on average for reverse failures. *)
-
 open Workloads
 
 type result = {
   pairs_refreshed : int;
-  probes_total : int;
-  probes_per_path : float;  (** Paper: ~10 option probes + ~2 traceroutes. *)
-  paths_per_minute : float;  (** At the modeled probing budget; paper: 225 avg. *)
-  isolation_probes_mean : float;  (** Paper: ~280. *)
-  isolation_elapsed_mean : float;  (** Paper: 140 s. *)
+  probes_per_path : float;
+  paths_per_minute : float;
+  isolation_probes_mean : float;
+  isolation_elapsed_mean : float;
   rtr_scratch_mean : float;
-      (** Mean probes for a from-scratch reverse-traceroute measurement;
-          paper: ~35 option probes. *)
-  rtr_cached_mean : float;  (** With a cached path to confirm; paper: ~10. *)
+  rtr_cached_mean : float;
 }
 
 (* The deployment's sustainable probing budget (packets/s across the
    vantage-point pool), matching the scale of the paper's deployment. *)
 let probing_budget_pps = 150.0
 
-let run ?(ases = 318) ~seed ~accuracy:(acc : Sec53_accuracy.result) () =
+let run ~ases ~seed ~accuracy:(acc : Sec53_accuracy.result) () =
   let bed = Scenarios.planetlab ~ases ~sites:24 ~seed () in
   let atlas = Measurement.Atlas.create () in
   let sites = bed.Scenarios.vantage_points in
@@ -69,7 +57,6 @@ let run ?(ases = 318) ~seed ~accuracy:(acc : Sec53_accuracy.result) () =
   let mean l = if l = [] then 0.0 else Stats.Descriptive.mean (Array.of_list l) in
   {
     pairs_refreshed = pairs;
-    probes_total = probes;
     probes_per_path = per_path;
     paths_per_minute = probing_budget_pps *. 60.0 /. per_path;
     isolation_probes_mean = acc.Sec53_accuracy.mean_probes;

@@ -1,34 +1,19 @@
-(** §7.1 Poisoning anomalies: networks that bend the rules.
-
-    Two real-world quirks limited the paper's poisonings. Some ASes
-    disable or relax loop detection to run multi-site networks under one
-    ASN — best practice caps the occurrences of their own ASN instead
-    (AS286 accepts one), so inserting the ASN {e twice} still poisons
-    them. And some providers (Cogent) refuse customer announcements whose
-    path contains one of their tier-1 peers, so poisoning a tier-1
-    through such a provider does not propagate — but announcing through a
-    different provider worked, and 76% of collector peers still found
-    alternate paths.
-
-    The experiment builds an Internet where a fraction of transit ASes
-    relax loop detection and where one of the origin's providers applies
-    Cogent-style filtering, then measures exactly those effects. *)
-
 open Net
 open Topology
 
 type result = {
   relaxed_ases : int;
-  single_poison_ineffective : int;  (** Relaxed ASes that kept their route. *)
-  double_poison_effective : int;  (** ... and dropped it with the ASN doubled. *)
+  single_poison_ineffective : int;
+  double_poison_effective : int;
   tier1_poison_via_filter_reached : int;
-      (** Feeds with a route when the tier-1 poison goes via the filtering
-          provider (propagation suppressed along that branch). *)
-  tier1_poison_via_clean_reached : int;  (** Same, via a non-filtering provider. *)
+  tier1_poison_via_clean_reached : int;
   feeds : int;
 }
 
 let production = Workloads.Scenarios.production_prefix
+
+(* Share of tier-2/3 transit ASes that relax loop detection. *)
+let relaxed_fraction = 0.3
 
 type world = {
   w_net : Bgp.Network.t;
@@ -46,7 +31,7 @@ type world = {
    graph, quirk assignment and feed list. Everything measured here is
    control-plane state of the production prefix, so no infrastructure
    prefixes are announced. *)
-let build_world ~ases ~relaxed_fraction ~seed =
+let build_world ~ases ~seed =
   let rng = Prng.create ~seed in
   let gen = Topo_gen.generate ~params:(Topo_gen.sized ases) ~seed:(Prng.int rng 1000000) () in
   let graph = gen.Topo_gen.graph in
@@ -106,8 +91,8 @@ let baseline w =
 (* Loop-limit quirk for one relaxed AS, in a fresh world: does a single
    poison leave it routed, and does doubling the ASN then strip the
    route? Returns [None] when the AS holds no baseline route. *)
-let loop_trial ~ases ~relaxed_fraction ~seed target () =
-  let w = build_world ~ases ~relaxed_fraction ~seed in
+let loop_trial ~ases ~seed target () =
+  let w = build_world ~ases ~seed in
   baseline w;
   let net = w.w_net in
   if Option.is_none (Bgp.Network.best_route net target production) then None
@@ -128,8 +113,8 @@ let loop_trial ~ases ~relaxed_fraction ~seed target () =
 
 (* Cogent-style filtering: poison the tier-1 selectively via one provider
    (fresh world) and count feeds still holding any route. *)
-let tier1_trial ~ases ~relaxed_fraction ~seed ~via_filtering () =
-  let w = build_world ~ases ~relaxed_fraction ~seed in
+let tier1_trial ~ases ~seed ~via_filtering () =
+  let w = build_world ~ases ~seed in
   baseline w;
   let net = w.w_net in
   let via = if via_filtering then w.w_filtering_provider else w.w_clean_provider in
@@ -144,19 +129,19 @@ let tier1_trial ~ases ~relaxed_fraction ~seed ~via_filtering () =
 
 type outcome = Loop of (bool * bool) option | Tier1 of int
 
-let run ?(ases = 200) ?(relaxed_fraction = 0.3) ?(jobs = 1) ~seed () =
+let run ~ases ~jobs ~seed () =
   (* A throwaway scout world (no announcements, so cheap) fixes the
      relaxed and feed samples; the trial list depends only on them. *)
-  let scout = build_world ~ases ~relaxed_fraction ~seed in
+  let scout = build_world ~ases ~seed in
   let relaxed = scout.w_relaxed in
   let feeds = scout.w_feeds in
   let thunks =
     List.map
-      (fun target () -> Loop (loop_trial ~ases ~relaxed_fraction ~seed target ()))
+      (fun target () -> Loop (loop_trial ~ases ~seed target ()))
       relaxed
     @ [
-        (fun () -> Tier1 (tier1_trial ~ases ~relaxed_fraction ~seed ~via_filtering:true ()));
-        (fun () -> Tier1 (tier1_trial ~ases ~relaxed_fraction ~seed ~via_filtering:false ()));
+        (fun () -> Tier1 (tier1_trial ~ases ~seed ~via_filtering:true ()));
+        (fun () -> Tier1 (tier1_trial ~ases ~seed ~via_filtering:false ()));
       ]
   in
   let outcomes = Runner.run_trials ~jobs thunks in

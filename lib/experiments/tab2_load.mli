@@ -11,9 +11,6 @@ type result = {
       (** Relative to the 110K/day edge router, at I=0.1, T=1.0, d=15. *)
 }
 
-val paper_value : d:float -> t:float -> i:float -> float option
-(** The paper's cell for (d minutes, T, I), when the grid has one. *)
-
 val run : ?n:int -> seed:int -> unit -> result
 (** Regenerate the grid from [n] modeled outage durations (default the
     paper's 10,308). Deterministic in [seed]. *)

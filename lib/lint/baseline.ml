@@ -1,7 +1,8 @@
 (* The baseline grandfathers existing violations per (rule, file) COUNT
    rather than per line, so unrelated edits that shift line numbers do
-   not invalidate it; only introducing an additional violation of a rule
-   in a file (or in a new file) trips --check. *)
+   not invalidate it. Introducing an additional violation of a rule in a
+   file (or in a new file) trips --check, and so does fixing one without
+   lowering its count here. *)
 
 module M = Map.Make (String)
 
@@ -51,7 +52,7 @@ let save path t =
       output_string oc
         "# lifeguard-lint baseline: grandfathered violations as `RULE FILE COUNT`.\n\
          # Regenerate with: dune exec bin/lifeguard_lint.exe -- --update-baseline\n\
-         # Only *new* violations (count above baseline) fail `lifeguard_lint --check`.\n";
+         # `lifeguard_lint --check` fails on a count above the baseline, and on one below it.\n";
       M.iter (fun k c -> Printf.fprintf oc "%s %d\n" k c) t)
 
 type verdict = {

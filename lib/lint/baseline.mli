@@ -1,8 +1,9 @@
 (** The checked-in grandfather list ([lint.baseline]).
 
     Entries are per (rule, file) {e counts}, not per line, so unrelated
-    edits that shift line numbers never invalidate the baseline; only an
-    {e additional} violation of a rule in a file trips [--check]. *)
+    edits that shift line numbers never invalidate the baseline. An
+    {e additional} violation of a rule in a file trips [--check], and so
+    does a count that fell below its entry. *)
 
 type t
 
@@ -21,7 +22,8 @@ type verdict = {
           count now exceeds the baseline — these fail the build *)
   stale : (string * int * int) list;
       (** baseline keys whose count dropped below the grandfathered
-          number — a nudge to regenerate, never a failure *)
+          number — these fail [--check] too, until the baseline is
+          regenerated *)
 }
 
 val check : t -> Source_scan.violation list -> verdict

@@ -104,10 +104,11 @@ let run_check ?(format = Report.Text) ~oc ~baseline_path r =
       List.iter
         (fun (k, allowed, found) ->
           Printf.fprintf oc
-            "lifeguard-lint: note: %s improved (%d -> %d); consider --update-baseline\n" k
-            allowed found)
+            "lifeguard-lint: stale baseline entry %s: baseline allows %d, found %d; run \
+             --update-baseline\n"
+            k allowed found)
         verdict.Baseline.stale;
-      if verdict.Baseline.fresh <> [] then 1 else 0
+      if verdict.Baseline.fresh <> [] || verdict.Baseline.stale <> [] then 1 else 0
 
 (* The --effects table: one deterministic row per exported library
    definition. *)
@@ -146,7 +147,10 @@ let main ?(out = Format.std_formatter) argv =
   let dirs = ref [] in
   let spec =
     [
-      ("--check", Arg.Set check, " fail (exit 1) on violations not covered by the baseline");
+      ( "--check",
+        Arg.Set check,
+        " fail (exit 1) on violations not covered by the baseline, or on stale baseline entries"
+      );
       ("--update-baseline", Arg.Set update, " rewrite the baseline from the current tree");
       ( "--effects",
         Arg.Set effects,

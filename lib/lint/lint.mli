@@ -44,9 +44,11 @@ val effects_table : ?kind:Source_scan.file_kind -> dirs:string list -> unit -> s
 val run_check :
   ?format:Report.format -> oc:out_channel -> baseline_path:string -> report -> int
 (** Diff a report against a baseline file; print fresh violations and
-    staleness notes ([Report.Github] adds [::error] workflow commands);
-    return the process exit code (0 clean, 1 fresh violations, 2
-    unreadable baseline). *)
+    stale entries ([Report.Github] adds [::error] workflow commands for
+    fresh violations); return the process exit code (0 clean, 1 fresh
+    violations or a stale entry, 2 unreadable baseline). A stale entry
+    grandfathers more violations than the tree has, so the baseline can
+    only shrink in the change that fixes a violation. *)
 
 val main : ?out:Format.formatter -> string array -> int
 (** The CLI ([bin/lifeguard_lint]): returns the exit code. Informational

@@ -26,7 +26,6 @@ type t = {
   interval : float;
   fail_threshold : int;
   on_outage : outage -> unit;
-  on_recovery : outage -> unit;
   responsiveness : Responsiveness.t option;
   src_ip : Ipv4.t option;
   gate : (now:float -> cost:int -> bool) option;
@@ -58,11 +57,7 @@ let probe_target t state now =
   | Some db -> Responsiveness.note db state.address ~now ok
   | None -> ());
   if ok then begin
-    (match state.current with
-    | Some o ->
-        o.ended_at <- Some now;
-        t.on_recovery o
-    | None -> ());
+    (match state.current with Some o -> o.ended_at <- Some now | None -> ());
     state.current <- None;
     state.consecutive_failures <- 0
   end
@@ -88,7 +83,7 @@ let probe_target t state now =
 let default_fail_threshold = 4
 
 let create ~env ~engine ?(interval = 30.0) ?(fail_threshold = default_fail_threshold)
-    ?(on_outage = ignore) ?(on_recovery = ignore) ?responsiveness ?src_ip ?gate ?loss ~vp
+    ?(on_outage = ignore) ?responsiveness ?src_ip ?gate ?loss ~vp
     ~targets () =
   if interval <= 0.0 then invalid_arg "Monitor.create: interval must be positive";
   if fail_threshold < 1 then invalid_arg "Monitor.create: threshold must be >= 1";
@@ -99,7 +94,6 @@ let create ~env ~engine ?(interval = 30.0) ?(fail_threshold = default_fail_thres
       interval;
       fail_threshold;
       on_outage;
-      on_recovery;
       responsiveness;
       src_ip;
       gate;

@@ -34,7 +34,6 @@ val create :
   ?interval:float ->
   ?fail_threshold:int ->
   ?on_outage:(outage -> unit) ->
-  ?on_recovery:(outage -> unit) ->
   ?responsiveness:Responsiveness.t ->
   ?src_ip:Ipv4.t ->
   ?gate:(now:float -> cost:int -> bool) ->

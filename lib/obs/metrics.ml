@@ -17,15 +17,15 @@ let enable () = Atomic.set enabled true
 let disable () = Atomic.set enabled false
 let on () = Atomic.get enabled
 
-(* Registry: name -> id per metric family, plus histogram bucket bounds.
-   All access is under [lock]; ids are assigned densely in registration
-   order and double as shard array indices. *)
+(* Registry: name -> id per metric family. All access is under [lock];
+   ids are assigned densely in registration order and double as shard
+   array indices. *)
 let counter_ids : (string, int) Hashtbl.t = Hashtbl.create 32
 let gauge_ids : (string, int) Hashtbl.t = Hashtbl.create 16
 let hist_ids : (string, int) Hashtbl.t = Hashtbl.create 16
-let hist_bounds : (int, float array) Hashtbl.t = Hashtbl.create 16
 
-let default_bounds = [| 0.001; 0.01; 0.1; 1.0; 10.0; 100.0; 1000.0 |]
+(* Every histogram buckets by decades from 1 ms to 1000 s. *)
+let bounds = [| 0.001; 0.01; 0.1; 1.0; 10.0; 100.0; 1000.0 |]
 
 let intern tbl name =
   Mutex.lock lock;
@@ -43,37 +43,19 @@ let intern tbl name =
 let counter name = intern counter_ids name
 let gauge name = intern gauge_ids name
 
-let histogram ?bounds name =
-  Mutex.lock lock;
-  let id =
-    match Hashtbl.find_opt hist_ids name with
-    | Some id -> id
-    | None ->
-        let id = Hashtbl.length hist_ids in
-        Hashtbl.replace hist_ids name id;
-        let bounds =
-          match bounds with
-          | Some b -> Array.copy b
-          | None -> default_bounds
-        in
-        Hashtbl.replace hist_bounds id bounds;
-        id
-  in
-  Mutex.unlock lock;
-  id
+let histogram name = intern hist_ids name
 
 type shard = {
   mutable c : int array;  (* counter id -> count *)
   mutable g : int array;  (* gauge id -> high-watermark *)
   mutable h : int array array;  (* hist id -> bucket counts (bounds+1) *)
-  mutable hb : float array array;  (* hist id -> cached bucket bounds *)
 }
 
 let shards : shard list ref = ref []
 
 let shard_key : shard Domain.DLS.key =
   Domain.DLS.new_key (fun () ->
-      let s = { c = [||]; g = [||]; h = [||]; hb = [||] } in
+      let s = { c = [||]; g = [||]; h = [||] } in
       Mutex.lock lock;
       shards := s :: !shards;
       Mutex.unlock lock;
@@ -100,7 +82,7 @@ let observe_max g v =
     if v > Array.unsafe_get s.g g then Array.unsafe_set s.g g v
   end
 
-let bucket_of bounds v =
+let bucket_of v =
   let n = Array.length bounds in
   let i = ref 0 in
   while !i < n && v > Array.unsafe_get bounds !i do Stdlib.incr i done;
@@ -112,22 +94,11 @@ let observe h v =
     if h >= Array.length s.h then begin
       let bigger = Array.make (max (h + 1) (2 * Array.length s.h + 4)) [||] in
       Array.blit s.h 0 bigger 0 (Array.length s.h);
-      s.h <- bigger;
-      let bb = Array.make (Array.length bigger) [||] in
-      Array.blit s.hb 0 bb 0 (Array.length s.hb);
-      s.hb <- bb
+      s.h <- bigger
     end;
-    if Array.length s.h.(h) = 0 then begin
-      (* First observation on this domain: cache the registered bounds
-         and size the row (registration is rare; take the lock once). *)
-      Mutex.lock lock;
-      let bounds = Hashtbl.find hist_bounds h in
-      Mutex.unlock lock;
-      s.hb.(h) <- bounds;
-      s.h.(h) <- Array.make (Array.length bounds + 1) 0
-    end;
+    if Array.length s.h.(h) = 0 then s.h.(h) <- Array.make (Array.length bounds + 1) 0;
     let row = s.h.(h) in
-    let b = bucket_of s.hb.(h) v in
+    let b = bucket_of v in
     Array.unsafe_set row b (Array.unsafe_get row b + 1)
   end
 
@@ -180,7 +151,6 @@ let snapshot () =
   let hists =
     List.map
       (fun (name, id) ->
-        let bounds = Hashtbl.find hist_bounds id in
         let counts = Array.make (Array.length bounds + 1) 0 in
         List.iter
           (fun s ->

@@ -50,12 +50,10 @@ val counter : string -> counter
 val gauge : string -> gauge
 (** Intern a max-gauge by name. *)
 
-val histogram : ?bounds:float array -> string -> histogram
-(** Intern a histogram by name. [bounds] are inclusive upper bounds of
-    the buckets, strictly increasing; an implicit overflow bucket catches
-    everything above the last bound. Bounds are fixed at first creation;
-    later calls with the same name reuse the original definition. The
-    default bounds are decades from 1 ms to 1000 s. *)
+val histogram : string -> histogram
+(** Intern a histogram by name. Its buckets are decades from 1 ms to
+    1000 s, each an inclusive upper bound; an implicit overflow bucket
+    catches everything above the last bound. *)
 
 val incr : counter -> unit
 (** Add 1. No-op (one flag read) when disabled. *)
@@ -77,7 +75,7 @@ val local_value : counter -> int
 
 type hist_row = {
   hname : string;
-  bounds : float array;  (** Upper bounds, as registered. *)
+  bounds : float array;  (** Upper bounds of the buckets. *)
   counts : int array;  (** Per-bucket counts; length = bounds + 1 (overflow). *)
   total : int;
 }

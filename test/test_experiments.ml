@@ -44,7 +44,7 @@ let test_tab2 () =
   ignore (Experiments.Tab2_load.to_tables r)
 
 let test_efficacy () =
-  let r = Experiments.Sec51_efficacy.run ~ases:150 ~max_poisons:10 ~seed:42 () in
+  let r = Experiments.Sec51_efficacy.run ~ases:150 ~max_poisons:10 ~jobs:1 ~seed:42 () in
   Alcotest.(check bool) "some poisonings observed" true (r.Experiments.Sec51_efficacy.cases > 0);
   Alcotest.(check bool) "fractions in unit range" true
     (in_unit r.Experiments.Sec51_efficacy.fraction_rerouted
@@ -54,7 +54,7 @@ let test_efficacy () =
   ignore (Experiments.Sec51_efficacy.to_tables r)
 
 let test_fig6 () =
-  let r = Experiments.Fig6_convergence.run ~ases:150 ~max_poisons:6 ~seed:42 () in
+  let r = Experiments.Fig6_convergence.run ~ases:150 ~max_poisons:6 ~jobs:1 ~seed:42 () in
   let find label =
     List.find (fun s -> s.Experiments.Fig6_convergence.label = label)
       r.Experiments.Fig6_convergence.series
@@ -89,7 +89,7 @@ let test_case_study () =
   ignore (Experiments.Case_study.to_tables r)
 
 let test_accuracy_small () =
-  let r = Experiments.Sec53_accuracy.run ~ases:150 ~failure_count:25 ~seed:42 () in
+  let r = Experiments.Sec53_accuracy.run ~ases:150 ~failure_count:25 ~jobs:1 ~seed:42 () in
   Alcotest.(check bool) "isolates most failures" true (r.Experiments.Sec53_accuracy.isolated > 10);
   Alcotest.(check bool) "consistency is high" true
     (r.Experiments.Sec53_accuracy.fraction_consistent > 0.7);
@@ -129,7 +129,7 @@ let test_sentinel_variants () =
   ignore (Experiments.Sec72_sentinel.to_tables r)
 
 let test_anomalies () =
-  let r = Experiments.Sec71_anomalies.run ~ases:120 ~seed:42 () in
+  let r = Experiments.Sec71_anomalies.run ~ases:120 ~jobs:1 ~seed:42 () in
   Alcotest.(check bool) "some relaxed ASes probed" true
     (r.Experiments.Sec71_anomalies.relaxed_ases > 0);
   Alcotest.(check int) "single poison never takes on relaxed ASes"
@@ -144,7 +144,7 @@ let test_anomalies () =
   ignore (Experiments.Sec71_anomalies.to_tables r)
 
 let test_ablation () =
-  let r = Experiments.Ablation.run ~ases:120 ~poisons:4 ~seed:42 () in
+  let r = Experiments.Ablation.run ~ases:120 ~poisons:4 ~jobs:1 ~seed:42 () in
   let find label =
     List.find (fun row -> row.Experiments.Ablation.label = label) r.Experiments.Ablation.rows
   in
@@ -161,7 +161,7 @@ let test_ablation () =
   ignore (Experiments.Ablation.to_tables r)
 
 let test_hubble () =
-  let r = Experiments.Hubble_study.run ~ases:120 ~days:2.0 ~failures_per_day:20.0 ~seed:42 () in
+  let r = Experiments.Hubble_study.run ~ases:120 ~days:2.0 ~jobs:1 ~seed:42 () in
   Alcotest.(check bool) "failures injected" true (r.Experiments.Hubble_study.injected > 10);
   Alcotest.(check bool) "incidents detected" true (r.Experiments.Hubble_study.detected > 0);
   Alcotest.(check bool) "H(d) decreasing in d" true
@@ -170,7 +170,7 @@ let test_hubble () =
   ignore (Experiments.Hubble_study.to_tables r)
 
 let test_damping () =
-  let r = Experiments.Damping.run ~ases:120 ~seed:42 () in
+  let r = Experiments.Damping.run ~ases:120 ~jobs:1 ~seed:42 () in
   Alcotest.(check bool) "rapid flapping trips suppression" true
     (r.Experiments.Damping.rapid_suppressors > 0);
   Alcotest.(check int) "spaced announcements never do" 0

@@ -109,7 +109,7 @@ let test_baseline_semantics () =
   Alcotest.(check bool) "empty baseline flags everything" true
     (List.length fresh.Baseline.fresh > 0);
   let stale = Baseline.check base [] in
-  Alcotest.(check bool) "fixed violations reported stale, not fatal" true
+  Alcotest.(check bool) "fixed violations reported stale, not fresh" true
     (List.length stale.Baseline.stale > 0 && List.length stale.Baseline.fresh = 0)
 
 let test_check_exit_codes () =
@@ -123,6 +123,21 @@ let test_check_exit_codes () =
       Alcotest.(check int) "--update-baseline is 0" 0
         (run [ "--update-baseline"; "--treat-as-lib"; "--baseline"; tmp; "lint_fixtures" ]);
       Alcotest.(check int) "--check is 0 once grandfathered" 0
+        (run [ "--check"; "--treat-as-lib"; "--baseline"; tmp; "lint_fixtures" ]))
+
+(* A baseline entry above what the tree has must be lowered in the same
+   change that fixed the violation, so --check refuses it. *)
+let test_check_stale_baseline () =
+  let tmp = Filename.temp_file "lint_baseline" ".txt" in
+  Fun.protect
+    ~finally:(fun () -> try Sys.remove tmp with Sys_error _ -> ())
+    (fun () ->
+      let run args = Lint.main (Array.of_list ("lifeguard_lint" :: args)) in
+      ignore (run [ "--update-baseline"; "--treat-as-lib"; "--baseline"; tmp; "lint_fixtures" ]);
+      let oc = open_out_gen [ Open_append ] 0o644 tmp in
+      output_string oc "LG-MLI-MISSING lint_fixtures/fixed.ml 1\n";
+      close_out oc;
+      Alcotest.(check int) "--check is 1 on a stale baseline entry" 1
         (run [ "--check"; "--treat-as-lib"; "--baseline"; tmp; "lint_fixtures" ]))
 
 (* ---------------- interprocedural effect analysis ------------------- *)
@@ -301,6 +316,7 @@ let suite =
     Alcotest.test_case "mli fixtures" `Quick test_mli_fixtures;
     Alcotest.test_case "baseline semantics" `Quick test_baseline_semantics;
     Alcotest.test_case "check exit codes" `Quick test_check_exit_codes;
+    Alcotest.test_case "check refuses a stale baseline" `Quick test_check_stale_baseline;
     Alcotest.test_case "effect fixtures (LG-EFF-*)" `Quick test_eff_fixtures;
     Alcotest.test_case "planner purity fixtures (LG-PLAN-STALE)" `Quick test_plan_fixtures;
     Alcotest.test_case "real planner certified pure" `Quick test_real_planner_pure;

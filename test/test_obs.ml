@@ -85,12 +85,12 @@ let test_merge_across_domains () =
   Obs.Metrics.enable ();
   let c = Obs.Metrics.counter "test.merge.c" in
   let g = Obs.Metrics.gauge "test.merge.g" in
-  let h = Obs.Metrics.histogram ~bounds:[| 1.0; 10.0 |] "test.merge.h" in
+  let h = Obs.Metrics.histogram "test.merge.h" in
   let work k () =
     for i = 1 to 1000 do
       Obs.Metrics.incr c;
       Obs.Metrics.observe_max g ((k * 1000) + i);
-      Obs.Metrics.observe h (float_of_int (i mod 20))
+      Obs.Metrics.observe h (100.0 *. float_of_int (i mod 20))
     done
   in
   List.iter Domain.join (List.init 4 (fun k -> Domain.spawn (work (k + 1))));
@@ -116,13 +116,16 @@ let test_merge_across_domains () =
   Alcotest.(check int) "hist total merged" 4000 hp.Obs.Metrics.total;
   Alcotest.(check (array int)) "hist buckets merged equal sequential"
     hs.Obs.Metrics.counts hp.Obs.Metrics.counts;
-  (* Values 0..19 evenly: 10% fall in <=1, 45% in <=10, 45% overflow. *)
+  (* Values 0, 100, ..., 1900 evenly over the decade buckets: 10% fall
+     in <=100, 45% in <=1000, 45% overflow. *)
   let quantile q = Obs.Metrics.quantile hp q in
-  Alcotest.(check (option (float 0.))) "p10 at the first bound" (Some 1.0) (quantile 0.1);
-  Alcotest.(check (option (float 0.))) "p50 in the second bucket" (Some 10.0) (quantile 0.5);
+  Alcotest.(check (option (float 0.))) "p10 at the 100 s bound" (Some 100.0) (quantile 0.1);
+  Alcotest.(check (option (float 0.))) "p50 in the last bucket" (Some 1000.0) (quantile 0.5);
   Alcotest.(check (option (float 0.))) "p90 overflows" (Some infinity) (quantile 0.9);
   Alcotest.(check (option (float 0.))) "empty histogram" None
-    (Obs.Metrics.quantile { hp with Obs.Metrics.counts = [| 0; 0; 0 |]; total = 0 } 0.5);
+    (Obs.Metrics.quantile
+       { hp with Obs.Metrics.counts = Array.map (fun _ -> 0) hp.Obs.Metrics.counts; total = 0 }
+       0.5);
   reset_obs ()
 
 (* ---- golden: traced fig6 event counts are --jobs invariant ---- *)
