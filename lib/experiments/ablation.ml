@@ -14,14 +14,11 @@ type result = { rows : row list }
 let production = Scenarios.production_prefix
 
 (* One configuration: build a fresh mux world and poison [n] targets,
-   measuring convergence and data-plane loss. *)
+   measuring convergence and data-plane loss. Data-plane sampling only
+   targets the production prefix, so the world needs no infrastructure
+   prefixes. *)
 let measure ~label ~seed ~ases ~n ~mrai ~fib_install_delay ~prepend =
-  (* Data-plane sampling only targets the production prefix, so the
-     world needs no infrastructure prefixes. *)
-  let mux =
-    Scenarios.bgpmux ~ases ~mrai ~fib_install_delay
-      ~infrastructure:Scenarios.No_infrastructure ~seed ()
-  in
+  let mux = Poisoning.mux ~ases ~mrai ~fib_install_delay ~seed () in
   let bed = mux.Scenarios.bed in
   let net = bed.Scenarios.net in
   let engine = bed.Scenarios.engine in
@@ -30,10 +27,7 @@ let measure ~label ~seed ~ases ~n ~mrai ~fib_install_delay ~prepend =
     if prepend then Bgp.As_path.prepended ~origin ~copies:3
     else Bgp.As_path.plain ~origin
   in
-  Bgp.Network.announce net ~origin ~prefix:production
-    ~per_neighbor:(fun _ -> Some baseline)
-    ();
-  Bgp.Network.run_until_quiet net;
+  Poisoning.announce mux baseline;
   let targets = Poisoning.targets mux ~rng:(Prng.create ~seed:(seed + 9)) ~n in
   let samplers = bed.Scenarios.vantage_points in
   let instants = ref [] and updates = ref [] and globals = ref [] and losses = ref [] in
@@ -54,9 +48,10 @@ let measure ~label ~seed ~ases ~n ~mrai ~fib_install_delay ~prepend =
               samplers;
             `Continue)
       in
-      let round =
-        Poisoning.round mux ~baseline ~settle:((2.0 *. mrai) +. 60.0) ~target ~sample
-      in
+      (* One world serves every target, so each round first restores the
+         baseline the previous poison replaced. *)
+      Poisoning.announce mux baseline;
+      let round = Poisoning.round mux ~settle:((2.0 *. mrai) +. 60.0) ~target ~sample in
       Sim.Engine.run ~until:(round.Poisoning.t0 +. 121.0) engine;
       let reports =
         Bgp.Convergence.analyze mux.Scenarios.collector ~event_time:round.Poisoning.t0

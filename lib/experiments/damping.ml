@@ -56,9 +56,7 @@ let run ~ases ~jobs ~seed () =
      prefix, so neither the scaffold mux nor the damped rebuild needs
      infrastructure prefixes. *)
   let build () =
-    let mux =
-      Scenarios.bgpmux ~ases ~infrastructure:Scenarios.No_infrastructure ~seed ()
-    in
+    let mux = Poisoning.mux ~ases ~seed () in
     (* Rebuild the network with damping enabled everywhere. *)
     let graph = mux.Scenarios.bed.Scenarios.graph in
     let engine = Sim.Engine.create () in

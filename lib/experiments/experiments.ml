@@ -6,6 +6,7 @@
     ([bin/lifeguard_cli]) runs them individually. *)
 
 module Runner = Runner
+module Poisoning = Poisoning
 module Fig1_durations = Fig1_durations
 module Fig5_residual = Fig5_residual
 module Sec22_alt_paths = Sec22_alt_paths

@@ -5,10 +5,12 @@
     benchmark harness ([bench/main.exe]) runs them all; the CLI
     ([bin/lifeguard_cli]) runs them individually. This interface exists
     to pin the library surface to exactly these drivers (plus
-    {!Runner} and the [--metrics] summary {!Metrics_report}); helper
+    {!Runner}, the §5 poisoning procedure the drivers share
+    ({!Poisoning}) and the [--metrics] summary {!Metrics_report}); helper
     modules stay internal. *)
 
 module Runner = Runner
+module Poisoning = Poisoning
 module Fig1_durations = Fig1_durations
 module Fig5_residual = Fig5_residual
 module Sec22_alt_paths = Sec22_alt_paths

@@ -36,8 +36,8 @@ let mk_series label reports =
    collector feed. The paper spaced announcements 90 minutes apart to
    avoid flap dampening; at minimum every MRAI window must expire so the
    poison propagates like a fresh event. *)
-let poison_round mux ~baseline ~target =
-  let round = Poisoning.round mux ~baseline ~settle:120.0 ~target ~sample:ignore in
+let poison_round mux ~target =
+  let round = Poisoning.round mux ~settle:120.0 ~target ~sample:ignore in
   let reports =
     Bgp.Convergence.analyze mux.Scenarios.collector ~event_time:round.Poisoning.t0
       ~prefix:Scenarios.production_prefix ~affected:round.Poisoning.affected
@@ -48,32 +48,27 @@ let poison_round mux ~baseline ~target =
   let global = Bgp.Convergence.global_convergence_time reports in
   (reports, global)
 
-(* The experiment is embarrassingly parallel: each (baseline, target)
-   poisoning is measured in its own freshly built world — own topology,
-   engine, network and collector, rebuilt deterministically from the
-   seed — so trials share nothing and the trial list is a pure function
-   of the parameters, never of [jobs]. The control plane does all the
-   measuring here, so trial worlds skip infrastructure announcement
-   entirely. *)
-let build_mux ~ases ~seed =
-  Scenarios.bgpmux ~ases ~infrastructure:Scenarios.No_infrastructure ~seed ()
-
 let run ~ases ~max_poisons ~jobs ~seed () =
   (* Scout world: announce the baseline once to harvest which ASes are on
      collector paths, i.e. worth poisoning. *)
-  let targets, origin =
-    let mux = build_mux ~ases ~seed in
+  let targets =
+    let mux = Poisoning.mux ~ases ~seed () in
     Poisoning.converge_baseline mux;
-    (Poisoning.targets mux ~rng:(Prng.create ~seed:(seed + 2)) ~n:max_poisons, mux.Scenarios.origin)
+    Poisoning.targets mux ~rng:(Prng.create ~seed:(seed + 2)) ~n:max_poisons
   in
-  let plain_baseline = Bgp.As_path.plain ~origin in
-  let prepended_baseline = Bgp.As_path.prepended ~origin ~copies:3 in
-  let trial baseline target () =
-    poison_round (build_mux ~ases ~seed) ~baseline ~target
+  (* The experiment is embarrassingly parallel: each (baseline, target)
+     poisoning is measured in its own world, forked from a template of
+     the world with that baseline announced and converged, so trials
+     share nothing and the trial list is a pure function of the
+     parameters, never of [jobs]. *)
+  let trials baseline =
+    let template = Poisoning.template ~ases ~seed ~baseline () in
+    List.map (fun target () -> poison_round (Template.fork template) ~target) targets
   in
-  let trials baseline = List.map (fun t -> trial baseline t) targets in
   let outcomes =
-    Runner.run_trials ~jobs (trials prepended_baseline @ trials plain_baseline)
+    Runner.run_trials ~jobs
+      (trials (fun origin -> Bgp.As_path.prepended ~origin ~copies:3)
+      @ trials (fun origin -> Bgp.As_path.plain ~origin))
   in
   let collect outcomes =
     ( List.concat_map (fun (reports, _) -> reports) outcomes,

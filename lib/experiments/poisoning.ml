@@ -1,6 +1,10 @@
 open Net
 open Workloads
 
+let mux ?mrai ?fib_install_delay ~ases ~seed () =
+  Scenarios.bgpmux ~ases ?mrai ?fib_install_delay ~infrastructure:Scenarios.No_infrastructure
+    ~seed ()
+
 let converge_baseline mux =
   let net = mux.Scenarios.bed.Scenarios.net in
   Lifeguard.Remediate.announce_baseline net mux.Scenarios.plan;
@@ -20,10 +24,14 @@ let announce mux path =
     ();
   Bgp.Network.run_until_quiet net
 
-let round mux ~baseline ~settle ~target ~sample =
+let template ?fib_install_delay ~ases ~seed ~baseline () =
+  let mux = mux ?fib_install_delay ~ases ~seed () in
+  announce mux (baseline mux.Scenarios.origin);
+  Template.capture mux
+
+let round mux ~settle ~target ~sample =
   let bed = mux.Scenarios.bed in
   let origin = mux.Scenarios.origin in
-  announce mux baseline;
   Scenarios.settle bed ~seconds:settle;
   let affected =
     List.fold_left

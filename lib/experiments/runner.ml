@@ -2,10 +2,13 @@
 
    Every converted experiment decomposes into a fixed list of trial
    closures — a decomposition that is a pure function of the experiment's
-   parameters, never of the worker count — where each closure rebuilds
-   its entire world (topology, network, engine, PRNG) from the seed. The
-   pool returns results in submission order, so results (and therefore
-   every table) are bit-identical for any ~jobs.
+   parameters, never of the worker count — where each closure owns its
+   entire world (topology, network, engine, PRNG): it forks an immutable
+   template (Workloads.Template) that the driver built and converged
+   once, or rebuilds the world from the seed. Either way no two trials
+   share a mutable value. The pool returns results in submission order,
+   so results (and therefore every table) are bit-identical for any
+   ~jobs.
 
    With tracing enabled each trial is bracketed by a "runner.trial"
    event carrying its wall-clock duration (from the injected Obs.Clock;

@@ -3,8 +3,11 @@
     Every converted experiment decomposes into a fixed list of trial
     closures — a decomposition that is a pure function of the
     experiment's parameters, never of the worker count — where each
-    closure rebuilds its entire world (topology, network, engine, PRNG)
-    from the seed. The pool returns results in submission order, so
+    closure owns its entire world (topology, network, engine, PRNG): it
+    forks an immutable template ({!Workloads.Template}) that the driver
+    built and converged once, or rebuilds the world from the seed. The
+    template is an immutable string, so sharing it across workers shares
+    nothing mutable. The pool returns results in submission order, so
     results (and therefore every table) are bit-identical for any
     [~jobs]. The share-nothing contract on the closures is enforced
     statically by [lifeguard-lint] (rule [LG-DOM-MUT]). *)

@@ -26,23 +26,16 @@ let peer_route_contains mux peer target =
            entry.Bgp.Route.ann.Bgp.Route.path)
 
 (* Per-trial statistics for one poisoned AS, measured in the trial's own
-   freshly built world. *)
+   world. *)
 type trial_stats = { t_cases : int; t_rerouted : int; t_captive : int; t_agree : int }
 
 let no_stats = { t_cases = 0; t_rerouted = 0; t_captive = 0; t_agree = 0 }
 
-(* All measurement here is control-plane (collector RIBs + topology
-   analysis), so trial worlds skip infrastructure announcement. *)
-let build_mux ~ases ~seed =
-  Workloads.Scenarios.bgpmux ~ases
-    ~infrastructure:Workloads.Scenarios.No_infrastructure ~seed ()
-
-let poison_trial ~ases ~seed target () =
-  let mux = build_mux ~ases ~seed in
+(* [mux] has its baseline converged. *)
+let poison_trial mux target =
   let net = mux.Workloads.Scenarios.bed.Workloads.Scenarios.net in
   let graph = mux.Workloads.Scenarios.bed.Workloads.Scenarios.graph in
   let origin = mux.Workloads.Scenarios.origin in
-  Poisoning.converge_baseline mux;
   let peers_via =
     List.filter
       (fun peer -> Option.value ~default:false (peer_route_contains mux peer target))
@@ -74,20 +67,56 @@ let poison_trial ~ases ~seed target () =
       no_stats peers_via
   end
 
-let run ~ases ~max_poisons ~jobs ~seed () =
-  (* Scout world: harvest the poisoning targets and run the large-scale
-     simulation part over the converged baseline. *)
-  let mux = build_mux ~ases ~seed in
+(* The large-scale simulation over a converged world: for every transit
+   AS on every feed path, does a policy path from the feed avoid it?
+   Returns (cases, cases with an alternate). *)
+let simulate mux =
   let net = mux.Workloads.Scenarios.bed.Workloads.Scenarios.net in
   let graph = mux.Workloads.Scenarios.bed.Workloads.Scenarios.graph in
   let origin = mux.Workloads.Scenarios.origin in
-  Poisoning.converge_baseline mux;
-  let targets = Poisoning.targets mux ~rng:(Prng.create ~seed:(seed + 1)) ~n:max_poisons in
-  (* Each poisoning runs in its own deterministic world, so the trial
-     list is independent of [jobs] and results are bit-identical to a
+  List.fold_left
+    (fun (cases, alt) peer ->
+      match Bgp.Network.best_route net peer Workloads.Scenarios.production_prefix with
+      | None -> (cases, alt)
+      | Some entry ->
+          let path = Bgp.As_path.to_list entry.Bgp.Route.ann.Bgp.Route.path in
+          let interior =
+            List.filter
+              (fun a ->
+                (not (Asn.equal a origin))
+                && (not (Asn.equal a peer))
+                && not (List.exists (Asn.equal a) mux.Workloads.Scenarios.providers))
+              path
+          in
+          List.fold_left
+            (fun (cases, alt) a ->
+              ( cases + 1,
+                if Lifeguard.Decide.alternate_path_exists graph ~src:peer ~origin ~avoid:a
+                then alt + 1
+                else alt ))
+            (cases, alt)
+            (List.sort_uniq Asn.compare interior))
+    (0, 0) mux.Workloads.Scenarios.feeds
+
+let run ~ases ~max_poisons ~jobs ~seed () =
+  (* Scout world: harvest the poisoning targets and run the large-scale
+     simulation over the converged baseline. All measurement here is
+     control-plane (collector RIBs + topology analysis), so the world
+     needs no infrastructure prefixes. The scout is done with before the
+     trials start, so it is not live while they fork. *)
+  let template, targets, (sim_cases, sim_alt) =
+    let mux = Poisoning.mux ~ases ~seed () in
+    Poisoning.converge_baseline mux;
+    let template = Workloads.Template.capture mux in
+    let targets = Poisoning.targets mux ~rng:(Prng.create ~seed:(seed + 1)) ~n:max_poisons in
+    (template, targets, simulate mux)
+  in
+  (* Each poisoning runs in its own fork of the scout, so the trial list
+     is independent of [jobs] and results are bit-identical to a
      sequential run. *)
   let stats =
-    Runner.run_trials ~jobs (List.map (fun t -> poison_trial ~ases ~seed t) targets)
+    Runner.run_trials ~jobs
+      (List.map (fun t () -> poison_trial (Workloads.Template.fork template) t) targets)
   in
   let totals =
     List.fold_left
@@ -100,29 +129,6 @@ let run ~ases ~max_poisons ~jobs ~seed () =
         })
       no_stats stats
   in
-  (* Large-scale simulation: every transit AS on every feed path. *)
-  let sim_cases = ref 0 and sim_alt = ref 0 in
-  List.iter
-    (fun peer ->
-      match Bgp.Network.best_route net peer Workloads.Scenarios.production_prefix with
-      | None -> ()
-      | Some entry ->
-          let path = Bgp.As_path.to_list entry.Bgp.Route.ann.Bgp.Route.path in
-          let interior =
-            List.filter
-              (fun a ->
-                (not (Asn.equal a origin))
-                && (not (Asn.equal a peer))
-                && not (List.exists (Asn.equal a) mux.Workloads.Scenarios.providers))
-              path
-          in
-          List.iter
-            (fun a ->
-              incr sim_cases;
-              if Lifeguard.Decide.alternate_path_exists graph ~src:peer ~origin ~avoid:a
-              then incr sim_alt)
-            (List.sort_uniq Asn.compare interior))
-    mux.Workloads.Scenarios.feeds;
   let fraction num den = if den = 0 then 0.0 else float_of_int num /. float_of_int den in
   {
     poisons_attempted = List.length targets;
@@ -130,7 +136,7 @@ let run ~ases ~max_poisons ~jobs ~seed () =
     rerouted = totals.t_rerouted;
     fraction_rerouted = fraction totals.t_rerouted totals.t_cases;
     captive = totals.t_captive;
-    fraction_sim = fraction !sim_alt !sim_cases;
+    fraction_sim = fraction sim_alt sim_cases;
     agreement = fraction totals.t_agree totals.t_cases;
   }
 

@@ -20,7 +20,8 @@ type result = {
 
 val run : ases:int -> max_poisons:int -> jobs:int -> seed:int -> unit -> result
 (** Harvest up to [max_poisons] on-path ASes in an [ases]-AS BGP-Mux
-    world and poison each in its own trial world, on [jobs] workers.
+    world and poison each in its own fork of the converged scout world,
+    on [jobs] workers.
     Deterministic in [seed]; the result does not depend on [jobs]. *)
 
 val to_tables : result -> Stats.Table.t list

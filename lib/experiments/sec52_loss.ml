@@ -43,8 +43,7 @@ let loss_during_poisoning mux rng ~samplers ~target =
           samplers;
         `Continue)
   in
-  let baseline = Bgp.As_path.prepended ~origin:mux.Scenarios.origin ~copies:3 in
-  let { Poisoning.t0; _ } = Poisoning.round mux ~baseline ~settle:120.0 ~target ~sample in
+  let { Poisoning.t0; _ } = Poisoning.round mux ~settle:120.0 ~target ~sample in
   Sim.Engine.run ~until:(t0 +. horizon +. 1.0) engine;
   let reports =
     Bgp.Convergence.analyze mux.Scenarios.collector ~event_time:t0 ~prefix
@@ -93,25 +92,29 @@ let loss_during_poisoning mux rng ~samplers ~target =
   (rate lost_any, rate lost_struct, bad_round)
 
 (* Probing here targets only the production prefix (announced by the
-   origin), so trial worlds need no infrastructure prefixes at all.
-   Routers take a few seconds to push loc-RIB changes into their FIBs;
-   that window is where structural convergence loss lives. *)
-let build_mux ~ases ~seed =
-  Scenarios.bgpmux ~ases ~fib_install_delay:6.0
-    ~infrastructure:Scenarios.No_infrastructure ~seed ()
+   origin), so worlds need no infrastructure prefixes at all. Routers
+   take a few seconds to push loc-RIB changes into their FIBs; that
+   window is where structural convergence loss lives. *)
+let fib_install_delay = 6.0
 
 let run ~ases ~max_poisons ~jobs ~seed () =
   (* Scout world: harvest the poisoning targets. *)
   let targets =
-    let mux = build_mux ~ases ~seed in
+    let mux = Poisoning.mux ~ases ~fib_install_delay ~seed () in
     Poisoning.converge_baseline mux;
     Poisoning.targets mux ~rng:(Prng.create ~seed:(seed + 3)) ~n:max_poisons
   in
-  (* One freshly built world per poisoning, each with its own PRNG keyed
-     on (seed, trial index): trials share nothing and their outcomes
-     don't depend on [jobs] or on each other. *)
+  (* Every poisoning forks the world with the prepended baseline
+     converged and draws from its own PRNG keyed on (seed, trial index):
+     trials share nothing and their outcomes don't depend on [jobs] or on
+     each other. *)
+  let template =
+    Poisoning.template ~ases ~fib_install_delay ~seed
+      ~baseline:(fun origin -> Bgp.As_path.prepended ~origin ~copies:3)
+      ()
+  in
   let trial idx target () =
-    let mux = build_mux ~ases ~seed in
+    let mux = Template.fork template in
     let rng = Prng.create ~seed:(seed + 3 + (1009 * (idx + 1))) in
     (* The paper sampled ~300 PlanetLab sites; we sample every stub edge
        network in the topology. *)

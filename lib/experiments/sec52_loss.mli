@@ -29,7 +29,8 @@ type result = {
 val run : ases:int -> max_poisons:int -> jobs:int -> seed:int -> unit -> result
 (** Harvest up to [max_poisons] on-path ASes in an [ases]-AS BGP-Mux
     world and sample the data plane through each poisoning, every one in
-    its own trial world, on [jobs] workers. Deterministic in [seed]; the
+    its own fork of a template with the prepended baseline converged, on
+    [jobs] workers. Deterministic in [seed]; the
     result does not depend on [jobs]. *)
 
 val to_tables : result -> Stats.Table.t list

@@ -68,33 +68,70 @@ let forward_avoidable_for mux ~dst =
            mux.Scenarios.providers)
   | _ -> None
 
+(* Sanity: selectively poisoning one feed must not disturb peers not
+   routing through it. Poisons and restores [mux]. *)
+let undisturbed_ok mux ~feeds =
+  let net = mux.Scenarios.bed.Scenarios.net in
+  match feeds with
+  | [] -> true
+  | target :: _ ->
+      let others =
+        List.filter
+          (fun p ->
+            (not (Asn.equal p target))
+            &&
+            match Bgp.Network.best_route net p Scenarios.production_prefix with
+            | Some entry ->
+                not
+                  (Bgp.As_path.traverses ~origin:mux.Scenarios.origin ~target
+                     entry.Bgp.Route.ann.Bgp.Route.path)
+            | None -> false)
+          mux.Scenarios.feeds
+      in
+      let before = List.map (fun p -> (p, first_hop_of mux p)) others in
+      Lifeguard.Remediate.selective_poison net mux.Scenarios.plan ~target
+        ~poisoned_via:(List.tl mux.Scenarios.providers);
+      Bgp.Network.run_until_quiet net;
+      let ok = List.for_all (fun (p, nh) -> first_hop_of mux p = nh) before in
+      Lifeguard.Remediate.unpoison net mux.Scenarios.plan;
+      Bgp.Network.run_until_quiet net;
+      ok
+
+(* The forward walk targets the feed's probe address, so only that
+   feed's infrastructure prefix needs announcing. Converging it after the
+   baseline rather than before leaves every loc-RIB as it is in a fresh
+   [Endpoints_only [feed]] world (test_workloads pins this). *)
+let feed_world template ~feed =
+  let mux = Template.fork template in
+  let net = mux.Scenarios.bed.Scenarios.net in
+  Dataplane.Forward.announce_infrastructure_for net [ feed ];
+  Bgp.Network.run_until_quiet ~timeout:36000.0 net;
+  mux
+
 let run ~ases ~max_feeds ~jobs ~seed () =
   (* Scout world (control-plane only): pick the feeds and run the
-     undisturbed-peers sanity check. *)
-  let mux =
-    Scenarios.bgpmux ~ases ~infrastructure:Scenarios.No_infrastructure ~seed ()
-  in
-  let net = mux.Scenarios.bed.Scenarios.net in
-  Poisoning.converge_baseline mux;
-  (* Feed ASes that can be poisoned at all: transit or multi-homed, not
-     the origin's own providers. *)
-  let feeds =
-    List.filter
-      (fun f -> not (List.exists (Asn.equal f) mux.Scenarios.providers))
-      mux.Scenarios.feeds
-    |> List.filteri (fun i _ -> i < max_feeds)
-  in
-  (* Per-feed trial in its own world. The forward walk targets the feed's
-     probe address, so only that feed's infrastructure prefix needs
-     announcing; the reverse measurement is pure control plane. Forward
-     is measured first, against the undisturbed baseline, because the
-     reverse measurement poisons and restores. *)
-  let trial feed () =
-    let mux =
-      Scenarios.bgpmux ~ases
-        ~infrastructure:(Scenarios.Endpoints_only [ feed ]) ~seed ()
-    in
+     undisturbed-peers sanity check, after taking the template the
+     trials fork. The scout is done with before the trials start, so it
+     is not live while they fork. *)
+  let template, feeds, undisturbed_ok =
+    let mux = Poisoning.mux ~ases ~seed () in
     Poisoning.converge_baseline mux;
+    let template = Template.capture mux in
+    (* Feed ASes that can be poisoned at all: transit or multi-homed, not
+       the origin's own providers. *)
+    let feeds =
+      List.filter
+        (fun f -> not (List.exists (Asn.equal f) mux.Scenarios.providers))
+        mux.Scenarios.feeds
+      |> List.filteri (fun i _ -> i < max_feeds)
+    in
+    (template, feeds, undisturbed_ok mux ~feeds)
+  in
+  (* Per-feed trial in its own world. The reverse measurement is pure
+     control plane. Forward is measured first, against the undisturbed
+     baseline, because the reverse measurement poisons and restores. *)
+  let trial feed () =
+    let mux = feed_world template ~feed in
     let fwd = forward_avoidable_for mux ~dst:feed in
     let rev = reverse_avoidable_for mux ~peer:feed in
     (rev, fwd)
@@ -102,41 +139,6 @@ let run ~ases ~max_feeds ~jobs ~seed () =
   let outcomes = Runner.run_trials ~jobs (List.map (fun f -> trial f) feeds) in
   let reverse_results = List.filter_map fst outcomes in
   let forward_results = List.filter_map snd outcomes in
-  (* Sanity: selectively poisoning one feed must not disturb peers not
-     routing through it. *)
-  let undisturbed_ok =
-    match feeds with
-    | [] -> true
-    | target :: _ -> begin
-        let others =
-          List.filter
-            (fun p ->
-              (not (Asn.equal p target))
-              &&
-              match
-                Bgp.Network.best_route net p Scenarios.production_prefix
-              with
-              | Some entry ->
-                  not
-                    (Bgp.As_path.traverses ~origin:mux.Scenarios.origin ~target
-                       entry.Bgp.Route.ann.Bgp.Route.path)
-              | None -> false)
-            mux.Scenarios.feeds
-        in
-        let before =
-          List.map (fun p -> (p, first_hop_of mux p)) others
-        in
-        Lifeguard.Remediate.selective_poison net mux.Scenarios.plan ~target
-          ~poisoned_via:(List.tl mux.Scenarios.providers);
-        Bgp.Network.run_until_quiet net;
-        let ok =
-          List.for_all (fun (p, nh) -> first_hop_of mux p = nh) before
-        in
-        Lifeguard.Remediate.unpoison net mux.Scenarios.plan;
-        Bgp.Network.run_until_quiet net;
-        ok
-      end
-  in
   let frac l =
     if l = [] then 0.0
     else float_of_int (List.length (List.filter Fun.id l)) /. float_of_int (List.length l)

@@ -20,7 +20,16 @@ type result = {
 
 val run : ases:int -> max_feeds:int -> jobs:int -> seed:int -> unit -> result
 (** Test up to [max_feeds] collector feeds of an [ases]-AS BGP-Mux
-    world, each in its own trial world, on [jobs] workers. Deterministic
+    world, each in its own trial world ({!feed_world}), on [jobs] workers. Deterministic
     in [seed]; the result does not depend on [jobs]. *)
+
+val feed_world :
+  Workloads.Scenarios.mux Workloads.Template.t -> feed:Net.Asn.t -> Workloads.Scenarios.mux
+(** One feed's trial world: a fork of the scout's template (a
+    {!Poisoning.mux} with its baseline converged) with the
+    feed's infrastructure prefix announced and converged. Every loc-RIB
+    then holds the route a fresh [Endpoints_only [feed]] world with the
+    baseline converged holds; only the order of the two convergences,
+    and so the route timestamps and the engine clock, differ. *)
 
 val to_tables : result -> Stats.Table.t list

@@ -22,18 +22,13 @@ type result = {
 let paper_fraction_consistent = 0.93
 let paper_fraction_traceroute_differs = 0.40
 
-(* Isolation probes run only between the PlanetLab sites (and walk to the
-   transit targets), so shard worlds announce infrastructure for those
-   endpoints only — a few dozen prefixes instead of one per AS. *)
 let shard_count = 8
 
-(* One shard: an independent world + PRNG hunting [quota] isolatable
+(* One shard: its own fork of the world + PRNG hunting [quota] isolatable
    failures. The shard decomposition is fixed (a pure function of
    [failure_count]), so results don't depend on [jobs]. *)
-let run_shard ~ases ~seed ~shard ~quota () =
-  let bed =
-    Scenarios.planetlab ~ases ~sites:24 ~infrastructure:Scenarios.Sites ~seed ()
-  in
+let run_shard ~template ~seed ~shard ~quota () =
+  let bed = Template.fork template in
   let rng = Prng.create ~seed:(seed + 5 + (131 * shard)) in
   let sites = Array.of_list bed.Scenarios.vantage_points in
   let responsiveness = Measurement.Responsiveness.create () in
@@ -116,9 +111,17 @@ let run ~ases ~failure_count ~jobs ~seed () =
   let quota shard =
     (failure_count / shards) + if shard < failure_count mod shards then 1 else 0
   in
+  (* Every shard starts from the same converged world. Isolation probes
+     run only between the PlanetLab sites (and walk to the transit
+     targets), so it announces infrastructure for those endpoints only —
+     a few dozen prefixes instead of one per AS. *)
+  let template =
+    Template.capture
+      (Scenarios.planetlab ~ases ~sites:24 ~infrastructure:Scenarios.Sites ~seed ())
+  in
   let shard_cases =
     Runner.run_trials ~jobs
-      (List.init shards (fun shard -> run_shard ~ases ~seed ~shard ~quota:(quota shard)))
+      (List.init shards (fun shard -> run_shard ~template ~seed ~shard ~quota:(quota shard)))
   in
   let cases = List.concat shard_cases in
   let isolated =

@@ -26,9 +26,9 @@ type result = {
 }
 
 val run : ases:int -> failure_count:int -> jobs:int -> seed:int -> unit -> result
-(** Hunt [failure_count] isolatable failures in [ases]-AS PlanetLab
-    worlds, split over a fixed number of share-nothing shards run on
-    [jobs] workers. Deterministic in [seed]; the result does not depend
-    on [jobs]. *)
+(** Hunt [failure_count] isolatable failures in an [ases]-AS PlanetLab
+    world, split over a fixed number of share-nothing shards, each in
+    its own fork of the world, run on [jobs] workers. Deterministic in
+    [seed]; the result does not depend on [jobs]. *)
 
 val to_tables : result -> Stats.Table.t list

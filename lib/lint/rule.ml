@@ -11,6 +11,7 @@ type t =
   | Obs_printf
   | Rob_exn
   | Rob_snapshot
+  | Rob_marshal
   | Eff_clock
   | Eff_random
   | Eff_globalmut
@@ -18,8 +19,8 @@ type t =
 
 let all =
   [ Dom_mut; Det_random; Det_clock; Det_polyeq; Det_hashkey; Perf_append; Perf_scan;
-    Perf_structeq; Mli_missing; Obs_printf; Rob_exn; Rob_snapshot; Eff_clock; Eff_random;
-    Eff_globalmut; Plan_stale ]
+    Perf_structeq; Mli_missing; Obs_printf; Rob_exn; Rob_snapshot; Rob_marshal; Eff_clock;
+    Eff_random; Eff_globalmut; Plan_stale ]
 
 let id = function
   | Dom_mut -> "LG-DOM-MUT"
@@ -34,6 +35,7 @@ let id = function
   | Obs_printf -> "LG-OBS-PRINTF"
   | Rob_exn -> "LG-ROB-EXN"
   | Rob_snapshot -> "LG-ROB-SNAPSHOT"
+  | Rob_marshal -> "LG-ROB-MARSHAL"
   | Eff_clock -> "LG-EFF-CLOCK"
   | Eff_random -> "LG-EFF-RANDOM"
   | Eff_globalmut -> "LG-EFF-GLOBALMUT"
@@ -80,6 +82,10 @@ let describe = function
        that capture's body never reads; state not covered by the snapshot digest, so \
        replay drift in it goes unnoticed — capture the field or move it out of the \
        snapshotted record"
+  | Rob_marshal ->
+      "Marshal outside lib/workloads/template.ml; marshalled data embeds code pointers and \
+       is valid only inside the running binary — journals and snapshots are documented \
+       text formats, and in-process world copies go through Workloads.Template"
   | Eff_clock ->
       "exported library function transitively reaches the wall clock (through any number \
        of wrappers) outside Obs.Clock; breaks determinism — thread simulation time or the \

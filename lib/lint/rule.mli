@@ -21,6 +21,9 @@ type t =
           crash-recovery snapshot contract): a mutable or container-typed
           field of a locally declared record type that [capture]'s body
           never references — state not covered by the snapshot digest *)
+  | Rob_marshal
+      (** [Marshal] anywhere but [lib/workloads/template.ml], the one
+          module that copies worlds inside the running binary *)
   | Eff_clock
       (** exported [lib/] function {e transitively} reaches the wall clock
           outside [Obs.Clock] — the interprocedural closure of

@@ -14,6 +14,7 @@ type file_kind = {
   prng_exempt : bool;
   obs_exempt : bool;
   bgp_exempt : bool;
+  marshal_exempt : bool;
 }
 
 let classify path =
@@ -22,6 +23,11 @@ let classify path =
     | [] | [ _ ] -> false (* a trailing "lib" is a file name, not a dir *)
     | "lib" :: _ -> true
     | _ :: rest -> in_lib rest
+  in
+  let rec is_template = function
+    | [ "lib"; "workloads"; "template.ml" ] -> true
+    | _ :: rest -> is_template rest
+    | [] -> false
   in
   let rec under_lib name = function
     | "lib" :: d :: _ when String.equal d name -> true
@@ -40,9 +46,19 @@ let classify path =
        interner, the structural fallback in As_path.equal) legitimately
        compare structurally; the STRUCTEQ rule applies everywhere else. *)
     bgp_exempt = under_lib "bgp" segs;
+    (* Workloads.Template copies worlds inside the running binary, the
+       one use of Marshal whose output never leaves the process. *)
+    marshal_exempt = is_template segs;
   }
 
-let lib_kind = { in_lib = true; prng_exempt = false; obs_exempt = false; bgp_exempt = false }
+let lib_kind =
+  {
+    in_lib = true;
+    prng_exempt = false;
+    obs_exempt = false;
+    bgp_exempt = false;
+    marshal_exempt = false;
+  }
 
 type violation = {
   rule : Rule.t;
@@ -201,7 +217,19 @@ let scan_structure ~kind ~file str =
   let rec_depth = ref 0 in
   let loop_depth = ref 0 in
   let fold_depth = ref 0 in
+  (* LG-ROB-MARSHAL, in every scanned file: any path into Marshal. *)
+  let check_marshal p loc =
+    match p with
+    | "Marshal" :: _ | "Stdlib" :: "Marshal" :: _ when not kind.marshal_exempt ->
+        add Rule.Rob_marshal loc
+          (Printf.sprintf
+             "%s: marshalled data is valid only inside the running binary; copy worlds \
+              with Workloads.Template and persist state as documented text"
+             (joined p))
+    | _ -> ()
+  in
   let check_ident_path p loc =
+    check_marshal p loc;
     if (not kind.prng_exempt) && (match p with "Random" :: _ -> true | _ -> false) then
       add Rule.Det_random loc "use the seeded Prng instead of Random"
     else if kind.in_lib then begin
@@ -318,6 +346,14 @@ let scan_structure ~kind ~file str =
                     | _ -> it.expr it a)
                   args
             | _ -> Ast_iterator.default_iterator.expr it e);
+        (* [module M = Marshal], [open Marshal] and [Marshal.( ... )] *)
+        module_expr =
+          (fun it me ->
+            (match me.pmod_desc with
+            | Pmod_ident { txt; loc } -> (
+                match path_of_lident txt with Some p -> check_marshal p loc | None -> ())
+            | _ -> ());
+            Ast_iterator.default_iterator.module_expr it me);
         typ =
           (fun it t ->
             (match t.ptyp_desc with

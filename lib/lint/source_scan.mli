@@ -13,6 +13,9 @@ type file_kind = {
   bgp_exempt : bool;
       (** under [lib/bgp]: owns the interned path/route representations,
           so [LG-PERF-STRUCTEQ] does not apply to its internals *)
+  marshal_exempt : bool;
+      (** [lib/workloads/template.ml]: the one place [Marshal] is legal
+          ([LG-ROB-MARSHAL]) *)
 }
 
 val classify : string -> file_kind

@@ -17,8 +17,9 @@
     Events are buffered per domain (lock-free) and flushed to the sink
     under a mutex when a buffer fills and at {!close}. Consequently the
     {e order} of lines in a trace file is not deterministic across
-    [--jobs] values — but the multiset of events is: every trial rebuilds
-    its world from the seed, so per-span event counts are invariants
+    [--jobs] values — but the multiset of events is: every trial forks a
+    template built once per run or rebuilds its world from the seed, so
+    per-span event counts are invariants
     (checked by the golden test in [test/test_obs.ml]).
 
     When disabled (the default), {!on} is a single atomic flag read;

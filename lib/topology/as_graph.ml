@@ -2,7 +2,15 @@ open Net
 
 type router = { asn : Asn.t; index : int; address : Ipv4.t }
 
-type node = { tier : int; routers : router array; mutable adj : Relationship.t Asn.Map.t }
+(* [degree] caches [Asn.Map.cardinal adj], which is O(degree): the
+   generator's preferential attachment reads every pool member's degree
+   on every pick. [add_link]/[remove_link] keep it in step. *)
+type node = {
+  tier : int;
+  routers : router array;
+  mutable adj : Relationship.t Asn.Map.t;
+  mutable degree : int;
+}
 
 type t = {
   nodes : node Asn.Table.t;
@@ -34,7 +42,8 @@ let add_as t ?(tier = 3) ?(routers = 1) asn =
     Hashtbl.replace t.address_owner (address_key address) asn;
     { asn; index; address }
   in
-  Asn.Table.replace t.nodes asn { tier; routers = Array.init routers mk; adj = Asn.Map.empty }
+  Asn.Table.replace t.nodes asn
+    { tier; routers = Array.init routers mk; adj = Asn.Map.empty; degree = 0 }
 
 let node t asn =
   match Asn.Table.find_opt t.nodes asn with
@@ -52,6 +61,8 @@ let add_link t ~a ~b ~rel =
          (Asn.to_string b));
   na.adj <- Asn.Map.add b rel na.adj;
   nb.adj <- Asn.Map.add a (Relationship.invert rel) nb.adj;
+  na.degree <- na.degree + 1;
+  nb.degree <- nb.degree + 1;
   t.links <- t.links + 1
 
 let remove_link t ~a ~b =
@@ -59,6 +70,8 @@ let remove_link t ~a ~b =
   if Asn.Map.mem b na.adj then begin
     na.adj <- Asn.Map.remove b na.adj;
     nb.adj <- Asn.Map.remove a nb.adj;
+    na.degree <- na.degree - 1;
+    nb.degree <- nb.degree - 1;
     t.links <- t.links - 1
   end
 
@@ -94,7 +107,7 @@ let as_list t =
 
 let as_count t = Asn.Table.length t.nodes
 let link_count t = t.links
-let degree t asn = Asn.Map.cardinal (node t asn).adj
+let degree t asn = (node t asn).degree
 
 let is_stub t asn =
   not (Asn.Map.exists (fun _ rel -> Relationship.equal rel Relationship.Customer) (node t asn).adj)

@@ -1,0 +1,40 @@
+(** Template worlds: build and converge a world once, then fork it per
+    trial.
+
+    A template is an immutable snapshot of a quiescent world (its
+    topology, engine, network, collector and failure set), taken with
+    [Marshal] and its [Closures] flag. {!fork} rebuilds an independent
+    deep copy from it, so every trial of a driver starts from the same
+    state without paying for the build and the baseline convergence
+    again. Because the template itself is an immutable string, one
+    template can be forked on every [Par.Pool] domain at once and the
+    forked worlds still share nothing (LG-DOM-MUT). Physical sharing
+    inside the world survives the copy, so a fork's interned paths and
+    announcements keep their [==] fast paths against its own
+    [Bgp.Path_store].
+
+    Templates embed code pointers: they are valid only inside the
+    running binary, never written to disk. This is the one module
+    allowed to use [Marshal] (lint rule LG-ROB-MARSHAL); journals and
+    snapshots stay documented text formats.
+
+    Take a template only of a world with no work in flight that the
+    trial should not repeat: engine events pending at capture run again
+    in every fork. Module-level [Obs] counters are not part of any
+    world, so work done before the capture is counted once, not once
+    per fork. *)
+
+type 'a t
+
+val capture : 'a -> 'a t
+(** Snapshot the value and everything it reaches. The value itself is
+    not changed and may go on being used. *)
+
+val fork : 'a t -> 'a
+(** A fresh, independent copy of the captured value. It collects the
+    heap first, so a run's peak memory does not grow with its number of
+    forks: one major cycle for a template of up to 1 MiB (a
+    control-plane-only BGP-Mux world, about 0.5 MiB at 318 ASes), a full
+    collection above that (a PlanetLab world with its sites'
+    infrastructure, about 2.9 MiB), whose stale copy from the last trial
+    would otherwise stay in the heap. *)

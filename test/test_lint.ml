@@ -31,11 +31,7 @@ let test_dom_fixtures () =
   check_rule "dom_bad" bad Rule.Dom_mut 5;
   Alcotest.(check int) "dom_good is clean" 0 (List.length (scan_fixture "dom_good.ml"));
   (* outside lib/, module-level state is the executable's business *)
-  (match
-     Scan.scan_file
-       ~kind:{ Scan.in_lib = false; prng_exempt = false; obs_exempt = false; bgp_exempt = false }
-       (fixture "dom_bad.ml")
-   with
+  (match Scan.scan_file ~kind:{ Scan.lib_kind with Scan.in_lib = false } (fixture "dom_bad.ml") with
   | Ok vs -> check_rule "dom_bad outside lib" vs Rule.Dom_mut 0
   | Error e -> Alcotest.fail e);
   (* lib/obs is the sanctioned home for cross-domain shards: exempt. *)
@@ -89,6 +85,22 @@ let test_rob_snapshot_fixtures () =
   match Scan.scan_file ~kind:(Scan.classify "bench/main.ml") (fixture "rob_snapshot_bad.ml") with
   | Ok vs -> check_rule "rob_snapshot_bad outside lib" vs Rule.Rob_snapshot 0
   | Error e -> Alcotest.fail e
+
+let test_rob_marshal_fixtures () =
+  let bad = scan_fixture "rob_marshal_bad.ml" in
+  check_rule "rob_marshal_bad" bad Rule.Rob_marshal 4;
+  let scan_as path =
+    match Scan.scan_file ~kind:(Scan.classify path) (fixture "rob_marshal_bad.ml") with
+    | Ok vs -> vs
+    | Error e -> Alcotest.fail e
+  in
+  (* the template module is the one place Marshal is legal *)
+  check_rule "rob_marshal_bad as the template" (scan_as "lib/workloads/template.ml")
+    Rule.Rob_marshal 0;
+  check_rule "rob_marshal_bad as another workloads module" (scan_as "lib/workloads/scenarios.ml")
+    Rule.Rob_marshal 4;
+  (* unlike most LG-ROB rules it holds outside lib/ too *)
+  check_rule "rob_marshal_bad outside lib" (scan_as "bench/main.ml") Rule.Rob_marshal 4
 
 let test_mli_fixtures () =
   let files = Lint.collect_ml_files [] (fixture "mli") in
@@ -313,6 +325,8 @@ let suite =
     Alcotest.test_case "robustness/exception fixtures" `Quick test_rob_fixtures;
     Alcotest.test_case "robustness/snapshot fixtures (LG-ROB-SNAPSHOT)" `Quick
       test_rob_snapshot_fixtures;
+    Alcotest.test_case "robustness/marshal fixtures (LG-ROB-MARSHAL)" `Quick
+      test_rob_marshal_fixtures;
     Alcotest.test_case "mli fixtures" `Quick test_mli_fixtures;
     Alcotest.test_case "baseline semantics" `Quick test_baseline_semantics;
     Alcotest.test_case "check exit codes" `Quick test_check_exit_codes;

@@ -63,8 +63,12 @@ let test_graph_errors () =
 let test_remove_link_and_copy () =
   let g = small_graph () in
   let copy = As_graph.copy g in
+  let degree3 = As_graph.degree g (asn 3) in
+  As_graph.remove_link g ~a:(asn 3) ~b:(asn 4);
   As_graph.remove_link g ~a:(asn 3) ~b:(asn 4);
   Alcotest.(check int) "link removed" 4 (As_graph.link_count g);
+  Alcotest.(check int) "degree drops once" (degree3 - 1) (As_graph.degree g (asn 3));
+  Alcotest.(check int) "copy's degree unaffected" degree3 (As_graph.degree copy (asn 3));
   Alcotest.(check bool) "no longer adjacent" true
     (As_graph.relationship g ~a:(asn 3) ~b:(asn 4) = None);
   Alcotest.(check int) "copy unaffected" 5 (As_graph.link_count copy);
@@ -190,6 +194,36 @@ let test_generator_determinism () =
         (List.map (fun (n, _) -> Asn.to_int n) (As_graph.neighbors b.Topo_gen.graph y)))
     la lb
 
+(* Every AS's tier, cached degree and (neighbor, relationship) list, in
+   ASN order. The pinned values were taken before [As_graph.degree] was
+   cached, when it still counted the adjacency map, so they also pin that
+   the cache equals the count. *)
+let graph_digest g =
+  let b = Buffer.create 4096 in
+  List.iter
+    (fun a ->
+      Buffer.add_string b
+        (Printf.sprintf "%d:%d:%d;" (Asn.to_int a) (As_graph.tier g a) (As_graph.degree g a));
+      List.iter
+        (fun (n, rel) ->
+          Buffer.add_string b (Printf.sprintf "%d%s," (Asn.to_int n) (Relationship.to_string rel)))
+        (As_graph.neighbors g a);
+      Buffer.add_char b '\n')
+    (As_graph.as_list g);
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_generator_digests () =
+  List.iter
+    (fun (ases, links, digest) ->
+      let g = (Topo_gen.generate ~params:(Topo_gen.sized ases) ~seed:42 ()).Topo_gen.graph in
+      Alcotest.(check int) (Printf.sprintf "%d-AS links" ases) links (As_graph.link_count g);
+      Alcotest.(check string) (Printf.sprintf "%d-AS digest" ases) digest (graph_digest g))
+    [
+      (318, 1105, "dff036f2b55cd1bebf57ef4b7b43fb4a");
+      (1000, 6797, "2d186669f71054404b52a5d227376c90");
+      (3000, 51025, "1c060a576e8b907baab71d5921744618");
+    ]
+
 let prop_invert_involutive =
   let rel =
     QCheck.oneofl [ Relationship.Customer; Relationship.Provider; Relationship.Peer ]
@@ -224,6 +258,7 @@ let suite =
     Alcotest.test_case "tuples and splice" `Quick test_tuples_and_splice;
     Alcotest.test_case "generator structure" `Quick test_generator_structure;
     Alcotest.test_case "generator determinism" `Quick test_generator_determinism;
+    Alcotest.test_case "generator digests at 318/1000/3000 ASes" `Quick test_generator_digests;
     QCheck_alcotest.to_alcotest prop_invert_involutive;
     QCheck_alcotest.to_alcotest prop_policy_reachable_symmetric;
   ]

@@ -134,6 +134,175 @@ let test_settle_advances_clock () =
   Alcotest.(check bool) "clock advanced" true
     (Sim.Engine.now bed.Scenarios.engine >= before +. 100.0)
 
+(* Fork oracle: a world forked from a template must be the world a fresh
+   build reaches, route for route and tick for tick, and must go on to
+   behave like it. *)
+
+let route_of (e : Bgp.Route.entry) =
+  Printf.sprintf "%s from %s" (Bgp.As_path.to_string e.Bgp.Route.ann.Bgp.Route.path)
+    (Asn.to_string e.Bgp.Route.neighbor)
+
+let timed_route_of (e : Bgp.Route.entry) =
+  Printf.sprintf "%s at %h" (route_of e) e.Bgp.Route.learned_at
+
+(* Every AS's loc-RIB, every prefix in it. *)
+let loc_ribs ?(route = timed_route_of) net =
+  List.concat_map
+    (fun asn ->
+      let speaker = Bgp.Network.speaker net asn in
+      List.map
+        (fun prefix ->
+          Printf.sprintf "%s %s: %s" (Asn.to_string asn) (Prefix.to_string prefix)
+            (match Bgp.Speaker.best speaker prefix with Some e -> route e | None -> "-"))
+        (List.sort Prefix.compare (Bgp.Speaker.prefixes speaker)))
+    (Topology.As_graph.as_list (Bgp.Network.graph net))
+
+let check_same_world what (a : Scenarios.testbed) (b : Scenarios.testbed) =
+  Alcotest.(check (list string)) (what ^ ": loc-RIBs") (loc_ribs a.Scenarios.net)
+    (loc_ribs b.Scenarios.net);
+  Alcotest.(check (float 0.0)) (what ^ ": engine clock") (Sim.Engine.now a.Scenarios.engine)
+    (Sim.Engine.now b.Scenarios.engine);
+  Alcotest.(check int) (what ^ ": messages") (Bgp.Network.message_count a.Scenarios.net)
+    (Bgp.Network.message_count b.Scenarios.net)
+
+let collector_log mux =
+  List.map
+    (fun (r : Bgp.Network.update_record) ->
+      Printf.sprintf "%h %s %s %s" r.Bgp.Network.time (Asn.to_string r.Bgp.Network.speaker)
+        (Prefix.to_string r.Bgp.Network.prefix)
+        (match r.Bgp.Network.route with Some e -> timed_route_of e | None -> "-"))
+    (Bgp.Network.Collector.log mux.Scenarios.collector)
+
+let oracle_worlds = [ (1, 60); (7, 80); (13, 100) ]
+
+let test_fork_bgpmux () =
+  let module P = Experiments.Poisoning in
+  let baseline origin = Bgp.As_path.prepended ~origin ~copies:3 in
+  List.iter
+    (fun (seed, ases) ->
+      let what = Printf.sprintf "bgpmux seed %d, %d ASes" seed ases in
+      let fresh = P.mux ~ases ~seed () in
+      P.announce fresh (baseline fresh.Scenarios.origin);
+      let template = P.template ~ases ~seed ~baseline () in
+      let fork = Template.fork template in
+      check_same_world what fresh.Scenarios.bed fork.Scenarios.bed;
+      (* Sharing inside the world survives the copy: the fork's routes
+         are the canonical values of the fork's own interner. *)
+      let store = Bgp.Network.path_store fork.Scenarios.bed.Scenarios.net in
+      List.iter
+        (fun feed ->
+          match
+            Bgp.Network.best_route fork.Scenarios.bed.Scenarios.net feed
+              Scenarios.production_prefix
+          with
+          | Some e ->
+              let path = e.Bgp.Route.ann.Bgp.Route.path in
+              Alcotest.(check bool) (what ^ ": interned path") true
+                (Bgp.Path_store.intern_path store path == path)
+          | None -> ())
+        fork.Scenarios.feeds;
+      let converged = loc_ribs fork.Scenarios.bed.Scenarios.net in
+      let baseline_log = collector_log fork in
+      let target = List.hd (P.targets fresh ~rng:(Prng.create ~seed) ~n:1) in
+      let round mux = P.round mux ~settle:120.0 ~target ~sample:ignore in
+      let r_fresh = round fresh and r_fork = round fork in
+      Alcotest.(check (float 0.0)) (what ^ ": round t0") r_fresh.P.t0 r_fork.P.t0;
+      Alcotest.(check (list bool)) (what ^ ": affected feeds")
+        (List.map r_fresh.P.affected fresh.Scenarios.feeds)
+        (List.map r_fork.P.affected fork.Scenarios.feeds);
+      Alcotest.(check (list string)) (what ^ ": collector log after the round")
+        (collector_log fresh) (collector_log fork);
+      check_same_world (what ^ ", after the round") fresh.Scenarios.bed fork.Scenarios.bed;
+      (* The round changed that fork only: the next one starts from the
+         converged baseline again. *)
+      let again = Template.fork template in
+      Alcotest.(check (list string)) (what ^ ": a second fork is untouched") converged
+        (loc_ribs again.Scenarios.bed.Scenarios.net);
+      Alcotest.(check (list string)) (what ^ ": a second fork's collector") baseline_log
+        (collector_log again))
+    oracle_worlds
+
+let test_fork_planetlab () =
+  List.iter
+    (fun (seed, ases) ->
+      let what = Printf.sprintf "planetlab seed %d, %d ASes" seed ases in
+      let build () = Scenarios.planetlab ~ases ~sites:24 ~infrastructure:Scenarios.Sites ~seed () in
+      let fresh = build () in
+      let fork = Template.fork (Template.capture (build ())) in
+      check_same_world what fresh fork;
+      (* The same failure, placed with the same draws, breaks the same
+         paths in both. *)
+      let walks (bed : Scenarios.testbed) =
+        List.concat_map
+          (fun src ->
+            List.map
+              (fun dst ->
+                Dataplane.Forward.as_path_of_walk
+                  (Dataplane.Forward.walk bed.Scenarios.net bed.Scenarios.failures ~src
+                     ~dst:(Dataplane.Forward.probe_address bed.Scenarios.net dst))
+                |> List.map Asn.to_string |> String.concat " ")
+              bed.Scenarios.targets)
+          bed.Scenarios.vantage_points
+      in
+      let inject (bed : Scenarios.testbed) =
+        let rng = Prng.create ~seed in
+        let src = List.hd bed.Scenarios.vantage_points in
+        let dst = List.hd bed.Scenarios.targets in
+        let shape =
+          { Outage_gen.direction = Outage_gen.Forward; on_link = false; duration = 600.0 }
+        in
+        match Scenarios.Placement.on_path rng bed ~src ~dst ~shape () with
+        | Some placed ->
+            Dataplane.Failure.inject bed.Scenarios.net bed.Scenarios.failures
+              placed.Scenarios.Placement.spec;
+            Asn.to_string placed.Scenarios.Placement.location
+        | None -> "-"
+      in
+      Alcotest.(check string) (what ^ ": placement") (inject fresh) (inject fork);
+      Alcotest.(check (list string)) (what ^ ": walks under the failure") (walks fresh)
+        (walks fork))
+    oracle_worlds
+
+(* Sec52_selective forks the scout (baseline converged, no
+   infrastructure) and then announces one feed's infrastructure prefix. *)
+let test_fork_selective () =
+  let module P = Experiments.Poisoning in
+  List.iter
+    (fun (seed, ases) ->
+      let scout = P.mux ~ases ~seed () in
+      P.converge_baseline scout;
+      let template = Template.capture scout in
+      let feeds =
+        List.filter
+          (fun f -> not (List.exists (Asn.equal f) scout.Scenarios.providers))
+          scout.Scenarios.feeds
+      in
+      List.iter
+        (fun feed ->
+          let what =
+            Printf.sprintf "selective seed %d, %d ASes, feed %s" seed ases (Asn.to_string feed)
+          in
+          let fork = Experiments.Sec52_selective.feed_world template ~feed in
+          (* Exactly the fresh world that runs the same steps in the same
+             order ... *)
+          let sequential = P.mux ~ases ~seed () in
+          P.converge_baseline sequential;
+          Dataplane.Forward.announce_infrastructure_for sequential.Scenarios.bed.Scenarios.net
+            [ feed ];
+          Bgp.Network.run_until_quiet ~timeout:36000.0 sequential.Scenarios.bed.Scenarios.net;
+          check_same_world what sequential.Scenarios.bed fork.Scenarios.bed;
+          (* ... and the same routes as the world the driver used to build
+             per feed, which converges the infrastructure first. *)
+          let fresh =
+            Scenarios.bgpmux ~ases ~infrastructure:(Scenarios.Endpoints_only [ feed ]) ~seed ()
+          in
+          P.converge_baseline fresh;
+          Alcotest.(check (list string)) (what ^ ": routes of a fresh Endpoints_only world")
+            (loc_ribs ~route:route_of fresh.Scenarios.bed.Scenarios.net)
+            (loc_ribs ~route:route_of fork.Scenarios.bed.Scenarios.net))
+        (List.filteri (fun i _ -> i < 3) feeds))
+    oracle_worlds
+
 let prop_durations_deterministic =
   QCheck.Test.make ~name:"outage durations deterministic per seed" ~count:20
     QCheck.small_int (fun seed ->
@@ -149,5 +318,8 @@ let suite =
     Alcotest.test_case "case study initial state" `Quick test_case_study_initial_state;
     Alcotest.test_case "failure placement" `Quick test_placement;
     Alcotest.test_case "settle advances clock" `Quick test_settle_advances_clock;
+    Alcotest.test_case "fork oracle: bgpmux with its baseline" `Quick test_fork_bgpmux;
+    Alcotest.test_case "fork oracle: planetlab with its sites" `Quick test_fork_planetlab;
+    Alcotest.test_case "fork oracle: selective's feed worlds" `Quick test_fork_selective;
     QCheck_alcotest.to_alcotest prop_durations_deterministic;
   ]
