@@ -46,8 +46,13 @@ let exists f t = Array.exists f t.asns
 let fold f init t = Array.fold_left f init t.asns
 let contains asn t = Array.exists (Asn.equal asn) t.asns
 
+(* A plain loop: [Policy.import] counts on every received announcement. *)
 let count asn t =
-  Array.fold_left (fun n a -> if Asn.equal asn a then n + 1 else n) 0 t.asns
+  let n = ref 0 in
+  for i = 0 to Array.length t.asns - 1 do
+    if Asn.equal asn t.asns.(i) then incr n
+  done;
+  !n
 
 let traversed ~origin t =
   let n = Array.length t.asns in

@@ -25,10 +25,15 @@ let best entries =
            (fun acc e -> if compare_entries e acc > 0 then e else acc)
            first rest)
 
-let best_in_table table =
-  Asn.Table.fold
-    (fun _ e acc ->
-      match acc with
-      | None -> Some e
-      | Some cur -> if compare_entries e cur > 0 then Some e else acc)
-    table None
+(* No allocation: the winner is returned in the array's own [Some] box. *)
+let best_in_array (candidates : Route.entry option array) =
+  let rec go i acc =
+    if i = Array.length candidates then acc
+    else
+      match (candidates.(i), acc) with
+      | None, _ -> go (i + 1) acc
+      | Some _, None -> go (i + 1) candidates.(i)
+      | Some e, Some cur ->
+          go (i + 1) (if compare_entries e cur > 0 then candidates.(i) else acc)
+  in
+  go 0 None

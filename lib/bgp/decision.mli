@@ -16,8 +16,6 @@
     comparisons read the cached [path_len] and [tiebreak] fields instead
     of recomputing path length and a hash per comparison. *)
 
-open Net
-
 val compare_entries : Route.entry -> Route.entry -> int
 (** [compare_entries a b > 0] when [a] is preferred over [b]: the
     lexicographic order on the key [(local_pref, -path_len, -tiebreak,
@@ -31,5 +29,8 @@ val best : Route.entry list -> Route.entry option
     is what makes real forward and reverse routes asymmetric. Entries
     built without a salt fall back to lowest-neighbor-ASN. *)
 
-val best_in_table : Route.entry Asn.Table.t -> Route.entry option
-(** Most preferred entry among a neighbor-indexed table of candidates. *)
+val best_in_array : Route.entry option array -> Route.entry option
+(** Most preferred among the [Some] candidates of an array (a speaker's
+    adj-RIB-in for one prefix, one cell per session). Equal to {!best}
+    of those candidates in any order, because {!compare_entries} is
+    total over one prefix's candidates. *)

@@ -34,9 +34,18 @@ type t = {
   mutable next_id : int;
   paths : As_path.t Path_tbl.t;
   anns : Route.announcement Ann_tbl.t;
+  prefix_ids : int Prefix.Table.t;
+      (* Dense prefix ids, assigned in first-sight order: the table's
+         length is the next id. *)
 }
 
-let create () = { next_id = 0; paths = Path_tbl.create 1024; anns = Ann_tbl.create 1024 }
+let create () =
+  {
+    next_id = 0;
+    paths = Path_tbl.create 1024;
+    anns = Ann_tbl.create 1024;
+    prefix_ids = Prefix.Table.create 64;
+  }
 
 let intern_path t path =
   match Path_tbl.find_opt t.paths path with
@@ -56,5 +65,14 @@ let intern_ann t (ann : Route.announcement) =
       Ann_tbl.add t.anns stored stored;
       stored
 
+let prefix_id t prefix =
+  match Prefix.Table.find t.prefix_ids prefix with
+  | id -> id
+  | exception Not_found ->
+      let id = Prefix.Table.length t.prefix_ids in
+      Prefix.Table.add t.prefix_ids prefix id;
+      id
+
+let find_prefix_id t prefix = Prefix.Table.find_opt t.prefix_ids prefix
 let path_count t = Path_tbl.length t.paths
 let ann_count t = Ann_tbl.length t.anns

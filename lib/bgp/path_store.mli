@@ -1,4 +1,5 @@
-(** Per-world interner for AS paths and announcements.
+(** Per-world interner for AS paths and announcements, and the world's
+    dense prefix ids.
 
     One store per simulated world: {!Network.create} builds it and threads
     it through every {!Speaker.create}, so structurally-equal paths and
@@ -10,6 +11,8 @@
     a table prints, so experiment output stays byte-identical at any
     [--jobs]. *)
 
+open Net
+
 type t
 
 val create : unit -> t
@@ -20,6 +23,20 @@ val intern_path : t -> As_path.t -> As_path.t
 
 val intern_ann : t -> Route.announcement -> Route.announcement
 (** Canonical announcement (its path interned too). Idempotent. *)
+
+val prefix_id : t -> Prefix.t -> int
+(** The prefix's dense id in this store: [0], [1], ... in first-sight
+    order, assigned on the first call for a prefix, so ids keep growing
+    as sentinels and more-specific prefixes appear late in a run. A
+    {!Speaker} indexes its per-prefix state (adj-RIB-in, loc-RIB,
+    adj-RIB-out, origination) by it. Ids are per store, like path ids:
+    every speaker of a world uses its world's store (in sharded mode,
+    its shard's), so an id is meaningful only inside the store that
+    assigned it. Ids are never printed or compared across stores, and
+    output never depends on them. *)
+
+val find_prefix_id : t -> Prefix.t -> int option
+(** The prefix's id if {!prefix_id} has assigned one; assigns nothing. *)
 
 val path_count : t -> int
 (** Distinct paths interned so far. *)

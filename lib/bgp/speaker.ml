@@ -31,29 +31,35 @@ module Damp_tbl = Hashtbl.Make (Damp_key)
 type session = {
   asn : Asn.t;
   rel : Relationship.t;  (** Our relationship to the neighbor. *)
-  adj_out : Route.announcement Prefix.Table.t;
-      (** Adj-RIB-out toward the neighbor: prefix -> last sent. *)
-  index : unit Prefix.Table.t;
-      (** Reverse index of [adj_in] for this neighbor: the prefixes it
-          currently has a candidate for, so [affected_prefixes] and
-          [session_down] never fold the whole adj-RIB-in. *)
+  ix : int;  (** Position in [sessions]: the session's cell in every slot. *)
   mutable down : bool;
+}
+
+(* Everything the speaker holds for one prefix. Slots are found by the
+   prefix's dense id in the speaker's [Path_store], and the per-neighbor
+   RIBs are arrays indexed by [session.ix], so the update path does no
+   prefix- or neighbor-keyed hashing. *)
+type slot = {
+  prefix : Prefix.t;
+  mutable local : origination option;
+  mutable best : Route.entry option;  (** The loc-RIB entry. *)
+  ins : Route.entry option array;  (** Adj-RIB-in: candidate per session. *)
+  outs : Route.announcement option array;  (** Adj-RIB-out: last sent per session. *)
 }
 
 type t = {
   self : Asn.t;
   config : Policy.config;
   store : Path_store.t;
-      (* The world's interner: shared with every other speaker of the same
-         [Network], never across worlds (share-nothing). *)
+      (* The world's interner and prefix ids: shared with every other
+         speaker of the same [Network] (shard), never across worlds
+         (share-nothing). *)
   sessions : session array;
       (** In neighbor order, which fixes the order of every export list. *)
   session_of : session Asn.Table.t;
   peers_of_self : Asn.Set.t;
-  adj_in : Route.entry Asn.Table.t Prefix.Table.t;
-      (** prefix -> (neighbor -> candidate route) *)
-  locals : origination Prefix.Table.t;
-  best_table : Route.entry Prefix.Table.t;
+  mutable slots : slot option array;  (** By prefix id; grown on demand. *)
+  mutable loc_rib_size : int;  (** Slots with a [best]. *)
   fib : Route.entry Prefix_trie.t;
   fib_epoch : int ref;
       (** Bumped by every [install_fib]; shared by all speakers of a
@@ -68,17 +74,7 @@ and damp_state = { mutable penalty : float; mutable last : float; mutable suppre
 
 let create ?store ?fib_epoch ~asn ~config ~neighbors () =
   let sessions =
-    Array.of_list
-      (List.map
-         (fun (n, rel) ->
-           {
-             asn = n;
-             rel;
-             adj_out = Prefix.Table.create 8;
-             index = Prefix.Table.create 8;
-             down = false;
-           })
-         neighbors)
+    Array.of_list (List.mapi (fun ix (n, rel) -> { asn = n; rel; ix; down = false }) neighbors)
   in
   let session_of = Asn.Table.create 16 in
   Array.iter (fun s -> Asn.Table.replace session_of s.asn s) sessions;
@@ -95,9 +91,8 @@ let create ?store ?fib_epoch ~asn ~config ~neighbors () =
     sessions;
     session_of;
     peers_of_self;
-    adj_in = Prefix.Table.create 64;
-    locals = Prefix.Table.create 4;
-    best_table = Prefix.Table.create 16;
+    slots = [||];
+    loc_rib_size = 0;
     fib = Prefix_trie.create ();
     fib_epoch = (match fib_epoch with Some e -> e | None -> ref 0);
     on_best_change = None;
@@ -183,36 +178,55 @@ let session t n =
   | exception Not_found -> invalid_arg (Printf.sprintf "Speaker %s: unknown neighbor %s"
                            (Asn.to_string t.self) (Asn.to_string n))
 
-let adj_in_table t prefix =
-  match Prefix.Table.find_opt t.adj_in prefix with
-  | Some table -> table
+(* The prefix's slot, created (and [slots] grown) on first use. *)
+let slot t prefix =
+  let id = Path_store.prefix_id t.store prefix in
+  let n = Array.length t.slots in
+  if id >= n then begin
+    let grown = Array.make (max (id + 1) (2 * n)) None in
+    Array.blit t.slots 0 grown 0 n;
+    t.slots <- grown
+  end;
+  match t.slots.(id) with
+  | Some slot -> slot
   | None ->
-      let table = Asn.Table.create 8 in
-      Prefix.Table.replace t.adj_in prefix table;
-      table
+      let k = Array.length t.sessions in
+      let slot =
+        { prefix; local = None; best = None; ins = Array.make k None; outs = Array.make k None }
+      in
+      t.slots.(id) <- Some slot;
+      slot
+
+let find_slot t prefix =
+  match Path_store.find_prefix_id t.store prefix with
+  | Some id when id < Array.length t.slots -> t.slots.(id)
+  | Some _ | None -> None
+
+(* The slots satisfying [keep], in [Prefix.compare] order: every list the
+   speaker builds across prefixes is in that order, never in id order. *)
+let sorted_slots t keep =
+  Array.fold_left
+    (fun acc cell -> match cell with Some s when keep s -> s :: acc | Some _ | None -> acc)
+    [] t.slots
+  |> List.sort (fun a b -> Prefix.compare a.prefix b.prefix)
 
 (* The loc-RIB best for a prefix: a local origination wins outright;
    otherwise the decision process over the adj-RIB-in candidates. *)
-let compute_best t ~now prefix =
+let compute_best t ~now slot =
   Obs.Metrics.incr m_decisions;
-  match Prefix.Table.find_opt t.locals prefix with
+  match slot.local with
   | Some { local_ann; _ } -> Some (Route.local_entry_of ~ann:local_ann ~self:t.self ~now)
-  | None -> begin
-      match Prefix.Table.find_opt t.adj_in prefix with
-      | None -> None
-      | Some table ->
-          if Damp_tbl.length t.damp = 0 then Decision.best_in_table table
-          else begin
-            (* Damped candidates are ineligible until their penalty decays. *)
-            let eligible =
-              Asn.Table.fold
-                (fun neighbor entry acc ->
-                  if is_suppressed t ~now prefix neighbor then acc else entry :: acc)
-                table []
-            in
-            Decision.best eligible
-          end
-    end
+  | None ->
+      if Damp_tbl.length t.damp = 0 then Decision.best_in_array slot.ins
+      else
+        (* Damped candidates are ineligible until their penalty decays. *)
+        Decision.best
+          (Array.fold_left
+             (fun acc cell ->
+               match cell with
+               | Some e when not (is_suppressed t ~now slot.prefix e.Route.neighbor) -> e :: acc
+               | Some _ | None -> acc)
+             [] slot.ins)
 
 (* The announcement the loc-RIB best [entry] goes out as. It is the same
    toward every neighbor, so a sync builds and interns it at most once. *)
@@ -245,9 +259,9 @@ let desired t s ~prefix local best best_out =
 
 (* Diff desired exports against adj-RIB-out; mutate adj-RIB-out and return
    the updates to put on the wire, in neighbor order. *)
-let sync_exports t prefix =
-  let local = Prefix.Table.find_opt t.locals prefix in
-  let best = Prefix.Table.find_opt t.best_table prefix in
+let sync_exports t slot =
+  let prefix = slot.prefix in
+  let local = slot.local and best = slot.best in
   let best_out = ref None in
   let updates = ref [] in
   for i = 0 to Array.length t.sessions - 1 do
@@ -256,14 +270,14 @@ let sync_exports t prefix =
     (match (local, desired) with
     | None, Some _ -> best_out := desired
     | _ -> ());
-    match (desired, Prefix.Table.find_opt s.adj_out prefix) with
+    match (desired, slot.outs.(i)) with
     | None, None -> ()
     | Some d, Some c when Route.announcement_equal d c -> ()
     | Some d, _ ->
-        Prefix.Table.replace s.adj_out prefix d;
+        slot.outs.(i) <- desired;
         updates := (s.asn, Announce d) :: !updates
     | None, Some _ ->
-        Prefix.Table.remove s.adj_out prefix;
+        slot.outs.(i) <- None;
         updates := (s.asn, Withdraw prefix) :: !updates
   done;
   List.rev !updates
@@ -275,9 +289,9 @@ let sync_exports t prefix =
    sync whenever the best is unchanged — with an unchanged loc-RIB, every
    desired export is unchanged too, so the old unconditional scan provably
    emitted nothing. *)
-let refresh_best ?(force_sync = false) t ~now prefix =
-  let old_best = Prefix.Table.find_opt t.best_table prefix in
-  let new_best = compute_best t ~now prefix in
+let refresh_best ?(force_sync = false) t ~now slot =
+  let old_best = slot.best in
+  let new_best = compute_best t ~now slot in
   let changed =
     match (old_best, new_best) with
     | None, None -> false
@@ -287,30 +301,34 @@ let refresh_best ?(force_sync = false) t ~now prefix =
     | _ -> true
   in
   if changed then begin
-    (match new_best with
-    | Some e -> Prefix.Table.replace t.best_table prefix e
-    | None -> Prefix.Table.remove t.best_table prefix);
-    Obs.Metrics.observe_max m_loc_rib (Prefix.Table.length t.best_table);
+    (match (old_best, new_best) with
+    | None, Some _ -> t.loc_rib_size <- t.loc_rib_size + 1
+    | Some _, None -> t.loc_rib_size <- t.loc_rib_size - 1
+    | _ -> ());
+    slot.best <- new_best;
+    Obs.Metrics.observe_max m_loc_rib t.loc_rib_size;
     (match t.fib_commit with
-    | Some commit -> commit prefix new_best
-    | None -> install_fib t prefix new_best);
+    | Some commit -> commit slot.prefix new_best
+    | None -> install_fib t slot.prefix new_best);
     match t.on_best_change with
-    | Some f -> f ~now prefix new_best
+    | Some f -> f ~now slot.prefix new_best
     | None -> ()
   end;
-  if changed || force_sync then sync_exports t prefix else []
+  if changed || force_sync then sync_exports t slot else []
 
 let originate t ~now ~prefix ~per_neighbor =
   let local_ann =
     Path_store.intern_ann t.store
       (Route.announcement ~prefix ~path:(As_path.plain ~origin:t.self))
   in
-  Prefix.Table.replace t.locals prefix { per_neighbor; local_ann };
-  refresh_best ~force_sync:true t ~now prefix
+  let slot = slot t prefix in
+  slot.local <- Some { per_neighbor; local_ann };
+  refresh_best ~force_sync:true t ~now slot
 
 let stop_originating t ~now ~prefix =
-  Prefix.Table.remove t.locals prefix;
-  refresh_best ~force_sync:true t ~now prefix
+  let slot = slot t prefix in
+  slot.local <- None;
+  refresh_best ~force_sync:true t ~now slot
 
 let receive t ~now ~from action =
   let s = session t from in
@@ -318,20 +336,19 @@ let receive t ~now ~from action =
   else begin
     match action with
     | Withdraw prefix ->
-        let table = adj_in_table t prefix in
-        if Asn.Table.mem table from then begin
+        let slot = slot t prefix in
+        if Option.is_some slot.ins.(s.ix) then begin
           ignore (note_flap t ~now prefix from);
-          Asn.Table.remove table from
+          slot.ins.(s.ix) <- None
         end;
-        Prefix.Table.remove s.index prefix;
-        refresh_best t ~now prefix
+        refresh_best t ~now slot
     | Announce ann -> begin
         let ann = Path_store.intern_ann t.store ann in
         let prefix = ann.Route.prefix in
-        let table = adj_in_table t prefix in
+        let slot = slot t prefix in
         (* A changed announcement from a neighbor that already had a route
            is a flap. *)
-        (match Asn.Table.find_opt table from with
+        (match slot.ins.(s.ix) with
         | Some previous
           when not (Route.announcement_equal previous.Route.ann ann) ->
             ignore (note_flap t ~now prefix from)
@@ -343,35 +360,36 @@ let receive t ~now ~from action =
         | Policy.Rejected _ ->
             (* An update that fails import replaces (removes) whatever this
                neighbor previously announced for the prefix. *)
-            Asn.Table.remove table from;
-            Prefix.Table.remove s.index prefix;
-            refresh_best t ~now prefix
+            slot.ins.(s.ix) <- None;
+            refresh_best t ~now slot
         | Policy.Accepted local_pref ->
-            Asn.Table.replace table from
-              (Route.make_entry ~salt:(Asn.to_int t.self) ~ann ~neighbor:from
-                 ~rel:s.rel ~local_pref ~learned_at:now ());
-            Prefix.Table.replace s.index prefix ();
-            refresh_best t ~now prefix
+            slot.ins.(s.ix) <-
+              Some
+                (Route.make_entry ~salt:(Asn.to_int t.self) ~ann ~neighbor:from
+                   ~rel:s.rel ~local_pref ~learned_at:now ());
+            refresh_best t ~now slot
       end
   end
-
-let affected_prefixes t s =
-  let from_adj = Prefix.Table.fold (fun p () acc -> Prefix.Set.add p acc) s.index Prefix.Set.empty in
-  Prefix.Table.fold (fun p _ acc -> Prefix.Set.add p acc) t.locals from_adj
 
 let session_down t ~now ~neighbor =
   let s = session t neighbor in
   if s.down then []
   else begin
     s.down <- true;
-    let affected = affected_prefixes t s in
-    Prefix.Table.iter (fun p () -> Asn.Table.remove (adj_in_table t p) neighbor) s.index;
-    Prefix.Table.clear s.index;
-    (* Clear adj-RIB-out toward the dead session so a later session_up
-       re-announces from scratch: one table cleared in place, not a walk
-       of best_table + locals. *)
-    Prefix.Table.clear s.adj_out;
-    List.concat_map (fun p -> refresh_best t ~now p) (Prefix.Set.elements affected)
+    let i = s.ix in
+    let affected =
+      sorted_slots t (fun slot -> Option.is_some slot.ins.(i) || Option.is_some slot.local)
+    in
+    (* Drop the neighbor's routes, and clear its adj-RIB-out so a later
+       session_up re-announces from scratch. *)
+    Array.iter
+      (function
+        | Some slot ->
+            slot.ins.(i) <- None;
+            slot.outs.(i) <- None
+        | None -> ())
+      t.slots;
+    List.concat_map (refresh_best t ~now) affected
   end
 
 let damping_pending t = Damp_tbl.length t.damp <> 0
@@ -381,33 +399,26 @@ let session_up t ~now ~neighbor =
   if not s.down then []
   else begin
     s.down <- false;
-    let all =
-      Prefix.Table.fold (fun p _ acc -> Prefix.Set.add p acc) t.best_table Prefix.Set.empty
-      |> fun set -> Prefix.Table.fold (fun p _ acc -> Prefix.Set.add p acc) t.locals set
-    in
+    let all = sorted_slots t (fun slot -> Option.is_some slot.best || Option.is_some slot.local) in
     if damping_pending t then
       (* With damping state live, re-running the decision process can
          lazily lift suppressions and move bests — keep the full refresh
          so that timing is unchanged. *)
-      List.concat_map (fun p -> refresh_best ~force_sync:true t ~now p)
-        (Prefix.Set.elements all)
-    else begin
+      List.concat_map (refresh_best ~force_sync:true t ~now) all
+    else
       (* No damping: nothing about the loc-RIB moved while the session was
-         down that isn't already in best_table, and session_down cleared
-         this neighbor's adj-RIB-out — so the only possible updates are
-         announcements of current state toward the revived neighbor.
-         Same output, without an all-neighbors sync per prefix. *)
+         down that isn't already in the slots' bests, and session_down
+         cleared this neighbor's adj-RIB-out — so the only possible
+         updates are announcements of current state toward the revived
+         neighbor. Same output, without an all-neighbors sync per prefix. *)
       List.filter_map
-        (fun p ->
-          let local = Prefix.Table.find_opt t.locals p in
-          let best = Prefix.Table.find_opt t.best_table p in
-          match desired t s ~prefix:p local best None with
-          | Some d ->
-              Prefix.Table.replace s.adj_out p d;
+        (fun slot ->
+          match desired t s ~prefix:slot.prefix slot.local slot.best None with
+          | Some d as out ->
+              slot.outs.(s.ix) <- out;
               Some (neighbor, Announce d)
           | None -> None)
-        (Prefix.Set.elements all)
-    end
+        all
   end
 
 let refresh_prefix t ~prefix =
@@ -415,20 +426,21 @@ let refresh_prefix t ~prefix =
      desired announcement even when it is unchanged: the receiving side
      may have flushed or lost it (session reset, filtered update), which
      the diff against our own adj-RIB-out cannot see. *)
-  Array.iter (fun s -> if not s.down then Prefix.Table.remove s.adj_out prefix) t.sessions;
-  sync_exports t prefix
+  let slot = slot t prefix in
+  Array.iter (fun s -> if not s.down then slot.outs.(s.ix) <- None) t.sessions;
+  sync_exports t slot
 
-let best t prefix = Prefix.Table.find_opt t.best_table prefix
+let best t prefix = match find_slot t prefix with Some slot -> slot.best | None -> None
 let fib_lookup t ip = Prefix_trie.lookup t.fib ip
 let fib_find t ip = Prefix_trie.find_longest t.fib ip
 
 let prefixes t =
-  Prefix.Table.fold (fun p _ acc -> p :: acc) t.best_table [] |> List.sort_uniq Prefix.compare
+  List.map (fun slot -> slot.prefix) (sorted_slots t (fun slot -> Option.is_some slot.best))
 
 let originated t =
-  Prefix.Table.fold (fun p _ acc -> p :: acc) t.locals [] |> List.sort_uniq Prefix.compare
+  List.map (fun slot -> slot.prefix) (sorted_slots t (fun slot -> Option.is_some slot.local))
 
-let reevaluate t ~now prefix = refresh_best t ~now prefix
+let reevaluate t ~now prefix = refresh_best t ~now (slot t prefix)
 
 let suppressed_candidates t prefix =
   Damp_tbl.fold

@@ -29,8 +29,10 @@ val create :
 (** A speaker for [asn] with the given neighbor sessions. [store] is the
     world's path/announcement interner — {!Network.create} passes one
     store to every speaker of a world so their RIBs share physical values;
-    a standalone speaker (tests) defaults to a private store. Never share
-    a store across worlds: lib/par worlds are share-nothing.
+    a standalone speaker (tests) defaults to a private store. The speaker
+    keeps its per-prefix state in slots indexed by the store's
+    {!Path_store.prefix_id}. Never share a store across worlds: lib/par
+    worlds are share-nothing.
     [fib_epoch] is the counter {!install_fib} bumps; {!Network.create}
     hands one counter to every speaker of a world (default: a private
     one). *)
