@@ -23,14 +23,6 @@ let ases =
   let doc = "Approximate AS count of the synthetic Internet." in
   Arg.(value & opt int 318 & info [ "ases" ] ~docv:"N" ~doc)
 
-let jobs =
-  let doc =
-    "Worker domains for trial-level parallelism (default: the machine's \
-     recommended domain count). Results are identical for every value; \
-     1 forces the sequential path."
-  in
-  Arg.(value & opt int (Par.Pool.default_jobs ()) & info [ "jobs"; "j" ] ~docv:"N" ~doc)
-
 (* Flag-domain validation: cmdliner catches malformed values (a
    non-numeric seed), but in-domain nonsense (negative durations, zero
    targets) must not reach the simulator. One line on stderr, exit 2. *)
@@ -52,6 +44,22 @@ let check_probability flag v =
 let check_ases ases =
   let least = Topology.Topo_gen.min_ases in
   check (ases >= least) (Printf.sprintf "--ases must be at least %d (got %d)" least ases)
+
+let jobs =
+  let doc =
+    "Worker domains for trial-level parallelism (default: the machine's \
+     recommended domain count). Results are identical for every value; \
+     1 forces the sequential path."
+  in
+  let raw = Arg.(value & opt int (Par.Pool.default_jobs ()) & info [ "jobs"; "j" ] ~docv:"N" ~doc) in
+  (* Checked here rather than by a converter, so a zero is one stderr
+     line and exit 2 like every other out-of-range flag (a converter
+     error would exit 124), once for all the subcommands that take it. *)
+  let positive n =
+    check_positive_i "--jobs" n;
+    n
+  in
+  Term.(const positive $ raw)
 
 (* Observability options, shared by every experiment subcommand. *)
 type obs_opts = { trace : string option; metrics : bool }
@@ -603,7 +611,6 @@ let fleet_cmd =
     check_rate "--outages-per-day" outages;
     check_probability "--probe-loss" probe_loss;
     check_rate "--vp-mtbf" vp_mtbf;
-    check_positive_i "--jobs" jobs;
     check_probability "--atlas-staleness" staleness;
     check (crash_at >= 0) (Printf.sprintf "--crash-at must be >= 0 (got %d)" crash_at);
     check (snapshot_every >= 0.0)
@@ -747,7 +754,6 @@ let faults_cmd =
     check_rate "--router-mtbf" router_mtbf;
     check_probability "--update-loss" update_loss;
     check_probability "--update-dup" update_dup;
-    check_positive_i "--jobs" jobs;
     let profile =
       {
         Bgp.Faults.session_flap_mtbf = flap_mtbf;
@@ -818,7 +824,6 @@ let plan_cmd =
     check_positive_i "--targets" targets;
     check_rate "--outages-per-day" outages;
     check_rate "--decision-latency" latency;
-    check_positive_i "--jobs" jobs;
     with_obs obs (fun () ->
         let config =
           {

@@ -46,10 +46,6 @@ val run :
 val hit_rate : mode -> float
 (** Hits over lookups, in [0, 1]; [0.] when there were no lookups. *)
 
-val quantile : float list -> float -> float option
-(** [quantile samples q] is the empirical [q]-quantile of [samples];
-    [None] when there are none. *)
-
 val to_tables : result -> Stats.Table.t list
 (** Two tables: plan-cache effectiveness (hits/misses/hit rate,
     invalidations, demotions) and planned-vs-computed repair latency

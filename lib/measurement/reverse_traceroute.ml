@@ -11,18 +11,15 @@ type measurement = {
   assumed_hops : int;
 }
 
-type config = { rr_support : float; ts_support : float; rr_range : int }
+(* Fraction of routers answering record-route, fraction answering
+   timestamp queries, and the hop budget of record-route's slots. *)
+let rr_support = 0.75
+let ts_support = 0.55
+let rr_range = 8
 
-let default_config = { rr_support = 0.75; ts_support = 0.55; rr_range = 8 }
+type t = { env : Dataplane.Probe.env; vantage_points : Asn.t list }
 
-type t = {
-  config : config;
-  env : Dataplane.Probe.env;
-  vantage_points : Asn.t list;
-}
-
-let create ?(config = default_config) ~env ~vantage_points () =
-  { config; env; vantage_points }
+let create ~env ~vantage_points () = { env; vantage_points }
 
 (* Option support is a stable property of a router: derive it from an
    explicit integer mix of its address so measurements are reproducible
@@ -33,8 +30,8 @@ let support_hash t asn salt =
   let z = z lxor (z lsr 16) in
   float_of_int (z land 0xFFFF) /. 65536.0
 
-let supports_rr t asn = support_hash t asn 0x5252 < t.config.rr_support
-let supports_ts t asn = support_hash t asn 0x5453 < t.config.ts_support
+let supports_rr t asn = support_hash t asn 0x5252 < rr_support
+let supports_ts t asn = support_hash t asn 0x5453 < ts_support
 
 let spend t n = Dataplane.Probe.charge t.env n
 
@@ -84,7 +81,7 @@ let reveal t ~current ~to_ip ~forward_mirror ~position =
         && List.exists
              (fun vp ->
                match hop_distance t ~from_:vp ~to_asn:current with
-               | Some d -> d <= t.config.rr_range - 1
+               | Some d -> d <= rr_range - 1
                | None -> false)
              t.vantage_points
       in

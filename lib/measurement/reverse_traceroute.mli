@@ -17,10 +17,12 @@
       asymmetric).
 
     Routers support IP options unevenly; support here is modeled as a
-    deterministic per-router property with configurable rates. The module
-    also implements the paper's (§5.4) incremental refresh: re-confirming
-    a previously known path costs far fewer probes than measuring from
-    scratch (the paper reports an amortized ~10 option probes vs 35). *)
+    deterministic per-router property at fixed rates: 75% of routers
+    answer record-route (within an 8-hop slot budget) and 55% answer
+    timestamp queries. The module also implements the paper's (§5.4)
+    incremental refresh: re-confirming a previously known path costs far
+    fewer probes than measuring from scratch (the paper reports an
+    amortized ~10 option probes vs 35). *)
 
 open Net
 
@@ -39,25 +41,14 @@ type measurement = {
   assumed_hops : int;  (** Hops taken on faith via symmetry. *)
 }
 
-type config = {
-  rr_support : float;  (** Fraction of routers answering record-route (default 0.75). *)
-  ts_support : float;  (** Fraction answering timestamp queries (default 0.55). *)
-  rr_range : int;  (** Hop budget for record-route slots (default 8). *)
-}
-
-val default_config : config
-
 type t
 (** A measurer: probe environment, vantage points and support model. *)
 
-val create :
-  ?config:config -> env:Dataplane.Probe.env -> vantage_points:Asn.t list -> unit -> t
+val create : env:Dataplane.Probe.env -> vantage_points:Asn.t list -> unit -> t
 
 val supports_rr : t -> Asn.t -> bool
 (** Whether an AS's border router answers record-route (deterministic per
-    router address). *)
-
-val supports_ts : t -> Asn.t -> bool
+    router address): three routers in four do. *)
 
 val measure :
   t -> from_:Asn.t -> to_ip:Ipv4.t -> ?cached:Asn.t list -> unit -> measurement option

@@ -44,6 +44,9 @@ let flush b =
   flush_locked b;
   Mutex.unlock lock
 
+(* Append a string's JSON-escaped body (no surrounding quotes): quote,
+   backslash, newline, tab and carriage return get their short escapes,
+   other control characters [\u00XX]. *)
 let add_escaped buf s =
   String.iter
     (fun c ->

@@ -41,12 +41,6 @@ val enable_buffer : Buffer.t -> unit
 (** Send subsequent events to an in-memory buffer (used by tests). The
     caller owns the buffer; it is appended to under the sink mutex. *)
 
-val add_escaped : Buffer.t -> string -> unit
-(** Append a string's JSON-escaped body (no surrounding quotes): quote,
-    backslash, newline, tab and carriage return get their short escapes,
-    other control characters [\u00XX]. The repository's one JSON string
-    escaper; usable as a [%a] argument to [Printf.bprintf]. *)
-
 val event : ts:float -> span:string -> (string * value) list -> unit
 (** Record one event. No-op when no sink is installed (but prefer
     guarding the call site with {!on} — the argument list is allocated by

@@ -205,26 +205,16 @@ let test_reverse_traceroute_infeasible () =
 
 let test_option_support_deterministic () =
   let w = ready_world () in
-  let rt = Measurement.Reverse_traceroute.create ~env:w.probe ~vantage_points:[ d ] () in
+  (* Support is a property of the router, not of the measurer: two
+     measurers with different vantage points agree on every AS. *)
+  let rt1 = Measurement.Reverse_traceroute.create ~env:w.probe ~vantage_points:[ d ] () in
+  let rt2 = Measurement.Reverse_traceroute.create ~env:w.probe ~vantage_points:[ o; f ] () in
   List.iter
     (fun x ->
-      Alcotest.(check bool) "rr support stable" 
-        (Measurement.Reverse_traceroute.supports_rr rt x)
-        (Measurement.Reverse_traceroute.supports_rr rt x))
-    [ o; b; a; c; d; e; f ];
-  (* Full support / no support configs behave as configured. *)
-  let all =
-    Measurement.Reverse_traceroute.create
-      ~config:{ Measurement.Reverse_traceroute.default_config with rr_support = 1.0 }
-      ~env:w.probe ~vantage_points:[ d ] ()
-  in
-  Alcotest.(check bool) "full support" true (Measurement.Reverse_traceroute.supports_rr all a);
-  let none =
-    Measurement.Reverse_traceroute.create
-      ~config:{ Measurement.Reverse_traceroute.default_config with rr_support = 0.0 }
-      ~env:w.probe ~vantage_points:[ d ] ()
-  in
-  Alcotest.(check bool) "no support" false (Measurement.Reverse_traceroute.supports_rr none a)
+      Alcotest.(check bool) "measurers agree on rr support"
+        (Measurement.Reverse_traceroute.supports_rr rt1 x)
+        (Measurement.Reverse_traceroute.supports_rr rt2 x))
+    [ o; b; a; c; d; e; f ]
 
 let suite =
   suite
