@@ -1,9 +1,12 @@
 (* lifeguard — command-line front end to the reproduction.
 
-   Subcommands run individual experiments (one per paper table/figure),
-   replay the case study, or poke at a simulated Internet interactively
-   enough for demos:
+   [paper] regenerates the paper's evaluation: every table and figure,
+   then Table 1, each experiment under a banner with its wall-clock. The
+   other subcommands run one experiment each (with no flags, the same
+   tables [paper] prints for it), replay the case study, or poke at a
+   simulated Internet interactively enough for demos:
 
+     lifeguard paper --quick --only fig6,loss
      lifeguard fig1 --seed 42 --outages 10308
      lifeguard efficacy --ases 318 --poisons 25
      lifeguard case-study
@@ -14,14 +17,87 @@ open Cmdliner
 
 let print_tables tables = List.iter Stats.Table.print tables
 
+(* Experiment sizes, the one place they are set. [full] regenerates
+   stable statistics and supplies every subcommand's flag defaults;
+   [quick] shrinks everything for smoke runs ([paper --quick]). *)
+type sizes = {
+  dataset : int;  (* modeled outage durations: fig1, fig5, load *)
+  ases : int;  (* alt-paths, the sec. 5 drivers, scalability *)
+  outages : int;  (* alt-paths *)
+  poisons : int;  (* efficacy, fig6 *)
+  loss_poisons : int;
+  feeds : int;  (* selective *)
+  failures : int;  (* accuracy, and the accuracy run scalability builds on *)
+  study_ases : int;  (* hubble, anomalies, ablation *)
+  hubble_days : float;
+  ablation_poisons : int;
+  damping_ases : int;
+  fleet_duration : float;
+  fleet_targets : int;
+  faults_duration : float;
+  faults_targets : int;
+  intensities : float list;
+  plan_duration : float;
+  plan_targets : int;
+}
+
+let full =
+  {
+    dataset = 10308;
+    ases = 318;
+    outages = 400;
+    poisons = 25;
+    loss_poisons = 15;
+    feeds = 40;
+    failures = 120;
+    study_ases = 200;
+    hubble_days = 7.0;
+    ablation_poisons = 10;
+    damping_ases = 150;
+    fleet_duration = 86400.0;
+    fleet_targets = 250;
+    faults_duration = 21600.0;
+    faults_targets = 100;
+    intensities = Experiments.Fault_study.default_intensities;
+    plan_duration = 43200.0;
+    plan_targets = 40;
+  }
+
+let quick =
+  {
+    dataset = 2000;
+    ases = 150;
+    outages = 80;
+    poisons = 8;
+    loss_poisons = 5;
+    feeds = 15;
+    failures = 30;
+    study_ases = 150;
+    hubble_days = 2.0;
+    ablation_poisons = 8;
+    damping_ases = 150;
+    fleet_duration = 10800.0;
+    fleet_targets = 50;
+    faults_duration = 10800.0;
+    faults_targets = 25;
+    intensities = [ 0.0; 1.0 ];
+    plan_duration = 21600.0;
+    plan_targets = 20;
+  }
+
 (* Common options *)
 let seed =
   let doc = "PRNG seed; every experiment is deterministic given its seed." in
   Arg.(value & opt int 42 & info [ "seed" ] ~docv:"SEED" ~doc)
 
-let ases =
-  let doc = "Approximate AS count of the synthetic Internet." in
-  Arg.(value & opt int 318 & info [ "ases" ] ~docv:"N" ~doc)
+let ases default =
+  let doc = "Approximate AS count of the synthetic Internet; any value runs as given." in
+  Arg.(value & opt int default & info [ "ases" ] ~docv:"N" ~doc)
+
+let count name default doc = Arg.(value & opt int default & info [ name ] ~docv:"N" ~doc)
+
+let seconds name default doc =
+  Arg.(value & opt float default & info [ name ] ~docv:"SECONDS" ~doc)
 
 (* Flag-domain validation: cmdliner catches malformed values (a
    non-numeric seed), but in-domain nonsense (negative durations, zero
@@ -79,6 +155,7 @@ let obs_term =
   let v trace metrics = { trace; metrics } in
   Term.(const v $ trace $ metrics)
 
+(* Runs [f], discarding its result, with the requested observability on. *)
 let with_obs o f =
   if o.metrics || o.trace <> None then begin
     (* Libraries only read time through the injected Obs.Clock; the
@@ -90,214 +167,304 @@ let with_obs o f =
   Fun.protect
     ~finally:(fun () -> Obs.Trace.close ())
     (fun () ->
-      let r = f () in
-      if o.metrics then Experiments.Metrics_report.print ();
-      r)
+      ignore (f ());
+      if o.metrics then Experiments.Metrics_report.print ())
+
+(* How an experiment is shown. Each experiment below names its run and
+   its tables once; a subcommand shows it [bare], [paper] under a banner
+   with a timing line, and [silent] only runs it, for another
+   experiment's input. *)
+type show = {
+  show : 'r. name:string -> title:string -> (unit -> 'r) -> ('r -> Stats.Table.t list) -> 'r;
+}
+
+let silent = { show = (fun ~name:_ ~title:_ run _ -> run ()) }
+
+let bare =
+  {
+    show =
+      (fun ~name:_ ~title:_ run tables ->
+        let r = run () in
+        print_tables (tables r);
+        r);
+  }
+
+let banner title = Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
+
+let timed =
+  {
+    show =
+      (fun ~name ~title run tables ->
+        banner title;
+        let t0 = Unix.gettimeofday () in
+        let r = run () in
+        Printf.printf "[%s completed in %.1fs]\n" name (Unix.gettimeofday () -. t0);
+        print_tables (tables r);
+        r);
+  }
+
+(* The experiments, in [paper]'s order. *)
+
+let fig1 x s ~seed =
+  x.show ~name:"fig1" ~title:"Figure 1: outage durations vs unavailability"
+    (fun () -> Experiments.Fig1_durations.run ~n:s.dataset ~seed ())
+    Experiments.Fig1_durations.to_tables
+
+let fig5 x s ~seed =
+  x.show ~name:"fig5" ~title:"Figure 5: residual outage duration"
+    (fun () -> Experiments.Fig5_residual.run ~n:s.dataset ~seed ())
+    Experiments.Fig5_residual.to_tables
+
+let alt_paths x s ~seed =
+  x.show ~name:"alt-paths" ~title:"Section 2.2: alternate policy-compliant paths"
+    (fun () -> Experiments.Sec22_alt_paths.run ~ases:s.ases ~outage_count:s.outages ~seed ())
+    Experiments.Sec22_alt_paths.to_tables
+
+let efficacy x s ~jobs ~seed =
+  x.show ~name:"efficacy" ~title:"Section 5.1: poisoning efficacy"
+    (fun () -> Experiments.Sec51_efficacy.run ~ases:s.ases ~max_poisons:s.poisons ~jobs ~seed ())
+    Experiments.Sec51_efficacy.to_tables
+
+let fig6 x s ~jobs ~seed =
+  x.show ~name:"fig6" ~title:"Figure 6: convergence after poisoned announcements"
+    (fun () -> Experiments.Fig6_convergence.run ~ases:s.ases ~max_poisons:s.poisons ~jobs ~seed ())
+    Experiments.Fig6_convergence.to_tables
+
+let loss x s ~jobs ~seed =
+  x.show ~name:"loss" ~title:"Section 5.2: loss during convergence"
+    (fun () -> Experiments.Sec52_loss.run ~ases:s.ases ~max_poisons:s.loss_poisons ~jobs ~seed ())
+    Experiments.Sec52_loss.to_tables
+
+let selective x s ~jobs ~seed =
+  x.show ~name:"selective" ~title:"Section 5.2: selective poisoning + forward diversity"
+    (fun () -> Experiments.Sec52_selective.run ~ases:s.ases ~max_feeds:s.feeds ~jobs ~seed ())
+    Experiments.Sec52_selective.to_tables
+
+let accuracy x s ~jobs ~seed =
+  x.show ~name:"accuracy" ~title:"Section 5.3: isolation accuracy"
+    (fun () ->
+      Experiments.Sec53_accuracy.run ~ases:s.ases ~failure_count:s.failures ~jobs ~seed ())
+    Experiments.Sec53_accuracy.to_tables
+
+let scalability x s ~seed accuracy =
+  x.show ~name:"scalability" ~title:"Section 5.4: scalability"
+    (fun () -> Experiments.Sec54_scalability.run ~ases:s.ases ~seed ~accuracy ())
+    Experiments.Sec54_scalability.to_tables
+
+let load x s ~seed =
+  x.show ~name:"load" ~title:"Table 2: update load at deployment scale"
+    (fun () -> Experiments.Tab2_load.run ~n:s.dataset ~seed ())
+    Experiments.Tab2_load.to_tables
+
+let hubble x s ~jobs ~seed =
+  x.show ~name:"hubble" ~title:"Hubble-style monitoring: deriving H(d) for Table 2"
+    (fun () ->
+      Experiments.Hubble_study.run ~ases:s.study_ases ~days:s.hubble_days ~jobs ~seed ())
+    Experiments.Hubble_study.to_tables
+
+let anomalies x s ~jobs ~seed =
+  x.show ~name:"anomalies" ~title:"Section 7.1: poisoning anomalies"
+    (fun () -> Experiments.Sec71_anomalies.run ~ases:s.study_ases ~jobs ~seed ())
+    Experiments.Sec71_anomalies.to_tables
+
+let sentinel x =
+  x.show ~name:"sentinel" ~title:"Section 7.2: sentinel variants" Experiments.Sec72_sentinel.run
+    Experiments.Sec72_sentinel.to_tables
+
+let ablation x s ~jobs ~seed =
+  x.show ~name:"ablation" ~title:"Ablation: prepending / MRAI / FIB latency"
+    (fun () ->
+      Experiments.Ablation.run ~ases:s.study_ases ~poisons:s.ablation_poisons ~jobs ~seed ())
+    Experiments.Ablation.to_tables
+
+let damping x s ~jobs ~seed =
+  x.show ~name:"damping" ~title:"Route-flap damping: why announcements were spaced 90 minutes"
+    (fun () -> Experiments.Damping.run ~ases:s.damping_ases ~jobs ~seed ())
+    Experiments.Damping.to_tables
+
+let fleet x config s ~jobs ~seed =
+  x.show ~name:"fleet" ~title:"Fleet operations: continuous multi-outage service loop"
+    (fun () ->
+      Experiments.Fleet_study.run
+        ~config:{ config with Fleet.Service.duration = s.fleet_duration }
+        ~targets:s.fleet_targets ~jobs ~seed ())
+    Experiments.Fleet_study.to_tables
+
+let faults x ?profile config s ~jobs ~seed =
+  x.show ~name:"faults" ~title:"Fault study: repair robustness under control-plane faults"
+    (fun () ->
+      Experiments.Fault_study.run
+        ~config:{ config with Fleet.Service.duration = s.faults_duration }
+        ?profile ~intensities:s.intensities ~targets:s.faults_targets ~jobs ~seed ())
+    Experiments.Fault_study.to_tables
+
+let plan x config s ~jobs ~seed =
+  x.show ~name:"plan" ~title:"Plan study: precomputed remediation vs compute-from-scratch"
+    (fun () ->
+      Experiments.Plan_study.run
+        ~config:{ config with Fleet.Service.duration = s.plan_duration }
+        ~targets:s.plan_targets ~jobs ~seed ())
+    Experiments.Plan_study.to_tables
+
+let case_study x =
+  x.show ~name:"case-study" ~title:"Section 6: case study" Experiments.Case_study.run
+    Experiments.Case_study.to_tables
+
+(* One subcommand per experiment: its flags override [full]. *)
 
 let fig1_cmd =
-  let outages =
-    Arg.(value & opt int 10308 & info [ "outages" ] ~docv:"N" ~doc:"Dataset size.")
-  in
-  let run obs seed outages =
-    check_positive_i "--outages" outages;
-    with_obs obs (fun () ->
-        print_tables
-          (Experiments.Fig1_durations.to_tables (Experiments.Fig1_durations.run ~n:outages ~seed ())))
+  let run obs seed dataset =
+    check_positive_i "--outages" dataset;
+    with_obs obs (fun () -> fig1 bare { full with dataset } ~seed)
   in
   Cmd.v
     (Cmd.info "fig1" ~doc:"Outage duration CDF vs unavailability (paper Fig. 1)")
-    Term.(const run $ obs_term $ seed $ outages)
+    Term.(const run $ obs_term $ seed $ count "outages" full.dataset "Dataset size.")
 
 let fig5_cmd =
-  let outages =
-    Arg.(value & opt int 10308 & info [ "outages" ] ~docv:"N" ~doc:"Dataset size.")
-  in
-  let run obs seed outages =
-    check_positive_i "--outages" outages;
-    with_obs obs (fun () ->
-        print_tables
-          (Experiments.Fig5_residual.to_tables (Experiments.Fig5_residual.run ~n:outages ~seed ())))
+  let run obs seed dataset =
+    check_positive_i "--outages" dataset;
+    with_obs obs (fun () -> fig5 bare { full with dataset } ~seed)
   in
   Cmd.v
     (Cmd.info "fig5" ~doc:"Residual outage durations (paper Fig. 5)")
-    Term.(const run $ obs_term $ seed $ outages)
+    Term.(const run $ obs_term $ seed $ count "outages" full.dataset "Dataset size.")
 
 let alt_paths_cmd =
-  let outages =
-    Arg.(value & opt int 400 & info [ "outages" ] ~docv:"N" ~doc:"Failures to inject.")
-  in
   let run obs seed ases outages =
     check_ases ases;
     check_positive_i "--outages" outages;
-    with_obs obs (fun () ->
-        print_tables
-          (Experiments.Sec22_alt_paths.to_tables
-             (Experiments.Sec22_alt_paths.run ~ases ~outage_count:outages ~seed ())))
+    with_obs obs (fun () -> alt_paths bare { full with ases; outages } ~seed)
   in
   Cmd.v
     (Cmd.info "alt-paths" ~doc:"Alternate policy-compliant path existence (paper sec. 2.2)")
-    Term.(const run $ obs_term $ seed $ ases $ outages)
+    Term.(
+      const run $ obs_term $ seed $ ases full.ases
+      $ count "outages" full.outages "Failures to inject.")
 
-let poisons_arg =
-  Arg.(value & opt int 25 & info [ "poisons" ] ~docv:"N" ~doc:"ASes to poison.")
+let poisons_arg default = count "poisons" default "ASes to poison."
 
 let efficacy_cmd =
   let run obs seed ases poisons jobs =
     check_ases ases;
     check_positive_i "--poisons" poisons;
-    with_obs obs (fun () ->
-        print_tables
-          (Experiments.Sec51_efficacy.to_tables
-             (Experiments.Sec51_efficacy.run ~ases ~max_poisons:poisons ~jobs ~seed ())))
+    with_obs obs (fun () -> efficacy bare { full with ases; poisons } ~jobs ~seed)
   in
   Cmd.v
     (Cmd.info "efficacy" ~doc:"Poisoning efficacy, live + simulated (paper sec. 5.1)")
-    Term.(const run $ obs_term $ seed $ ases $ poisons_arg $ jobs)
+    Term.(const run $ obs_term $ seed $ ases full.ases $ poisons_arg full.poisons $ jobs)
 
 let fig6_cmd =
   let run obs seed ases poisons jobs =
     check_ases ases;
     check_positive_i "--poisons" poisons;
-    with_obs obs (fun () ->
-        print_tables
-          (Experiments.Fig6_convergence.to_tables
-             (Experiments.Fig6_convergence.run ~ases ~max_poisons:poisons ~jobs ~seed ())))
+    with_obs obs (fun () -> fig6 bare { full with ases; poisons } ~jobs ~seed)
   in
   Cmd.v
     (Cmd.info "fig6" ~doc:"Convergence after poisoned announcements (paper Fig. 6)")
-    Term.(const run $ obs_term $ seed $ ases $ poisons_arg $ jobs)
+    Term.(const run $ obs_term $ seed $ ases full.ases $ poisons_arg full.poisons $ jobs)
 
 let loss_cmd =
-  let run obs seed ases poisons jobs =
+  let run obs seed ases loss_poisons jobs =
     check_ases ases;
-    check_positive_i "--poisons" poisons;
-    with_obs obs (fun () ->
-        print_tables
-          (Experiments.Sec52_loss.to_tables
-             (Experiments.Sec52_loss.run ~ases ~max_poisons:poisons ~jobs ~seed ())))
+    check_positive_i "--poisons" loss_poisons;
+    with_obs obs (fun () -> loss bare { full with ases; loss_poisons } ~jobs ~seed)
   in
   Cmd.v
     (Cmd.info "loss" ~doc:"Packet loss during convergence (paper sec. 5.2)")
-    Term.(const run $ obs_term $ seed $ ases $ poisons_arg $ jobs)
+    Term.(const run $ obs_term $ seed $ ases full.ases $ poisons_arg full.loss_poisons $ jobs)
 
 let selective_cmd =
-  let feeds = Arg.(value & opt int 40 & info [ "feeds" ] ~docv:"N" ~doc:"Feed ASes to test.") in
   let run obs seed ases feeds jobs =
     check_ases ases;
     check_positive_i "--feeds" feeds;
-    with_obs obs (fun () ->
-        print_tables
-          (Experiments.Sec52_selective.to_tables
-             (Experiments.Sec52_selective.run ~ases ~max_feeds:feeds ~jobs ~seed ())))
+    with_obs obs (fun () -> selective bare { full with ases; feeds } ~jobs ~seed)
   in
   Cmd.v
     (Cmd.info "selective" ~doc:"Selective poisoning + forward diversity (paper sec. 5.2/2.3)")
-    Term.(const run $ obs_term $ seed $ ases $ feeds $ jobs)
+    Term.(
+      const run $ obs_term $ seed $ ases full.ases
+      $ count "feeds" full.feeds "Feed ASes to test." $ jobs)
 
 let accuracy_cmd =
-  let failures =
-    Arg.(value & opt int 120 & info [ "failures" ] ~docv:"N" ~doc:"Failures to isolate.")
-  in
   let run obs seed ases failures jobs =
     check_ases ases;
     check_positive_i "--failures" failures;
-    with_obs obs (fun () ->
-        print_tables
-          (Experiments.Sec53_accuracy.to_tables
-             (Experiments.Sec53_accuracy.run ~ases ~failure_count:failures ~jobs ~seed ())))
+    with_obs obs (fun () -> accuracy bare { full with ases; failures } ~jobs ~seed)
   in
   Cmd.v
     (Cmd.info "accuracy" ~doc:"Failure isolation accuracy (paper sec. 5.3)")
-    Term.(const run $ obs_term $ seed $ ases $ failures $ jobs)
+    Term.(
+      const run $ obs_term $ seed $ ases full.ases
+      $ count "failures" full.failures "Failures to isolate." $ jobs)
 
 let scalability_cmd =
   let run obs seed ases jobs =
     check_ases ases;
-    with_obs obs (fun () ->
-        let accuracy = Experiments.Sec53_accuracy.run ~ases ~failure_count:60 ~jobs ~seed () in
-        print_tables
-          (Experiments.Sec54_scalability.to_tables
-             (Experiments.Sec54_scalability.run ~ases ~seed ~accuracy ())))
+    let s = { full with ases } in
+    with_obs obs (fun () -> scalability bare s ~seed (accuracy silent s ~jobs ~seed))
   in
   Cmd.v
     (Cmd.info "scalability" ~doc:"Atlas refresh + isolation overhead (paper sec. 5.4)")
-    Term.(const run $ obs_term $ seed $ ases $ jobs)
+    Term.(const run $ obs_term $ seed $ ases full.ases $ jobs)
 
 let load_cmd =
-  let run obs seed =
-    with_obs obs (fun () ->
-        print_tables (Experiments.Tab2_load.to_tables (Experiments.Tab2_load.run ~seed ())))
-  in
+  let run obs seed = with_obs obs (fun () -> load bare full ~seed) in
   Cmd.v
     (Cmd.info "load" ~doc:"Update load at deployment scale (paper Table 2)")
     Term.(const run $ obs_term $ seed)
 
 let hubble_cmd =
-  let days = Arg.(value & opt float 7.0 & info [ "days" ] ~docv:"D" ~doc:"Observation window.") in
-  let run obs seed ases days jobs =
-    check_ases ases;
-    check_positive_f "--days" days;
-    with_obs obs (fun () ->
-        print_tables
-          (Experiments.Hubble_study.to_tables
-             (Experiments.Hubble_study.run ~ases:(min ases 220) ~days ~jobs ~seed ())))
+  let days =
+    Arg.(value & opt float full.hubble_days & info [ "days" ] ~docv:"D" ~doc:"Observation window.")
+  in
+  let run obs seed study_ases hubble_days jobs =
+    check_ases study_ases;
+    check_positive_f "--days" hubble_days;
+    with_obs obs (fun () -> hubble bare { full with study_ases; hubble_days } ~jobs ~seed)
   in
   Cmd.v
     (Cmd.info "hubble" ~doc:"Hubble-style monitoring week: derive H(d) for Table 2")
-    Term.(const run $ obs_term $ seed $ ases $ days $ jobs)
+    Term.(const run $ obs_term $ seed $ ases full.study_ases $ days $ jobs)
 
 let anomalies_cmd =
-  let run obs seed ases jobs =
-    check_ases ases;
-    with_obs obs (fun () ->
-        print_tables
-          (Experiments.Sec71_anomalies.to_tables
-             (Experiments.Sec71_anomalies.run ~ases:(min ases 220) ~jobs ~seed ())))
+  let run obs seed study_ases jobs =
+    check_ases study_ases;
+    with_obs obs (fun () -> anomalies bare { full with study_ases } ~jobs ~seed)
   in
   Cmd.v
     (Cmd.info "anomalies" ~doc:"Poisoning anomalies: loop-limit + Cogent filters (paper sec. 7.1)")
-    Term.(const run $ obs_term $ seed $ ases $ jobs)
+    Term.(const run $ obs_term $ seed $ ases full.study_ases $ jobs)
 
 let sentinel_cmd =
-  let run obs () =
-    with_obs obs (fun () ->
-        print_tables (Experiments.Sec72_sentinel.to_tables (Experiments.Sec72_sentinel.run ())))
-  in
+  let run obs () = with_obs obs (fun () -> sentinel bare) in
   Cmd.v
     (Cmd.info "sentinel" ~doc:"Sentinel prefix variants (paper sec. 7.2)")
     Term.(const run $ obs_term $ const ())
 
 let ablation_cmd =
-  let poisons = Arg.(value & opt int 8 & info [ "poisons" ] ~docv:"N" ~doc:"Poisonings per row.") in
-  let run obs seed ases poisons jobs =
-    check_ases ases;
-    check_positive_i "--poisons" poisons;
-    with_obs obs (fun () ->
-        print_tables
-          (Experiments.Ablation.to_tables
-             (Experiments.Ablation.run ~ases:(min ases 220) ~poisons ~jobs ~seed ())))
+  let run obs seed study_ases ablation_poisons jobs =
+    check_ases study_ases;
+    check_positive_i "--poisons" ablation_poisons;
+    with_obs obs (fun () -> ablation bare { full with study_ases; ablation_poisons } ~jobs ~seed)
   in
   Cmd.v
     (Cmd.info "ablation" ~doc:"Prepending / MRAI / FIB-latency ablation grid")
-    Term.(const run $ obs_term $ seed $ ases $ poisons $ jobs)
+    Term.(
+      const run $ obs_term $ seed $ ases full.study_ases
+      $ count "poisons" full.ablation_poisons "Poisonings per row." $ jobs)
 
 let damping_cmd =
-  let run obs seed ases jobs =
-    check_ases ases;
-    with_obs obs (fun () ->
-        print_tables
-          (Experiments.Damping.to_tables
-             (Experiments.Damping.run ~ases:(min ases 150) ~jobs ~seed ())))
+  let run obs seed damping_ases jobs =
+    check_ases damping_ases;
+    with_obs obs (fun () -> damping bare { full with damping_ases } ~jobs ~seed)
   in
   Cmd.v
     (Cmd.info "damping" ~doc:"Route-flap damping vs announcement spacing")
-    Term.(const run $ obs_term $ seed $ ases $ jobs)
+    Term.(const run $ obs_term $ seed $ ases full.damping_ases $ jobs)
 
 let case_study_cmd =
-  let run obs () =
-    with_obs obs (fun () ->
-        print_tables (Experiments.Case_study.to_tables (Experiments.Case_study.run ())))
-  in
+  let run obs () = with_obs obs (fun () -> case_study bare) in
   Cmd.v
     (Cmd.info "case-study" ~doc:"Replay the Taiwan/Wisconsin incident (paper sec. 6)")
     Term.(const run $ obs_term $ const ())
@@ -319,7 +486,7 @@ let topo_cmd =
   in
   Cmd.v
     (Cmd.info "topo" ~doc:"Generate a synthetic AS topology and print its shape")
-    Term.(const run $ seed $ ases)
+    Term.(const run $ seed $ ases full.ases)
 
 let poison_cmd =
   let target =
@@ -375,18 +542,14 @@ let poison_cmd =
   in
   Cmd.v
     (Cmd.info "poison" ~doc:"Poison one AS on a synthetic Internet and show who reroutes")
-    Term.(const run $ seed $ ases $ target)
+    Term.(const run $ seed $ ases full.ases $ target)
+
+let duration_arg default = seconds "duration" default "Simulated observation window per world."
+let targets_arg default = count "targets" default "Monitored networks fleet-wide."
 
 let fleet_cmd =
-  let duration =
-    Arg.(
-      value
-      & opt float 86400.0
-      & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated observation window per world.")
-  in
-  let targets =
-    Arg.(value & opt int 250 & info [ "targets" ] ~docv:"N" ~doc:"Monitored networks fleet-wide.")
-  in
+  let duration = duration_arg full.fleet_duration in
+  let targets = targets_arg full.fleet_targets in
   let outages =
     Arg.(
       value
@@ -636,9 +799,10 @@ let fleet_cmd =
             check (crash_at = 0) "--crash-at requires daemon mode (--journal or --resume)";
             check (snapshot_every = 0.0)
               "--snapshot-every requires daemon mode (--journal or --resume)";
-            print_tables
-              (Experiments.Fleet_study.to_tables
-                 (Experiments.Fleet_study.run ~config ~targets ~jobs ~seed ()))
+            ignore
+              (fleet bare config
+                 { full with fleet_duration = duration; fleet_targets = targets }
+                 ~jobs ~seed)
         | _ ->
             let crash =
               if crash_at = 0 then None
@@ -665,15 +829,8 @@ let fleet_cmd =
       $ crash_at $ crash_boundary)
 
 let faults_cmd =
-  let duration =
-    Arg.(
-      value
-      & opt float 21600.0
-      & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated observation window per world.")
-  in
-  let targets =
-    Arg.(value & opt int 50 & info [ "targets" ] ~docv:"N" ~doc:"Monitored networks fleet-wide.")
-  in
+  let duration = duration_arg full.faults_duration in
+  let targets = targets_arg full.faults_targets in
   let outages =
     Arg.(
       value
@@ -683,7 +840,7 @@ let faults_cmd =
   let intensities =
     Arg.(
       value
-      & opt (list float) Experiments.Fault_study.default_intensities
+      & opt (list float) full.intensities
       & info [ "intensities" ] ~docv:"I,..."
           ~doc:"Fault intensities to sweep; 0 is the fault-free control.")
   in
@@ -775,16 +932,10 @@ let faults_cmd =
         exit 2
     in
     with_obs obs (fun () ->
-        let config =
-          {
-            Fleet.Service.default_config with
-            Fleet.Service.duration;
-            outages_per_day = outages;
-          }
-        in
-        print_tables
-          (Experiments.Fault_study.to_tables
-             (Experiments.Fault_study.run ~config ~profile ~intensities ~targets ~jobs ~seed ())))
+        faults bare ~profile
+          { Fleet.Service.default_config with outages_per_day = outages }
+          { full with faults_duration = duration; faults_targets = targets; intensities }
+          ~jobs ~seed)
   in
   Cmd.v
     (Cmd.info "faults"
@@ -797,15 +948,8 @@ let faults_cmd =
       $ update_dup $ jobs)
 
 let plan_cmd =
-  let duration =
-    Arg.(
-      value
-      & opt float Experiments.Plan_study.default_config.Fleet.Service.duration
-      & info [ "duration" ] ~docv:"SECONDS" ~doc:"Simulated observation window per world.")
-  in
-  let targets =
-    Arg.(value & opt int 40 & info [ "targets" ] ~docv:"N" ~doc:"Monitored networks fleet-wide.")
-  in
+  let duration = duration_arg full.plan_duration in
+  let targets = targets_arg full.plan_targets in
   let outages =
     Arg.(
       value
@@ -825,17 +969,14 @@ let plan_cmd =
     check_rate "--outages-per-day" outages;
     check_rate "--decision-latency" latency;
     with_obs obs (fun () ->
-        let config =
+        plan bare
           {
             Experiments.Plan_study.default_config with
-            Fleet.Service.duration;
-            outages_per_day = outages;
+            Fleet.Service.outages_per_day = outages;
             decision_latency = latency;
           }
-        in
-        print_tables
-          (Experiments.Plan_study.to_tables
-             (Experiments.Plan_study.run ~config ~targets ~jobs ~seed ())))
+          { full with plan_duration = duration; plan_targets = targets }
+          ~jobs ~seed)
   in
   Cmd.v
     (Cmd.info "plan"
@@ -845,10 +986,88 @@ let plan_cmd =
     Term.(
       const run $ obs_term $ seed $ duration $ targets $ outages $ latency $ jobs)
 
+let paper_names =
+  [
+    "fig1"; "fig5"; "alt-paths"; "efficacy"; "fig6"; "loss"; "selective"; "accuracy";
+    "scalability"; "load"; "hubble"; "anomalies"; "sentinel"; "ablation"; "damping"; "fleet";
+    "faults"; "plan"; "case-study"; "table1";
+  ]
+
+let paper_cmd =
+  let quick_flag =
+    let doc = "Run every experiment at its quick size, a smoke run." in
+    Arg.(value & flag & info [ "quick" ] ~doc)
+  in
+  let only =
+    let names = List.map (fun n -> (n, n)) paper_names in
+    let doc =
+      "Run only the named experiments, a comma-separated list; each is "
+      ^ Arg.doc_alts_enum names
+      ^ ". $(b,table1) also runs the five drivers it joins and scalability; \
+         $(b,scalability) also runs accuracy."
+    in
+    Arg.(value & opt (list (enum names)) [] & info [ "only" ] ~docv:"NAME,..." ~doc)
+  in
+  let run obs seed quick_run only jobs =
+    let s = if quick_run then quick else full in
+    let wanted name = only = [] || List.mem name only in
+    let table1 = wanted "table1" in
+    let x = timed in
+    let run_if cond f = if cond then Some (f ()) else None in
+    with_obs obs (fun () ->
+        Printf.printf "LIFEGUARD reproduction benchmark harness (seed %d%s)\n" seed
+          (if quick_run then ", quick mode" else "");
+        if wanted "fig1" then ignore (fig1 x s ~seed);
+        if wanted "fig5" then ignore (fig5 x s ~seed);
+        if wanted "alt-paths" then ignore (alt_paths x s ~seed);
+        let e = run_if (wanted "efficacy" || table1) (fun () -> efficacy x s ~jobs ~seed) in
+        let c = run_if (wanted "fig6" || table1) (fun () -> fig6 x s ~jobs ~seed) in
+        let l = run_if (wanted "loss" || table1) (fun () -> loss x s ~jobs ~seed) in
+        let sel = run_if (wanted "selective" || table1) (fun () -> selective x s ~jobs ~seed) in
+        let a =
+          run_if
+            (wanted "accuracy" || wanted "scalability" || table1)
+            (fun () -> accuracy x s ~jobs ~seed)
+        in
+        let sc =
+          match a with
+          | Some acc when wanted "scalability" || table1 -> Some (scalability x s ~seed acc)
+          | _ -> None
+        in
+        if wanted "load" then ignore (load x s ~seed);
+        if wanted "hubble" then ignore (hubble x s ~jobs ~seed);
+        if wanted "anomalies" then ignore (anomalies x s ~jobs ~seed);
+        if wanted "sentinel" then ignore (sentinel x);
+        if wanted "ablation" then ignore (ablation x s ~jobs ~seed);
+        if wanted "damping" then ignore (damping x s ~jobs ~seed);
+        if wanted "fleet" then ignore (fleet x Fleet.Service.default_config s ~jobs ~seed);
+        if wanted "faults" then ignore (faults x Fleet.Service.default_config s ~jobs ~seed);
+        if wanted "plan" then ignore (plan x Experiments.Plan_study.default_config s ~jobs ~seed);
+        if wanted "case-study" then ignore (case_study x);
+        (match (e, c, l, sel, a, sc) with
+        | Some efficacy, Some convergence, Some loss, Some selective, Some accuracy,
+          Some scalability
+          when table1 ->
+            banner "Table 1: summary of key results";
+            print_tables
+              (Experiments.Tab1_summary.to_tables ~efficacy ~convergence ~loss ~selective ~accuracy
+                 ~scalability)
+        | _ -> ());
+        if obs.metrics then banner "Metrics")
+  in
+  Cmd.v
+    (Cmd.info "paper"
+       ~doc:
+         "Regenerate the paper's evaluation: every experiment at the sizes its subcommand \
+          defaults to (or at its quick size), each under a banner with its wall-clock, then \
+          Table 1")
+    Term.(const run $ obs_term $ seed $ quick_flag $ only $ jobs)
+
 let main =
   let doc = "LIFEGUARD (SIGCOMM 2012) reproduction: failure localization and BGP-poisoning repair" in
   Cmd.group (Cmd.info "lifeguard" ~version:"1.0.0" ~doc)
     [
+      paper_cmd;
       fig1_cmd;
       fig5_cmd;
       alt_paths_cmd;

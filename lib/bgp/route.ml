@@ -16,9 +16,6 @@ let announcement ~prefix ~path =
 let announcement_equal a b =
   a == b || (Prefix.equal a.prefix b.prefix && As_path.equal a.path b.path)
 
-let pp_announcement fmt a =
-  Format.fprintf fmt "%a via [%a]" Prefix.pp a.prefix As_path.pp a.path
-
 type entry = {
   ann : announcement;
   neighbor : Asn.t;
@@ -55,6 +52,3 @@ let local_entry_of ~ann ~self ~now =
     ~local_pref:local_pref_local ~learned_at:now ()
 
 let is_local e = e.local_pref = local_pref_local
-
-let pp_entry fmt e =
-  Format.fprintf fmt "%a lp=%d from %a" pp_announcement e.ann e.local_pref Asn.pp e.neighbor

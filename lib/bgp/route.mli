@@ -17,8 +17,6 @@ val announcement_equal : announcement -> announcement -> bool
 (** Full attribute equality — used to suppress duplicate updates. O(1)
     ([==]) on announcements interned by one world's {!Path_store}. *)
 
-val pp_announcement : Format.formatter -> announcement -> unit
-
 type entry = {
   ann : announcement;
   neighbor : Asn.t;  (** The neighbor it was learned from (self if local). *)
@@ -27,8 +25,10 @@ type entry = {
   learned_at : float;  (** Simulation time of import. *)
   path_len : int;  (** Cached [As_path.length ann.path]. *)
   tiebreak : int;
-      (** Cached per-speaker tiebreak rank ({!tiebreak_rank} of the
-          importing speaker's salt; [0] when imported without a salt).
+      (** Cached per-speaker tiebreak rank (a 16-bit hash of the
+          importing speaker's salt and [neighbor], standing in for the
+          IGP-cost / router-id tiebreaks real routers apply; [0] when
+          imported without a salt).
           Both caches exist because {!Decision.compare_entries} runs once
           per candidate per update — the hottest comparison in the
           simulator — and recomputing path length and hash rank there
@@ -36,11 +36,6 @@ type entry = {
 }
 (** An adj-RIB-in / loc-RIB entry. Build with {!make_entry} or
     {!local_entry_of} so the cached fields stay consistent with [ann]. *)
-
-val tiebreak_rank : salt:int -> Asn.t -> int
-(** The salted tiebreak rank used as the penultimate decision step: a
-    16-bit hash of [(salt, neighbor)], standing in for the IGP-cost /
-    router-id tiebreaks real routers apply. *)
 
 val make_entry :
   ?salt:int ->
@@ -65,5 +60,3 @@ val local_entry_of : ann:announcement -> self:Asn.t -> now:float -> entry
 
 val is_local : entry -> bool
 (** Whether the entry is a local origination (neighbor = self). *)
-
-val pp_entry : Format.formatter -> entry -> unit

@@ -19,7 +19,6 @@ type direction =
   | Destination_unreachable  (** No vantage point reaches the target: not isolatable. *)
   | No_failure  (** The path works after all (transient). *)
 
-val pp_direction : Format.formatter -> direction -> unit
 val direction_to_string : direction -> string
 
 type blame =
@@ -27,7 +26,6 @@ type blame =
   | Blamed_link of Asn.t * Asn.t  (** Failure pinned to an inter-AS link. *)
   | Unlocated  (** Evidence insufficient. *)
 
-val pp_blame : Format.formatter -> blame -> unit
 val blamed_as : blame -> Asn.t option
 (** The AS to poison: the blamed AS, or the far side of a blamed link. *)
 

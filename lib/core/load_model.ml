@@ -13,6 +13,9 @@ let survival durations ~seconds =
   let alive = Array.fold_left (fun acc d -> if d >= seconds then acc + 1 else acc) 0 durations in
   float_of_int alive /. float_of_int n
 
+(* Daily poisonable outages lasting at least [d_minutes], extrapolating
+   from the 15-minute anchor using the empirical survival function of
+   [durations] (seconds). *)
 let p_of_d params ~durations ~d_minutes =
   let anchor = params.h15_per_day /. (params.ih *. params.th) in
   let s_d = survival durations ~seconds:(d_minutes *. 60.0) in

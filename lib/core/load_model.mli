@@ -28,11 +28,6 @@ val default_params : params
 (** Calibrated so the Table 2 reference cell (I=0.01, T=1.0, d=15) lands
     at ~275 daily changes. *)
 
-val p_of_d : params -> durations:float array -> d_minutes:float -> float
-(** Daily poisonable outages lasting at least [d_minutes], extrapolating
-    from the 15-minute anchor using the empirical survival function of
-    [durations] (seconds). *)
-
 val daily_path_changes :
   params -> durations:float array -> i:float -> t:float -> d_minutes:float -> float
 (** The Table 2 cell: extra daily path changes per router for deployment

@@ -6,19 +6,6 @@ type spec = { scope : scope; mode : mode; toward : Prefix.t option }
 
 let spec ?(mode = Data_only) ?toward scope = { scope; mode; toward }
 
-let pp_scope fmt = function
-  | Node a -> Format.fprintf fmt "node %a" Asn.pp a
-  | Link (a, b) -> Format.fprintf fmt "link %a-%a" Asn.pp a Asn.pp b
-  | Link_dir (a, b) -> Format.fprintf fmt "link %a->%a" Asn.pp a Asn.pp b
-
-let pp_spec fmt t =
-  Format.fprintf fmt "%a (%s)%a" pp_scope t.scope
-    (match t.mode with Data_only -> "silent" | Control_and_data -> "hard")
-    (fun fmt -> function
-      | None -> ()
-      | Some p -> Format.fprintf fmt " toward %a" Prefix.pp p)
-    t.toward
-
 let scope_equal a b =
   match (a, b) with
   | Node x, Node y -> Asn.equal x y

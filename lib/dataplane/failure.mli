@@ -34,8 +34,6 @@ type spec = {
 val spec : ?mode:mode -> ?toward:Prefix.t -> scope -> spec
 (** [mode] defaults to [Data_only] (the interesting case). *)
 
-val pp_spec : Format.formatter -> spec -> unit
-
 type set
 (** A mutable collection of active failures. *)
 

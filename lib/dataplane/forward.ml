@@ -11,17 +11,6 @@ type outcome =
 
 type walk = { hops : hop list; outcome : outcome }
 
-let pp_outcome fmt = function
-  | Delivered -> Format.pp_print_string fmt "delivered"
-  | No_route a -> Format.fprintf fmt "no route at %a" Asn.pp a
-  | Loop -> Format.pp_print_string fmt "loop"
-  | Dropped { at; by } -> Format.fprintf fmt "dropped at %a by %a" Asn.pp at Failure.pp_spec by
-
-let pp_walk fmt w =
-  Format.fprintf fmt "[%s] %a"
-    (String.concat " -> " (List.map (fun h -> Asn.to_string h.asn) w.hops))
-    pp_outcome w.outcome
-
 (* The border router of [asn] that answers for a given flow: picked by a
    fixed integer mix of (asn, destination) so multi-router ASes expose
    several addresses in traces, deterministically per destination. The

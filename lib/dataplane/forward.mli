@@ -22,8 +22,6 @@ type outcome =
 type walk = { hops : hop list; outcome : outcome }
 (** [hops] lists the traversed ASes in order, starting with the source. *)
 
-val pp_walk : Format.formatter -> walk -> unit
-
 val walk : Bgp.Network.t -> Failure.set -> src:Asn.t -> dst:Ipv4.t -> walk
 (** Forward a packet from [src] toward [dst]. A 64-hop bound ends the
     walk; exceeding it reports [Loop]. There are no default routes: an AS

@@ -2,8 +2,8 @@
 
     Each module exposes [run] (deterministic given its seed) returning a
     typed result, and [to_tables] rendering paper-vs-measured rows. The
-    benchmark harness ([bench/main.exe]) runs them all; the CLI
-    ([bin/lifeguard_cli]) runs them individually. This interface exists
+    CLI ([bin/lifeguard_cli]) runs them all ([lifeguard paper]) or one
+    per subcommand, at the sizes of its one size table. This interface exists
     to pin the library surface to exactly these drivers (plus
     {!Runner}, the §5 poisoning procedure the drivers share
     ({!Poisoning}) and the [--metrics] summary {!Metrics_report}); helper

@@ -21,4 +21,4 @@ val run_trials : jobs:int -> (unit -> 'a) list -> 'a list
     is enabled, emits a [runner.trial] trace event with its submission
     index, wall-clock duration (from the injected {!Obs.Clock}) and the
     number of engine events it dispatched — the per-trial ground truth
-    the bench's end-to-end wall-clocks cannot provide. *)
+    the per-experiment wall-clocks of [lifeguard paper] cannot provide. *)

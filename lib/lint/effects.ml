@@ -178,6 +178,8 @@ let analyse (cg : Callgraph.t) =
 
 let effects_of t id = List.filter (fun e -> t.effects.(id) land bit e <> 0) all_effects
 let has t id eff = t.effects.(id) land bit eff <> 0
+(* Seeded in the function's own body (the per-file rules already cover
+   those sites); [LG-EFF-*] reports only the transitive reachers. *)
 let is_direct t id eff = Option.is_some t.direct.(id).(idx eff)
 
 (* ---------------- traces --------------------------------------------- *)

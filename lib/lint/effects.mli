@@ -12,9 +12,6 @@
 
 type eff = Clock | Random | Global_mut | Prints | Catchall | Io
 
-val all_effects : eff list
-(** In display order. *)
-
 val label : eff -> string
 
 type origin =
@@ -26,20 +23,12 @@ type t
 
 val analyse : Callgraph.t -> t
 
-val effects_of : t -> int -> eff list
 val has : t -> int -> eff -> bool
-
-val is_direct : t -> int -> eff -> bool
-(** Seeded in the function's own body (the per-file rules already cover
-    those sites); [LG-EFF-*] reports only the transitive reachers. *)
 
 val trace : t -> int -> eff -> string list
 (** Witness chain from a definition to the primitive that grounds the
     effect, as display names, e.g.
     [\["Main.timed"; "Unix.gettimeofday"\]]. *)
-
-val trace_string : t -> int -> eff -> string
-(** {!trace} joined with [" -> "]. *)
 
 val row : t -> int -> string
 (** Comma-joined effect labels of one definition, or ["pure"]. *)

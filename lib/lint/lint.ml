@@ -12,7 +12,7 @@ module Effects = Effects
 module Pragma = Pragma
 module Report = Report
 
-let default_dirs = [ "lib"; "bin"; "bench"; "examples" ]
+let default_dirs = [ "lib"; "bin"; "examples" ]
 
 (* Skip hidden and build dirs so the pass can run unchanged from a dune
    sandbox (_build/default), where .objs/ etc. sit next to sources. *)
@@ -80,6 +80,10 @@ let scan ?kind ~dirs () =
 let pp_violation oc (v : Source_scan.violation) =
   Printf.fprintf oc "%s\n" (Report.text_line v)
 
+(* Diff a report against a baseline file; print fresh violations and
+   stale entries ([Report.Github] adds [::error] workflow commands for
+   fresh violations); return the exit code (0 clean, 1 fresh violations
+   or a stale entry, 2 unreadable baseline). *)
 let run_check ?(format = Report.Text) ~oc ~baseline_path r =
   match Baseline.load baseline_path with
   | Error e ->
@@ -133,7 +137,7 @@ let usage =
   \               [--baseline FILE] [--root DIR] [--treat-as-lib] [DIR ...]\n\
    Static analysis for domain-safety, determinism and hot-path hygiene,\n\
    including the interprocedural LG-EFF-* effect rules.\n\
-   FMT is one of: text github. Default directories: lib bin bench examples."
+   FMT is one of: text github. Default directories: lib bin examples."
 
 let main ?(out = Format.std_formatter) argv =
   let check = ref false in

@@ -45,6 +45,8 @@ let record_forward t ~vp ~dst ~now path =
   let s = state t ~vp ~dst in
   s.forward <- push s.forward ~now path
 
+(* Store an observed reverse path, listed destination first (the path
+   packets take from [dst] back to [vp]). *)
 let record_reverse t ~vp ~dst ~now path =
   let s = state t ~vp ~dst in
   s.reverse <- push s.reverse ~now path

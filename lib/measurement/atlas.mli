@@ -22,10 +22,6 @@ val create : unit -> t
 val record_forward : t -> vp:Asn.t -> dst:Asn.t -> now:float -> Asn.t list -> unit
 (** Store an observed forward path (vp first). *)
 
-val record_reverse : t -> vp:Asn.t -> dst:Asn.t -> now:float -> Asn.t list -> unit
-(** Store an observed reverse path, listed destination first (the path
-    packets take from [dst] back to [vp]). *)
-
 val forward_history : t -> vp:Asn.t -> dst:Asn.t -> snapshot list
 (** Newest first. *)
 

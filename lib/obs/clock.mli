@@ -3,9 +3,8 @@
     Libraries must not read the wall clock directly (rule [LG-DET-CLOCK]):
     a wall-clock read inside a trial closure would make the trace
     timestamp stream — though never the experiment tables — depend on the
-    machine. Instead the outermost binary ([bench/main] or
-    [bin/lifeguard_cli]) installs a source once at startup, and library
-    code asks {!now}. When no source is installed, {!now} is [0.], so
+    machine. Instead the outermost binary ([bin/lifeguard_cli]) installs
+    a source once at startup, and library code asks {!now}. When no source is installed, {!now} is [0.], so
     span durations degrade to zero rather than to nondeterminism. *)
 
 val set : (unit -> float) -> unit

@@ -11,9 +11,9 @@
     every instrument costs one atomic flag read and allocates nothing.
 
     Layering: [lib/obs] depends on nothing; [sim], [bgp], [dataplane],
-    [measurement] and [experiments] record into it; the binaries
-    ([bench/main], [bin/lifeguard_cli]) enable it via [--trace FILE] and
-    [--metrics] and render the results. *)
+    [measurement] and [experiments] record into it; the CLI
+    ([bin/lifeguard_cli]) enables it via [--trace FILE] and [--metrics]
+    and renders the results. *)
 
 module Clock = Clock
 (** Injected wall-clock source (libraries may not read the clock). *)

@@ -2,6 +2,7 @@ open Net
 open Topology
 open Lifeguard
 
+(* The verbatim [Decide] reason served when no alternate path exists. *)
 let hopeless_reason blamed =
   Printf.sprintf "no policy-compliant path around %s" (Asn.to_string blamed)
 

@@ -22,9 +22,6 @@ open Net
 open Topology
 open Lifeguard
 
-val hopeless_reason : Asn.t -> string
-(** The verbatim [Decide] reason served when no alternate path exists. *)
-
 val candidate_blames : As_graph.t -> origin:Asn.t -> target:Asn.t -> Asn.t list
 (** The blame verdicts isolation is likely to produce for this target:
     intermediate ASes of the policy-compliant paths in both directions

@@ -12,7 +12,7 @@
     - {!After_effect}: record and effect both happened; the crash loses
       only in-memory state.
 
-    The harness (tests, bench, CLI) catches {!Crashed}, keeps whatever
+    The harness (tests, CLI, perfbench) catches {!Crashed}, keeps whatever
     the sinks persisted, and resumes via deterministic re-execution
     ({!Journal.replaying}). *)
 

@@ -56,5 +56,3 @@ val unescape : string -> string option
 val float_field : float -> string
 (** ["%h"] rendering used for every float in the journal and snapshot. *)
 
-val kind_to_string : outcome_kind -> string
-val kind_of_string : string -> outcome_kind option

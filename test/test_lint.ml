@@ -44,7 +44,7 @@ let test_obs_fixtures () =
   check_rule "obs_bad" bad Rule.Obs_printf 4;
   Alcotest.(check int) "obs_good is clean" 0 (List.length (scan_fixture "obs_good.ml"));
   (* outside lib/, printing is the executable's business *)
-  match Scan.scan_file ~kind:(Scan.classify "bench/main.ml") (fixture "obs_bad.ml") with
+  match Scan.scan_file ~kind:(Scan.classify "bin/lifeguard_cli.ml") (fixture "obs_bad.ml") with
   | Ok vs -> check_rule "obs_bad outside lib" vs Rule.Obs_printf 0
   | Error e -> Alcotest.fail e
 
@@ -69,7 +69,7 @@ let test_rob_fixtures () =
   check_rule "rob_bad" bad Rule.Rob_exn 4;
   Alcotest.(check int) "rob_good is clean" 0 (List.length (scan_fixture "rob_good.ml"));
   (* outside lib/, defensive catch-alls in a binary are its business *)
-  match Scan.scan_file ~kind:(Scan.classify "bench/main.ml") (fixture "rob_bad.ml") with
+  match Scan.scan_file ~kind:(Scan.classify "bin/lifeguard_cli.ml") (fixture "rob_bad.ml") with
   | Ok vs -> check_rule "rob_bad outside lib" vs Rule.Rob_exn 0
   | Error e -> Alcotest.fail e
 
@@ -82,7 +82,7 @@ let test_rob_snapshot_fixtures () =
   Alcotest.(check int) "rob_snapshot_none is clean" 0
     (List.length (scan_fixture "rob_snapshot_none.ml"));
   (* outside lib/, snapshotting is not a contract the linter owns *)
-  match Scan.scan_file ~kind:(Scan.classify "bench/main.ml") (fixture "rob_snapshot_bad.ml") with
+  match Scan.scan_file ~kind:(Scan.classify "bin/lifeguard_cli.ml") (fixture "rob_snapshot_bad.ml") with
   | Ok vs -> check_rule "rob_snapshot_bad outside lib" vs Rule.Rob_snapshot 0
   | Error e -> Alcotest.fail e
 
@@ -100,7 +100,7 @@ let test_rob_marshal_fixtures () =
   check_rule "rob_marshal_bad as another workloads module" (scan_as "lib/workloads/scenarios.ml")
     Rule.Rob_marshal 4;
   (* unlike most LG-ROB rules it holds outside lib/ too *)
-  check_rule "rob_marshal_bad outside lib" (scan_as "bench/main.ml") Rule.Rob_marshal 4
+  check_rule "rob_marshal_bad outside lib" (scan_as "bin/lifeguard_cli.ml") Rule.Rob_marshal 4
 
 let test_mli_fixtures () =
   let files = Lint.collect_ml_files [] (fixture "mli") in
