@@ -37,9 +37,7 @@ type hooks = {
     breaker_open:(Asn.t -> bool) ->
     Decide.verdict option)
     option;
-  plan_record :
-    (target:Asn.t -> diagnosis:Isolation.diagnosis -> verdict:Decide.verdict -> unit) option;
-  plan_outcome : (poison:Asn.t -> [ `Confirmed | `Diverged of string ] -> unit) option;
+  plan_demote : (poison:Asn.t -> reason:string -> unit) option;
 }
 
 let no_hooks =
@@ -49,8 +47,7 @@ let no_hooks =
     isolation_attempt = None;
     vantage_filter = None;
     plan_consult = None;
-    plan_record = None;
-    plan_outcome = None;
+    plan_demote = None;
   }
 
 type event =
@@ -336,11 +333,11 @@ let rollback t ap ~pump reason =
       ~effect:(fun () -> Hashtbl.replace t.breaker ap.ap_target ());
     (* A served plan whose watchdog outcome diverged: demote it back to
        compute-fresh. *)
-    (match t.hooks.plan_outcome with
+    (match t.hooks.plan_demote with
     | Some f when ap.ap_planned ->
         journaled t
           (Recover.Record.Plan_demotion { poison = ap.ap_target; reason })
-          ~effect:(fun () -> f ~poison:ap.ap_target (`Diverged reason))
+          ~effect:(fun () -> f ~poison:ap.ap_target ~reason)
     | _ -> ());
     let delay = announce_delay t in
     if delay <= 0.0 then roll_now t ap ~pump
@@ -401,10 +398,7 @@ let watchdog_tick t ap ~pump =
                 List.iter
                   (fun target ->
                     log t (Repair_confirmed { target; poison = ap.ap_target }))
-                  (List.rev ap.ap_affected);
-                match t.hooks.plan_outcome with
-                | Some f when ap.ap_planned -> f ~poison:ap.ap_target `Confirmed
-                | _ -> ()
+                  (List.rev ap.ap_affected)
               end
         end
         else if settled then begin
@@ -593,14 +587,8 @@ let run_decision t p diagnosis =
           ~breaker_open:(fun a -> Hashtbl.mem t.breaker a)
   in
   let decide_fresh () =
-    let verdict =
-      Decide.decide t.config.decide graph ~origin:t.plan.Remediate.origin ~diagnosis
-        ~outage_age:(outage_age ())
-    in
-    (* Hand the fresh verdict back to the cache so the next outage of the
-       same class becomes a hit. *)
-    (match t.hooks.plan_record with Some f -> f ~target ~diagnosis ~verdict | None -> ());
-    verdict
+    Decide.decide t.config.decide graph ~origin:t.plan.Remediate.origin ~diagnosis
+      ~outage_age:(outage_age ())
   in
   (* While the verdict is Wait, keep rechecking: stand down if the outage
      resolves on its own, poison once it has aged past the gate. *)

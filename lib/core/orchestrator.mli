@@ -83,15 +83,11 @@ type hooks = {
           precomputed plan (and skips [decision_latency]); [None] falls
           through to the decision process. [breaker_open] lets the cache
           refuse to serve a plan against a breaker-open AS. *)
-  plan_record :
-    (target:Asn.t -> diagnosis:Isolation.diagnosis -> verdict:Decide.verdict -> unit) option;
-      (** Called with every freshly-computed verdict so the cache can
-          memoize it. *)
-  plan_outcome : (poison:Asn.t -> [ `Confirmed | `Diverged of string ] -> unit) option;
+  plan_demote : (poison:Asn.t -> reason:string -> unit) option;
       (** Watchdog feedback for poisons that were served from a plan:
-          [`Confirmed] when the vantage feeds showed the poison in
-          force, [`Diverged reason] when it was rolled back — the cache
-          demotes the plan back to compute-fresh. *)
+          called (after its [Plan_demotion] journal record) when such a
+          poison is rolled back, so the cache demotes the poisoned AS
+          back to compute-fresh. *)
 }
 
 val no_hooks : hooks

@@ -34,8 +34,8 @@ type config = {
   planning : bool;
       (** Precompute remediation plans offline ([Plan.Planner] over this
           world's graph) and consult the plan cache before every fresh
-          decision, with invalidation on structural fault churn and
-          breaker trips and watchdog-divergence demotion. Default false:
+          decision, dropping plans against breaker-open ASes and
+          demoting them on watchdog divergence. Default false:
           the legacy compute-every-time pipeline, byte-identical to
           before the knob existed. *)
   decision_latency : float;
@@ -100,7 +100,7 @@ type report = {
   plan_hits : int;  (** Decisions served from the plan cache. *)
   plan_misses : int;  (** Lookups that fell through to a fresh decision. *)
   plan_invalidations : int;
-      (** Cache flushes (topology churn) plus breaker-conflict drops. *)
+      (** Lookups that dropped plans against a breaker-open AS. *)
   plan_demotions : int;
       (** Plans demoted to compute-fresh after watchdog divergence. *)
 }

@@ -10,8 +10,6 @@ type t = {
   config : Decide.config;
   origin : Asn.t;
   paths : Bgp.Path_store.t;
-  fingerprint : (unit -> int) option;
-  mutable last_fingerprint : int;
   mutable plans : Plan_store.t;
   mutable demoted : Asn.Set.t;
   mutable demotion_log : (Asn.t * string) list;
@@ -21,13 +19,11 @@ type t = {
   mutable demotions : int;
 }
 
-let create ?fingerprint ?(seed = Plan_store.empty) ~config ~origin ~paths () =
+let create ?(seed = Plan_store.empty) ~config ~origin ~paths () =
   {
     config;
     origin;
     paths;
-    fingerprint;
-    last_fingerprint = (match fingerprint with None -> 0 | Some f -> f ());
     plans = seed;
     demoted = Asn.Set.empty;
     demotion_log = [];
@@ -37,20 +33,13 @@ let create ?fingerprint ?(seed = Plan_store.empty) ~config ~origin ~paths () =
     demotions = 0;
   }
 
-let flush t =
-  t.plans <- Plan_store.empty;
-  t.invalidations <- t.invalidations + 1;
-  Obs.Metrics.incr m_invalidations
-
-let check_fingerprint t =
-  match t.fingerprint with
-  | None -> ()
-  | Some f ->
-      let now = f () in
-      if now <> t.last_fingerprint then begin
-        t.last_fingerprint <- now;
-        flush t
-      end
+(* Drop every plan that poisons [blamed]. *)
+let drop_poisons t blamed =
+  t.plans <-
+    Plan_store.filter
+      (fun ~target:_ ~cls remedy ->
+        not (Plan_store.poisons remedy && Asn.equal cls.Failure_class.blamed blamed))
+      t.plans
 
 let demote t ~poison ~reason =
   if not (Asn.Set.mem poison t.demoted) then begin
@@ -59,16 +48,7 @@ let demote t ~poison ~reason =
     t.demotions <- t.demotions + 1;
     Obs.Metrics.incr m_demotions
   end;
-  t.plans <-
-    Plan_store.filter
-      (fun ~target:_ ~cls remedy ->
-        not (Plan_store.poisons remedy && Asn.equal cls.Failure_class.blamed poison))
-      t.plans
-
-let note_outcome t ~poison outcome =
-  match outcome with
-  | `Confirmed -> ()
-  | `Diverged reason -> demote t ~poison ~reason
+  drop_poisons t poison
 
 let trace_lookup t ~now ~target ?cls ~result () =
   if Obs.Trace.on () then
@@ -90,7 +70,6 @@ let miss t ~now ~target ?cls ~result () =
   None
 
 let lookup t graph ~now ~target ~diagnosis ~outage_age ~breaker_open =
-  check_fingerprint t;
   match Failure_class.of_diagnosis diagnosis with
   | None -> miss t ~now ~target ~result:"unplannable" ()
   | Some cls ->
@@ -117,13 +96,7 @@ let lookup t graph ~now ~target ~diagnosis ~outage_age ~breaker_open =
                  drop every plan poisoning it and fall through to the
                  fresh decision, which refuses at the breaker the same
                  way. *)
-              t.plans <-
-                Plan_store.filter
-                  (fun ~target:_ ~cls:c r ->
-                    not
-                      (Plan_store.poisons r
-                      && Asn.equal c.Failure_class.blamed cls.Failure_class.blamed))
-                  t.plans;
+              drop_poisons t cls.Failure_class.blamed;
               t.invalidations <- t.invalidations + 1;
               Obs.Metrics.incr m_invalidations;
               miss t ~now ~target ?cls:(Some cls) ~result:"breaker" ()
@@ -142,33 +115,10 @@ let lookup t graph ~now ~target ~diagnosis ~outage_age ~breaker_open =
             end
       end
 
-let record t ~target ~diagnosis ~verdict =
-  match Failure_class.of_diagnosis diagnosis with
-  | None -> ()
-  | Some cls ->
-      if not (Asn.Set.mem cls.Failure_class.blamed t.demoted) then begin
-        let remedy =
-          match verdict with
-          | Decide.Poison a ->
-              Some
-                (Plan_store.Poison
-                   {
-                     path =
-                       Bgp.Path_store.intern_path t.paths
-                         (Bgp.As_path.poisoned ~origin:t.origin ~poison:a);
-                   })
-          | Decide.Hopeless reason -> Some (Plan_store.Hopeless reason)
-          | Decide.Wait _ -> None
-        in
-        match remedy with
-        | None -> ()
-        | Some remedy -> t.plans <- Plan_store.add t.plans ~target ~cls remedy
-      end
-
 (* Deterministic one-line rendering of the cache's mutable state for the
-   snapshot digest: fingerprint, counters, demotion set and log. Opaque
-   to recovery (a resumed run rebuilds the cache by re-execution); its
-   job is to make cache drift visible in snapshot comparisons. *)
+   snapshot digest: size, counters, demotion set and log. Opaque to
+   recovery (a resumed run rebuilds the cache by re-execution); its job
+   is to make cache drift visible in snapshot comparisons. *)
 let capture t =
   let demoted =
     Asn.Set.elements t.demoted |> List.map Asn.to_string |> String.concat ","
@@ -179,9 +129,8 @@ let capture t =
            Asn.to_string a ^ ":" ^ String.map (fun c -> if c = ' ' then '_' else c) reason)
     |> String.concat ","
   in
-  Printf.sprintf "fp=%d size=%d hits=%d misses=%d invalidations=%d demotions=%d demoted=%s log=%s"
-    t.last_fingerprint (Plan_store.cardinal t.plans) t.hits t.misses t.invalidations
-    t.demotions demoted dlog
+  Printf.sprintf "size=%d hits=%d misses=%d invalidations=%d demotions=%d demoted=%s log=%s"
+    (Plan_store.cardinal t.plans) t.hits t.misses t.invalidations t.demotions demoted dlog
 
 let hits t = t.hits
 let misses t = t.misses
@@ -189,4 +138,3 @@ let invalidations t = t.invalidations
 let demotions t = t.demotions
 let size t = Plan_store.cardinal t.plans
 let demotion_log t = List.rev t.demotion_log
-let plans t = t.plans

@@ -1,32 +1,32 @@
 (** The plan cache the orchestrator consults before computing a fresh
-    decision, plus its invalidation and staleness layers.
+    decision: a memo of the decision's feasibility bit
+    ([Splice.policy_reachable] around the blamed AS), keyed by (target,
+    failure class).
 
-    A lookup replays the memoized feasibility bit through
-    [Decide.decide ~feasible], so a hit yields the byte-identical verdict
-    a fresh decision would — the cache changes {e when} the answer is
-    known, never {e what} it is. Two things stop a plan being served:
+    A lookup replays the memoized bit through [Decide.decide ~feasible],
+    so a hit yields the byte-identical verdict a fresh decision would —
+    the cache changes {e when} the answer is known, never {e what} it is.
+    The bit depends only on the AS graph and its export policies, which
+    nothing changes after set-up (link failures and router crashes drop
+    sessions, not graph edges), so a plan never goes stale from churn.
 
-    - {b topology churn}: a changed [fingerprint] (wired by the fleet to
-      the world's fault counters) flushes the whole map;
+    Every plan comes from {!Planner}: the offline sweep passed as
+    [seed], or {!lookup}, which demand-plans each class it misses (still
+    counted and returned as a miss) so the next lookup of that class
+    hits. Plans are dropped only per AS:
+
     - {b breaker trips}: a plan poisoning a breaker-open AS is dropped at
-      lookup and the fresh decision refuses at the breaker identically.
-
-    Staleness: when the poison watchdog's outcome diverges from the plan
-    (rollback, re-announce budget exhausted), {!note_outcome} demotes the
-    poisoned AS back to compute-fresh permanently and records the reason
-    — a demoted AS is never served {e or} re-memoized.
-
-    Misses are repaired twice over: {!lookup} itself demand-plans the
-    missed class with {!Planner.remedy_for_class} (still counted and
-    returned as a miss this round), and {!record} lets the orchestrator
-    hand back each fresh verdict for memoization (except age-gated
-    [Wait]s, which carry no feasibility information) — so recurring
-    outages become hits even beyond the offline planner's enumeration.
+      lookup and the fresh decision refuses at the breaker identically;
+    - {b demotion}: when the poison watchdog rolls back a served poison,
+      {!demote} drops every plan poisoning that AS and sends it back to
+      compute-fresh permanently — a demoted AS is never served or
+      re-planned.
 
     Counters surface as [plan.hits] / [plan.misses] /
-    [plan.invalidations] / [plan.demotions] metrics and every lookup
-    emits a [plan.lookup] trace span when tracing is on. One cache per
-    world — share-nothing, like every other per-world structure. *)
+    [plan.invalidations] (breaker drops) / [plan.demotions] metrics and
+    every lookup emits a [plan.lookup] trace span when tracing is on. One
+    cache per world — share-nothing, like every other per-world
+    structure. *)
 
 open Net
 open Topology
@@ -35,16 +35,14 @@ open Lifeguard
 type t
 
 val create :
-  ?fingerprint:(unit -> int) ->
   ?seed:Plan_store.t ->
   config:Decide.config ->
   origin:Asn.t ->
   paths:Bgp.Path_store.t ->
   unit ->
   t
-(** [fingerprint] is sampled at creation and on every lookup; any change
-    flushes the map (topology-churn invalidation). [seed] is the offline
-    planner's failure map. [paths] interns memoized poison paths. *)
+(** [seed] is the offline planner's failure map. [paths] interns
+    demand-planned poison paths. *)
 
 val lookup :
   t ->
@@ -57,21 +55,17 @@ val lookup :
   Decide.verdict option
 (** [Some verdict] on a hit — byte-identical to the fresh decision.
     [None] on miss, demoted class, breaker conflict, or unplannable
-    diagnosis; the caller then computes fresh (and should {!record}). *)
+    diagnosis; the caller then computes fresh. *)
 
-val record : t -> target:Asn.t -> diagnosis:Isolation.diagnosis -> verdict:Decide.verdict -> unit
-(** Memoize a fresh verdict so the next same-class outage hits. [Wait]
-    verdicts and demoted classes are not memoized. *)
-
-val note_outcome : t -> poison:Asn.t -> [ `Confirmed | `Diverged of string ] -> unit
-(** Watchdog feedback for a served plan: [`Confirmed] keeps it,
-    [`Diverged reason] demotes every plan poisoning that AS. *)
+val demote : t -> poison:Asn.t -> reason:string -> unit
+(** Watchdog feedback for a served poison that was rolled back: drop
+    every plan poisoning [poison] and never serve one again. *)
 
 val capture : t -> string
 (** Deterministic one-line rendering of the cache's mutable state
-    (fingerprint, size, counters, demotion set and log) for the recovery
-    snapshot digest. Pure read; spaces in demotion reasons are folded to
-    ['_'] so the line stays single-token. *)
+    (size, counters, demotion set and log) for the recovery snapshot
+    digest. Pure read; spaces in demotion reasons are folded to ['_'] so
+    the line stays single-token. *)
 
 val hits : t -> int
 val misses : t -> int
@@ -80,5 +74,3 @@ val demotions : t -> int
 val size : t -> int
 val demotion_log : t -> (Asn.t * string) list
 (** Oldest first. *)
-
-val plans : t -> Plan_store.t

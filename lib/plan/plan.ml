@@ -4,8 +4,9 @@
     {!Planner} enumerates (target, failure-class) pairs over a world and
     precomputes each remediation into a deterministic {!Plan_store}; a
     runtime {!Cache} serves them to the orchestrator ahead of the fresh
-    decision process, invalidating on topology churn, policy change and
-    circuit-breaker trips, and demoting plans whose watchdog outcome
+    decision process. A plan depends only on the static AS graph, so it
+    never goes stale from faults; the cache drops plans against
+    circuit-breaker-open ASes and demotes those whose watchdog outcome
     diverges. Keys are {!Failure_class} values — the shape of an
     isolation verdict. *)
 

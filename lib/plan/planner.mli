@@ -15,8 +15,9 @@
     module-level mutable state reachable — certified by the
     [LG-PLAN-STALE] lint rule. Purity is what makes a plan trustworthy:
     rebuilding the map from the same graph always yields byte-identical
-    plans, so staleness can only come from the world changing, which the
-    cache's invalidation layer watches for. *)
+    plans, and nothing changes the graph after set-up (faults drop
+    sessions, not edges), so a plan stays valid for the world's
+    lifetime. *)
 
 open Net
 open Topology

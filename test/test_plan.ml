@@ -1,7 +1,7 @@
 (* lib/plan: precomputed remediation plans — the planner's failure map,
-   the cache's byte-identical hit path, its invalidation layers (topology
-   churn, breaker trips), watchdog-divergence demotion, and the plan
-   study's determinism across jobs. *)
+   the cache's byte-identical hit path (after faults, and demand-planned
+   on a generated world), breaker drops, watchdog-divergence demotion,
+   and the plan study's determinism across jobs. *)
 
 open Net
 open Helpers
@@ -34,10 +34,10 @@ let plan_world () =
 
 let reverse_failure_spec = Dataplane.Failure.spec ~toward:sentinel (Dataplane.Failure.Node a)
 
-let seeded_cache ?fingerprint w rplan =
+let seeded_cache w rplan =
   let store = Bgp.Network.path_store w.net in
   let seed = Plan.Planner.build ~graph:w.graph ~store ~plan:rplan ~targets:[ e; f ] in
-  Plan.Cache.create ?fingerprint ~seed ~config:decide_config ~origin:o ~paths:store ()
+  Plan.Cache.create ~seed ~config:decide_config ~origin:o ~paths:store ()
 
 (* The offline planner enumerates (target, class) pairs for fig. 2: the
    reverse-failure class blaming A must carry a feasible poison for E
@@ -124,29 +124,110 @@ let test_miss_demand_plans_then_hits () =
   | Some v -> Alcotest.(check string) "verdicts agree" (verdict_str fresh) (verdict_str v));
   Alcotest.(check int) "one hit" 1 (Plan.Cache.hits cache)
 
-(* Topology churn: a fingerprint change flushes the whole map; the next
-   lookup computes fresh (a miss) and re-plans. *)
-let test_invalidation_on_churn () =
+(* Faults drop sessions, never graph edges, so the feasibility bit a
+   plan memoizes cannot go stale: after a link failure and a router
+   crash the seeded plans still hit, and each verdict equals a fresh
+   decision over the same world. *)
+let test_plans_survive_faults () =
   let w, rplan, ctx = plan_world () in
-  let churn = ref 0 in
-  let cache = seeded_cache ~fingerprint:(fun () -> !churn) w rplan in
+  let cache = seeded_cache w rplan in
+  let size_before = Plan.Cache.size cache in
   Dataplane.Failure.add w.failures reverse_failure_spec;
   let diagnosis = Lifeguard.Isolation.isolate ctx ~src:o ~dst:e in
-  let lookup () =
-    Plan.Cache.lookup cache w.graph ~now:0.0 ~target:e ~diagnosis ~outage_age:400.0
-      ~breaker_open:no_breaker
+  Bgp.Network.fail_link w.net ~a:e ~b:d;
+  Bgp.Network.crash_node w.net c;
+  converge w;
+  List.iter
+    (fun blamed ->
+      let diagnosis = { diagnosis with Lifeguard.Isolation.blame = Blamed_as blamed } in
+      let fresh =
+        Lifeguard.Decide.decide decide_config w.graph ~origin:o ~diagnosis ~outage_age:400.0
+      in
+      match
+        Plan.Cache.lookup cache w.graph ~now:0.0 ~target:e ~diagnosis ~outage_age:400.0
+          ~breaker_open:no_breaker
+      with
+      | None -> Alcotest.failf "the plan blaming %s must still hit" (Asn.to_string blamed)
+      | Some v ->
+          Alcotest.(check string)
+            (Printf.sprintf "verdict blaming %s" (Asn.to_string blamed))
+            (verdict_str fresh) (verdict_str v))
+    [ a; b ];
+  Alcotest.(check int) "both lookups hit" 2 (Plan.Cache.hits cache);
+  Alcotest.(check int) "nothing invalidated" 0 (Plan.Cache.invalidations cache);
+  Alcotest.(check int) "no plan dropped" size_before (Plan.Cache.size cache)
+
+(* The demand-plan oracle on a generated world: for every target and
+   every candidate blame, in the reverse and bidirectional classes with
+   and without reversal evidence, a cold cache misses once and then
+   serves the verdict a fresh decision computes at any age past the
+   gate. *)
+let test_demand_plan_oracle () =
+  let gen = Topology.Topo_gen.generate ~params:(Topology.Topo_gen.sized 60) ~seed:11 () in
+  let graph = gen.Topology.Topo_gen.graph in
+  let origin = List.hd gen.Topology.Topo_gen.stub_list in
+  let cache =
+    Plan.Cache.create ~config:decide_config ~origin ~paths:(Bgp.Path_store.create ()) ()
   in
-  (match lookup () with
-  | Some _ -> ()
-  | None -> Alcotest.fail "seeded class must hit before the churn");
-  incr churn;
-  (match lookup () with
-  | None -> ()
-  | Some _ -> Alcotest.fail "churn must flush the map: stale plans must not be served");
-  Alcotest.(check int) "one invalidation" 1 (Plan.Cache.invalidations cache);
-  match lookup () with
-  | Some _ -> ()
-  | None -> Alcotest.fail "the re-planned class must hit again"
+  let gate = decide_config.Lifeguard.Decide.min_outage_age in
+  let checked = ref 0 and poisons = ref 0 and hopeless = ref 0 in
+  List.iter
+    (fun target ->
+      if not (Asn.equal target origin) then
+        List.iter
+          (fun blamed ->
+            List.iter
+              (fun (direction, working_path) ->
+                let diagnosis =
+                  {
+                    Lifeguard.Isolation.src = origin;
+                    dst = target;
+                    direction;
+                    blame = Lifeguard.Isolation.Blamed_as blamed;
+                    suspects = [];
+                    working_path;
+                    traceroute_blame = None;
+                    probes_used = 0;
+                    elapsed = 0.0;
+                  }
+                in
+                let lookup age =
+                  Plan.Cache.lookup cache graph ~now:0.0 ~target ~diagnosis ~outage_age:age
+                    ~breaker_open:no_breaker
+                in
+                (match lookup gate with
+                | None -> ()
+                | Some _ -> Alcotest.fail "a cold class must miss");
+                List.iter
+                  (fun age ->
+                    let fresh =
+                      Lifeguard.Decide.decide decide_config graph ~origin ~diagnosis
+                        ~outage_age:age
+                    in
+                    match lookup age with
+                    | None -> Alcotest.fail "a demand-planned class must hit"
+                    | Some v ->
+                        incr checked;
+                        (match v with
+                        | Lifeguard.Decide.Poison _ -> incr poisons
+                        | Lifeguard.Decide.Hopeless _ -> incr hopeless
+                        | Lifeguard.Decide.Wait _ -> ());
+                        Alcotest.(check string)
+                          (Printf.sprintf "%s blaming %s at age %.0f" (Asn.to_string target)
+                             (Asn.to_string blamed) age)
+                          (verdict_str fresh) (verdict_str v))
+                  [ gate; 3600.0 ])
+              [
+                (Lifeguard.Isolation.Reverse_failure, None);
+                (Lifeguard.Isolation.Reverse_failure, Some [ target; origin ]);
+                (Lifeguard.Isolation.Bidirectional, None);
+                (Lifeguard.Isolation.Bidirectional, Some [ target; origin ]);
+              ])
+          (Plan.Planner.candidate_blames graph ~origin ~target))
+    (Topology.As_graph.as_list graph);
+  Alcotest.(check bool) "some verdicts poison" true (!poisons > 0);
+  Alcotest.(check bool) "some verdicts are hopeless" true (!hopeless > 0);
+  Alcotest.(check int) "every check was a hit" !checked (Plan.Cache.hits cache)
 
 (* Breaker trips: a plan poisoning a breaker-open AS must not be served —
    the entry is dropped, the lookup misses, and the fresh decision path
@@ -189,9 +270,7 @@ let test_watchdog_divergence_demotes () =
           (fun ~target ~diagnosis ~outage_age ~breaker_open ->
             Plan.Cache.lookup cache w.graph ~now:(Sim.Engine.now w.engine) ~target ~diagnosis
               ~outage_age ~breaker_open);
-      plan_record =
-        Some (fun ~target ~diagnosis ~verdict -> Plan.Cache.record cache ~target ~diagnosis ~verdict);
-      plan_outcome = Some (fun ~poison outcome -> Plan.Cache.note_outcome cache ~poison outcome);
+      plan_demote = Some (fun ~poison ~reason -> Plan.Cache.demote cache ~poison ~reason);
     }
   in
   let config =
@@ -293,7 +372,10 @@ let suite =
     Alcotest.test_case "hit path is byte-identical to compute-fresh" `Quick
       test_hit_byte_identical;
     Alcotest.test_case "miss demand-plans, then hits" `Quick test_miss_demand_plans_then_hits;
-    Alcotest.test_case "topology churn invalidates" `Quick test_invalidation_on_churn;
+    Alcotest.test_case "plans survive link failure and router crash" `Quick
+      test_plans_survive_faults;
+    Alcotest.test_case "demand-planned verdicts match a fresh decision" `Quick
+      test_demand_plan_oracle;
     Alcotest.test_case "breaker-open plans are not served" `Quick
       test_no_service_when_breaker_open;
     Alcotest.test_case "watchdog divergence demotes to compute-fresh" `Quick
