@@ -790,7 +790,7 @@ let fleet_cmd =
             Fleet.Service.duration;
             outages_per_day = outages;
             chaos =
-              { Fleet.Chaos.none with Fleet.Chaos.probe_loss; vp_mtbf; atlas_staleness = staleness };
+              { Fleet.Chaos.probe_loss; vp_mtbf; atlas_staleness = staleness };
             planning;
           }
         in

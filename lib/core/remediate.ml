@@ -4,10 +4,12 @@ type plan = {
   origin : Asn.t;
   production : Prefix.t;
   sentinel : Prefix.t option;
-  prepend_copies : int;
 }
 
-let plan ?sentinel ?(prepend_copies = 3) ~origin ~production () =
+(* Baseline prepending: 3 copies give [O-O-O]. *)
+let prepend_copies = 3
+
+let plan ?sentinel ~origin ~production () =
   (match sentinel with
   | Some s ->
       if not (Prefix.contains_prefix ~outer:s ~inner:production) then
@@ -15,8 +17,7 @@ let plan ?sentinel ?(prepend_copies = 3) ~origin ~production () =
       if Prefix.length s >= Prefix.length production then
         invalid_arg "Remediate.plan: sentinel must be less specific than production"
   | None -> ());
-  if prepend_copies < 1 then invalid_arg "Remediate.plan: prepend_copies must be >= 1";
-  { origin; production; sentinel; prepend_copies }
+  { origin; production; sentinel }
 
 let sentinel_unused_address t =
   match t.sentinel with
@@ -40,7 +41,7 @@ let sentinel_unused_address t =
       in
       if Prefix.equal s t.production then None else find s
 
-let baseline_path t = Bgp.As_path.prepended ~origin:t.origin ~copies:t.prepend_copies
+let baseline_path t = Bgp.As_path.prepended ~origin:t.origin ~copies:prepend_copies
 
 let announce_sentinel net t =
   match t.sentinel with

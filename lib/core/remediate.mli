@@ -22,12 +22,11 @@ type plan = {
   production : Prefix.t;
   sentinel : Prefix.t option;
       (** Covering less-specific; must contain [production] when given. *)
-  prepend_copies : int;  (** Baseline prepending (3 gives [O-O-O]). *)
 }
 
-val plan : ?sentinel:Prefix.t -> ?prepend_copies:int -> origin:Asn.t -> production:Prefix.t -> unit -> plan
+val plan : ?sentinel:Prefix.t -> origin:Asn.t -> production:Prefix.t -> unit -> plan
 (** Validates that [sentinel] covers [production] and is strictly less
-    specific. [prepend_copies] defaults to 3. *)
+    specific. *)
 
 val sentinel_unused_address : plan -> Ipv4.t option
 (** An address inside the sentinel but outside the production prefix —

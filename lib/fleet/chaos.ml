@@ -3,11 +3,13 @@ open Net
 type config = {
   probe_loss : float;
   vp_mtbf : float;
-  vp_mttr : float;
   atlas_staleness : float;
 }
 
-let none = { probe_loss = 0.0; vp_mtbf = 0.0; vp_mttr = 1800.0; atlas_staleness = 0.0 }
+let none = { probe_loss = 0.0; vp_mtbf = 0.0; atlas_staleness = 0.0 }
+
+(* Mean VP downtime per crash (s). *)
+let vp_mttr = 1800.0
 
 let validate c =
   if c.probe_loss < 0.0 || c.probe_loss > 1.0 then
@@ -15,8 +17,6 @@ let validate c =
   if c.atlas_staleness < 0.0 || c.atlas_staleness > 1.0 then
     invalid_arg "Chaos: atlas_staleness must be in [0,1]";
   if c.vp_mtbf < 0.0 then invalid_arg "Chaos: negative vp_mtbf";
-  if c.vp_mtbf > 0.0 && c.vp_mttr <= 0.0 then
-    invalid_arg "Chaos: vp_mttr must be positive when crashes are on";
   c
 
 type t = {
@@ -68,7 +68,7 @@ let rec schedule_crash t vp ~until =
     Sim.Engine.schedule t.engine ~at (fun () ->
         Hashtbl.replace t.dead vp ();
         t.crashes <- t.crashes + 1;
-        let downtime = Prng.Dist.exponential t.rng ~mean:t.config.vp_mttr in
+        let downtime = Prng.Dist.exponential t.rng ~mean:vp_mttr in
         Sim.Engine.schedule_after t.engine ~delay:downtime (fun () ->
             Hashtbl.remove t.dead vp;
             schedule_crash t vp ~until))

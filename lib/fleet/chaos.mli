@@ -10,7 +10,6 @@ open Net
 type config = {
   probe_loss : float;  (** Per-probe-pair loss probability, in [0,1]. *)
   vp_mtbf : float;  (** Mean uptime between VP crashes (s); 0 disables crashes. *)
-  vp_mttr : float;  (** Mean VP downtime per crash (s). *)
   atlas_staleness : float;
       (** Probability a scheduled atlas refresh is skipped, in [0,1] —
           isolation then works from stale path history. *)
@@ -28,8 +27,8 @@ val create : ?config:config -> rng:Prng.t -> engine:Sim.Engine.t -> unit -> t
 
 val start : t -> vantage_points:Asn.t list -> until:float -> unit
 (** Arm the VP crash/recover renewal process (no-op when [vp_mtbf] is 0):
-    exponential uptimes and downtimes per vantage point until the
-    horizon. *)
+    exponential uptimes (mean [vp_mtbf]) and downtimes (mean 1800 s)
+    per vantage point until the horizon. *)
 
 val lose_probe : t -> bool
 (** Sample the probe-loss coin (counted when it comes up lost). *)

@@ -28,8 +28,6 @@ let compare a b =
     let c = Int.compare (direction_rank a.direction) (direction_rank b.direction) in
     if c <> 0 then c else Bool.compare a.reversal b.reversal
 
-let equal a b = compare a b = 0
-
 let of_diagnosis (d : Isolation.diagnosis) =
   match Isolation.blamed_as d.blame with
   | None -> None
@@ -40,5 +38,3 @@ let to_string t =
   Printf.sprintf "%s/%s%s" (Asn.to_string t.blamed)
     (direction_name t.direction)
     (if t.reversal then "+rev" else "")
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)

@@ -26,6 +26,4 @@ val compare : t -> t -> int
     iteration order of every plan store, hence part of the determinism
     story. *)
 
-val equal : t -> t -> bool
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit

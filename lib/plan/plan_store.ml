@@ -30,9 +30,4 @@ let empty = M.empty
 let add t ~target ~cls remedy = M.add (target, cls) remedy t
 let find t ~target ~cls = M.find_opt (target, cls) t
 let cardinal = M.cardinal
-let entries t = M.bindings t
-
-let fold f t acc =
-  M.fold (fun (target, cls) remedy acc -> f ~target ~cls remedy acc) t acc
-
 let filter f t = M.filter (fun (target, cls) remedy -> f ~target ~cls remedy) t

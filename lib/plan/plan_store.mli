@@ -1,10 +1,10 @@
 (** The failure map: a deterministic table from (target, failure class)
     to the precomputed remediation.
 
-    Backed by a total-order map over {!Failure_class.compare}, so folds
-    and {!entries} enumerate in one canonical order regardless of
-    insertion order — the plan subsystem's analogue of the repo-wide
-    byte-identical-tables invariant. Poisoned AS paths inside remedies
+    Backed by a total-order map over {!Failure_class.compare}, so a
+    store's contents do not depend on insertion order — the plan
+    subsystem's analogue of the repo-wide byte-identical-tables
+    invariant. Poisoned AS paths inside remedies
     are interned through the owning world's [Bgp.Path_store], so a plan
     hit announces the same physical path a fresh decision would. *)
 
@@ -34,9 +34,4 @@ val empty : t
 val add : t -> target:Asn.t -> cls:Failure_class.t -> remedy -> t
 val find : t -> target:Asn.t -> cls:Failure_class.t -> remedy option
 val cardinal : t -> int
-
-val entries : t -> ((Asn.t * Failure_class.t) * remedy) list
-(** Canonical (target, class) order. *)
-
-val fold : (target:Asn.t -> cls:Failure_class.t -> remedy -> 'a -> 'a) -> t -> 'a -> 'a
 val filter : (target:Asn.t -> cls:Failure_class.t -> remedy -> bool) -> t -> t

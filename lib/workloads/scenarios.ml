@@ -94,8 +94,11 @@ type mux = {
 let production_prefix = Prefix.of_string_exn "203.0.113.0/24"
 let sentinel_prefix = Prefix.of_string_exn "203.0.112.0/23"
 
-let bgpmux ?(ases = 318) ?(provider_count = 5) ?(feed_count = 40) ?mrai ?(prepend_copies = 3)
-    ?fib_install_delay ?infrastructure ?shards ?record_barriers ~seed () =
+(* The BGP-Mux origin's distinct transit providers. *)
+let provider_count = 5
+
+let bgpmux ?(ases = 318) ?(feed_count = 40) ?mrai ?fib_install_delay ?infrastructure ?shards
+    ?record_barriers ~seed () =
   let rng = Prng.create ~seed in
   let gen = Topo_gen.generate ~params:(Topo_gen.sized ases) ~seed:(Prng.int rng 1000000) () in
   let graph = gen.Topo_gen.graph in
@@ -138,8 +141,7 @@ let bgpmux ?(ases = 318) ?(provider_count = 5) ?(feed_count = 40) ?mrai ?(prepen
   in
   let collector = Bgp.Network.Collector.attach bed.net ~name:"collector" ~peers:feeds in
   let plan =
-    Lifeguard.Remediate.plan ~sentinel:sentinel_prefix ~prepend_copies ~origin
-      ~production:production_prefix ()
+    Lifeguard.Remediate.plan ~sentinel:sentinel_prefix ~origin ~production:production_prefix ()
   in
   { bed; origin; providers; plan; collector; feeds }
 

@@ -80,10 +80,8 @@ type mux = {
 
 val bgpmux :
   ?ases:int ->
-  ?provider_count:int ->
   ?feed_count:int ->
   ?mrai:float ->
-  ?prepend_copies:int ->
   ?fib_install_delay:float ->
   ?infrastructure:infrastructure ->
   ?shards:int ->
@@ -92,9 +90,9 @@ val bgpmux :
   unit ->
   mux
 (** A {!planetlab}-style Internet plus a multi-homed origin attached to
-    [provider_count] (default 5) distinct transit providers, a production
-    /24 with covering /23 sentinel, and a collector fed by [feed_count]
-    (default 40) ASes across tiers. The baseline is {e not} announced —
+    5 distinct transit providers, a production /24 with covering /23
+    sentinel, and a collector fed by [feed_count] (default 40) ASes
+    across tiers. The baseline is {e not} announced —
     each experiment controls its own announcements. [infrastructure]
     (default [All]) selects which ASes announce infrastructure prefixes;
     control-plane experiments pass [No_infrastructure] so per-trial

@@ -59,7 +59,7 @@ let test_chaos_vp_crashes () =
   let engine = Sim.Engine.create () in
   let chaos =
     Fleet.Chaos.create
-      ~config:{ Fleet.Chaos.none with Fleet.Chaos.vp_mtbf = 600.0; vp_mttr = 300.0 }
+      ~config:{ Fleet.Chaos.none with Fleet.Chaos.vp_mtbf = 600.0 }
       ~rng:(Prng.create ~seed:11) ~engine ()
   in
   let vp = Asn.of_int 77 in
@@ -143,7 +143,7 @@ let test_service_chaos_terminates () =
    in full, so a new field fails to compile here until it gets a row. *)
 let test_fingerprint_covers_config () =
   let chaos =
-    { Fleet.Chaos.probe_loss = 0.1; vp_mtbf = 7200.0; vp_mttr = 600.0; atlas_staleness = 0.2 }
+    { Fleet.Chaos.probe_loss = 0.1; vp_mtbf = 7200.0; atlas_staleness = 0.2 }
   in
   let faults =
     {
@@ -178,7 +178,6 @@ let test_fingerprint_covers_config () =
       ("outages_per_day", { base with outages_per_day = 13.0 });
       ("chaos.probe_loss", { base with chaos = { chaos with Fleet.Chaos.probe_loss = 0.2 } });
       ("chaos.vp_mtbf", { base with chaos = { chaos with Fleet.Chaos.vp_mtbf = 3600.0 } });
-      ("chaos.vp_mttr", { base with chaos = { chaos with Fleet.Chaos.vp_mttr = 60.0 } });
       ( "chaos.atlas_staleness",
         { base with chaos = { chaos with Fleet.Chaos.atlas_staleness = 0.3 } } );
       ( "faults.session_flap_mtbf",

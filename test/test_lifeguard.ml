@@ -116,9 +116,7 @@ let test_plan_validation () =
     (raises (fun () ->
          Lifeguard.Remediate.plan ~sentinel:(prefix "198.51.100.0/23") ~origin:o ~production ()));
   Alcotest.(check bool) "sentinel must be less specific" true
-    (raises (fun () -> Lifeguard.Remediate.plan ~sentinel:production ~origin:o ~production ()));
-  Alcotest.(check bool) "prepend >= 1" true
-    (raises (fun () -> Lifeguard.Remediate.plan ~prepend_copies:0 ~origin:o ~production ()))
+    (raises (fun () -> Lifeguard.Remediate.plan ~sentinel:production ~origin:o ~production ()))
 
 let test_sentinel_unused_address () =
   let plan = Lifeguard.Remediate.plan ~sentinel ~origin:o ~production () in

@@ -69,8 +69,8 @@ let test_planetlab_scenario () =
        ~dst:(Dataplane.Forward.probe_address bed.Scenarios.net vp2))
 
 let test_bgpmux_scenario () =
-  let mux = Scenarios.bgpmux ~ases:80 ~provider_count:3 ~feed_count:10 ~seed:7 () in
-  Alcotest.(check int) "providers" 3 (List.length mux.Scenarios.providers);
+  let mux = Scenarios.bgpmux ~ases:80 ~feed_count:10 ~seed:7 () in
+  Alcotest.(check int) "providers" 5 (List.length mux.Scenarios.providers);
   Alcotest.(check int) "feeds" 10 (List.length mux.Scenarios.feeds);
   Lifeguard.Remediate.announce_baseline mux.Scenarios.bed.Scenarios.net mux.Scenarios.plan;
   Bgp.Network.run_until_quiet mux.Scenarios.bed.Scenarios.net;
