@@ -183,6 +183,17 @@ let is_bgp_valued (e : expression) =
       match callee_path f with Some p -> from_as_path p | None -> false)
   | _ -> false
 
+(* [Hashtbl] operations whose second argument is the key. *)
+let keyed_ops = [ "add"; "replace"; "find"; "find_opt"; "mem"; "remove" ]
+
+(* A tuple or record literal, the shape of a structured key built at the
+   call site. *)
+let rec is_structured_literal (e : expression) =
+  match e.pexp_desc with
+  | Pexp_tuple _ | Pexp_record _ -> true
+  | Pexp_constraint (e, _) -> is_structured_literal e
+  | _ -> false
+
 let flat_key (t : core_type) =
   match t.ptyp_desc with
   | Ptyp_constr ({ txt; _ }, []) -> (
@@ -262,6 +273,19 @@ let scan_structure ~kind ~file str =
     match callee_path f with
     | None -> ()
     | Some p ->
+        (* LG-DET-HASHKEY at the call site: a key the type rule below
+           never sees, because the table's type is inferred. *)
+        (match (p, args) with
+        | ([ "Hashtbl"; op ] | [ "Stdlib"; "Hashtbl"; op ]), _ :: (Asttypes.Nolabel, key) :: _
+          when kind.in_lib
+               && List.exists (String.equal op) keyed_ops
+               && is_structured_literal key ->
+            add Rule.Det_hashkey key.pexp_loc
+              (Printf.sprintf
+                 "Hashtbl.%s with a tuple/record key; polymorphic hash walks the key — use \
+                  int keys or a keyed table module"
+                 op)
+        | _ -> ());
         if kind.in_lib && (path_equal p [ "=" ] || path_equal p [ "<>" ]) then begin
           if List.exists (fun (_, a) -> is_option_sentinel a) args then
             add Rule.Det_polyeq loc

@@ -137,4 +137,3 @@ let misses t = t.misses
 let invalidations t = t.invalidations
 let demotions t = t.demotions
 let size t = Plan_store.cardinal t.plans
-let demotion_log t = List.rev t.demotion_log

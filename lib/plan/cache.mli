@@ -72,5 +72,3 @@ val misses : t -> int
 val invalidations : t -> int
 val demotions : t -> int
 val size : t -> int
-val demotion_log : t -> (Asn.t * string) list
-(** Oldest first. *)

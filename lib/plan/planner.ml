@@ -6,50 +6,84 @@ open Lifeguard
 let hopeless_reason blamed =
   Printf.sprintf "no policy-compliant path around %s" (Asn.to_string blamed)
 
-let candidate_blames graph ~origin ~target =
-  let intermediates path =
-    List.filter (fun a -> not (Asn.equal a origin || Asn.equal a target)) path
-  in
-  let mids ~src ~dst ~avoiding =
-    match Splice.policy_path graph ~src ~dst ~avoiding with
+(* The valley-free questions one target's planning asks, memoized. Every
+   one runs between [target] and [origin], in one direction, around at
+   most one AS, so it packs into an int key. A memo is made per target
+   inside one [build] (or per [candidate_blames] / [remedy_for_class]
+   call) and never outlives it, so the planner stays a pure function of
+   the graph. *)
+module Int_tbl = Hashtbl.Make (Int)
+
+type queries = {
+  graph : As_graph.t;
+  origin : Asn.t;
+  target : Asn.t;
+  memo : Asn.t list option Int_tbl.t;
+}
+
+let queries graph ~origin ~target = { graph; origin; target; memo = Int_tbl.create 16 }
+
+(* [Splice.policy_path] from target to origin ([toward_origin]) or back,
+   avoiding [around] when given. *)
+let path q ~toward_origin ~around =
+  let avoided = match around with None -> 0 | Some a -> Asn.to_int a + 1 in
+  let key = (avoided * 2) + if toward_origin then 1 else 0 in
+  match Int_tbl.find_opt q.memo key with
+  | Some p -> p
+  | None ->
+      let src, dst = if toward_origin then (q.target, q.origin) else (q.origin, q.target) in
+      let avoiding = match around with None -> Asn.Set.empty | Some a -> Asn.Set.singleton a in
+      let p = Splice.policy_path q.graph ~src ~dst ~avoiding in
+      Int_tbl.replace q.memo key p;
+      p
+
+(* [Splice.policy_reachable ~src:target ~dst:origin] around [blamed]. An
+   endpoint cannot be avoided; an AS off the unconstrained path is
+   avoided by that very path; only an AS on it needs its own search. *)
+let reachable_around q blamed =
+  if Asn.equal blamed q.target || Asn.equal blamed q.origin then false
+  else
+    match path q ~toward_origin:true ~around:None with
+    | None -> false
+    | Some free ->
+        (not (List.exists (Asn.equal blamed) free))
+        || Option.is_some (path q ~toward_origin:true ~around:(Some blamed))
+
+let blames q =
+  let mids ~toward_origin ~around =
+    match path q ~toward_origin ~around with
     | None -> []
-    | Some path -> intermediates path
+    | Some p -> List.filter (fun a -> not (Asn.equal a q.origin || Asn.equal a q.target)) p
   in
   (* Isolation blames ASes of the path actually routed, which need not be
      the one splice prefers — and after a reroute it blames ASes of the
      alternate. Enumerate both directions' primary paths, then the splice
      alternate around each primary intermediate, and plan for the union. *)
   let primaries =
-    mids ~src:target ~dst:origin ~avoiding:Asn.Set.empty
-    @ mids ~src:origin ~dst:target ~avoiding:Asn.Set.empty
+    mids ~toward_origin:true ~around:None @ mids ~toward_origin:false ~around:None
   in
   let union =
     List.fold_left
       (fun acc mid ->
-        let acc =
+        let add acc toward_origin =
           List.fold_left
             (fun acc a -> Asn.Set.add a acc)
             acc
-            (mids ~src:target ~dst:origin ~avoiding:(Asn.Set.singleton mid))
+            (mids ~toward_origin ~around:(Some mid))
         in
-        List.fold_left
-          (fun acc a -> Asn.Set.add a acc)
-          acc
-          (mids ~src:origin ~dst:target ~avoiding:(Asn.Set.singleton mid)))
+        add (add acc true) false)
       (Asn.Set.of_list primaries) primaries
   in
   Asn.Set.elements union
 
-let remedy_for graph ~store ~origin ~target ~blamed =
-  if Splice.policy_reachable graph ~src:target ~dst:origin
-       ~avoiding:(Asn.Set.singleton blamed)
-  then begin
+let candidate_blames graph ~origin ~target = blames (queries graph ~origin ~target)
+
+let remedy_for q ~store ~blamed =
+  if reachable_around q blamed then begin
     let path =
-      Bgp.Path_store.intern_path store (Bgp.As_path.poisoned ~origin ~poison:blamed)
+      Bgp.Path_store.intern_path store (Bgp.As_path.poisoned ~origin:q.origin ~poison:blamed)
     in
-    let direct_provider =
-      List.exists (fun (n, _) -> Asn.equal n blamed) (As_graph.neighbors graph origin)
-    in
+    let direct_provider = Option.is_some (As_graph.relationship q.graph ~a:q.origin ~b:blamed) in
     if direct_provider then Plan_store.Selective_poison { path; via = [ blamed ] }
     else Plan_store.Poison { path }
   end
@@ -60,7 +94,8 @@ let remedy_for_class graph ~store ~origin ~target ~cls =
   | Isolation.Reverse_failure | Isolation.Bidirectional ->
       if Asn.equal cls.Failure_class.blamed origin then
         Plan_store.Hopeless "failure is local; fix it directly"
-      else remedy_for graph ~store ~origin ~target ~blamed:cls.Failure_class.blamed
+      else
+        remedy_for (queries graph ~origin ~target) ~store ~blamed:cls.Failure_class.blamed
   | Isolation.Forward_failure -> Plan_store.Alternate_path
   | Isolation.No_failure -> Plan_store.Hopeless "path works; nothing to repair"
   | Isolation.Destination_unreachable ->
@@ -80,10 +115,10 @@ let build ~graph ~store ~plan ~targets =
     (fun acc target ->
       if Asn.equal target origin then acc
       else
-        let blames = candidate_blames graph ~origin ~target in
+        let q = queries graph ~origin ~target in
         List.fold_left
           (fun acc blamed ->
-            let remedy = remedy_for graph ~store ~origin ~target ~blamed in
+            let remedy = remedy_for q ~store ~blamed in
             let acc =
               List.fold_left
                 (fun acc cls -> Plan_store.add acc ~target ~cls remedy)
@@ -102,5 +137,5 @@ let build ~graph ~store ~plan ~targets =
                     }
                   Plan_store.Alternate_path)
               acc [ false; true ])
-          acc blames)
+          acc (blames q))
     Plan_store.empty targets

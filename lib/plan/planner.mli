@@ -17,7 +17,14 @@
     rebuilding the map from the same graph always yields byte-identical
     plans, and nothing changes the graph after set-up (faults drop
     sessions, not edges), so a plan stays valid for the world's
-    lifetime. *)
+    lifetime.
+
+    Within one call, the valley-free searches are memoized per target:
+    each (source, destination, avoided AS) question is asked once, an
+    endpoint is never avoidable, and an AS off the unconstrained
+    target-to-origin path needs no search, since that path avoids it.
+    The memo is made inside the call and dropped with it, so purity
+    holds and no answer outlives the graph it was computed from. *)
 
 open Net
 open Topology

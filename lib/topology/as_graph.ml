@@ -84,6 +84,8 @@ let neighbors t asn =
   Asn.Map.fold (fun n rel acc -> (n, rel) :: acc) (node t asn).adj []
   |> List.rev
 
+let iter_neighbors t asn f = Asn.Map.iter f (node t asn).adj
+
 let neighbors_where t asn keep =
   List.filter_map (fun (n, rel) -> if keep rel then Some n else None) (neighbors t asn)
 

@@ -38,6 +38,10 @@ val neighbors : t -> Asn.t -> (Asn.t * Relationship.t) list
 (** Neighbors of an AS with their relationship (what the neighbor is to
     this AS), in ascending ASN order. Raises if the AS is unknown. *)
 
+val iter_neighbors : t -> Asn.t -> (Asn.t -> Relationship.t -> unit) -> unit
+(** [iter_neighbors t asn f] calls [f] on what {!neighbors} lists, in the
+    same order, without building the list. *)
+
 val customers : t -> Asn.t -> Asn.t list
 val providers : t -> Asn.t -> Asn.t list
 val peers : t -> Asn.t -> Asn.t list

@@ -19,54 +19,55 @@ let valley_free graph path =
   in
   go true path
 
-(* Two-phase BFS. State = (asn, phase) where phase Up means we may still
-   traverse provider/peer edges; Down means only customer edges remain.
-   Predecessors are recorded to materialize paths. *)
-type phase = Up | Down
+(* Two-phase BFS over (AS, phase) states: phase [up] may still climb to a
+   provider or cross one peer edge, phase [down] only descends to
+   customers. A state packs into one int, [asn * 2 + phase]. [pred] maps
+   each reached state to the state it was reached from (the start state
+   to itself) and doubles as the visited set, so a query allocates one
+   small table, the queue cells and the returned path. *)
+module Int_tbl = Hashtbl.Make (Int)
+
+let up = 0
+let down = 1
+let state asn phase = (Asn.to_int asn * 2) + phase
+let asn_of s = Asn.of_int (s / 2)
 
 let search graph ~src ~dst ~avoiding =
   if Asn.Set.mem src avoiding || Asn.Set.mem dst avoiding then None
   else if Asn.equal src dst then Some [ src ]
   else begin
-    let key asn phase = (Asn.to_int asn * 2) + match phase with Up -> 0 | Down -> 1 in
-    let visited = Hashtbl.create 1024 in
+    let start = state src up in
+    let pred = Int_tbl.create 64 in
+    Int_tbl.replace pred start start;
     let queue = Queue.create () in
-    let pred = Hashtbl.create 1024 in
-    Hashtbl.replace visited (key src Up) ();
-    Queue.push (src, Up) queue;
-    let found = ref None in
-    let visit (asn, phase) (next, next_phase) =
-      let k = key next next_phase in
-      if (not (Hashtbl.mem visited k)) && not (Asn.Set.mem next avoiding) then begin
-        Hashtbl.replace visited k ();
-        Hashtbl.replace pred k (asn, phase);
-        if Asn.equal next dst then found := Some (next, next_phase)
-        else Queue.push (next, next_phase) queue
+    Queue.push start queue;
+    let found = ref (-1) in
+    let current = ref start in
+    let visit next next_phase =
+      let s = state next next_phase in
+      if (not (Int_tbl.mem pred s)) && not (Asn.Set.mem next avoiding) then begin
+        Int_tbl.replace pred s !current;
+        if Asn.equal next dst then found := s else Queue.push s queue
       end
     in
-    while Option.is_none !found && not (Queue.is_empty queue) do
-      let ((asn, phase) as state) = Queue.pop queue in
-      let step (next, rel) =
-        match (phase, (rel : Relationship.t)) with
-        | Up, Provider -> visit state (next, Up)
-        | Up, Peer -> visit state (next, Down)
-        | _, Customer -> visit state (next, Down)
-        | Down, (Provider | Peer) -> ()
-      in
-      List.iter step (As_graph.neighbors graph asn)
+    let step next (rel : Relationship.t) =
+      match rel with
+      | Customer -> visit next down
+      | Provider -> if !current land 1 = up then visit next up
+      | Peer -> if !current land 1 = up then visit next down
+    in
+    while !found < 0 && not (Queue.is_empty queue) do
+      current := Queue.pop queue;
+      As_graph.iter_neighbors graph (asn_of !current) step
     done;
-    match !found with
-    | None -> None
-    | Some (asn, phase) ->
-        let rec unwind acc (asn, phase) =
-          if Asn.equal asn src && phase = Up then src :: acc
-          else begin
-            match Hashtbl.find_opt pred (key asn phase) with
-            | Some prev -> unwind (asn :: acc) prev
-            | None -> asn :: acc
-          end
-        in
-        Some (unwind [] (asn, phase))
+    if !found < 0 then None
+    else begin
+      let rec unwind acc s =
+        let prev = Int_tbl.find pred s in
+        if Int.equal prev s then asn_of s :: acc else unwind (asn_of s :: acc) prev
+      in
+      Some (unwind [] !found)
+    end
   end
 
 let policy_path graph ~src ~dst ~avoiding = search graph ~src ~dst ~avoiding

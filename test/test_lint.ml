@@ -24,7 +24,11 @@ let test_det_fixtures () =
   check_rule "det_bad" bad Rule.Det_clock 2;
   check_rule "det_bad" bad Rule.Det_polyeq 3;
   check_rule "det_bad" bad Rule.Det_hashkey 1;
-  Alcotest.(check int) "det_good is clean" 0 (List.length (scan_fixture "det_good.ml"))
+  Alcotest.(check int) "det_good is clean" 0 (List.length (scan_fixture "det_good.ml"));
+  (* tuple and record keys built at a Hashtbl call site *)
+  check_rule "det_hashkey_bad" (scan_fixture "det_hashkey_bad.ml") Rule.Det_hashkey 4;
+  Alcotest.(check int) "det_hashkey_good is clean" 0
+    (List.length (scan_fixture "det_hashkey_good.ml"))
 
 let test_dom_fixtures () =
   let bad = scan_fixture "dom_bad.ml" in

@@ -229,6 +229,88 @@ let test_demand_plan_oracle () =
   Alcotest.(check bool) "some verdicts are hopeless" true (!hopeless > 0);
   Alcotest.(check int) "every check was a hit" !checked (Plan.Cache.hits cache)
 
+(* [Planner.candidate_blames] from fresh, unmemoized searches: the
+   intermediates of both directions' paths, and of both directions'
+   paths around each of those. *)
+let fresh_candidate_blames graph ~origin ~target =
+  let mids ~src ~dst ~avoiding =
+    match Topology.Splice.policy_path graph ~src ~dst ~avoiding with
+    | None -> []
+    | Some p -> List.filter (fun a -> not (Asn.equal a origin || Asn.equal a target)) p
+  in
+  let both avoiding =
+    mids ~src:target ~dst:origin ~avoiding @ mids ~src:origin ~dst:target ~avoiding
+  in
+  let primaries = both Asn.Set.empty in
+  Asn.Set.elements
+    (Asn.Set.of_list
+       (primaries @ List.concat_map (fun mid -> both (Asn.Set.singleton mid)) primaries))
+
+(* The planner oracle on generated worlds: for every target, the
+   candidate blames equal those of fresh searches, and for every blame
+   the feasibility bit the offline sweep seeds for the reverse class
+   equals a fresh [Splice.policy_reachable] around the blamed AS. Blames
+   on the unconstrained target-to-origin path take the memoized
+   avoid-query, blames off it the shortcut; both must occur, as must
+   feasible and infeasible bits. *)
+let test_planner_oracle () =
+  let on_path = ref 0 and off_path = ref 0 and feasible = ref 0 and infeasible = ref 0 in
+  List.iter
+    (fun seed ->
+      let gen = Topology.Topo_gen.generate ~params:(Topology.Topo_gen.sized 60) ~seed () in
+      let graph = gen.Topology.Topo_gen.graph in
+      let origin = List.hd gen.Topology.Topo_gen.stub_list in
+      let rplan = Lifeguard.Remediate.plan ~sentinel ~origin ~production () in
+      let targets = Topology.As_graph.as_list graph in
+      let seed_map =
+        Plan.Planner.build ~graph ~store:(Bgp.Path_store.create ()) ~plan:rplan ~targets
+      in
+      List.iter
+        (fun target ->
+          if not (Asn.equal target origin) then begin
+            let blames = Plan.Planner.candidate_blames graph ~origin ~target in
+            Alcotest.(check (list int))
+              (Printf.sprintf "seed %d: blames for %s" seed (Asn.to_string target))
+              (List.map Asn.to_int (fresh_candidate_blames graph ~origin ~target))
+              (List.map Asn.to_int blames);
+            let free =
+              Option.value ~default:[]
+                (Topology.Splice.policy_path graph ~src:target ~dst:origin
+                   ~avoiding:Asn.Set.empty)
+            in
+            List.iter
+              (fun blamed ->
+                if List.exists (Asn.equal blamed) free then incr on_path else incr off_path;
+                let cls =
+                  {
+                    Plan.Failure_class.blamed;
+                    direction = Lifeguard.Isolation.Reverse_failure;
+                    reversal = false;
+                  }
+                in
+                let fresh =
+                  Topology.Splice.policy_reachable graph ~src:target ~dst:origin
+                    ~avoiding:(Asn.Set.singleton blamed)
+                in
+                if fresh then incr feasible else incr infeasible;
+                match Plan.Plan_store.find seed_map ~target ~cls with
+                | None ->
+                    Alcotest.failf "seed %d: no plan for %s blaming %s" seed
+                      (Asn.to_string target) (Asn.to_string blamed)
+                | Some remedy ->
+                    Alcotest.(check bool)
+                      (Printf.sprintf "seed %d: %s around %s" seed (Asn.to_string target)
+                         (Asn.to_string blamed))
+                      fresh (Plan.Plan_store.feasible remedy))
+              blames
+          end)
+        targets)
+    [ 3; 11; 29 ];
+  Alcotest.(check bool) "some blames on the unconstrained path" true (!on_path > 0);
+  Alcotest.(check bool) "some blames off it" true (!off_path > 0);
+  Alcotest.(check bool) "some bits feasible" true (!feasible > 0);
+  Alcotest.(check bool) "some bits infeasible" true (!infeasible > 0)
+
 (* Breaker trips: a plan poisoning a breaker-open AS must not be served —
    the entry is dropped, the lookup misses, and the fresh decision path
    (which refuses at the breaker) takes over. *)
@@ -296,11 +378,17 @@ let test_watchdog_divergence_demotes () =
   Alcotest.(check int) "the watchdog rolled the poison back" 1
     (Lifeguard.Orchestrator.rollback_count orc);
   Alcotest.(check int) "divergence demoted the plan" 1 (Plan.Cache.demotions cache);
-  (match Plan.Cache.demotion_log cache with
-  | [ (poison, reason) ] ->
-      Alcotest.(check int) "A was demoted" 30 (Asn.to_int poison);
-      Alcotest.(check bool) "reason recorded" true (String.length reason > 0)
-  | log -> Alcotest.failf "expected one demotion, got %d" (List.length log));
+  (* The demotion log, oldest first, is the [log=] field of the cache's
+     snapshot line: one [asn:reason] entry. *)
+  (let capture = Plan.Cache.capture cache in
+   match List.find_opt (String.starts_with ~prefix:"log=") (String.split_on_char ' ' capture) with
+   | None -> Alcotest.failf "no log= field in %S" capture
+   | Some field -> (
+       match String.split_on_char ',' (String.sub field 4 (String.length field - 4)) with
+       | [ entry ] ->
+           Alcotest.(check bool) "A was demoted, with a reason" true
+             (String.starts_with ~prefix:"AS30:" entry && String.length entry > 5)
+       | entries -> Alcotest.failf "expected one demotion, got %d" (List.length entries)));
   (* Demoted classes are never served again: a direct lookup for the
      blamed class must miss even though the class was once planned. *)
   let diagnosis =
@@ -376,6 +464,7 @@ let suite =
       test_plans_survive_faults;
     Alcotest.test_case "demand-planned verdicts match a fresh decision" `Quick
       test_demand_plan_oracle;
+    Alcotest.test_case "seeded feasibility bits match a fresh search" `Quick test_planner_oracle;
     Alcotest.test_case "breaker-open plans are not served" `Quick
       test_no_service_when_breaker_open;
     Alcotest.test_case "watchdog divergence demotes to compute-fresh" `Quick

@@ -224,6 +224,121 @@ let test_generator_digests () =
       (3000, 51025, "1c060a576e8b907baab71d5921744618");
     ]
 
+(* All-pairs [Splice.policy_path] on a seeded 150-AS world: for every
+   ordered pair, the path with nothing avoided, then the path avoiding
+   one AS — the unconstrained path's middle hop when it has one, else an
+   AS picked by the pair's positions. The search's FIFO and neighbor
+   order pick one of several shortest paths; the pinned digest was taken
+   before the search stopped allocating per query, so a change to that
+   tie-breaking fails here. *)
+let policy_path_digest g =
+  let ases = Array.of_list (As_graph.as_list g) in
+  let n = Array.length ases in
+  let b = Buffer.create (1 lsl 20) in
+  let add_path = function
+    | None -> Buffer.add_string b "-;"
+    | Some p ->
+        List.iter (fun a -> Buffer.add_string b (string_of_int (Asn.to_int a) ^ ",")) p;
+        Buffer.add_char b ';'
+  in
+  Array.iteri
+    (fun i src ->
+      Array.iteri
+        (fun j dst ->
+          let free = Splice.policy_path g ~src ~dst ~avoiding:Asn.Set.empty in
+          let avoid =
+            match free with
+            | Some p when List.length p >= 3 -> List.nth p (List.length p / 2)
+            | _ -> ases.((i + j) mod n)
+          in
+          Buffer.add_string b (Printf.sprintf "%d>%d/%d:" i j (Asn.to_int avoid));
+          add_path free;
+          add_path (Splice.policy_path g ~src ~dst ~avoiding:(Asn.Set.singleton avoid));
+          Buffer.add_char b '\n')
+        ases)
+    ases;
+  Digest.to_hex (Digest.string (Buffer.contents b))
+
+let test_policy_path_digest () =
+  let g = (Topo_gen.generate ~params:(Topo_gen.sized 150) ~seed:42 ()).Topo_gen.graph in
+  List.iter
+    (fun a ->
+      let seen = ref [] in
+      As_graph.iter_neighbors g a (fun n rel -> seen := (n, rel) :: !seen);
+      Alcotest.(check bool)
+        (Printf.sprintf "iter_neighbors %s = neighbors" (Asn.to_string a))
+        true
+        (List.rev !seen = As_graph.neighbors g a))
+    (As_graph.as_list g);
+  Alcotest.(check string) "all-pairs policy_path digest" "90515e6ac94efc6fb4df3e630cf39526"
+    (policy_path_digest g)
+
+(* Shortest valley-free distance from [src] to [dst] avoiding [avoiding],
+   by Bellman-Ford relaxation over (AS, phase) states until nothing
+   changes — independent of the BFS under test. Phase 0 may still climb
+   or cross one peer edge, phase 1 only descends. *)
+let relaxed_distance g ~src ~dst ~avoiding =
+  if Asn.Set.mem src avoiding || Asn.Set.mem dst avoiding then None
+  else begin
+    let ases = Array.of_list (As_graph.as_list g) in
+    let index = Asn.Table.create (Array.length ases) in
+    Array.iteri (fun i a -> Asn.Table.replace index a i) ases;
+    let dist = Array.make_matrix (Array.length ases) 2 max_int in
+    dist.(Asn.Table.find index src).(0) <- 0;
+    let changed = ref true in
+    while !changed do
+      changed := false;
+      Array.iteri
+        (fun i a ->
+          for phase = 0 to 1 do
+            let d = dist.(i).(phase) in
+            if d < max_int then
+              List.iter
+                (fun (n, rel) ->
+                  let next =
+                    match ((rel : Relationship.t), phase) with
+                    | Provider, 0 -> Some 0
+                    | Peer, 0 -> Some 1
+                    | Customer, _ -> Some 1
+                    | (Provider | Peer), _ -> None
+                  in
+                  match next with
+                  | Some p when not (Asn.Set.mem n avoiding) ->
+                      let j = Asn.Table.find index n in
+                      if d + 1 < dist.(j).(p) then begin
+                        dist.(j).(p) <- d + 1;
+                        changed := true
+                      end
+                  | _ -> ())
+                (As_graph.neighbors g a)
+          done)
+        ases
+    done;
+    let j = Asn.Table.find index dst in
+    match min dist.(j).(0) dist.(j).(1) with d when d = max_int -> None | d -> Some d
+  end
+
+let prop_policy_path_shortest =
+  QCheck.Test.make ~name:"policy_path is a shortest valley-free path" ~count:30
+    QCheck.(int_range 0 10000)
+    (fun seed ->
+      let g = (Topo_gen.generate ~params:(Topo_gen.sized 60) ~seed ()).Topo_gen.graph in
+      let all = Array.of_list (As_graph.as_list g) in
+      let rng = Prng.create ~seed in
+      let src = Prng.pick rng all and dst = Prng.pick rng all in
+      let avoiding =
+        Asn.Set.of_list (List.init (Prng.int rng 3) (fun _ -> Prng.pick rng all))
+      in
+      match (Splice.policy_path g ~src ~dst ~avoiding, relaxed_distance g ~src ~dst ~avoiding) with
+      | None, None -> true
+      | Some path, Some d ->
+          Asn.equal (List.hd path) src
+          && Asn.equal (List.nth path (List.length path - 1)) dst
+          && List.for_all (fun a -> not (Asn.Set.mem a avoiding)) path
+          && Splice.valley_free g path
+          && List.length path - 1 = d
+      | Some _, None | None, Some _ -> false)
+
 let prop_invert_involutive =
   let rel =
     QCheck.oneofl [ Relationship.Customer; Relationship.Provider; Relationship.Peer ]
@@ -259,6 +374,8 @@ let suite =
     Alcotest.test_case "generator structure" `Quick test_generator_structure;
     Alcotest.test_case "generator determinism" `Quick test_generator_determinism;
     Alcotest.test_case "generator digests at 318/1000/3000 ASes" `Quick test_generator_digests;
+    Alcotest.test_case "policy_path digest, all pairs at 150 ASes" `Quick test_policy_path_digest;
     QCheck_alcotest.to_alcotest prop_invert_involutive;
     QCheck_alcotest.to_alcotest prop_policy_reachable_symmetric;
+    QCheck_alcotest.to_alcotest prop_policy_path_shortest;
   ]
