@@ -19,11 +19,14 @@ type update_record = {
 }
 
 type session = {
+  peer : Asn.t;  (** The receiver. *)
   mutable last_sent : float;  (** When we last put updates on this session. *)
-  pending : Speaker.action Prefix.Table.t;
-      (* Keyed on Prefix.hash/equal; the MRAI flush sorts the batch by
-         Prefix.compare, so batch emission order is fixed by the prefixes
-         themselves rather than by hash-bucket iteration order. *)
+  mutable pending : Speaker.action array;
+      (* The coalesced batch in [pending.(0 .. pending_n - 1)], sorted by
+         Prefix.compare with one action per prefix, so the MRAI flush
+         emits in an order fixed by the prefixes themselves. [[||]]
+         between rounds: an idle session holds no batch storage. *)
+  mutable pending_n : int;
   mutable timer_armed : bool;
   jittered_mrai : float;
 }
@@ -92,8 +95,9 @@ type t = {
           live here). In legacy mode it is also the single shard's store,
           shared by every speaker; in sharded mode each shard has its own
           interner and paths are re-interned on shard entry. *)
-  sessions : session Asn.Table.t Asn.Table.t;
-      (** sender -> receiver -> pacing state of that directed session *)
+  sessions : session array Asn.Table.t;
+      (** sender -> pacing state of each directed session, in neighbor
+          (ascending receiver ASN) order *)
   owners : Asn.t Prefix.Table.t;
   mutable originations : (Asn.t -> As_path.t option) Prefix.Map.t;
       (** Administrative intent: the latest per-neighbor path function
@@ -160,22 +164,63 @@ let sync t =
 
 let poke t = match t.barrier with None -> () | Some b -> Shard.Barrier.poke b
 
-(* The sessions [a] sends on, keyed by receiver. *)
+(* The sessions [a] sends on, by ascending receiver ASN. *)
 let sessions_from t a =
   match Asn.Table.find t.sessions a with
   | out -> out
   | exception Not_found -> invalid_arg (Printf.sprintf "Network: unknown %s" (Asn.to_string a))
 
+(* The position of the session to [b] in [out], or [-1]; no option, so
+   a lookup allocates nothing. *)
+let rec search out b lo hi =
+  if lo >= hi then -1
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    match Asn.compare out.(mid).peer b with
+    | 0 -> mid
+    | c when c < 0 -> search out b (mid + 1) hi
+    | _ -> search out b lo mid
+  end
+
 let session out a b =
-  match Asn.Table.find out b with
-  | s -> s
-  | exception Not_found ->
+  match search out b 0 (Array.length out) with
+  | -1 ->
       invalid_arg
         (Printf.sprintf "Network: no session %s -> %s" (Asn.to_string a) (Asn.to_string b))
+  | i -> out.(i)
 
 let action_prefix = function
   | Speaker.Announce ann -> ann.Route.prefix
   | Speaker.Withdraw p -> p
+
+(* The first position in the batch whose prefix is not below [prefix]. *)
+let rec batch_position pending prefix lo hi =
+  if lo >= hi then lo
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    if Prefix.compare (action_prefix pending.(mid)) prefix < 0 then
+      batch_position pending prefix (mid + 1) hi
+    else batch_position pending prefix lo mid
+  end
+
+(* Coalesce [action] into the session's batch: only the latest state per
+   prefix matters, so a pending prefix is overwritten in place and a new
+   one is inserted at its sorted position. The array doubles when full;
+   nothing else is allocated. *)
+let coalesce s prefix action =
+  let n = s.pending_n in
+  let i = batch_position s.pending prefix 0 n in
+  if i < n && Prefix.equal (action_prefix s.pending.(i)) prefix then s.pending.(i) <- action
+  else begin
+    if n = Array.length s.pending then begin
+      let grown = Array.make (max 4 (2 * n)) action in
+      Array.blit s.pending 0 grown 0 n;
+      s.pending <- grown
+    end;
+    Array.blit s.pending i s.pending (i + 1) (n - i);
+    s.pending.(i) <- action;
+    s.pending_n <- n + 1
+  end
 
 (* Forward declaration to tie the delivery/emission knot. [sh] is always
    the shard owning the acting speaker: the destination's for [deliver],
@@ -214,14 +259,12 @@ and emit_each t sh sessions ~from = function
 
 and emit t sh s ~from ~to_ action =
   let now = Sim.Engine.now sh.sengine in
-  let prefix = action_prefix action in
-  if now -. s.last_sent >= s.jittered_mrai && Prefix.Table.length s.pending = 0 then begin
+  if now -. s.last_sent >= s.jittered_mrai && s.pending_n = 0 then begin
     s.last_sent <- now;
     schedule_delivery t sh ~from ~to_ action
   end
   else begin
-    (* Coalesce: only the latest state per prefix matters. *)
-    Prefix.Table.replace s.pending prefix action;
+    coalesce s (action_prefix action) action;
     if not s.timer_armed then begin
       s.timer_armed <- true;
       let fire_at = Float.max now (s.last_sent +. s.jittered_mrai) in
@@ -235,28 +278,20 @@ and flush t sh s ~from ~to_ =
   sh.s_bgp_events <- sh.s_bgp_events - 1;
   s.timer_armed <- false;
   s.last_sent <- Sim.Engine.now sh.sengine;
-  let batch =
-    Prefix.Table.fold (fun _ a acc -> a :: acc) s.pending []
-    |> List.sort (fun a1 a2 -> Prefix.compare (action_prefix a1) (action_prefix a2))
-  in
-  (* [clear], not [reset]: keep the bucket array a burst grew rather than
-     reallocate it every round. *)
-  Prefix.Table.clear s.pending;
+  let batch = s.pending and n = s.pending_n in
+  s.pending <- [||];
+  s.pending_n <- 0;
   Obs.Metrics.incr m_mrai_rounds;
   if Obs.Trace.on () then
     Obs.Trace.event ~ts:(Sim.Engine.now sh.sengine) ~span:"bgp.mrai"
       [
         ("from", Obs.Trace.Int (Asn.to_int from));
         ("to", Obs.Trace.Int (Asn.to_int to_));
-        ("batch", Obs.Trace.Int (List.length batch));
+        ("batch", Obs.Trace.Int n);
       ];
-  schedule_each t sh ~from ~to_ batch
-
-and schedule_each t sh ~from ~to_ = function
-  | [] -> ()
-  | action :: rest ->
-      schedule_delivery t sh ~from ~to_ action;
-      schedule_each t sh ~from ~to_ rest
+  for i = 0 to n - 1 do
+    schedule_delivery t sh ~from ~to_ batch.(i)
+  done
 
 and schedule_delivery t sh ~from ~to_ action =
   let delay = default_delay from to_ in
@@ -468,20 +503,24 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
                 Speaker.install_fib sp prefix route))
       end)
     speakers;
-  (* Session pacing state per directed adjacency. *)
+  (* Session pacing state per directed adjacency, in neighbor order
+     (ascending ASN, which [session]'s binary search relies on). *)
   List.iter
     (fun a ->
-      let out = Asn.Table.create 8 in
-      List.iter
-        (fun (b, _) ->
-          Asn.Table.replace out b
-            {
-              last_sent = neg_infinity;
-              pending = Prefix.Table.create 4;
-              timer_armed = false;
-              jittered_mrai = mrai *. (0.75 +. (0.25 *. pair_hash a b));
-            })
-        (As_graph.neighbors graph a);
+      let out =
+        Array.of_list
+          (List.map
+             (fun (b, _) ->
+               {
+                 peer = b;
+                 last_sent = neg_infinity;
+                 pending = [||];
+                 pending_n = 0;
+                 timer_armed = false;
+                 jittered_mrai = mrai *. (0.75 +. (0.25 *. pair_hash a b));
+               })
+             (As_graph.neighbors graph a))
+      in
       Asn.Table.replace t.sessions a out)
     ases;
   t

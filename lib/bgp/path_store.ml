@@ -37,14 +37,20 @@ type t = {
   prefix_ids : int Prefix.Table.t;
       (* Dense prefix ids, assigned in first-sight order: the table's
          length is the next id. *)
+  prefix_trie : int Prefix_trie.t;
+      (* The same ids by prefix, for longest-prefix match: one trie per
+         world answers every speaker's FIB lookup. *)
 }
 
+(* Tables start at the hashtable minimum and grow with the world: a
+   fixed large start would be most of a small world's size. *)
 let create () =
   {
     next_id = 0;
-    paths = Path_tbl.create 1024;
-    anns = Ann_tbl.create 1024;
-    prefix_ids = Prefix.Table.create 64;
+    paths = Path_tbl.create 16;
+    anns = Ann_tbl.create 16;
+    prefix_ids = Prefix.Table.create 16;
+    prefix_trie = Prefix_trie.create ();
   }
 
 let intern_path t path =
@@ -71,8 +77,10 @@ let prefix_id t prefix =
   | exception Not_found ->
       let id = Prefix.Table.length t.prefix_ids in
       Prefix.Table.add t.prefix_ids prefix id;
+      Prefix_trie.replace t.prefix_trie prefix id;
       id
 
 let find_prefix_id t prefix = Prefix.Table.find_opt t.prefix_ids prefix
+let longest_match t ip f s = Prefix_trie.find_longest t.prefix_trie ip f s
 let path_count t = Path_tbl.length t.paths
 let ann_count t = Ann_tbl.length t.anns

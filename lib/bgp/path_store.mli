@@ -38,6 +38,15 @@ val prefix_id : t -> Prefix.t -> int
 val find_prefix_id : t -> Prefix.t -> int option
 (** The prefix's id if {!prefix_id} has assigned one; assigns nothing. *)
 
+val longest_match : t -> Ipv4.t -> ('s -> int -> 'a option) -> 's -> 'a option
+(** [longest_match t ip f s] walks the store's prefixes that cover [ip]
+    from the least to the most specific and returns [f s id] for the
+    deepest one whose [f s id] is not [None]: {!Prefix_trie.find_longest}
+    over a trie from each prefix to its id, filled by {!prefix_id}. A
+    {!Speaker}'s FIB lookup is this walk, with an [f] that reads the
+    speaker's FIB entry in the prefix's slot; it allocates nothing of its
+    own. *)
+
 val path_count : t -> int
 (** Distinct paths interned so far. *)
 

@@ -27,7 +27,7 @@ end
 
 module Damp_tbl = Hashtbl.Make (Damp_key)
 
-(* One record per neighbor session, in the speaker's neighbor order. *)
+(* One record per neighbor session, by ascending neighbor ASN. *)
 type session = {
   asn : Asn.t;
   rel : Relationship.t;  (** Our relationship to the neighbor. *)
@@ -43,6 +43,8 @@ type slot = {
   prefix : Prefix.t;
   mutable local : origination option;
   mutable best : Route.entry option;  (** The loc-RIB entry. *)
+  mutable fib : Route.entry option;
+      (** The data-plane entry: [best] once {!install_fib} has caught up. *)
   ins : Route.entry option array;  (** Adj-RIB-in: candidate per session. *)
   outs : Route.announcement option array;  (** Adj-RIB-out: last sent per session. *)
 }
@@ -55,18 +57,18 @@ type t = {
          speaker of the same [Network] (shard), never across worlds
          (share-nothing). *)
   sessions : session array;
-      (** In neighbor order, which fixes the order of every export list. *)
-  session_of : session Asn.Table.t;
+      (** By ascending neighbor ASN: the order of every export list, and
+          what {!session}'s binary search relies on. *)
   peers_of_self : Asn.Set.t;
   mutable slots : slot option array;  (** By prefix id; grown on demand. *)
   mutable loc_rib_size : int;  (** Slots with a [best]. *)
-  fib : Route.entry Prefix_trie.t;
   fib_epoch : int ref;
       (** Bumped by every [install_fib]; shared by all speakers of a
           {!Network}, so one read tells whether any FIB in the world moved. *)
   mutable on_best_change : (now:float -> Prefix.t -> Route.entry option -> unit) option;
   mutable fib_commit : (Prefix.t -> Route.entry option -> unit) option;
-  damp : damp_state Damp_tbl.t;
+  mutable damp : damp_state Damp_tbl.t option;
+      (** Created on the first flap: only a damping config ever flaps. *)
   mutable reuse_scheduler : (delay:float -> Prefix.t -> unit) option;
 }
 
@@ -74,10 +76,10 @@ and damp_state = { mutable penalty : float; mutable last : float; mutable suppre
 
 let create ?store ?fib_epoch ~asn ~config ~neighbors () =
   let sessions =
-    Array.of_list (List.mapi (fun ix (n, rel) -> { asn = n; rel; ix; down = false }) neighbors)
+    List.sort (fun (a, _) (b, _) -> Asn.compare a b) neighbors
+    |> List.mapi (fun ix (n, rel) -> { asn = n; rel; ix; down = false })
+    |> Array.of_list
   in
-  let session_of = Asn.Table.create 16 in
-  Array.iter (fun s -> Asn.Table.replace session_of s.asn s) sessions;
   let peers_of_self =
     List.fold_left
       (fun acc (n, rel) ->
@@ -89,15 +91,13 @@ let create ?store ?fib_epoch ~asn ~config ~neighbors () =
     config;
     store = (match store with Some s -> s | None -> Path_store.create ());
     sessions;
-    session_of;
     peers_of_self;
     slots = [||];
     loc_rib_size = 0;
-    fib = Prefix_trie.create ();
     fib_epoch = (match fib_epoch with Some e -> e | None -> ref 0);
     on_best_change = None;
     fib_commit = None;
-    damp = Damp_tbl.create 16;
+    damp = None;
     reuse_scheduler = None;
   }
 
@@ -120,13 +120,21 @@ let note_flap t ~now prefix neighbor =
   match t.config.Policy.damping with
   | None -> false
   | Some cfg ->
+      let damp =
+        match t.damp with
+        | Some d -> d
+        | None ->
+            let d = Damp_tbl.create 16 in
+            t.damp <- Some d;
+            d
+      in
       let key = (prefix, neighbor) in
       let state =
-        match Damp_tbl.find_opt t.damp key with
+        match Damp_tbl.find_opt damp key with
         | Some s -> s
         | None ->
             let s = { penalty = 0.0; last = now; suppressed = false } in
-            Damp_tbl.replace t.damp key s;
+            Damp_tbl.replace damp key s;
             s
       in
       state.penalty <- decayed_penalty cfg state ~now +. cfg.Policy.penalty_per_flap;
@@ -147,10 +155,10 @@ let note_flap t ~now prefix neighbor =
 
 (* Lazily lift suppression once the penalty has decayed. *)
 let is_suppressed t ~now prefix neighbor =
-  match t.config.Policy.damping with
-  | None -> false
-  | Some cfg -> begin
-      match Damp_tbl.find_opt t.damp (prefix, neighbor) with
+  match (t.config.Policy.damping, t.damp) with
+  | None, _ | _, None -> false
+  | Some cfg, Some damp -> begin
+      match Damp_tbl.find_opt damp (prefix, neighbor) with
       | None -> false
       | Some state ->
           if not state.suppressed then false
@@ -166,17 +174,25 @@ let is_suppressed t ~now prefix neighbor =
           end
     end
 
-let install_fib t prefix entry =
-  incr t.fib_epoch;
-  match entry with
-  | Some e -> Prefix_trie.replace t.fib prefix e
-  | None -> Prefix_trie.remove t.fib prefix
+(* The position of neighbor [n] in [sessions], or [-1]: an int rather
+   than an option, so a lookup allocates nothing. *)
+let rec search sessions n lo hi =
+  if lo >= hi then -1
+  else begin
+    let mid = (lo + hi) lsr 1 in
+    match Asn.compare sessions.(mid).asn n with
+    | 0 -> mid
+    | c when c < 0 -> search sessions n (mid + 1) hi
+    | _ -> search sessions n lo mid
+  end
 
 let session t n =
-  match Asn.Table.find t.session_of n with
-  | s -> s
-  | exception Not_found -> invalid_arg (Printf.sprintf "Speaker %s: unknown neighbor %s"
-                           (Asn.to_string t.self) (Asn.to_string n))
+  match search t.sessions n 0 (Array.length t.sessions) with
+  | -1 ->
+      invalid_arg
+        (Printf.sprintf "Speaker %s: unknown neighbor %s" (Asn.to_string t.self)
+           (Asn.to_string n))
+  | i -> t.sessions.(i)
 
 (* The prefix's slot, created (and [slots] grown) on first use. *)
 let slot t prefix =
@@ -192,7 +208,14 @@ let slot t prefix =
   | None ->
       let k = Array.length t.sessions in
       let slot =
-        { prefix; local = None; best = None; ins = Array.make k None; outs = Array.make k None }
+        {
+          prefix;
+          local = None;
+          best = None;
+          fib = None;
+          ins = Array.make k None;
+          outs = Array.make k None;
+        }
       in
       t.slots.(id) <- Some slot;
       slot
@@ -202,6 +225,10 @@ let find_slot t prefix =
   | Some id when id < Array.length t.slots -> t.slots.(id)
   | Some _ | None -> None
 
+let install_fib t prefix entry =
+  incr t.fib_epoch;
+  (slot t prefix).fib <- entry
+
 (* The slots satisfying [keep], in [Prefix.compare] order: every list the
    speaker builds across prefixes is in that order, never in id order. *)
 let sorted_slots t keep =
@@ -210,6 +237,9 @@ let sorted_slots t keep =
     [] t.slots
   |> List.sort (fun a b -> Prefix.compare a.prefix b.prefix)
 
+let damping_pending t =
+  match t.damp with Some d -> Damp_tbl.length d <> 0 | None -> false
+
 (* The loc-RIB best for a prefix: a local origination wins outright;
    otherwise the decision process over the adj-RIB-in candidates. *)
 let compute_best t ~now slot =
@@ -217,7 +247,7 @@ let compute_best t ~now slot =
   match slot.local with
   | Some { local_ann; _ } -> Some (Route.local_entry_of ~ann:local_ann ~self:t.self ~now)
   | None ->
-      if Damp_tbl.length t.damp = 0 then Decision.best_in_array slot.ins
+      if not (damping_pending t) then Decision.best_in_array slot.ins
       else
         (* Damped candidates are ineligible until their penalty decays. *)
         Decision.best
@@ -392,8 +422,6 @@ let session_down t ~now ~neighbor =
     List.concat_map (refresh_best t ~now) affected
   end
 
-let damping_pending t = Damp_tbl.length t.damp <> 0
-
 let session_up t ~now ~neighbor =
   let s = session t neighbor in
   if not s.down then []
@@ -431,8 +459,28 @@ let refresh_prefix t ~prefix =
   sync_exports t slot
 
 let best t prefix = match find_slot t prefix with Some slot -> slot.best | None -> None
-let fib_lookup t ip = Prefix_trie.lookup t.fib ip
-let fib_find t ip = Prefix_trie.find_longest t.fib ip
+(* The FIB is the [fib] field of the slots, found through the world's
+   prefix trie: the match is the most specific prefix covering the
+   address whose slot at this speaker holds an entry. Both readers below
+   are closed functions of (speaker, prefix id), so a walk allocates
+   nothing but what [fib_lookup] returns. *)
+let fib_slot t id =
+  if id < Array.length t.slots then
+    match t.slots.(id) with Some { fib = Some _; _ } as cell -> cell | Some _ | None -> None
+  else None
+
+let fib_at t id =
+  if id < Array.length t.slots then
+    match t.slots.(id) with Some slot -> slot.fib | None -> None
+  else None
+
+let fib_lookup t ip =
+  match Path_store.longest_match t.store ip fib_slot t with
+  | Some { prefix; fib = Some e; _ } -> Some (prefix, e)
+  | Some { fib = None; _ } | None -> None
+
+let fib_find t ip = Path_store.longest_match t.store ip fib_at t
+let fib_entry t prefix = match find_slot t prefix with Some slot -> slot.fib | None -> None
 
 let prefixes t =
   List.map (fun slot -> slot.prefix) (sorted_slots t (fun slot -> Option.is_some slot.best))
@@ -443,8 +491,11 @@ let originated t =
 let reevaluate t ~now prefix = refresh_best t ~now (slot t prefix)
 
 let suppressed_candidates t prefix =
-  Damp_tbl.fold
-    (fun (p, neighbor) state acc ->
-      if Prefix.equal p prefix && state.suppressed then neighbor :: acc else acc)
-    t.damp []
-  |> List.sort Asn.compare
+  match t.damp with
+  | None -> []
+  | Some damp ->
+      Damp_tbl.fold
+        (fun (p, neighbor) state acc ->
+          if Prefix.equal p prefix && state.suppressed then neighbor :: acc else acc)
+        damp []
+      |> List.sort Asn.compare

@@ -26,7 +26,10 @@ val create :
   neighbors:(Asn.t * Relationship.t) list ->
   unit ->
   t
-(** A speaker for [asn] with the given neighbor sessions. [store] is the
+(** A speaker for [asn] with the given neighbor sessions, kept in
+    ascending neighbor ASN order (the order {!Network.create} passes
+    them in): every list of updates the speaker returns lists neighbors
+    in that order. [store] is the
     world's path/announcement interner — {!Network.create} passes one
     store to every speaker of a world so their RIBs share physical values;
     a standalone speaker (tests) defaults to a private store. The speaker
@@ -96,11 +99,19 @@ val fib_lookup : t -> Ipv4.t -> (Prefix.t * Route.entry) option
     default the FIB tracks the loc-RIB atomically; a FIB-commit hook (set
     by the {!Network} when modeling RIB-to-FIB install latency) can delay
     the data plane behind the control plane, the window in which real
-    routers blackhole or loop packets during convergence. *)
+    routers blackhole or loop packets during convergence. The FIB entry
+    of a prefix is a field of the speaker's slot for it; the match walks
+    the world's prefix trie ({!Path_store.longest_match}) and keeps the
+    most specific prefix whose slot holds an entry. *)
 
 val fib_find : t -> Ipv4.t -> Route.entry option
 (** [Option.map snd (fib_lookup t ip)] without allocating: the per-hop
     lookup of the data plane's verdict walk. *)
+
+val fib_entry : t -> Prefix.t -> Route.entry option
+(** The FIB entry installed for exactly this prefix: the exact-match
+    read that the longest-prefix-match tests compare {!fib_lookup}
+    against. *)
 
 val set_fib_commit_hook : t -> (Prefix.t -> Route.entry option -> unit) -> unit
 (** Divert FIB installs: when set, loc-RIB changes invoke the hook

@@ -1,10 +1,10 @@
 (* A path-uncompressed binary trie over address bits, updated in place.
-   Prefix lengths are at most 32, and the routing tables in this
-   reproduction hold at most a few thousand prefixes, so the simple
-   representation is plenty fast and easy to verify. An install touches
-   the nodes on its path and allocates only the nodes it adds (and the
-   [Some] it stores); the node record is inline in the constructor, so a
-   lookup follows exactly one pointer per bit. *)
+   Prefix lengths are at most 32, and the tables in this reproduction
+   hold at most a few thousand prefixes, so the simple representation is
+   plenty fast and easy to verify. An insert touches the nodes on its
+   path and allocates only the nodes it adds (and the [Some] it stores);
+   the node record is inline in the constructor, so a lookup follows
+   exactly one pointer per bit. *)
 
 type 'a node =
   | Leaf
@@ -78,15 +78,21 @@ let lookup t ip =
   in
   go t 0 None
 
-(* [lookup] without the matched prefix: the deepest [value] option met on
-   the way down is returned as is, so nothing is allocated. *)
-let rec find_longest_from ip t depth best =
+(* The deepest [Some] that [f s] gives for a value met on the way down
+   is returned as is, so the walk allocates nothing of its own; [f] is
+   passed its state [s] rather than closing over it, so a caller with a
+   closed [f] allocates nothing either. *)
+let rec find_longest_from ip f s t depth best =
   match t with
   | Leaf -> best
   | Node { value; zero; one } ->
-      let best = match value with Some _ -> value | None -> best in
+      let best =
+        match value with
+        | Some v -> ( match f s v with Some _ as found -> found | None -> best)
+        | None -> best
+      in
       if depth >= 32 then best
-      else if bit_at ip depth then find_longest_from ip one (depth + 1) best
-      else find_longest_from ip zero (depth + 1) best
+      else if bit_at ip depth then find_longest_from ip f s one (depth + 1) best
+      else find_longest_from ip f s zero (depth + 1) best
 
-let find_longest t ip = find_longest_from ip t 0 None
+let find_longest t ip f s = find_longest_from ip f s t 0 None

@@ -83,7 +83,11 @@ let remedy_for q ~store ~blamed =
     let path =
       Bgp.Path_store.intern_path store (Bgp.As_path.poisoned ~origin:q.origin ~poison:blamed)
     in
-    let direct_provider = Option.is_some (As_graph.relationship q.graph ~a:q.origin ~b:blamed) in
+    let direct_provider =
+      match As_graph.relationship q.graph ~a:q.origin ~b:blamed with
+      | Some Relationship.Provider -> true
+      | Some (Relationship.Customer | Relationship.Peer) | None -> false
+    in
     if direct_provider then Plan_store.Selective_poison { path; via = [ blamed ] }
     else Plan_store.Poison { path }
   end

@@ -94,10 +94,12 @@ type mux = {
 let production_prefix = Prefix.of_string_exn "203.0.113.0/24"
 let sentinel_prefix = Prefix.of_string_exn "203.0.112.0/23"
 
-(* The BGP-Mux origin's distinct transit providers. *)
+(* The BGP-Mux origin's distinct transit providers, and the route
+   collector's peers. *)
 let provider_count = 5
+let feed_count = 40
 
-let bgpmux ?(ases = 318) ?(feed_count = 40) ?mrai ?fib_install_delay ?infrastructure ?shards
+let bgpmux ?(ases = 318) ?mrai ?fib_install_delay ?infrastructure ?shards
     ?record_barriers ~seed () =
   let rng = Prng.create ~seed in
   let gen = Topo_gen.generate ~params:(Topo_gen.sized ases) ~seed:(Prng.int rng 1000000) () in

@@ -80,7 +80,6 @@ type mux = {
 
 val bgpmux :
   ?ases:int ->
-  ?feed_count:int ->
   ?mrai:float ->
   ?fib_install_delay:float ->
   ?infrastructure:infrastructure ->
@@ -91,7 +90,7 @@ val bgpmux :
   mux
 (** A {!planetlab}-style Internet plus a multi-homed origin attached to
     5 distinct transit providers, a production /24 with covering /23
-    sentinel, and a collector fed by [feed_count] (default 40) ASes
+    sentinel, and a collector fed by 40 ASes
     across tiers. The baseline is {e not} announced —
     each experiment controls its own announcements. [infrastructure]
     (default [All]) selects which ASes announce infrastructure prefixes;

@@ -24,7 +24,9 @@
     world, so work done before the capture is counted once, not once
     per fork. *)
 
-type 'a t
+type 'a t = private string
+(** The marshalled bytes, readable (for instance for their size) but
+    made only by {!capture}. *)
 
 val capture : 'a -> 'a t
 (** Snapshot the value and everything it reaches. The value itself is
@@ -33,8 +35,8 @@ val capture : 'a -> 'a t
 val fork : 'a t -> 'a
 (** A fresh, independent copy of the captured value. It collects the
     heap first, so a run's peak memory does not grow with its number of
-    forks: one major cycle for a template of up to 1 MiB (a
-    control-plane-only BGP-Mux world, about 0.5 MiB at 318 ASes), a full
+    forks: one major cycle for a template of up to 1 MiB (a converged
+    control-plane-only BGP-Mux world, about 0.2 MiB at 318 ASes), a full
     collection above that (a PlanetLab world with its sites'
-    infrastructure, about 2.9 MiB), whose stale copy from the last trial
-    would otherwise stay in the heap. *)
+    infrastructure, about 1.6 MiB at 318 ASes), whose stale copy from
+    the last trial would otherwise stay in the heap. *)

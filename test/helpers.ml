@@ -7,6 +7,18 @@ open Topology
 let asn = Asn.of_int
 let prefix = Prefix.of_string_exn
 
+(* Reference longest-prefix match over a list of (prefix, value)
+   bindings: the binding of the longest prefix covering [ip]. *)
+let longest_match bindings ip =
+  List.fold_left
+    (fun best (p, v) ->
+      if not (Prefix.mem ip p) then best
+      else
+        match best with
+        | Some (q, _) when Prefix.length q >= Prefix.length p -> best
+        | Some _ | None -> Some (p, v))
+    None bindings
+
 type world = {
   engine : Sim.Engine.t;
   graph : As_graph.t;

@@ -98,6 +98,42 @@ let test_mrai_coalesces () =
         (Bgp.As_path.length entry.Bgp.Route.ann.Bgp.Route.path)
   | None -> Alcotest.fail "D lost the route")
 
+(* Updates that wait for the MRAI timer go out as one batch in
+   [Prefix.compare] order, whatever order they were made in, with one
+   update per prefix. The first announcement starts the timer; the
+   batch prefixes are announced in descending order and one of them
+   again with a prepended path, and O's neighbor records them in the
+   order they arrive. *)
+let test_mrai_batch_in_prefix_order () =
+  let w = world_of_graph ~mrai:30.0 (fig2_graph ()) in
+  let n, _ = List.hd (Topology.As_graph.neighbors w.graph o) in
+  let collector = Bgp.Network.Collector.attach w.net ~name:"rv" ~peers:[ n ] in
+  let announce p = Bgp.Network.announce w.net ~origin:o ~prefix:p () in
+  announce (prefix "198.51.100.0/24");
+  let batch = List.map prefix [ "192.0.2.0/24"; "192.0.2.0/25"; "10.9.0.0/16"; "10.1.0.0/16" ] in
+  List.iter announce batch;
+  let again = List.hd batch in
+  Bgp.Network.announce w.net ~origin:o ~prefix:again
+    ~per_neighbor:(fun _ -> Some (Bgp.As_path.prepended ~origin:o ~copies:3))
+    ();
+  converge w;
+  (match Bgp.Network.best_route w.net n again with
+  | Some entry ->
+      Alcotest.(check int) "the re-announcement replaced the pending one" 3
+        (Bgp.As_path.length entry.Bgp.Route.ann.Bgp.Route.path)
+  | None -> Alcotest.fail "no route for the re-announced prefix");
+  let arrived =
+    List.filter_map
+      (fun (r : Bgp.Network.update_record) ->
+        if List.exists (Prefix.equal r.Bgp.Network.prefix) batch then
+          Some (Prefix.to_string r.Bgp.Network.prefix)
+        else None)
+      (Bgp.Network.Collector.log collector)
+  in
+  Alcotest.(check (list string)) "batch arrives in prefix order"
+    (List.map Prefix.to_string (List.sort Prefix.compare batch))
+    arrived
+
 let test_session_down_up_readvertises () =
   let w = fig2_world () in
   Bgp.Network.announce w.net ~origin:o ~prefix:production ();
@@ -241,6 +277,7 @@ let suite =
     Alcotest.test_case "collector records" `Quick test_collector_records_changes;
     Alcotest.test_case "convergence metrics" `Quick test_convergence_metrics;
     Alcotest.test_case "MRAI coalesces bursts" `Quick test_mrai_coalesces;
+    Alcotest.test_case "MRAI batch in prefix order" `Quick test_mrai_batch_in_prefix_order;
     Alcotest.test_case "session down/up" `Quick test_session_down_up_readvertises;
     Alcotest.test_case "FIB install delay" `Quick test_fib_install_delay;
     Alcotest.test_case "pref jitter bounded" `Quick test_pref_jitter_deterministic_and_bounded;
@@ -747,6 +784,152 @@ module Speaker_model = struct
       (QCheck.Test.make ~name ~count:200 arb (fun (presized, ops) -> run ~damped ~presized ops))
 end
 
+(* The FIB is a field of each prefix's slot, matched through the
+   world's one prefix trie. [fib_lookup] and [fib_find] must equal a
+   reference longest-prefix match over the routes the speaker has
+   installed. Two speakers share one store. The pool nests prefixes (a
+   /23 sentinel over its production /24, a /25 inside that, a /16 inside
+   a /8), and the script also puts pool prefixes into the store without
+   giving this speaker a route for them: through the other speaker, or
+   by registering an id directly. So the walk passes prefixes this
+   speaker holds no entry for. In delayed runs the commit hook queues
+   each install and the script installs the oldest ones at its own pace,
+   so the FIB trails the loc-RIB; in immediate runs the FIB is the
+   loc-RIB. *)
+module Fib_model = struct
+  open Topology
+
+  type op =
+    | Ann of int * int * int  (** neighbor, prefix, path length *)
+    | Wd of int * int  (** neighbor, prefix *)
+    | Other of int  (** the other speaker learns the prefix *)
+    | Known of int  (** the store assigns the prefix an id *)
+    | Install of int  (** install the oldest queued commits *)
+
+  let pool =
+    Array.map prefix
+      [| "203.0.112.0/23"; "203.0.113.0/24"; "203.0.113.128/25"; "10.0.0.0/8"; "10.1.0.0/16" |]
+
+  let neighbors = [| asn 200; asn 201 |]
+
+  (* Each pool prefix's first, second and last address, and one address
+     no pool prefix covers. *)
+  let addresses =
+    Ipv4.of_string_exn "192.0.2.1"
+    :: List.concat_map
+         (fun p ->
+           [ Prefix.first_address p; Prefix.nth_address p 1; Prefix.nth_address p (Prefix.size p - 1) ])
+         (Array.to_list pool)
+
+  let run ~delayed ops =
+    let store = Bgp.Path_store.create () in
+    let mk self nbrs =
+      Bgp.Speaker.create ~store ~asn:self ~config:Bgp.Policy.default
+        ~neighbors:(List.map (fun n -> (n, Relationship.Provider)) nbrs)
+        ()
+    in
+    let sp = mk (asn 100) (Array.to_list neighbors) in
+    let other = mk (asn 500) [ asn 200 ] in
+    let queue = Queue.create () in
+    if delayed then Bgp.Speaker.set_fib_commit_hook sp (fun p e -> Queue.add (p, e) queue);
+    (* The routes installed at [sp], by prefix (delayed runs). *)
+    let installed = ref [] in
+    let install () =
+      let p, e = Queue.pop queue in
+      Bgp.Speaker.install_fib sp p e;
+      let others = List.filter (fun (q, _) -> not (Prefix.equal p q)) !installed in
+      installed := (match e with Some e -> (p, e) :: others | None -> others)
+    in
+    let announce receiver n j len =
+      let path = Bgp.As_path.of_list (n :: List.init len (fun i -> asn (900 + i))) in
+      ignore
+        (Bgp.Speaker.receive receiver ~now:0.0 ~from:n
+           (Bgp.Speaker.Announce (Bgp.Route.announcement ~prefix:pool.(j) ~path)))
+    in
+    let check step =
+      let installed =
+        if delayed then !installed
+        else
+          List.filter_map
+            (fun p -> Option.map (fun e -> (p, e)) (Bgp.Speaker.best sp p))
+            (Array.to_list pool)
+      in
+      let same_entry = Option.equal ( == ) in
+      List.iter
+        (fun ip ->
+          let want = longest_match installed ip in
+          let got = Bgp.Speaker.fib_lookup sp ip in
+          let agree =
+            Option.equal (fun (p, e) (q, f) -> Prefix.equal p q && e == f) want got
+            && same_entry (Option.map snd want) (Bgp.Speaker.fib_find sp ip)
+          in
+          if not agree then
+            QCheck.Test.fail_reportf "step %d: FIB match for %s: want %s, got %s" step
+              (Ipv4.to_string ip)
+              (match want with Some (p, _) -> Prefix.to_string p | None -> "none")
+              (match got with Some (p, _) -> Prefix.to_string p | None -> "none"))
+        addresses;
+      List.iter
+        (fun (p, e) ->
+          if not (same_entry (Some e) (Bgp.Speaker.fib_entry sp p)) then
+            QCheck.Test.fail_reportf "step %d: exact FIB entry of %s" step (Prefix.to_string p))
+        installed
+    in
+    List.iteri
+      (fun step op ->
+        (match op with
+        | Ann (k, j, len) -> announce sp neighbors.(k) j len
+        | Wd (k, j) ->
+            ignore
+              (Bgp.Speaker.receive sp ~now:0.0 ~from:neighbors.(k) (Bgp.Speaker.Withdraw pool.(j)))
+        | Other j -> announce other (asn 200) j 1
+        | Known j -> ignore (Bgp.Path_store.prefix_id store pool.(j))
+        | Install n ->
+            for _ = 1 to min n (Queue.length queue) do
+              install ()
+            done);
+        check step)
+      ops;
+    (* Draining the queue catches the FIB up with the loc-RIB. *)
+    while not (Queue.is_empty queue) do
+      install ()
+    done;
+    check (List.length ops);
+    true
+
+  let print_op = function
+    | Ann (k, j, len) -> Printf.sprintf "Ann(%d,%d,%d)" k j len
+    | Wd (k, j) -> Printf.sprintf "Wd(%d,%d)" k j
+    | Other j -> Printf.sprintf "Other %d" j
+    | Known j -> Printf.sprintf "Known %d" j
+    | Install n -> Printf.sprintf "Install %d" n
+
+  let test ~delayed =
+    let name =
+      Printf.sprintf "FIB lookup = longest match over installed routes (%s installs)"
+        (if delayed then "delayed" else "immediate")
+    in
+    let op_gen =
+      let open QCheck.Gen in
+      let k = int_bound 1 and j = int_bound (Array.length pool - 1) in
+      frequency
+        [
+          (5, map3 (fun k j len -> Ann (k, j, len)) k j (int_range 1 3));
+          (3, map2 (fun k j -> Wd (k, j)) k j);
+          (1, map (fun j -> Other j) j);
+          (1, map (fun j -> Known j) j);
+          (3, map (fun n -> Install n) (int_bound 3));
+        ]
+    in
+    let arb =
+      QCheck.make
+        ~print:(fun ops -> String.concat " " (List.map print_op ops))
+        QCheck.Gen.(list_size (int_range 5 40) op_gen)
+    in
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
+      (QCheck.Test.make ~name ~count:200 arb (run ~delayed))
+end
+
 let suite =
   suite
   @ [
@@ -758,4 +941,6 @@ let suite =
       Alcotest.test_case "words per delivered update < 78" `Quick test_words_per_update;
       Speaker_model.test ~damped:false;
       Speaker_model.test ~damped:true;
+      Fib_model.test ~delayed:false;
+      Fib_model.test ~delayed:true;
     ]

@@ -213,7 +213,7 @@ let fresh_ping (bed : Sc.testbed) ~src ~src_ip ~dst =
 (* A small BGP-Mux world with every AS's infrastructure announced and
    the baseline converged. *)
 let mux_world ?shards ?fib_install_delay seed =
-  let m = Sc.bgpmux ~ases:60 ~feed_count:6 ?shards ?fib_install_delay ~seed () in
+  let m = Sc.bgpmux ~ases:60 ?shards ?fib_install_delay ~seed () in
   Lifeguard.Remediate.announce_baseline m.Sc.bed.Sc.net m.Sc.plan;
   Bgp.Network.run_until_quiet m.Sc.bed.Sc.net;
   m
@@ -305,10 +305,35 @@ let script_step rng (m : Sc.mux) =
         ignore (Sim.Engine.step bed.Sc.engine)
       done
 
+(* Forces a forwarding loop on purpose, as a FIB that trails its loc-RIB
+   can hold one: the first transit hop of a delivered probe walk gets a
+   FIB entry for the walk's destination that points back at the walk's
+   source. The packet still reaches that hop, whatever the failures, and
+   then loops. Returns the step that puts the hop's entry back. *)
+let force_loop (m : Sc.mux) pairs =
+  let net = m.Sc.bed.Sc.net in
+  let rec pick = function
+    | [] -> Alcotest.fail "no delivered probe walk leaves its source"
+    | (src, dst) :: rest -> (
+        let walk = Dataplane.Forward.walk net m.Sc.bed.Sc.failures ~src ~dst in
+        match (walk.Dataplane.Forward.outcome, walk.Dataplane.Forward.hops) with
+        | Dataplane.Forward.Delivered, _ :: { Dataplane.Forward.asn = hop; _ } :: _ -> (
+            match Bgp.Network.fib_lookup net hop dst with
+            | Some (prefix, entry) when not (Bgp.Route.is_local entry) -> (src, hop, prefix, entry)
+            | Some _ | None -> pick rest)
+        | _ -> pick rest)
+  in
+  let src, hop, prefix, entry = pick pairs in
+  let sp = Bgp.Network.speaker net hop in
+  Bgp.Speaker.install_fib sp prefix (Some { entry with Bgp.Route.neighbor = src });
+  fun () -> Bgp.Speaker.install_fib sp prefix (Some entry)
+
 (* Runs the script and checks, after every step, that every memoized
    ping verdict is the fresh walks' verdict, and that [delivers] agrees
-   with [walk] mid-convergence too. Returns the number of disagreements,
-   of checks and of looping walks seen. *)
+   with [walk] mid-convergence too. The first step forces a loop and the
+   second undoes it before its own scripted change, so looping walks are
+   seen whatever the draws. Returns the number of disagreements, of
+   checks and of looping walks seen. *)
 let memo_script ?shards seed =
   let m = mux_world ?shards ~fib_install_delay:20.0 seed in
   let bed = m.Sc.bed in
@@ -316,8 +341,14 @@ let memo_script ?shards seed =
   let rng = Prng.create ~seed in
   let pairs = probe_pairs m in
   let checks = ref 0 and wrong = ref 0 and loops = ref 0 in
-  for _ = 1 to 40 do
-    script_step rng m;
+  let undo = ref ignore in
+  for step = 1 to 40 do
+    if step = 1 then undo := force_loop m pairs
+    else begin
+      !undo ();
+      undo := ignore;
+      script_step rng m
+    end;
     List.iter
       (fun (src, dst) ->
         let walk = Dataplane.Forward.walk bed.net bed.failures ~src ~dst in
@@ -363,12 +394,74 @@ let test_memo_script shards () =
     (fun i (wrong, checks, _) ->
       Alcotest.(check int) (Printf.sprintf "script %d: memo <> fresh walk in %d checks" i checks) 0 wrong)
     results;
-  let loops = List.fold_left (fun acc (_, _, l) -> acc + l) 0 results in
-  Alcotest.(check bool) (Printf.sprintf "transient loops exercised (%d)" loops) true (loops > 0);
+  List.iteri
+    (fun i (_, _, loops) ->
+      Alcotest.(check bool)
+        (Printf.sprintf "script %d: transient loops exercised (%d)" i loops)
+        true (loops > 0))
+    results;
   (* The script both reuses verdicts and invalidates them. *)
   let c = Obs.Metrics.counter_value snap in
   Alcotest.(check bool) "memo hits" true (c "dataplane.memo_hits" > 0);
   Alcotest.(check bool) "memo flushes" true (c "dataplane.memo_flushes" > 30)
+
+(* The same script with the FIB trailing the loc-RIB: at every AS and
+   probe address (production, sentinel-only and infrastructure),
+   [Network.fib_lookup] must be the longest prefix of the world whose
+   slot at that AS holds an installed entry ([Speaker.fib_entry]), and
+   [fib_find] that entry. Returns the number of disagreements and of
+   (AS, prefix) FIB entries seen trailing the loc-RIB. *)
+let fib_script ?shards seed =
+  let m = mux_world ?shards ~fib_install_delay:20.0 seed in
+  let bed = m.Sc.bed in
+  let net = bed.Sc.net in
+  let ases = Topology.As_graph.as_list bed.Sc.graph in
+  let pool = Sc.production_prefix :: Sc.sentinel_prefix :: List.map infra ases in
+  let addresses =
+    Prefix.nth_address Sc.production_prefix 1
+    :: Prefix.nth_address Sc.sentinel_prefix 1
+    :: List.map (Dataplane.Forward.probe_address net) (m.Sc.origin :: m.Sc.providers)
+  in
+  let rng = Prng.create ~seed in
+  let wrong = ref 0 and trailing = ref 0 in
+  for _ = 1 to 40 do
+    script_step rng m;
+    Bgp.Network.sync net;
+    List.iter
+      (fun x ->
+        let sp = Bgp.Network.speaker net x in
+        let installed =
+          List.filter_map
+            (fun p ->
+              let fib = Bgp.Speaker.fib_entry sp p in
+              if not (Option.equal ( == ) fib (Bgp.Speaker.best sp p)) then incr trailing;
+              Option.map (fun e -> (p, e)) fib)
+            pool
+        in
+        List.iter
+          (fun ip ->
+            let want = longest_match installed ip in
+            let agree =
+              Option.equal
+                (fun (p, e) (q, f) -> Prefix.equal p q && e == f)
+                want (Bgp.Network.fib_lookup net x ip)
+              && Option.equal ( == ) (Option.map snd want) (Bgp.Network.fib_find net x ip)
+            in
+            if not agree then incr wrong)
+          addresses)
+      ases
+  done;
+  (!wrong, !trailing)
+
+let test_fib_script shards () =
+  List.iter
+    (fun seed ->
+      let wrong, trailing = fib_script ?shards seed in
+      Alcotest.(check int) (Printf.sprintf "seed %d: FIB <> longest installed match" seed) 0 wrong;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d: FIB seen trailing the loc-RIB (%d)" seed trailing)
+        true (trailing > 0))
+    [ 21; 22 ]
 
 let test_probe_counts_unchanged_by_memo () =
   (* A memo hit is still charged as a probe. *)
@@ -424,4 +517,8 @@ let suite =
     Alcotest.test_case "memo = fresh walk through a script" `Quick (test_memo_script None);
     Alcotest.test_case "memo = fresh walk through a script, 2 shards" `Quick
       (test_memo_script (Some 2));
+    Alcotest.test_case "FIB = longest installed match through a script" `Quick
+      (test_fib_script None);
+    Alcotest.test_case "FIB = longest installed match through a script, 2 shards" `Quick
+      (test_fib_script (Some 2));
   ]

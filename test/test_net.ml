@@ -107,6 +107,8 @@ let arbitrary_address =
    checked after every step against an association-list model: [lookup]
    must return the longest bound prefix covering the address with its
    value, and [find_longest] that value. *)
+let value () v = Some v
+
 let prop_trie_matches_naive =
   QCheck.Test.make ~name:"trie lookup = naive longest match" ~count:300
     QCheck.(
@@ -131,7 +133,7 @@ let prop_trie_matches_naive =
         Option.equal
           (fun (p, v) (q, w) -> Prefix.equal p q && Int.equal v w)
           expected (Prefix_trie.lookup trie ip)
-        && Option.equal Int.equal (Option.map snd expected) (Prefix_trie.find_longest trie ip)
+        && Option.equal Int.equal (Option.map snd expected) (Prefix_trie.find_longest trie ip value ())
       in
       List.for_all
         (fun (bind, k, v) ->
@@ -157,11 +159,19 @@ let prop_find_longest_is_lookup =
          random address rarely hits. *)
       let d = Int32.to_int (Ipv4.to_int32 address) land 0xFF in
       let addresses = address :: List.map (fun p -> Prefix.nth_address p d) prefixes in
-      let trie = trie_of (List.map (fun p -> (p, Prefix.to_string p)) prefixes) in
+      let bindings = List.map (fun p -> (p, Prefix.to_string p)) prefixes in
+      let trie = trie_of bindings in
+      (* A filter skips the values it rejects: the answer is the lookup
+         in the trie of the kept bindings only. *)
+      let even v = Prefix.length (Prefix.of_string_exn v) mod 2 = 0 in
+      let keep () v = if even v then Some v else None in
+      let kept = trie_of (List.filter (fun (_, v) -> even v) bindings) in
       List.for_all
         (fun ip ->
-          Option.equal String.equal (Prefix_trie.find_longest trie ip)
-            (Option.map snd (Prefix_trie.lookup trie ip)))
+          Option.equal String.equal (Prefix_trie.find_longest trie ip value ())
+            (Option.map snd (Prefix_trie.lookup trie ip))
+          && Option.equal String.equal (Prefix_trie.find_longest trie ip keep ())
+               (Option.map snd (Prefix_trie.lookup kept ip)))
         addresses)
 
 let prop_prefix_roundtrip =

@@ -63,6 +63,41 @@ let test_planner_failure_map () =
         (Plan.Plan_store.feasible remedy)
   | None -> Alcotest.fail "expected a plan for (E, reverse blaming B)")
 
+(* Selective poisoning goes through the origin's providers (§3.1.2), so
+   only a blamed provider gets it. On a hand-built world where O has
+   providers P1 and P2, a peer Q and a customer C, and the target T is a
+   customer of P1, P2 and Q, every blame below is avoidable: P1 through
+   P2, Q through P1, and C is on no path from T. *)
+let test_selective_only_for_providers () =
+  let open Topology in
+  let origin = asn 10 and p1 = asn 20 and p2 = asn 21 and q = asn 30 and c = asn 40 in
+  let target = asn 50 in
+  let graph = As_graph.create () in
+  List.iter (fun a -> As_graph.add_as graph a) [ origin; p1; p2; q; c; target ];
+  As_graph.add_link graph ~a:origin ~b:p1 ~rel:Relationship.Provider;
+  As_graph.add_link graph ~a:origin ~b:p2 ~rel:Relationship.Provider;
+  As_graph.add_link graph ~a:origin ~b:q ~rel:Relationship.Peer;
+  As_graph.add_link graph ~a:origin ~b:c ~rel:Relationship.Customer;
+  List.iter
+    (fun up -> As_graph.add_link graph ~a:target ~b:up ~rel:Relationship.Provider)
+    [ p1; p2; q ];
+  let remedy blamed =
+    let cls =
+      { Plan.Failure_class.blamed; direction = Lifeguard.Isolation.Reverse_failure; reversal = true }
+    in
+    match
+      Plan.Planner.remedy_for_class graph ~store:(Bgp.Path_store.create ()) ~origin ~target ~cls
+    with
+    | Plan.Plan_store.Selective_poison { via; _ } ->
+        "selective via " ^ String.concat "," (List.map Asn.to_string via)
+    | Plan.Plan_store.Poison _ -> "poison"
+    | Plan.Plan_store.Alternate_path -> "alternate path"
+    | Plan.Plan_store.Hopeless reason -> "hopeless: " ^ reason
+  in
+  Alcotest.(check string) "blamed provider" ("selective via " ^ Asn.to_string p1) (remedy p1);
+  Alcotest.(check string) "blamed peer" "poison" (remedy q);
+  Alcotest.(check string) "blamed customer" "poison" (remedy c)
+
 (* A hit must replay into the byte-identical verdict the fresh decision
    process produces — at every outage age (Wait before the gate, Poison
    after) and for infeasible blames (Hopeless with the same reason). *)
@@ -457,6 +492,8 @@ let test_recurring_workload_wins () =
 let suite =
   [
     Alcotest.test_case "planner: fig2 failure map" `Quick test_planner_failure_map;
+    Alcotest.test_case "planner: selective poison only for a provider" `Quick
+      test_selective_only_for_providers;
     Alcotest.test_case "hit path is byte-identical to compute-fresh" `Quick
       test_hit_byte_identical;
     Alcotest.test_case "miss demand-plans, then hits" `Quick test_miss_demand_plans_then_hits;

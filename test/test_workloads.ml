@@ -69,9 +69,9 @@ let test_planetlab_scenario () =
        ~dst:(Dataplane.Forward.probe_address bed.Scenarios.net vp2))
 
 let test_bgpmux_scenario () =
-  let mux = Scenarios.bgpmux ~ases:80 ~feed_count:10 ~seed:7 () in
+  let mux = Scenarios.bgpmux ~ases:80 ~seed:7 () in
   Alcotest.(check int) "providers" 5 (List.length mux.Scenarios.providers);
-  Alcotest.(check int) "feeds" 10 (List.length mux.Scenarios.feeds);
+  Alcotest.(check int) "feeds" 40 (List.length mux.Scenarios.feeds);
   Lifeguard.Remediate.announce_baseline mux.Scenarios.bed.Scenarios.net mux.Scenarios.plan;
   Bgp.Network.run_until_quiet mux.Scenarios.bed.Scenarios.net;
   (* Every feed can reach the production prefix. *)
@@ -303,6 +303,18 @@ let test_fork_selective () =
         (List.filteri (fun i _ -> i < 3) feeds))
     oracle_worlds
 
+(* The converged 318-AS paper world (the BGP-Mux baseline the drivers
+   fork per trial) stays small: every trial unmarshals it, and a larger
+   world is a slower fork and a larger heap. The bound is the size the
+   compact speaker state reached (223,392 B), plus 5%. *)
+let test_world_size () =
+  let module P = Experiments.Poisoning in
+  let mux = P.mux ~ases:318 ~seed:42 () in
+  P.converge_baseline mux;
+  let bytes = String.length (Template.capture mux :> string) in
+  Alcotest.(check bool) (Printf.sprintf "captured world is %d B, want <= 234561" bytes) true
+    (bytes <= 234_561)
+
 let prop_durations_deterministic =
   QCheck.Test.make ~name:"outage durations deterministic per seed" ~count:20
     QCheck.small_int (fun seed ->
@@ -321,5 +333,6 @@ let suite =
     Alcotest.test_case "fork oracle: bgpmux with its baseline" `Quick test_fork_bgpmux;
     Alcotest.test_case "fork oracle: planetlab with its sites" `Quick test_fork_planetlab;
     Alcotest.test_case "fork oracle: selective's feed worlds" `Quick test_fork_selective;
+    Alcotest.test_case "converged paper world size" `Quick test_world_size;
     QCheck_alcotest.to_alcotest prop_durations_deterministic;
   ]
