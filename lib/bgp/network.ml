@@ -20,15 +20,13 @@ type update_record = {
 
 type session = {
   peer : Asn.t;  (** The receiver. *)
-  mutable last_sent : float;  (** When we last put updates on this session. *)
+  ix : int;  (** The session's cell in the network's [last_sent]. *)
   mutable pending : Speaker.action array;
       (* The coalesced batch in [pending.(0 .. pending_n - 1)], sorted by
          Prefix.compare with one action per prefix, so the MRAI flush
          emits in an order fixed by the prefixes themselves. [[||]]
          between rounds: an idle session holds no batch storage. *)
-  mutable pending_n : int;
-  mutable timer_armed : bool;
-  jittered_mrai : float;
+  mutable pending_n : int;  (** Positive exactly while the MRAI timer is armed. *)
 }
 
 module Peer_prefix_tbl = Hashtbl.Make (struct
@@ -98,6 +96,10 @@ type t = {
   sessions : session array Asn.Table.t;
       (** sender -> pacing state of each directed session, in neighbor
           (ascending receiver ASN) order *)
+  last_sent : float array;
+      (** When each session (by [ix]) last put updates on the wire: a flat
+          float array, so no session holds a boxed float. *)
+  mrai : float;
   owners : Asn.t Prefix.Table.t;
   mutable originations : (Asn.t -> As_path.t option) Prefix.Map.t;
       (** Administrative intent: the latest per-neighbor path function
@@ -118,12 +120,16 @@ type t = {
    path. The mix is explicit arithmetic rather than the polymorphic
    [Hashtbl.hash] so delays cannot drift with the runtime's generic
    hash. *)
-let pair_hash a b =
+let[@inline] pair_hash a b =
   let z = (Asn.to_int a * 0x9E3779B1) lxor (Asn.to_int b * 0x85EBCA6B) in
   let z = z lxor (z lsr 16) in
   float_of_int (z land 0xFFFF) /. 65536.0
 
 let default_delay a b = 0.05 +. (0.2 *. pair_hash a b)
+
+(* Each session's MRAI, jittered per pair; recomputed on use rather
+   than stored, and inlined so that the float is never boxed. *)
+let[@inline] jittered_mrai t a b = t.mrai *. (0.75 +. (0.25 *. pair_hash a b))
 
 let engine t = t.engine
 let graph t = t.graph
@@ -222,6 +228,10 @@ let coalesce s prefix action =
     s.pending_n <- n + 1
   end
 
+let count_sent = function
+  | Speaker.Announce _ -> Obs.Metrics.incr m_announce_sent
+  | Speaker.Withdraw _ -> Obs.Metrics.incr m_withdraw_sent
+
 (* Forward declaration to tie the delivery/emission knot. [sh] is always
    the shard owning the acting speaker: the destination's for [deliver],
    the sender's for [emit]/[schedule_delivery]. *)
@@ -259,15 +269,16 @@ and emit_each t sh sessions ~from = function
 
 and emit t sh s ~from ~to_ action =
   let now = Sim.Engine.now sh.sengine in
-  if now -. s.last_sent >= s.jittered_mrai && s.pending_n = 0 then begin
-    s.last_sent <- now;
+  let last = t.last_sent.(s.ix) and mrai = jittered_mrai t from to_ in
+  if now -. last >= mrai && s.pending_n = 0 then begin
+    t.last_sent.(s.ix) <- now;
     schedule_delivery t sh ~from ~to_ action
   end
   else begin
+    let armed = s.pending_n > 0 in
     coalesce s (action_prefix action) action;
-    if not s.timer_armed then begin
-      s.timer_armed <- true;
-      let fire_at = Float.max now (s.last_sent +. s.jittered_mrai) in
+    if not armed then begin
+      let fire_at = Float.max now (last +. mrai) in
       sh.s_bgp_events <- sh.s_bgp_events + 1;
       Sim.Engine.schedule sh.sengine ~at:fire_at (fun () -> flush t sh s ~from ~to_)
     end
@@ -276,8 +287,7 @@ and emit t sh s ~from ~to_ action =
 (* The MRAI timer of session [s] fires: send the coalesced batch. *)
 and flush t sh s ~from ~to_ =
   sh.s_bgp_events <- sh.s_bgp_events - 1;
-  s.timer_armed <- false;
-  s.last_sent <- Sim.Engine.now sh.sengine;
+  t.last_sent.(s.ix) <- Sim.Engine.now sh.sengine;
   let batch = s.pending and n = s.pending_n in
   s.pending <- [||];
   s.pending_n <- 0;
@@ -289,15 +299,64 @@ and flush t sh s ~from ~to_ =
         ("to", Obs.Trace.Int (Asn.to_int to_));
         ("batch", Obs.Trace.Int n);
       ];
+  match t.barrier with
+  | None -> send_batch t sh ~from ~to_ batch n
+  | Some _ ->
+      for i = 0 to n - 1 do
+        schedule_delivery t sh ~from ~to_ batch.(i)
+      done
+
+(* The unsharded flush: the whole batch is one engine event, which
+   delivers it in batch (prefix) order. Scheduling one event per message
+   would give the same order: the messages share one delay, take
+   consecutive sequence numbers at one instant so no other event falls
+   between them, and whatever a delivery schedules comes after all of
+   them either way. The link-fault verdict is still drawn once per
+   message, in batch order; the survivors are compacted in place in the
+   detached [batch], so only duplicates allocate (their copies go out as
+   a second event at 1.5 times the delay). *)
+and send_batch t sh ~from ~to_ batch n =
+  let delay = default_delay from to_ in
+  let kept = ref 0 and dups = ref [] in
   for i = 0 to n - 1 do
-    schedule_delivery t sh ~from ~to_ batch.(i)
+    let action = batch.(i) in
+    count_sent action;
+    let verdict =
+      match t.link_faults with None -> `Deliver | Some verdict -> verdict ~from ~to_
+    in
+    match verdict with
+    | `Deliver ->
+        batch.(!kept) <- action;
+        incr kept
+    | `Drop -> ()
+    | `Duplicate ->
+        batch.(!kept) <- action;
+        incr kept;
+        dups := action :: !dups
+  done;
+  let kept = !kept in
+  if kept > 0 then begin
+    sh.s_bgp_events <- sh.s_bgp_events + kept;
+    Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
+        deliver_batch t sh ~from ~to_ batch kept)
+  end;
+  match !dups with
+  | [] -> ()
+  | dups ->
+      let copies = Array.of_list (List.rev dups) in
+      sh.s_bgp_events <- sh.s_bgp_events + Array.length copies;
+      Sim.Engine.schedule_after sh.sengine ~delay:(delay *. 1.5) (fun () ->
+          deliver_batch t sh ~from ~to_ copies (Array.length copies))
+
+and deliver_batch t sh ~from ~to_ batch n =
+  for i = 0 to n - 1 do
+    sh.s_bgp_events <- sh.s_bgp_events - 1;
+    deliver t sh ~from ~to_ batch.(i)
   done
 
 and schedule_delivery t sh ~from ~to_ action =
   let delay = default_delay from to_ in
-  (match action with
-  | Speaker.Announce _ -> Obs.Metrics.incr m_announce_sent
-  | Speaker.Withdraw _ -> Obs.Metrics.incr m_withdraw_sent);
+  count_sent action;
   match t.link_faults with
   | None -> send t sh ~from ~to_ action ~delay
   | Some verdict -> begin
@@ -418,6 +477,11 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
       speakers;
       store;
       sessions = Asn.Table.create 256;
+      last_sent =
+        Array.make
+          (List.fold_left (fun n a -> n + List.length (As_graph.neighbors graph a)) 0 ases)
+          neg_infinity;
+      mrai;
       owners = Prefix.Table.create 16;
       originations = Prefix.Map.empty;
       owner_trie = Prefix_trie.create ();
@@ -505,20 +569,16 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
     speakers;
   (* Session pacing state per directed adjacency, in neighbor order
      (ascending ASN, which [session]'s binary search relies on). *)
+  let next_ix = ref 0 in
   List.iter
     (fun a ->
       let out =
         Array.of_list
           (List.map
              (fun (b, _) ->
-               {
-                 peer = b;
-                 last_sent = neg_infinity;
-                 pending = [||];
-                 pending_n = 0;
-                 timer_armed = false;
-                 jittered_mrai = mrai *. (0.75 +. (0.25 *. pair_hash a b));
-               })
+               let ix = !next_ix in
+               incr next_ix;
+               { peer = b; ix; pending = [||]; pending_n = 0 })
              (As_graph.neighbors graph a))
       in
       Asn.Table.replace t.sessions a out)

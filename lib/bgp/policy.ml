@@ -41,12 +41,12 @@ let local_pref_for config ~self ~neighbor ~rel =
 
 type import_verdict = Accepted of int | Rejected of string
 
-let import config ~self ~peers_of_self ~neighbor ~rel (ann : Route.announcement) =
+let import config ~self ~peers ~is_peer ~neighbor ~rel (ann : Route.announcement) =
   if As_path.count self ann.path >= config.loop_limit then Rejected "loop detected"
   else if
     config.reject_peers_in_customer_paths
     && Relationship.equal rel Relationship.Customer
-    && As_path.exists (fun a -> Asn.Set.mem a peers_of_self) ann.path
+    && As_path.exists (fun a -> is_peer peers a) ann.path
   then Rejected "peer AS in customer-announced path"
   else Accepted (local_pref_for config ~self ~neighbor ~rel)
 

@@ -65,14 +65,17 @@ type import_verdict = Accepted of int | Rejected of string
 val import :
   config ->
   self:Asn.t ->
-  peers_of_self:Asn.Set.t ->
+  peers:'peers ->
+  is_peer:('peers -> Asn.t -> bool) ->
   neighbor:Asn.t ->
   rel:Relationship.t ->
   Route.announcement ->
   import_verdict
 (** Import policy for an announcement received from [neighbor]. Checks
-    loop prevention against [loop_limit], then the Cogent quirk against
-    [peers_of_self]. *)
+    loop prevention against [loop_limit], then the Cogent quirk, which
+    asks [is_peer peers a] whether AS [a] is a settlement-free peer of
+    [self]. The question takes its data as an argument, so a caller can
+    pass a top-level function and allocate nothing per call. *)
 
 (** Export is split in two so a speaker syncing one prefix toward many
     neighbors builds the outgoing announcement once: the loc-RIB [entry]

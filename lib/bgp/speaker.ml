@@ -59,7 +59,6 @@ type t = {
   sessions : session array;
       (** By ascending neighbor ASN: the order of every export list, and
           what {!session}'s binary search relies on. *)
-  peers_of_self : Asn.Set.t;
   mutable slots : slot option array;  (** By prefix id; grown on demand. *)
   mutable loc_rib_size : int;  (** Slots with a [best]. *)
   fib_epoch : int ref;
@@ -80,18 +79,11 @@ let create ?store ?fib_epoch ~asn ~config ~neighbors () =
     |> List.mapi (fun ix (n, rel) -> { asn = n; rel; ix; down = false })
     |> Array.of_list
   in
-  let peers_of_self =
-    List.fold_left
-      (fun acc (n, rel) ->
-        if Relationship.equal rel Relationship.Peer then Asn.Set.add n acc else acc)
-      Asn.Set.empty neighbors
-  in
   {
     self = asn;
     config;
     store = (match store with Some s -> s | None -> Path_store.create ());
     sessions;
-    peers_of_self;
     slots = [||];
     loc_rib_size = 0;
     fib_epoch = (match fib_epoch with Some e -> e | None -> ref 0);
@@ -185,6 +177,12 @@ let rec search sessions n lo hi =
     | c when c < 0 -> search sessions n (mid + 1) hi
     | _ -> search sessions n lo mid
   end
+
+(* Whether [n] is a settlement-free peer: the Cogent quirk's question. *)
+let is_peer sessions n =
+  match search sessions n 0 (Array.length sessions) with
+  | -1 -> false
+  | i -> Relationship.equal sessions.(i).rel Relationship.Peer
 
 let session t n =
   match search t.sessions n 0 (Array.length t.sessions) with
@@ -384,8 +382,8 @@ let receive t ~now ~from action =
             ignore (note_flap t ~now prefix from)
         | Some _ | None -> ());
         match
-          Policy.import t.config ~self:t.self ~peers_of_self:t.peers_of_self
-            ~neighbor:from ~rel:s.rel ann
+          Policy.import t.config ~self:t.self ~peers:t.sessions ~is_peer ~neighbor:from
+            ~rel:s.rel ann
         with
         | Policy.Rejected _ ->
             (* An update that fails import replaces (removes) whatever this

@@ -2,9 +2,9 @@
 
     LIFEGUARD's measurement load must stay bounded no matter how many
     outages are in flight (§4.4 argues the total is modest); the fleet
-    service enforces that with a global token bucket, optionally capped
-    per vantage point. Tokens are probe pairs; buckets refill lazily from
-    the current simulation time, so admission is O(1) with no timers. *)
+    service enforces that with a global token bucket. Tokens are probe
+    pairs; buckets refill lazily from the current simulation time, so
+    admission is O(1) with no timers. *)
 
 open Net
 
@@ -24,26 +24,23 @@ val granted : t -> int
 val denied : t -> int
 (** Total cost refused. *)
 
-(** A global bucket plus lazily created per-vantage-point caps. *)
+(** The fleet's admission point: one global bucket that every vantage
+    point draws on. *)
 type scheduler
 
-val scheduler : ?per_vp_rate:float -> ?per_vp_burst:float -> global:t -> unit -> scheduler
-(** Per-VP caps default to unlimited ([infinity]), collapsing to the
-    global bucket alone. *)
+val scheduler : global:t -> unit -> scheduler
 
 val admit_vp : scheduler -> vp:Asn.t -> now:float -> cost:int -> bool
-(** Admit only if both the VP's bucket and the global bucket agree; a
-    refusal by either consumes nothing from the global bucket. *)
+(** Admit a request made on behalf of vantage point [vp] through the
+    global bucket. *)
 
 val capture : scheduler -> string
-(** Canonical rendering of every bucket's token level and counters, the
-    budget share of the snapshot digest: ["global"] first, then the
-    per-VP caps sorted by ASN (named ["vp:<asn>"]), one line each. Pure
-    read. *)
+(** Canonical rendering of the global bucket's token level and counters,
+    the budget share of the snapshot digest: one line, named
+    ["global"]. Pure read. *)
 
 val scheduler_granted : scheduler -> int
 (** Total cost admitted through the global bucket. *)
 
 val scheduler_denied : scheduler -> int
-(** Total cost refused by either the global bucket or any per-VP cap;
-    each refusal is counted exactly once. *)
+(** Total cost refused by the global bucket. *)

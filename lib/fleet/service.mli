@@ -12,8 +12,8 @@
     function of its configuration.
 
     The operating point is fixed, not configurable: a global probe
-    budget of 8 ping pairs/s with a 400-pair bucket (no per-VP cap),
-    35 pairs per isolation attempt, an hourly path-atlas refresh,
+    budget of 8 ping pairs/s with a 400-pair bucket, 35 pairs per
+    isolation attempt, an hourly path-atlas refresh,
     5400 s (the paper's ~90 min damping margin) between announcements,
     and the {!Lifeguard.Decide} / {!Lifeguard.Orchestrator} defaults for
     the 300 s age gate, the 120 s recheck period, the 30 s monitor

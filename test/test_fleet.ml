@@ -21,14 +21,17 @@ let test_budget_bucket () =
   Alcotest.(check int) "denied accounting" 13 (Fleet.Budget.denied b)
 
 let test_budget_scheduler () =
-  let global = Fleet.Budget.create ~rate:1.0 ~burst:100.0 () in
-  let s = Fleet.Budget.scheduler ~per_vp_rate:1.0 ~per_vp_burst:5.0 ~global () in
+  let global = Fleet.Budget.create ~rate:1.0 ~burst:10.0 () in
+  let s = Fleet.Budget.scheduler ~global () in
   let vp1 = Asn.of_int 101 and vp2 = Asn.of_int 102 in
-  Alcotest.(check bool) "vp1 within cap" true (Fleet.Budget.admit_vp s ~vp:vp1 ~now:0.0 ~cost:5);
-  Alcotest.(check bool) "vp1 over cap" false (Fleet.Budget.admit_vp s ~vp:vp1 ~now:0.0 ~cost:1);
-  (* Per-VP refusal must not drain the global bucket. *)
-  Alcotest.(check bool) "vp2 unaffected" true (Fleet.Budget.admit_vp s ~vp:vp2 ~now:0.0 ~cost:5);
-  Alcotest.(check int) "global spent only admitted cost" 10 (Fleet.Budget.granted global)
+  Alcotest.(check bool) "vp1 admitted" true (Fleet.Budget.admit_vp s ~vp:vp1 ~now:0.0 ~cost:6);
+  (* Every vantage point draws on the one bucket. *)
+  Alcotest.(check bool) "vp2 refused" false (Fleet.Budget.admit_vp s ~vp:vp2 ~now:0.0 ~cost:5);
+  Alcotest.(check bool) "vp2 after refill" true (Fleet.Budget.admit_vp s ~vp:vp2 ~now:1.0 ~cost:5);
+  Alcotest.(check int) "granted" 11 (Fleet.Budget.scheduler_granted s);
+  Alcotest.(check int) "denied" 5 (Fleet.Budget.scheduler_denied s);
+  Alcotest.(check string) "capture is the global bucket" "bucket global 0x0p+0 0x1p+0 11 5\n"
+    (Fleet.Budget.capture s)
 
 let test_budget_validation () =
   let raises f = Alcotest.(check bool) "rejects" true (try ignore (f ()); false with Invalid_argument _ -> true) in
@@ -318,7 +321,7 @@ let test_study_merge () =
 let suite =
   [
     Alcotest.test_case "budget: token bucket" `Quick test_budget_bucket;
-    Alcotest.test_case "budget: per-VP scheduler" `Quick test_budget_scheduler;
+    Alcotest.test_case "budget: scheduler is the global bucket" `Quick test_budget_scheduler;
     Alcotest.test_case "budget: validation" `Quick test_budget_validation;
     Alcotest.test_case "chaos: deterministic coins" `Quick test_chaos_determinism;
     Alcotest.test_case "chaos: VP crash/recover" `Quick test_chaos_vp_crashes;

@@ -306,14 +306,14 @@ let test_fork_selective () =
 (* The converged 318-AS paper world (the BGP-Mux baseline the drivers
    fork per trial) stays small: every trial unmarshals it, and a larger
    world is a slower fork and a larger heap. The bound is the size the
-   compact speaker state reached (223,392 B), plus 5%. *)
+   compact session records reached (209,523 B), plus 5%. *)
 let test_world_size () =
   let module P = Experiments.Poisoning in
   let mux = P.mux ~ases:318 ~seed:42 () in
   P.converge_baseline mux;
   let bytes = String.length (Template.capture mux :> string) in
-  Alcotest.(check bool) (Printf.sprintf "captured world is %d B, want <= 234561" bytes) true
-    (bytes <= 234_561)
+  Alcotest.(check bool) (Printf.sprintf "captured world is %d B, want <= 219999" bytes) true
+    (bytes <= 219_999)
 
 let prop_durations_deterministic =
   QCheck.Test.make ~name:"outage durations deterministic per seed" ~count:20
