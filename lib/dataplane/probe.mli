@@ -42,6 +42,15 @@ val charge : env -> int -> unit
 (** Add [n] probe packets to [probes_sent] and to [meas.probes]: for
     measurement techniques built outside this module. *)
 
+val delivers : env -> src:Asn.t -> dst:Ipv4.t -> bool
+(** [Forward.delivers] on the env's world, answered from the
+    reachability memo when it holds a live verdict (see {!env}), and
+    walked (then stored) otherwise. The answer is always the one
+    [Forward.delivers] would give at this instant. It is not a probe:
+    nothing is charged to [probes_sent] or [meas.probes]. It is the
+    verdict path for every yes/no data-plane question asked in a loop,
+    such as the loss and ablation samplers. *)
+
 val responder : env -> Ipv4.t -> Asn.t option
 (** The AS that would answer probes to this address: the owner of the
     router address, or the AS originating the covering prefix. *)

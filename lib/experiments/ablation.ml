@@ -20,7 +20,6 @@ let production = Scenarios.production_prefix
 let measure ~label ~seed ~ases ~n ~mrai ~fib_install_delay ~prepend =
   let mux = Poisoning.mux ~ases ~mrai ~fib_install_delay ~seed () in
   let bed = mux.Scenarios.bed in
-  let net = bed.Scenarios.net in
   let engine = bed.Scenarios.engine in
   let origin = mux.Scenarios.origin in
   let baseline =
@@ -42,7 +41,7 @@ let measure ~label ~seed ~ases ~n ~mrai ~fib_install_delay ~prepend =
                 incr total;
                 if
                   not
-                    (Dataplane.Forward.delivers net bed.Scenarios.failures ~src:vp
+                    (Dataplane.Probe.delivers bed.Scenarios.probe ~src:vp
                        ~dst:(Prefix.nth_address production 1))
                 then incr lost)
               samplers;

@@ -45,8 +45,7 @@ let check cs label =
     label;
     time = Sim.Engine.now bed.Scenarios.engine;
     reachable =
-      Dataplane.Forward.delivers bed.Scenarios.net bed.Scenarios.failures ~src:cs.taiwan
-        ~dst:production_address;
+      Dataplane.Probe.delivers bed.Scenarios.probe ~src:cs.taiwan ~dst:production_address;
     via = taiwan_route cs;
   }
 

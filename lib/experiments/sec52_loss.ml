@@ -16,31 +16,31 @@ let paper_bad_round = 0.02
 
 let loss_during_poisoning mux rng ~samplers ~target =
   let bed = mux.Scenarios.bed in
-  let net = bed.Scenarios.net in
   let engine = bed.Scenarios.engine in
   let prefix = Scenarios.production_prefix in
   let production_address = Prefix.nth_address prefix 1 in
-  (* Per-site ambient loss for this poisoning: log-normal around 0.3%. *)
+  (* Per-site ambient loss for this poisoning: log-normal around 0.3%,
+     aligned with [samplers] and drawn in their order. *)
   let ambient =
     List.map
-      (fun vp ->
-        (vp, Float.min 0.03 (Prng.Dist.lognormal rng ~mu:(log 0.003) ~sigma:0.8)))
+      (fun _ -> Float.min 0.03 (Prng.Dist.lognormal rng ~mu:(log 0.003) ~sigma:0.8))
       samplers
   in
-  let ambient_of vp = List.assoc vp ambient in
+  (* Verdicts through the world's reachability memo: a round in which no
+     FIB and no failure changed is one table hit per sampler. *)
+  let delivers vp =
+    Dataplane.Probe.delivers bed.Scenarios.probe ~src:vp ~dst:production_address
+  in
   let horizon = 400.0 in
   let rounds : (float * Asn.t * bool * bool) list ref = ref [] in
   let sample t0 =
     Sim.Engine.schedule_every engine ~every:10.0 ~until:(t0 +. horizon) (fun now ->
-        List.iter
-          (fun vp ->
-            let delivered =
-              Dataplane.Forward.delivers net bed.Scenarios.failures ~src:vp
-                ~dst:production_address
-            in
-            let ambient_drop = Prng.bernoulli rng ~p:(ambient_of vp) in
+        List.iter2
+          (fun vp p ->
+            let delivered = delivers vp in
+            let ambient_drop = Prng.bernoulli rng ~p in
             rounds := (now, vp, delivered, ambient_drop) :: !rounds)
-          samplers;
+          samplers ambient;
         `Continue)
   in
   let { Poisoning.t0; _ } = Poisoning.round mux ~settle:120.0 ~target ~sample in
@@ -59,10 +59,7 @@ let loss_during_poisoning mux rng ~samplers ~target =
   in
   (* Sites completely cut off by this poisoning are excluded, as in the
      paper. *)
-  let cut_off vp =
-    not (Dataplane.Forward.delivers net bed.Scenarios.failures ~src:vp ~dst:production_address)
-  in
-  let live = List.filter (fun vp -> not (cut_off vp)) samplers in
+  let live = List.filter delivers samplers in
   let live_set = List.fold_left (fun s vp -> Asn.Set.add vp s) Asn.Set.empty live in
   let in_window =
     List.filter

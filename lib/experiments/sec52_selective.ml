@@ -20,28 +20,31 @@ let first_hop_of mux peer =
 
 (* Can selective poisoning move [peer] off its current first-hop link
    while keeping it routed? Try withholding the poison from one provider
-   at a time. *)
+   at a time. Each attempt after the first restores the baseline before
+   poisoning; the last attempt's poison is left in place, so [mux] is
+   spent. *)
 let reverse_avoidable_for mux ~peer =
   let net = mux.Scenarios.bed.Scenarios.net in
   let plan = mux.Scenarios.plan in
   match first_hop_of mux peer with
   | None -> None
   | Some original_next_hop ->
+      let poisoned = ref false in
       let try_via unpoisoned_provider =
+        if !poisoned then begin
+          Lifeguard.Remediate.unpoison net plan;
+          Bgp.Network.run_until_quiet net
+        end;
+        poisoned := true;
         Lifeguard.Remediate.selective_poison net plan ~target:peer
           ~poisoned_via:
             (List.filter
                (fun p -> not (Asn.equal p unpoisoned_provider))
                mux.Scenarios.providers);
         Bgp.Network.run_until_quiet net;
-        let moved =
-          match first_hop_of mux peer with
-          | Some nh -> not (Asn.equal nh original_next_hop)
-          | None -> false
-        in
-        Lifeguard.Remediate.unpoison net plan;
-        Bgp.Network.run_until_quiet net;
-        moved
+        match first_hop_of mux peer with
+        | Some nh -> not (Asn.equal nh original_next_hop)
+        | None -> false
       in
       Some (List.exists try_via mux.Scenarios.providers)
 
@@ -69,7 +72,8 @@ let forward_avoidable_for mux ~dst =
   | _ -> None
 
 (* Sanity: selectively poisoning one feed must not disturb peers not
-   routing through it. Poisons and restores [mux]. *)
+   routing through it. Poisons [mux] and leaves the poison in place:
+   [run] captures its template before calling this. *)
 let undisturbed_ok mux ~feeds =
   let net = mux.Scenarios.bed.Scenarios.net in
   match feeds with
@@ -92,10 +96,7 @@ let undisturbed_ok mux ~feeds =
       Lifeguard.Remediate.selective_poison net mux.Scenarios.plan ~target
         ~poisoned_via:(List.tl mux.Scenarios.providers);
       Bgp.Network.run_until_quiet net;
-      let ok = List.for_all (fun (p, nh) -> first_hop_of mux p = nh) before in
-      Lifeguard.Remediate.unpoison net mux.Scenarios.plan;
-      Bgp.Network.run_until_quiet net;
-      ok
+      List.for_all (fun (p, nh) -> first_hop_of mux p = nh) before
 
 (* The forward walk targets the feed's probe address, so only that
    feed's infrastructure prefix needs announcing. Converging it after the
@@ -129,7 +130,7 @@ let run ~ases ~max_feeds ~jobs ~seed () =
   in
   (* Per-feed trial in its own world. The reverse measurement is pure
      control plane. Forward is measured first, against the undisturbed
-     baseline, because the reverse measurement poisons and restores. *)
+     baseline, because the reverse measurement leaves a poison in place. *)
   let trial feed () =
     let mux = feed_world template ~feed in
     let fwd = forward_avoidable_for mux ~dst:feed in

@@ -64,8 +64,8 @@ let describe = function
       "list append (@) building an accumulator inside a let rec or fold; quadratic — \
        accumulate with :: and List.rev, or use List.concat_map"
   | Perf_scan ->
-      "List.mem/List.assoc inside a let rec or iteration closure; quadratic scan — \
-       use a Set/Map/Hashtbl"
+      "List.mem/List.assoc inside a let rec or iteration closure, directly or through a \
+       local helper that scans a captured list; quadratic scan — use a Set/Map/Hashtbl"
   | Perf_structeq ->
       "structural =/compare on an interned BGP value (As_path.t / Route entry fields) \
        outside lib/bgp; defeats O(1) hash-consed equality — use As_path.equal / \

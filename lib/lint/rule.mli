@@ -9,7 +9,9 @@ type t =
   | Det_polyeq  (** polymorphic compare / hash / option-sentinel equality *)
   | Det_hashkey  (** [Hashtbl.t] keyed by a structured or boxed type *)
   | Perf_append  (** [@] building an accumulator inside a [let rec] or fold *)
-  | Perf_scan  (** [List.mem]/[List.assoc] inside a [let rec] or iteration closure *)
+  | Perf_scan
+      (** [List.mem]/[List.assoc] inside a [let rec] or iteration closure, directly or
+          through a local helper that scans a captured list *)
   | Perf_structeq
       (** structural [=]/[compare] on an interned BGP value ([As_path.t],
           [Route] entry fields) outside [lib/bgp] *)

@@ -194,6 +194,46 @@ let rec is_structured_literal (e : expression) =
   | Pexp_constraint (e, _) -> is_structured_literal e
   | _ -> false
 
+let is_scan_path = function
+  | [ "List"; ("mem" | "assoc" | "assoc_opt" | "mem_assoc") ] -> true
+  | _ -> false
+
+(* Is this function expression a lookup helper over a captured list
+   ([let find k = List.assoc k table] with [table] bound outside it)?
+   Applying one in a loop is the same quadratic scan as inlining it. A
+   list the helper binds itself (a parameter, a local) is left alone:
+   it is not the same list on every call. *)
+let wraps_captured_scan (e : expression) =
+  is_fun_expr e
+  &&
+  let bound = ref [] and scanned = ref [] in
+  let it =
+    {
+      Ast_iterator.default_iterator with
+      pat =
+        (fun it p ->
+          (match p.ppat_desc with
+          | Ppat_var { txt; _ } | Ppat_alias (_, { txt; _ }) -> bound := txt :: !bound
+          | _ -> ());
+          Ast_iterator.default_iterator.pat it p);
+      expr =
+        (fun it e ->
+          (match e.pexp_desc with
+          | Pexp_apply (f, args) -> (
+              match (callee_path f, List.rev args) with
+              | ( Some p,
+                  (Asttypes.Nolabel, { pexp_desc = Pexp_ident { txt = Longident.Lident l; _ }; _ })
+                  :: _ )
+                when is_scan_path p ->
+                  scanned := l :: !scanned
+              | _ -> ())
+          | _ -> ());
+          Ast_iterator.default_iterator.expr it e);
+    }
+  in
+  it.expr it e;
+  List.exists (fun l -> not (List.exists (String.equal l) !bound)) !scanned
+
 let flat_key (t : core_type) =
   match t.ptyp_desc with
   | Ptyp_constr ({ txt; _ }, []) -> (
@@ -228,6 +268,14 @@ let scan_structure ~kind ~file str =
   let rec_depth = ref 0 in
   let loop_depth = ref 0 in
   let fold_depth = ref 0 in
+  let in_loop () = !rec_depth > 0 || !loop_depth > 0 || !fold_depth > 0 in
+  (* Names bound by the enclosing local [let]s, innermost first, each
+     with whether it is a lookup helper over a captured list: a
+     rebinding shadows. *)
+  let local_helpers : (string * bool) list ref = ref [] in
+  let is_scan_helper name =
+    match List.assoc_opt name !local_helpers with Some h -> h | None -> false
+  in
   (* LG-ROB-MARSHAL, in every scanned file: any path into Marshal. *)
   let check_marshal p loc =
     match p with
@@ -311,15 +359,20 @@ let scan_structure ~kind ~file str =
             add Rule.Perf_append loc
               "@ inside a let rec or fold is quadratic; accumulate with :: and List.rev"
         end
-        else if
-          (match p with
-          | [ "List"; ("mem" | "assoc" | "assoc_opt" | "mem_assoc") ] -> true
-          | _ -> false)
-          && (!rec_depth > 0 || !loop_depth > 0 || !fold_depth > 0)
-        then
+        else if is_scan_path p && in_loop () then
           add Rule.Perf_scan loc
             (Printf.sprintf "%s inside a loop is a quadratic scan; use a Set/Map/Hashtbl"
                (joined p))
+        else
+          match p with
+          | [ name ] when in_loop () && is_scan_helper name ->
+              add Rule.Perf_scan loc
+                (Printf.sprintf
+                   "%s wraps a List scan of a captured list; applying it inside a loop is a \
+                    quadratic scan — keep the values aligned with the list or use a \
+                    Set/Map/Hashtbl"
+                   name)
+          | _ -> ()
   in
   let expr_iter =
     {
@@ -336,7 +389,16 @@ let scan_structure ~kind ~file str =
                 if bump then incr rec_depth;
                 List.iter (fun vb -> it.value_binding it vb) vbs;
                 if bump then decr rec_depth;
-                it.expr it body
+                let outer = !local_helpers in
+                List.iter
+                  (fun vb ->
+                    match vb.pvb_pat.ppat_desc with
+                    | Ppat_var { txt; _ } ->
+                        local_helpers := (txt, wraps_captured_scan vb.pvb_expr) :: !local_helpers
+                    | _ -> ())
+                  vbs;
+                it.expr it body;
+                local_helpers := outer
             | Pexp_try (_, cases) ->
                 if kind.in_lib then
                   List.iter

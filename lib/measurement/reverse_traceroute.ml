@@ -108,9 +108,7 @@ let measure t ~from_ ~to_ip ?(cached = []) () =
   (* Feasibility: some vantage point must deliver spoofed stimuli. *)
   let feasible =
     List.exists
-      (fun vp ->
-        Dataplane.Forward.delivers net t.env.Dataplane.Probe.failures ~src:vp
-          ~dst:from_address)
+      (fun vp -> Dataplane.Probe.delivers t.env ~src:vp ~dst:from_address)
       t.vantage_points
   in
   if not feasible then None

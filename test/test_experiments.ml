@@ -178,6 +178,54 @@ let test_damping () =
   Alcotest.(check int) "nobody cut off when spaced" 0 r.Experiments.Damping.spaced_cutoff;
   ignore (Experiments.Damping.to_tables r)
 
+(* Exactness pins for the §5.2 drivers at 60 ASes, taken before the
+   loss driver kept its ambient rates in sampler order and read its
+   verdicts through the reachability memo, and before the selective
+   trials stopped restoring worlds they drop. Floats are compared as
+   exact hex ([%h]). *)
+let test_loss_pinned () =
+  List.iter
+    (fun (seed, expected) ->
+      let r = Experiments.Sec52_loss.run ~ases:60 ~max_poisons:4 ~jobs:1 ~seed () in
+      Alcotest.(check (list string))
+        (Printf.sprintf "loss rates at seed %d" seed)
+        expected
+        (Array.to_list (Array.map (Printf.sprintf "%h") r.Experiments.Sec52_loss.loss_rates)))
+    [
+      (42, [ "0x1.5f15f15f15f16p-6"; "0x0p+0"; "0x1.c71c71c71c71cp-7"; "0x1.c71c71c71c71cp-6" ]);
+      (7, [ "0x0p+0"; "0x0p+0"; "0x0p+0"; "0x1.d41d41d41d41dp-8" ]);
+    ]
+
+(* A converged world does not remember how it got there, so the result
+   alone cannot tell whether each poisoning attempt started from the
+   baseline. The BGP work can: [bgp.delivered] over the whole run is the
+   count before the final restores were dropped (6,358 at seed 42, 6,444
+   at seed 7) minus the deliveries of exactly those restores (809 and
+   952, counted on the older driver). Attempts made without restoring
+   the baseline deliver 2,888 and 3,311. *)
+let test_selective_pinned () =
+  List.iter
+    (fun (seed, delivered) ->
+      Obs.Metrics.reset ();
+      Obs.Metrics.enable ();
+      let r = Experiments.Sec52_selective.run ~ases:60 ~max_feeds:8 ~jobs:1 ~seed () in
+      let snap = Obs.Metrics.snapshot () in
+      Obs.Metrics.disable ();
+      Obs.Metrics.reset ();
+      Alcotest.(check string)
+        (Printf.sprintf "selective result at seed %d" seed)
+        "feeds 8 reverse 0x1.4p-1 forward 0x1.4p-1 undisturbed true"
+        (Printf.sprintf "feeds %d reverse %h forward %h undisturbed %b"
+           r.Experiments.Sec52_selective.feeds_tested
+           r.Experiments.Sec52_selective.fraction_reverse
+           r.Experiments.Sec52_selective.fraction_forward
+           r.Experiments.Sec52_selective.undisturbed_ok);
+      Alcotest.(check int)
+        (Printf.sprintf "bgp.delivered at seed %d" seed)
+        delivered
+        (Obs.Metrics.counter_value snap "bgp.delivered"))
+    [ (42, 5549); (7, 5492) ]
+
 let suite =
   [
     Alcotest.test_case "fig1 shape" `Quick test_fig1;
@@ -193,4 +241,6 @@ let suite =
     Alcotest.test_case "ablation directions" `Slow test_ablation;
     Alcotest.test_case "hubble H(d) derivation" `Slow test_hubble;
     Alcotest.test_case "flap damping vs spacing" `Slow test_damping;
+    Alcotest.test_case "sec 5.2 loss rates pinned" `Slow test_loss_pinned;
+    Alcotest.test_case "sec 5.2 selective result and BGP work pinned" `Slow test_selective_pinned;
   ]

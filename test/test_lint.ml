@@ -56,7 +56,12 @@ let test_perf_fixtures () =
   let bad = scan_fixture "perf_bad.ml" in
   check_rule "perf_bad" bad Rule.Perf_append 2;
   check_rule "perf_bad" bad Rule.Perf_scan 2;
-  Alcotest.(check int) "perf_good is clean" 0 (List.length (scan_fixture "perf_good.ml"))
+  Alcotest.(check int) "perf_good is clean" 0 (List.length (scan_fixture "perf_good.ml"));
+  (* a local helper wrapping List.assoc, applied inside an iteration
+     closure *)
+  check_rule "perf_scan_helper_bad" (scan_fixture "perf_scan_helper_bad.ml") Rule.Perf_scan 1;
+  Alcotest.(check int) "perf_scan_helper_good is clean" 0
+    (List.length (scan_fixture "perf_scan_helper_good.ml"))
 
 let test_structeq_fixtures () =
   let bad = scan_fixture "structeq_bad.ml" in
