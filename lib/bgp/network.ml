@@ -50,7 +50,6 @@ type collector_shard = {
 type collector_state = {
   cname : string;
   cpeers : Asn.t list;
-  peer_set : Asn.Set.t;
   subs : collector_shard array;  (** one slice per shard *)
   csync : unit -> unit;  (** catch shards up before a read *)
   cshard_of : Asn.t -> int;
@@ -108,7 +107,10 @@ type t = {
           re-originate from it. *)
   owner_trie : Asn.t Prefix_trie.t;
   mutable link_faults : (from:Asn.t -> to_:Asn.t -> [ `Deliver | `Drop | `Duplicate ]) option;
-  mutable collectors : collector_state list;
+  feeds : collector_shard list ref Asn.Table.t;
+      (** AS -> the collector slices subscribed to its loc-RIB changes,
+          one per collector it peers with ({!Collector.attach}); the
+          speaker's change hook writes to these only. *)
   shards : shard_state array;
   shard_ix : int Asn.Table.t;  (** AS -> shard index; empty in legacy mode *)
   mutable barrier : boundary_msg Shard.Barrier.t option;  (** None = legacy *)
@@ -401,26 +403,31 @@ and send t sh ~from ~to_ action ~delay =
       sh.outbox_n <- sh.outbox_n + 1
 
 (* Barrier injection: put one due message on its destination shard's
-   queue. Runs on the control domain while shards are quiescent; the
-   destination speaker re-interns the announcement into its own shard's
-   store on receive ([Speaker.receive] -> [Path_store.intern_ann]). *)
+   queue. Runs on the control domain while shards are quiescent. An
+   announcement that crosses shards is re-interned here into the
+   destination shard's store, the one place a message changes stores:
+   [Speaker.receive] trusts a wire announcement to be its own store's. *)
 let inject_boundary t msg =
   let sh = t.shards.(msg.b_dst_shard) in
+  let action =
+    match msg.b_action with
+    | Speaker.Announce ann when msg.b_src_shard <> msg.b_dst_shard ->
+        Speaker.Announce (Path_store.intern_ann sh.sstore ann)
+    | action -> action
+  in
   sh.s_bgp_events <- sh.s_bgp_events + 1;
   Sim.Engine.schedule sh.sengine ~at:msg.b_arrival (fun () ->
       sh.s_bgp_events <- sh.s_bgp_events - 1;
-      deliver t sh ~from:msg.b_from ~to_:msg.b_to msg.b_action)
+      deliver t sh ~from:msg.b_from ~to_:msg.b_to action)
 
-(* Log a loc-RIB change of [asn] into each collector peering with it. *)
-let rec record_change six asn ~now prefix route = function
+(* Log a loc-RIB change of [asn] into each collector slice subscribed to
+   it. *)
+let rec record_change asn ~now prefix route = function
   | [] -> ()
-  | c :: rest ->
-      if Asn.Set.mem asn c.peer_set then begin
-        let slice = c.subs.(six) in
-        slice.crecords <- { time = now; speaker = asn; prefix; route } :: slice.crecords;
-        Peer_prefix_tbl.replace slice.clatest (asn, prefix) route
-      end;
-      record_change six asn ~now prefix route rest
+  | slice :: rest ->
+      slice.crecords <- { time = now; speaker = asn; prefix; route } :: slice.crecords;
+      Peer_prefix_tbl.replace slice.clatest (asn, prefix) route;
+      record_change asn ~now prefix route rest
 
 let create ~engine ~graph ?config_of ?(mrai = 30.0)
     ?(fib_install_delay = 0.0) ?shards:shard_count ?(record_barriers = false) () =
@@ -486,7 +493,7 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
       originations = Prefix.Map.empty;
       owner_trie = Prefix_trie.create ();
       link_faults = None;
-      collectors = [];
+      feeds = Asn.Table.create 256;
       shards = shard_states;
       shard_ix = shard_ix_tbl;
       barrier = None;
@@ -541,12 +548,14 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
           (Shard.Barrier.create ~control:engine ~lookahead
              ~shards:(Array.length shard_states) ~record_history:record_barriers hooks));
   (* Collector instrumentation: every speaker reports loc-RIB changes
-     into its own shard's collector slice. *)
+     into the slices subscribed to it, each in its own shard. *)
   Asn.Table.iter
     (fun asn sp ->
       let sh = shard_for t asn in
+      let feeds = ref [] in
+      Asn.Table.replace t.feeds asn feeds;
       Speaker.set_on_best_change sp (fun ~now prefix route ->
-          record_change sh.six asn ~now prefix route t.collectors);
+          record_change asn ~now prefix route !feeds);
       (* Damping reuse timers: when a speaker suppresses a route, wake it
          up to re-run its decision once the penalty has decayed. These
          are shard-local events, scheduled on the speaker's own engine. *)
@@ -721,7 +730,6 @@ module Collector = struct
       {
         cname = name;
         cpeers = peers;
-        peer_set = List.fold_left (fun s p -> Asn.Set.add p s) Asn.Set.empty peers;
         subs =
           Array.init k (fun _ ->
               { crecords = []; clatest = Peer_prefix_tbl.create 64 });
@@ -730,7 +738,15 @@ module Collector = struct
         csharded = Option.is_some net.barrier;
       }
     in
-    net.collectors <- c :: net.collectors;
+    (* Each peer of the world writes to its own shard's slice; a peer
+       named twice is subscribed once, and a name outside the world
+       never changes a loc-RIB. *)
+    List.iter
+      (fun peer ->
+        match Asn.Table.find_opt net.feeds peer with
+        | Some feeds -> feeds := c.subs.(shard_ix net peer) :: !feeds
+        | None -> ())
+      (List.sort_uniq Asn.compare peers);
     c
 
   let name c = c.cname

@@ -186,7 +186,10 @@ module Collector : sig
   type t
 
   val attach : net -> name:string -> peers:Asn.t list -> t
-  (** Record every loc-RIB change of each peer from now on. *)
+  (** Record every loc-RIB change of each peer from now on. The
+      collector subscribes to each peer once, however often [peers]
+      names it; a change of an AS that is not a peer reaches no
+      collector, and a name outside the world is never recorded. *)
 
   val name : t -> string
   val peers : t -> Asn.t list

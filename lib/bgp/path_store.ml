@@ -40,6 +40,10 @@ type t = {
   prefix_trie : int Prefix_trie.t;
       (* The same ids by prefix, for longest-prefix match: one trie per
          world answers every speaker's FIB lookup. *)
+  mutable ordered : int array;
+      (* The ids in [Prefix.compare] order of their prefixes; stale (and
+         rebuilt on the next read) once a new prefix has been given an
+         id, which is rare after the first convergence. *)
 }
 
 (* Tables start at the hashtable minimum and grow with the world: a
@@ -51,6 +55,7 @@ let create () =
     anns = Ann_tbl.create 16;
     prefix_ids = Prefix.Table.create 16;
     prefix_trie = Prefix_trie.create ();
+    ordered = [||];
   }
 
 let intern_path t path =
@@ -79,6 +84,14 @@ let prefix_id t prefix =
       Prefix.Table.add t.prefix_ids prefix id;
       Prefix_trie.replace t.prefix_trie prefix id;
       id
+
+let ordered_prefix_ids t =
+  if Array.length t.ordered <> Prefix.Table.length t.prefix_ids then
+    t.ordered <-
+      Prefix.Table.fold (fun p id acc -> (p, id) :: acc) t.prefix_ids []
+      |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
+      |> List.map snd |> Array.of_list;
+  t.ordered
 
 let find_prefix_id t prefix = Prefix.Table.find_opt t.prefix_ids prefix
 let longest_match t ip f s = Prefix_trie.find_longest t.prefix_trie ip f s

@@ -35,6 +35,13 @@ val prefix_id : t -> Prefix.t -> int
     assigned it. Ids are never printed or compared across stores, and
     output never depends on them. *)
 
+val ordered_prefix_ids : t -> int array
+(** Every id {!prefix_id} has assigned, in [Prefix.compare] order of the
+    prefixes. The array is rebuilt only after a new prefix got an id;
+    otherwise each call returns the same array, which callers must not
+    modify. A {!Speaker} walks it for every list it builds across
+    prefixes, instead of sorting its slots. *)
+
 val find_prefix_id : t -> Prefix.t -> int option
 (** The prefix's id if {!prefix_id} has assigned one; assigns nothing. *)
 

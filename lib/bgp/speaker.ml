@@ -43,6 +43,9 @@ type slot = {
   prefix : Prefix.t;
   mutable local : origination option;
   mutable best : Route.entry option;  (** The loc-RIB entry. *)
+  mutable export : Route.announcement option;
+      (** {!best_export} of [best] once something has built it; [None]
+          again whenever [best] is replaced. *)
   mutable fib : Route.entry option;
       (** The data-plane entry: [best] once {!install_fib} has caught up. *)
   ins : Route.entry option array;  (** Adj-RIB-in: candidate per session. *)
@@ -210,6 +213,7 @@ let slot t prefix =
           prefix;
           local = None;
           best = None;
+          export = None;
           fib = None;
           ins = Array.make k None;
           outs = Array.make k None;
@@ -228,12 +232,17 @@ let install_fib t prefix entry =
   (slot t prefix).fib <- entry
 
 (* The slots satisfying [keep], in [Prefix.compare] order: every list the
-   speaker builds across prefixes is in that order, never in id order. *)
+   speaker builds across prefixes is in that order, never in id order.
+   The store keeps its ids in that order, so this sorts nothing. *)
 let sorted_slots t keep =
-  Array.fold_left
-    (fun acc cell -> match cell with Some s when keep s -> s :: acc | Some _ | None -> acc)
-    [] t.slots
-  |> List.sort (fun a b -> Prefix.compare a.prefix b.prefix)
+  let ids = Path_store.ordered_prefix_ids t.store in
+  let acc = ref [] in
+  for k = Array.length ids - 1 downto 0 do
+    let id = ids.(k) in
+    if id < Array.length t.slots then
+      match t.slots.(id) with Some s when keep s -> acc := s :: !acc | Some _ | None -> ()
+  done;
+  !acc
 
 let damping_pending t =
   match t.damp with Some d -> Damp_tbl.length d <> 0 | None -> false
@@ -256,31 +265,35 @@ let compute_best t ~now slot =
                | Some _ | None -> acc)
              [] slot.ins)
 
-(* The announcement the loc-RIB best [entry] goes out as. It is the same
-   toward every neighbor, so a sync builds and interns it at most once. *)
-let best_export t entry =
-  Path_store.intern_ann t.store (Policy.export_ann ~self:t.self ~entry)
+(* The announcement the loc-RIB best goes out as. It is the same toward
+   every neighbor and changes only with [best], so the slot keeps it,
+   interned, until [best] is replaced. *)
+let best_export t slot entry =
+  match slot.export with
+  | Some _ as out -> out
+  | None ->
+      let out = Some (Path_store.intern_ann t.store (Policy.export_ann ~self:t.self ~entry)) in
+      slot.export <- out;
+      out
 
-(* Desired announcement toward session [s] for [prefix], or None. [local]
-   and [best] are the prefix's origination and loc-RIB best; [best_out]
-   is [best_export] of [best] once a caller has built it (None before),
-   and an export of [best] reuses it. *)
-let desired t s ~prefix local best best_out =
+(* Desired announcement toward session [s] for the slot's prefix, or
+   None. *)
+let desired t s slot =
   if s.down then None
   else begin
-    match local with
+    match slot.local with
     | Some { per_neighbor; _ } -> begin
         match per_neighbor s.asn with
         | Some path ->
-            Some (Path_store.intern_ann t.store (Route.announcement ~prefix ~path))
+            Some (Path_store.intern_ann t.store (Route.announcement ~prefix:slot.prefix ~path))
         | None -> None
       end
     | None -> begin
-        match best with
+        match slot.best with
         | None -> None
         | Some entry ->
             if Policy.export_allowed ~entry ~to_neighbor:s.asn ~to_rel:s.rel then
-              match best_out with Some _ -> best_out | None -> Some (best_export t entry)
+              best_export t slot entry
             else None
       end
   end
@@ -289,15 +302,10 @@ let desired t s ~prefix local best best_out =
    the updates to put on the wire, in neighbor order. *)
 let sync_exports t slot =
   let prefix = slot.prefix in
-  let local = slot.local and best = slot.best in
-  let best_out = ref None in
   let updates = ref [] in
   for i = 0 to Array.length t.sessions - 1 do
     let s = t.sessions.(i) in
-    let desired = desired t s ~prefix local best !best_out in
-    (match (local, desired) with
-    | None, Some _ -> best_out := desired
-    | _ -> ());
+    let desired = desired t s slot in
     match (desired, slot.outs.(i)) with
     | None, None -> ()
     | Some d, Some c when Route.announcement_equal d c -> ()
@@ -334,6 +342,7 @@ let refresh_best ?(force_sync = false) t ~now slot =
     | Some _, None -> t.loc_rib_size <- t.loc_rib_size - 1
     | _ -> ());
     slot.best <- new_best;
+    slot.export <- None;
     Obs.Metrics.observe_max m_loc_rib t.loc_rib_size;
     (match t.fib_commit with
     | Some commit -> commit slot.prefix new_best
@@ -371,7 +380,14 @@ let receive t ~now ~from action =
         end;
         refresh_best t ~now slot
     | Announce ann -> begin
-        let ann = Path_store.intern_ann t.store ann in
+        (* Every announcement on the wire was interned by the sending
+           speaker, in the store this one shares (across shards,
+           {!Network} re-interns it at the boundary). Only an uninterned
+           one, handed in directly, needs the store. *)
+        let ann =
+          if As_path.Internal.id ann.Route.path < 0 then Path_store.intern_ann t.store ann
+          else ann
+        in
         let prefix = ann.Route.prefix in
         let slot = slot t prefix in
         (* A changed announcement from a neighbor that already had a route
@@ -439,7 +455,7 @@ let session_up t ~now ~neighbor =
          neighbor. Same output, without an all-neighbors sync per prefix. *)
       List.filter_map
         (fun slot ->
-          match desired t s ~prefix:slot.prefix slot.local slot.best None with
+          match desired t s slot with
           | Some d as out ->
               slot.outs.(s.ix) <- out;
               Some (neighbor, Announce d)

@@ -62,7 +62,13 @@ val receive : t -> now:float -> from:Asn.t -> action -> (Asn.t * action) list
     and the resulting exports. A rejected announcement acts as an implicit
     withdraw of that neighbor's previous route. Raises [Invalid_argument]
     when [from] is not a neighbor (so do {!session_down} and
-    {!session_up}). *)
+    {!session_up}).
+
+    An announcement whose path is interned is taken as this speaker's
+    store's canonical value and is not interned again: every speaker
+    interns what it sends, and {!Network} re-interns what crosses a
+    shard boundary. An uninterned one (built directly, as tests do) is
+    interned here. *)
 
 val session_down : t -> now:float -> neighbor:Asn.t -> (Asn.t * action) list
 (** Drop every route learned from [neighbor] and stop exporting to it

@@ -7,6 +7,7 @@ type t =
   | Perf_append
   | Perf_scan
   | Perf_structeq
+  | Perf_boxed
   | Mli_missing
   | Obs_printf
   | Rob_exn
@@ -19,7 +20,7 @@ type t =
 
 let all =
   [ Dom_mut; Det_random; Det_clock; Det_polyeq; Det_hashkey; Perf_append; Perf_scan;
-    Perf_structeq; Mli_missing; Obs_printf; Rob_exn; Rob_snapshot; Rob_marshal; Eff_clock;
+    Perf_structeq; Perf_boxed; Mli_missing; Obs_printf; Rob_exn; Rob_snapshot; Rob_marshal; Eff_clock;
     Eff_random; Eff_globalmut; Plan_stale ]
 
 let id = function
@@ -31,6 +32,7 @@ let id = function
   | Perf_append -> "LG-PERF-APPEND"
   | Perf_scan -> "LG-PERF-SCAN"
   | Perf_structeq -> "LG-PERF-STRUCTEQ"
+  | Perf_boxed -> "LG-PERF-BOXED"
   | Mli_missing -> "LG-MLI-MISSING"
   | Obs_printf -> "LG-OBS-PRINTF"
   | Rob_exn -> "LG-ROB-EXN"
@@ -70,6 +72,10 @@ let describe = function
       "structural =/compare on an interned BGP value (As_path.t / Route entry fields) \
        outside lib/bgp; defeats O(1) hash-consed equality — use As_path.equal / \
        Route.announcement_equal"
+  | Perf_boxed ->
+      "mutable record field of type int64 / int32 / nativeint in a library; every write \
+       boxes a fresh value on the heap — keep the words unboxed (e.g. in a Bytes buffer \
+       read with Bytes.get_int64_le) or make the field immutable"
   | Mli_missing -> "library module without an .mli; accidental surface"
   | Obs_printf ->
       "bare stdout printing (Printf.printf / Format.printf / print_endline) in a library; \

@@ -15,6 +15,9 @@ type t =
   | Perf_structeq
       (** structural [=]/[compare] on an interned BGP value ([As_path.t],
           [Route] entry fields) outside [lib/bgp] *)
+  | Perf_boxed
+      (** [mutable] record field of type [int64], [int32] or [nativeint]
+          in [lib/]: each write allocates a box *)
   | Mli_missing  (** library [.ml] without a matching [.mli] *)
   | Obs_printf  (** bare stdout printing in [lib/] outside [lib/obs] *)
   | Rob_exn  (** catch-all [try ... with _ ->] handler inside [lib/] *)

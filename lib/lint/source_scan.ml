@@ -113,6 +113,11 @@ let printf_qualified = [ [ "Printf"; "printf" ]; [ "Format"; "printf" ] ]
 let printf_bare =
   [ "print_endline"; "print_string"; "print_newline"; "print_int"; "print_float"; "print_char" ]
 
+(* Boxed integer types: a mutable field of one allocates on every write. *)
+let boxed_int_types =
+  [ [ "int64" ]; [ "int32" ]; [ "nativeint" ]; [ "Int64"; "t" ]; [ "Int32"; "t" ];
+    [ "Nativeint"; "t" ] ]
+
 (* Key types over which polymorphic Hashtbl hashing is flat and cheap. *)
 let flat_key_types = [ "int"; "string"; "bool"; "char"; "Asn.t" ]
 
@@ -440,6 +445,20 @@ let scan_structure ~kind ~file str =
                 match path_of_lident txt with Some p -> check_marshal p loc | None -> ())
             | _ -> ());
             Ast_iterator.default_iterator.module_expr it me);
+        label_declaration =
+          (fun it ld ->
+            (match (ld.pld_mutable, ld.pld_type.ptyp_desc) with
+            | Asttypes.Mutable, Ptyp_constr ({ txt; _ }, []) when kind.in_lib -> (
+                match path_of_lident txt with
+                | Some p when path_mem p boxed_int_types ->
+                    add Rule.Perf_boxed ld.pld_loc
+                      (Printf.sprintf
+                         "mutable %s field %s: every write allocates a box — keep the words \
+                          unboxed (e.g. a Bytes buffer) or the field immutable"
+                         (joined p) ld.pld_name.Asttypes.txt)
+                | _ -> ())
+            | _ -> ());
+            Ast_iterator.default_iterator.label_declaration it ld);
         typ =
           (fun it t ->
             (match t.ptyp_desc with

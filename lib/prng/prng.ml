@@ -1,7 +1,22 @@
 (* xoshiro256** with splitmix64 seeding. Self-contained so experiments do
    not depend on the stdlib Random's version-dependent stream. *)
 
-type t = { mutable s0 : int64; mutable s1 : int64; mutable s2 : int64; mutable s3 : int64 }
+(* The four state words live unboxed in one 32-byte buffer: a record of
+   [mutable int64] fields would box a fresh int64 on every write, four per
+   draw. The byte order is private to this module, so native order is as
+   good as any. *)
+type t = Bytes.t
+
+external get : Bytes.t -> int -> int64 = "%caml_bytes_get64u"
+external set : Bytes.t -> int -> int64 -> unit = "%caml_bytes_set64u"
+
+let of_words s0 s1 s2 s3 =
+  let t = Bytes.create 32 in
+  set t 0 s0;
+  set t 8 s1;
+  set t 16 s2;
+  set t 24 s3;
+  t
 
 let splitmix64 state =
   let ( +% ) = Int64.add and ( *% ) = Int64.mul in
@@ -23,29 +38,29 @@ let create ~seed =
   let s3 = next () in
   (* All-zero state is the one invalid state for xoshiro; seed 0 cannot
      produce it through splitmix64, but guard anyway. *)
-  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then { s0 = 1L; s1; s2; s3 }
-  else { s0; s1; s2; s3 }
+  if s0 = 0L && s1 = 0L && s2 = 0L && s3 = 0L then of_words 1L s1 s2 s3
+  else of_words s0 s1 s2 s3
 
-let rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
+let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
-let bits64 t =
-  let result = Int64.mul (rotl (Int64.mul t.s1 5L) 7) 9L in
-  let tmp = Int64.shift_left t.s1 17 in
-  t.s2 <- Int64.logxor t.s2 t.s0;
-  t.s3 <- Int64.logxor t.s3 t.s1;
-  t.s1 <- Int64.logxor t.s1 t.s2;
-  t.s0 <- Int64.logxor t.s0 t.s3;
-  t.s2 <- Int64.logxor t.s2 tmp;
-  t.s3 <- rotl t.s3 45;
+let[@inline] bits64 t =
+  let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
+  let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
+  let s2 = Int64.logxor s2 s0 in
+  let s3 = Int64.logxor s3 s1 in
+  set t 0 (Int64.logxor s0 s3);
+  set t 8 (Int64.logxor s1 s2);
+  set t 16 (Int64.logxor s2 (Int64.shift_left s1 17));
+  set t 24 (rotl s3 45);
   result
 
 let split t =
   let seed = Int64.to_int (bits64 t) in
   create ~seed
 
-let copy t = { s0 = t.s0; s1 = t.s1; s2 = t.s2; s3 = t.s3 }
+let copy = Bytes.copy
 
-let float t =
+let[@inline] float t =
   (* 53 high-quality bits mapped to [0,1). *)
   let x = Int64.shift_right_logical (bits64 t) 11 in
   Int64.to_float x /. 9007199254740992.0

@@ -9,15 +9,19 @@ let m_events = Obs.Metrics.counter "sim.events"
 let m_queue_depth = Obs.Metrics.gauge "sim.queue_depth"
 let m_time_advance = Obs.Metrics.histogram "sim.time_advance"
 
-(* The heap is three parallel arrays indexed by slot: event times in a
-   flat [float array], sequence numbers and actions. Scheduling allocates
-   no event record and stores no boxed time, and both sifts move a hole
-   instead of swapping, so each level costs one write per array. Slots at
-   or past [size] hold [noop], so an action that has run is not kept
-   reachable by the queue. *)
+(* The heap is three parallel int/float arrays indexed by heap position:
+   event times in a flat [float array], sequence numbers, and the cell
+   that holds the event's action. Actions live in [actions], by cell:
+   written once when the event is scheduled and reset to [noop] when it
+   runs, so an action that has run is not kept reachable by the queue.
+   Both sifts move a hole through pointer-free arrays only, so no level
+   goes through the GC's write barrier. [cells] past [size] holds the
+   free cells: a push takes the one at [size], where its hole starts,
+   and a pop leaves its cell where the last event moved out. *)
 type t = {
   mutable times : float array;
   mutable seqs : int array;
+  mutable cells : int array;
   mutable actions : (unit -> unit) array;
   mutable size : int;
   mutable clock : float;
@@ -30,6 +34,7 @@ let create ?(now = 0.0) () =
   {
     times = Array.make 64 0.0;
     seqs = Array.make 64 0;
+    cells = Array.init 64 Fun.id;
     actions = Array.make 64 noop;
     size = 0;
     clock = now;
@@ -38,25 +43,27 @@ let create ?(now = 0.0) () =
 
 let now t = t.clock
 
+(* Only called with every cell taken: the new cells are the new
+   positions' own numbers. *)
 let grow t =
   let cap = Array.length t.times in
-  let times = Array.make (2 * cap) 0.0 in
-  let seqs = Array.make (2 * cap) 0 in
-  let actions = Array.make (2 * cap) noop in
-  Array.blit t.times 0 times 0 cap;
-  Array.blit t.seqs 0 seqs 0 cap;
-  Array.blit t.actions 0 actions 0 cap;
-  t.times <- times;
-  t.seqs <- seqs;
-  t.actions <- actions
+  let extend a fill =
+    let b = Array.make (2 * cap) fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.times <- extend t.times 0.0;
+  t.seqs <- extend t.seqs 0;
+  t.cells <- Array.init (2 * cap) (fun i -> if i < cap then t.cells.(i) else i);
+  t.actions <- extend t.actions noop
 
-(* Slot [j] to slot [i]. *)
+(* Heap position [j] to position [i]. *)
 let move t ~src:j ~dst:i =
   t.times.(i) <- t.times.(j);
   t.seqs.(i) <- t.seqs.(j);
-  t.actions.(i) <- t.actions.(j)
+  t.cells.(i) <- t.cells.(j)
 
-(* Whether the event in slot [i] runs before the one in slot [j]. The
+(* Whether the event at position [i] runs before the one at [j]. The
    comparisons against the event being placed are written out in the
    sifts, so no float is passed, and boxed, per level. *)
 let earlier t i j =
@@ -65,6 +72,8 @@ let earlier t i j =
 
 let push t time seq action =
   if t.size = Array.length t.times then grow t;
+  let cell = t.cells.(t.size) in
+  t.actions.(cell) <- action;
   let i = ref t.size in
   t.size <- t.size + 1;
   let continue = ref true in
@@ -79,16 +88,17 @@ let push t time seq action =
   done;
   t.times.(!i) <- time;
   t.seqs.(!i) <- seq;
-  t.actions.(!i) <- action
+  t.cells.(!i) <- cell
 
-(* Drop the earliest event (slot 0): the last event fills the hole, sifted
-   down from the root. *)
+(* Drop the earliest event (position 0): the last event fills the hole,
+   sifted down from the root, and the dropped event's cell is left free
+   at the last event's old position (or at 0 when it was the only one). *)
 let remove_min t =
   let n = t.size - 1 in
   t.size <- n;
-  let time = t.times.(n) and seq = t.seqs.(n) and action = t.actions.(n) in
-  t.actions.(n) <- noop;
   if n > 0 then begin
+    let time = t.times.(n) and seq = t.seqs.(n) and cell = t.cells.(n) in
+    t.cells.(n) <- t.cells.(0);
     let i = ref 0 in
     let continue = ref true in
     while !continue do
@@ -106,7 +116,7 @@ let remove_min t =
     done;
     t.times.(!i) <- time;
     t.seqs.(!i) <- seq;
-    t.actions.(!i) <- action
+    t.cells.(!i) <- cell
   end
 
 let schedule t ~at action =
@@ -138,7 +148,9 @@ let schedule_every t ~every ?until f =
 let step t =
   if t.size = 0 then false
   else begin
-    let time = t.times.(0) and action = t.actions.(0) in
+    let time = t.times.(0) and cell = t.cells.(0) in
+    let action = t.actions.(cell) in
+    t.actions.(cell) <- noop;
     remove_min t;
     Obs.Metrics.incr m_events;
     if Obs.Metrics.on () then Obs.Metrics.observe m_time_advance (time -. t.clock);

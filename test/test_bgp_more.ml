@@ -1028,6 +1028,250 @@ module Fib_model = struct
       (QCheck.Test.make ~name ~count:200 arb (run ~delayed))
 end
 
+(* Flap re-sync at one speaker. Its prefixes are first seen out of
+   [Prefix.compare] order, so the store's ids are not in prefix order;
+   a more-specific prefix first appears after a session_up has already
+   walked the store's prefix order, so that order must be rebuilt. Every
+   list session_down and session_up return is in prefix order. A
+   session_up after the best moved must announce the new export: the
+   slot's cached export of its best is reset when the best is replaced. *)
+let test_flap_resync_order_and_export () =
+  let open Topology in
+  let store = Bgp.Path_store.create () in
+  let sp =
+    Bgp.Speaker.create ~store ~asn:(asn 100) ~config:Bgp.Policy.default
+      ~neighbors:
+        [
+          (asn 200, Relationship.Customer);
+          (asn 201, Relationship.Customer);
+          (asn 202, Relationship.Provider);
+        ]
+      ()
+  in
+  let announce ~from p path =
+    Bgp.Speaker.receive sp ~now:0.0 ~from
+      (Bgp.Speaker.Announce
+         (Bgp.Route.announcement ~prefix:(prefix p) ~path:(Bgp.As_path.of_list (List.map asn path))))
+  in
+  let first_seen = [ "192.0.2.0/24"; "10.0.0.0/8"; "172.16.0.0/12"; "10.1.0.0/16" ] in
+  List.iter (fun p -> ignore (announce ~from:(asn 200) p [ 200; 900; 901 ])) first_seen;
+  let prefixes_of updates =
+    List.map
+      (function
+        | _, Bgp.Speaker.Announce ann -> ann.Bgp.Route.prefix
+        | _, Bgp.Speaker.Withdraw p -> p)
+      updates
+  in
+  let in_order what updates =
+    let ps = prefixes_of updates in
+    Alcotest.(check (list string))
+      (what ^ ": prefix order") (List.map Prefix.to_string (List.stable_sort Prefix.compare ps))
+      (List.map Prefix.to_string ps)
+  in
+  let toward n updates = List.filter (fun (m, _) -> Asn.equal m (asn n)) updates in
+  let exports updates =
+    List.map
+      (fun (_, action) ->
+        match action with
+        | Bgp.Speaker.Announce ann ->
+            Printf.sprintf "%s %s" (Prefix.to_string ann.Bgp.Route.prefix)
+              (Bgp.As_path.to_string ann.Bgp.Route.path)
+        | Bgp.Speaker.Withdraw p -> "withdraw " ^ Prefix.to_string p)
+      updates
+  in
+  let cycle n =
+    let down = Bgp.Speaker.session_down sp ~now:1.0 ~neighbor:(asn n) in
+    let up = Bgp.Speaker.session_up sp ~now:2.0 ~neighbor:(asn n) in
+    (down, up)
+  in
+  (* Provider 202: nothing to withdraw (it sent nothing), and the
+     re-sync announces every prefix, in prefix order. *)
+  let down, up = cycle 202 in
+  Alcotest.(check int) "202 down: nothing to say" 0 (List.length down);
+  in_order "202 up" up;
+  Alcotest.(check int) "202 up: every prefix" 4 (List.length up);
+  (* A more-specific prefix appears after the order was used. *)
+  ignore (announce ~from:(asn 200) "10.1.2.0/24" [ 200; 900; 901 ]);
+  let _, up = cycle 202 in
+  in_order "202 up after a new prefix" up;
+  Alcotest.(check (list string))
+    "202 up after a new prefix: exports"
+    [
+      "10.0.0.0/8 100 200 900 901";
+      "10.1.0.0/16 100 200 900 901";
+      "10.1.2.0/24 100 200 900 901";
+      "172.16.0.0/12 100 200 900 901";
+      "192.0.2.0/24 100 200 900 901";
+    ]
+    (exports up);
+  (* Customer 200 carried every route: its session_down withdraws all of
+     them, toward both other neighbors, in prefix order. *)
+  let down, up = cycle 200 in
+  in_order "200 down" down;
+  Alcotest.(check int) "200 down: two withdrawals per prefix" 10 (List.length down);
+  Alcotest.(check int) "200 up: nothing to announce" 0 (List.length up);
+  List.iter (fun p -> ignore (announce ~from:(asn 200) p [ 200; 900; 901 ]))
+    ("10.1.2.0/24" :: first_seen);
+  (* The best of 10.0.0.0/8 moves to a shorter route through 201 while
+     202 is down; 202's re-sync must carry it. *)
+  ignore (Bgp.Speaker.session_down sp ~now:3.0 ~neighbor:(asn 202));
+  ignore (announce ~from:(asn 201) "10.0.0.0/8" [ 201 ]);
+  let up = Bgp.Speaker.session_up sp ~now:4.0 ~neighbor:(asn 202) in
+  in_order "202 up after the best moved" up;
+  Alcotest.(check (list string))
+    "202 up after the best moved: exports"
+    [
+      "10.0.0.0/8 100 201";
+      "10.1.0.0/16 100 200 900 901";
+      "10.1.2.0/24 100 200 900 901";
+      "172.16.0.0/12 100 200 900 901";
+      "192.0.2.0/24 100 200 900 901";
+    ]
+    (exports (toward 202 up))
+
+(* Collector subscriptions. Two collectors with overlapping peers, one
+   attached after the first convergence, watch a generated world through
+   announcements, a link failure and its repair. The reference is each
+   AS's [Speaker.best], polled after every engine event and every
+   control-plane call: a collector must log exactly its peers' changes
+   from its attach time on, and [current_route]/[route_view] must give
+   each peer's last logged route. A non-peer's change is logged nowhere.
+   The same script on a 2-shard world gives the same logs. *)
+let route_key (e : Bgp.Route.entry option) =
+  Option.map
+    (fun (e : Bgp.Route.entry) -> (Asn.to_int e.neighbor, Bgp.As_path.to_string e.ann.path))
+    e
+
+let collector_script ~shards =
+  let open Topology in
+  let topo = Topo_gen.generate ~params:(Topo_gen.sized 40) ~seed:5 () in
+  let graph = topo.Topo_gen.graph in
+  let engine = Sim.Engine.create () in
+  let net = Bgp.Network.create ~engine ~graph ~mrai:5.0 ?shards () in
+  let ases = As_graph.as_list graph in
+  let p1 = prefix "203.0.113.0/24" and p2 = prefix "198.51.100.0/24" in
+  (* The reference log of every AS's best changes, newest first. *)
+  let seen = Hashtbl.create 64 and changes = ref [] in
+  let poll () =
+    List.iter
+      (fun a ->
+        List.iter
+          (fun p ->
+            let route = route_key (Bgp.Network.best_route net a p) in
+            if route <> Option.join (Hashtbl.find_opt seen (a, p)) then begin
+              Hashtbl.replace seen (a, p) route;
+              changes := (Sim.Engine.now engine, a, p, route) :: !changes
+            end)
+          [ p1; p2 ])
+      ases
+  in
+  (* Converge, then move the clock on to [until], so that each phase
+     starts at the same instant whatever the sharding. *)
+  let run ~until =
+    if shards = None then
+      while Sim.Engine.step engine do
+        poll ()
+      done
+    else Bgp.Network.run_until_quiet net;
+    Sim.Engine.schedule engine ~at:until ignore;
+    Sim.Engine.run ~until engine;
+    poll ()
+  in
+  let origin = List.hd topo.Topo_gen.stub_list in
+  let first = List.filteri (fun i _ -> i < 12) ases in
+  let second = List.filteri (fun i _ -> i >= 6 && i < 20) ases in
+  let outside = asn 999_999 in
+  let c1 = Bgp.Network.Collector.attach net ~name:"c1" ~peers:first in
+  Bgp.Network.announce net ~origin ~prefix:p1 ();
+  poll ();
+  run ~until:100.0;
+  (* c2 sees the changes from this one on. *)
+  let attached = List.length !changes in
+  let c2 =
+    Bgp.Network.Collector.attach net ~name:"c2"
+      ~peers:((outside :: second) @ [ List.nth second 0 ])
+  in
+  let provider = fst (List.hd (As_graph.neighbors graph origin)) in
+  Bgp.Network.announce net ~origin ~prefix:p2 ();
+  poll ();
+  Bgp.Network.fail_link net ~a:origin ~b:provider;
+  poll ();
+  run ~until:200.0;
+  Bgp.Network.restore_link net ~a:origin ~b:provider;
+  poll ();
+  run ~until:300.0;
+  (ases, [ (c1, first, 0); (c2, second, attached) ], List.rev !changes, [ p1; p2 ])
+
+let record_line (t, a, p, r) =
+  Printf.sprintf "%.4f %d %s %s" t (Asn.to_int a) (Prefix.to_string p)
+    (match r with Some (n, path) -> Printf.sprintf "%d: %s" n path | None -> "-")
+
+let render log =
+  List.map
+    (fun (r : Bgp.Network.update_record) ->
+      record_line (r.time, r.speaker, r.prefix, route_key r.route))
+    log
+
+let test_collector_subscriptions () =
+  let ases, collectors, changes, prefixes = collector_script ~shards:None in
+  let peers_of_any = List.concat_map (fun (_, peers, _) -> peers) collectors in
+  Alcotest.(check bool)
+    "some AS outside every collector changed its best" true
+    (List.exists (fun (_, a, _, _) -> not (List.mem a peers_of_any)) changes);
+  List.iter
+    (fun (c, peers, since) ->
+      let name = Bgp.Network.Collector.name c in
+      let want =
+        List.filteri (fun i (_, a, _, _) -> i >= since && List.mem a peers) changes
+        |> List.map record_line
+      in
+      Alcotest.(check bool) (name ^ ": logged something") true (want <> []);
+      Alcotest.(check (list string))
+        (name ^ ": log = its peers' best changes")
+        want
+        (render (Bgp.Network.Collector.log c));
+      List.iter
+        (fun a ->
+          List.iter
+            (fun p ->
+              let last = ref None in
+              List.iteri
+                (fun i (_, a', p', r) ->
+                  if i >= since && Asn.equal a a' && Prefix.equal p p' && List.mem a peers then
+                    last := Some r)
+                changes;
+              let last = !last in
+              let view = Bgp.Network.Collector.route_view c ~peer:a ~prefix:p in
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: route_view of %d" name (Asn.to_int a))
+                true
+                (Option.map route_key view = last);
+              Alcotest.(check bool)
+                (Printf.sprintf "%s: current_route of %d" name (Asn.to_int a))
+                true
+                (route_key (Bgp.Network.Collector.current_route c ~peer:a ~prefix:p)
+                = Option.join last))
+            prefixes)
+        ases)
+    collectors;
+  (* A sharded log merges its slices in (time, speaker) order, which can
+     differ from the unsharded event order among records of one instant;
+     in that order the two logs must be equal. *)
+  let canonical log =
+    List.stable_sort
+      (fun (r1 : Bgp.Network.update_record) (r2 : Bgp.Network.update_record) ->
+        match Float.compare r1.time r2.time with 0 -> Asn.compare r1.speaker r2.speaker | c -> c)
+      log
+  in
+  let _, sharded, _, _ = collector_script ~shards:(Some 2) in
+  List.iter2
+    (fun (c, _, _) (c', _, _) ->
+      Alcotest.(check (list string))
+        (Bgp.Network.Collector.name c ^ ": 2 shards = unsharded")
+        (render (canonical (Bgp.Network.Collector.log c)))
+        (render (Bgp.Network.Collector.log c')))
+    collectors sharded
+
 let suite =
   suite
   @ [
@@ -1037,6 +1281,9 @@ let suite =
       Alcotest.test_case "session_up vs same-window poison (fig2)" `Quick
         test_session_up_poison_same_window;
       Alcotest.test_case "words per delivered update" `Quick test_words_per_update;
+      Alcotest.test_case "flap re-sync: prefix order and fresh export" `Quick
+        test_flap_resync_order_and_export;
+      Alcotest.test_case "collector subscriptions" `Quick test_collector_subscriptions;
       Speaker_model.test ~damped:false;
       Speaker_model.test ~damped:true;
       Fib_model.test ~delayed:false;

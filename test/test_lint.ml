@@ -60,6 +60,15 @@ let test_perf_fixtures () =
   (* a local helper wrapping List.assoc, applied inside an iteration
      closure *)
   check_rule "perf_scan_helper_bad" (scan_fixture "perf_scan_helper_bad.ml") Rule.Perf_scan 1;
+  check_rule "perf_boxed_bad" (scan_fixture "perf_boxed_bad.ml") Rule.Perf_boxed 6;
+  Alcotest.(check int) "perf_boxed_good is clean" 0
+    (List.length (scan_fixture "perf_boxed_good.ml"));
+  (* outside lib/, allocation is the executable's business *)
+  (match
+     Scan.scan_file ~kind:{ Scan.lib_kind with Scan.in_lib = false } (fixture "perf_boxed_bad.ml")
+   with
+  | Ok vs -> check_rule "perf_boxed_bad outside lib" vs Rule.Perf_boxed 0
+  | Error e -> Alcotest.fail e);
   Alcotest.(check int) "perf_scan_helper_good is clean" 0
     (List.length (scan_fixture "perf_scan_helper_good.ml"))
 

@@ -20,6 +20,91 @@ let test_copy_and_split () =
   Alcotest.(check bool) "split children differ" true
     (Prng.bits64 child1 <> Prng.bits64 child2)
 
+(* The stream itself, pinned: a change to how the generator stores its
+   state must reproduce these outputs bit for bit. Floats are compared
+   exactly, through their hex ([%h]) literals. *)
+type golden = {
+  seed : int;
+  bits : int64 list;  (** the first 8 [bits64] of a fresh generator *)
+  floats : float list;  (** the first 8 [float] of a fresh generator *)
+  int1000 : int;  (** [int 1000] of a fresh generator *)
+  exp30 : float;  (** [Dist.exponential ~mean:30.] of a fresh generator *)
+  after_copy : int64 list;  (** 3 draws of a copy taken after 2 draws *)
+  original_after_copy : int64;  (** the original's next draw *)
+  split_child : int64 list;  (** 3 draws of [split] of a fresh generator *)
+  parent_after_split : int64;  (** the parent's next draw *)
+}
+
+let goldens =
+  [
+    {
+      seed = 42;
+      bits =
+        [
+          0x15780b2e0c2ec716L; 0x6104d9866d113a7eL; 0xae17533239e499a1L; 0xecb8ad4703b360a1L;
+          0xfde6dc7fe2ec5e64L; 0xc50da53101795238L; 0xb82154855a65ddb2L; 0xd99a2743ebe60087L;
+        ];
+      floats =
+        [
+          0x1.5780b2e0c2ecp-4; 0x1.84136619b444ep-2; 0x1.5c2ea66473c93p-1; 0x1.d9715a8e0766cp-1;
+          0x1.fbcdb8ffc5d8bp-1; 0x1.8a1b4a6202f2ap-1; 0x1.7042a90ab4cbbp-1; 0x1.b3344e87d7ccp-1;
+        ];
+      int1000 = 85;
+      exp30 = 0x1.5057d0c703c12p+1;
+      after_copy = [ 0xae17533239e499a1L; 0xecb8ad4703b360a1L; 0xfde6dc7fe2ec5e64L ];
+      original_after_copy = 0xae17533239e499a1L;
+      split_child = [ 0x8ee445d14631c453L; 0x106fa1a13296fe62L; 0x729a768806244ce5L ];
+      parent_after_split = 0x6104d9866d113a7eL;
+    };
+    {
+      seed = 7;
+      bits =
+        [
+          0xb358faf74ef9765aL; 0x475c3d964f482cd2L; 0xd6f1d349952c7996L; 0xfb2938731e807240L;
+          0xfda904ec7e540318L; 0xdf6e1ce3b6218c49L; 0x0f8d72c295ec5854L; 0x1abc4dcb546f61dcL;
+        ];
+      floats =
+        [
+          0x1.66b1f5ee9df2ep-1; 0x1.1d70f6593d20ap-2; 0x1.ade3a6932a58fp-1; 0x1.f65270e63d00ep-1;
+          0x1.fb5209d8fca8p-1; 0x1.bedc39c76c431p-1; 0x1.f1ae5852bd8bp-5; 0x1.abc4dcb546f6p-4;
+        ];
+      int1000 = 717;
+      exp30 = 0x1.216a44279f8f7p+5;
+      after_copy = [ 0xd6f1d349952c7996L; 0xfb2938731e807240L; 0xfda904ec7e540318L ];
+      original_after_copy = 0xd6f1d349952c7996L;
+      split_child = [ 0x9026cfa0255d1a02L; 0x309213eb5a735a59L; 0x5ef73a9f780962bdL ];
+      parent_after_split = 0x475c3d964f482cd2L;
+    };
+  ]
+
+let test_golden_stream () =
+  let draws n f = List.init n (fun _ -> f ()) in
+  let hex = Alcotest.testable (fun fmt x -> Format.fprintf fmt "%h" x) ( = ) in
+  List.iter
+    (fun g ->
+      let name what = Printf.sprintf "seed %d: %s" g.seed what in
+      let fresh () = Prng.create ~seed:g.seed in
+      let r = fresh () in
+      Alcotest.(check (list int64)) (name "bits64") g.bits (draws 8 (fun () -> Prng.bits64 r));
+      let r = fresh () in
+      Alcotest.(check (list hex)) (name "float") g.floats (draws 8 (fun () -> Prng.float r));
+      Alcotest.(check int) (name "int 1000") g.int1000 (Prng.int (fresh ()) 1000);
+      Alcotest.check hex (name "exponential") g.exp30
+        (Prng.Dist.exponential (fresh ()) ~mean:30.0);
+      let r = fresh () in
+      ignore (Prng.bits64 r);
+      ignore (Prng.bits64 r);
+      let c = Prng.copy r in
+      Alcotest.(check (list int64)) (name "copy") g.after_copy (draws 3 (fun () -> Prng.bits64 c));
+      Alcotest.(check int64) (name "original after copy") g.original_after_copy (Prng.bits64 r);
+      let r = fresh () in
+      let child = Prng.split r in
+      Alcotest.(check (list int64))
+        (name "split child") g.split_child
+        (draws 3 (fun () -> Prng.bits64 child));
+      Alcotest.(check int64) (name "parent after split") g.parent_after_split (Prng.bits64 r))
+    goldens
+
 let test_int_bounds () =
   let rng = Prng.create ~seed:5 in
   for _ = 1 to 1000 do
@@ -144,4 +229,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_float_unit;
     QCheck_alcotest.to_alcotest prop_int_uniformish;
     QCheck_alcotest.to_alcotest prop_bernoulli_extremes;
+    Alcotest.test_case "golden stream at seeds 42 and 7" `Quick test_golden_stream;
   ]

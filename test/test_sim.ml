@@ -154,6 +154,78 @@ let prop_ties_growth_nested =
       let roots = List.mapi (fun id (t, k) -> (t, id, k)) specs in
       model roots (List.length specs) [] = List.rev !dispatched)
 
+(* Random interleavings of [schedule], [schedule_after] and [step]
+   against a reference queue: each step must dispatch the pending event
+   with the least (time, insertion order), the order a stable sort by
+   time gives. Offsets are small integers, so most events tie. Every
+   list opens with more than 64 schedules, so the heap grows past its
+   first 64 cells, and the steps that follow free cells that later
+   schedules reuse. *)
+type heap_op = At of int | After of int | Step
+
+let prop_interleaved_oracle =
+  let sched =
+    QCheck.Gen.(
+      oneof [ map (fun k -> At k) (int_range 0 3); map (fun k -> After k) (int_range 0 3) ])
+  in
+  let op = QCheck.Gen.(frequency [ (3, sched); (2, return Step) ]) in
+  let print = function
+    | At k -> Printf.sprintf "At %d" k
+    | After k -> Printf.sprintf "After %d" k
+    | Step -> "Step"
+  in
+  QCheck.Test.make ~name:"interleaved schedule/step match a (time, seq) reference" ~count:200
+    (QCheck.make
+       ~print:QCheck.Print.(list print)
+       QCheck.Gen.(
+         map2 ( @ ) (list_size (int_range 65 100) sched) (list_size (int_range 50 300) op)))
+    (fun ops ->
+      let e = Sim.Engine.create () in
+      let ran = ref (-1) in
+      (* The reference: pending (time, id), kept sorted by time with ties
+         in insertion order; [now] as the engine should have it. *)
+      let pending = ref [] and now = ref 0 and next = ref 0 and peak = ref 0 in
+      let add time =
+        let id = !next in
+        incr next;
+        let rec insert = function
+          | (t, _) :: _ as rest when t > time -> (time, id) :: rest
+          | x :: rest -> x :: insert rest
+          | [] -> [ (time, id) ]
+        in
+        pending := insert !pending;
+        peak := max !peak (List.length !pending);
+        fun () -> ran := id
+      in
+      let step_agrees () =
+        ran := -1;
+        let stepped = Sim.Engine.step e in
+        match !pending with
+        | [] -> not stepped
+        | (time, id) :: rest ->
+            pending := rest;
+            now := time;
+            stepped && !ran = id && Sim.Engine.now e = float_of_int time
+      in
+      let ok =
+        List.for_all
+          (function
+            | At k ->
+                let at = !now + k in
+                Sim.Engine.schedule e ~at:(float_of_int at) (add at);
+                true
+            | After k ->
+                Sim.Engine.schedule_after e ~delay:(float_of_int k) (add (!now + k));
+                true
+            | Step -> step_agrees ())
+          ops
+      in
+      let rec drain () =
+        match !pending with [] -> not (Sim.Engine.step e) | _ -> step_agrees () && drain ()
+      in
+      ok && Sim.Engine.pending e = List.length !pending && drain ()
+      && !peak > 64)
+
 (* Once an action has run, the queue must not keep it (or what it
    captured) reachable: a drained heap holds no stale event. *)
 let test_ran_action_released () =
@@ -187,5 +259,6 @@ let suite =
     Alcotest.test_case "step" `Quick test_step;
     QCheck_alcotest.to_alcotest prop_heap_order;
     QCheck_alcotest.to_alcotest prop_ties_growth_nested;
+    QCheck_alcotest.to_alcotest prop_interleaved_oracle;
     Alcotest.test_case "ran action released" `Quick test_ran_action_released;
   ]
