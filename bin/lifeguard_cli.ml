@@ -196,6 +196,9 @@ let timed =
     show =
       (fun ~name ~title run tables ->
         banner title;
+        (* Start each experiment on a collected heap, so that the garbage
+           the last one left does not add to this one's peak. *)
+        Gc.full_major ();
         let t0 = Unix.gettimeofday () in
         let r = run () in
         Printf.printf "[%s completed in %.1fs]\n" name (Unix.gettimeofday () -. t0);

@@ -41,7 +41,10 @@ end)
    state. Legacy (unsharded) networks have exactly one slice, making the
    legacy path byte-identical to the pre-shard collector. *)
 type collector_shard = {
-  mutable crecords : update_record list;  (** newest first *)
+  mutable crecords : update_record list;
+      (** newest first; empty until a reader starts the log *)
+  mutable clogging : bool;  (** the log was started ({!Collector.clear}) *)
+  mutable ccount : int;  (** records seen since attach, logged or not *)
   clatest : Route.entry option Peer_prefix_tbl.t;
       (** Latest recorded route per (peer, prefix), so [current_route]
           answers in O(1) instead of scanning the records. *)
@@ -420,12 +423,15 @@ let inject_boundary t msg =
       sh.s_bgp_events <- sh.s_bgp_events - 1;
       deliver t sh ~from:msg.b_from ~to_:msg.b_to action)
 
-(* Log a loc-RIB change of [asn] into each collector slice subscribed to
-   it. *)
+(* Record a loc-RIB change of [asn] in each collector slice subscribed
+   to it: count it and keep it as the latest route, and log it only where
+   a reader started the log. *)
 let rec record_change asn ~now prefix route = function
   | [] -> ()
   | slice :: rest ->
-      slice.crecords <- { time = now; speaker = asn; prefix; route } :: slice.crecords;
+      slice.ccount <- slice.ccount + 1;
+      if slice.clogging then
+        slice.crecords <- { time = now; speaker = asn; prefix; route } :: slice.crecords;
       Peer_prefix_tbl.replace slice.clatest (asn, prefix) route;
       record_change asn ~now prefix route rest
 
@@ -732,7 +738,7 @@ module Collector = struct
         cpeers = peers;
         subs =
           Array.init k (fun _ ->
-              { crecords = []; clatest = Peer_prefix_tbl.create 64 });
+              { crecords = []; clogging = false; ccount = 0; clatest = Peer_prefix_tbl.create 64 });
         csync = (fun () -> sync net);
         cshard_of = (fun asn -> shard_ix net asn);
         csharded = Option.is_some net.barrier;
@@ -770,10 +776,15 @@ module Collector = struct
 
   let since c time = List.filter (fun r -> r.time >= time) (log c)
 
+  let count c =
+    c.csync ();
+    Array.fold_left (fun n s -> n + s.ccount) 0 c.subs
+
   let clear c =
     Array.iter
       (fun s ->
         s.crecords <- [];
+        s.clogging <- true;
         Peer_prefix_tbl.reset s.clatest)
       c.subs
 

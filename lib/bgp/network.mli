@@ -7,7 +7,10 @@
     and convergence behaviour measured in Fig. 6 of the paper. The network
     also hosts route collectors — passive feeds recording each peer's
     loc-RIB changes with timestamps — which is how the paper (and this
-    reproduction) measures convergence and poisoning efficacy.
+    reproduction) measures convergence and poisoning efficacy. A
+    collector always keeps each peer's latest route and a count of its
+    records; it keeps the records themselves only once a reader has
+    started its log ({!Collector.clear}).
 
     Observability: deliveries feed the [bgp.delivered],
     [bgp.updates.announce], [bgp.updates.withdraw] and [bgp.mrai_rounds]
@@ -180,7 +183,16 @@ val set_link_faults :
     wire is perfectly reliable and behavior is byte-identical to a
     build without fault injection. *)
 
-(** Passive feeds recording peers' loc-RIB changes. *)
+(** Passive feeds recording peers' loc-RIB changes.
+
+    A collector retains only what a reader reads. Every collector keeps
+    its peers' latest routes ({!current_route}, {!route_view}: the
+    remediation watchdog) and a count of the records it has seen
+    ({!count}: the fleet's [collector_updates]). The record list behind
+    {!log} and {!since} exists only once a reader starts it with
+    {!clear}, which every convergence measurement does before its event
+    ({!Convergence.analyze} reads {!since}). A collector nobody clears,
+    such as the watchdog's or a fleet world's, retains no records. *)
 module Collector : sig
   type net := t
   type t
@@ -189,18 +201,26 @@ module Collector : sig
   (** Record every loc-RIB change of each peer from now on. The
       collector subscribes to each peer once, however often [peers]
       names it; a change of an AS that is not a peer reaches no
-      collector, and a name outside the world is never recorded. *)
+      collector, and a name outside the world is never recorded. The
+      log is not started: call {!clear} to start it. *)
 
   val name : t -> string
   val peers : t -> Asn.t list
 
   val log : t -> update_record list
-  (** All records, oldest first. *)
+  (** The records since the latest {!clear}, oldest first; [[]] if the
+      log was never started. *)
 
   val since : t -> float -> update_record list
-  (** Records with [time >=] the given instant, oldest first. *)
+  (** Records of {!log} with [time >=] the given instant, oldest first. *)
+
+  val count : t -> int
+  (** Records seen since {!attach}, whether or not the log keeps them;
+      {!clear} does not reset it. *)
 
   val clear : t -> unit
+  (** Drop every record and every latest route, and start the log: from
+      now on the collector keeps each record for {!log}. *)
 
   val current_route : t -> peer:Asn.t -> prefix:Prefix.t -> Route.entry option
   (** The peer's best route as of its latest record; [None] when the feed

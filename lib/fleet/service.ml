@@ -317,7 +317,7 @@ let run_in ?(config = default_config) ?durable ~seed () =
   in
   (* Let the baseline converge before the clock starts counting. *)
   Bgp.Network.run_until_quiet ~timeout:36000.0 bed.Scenarios.net;
-  Bgp.Network.Collector.clear mux.Scenarios.collector;
+  let baseline_updates = Bgp.Network.Collector.count mux.Scenarios.collector in
   let t0 = Sim.Engine.now engine in
   let horizon = t0 +. config.duration in
   Lifeguard.Orchestrator.watch orch ~targets;
@@ -440,7 +440,7 @@ let run_in ?(config = default_config) ?durable ~seed () =
       vp_crashes = Chaos.crash_count chaos;
       lost_probes = Chaos.lost_probe_count chaos;
       stale_refreshes = Chaos.stale_refresh_count chaos;
-      collector_updates = List.length (Bgp.Network.Collector.log mux.Scenarios.collector);
+      collector_updates = Bgp.Network.Collector.count mux.Scenarios.collector - baseline_updates;
       injected_ge15;
       injected_h15;
       measured_updates_per_day;

@@ -54,7 +54,7 @@ let probe_target t state now =
     delivered && (match t.loss with Some lost -> not (lost ()) | None -> true)
   in
   (match t.responsiveness with
-  | Some db -> Responsiveness.note db state.address ~now ok
+  | Some db -> Responsiveness.note db state.address ok
   | None -> ());
   if ok then begin
     (match state.current with Some o -> o.ended_at <- Some now | None -> ());

@@ -1,20 +1,18 @@
 open Net
 open Topology
 
-type record = { mutable successes : int; mutable failures : int; mutable last : float }
-
+(* An address absent from [answered] was never probed; present, it maps
+   to whether any probe of it was answered. *)
 type t = {
-  silent : (int, unit) Hashtbl.t;
-  history : (int, record) Hashtbl.t;
+  silent : unit Ipv4.Table.t;
+  answered : bool Ipv4.Table.t;
   mutable observations : int;
 }
 
-(* Addresses are keyed as immediate ints, not boxed int32s, so lookups on
-   the probe path stay allocation-free. *)
-let address_key ip = Int32.to_int (Ipv4.to_int32 ip)
+let create () =
+  { silent = Ipv4.Table.create 64; answered = Ipv4.Table.create 256; observations = 0 }
 
-let create () = { silent = Hashtbl.create 64; history = Hashtbl.create 256; observations = 0 }
-let configure_silent t ip = Hashtbl.replace t.silent (address_key ip) ()
+let configure_silent t ip = Ipv4.Table.replace t.silent ip ()
 
 let configure_silent_fraction t rng graph ~fraction =
   List.iter
@@ -25,33 +23,23 @@ let configure_silent_fraction t rng graph ~fraction =
         (As_graph.routers graph asn))
     (As_graph.as_list graph)
 
-let is_silent t ip = Hashtbl.mem t.silent (address_key ip)
+let is_silent t ip = Ipv4.Table.mem t.silent ip
 
-let note t ip ~now success =
+let note t ip success =
   t.observations <- t.observations + 1;
-  let key = address_key ip in
-  let r =
-    match Hashtbl.find_opt t.history key with
-    | Some r -> r
-    | None ->
-        let r = { successes = 0; failures = 0; last = now } in
-        Hashtbl.replace t.history key r;
-        r
-  in
-  if success then r.successes <- r.successes + 1 else r.failures <- r.failures + 1;
-  r.last <- now
+  if success then Ipv4.Table.replace t.answered ip true
+  else if not (Ipv4.Table.mem t.answered ip) then Ipv4.Table.replace t.answered ip false
 
 let ever_responded t ip =
-  match Hashtbl.find_opt t.history (address_key ip) with
-  | Some r -> r.successes > 0
-  | None -> false
+  match Ipv4.Table.find t.answered ip with
+  | answered -> answered
+  | exception Not_found -> false
 
 let expect_response t ip =
-  if is_silent t ip then false
-  else begin
-    match Hashtbl.find_opt t.history (address_key ip) with
-    | Some r -> r.successes > 0
-    | None -> true
-  end
+  (not (is_silent t ip))
+  &&
+  match Ipv4.Table.find t.answered ip with
+  | answered -> answered
+  | exception Not_found -> true
 
 let observation_count t = t.observations

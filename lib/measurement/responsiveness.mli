@@ -22,7 +22,7 @@ val configure_silent_fraction : t -> Prng.t -> Topology.As_graph.t -> fraction:f
 
 val is_silent : t -> Ipv4.t -> bool
 
-val note : t -> Ipv4.t -> now:float -> bool -> unit
+val note : t -> Ipv4.t -> bool -> unit
 (** Record a probe result for an address. *)
 
 val ever_responded : t -> Ipv4.t -> bool

@@ -50,3 +50,15 @@ end
 
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
+
+module Table = Hashtbl.Make (struct
+  type nonrec t = t
+
+  let equal = equal
+
+  (* Router addresses differ mostly in their middle octets (the ASN):
+     spread them over the low bits the table indexes buckets by. *)
+  let hash a =
+    let z = Int32.to_int a * 0x9E3779B1 in
+    (z lxor (z lsr 29)) land max_int
+end)

@@ -32,3 +32,7 @@ val add : t -> int -> t
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
+
+module Table : Hashtbl.S with type key = t
+(** Hash tables keyed by address, with an arithmetic hash: a lookup
+    calls no generic hash or comparison. *)

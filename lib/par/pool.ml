@@ -40,11 +40,22 @@ let create ?jobs () =
       workers = [];
     }
   in
+  (* The caller of [map] is the N-th domain: it runs tasks too. *)
   if jobs > 1 then
-    t.workers <- List.init jobs (fun _ -> Domain.spawn (fun () -> worker_loop t));
+    t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
 let jobs t = t.jobs
+
+(* The caller's share of a batch: pop tasks until the queue is empty. *)
+let rec help t =
+  Mutex.lock t.lock;
+  match Queue.take_opt t.queue with
+  | None -> Mutex.unlock t.lock
+  | Some task ->
+      Mutex.unlock t.lock;
+      task ();
+      help t
 
 let reraise_first_failure failures =
   Array.iter (function Some exn -> raise exn | None -> ()) failures
@@ -79,6 +90,7 @@ let map t f xs =
       done;
       Condition.broadcast t.work_available;
       Mutex.unlock t.lock;
+      help t;
       Mutex.lock batch_lock;
       while !remaining > 0 do
         Condition.wait batch_done batch_lock

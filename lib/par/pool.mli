@@ -3,10 +3,11 @@
 
     Built for the experiment harness: hundreds of independent,
     deterministic trial thunks that each own their PRNG, topology and
-    simulation engine. The pool executes them on [jobs] worker domains
-    and reassembles results in submission order, so a run with any number
-    of jobs is bit-identical to a sequential run — parallelism changes
-    only the wall clock, never the output. That contract holds only if
+    simulation engine. The pool executes them on [jobs] domains (the
+    caller of {!map} and [jobs - 1] workers) and reassembles results in
+    submission order, so a run with any number of jobs is bit-identical
+    to a sequential run — parallelism changes only the wall clock, never
+    the output. That contract holds only if
     the thunks share no mutable state, which is the caller's side of the
     bargain. *)
 
@@ -14,22 +15,25 @@ type t
 (** A pool of worker domains. *)
 
 val default_jobs : unit -> int
-(** [Domain.recommended_domain_count ()] — one worker per available
+(** [Domain.recommended_domain_count ()] — one domain per available
     core. *)
 
 val create : ?jobs:int -> unit -> t
-(** Spawn a pool of [jobs] workers (default {!default_jobs}; values [< 1]
-    are clamped to 1). With [jobs = 1] no domain is spawned at all and
-    every submission runs inline on the caller — the legacy sequential
-    path. *)
+(** A pool that runs on [jobs] domains (default {!default_jobs}; values
+    [< 1] are clamped to 1): it spawns [jobs - 1] workers, and the caller
+    of {!map} is the last one. With [jobs = 1] no domain is spawned at
+    all and every submission runs inline on the caller — the legacy
+    sequential path. *)
 
 val jobs : t -> int
-(** The worker count the pool was created with. *)
+(** The domain count the pool was created with, the caller included. *)
 
 val map : t -> ('a -> 'b) -> 'a list -> 'b list
 (** [map t f xs] applies [f] to every element of [xs], distributing the
-    calls over the pool's workers, and returns the results in the order
-    of [xs] (NOT completion order). Blocks until the whole batch is done.
+    calls over the pool's workers and the caller, which takes tasks until
+    none is queued and then waits for the rest. It returns the results in
+    the order of [xs] (NOT completion order). Blocks until the whole
+    batch is done.
 
     If one or more applications raise, the exception of the {e earliest
     submitted} failing element is re-raised in the caller once the batch

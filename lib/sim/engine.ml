@@ -160,17 +160,13 @@ let step t =
   end
 
 let run ?until t =
-  let continue = ref true in
-  while !continue do
-    if t.size = 0 then continue := false
-    else begin
-      match until with
-      | Some deadline when t.times.(0) > deadline ->
-          t.clock <- deadline;
-          continue := false
-      | _ -> ignore (step t)
-    end
-  done
+  match until with
+  | None -> while step t do () done
+  | Some deadline ->
+      while t.size > 0 && t.times.(0) <= deadline do
+        ignore (step t)
+      done;
+      if deadline > t.clock then t.clock <- deadline
 
 (* Half-open variant of [run] for barrier-windowed stepping: process
    strictly-earlier events only, so an event at exactly the window

@@ -37,9 +37,11 @@ val schedule_every :
     it: a tick that lands exactly on [until] still runs). *)
 
 val run : ?until:float -> t -> unit
-(** Execute events in order until the queue empties, or until the clock
-    would pass [until] (remaining events stay queued and the clock is left
-    at [until]). *)
+(** Execute events in order until the queue empties. With [until],
+    execute only the events at or before [until] (later ones stay
+    queued), then move the clock to [until], whether a later event is
+    pending or the queue ran dry first; an [until] earlier than the clock
+    leaves the clock where it is. *)
 
 val run_before : t -> before:float -> unit
 (** Barrier-windowed stepping: execute events with [time < before] only

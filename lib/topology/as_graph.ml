@@ -15,14 +15,10 @@ type node = {
 type t = {
   nodes : node Asn.Table.t;
   mutable links : int;
-  address_owner : (int, Asn.t) Hashtbl.t;
-      (* keyed by the address's int value, not the boxed int32, so lookups
-         use flat int hashing *)
+  address_owner : Asn.t Ipv4.Table.t;
 }
 
-let address_key ip = Int32.to_int (Ipv4.to_int32 ip)
-
-let create () = { nodes = Asn.Table.create 256; links = 0; address_owner = Hashtbl.create 256 }
+let create () = { nodes = Asn.Table.create 256; links = 0; address_owner = Ipv4.Table.create 256 }
 
 (* Router addresses live in 10.0.0.0/8, carved by ASN: router [i] of ASN
    [n] is 10.(n lsr 8).(n land 255).(i + 1). This supports ASNs < 65536 and
@@ -39,7 +35,7 @@ let add_as t ?(tier = 3) ?(routers = 1) asn =
   if routers < 1 then invalid_arg "As_graph.add_as: need at least one router";
   let mk index =
     let address = derive_address asn index in
-    Hashtbl.replace t.address_owner (address_key address) asn;
+    Ipv4.Table.replace t.address_owner address asn;
     { asn; index; address }
   in
   Asn.Table.replace t.nodes asn
@@ -101,7 +97,7 @@ let router_address t asn i =
   if i < 0 || i >= Array.length rs then invalid_arg "As_graph.router_address: index";
   rs.(i).address
 
-let owner_of_address t ip = Hashtbl.find_opt t.address_owner (address_key ip)
+let owner_of_address t ip = Ipv4.Table.find_opt t.address_owner ip
 
 let as_list t =
   Asn.Table.fold (fun asn _ acc -> asn :: acc) t.nodes []
@@ -119,7 +115,7 @@ let copy t =
   Asn.Table.iter
     (fun asn n -> Asn.Table.replace nodes asn { n with routers = Array.copy n.routers })
     t.nodes;
-  { nodes; links = t.links; address_owner = Hashtbl.copy t.address_owner }
+  { nodes; links = t.links; address_owner = Ipv4.Table.copy t.address_owner }
 
 let pp_stats fmt t =
   let tiers = Hashtbl.create 8 in

@@ -43,6 +43,8 @@ let testbed_of_graph ?(mrai = 30.0) ?config_of ?fib_install_delay ?gen
 let settle bed ~seconds =
   let engine = bed.engine in
   let wake = Sim.Engine.now engine +. seconds in
+  (* [run ~until] lands on [wake] by itself; the no-op wake event stays
+     so that the event count ([sim.events]) does not move. *)
   Sim.Engine.schedule engine ~at:wake ignore;
   Sim.Engine.run ~until:wake engine
 

@@ -16,6 +16,7 @@ let test_traversed_strips_origination_tail () =
 let test_collector_records_changes () =
   let w = fig2_world () in
   let collector = Bgp.Network.Collector.attach w.net ~name:"rv" ~peers:[ e; d ] in
+  Bgp.Network.Collector.clear collector (* start the log *);
   Bgp.Network.announce w.net ~origin:o ~prefix:production ();
   converge w;
   let log = Bgp.Network.Collector.log collector in
@@ -108,6 +109,7 @@ let test_mrai_batch_in_prefix_order () =
   let w = world_of_graph ~mrai:30.0 (fig2_graph ()) in
   let n, _ = List.hd (Topology.As_graph.neighbors w.graph o) in
   let collector = Bgp.Network.Collector.attach w.net ~name:"rv" ~peers:[ n ] in
+  Bgp.Network.Collector.clear collector (* start the log *);
   let announce p = Bgp.Network.announce w.net ~origin:o ~prefix:p () in
   announce (prefix "198.51.100.0/24");
   let batch = List.map prefix [ "192.0.2.0/24"; "192.0.2.0/25"; "10.9.0.0/16"; "10.1.0.0/16" ] in
@@ -1142,15 +1144,13 @@ let route_key (e : Bgp.Route.entry option) =
     (fun (e : Bgp.Route.entry) -> (Asn.to_int e.neighbor, Bgp.As_path.to_string e.ann.path))
     e
 
-let collector_script ~shards =
-  let open Topology in
-  let topo = Topo_gen.generate ~params:(Topo_gen.sized 40) ~seed:5 () in
-  let graph = topo.Topo_gen.graph in
-  let engine = Sim.Engine.create () in
-  let net = Bgp.Network.create ~engine ~graph ~mrai:5.0 ?shards () in
-  let ases = As_graph.as_list graph in
-  let p1 = prefix "203.0.113.0/24" and p2 = prefix "198.51.100.0/24" in
-  (* The reference log of every AS's best changes, newest first. *)
+(* A reference log of the best changes of [ases] for [prefixes]: [poll]
+   records every change since the last poll, stamped with the clock, and
+   [changes ()] lists them oldest first. [prefixes] go in
+   [Prefix.compare] order, the order in which a session event changes a
+   speaker's prefixes, so that simultaneous changes are listed as a log
+   lists them. *)
+let best_changes net ~ases ~prefixes =
   let seen = Hashtbl.create 64 and changes = ref [] in
   let poll () =
     List.iter
@@ -1160,37 +1160,52 @@ let collector_script ~shards =
             let route = route_key (Bgp.Network.best_route net a p) in
             if route <> Option.join (Hashtbl.find_opt seen (a, p)) then begin
               Hashtbl.replace seen (a, p) route;
-              changes := (Sim.Engine.now engine, a, p, route) :: !changes
+              changes := (Sim.Engine.now (Bgp.Network.engine net), a, p, route) :: !changes
             end)
-          [ p1; p2 ])
+          prefixes)
       ases
   in
-  (* Converge, then move the clock on to [until], so that each phase
-     starts at the same instant whatever the sharding. *)
-  let run ~until =
-    if shards = None then
-      while Sim.Engine.step engine do
-        poll ()
-      done
-    else Bgp.Network.run_until_quiet net;
-    Sim.Engine.schedule engine ~at:until ignore;
-    Sim.Engine.run ~until engine;
-    poll ()
-  in
+  (poll, fun () -> List.rev !changes)
+
+(* Converge, polling after every event when unsharded, then move the
+   clock on to [until], so that each phase starts at the same instant
+   whatever the sharding. *)
+let drive net ~shards ~poll ~until =
+  let engine = Bgp.Network.engine net in
+  if shards = None then
+    while Sim.Engine.step engine do
+      poll ()
+    done
+  else Bgp.Network.run_until_quiet net;
+  Sim.Engine.run ~until engine;
+  poll ()
+
+let collector_script ~shards =
+  let open Topology in
+  let topo = Topo_gen.generate ~params:(Topo_gen.sized 40) ~seed:5 () in
+  let graph = topo.Topo_gen.graph in
+  let engine = Sim.Engine.create () in
+  let net = Bgp.Network.create ~engine ~graph ~mrai:5.0 ?shards () in
+  let ases = As_graph.as_list graph in
+  let p1 = prefix "203.0.113.0/24" and p2 = prefix "198.51.100.0/24" in
+  let poll, changes = best_changes net ~ases ~prefixes:[ p1; p2 ] in
+  let run ~until = drive net ~shards ~poll ~until in
   let origin = List.hd topo.Topo_gen.stub_list in
   let first = List.filteri (fun i _ -> i < 12) ases in
   let second = List.filteri (fun i _ -> i >= 6 && i < 20) ases in
   let outside = asn 999_999 in
   let c1 = Bgp.Network.Collector.attach net ~name:"c1" ~peers:first in
+  Bgp.Network.Collector.clear c1 (* start the log *);
   Bgp.Network.announce net ~origin ~prefix:p1 ();
   poll ();
   run ~until:100.0;
   (* c2 sees the changes from this one on. *)
-  let attached = List.length !changes in
+  let attached = List.length (changes ()) in
   let c2 =
     Bgp.Network.Collector.attach net ~name:"c2"
       ~peers:((outside :: second) @ [ List.nth second 0 ])
   in
+  Bgp.Network.Collector.clear c2;
   let provider = fst (List.hd (As_graph.neighbors graph origin)) in
   Bgp.Network.announce net ~origin ~prefix:p2 ();
   poll ();
@@ -1200,7 +1215,7 @@ let collector_script ~shards =
   Bgp.Network.restore_link net ~a:origin ~b:provider;
   poll ();
   run ~until:300.0;
-  (ases, [ (c1, first, 0); (c2, second, attached) ], List.rev !changes, [ p1; p2 ])
+  (ases, [ (c1, first, 0); (c2, second, attached) ], changes (), [ p1; p2 ])
 
 let record_line (t, a, p, r) =
   Printf.sprintf "%.4f %d %s %s" t (Asn.to_int a) (Prefix.to_string p)
@@ -1272,6 +1287,134 @@ let test_collector_subscriptions () =
         (render (Bgp.Network.Collector.log c')))
     collectors sharded
 
+(* Collector retention. A scripted flap storm on a 40-AS world: two
+   prefixes go out, then links flap one at a time, each phase starting
+   at a fixed instant. [watch] attaches collectors to the world's peers
+   before anything is announced. The hooks get what [watch] returned:
+   [poll] runs after every engine event and every control-plane call
+   (unsharded) or after every phase (sharded), [converged] once the
+   baseline has settled, and [mid] in the middle of a burst. *)
+let storm_prefixes = [ prefix "198.51.100.0/24"; prefix "203.0.113.0/24" ]
+
+let flap_storm ?(poll = ignore) ?(converged = fun _ _ -> ()) ?(mid = ignore) ~shards ~watch () =
+  let open Topology in
+  let topo = Topo_gen.generate ~params:(Topo_gen.sized 40) ~seed:9 () in
+  let graph = topo.Topo_gen.graph in
+  let engine = Sim.Engine.create () in
+  let net = Bgp.Network.create ~engine ~graph ~mrai:5.0 ?shards () in
+  let ases = As_graph.as_list graph in
+  let watched = watch net ~peers:(List.filteri (fun i _ -> i mod 4 <> 3) ases) in
+  let poll () = poll watched in
+  let origin = List.hd topo.Topo_gen.stub_list in
+  List.iter (fun p -> Bgp.Network.announce net ~origin ~prefix:p ()) storm_prefixes;
+  poll ();
+  drive net ~shards ~poll ~until:300.0;
+  converged watched net;
+  let flaps =
+    (origin, fst (List.hd (As_graph.neighbors graph origin)))
+    :: List.filter_map
+         (fun a ->
+           match As_graph.neighbors graph a with (b, _) :: _ -> Some (a, b) | [] -> None)
+         (List.filteri (fun i _ -> i mod 4 = 1) ases)
+  in
+  List.iteri
+    (fun i (a, b) ->
+      let t = 600.0 *. float_of_int (i + 1) in
+      Bgp.Network.fail_link net ~a ~b;
+      poll ();
+      if i = List.length flaps / 2 then mid watched;
+      drive net ~shards ~poll ~until:t;
+      Bgp.Network.restore_link net ~a ~b;
+      poll ();
+      drive net ~shards ~poll ~until:(t +. 300.0))
+    flaps;
+  (net, watched)
+
+(* Three collectors watch the same peers: [quiet] never starts its log,
+   [twin] starts it at attach, and [late] in the middle of a burst. The
+   reference is the peers' best changes; at every poll [quiet] must
+   answer [count], [route_view] and [current_route] as [twin] does.
+   Returns the collectors, the reference and the index in it of
+   [late]'s start. *)
+let watched_storm ~shards =
+  let module C = Bgp.Network.Collector in
+  let watch net ~peers =
+    let quiet = C.attach net ~name:"quiet" ~peers in
+    let twin = C.attach net ~name:"twin" ~peers in
+    let late = C.attach net ~name:"late" ~peers in
+    C.clear twin;
+    let reference, changes = best_changes net ~ases:peers ~prefixes:storm_prefixes in
+    (quiet, twin, late, peers, reference, changes, ref 0)
+  in
+  let polls = ref 0 in
+  let poll (quiet, twin, _, peers, reference, _, _) =
+    reference ();
+    incr polls;
+    if C.count quiet <> C.count twin then Alcotest.failf "count differs at poll %d" !polls;
+    List.iter
+      (fun a ->
+        List.iter
+          (fun p ->
+            if
+              C.route_view quiet ~peer:a ~prefix:p <> C.route_view twin ~peer:a ~prefix:p
+              || C.current_route quiet ~peer:a ~prefix:p <> C.current_route twin ~peer:a ~prefix:p
+            then Alcotest.failf "views of %d differ at poll %d" (Asn.to_int a) !polls)
+          storm_prefixes)
+      peers
+  in
+  let mid (_, _, late, _, _, changes, late_from) =
+    C.clear late;
+    late_from := List.length (changes ())
+  in
+  let _, (quiet, twin, late, _, _, changes, late_from) = flap_storm ~poll ~mid ~shards ~watch () in
+  ((quiet, twin, late), changes (), !late_from)
+
+let test_collector_retains_only_started_log () =
+  let module C = Bgp.Network.Collector in
+  let (quiet, twin, late), changes, late_from = watched_storm ~shards:None in
+  let reference ~from = List.filteri (fun i _ -> i >= from) changes |> List.map record_line in
+  Alcotest.(check (list string)) "twin: log = the peers' best changes" (reference ~from:0)
+    (render (C.log twin));
+  Alcotest.(check bool) "late started mid-run" true
+    (late_from > 0 && late_from < List.length changes);
+  Alcotest.(check (list string)) "late: log = the changes since its start"
+    (reference ~from:late_from) (render (C.log late));
+  Alcotest.(check int) "quiet: no log" 0 (List.length (C.log quiet));
+  Alcotest.(check int) "quiet: count = twin's records" (List.length (C.log twin)) (C.count quiet);
+  Alcotest.(check int) "late: count since attach" (C.count twin) (C.count late);
+  (* The 2-shard world counts the same records. *)
+  let (quiet2, twin2, late2), _, _ = watched_storm ~shards:(Some 2) in
+  Alcotest.(check (list int)) "2 shards: counts"
+    (List.map C.count [ quiet; twin; late ])
+    (List.map C.count [ quiet2; twin2; late2 ]);
+  Alcotest.(check int) "2 shards: quiet has no log" 0 (List.length (C.log quiet2));
+  Alcotest.(check int) "2 shards: twin's log" (List.length (C.log twin))
+    (List.length (C.log twin2));
+  (* Retention: from the converged baseline to the storm's end, a world
+     watched by [quiet] alone grows as much as the same world without a
+     collector, give or take the latest-route table, although the storm
+     brings it dozens of records; a retained record costs 8 words. *)
+  let growth watch =
+    let words net = Obj.reachable_words (Obj.repr net) in
+    let before = ref (0, 0) in
+    let count = Option.fold ~none:0 ~some:C.count in
+    let net, c =
+      flap_storm ~shards:None ~watch
+        ~converged:(fun c net -> before := (words net, count c))
+        ()
+    in
+    (words net - fst !before, count c - snd !before)
+  in
+  let bare, _ = growth (fun _ ~peers:_ -> None) in
+  let watched, records =
+    growth (fun net ~peers -> Some (C.attach net ~name:"quiet" ~peers))
+  in
+  Alcotest.(check bool) (Printf.sprintf "the storm brought %d records" records) true (records > 50);
+  Alcotest.(check bool)
+    (Printf.sprintf "quiet retained %d words over %d records" (watched - bare) records)
+    true
+    (watched - bare < records)
+
 let suite =
   suite
   @ [
@@ -1288,4 +1431,6 @@ let suite =
       Speaker_model.test ~damped:true;
       Fib_model.test ~delayed:false;
       Fib_model.test ~delayed:true;
+      Alcotest.test_case "collector retains only a started log" `Quick
+        test_collector_retains_only_started_log;
     ]

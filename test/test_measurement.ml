@@ -120,12 +120,18 @@ let test_responsiveness_db () =
   Measurement.Responsiveness.configure_silent db ip1;
   Alcotest.(check bool) "silent: no expectation" false
     (Measurement.Responsiveness.expect_response db ip1);
-  Measurement.Responsiveness.note db ip2 ~now:1.0 true;
-  Measurement.Responsiveness.note db ip2 ~now:2.0 false;
+  Measurement.Responsiveness.note db ip2 true;
+  Measurement.Responsiveness.note db ip2 false;
   Alcotest.(check bool) "ever responded" true (Measurement.Responsiveness.ever_responded db ip2);
   Alcotest.(check bool) "history says expect" true
     (Measurement.Responsiveness.expect_response db ip2);
-  Alcotest.(check int) "observations counted" 2 (Measurement.Responsiveness.observation_count db)
+  Alcotest.(check int) "observations counted" 2 (Measurement.Responsiveness.observation_count db);
+  let ip3 = Ipv4.of_string_exn "10.0.3.1" in
+  Measurement.Responsiveness.note db ip3 false;
+  Measurement.Responsiveness.note db ip3 false;
+  Alcotest.(check bool) "never answered" false (Measurement.Responsiveness.ever_responded db ip3);
+  Alcotest.(check bool) "never answered: silence expected" false
+    (Measurement.Responsiveness.expect_response db ip3)
 
 let test_configure_silent_fraction () =
   let g = fig2_graph () in

@@ -73,6 +73,40 @@ let test_shutdown () =
     (Invalid_argument "Par.Pool.map: pool is shut down") (fun () ->
       ignore (Par.Pool.map pool succ [ 0 ]))
 
+(* [jobs = N] runs a batch on N domains, the caller of [map] included:
+   every task a worker takes waits until the caller has run one, so the
+   batch finishes only if the caller takes tasks too (a pool whose caller
+   just waits would spin each worker task out to its bound and fail). *)
+let test_jobs_domains () =
+  List.iter
+    (fun jobs ->
+      let caller = (Domain.self () :> int) in
+      let caller_ran = Atomic.make false in
+      let task _ =
+        let self = (Domain.self () :> int) in
+        if self = caller then Atomic.set caller_ran true
+        else begin
+          let spins = ref 0 in
+          while (not (Atomic.get caller_ran)) && !spins < 20_000_000 do
+            incr spins;
+            Domain.cpu_relax ()
+          done
+        end;
+        self
+      in
+      let domains =
+        Par.Pool.with_pool ~jobs (fun pool -> Par.Pool.map pool task (List.init (4 * jobs) Fun.id))
+        |> List.sort_uniq Int.compare
+      in
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: the caller ran tasks" jobs)
+        true (List.mem caller domains);
+      Alcotest.(check bool)
+        (Printf.sprintf "jobs=%d: at most %d domains (%d)" jobs jobs (List.length domains))
+        true
+        (List.length domains <= jobs))
+    [ 2; 3 ]
+
 (* ------------------------------------------------------------------ *)
 (* Experiment-level determinism: the rendered tables — every digit —
    must not depend on the jobs count. *)
@@ -110,4 +144,5 @@ let suite =
     Alcotest.test_case "shutdown semantics" `Quick test_shutdown;
     Alcotest.test_case "fig6 invariant under jobs" `Slow test_fig6_jobs_invariant;
     Alcotest.test_case "efficacy invariant under jobs" `Slow test_efficacy_jobs_invariant;
+    Alcotest.test_case "jobs N runs on N domains" `Quick test_jobs_domains;
   ]

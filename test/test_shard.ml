@@ -78,6 +78,7 @@ let mux_fingerprint ~shards =
   in
   let bed = mux.Scenarios.bed in
   let net = bed.Scenarios.net in
+  Bgp.Network.Collector.clear mux.Scenarios.collector (* start the log *);
   Bgp.Network.announce net ~origin:mux.Scenarios.origin ~prefix:Scenarios.production_prefix ();
   Bgp.Network.run_until_quiet ~timeout:36000.0 net;
   (match mux.Scenarios.providers with

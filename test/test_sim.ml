@@ -245,6 +245,24 @@ let test_ran_action_released () =
   (* The engine itself is still live here. *)
   Alcotest.(check int) "queue drained" 0 (Sim.Engine.pending e)
 
+(* [run ~until] lands on [until] whether a later event is pending or the
+   queue runs dry first, and never moves the clock back. *)
+let test_run_until_lands () =
+  let quiet = Sim.Engine.create () in
+  Sim.Engine.run ~until:7.0 quiet;
+  Alcotest.(check (float 0.0)) "quiet engine" 7.0 (Sim.Engine.now quiet);
+  let e = Sim.Engine.create () in
+  let fired = ref 0 in
+  Sim.Engine.schedule e ~at:2.0 (fun () -> incr fired);
+  Sim.Engine.run ~until:5.0 e;
+  Alcotest.(check int) "the last event ran" 1 !fired;
+  Alcotest.(check (float 0.0)) "last event before until" 5.0 (Sim.Engine.now e);
+  Sim.Engine.schedule e ~at:9.0 (fun () -> incr fired);
+  Sim.Engine.run ~until:3.0 e;
+  Alcotest.(check (float 0.0)) "until before the clock" 5.0 (Sim.Engine.now e);
+  Alcotest.(check int) "nothing ran" 1 !fired;
+  Alcotest.(check int) "the later event stays queued" 1 (Sim.Engine.pending e)
+
 let suite =
   [
     Alcotest.test_case "time ordering" `Quick test_time_ordering;
@@ -261,4 +279,5 @@ let suite =
     QCheck_alcotest.to_alcotest prop_ties_growth_nested;
     QCheck_alcotest.to_alcotest prop_interleaved_oracle;
     Alcotest.test_case "ran action released" `Quick test_ran_action_released;
+    Alcotest.test_case "run ~until lands on until" `Quick test_run_until_lands;
   ]

@@ -165,13 +165,16 @@ let check_same_world what (a : Scenarios.testbed) (b : Scenarios.testbed) =
   Alcotest.(check int) (what ^ ": messages") (Bgp.Network.message_count a.Scenarios.net)
     (Bgp.Network.message_count b.Scenarios.net)
 
+(* The record count, then the log (empty until a round starts it). *)
 let collector_log mux =
-  List.map
-    (fun (r : Bgp.Network.update_record) ->
-      Printf.sprintf "%h %s %s %s" r.Bgp.Network.time (Asn.to_string r.Bgp.Network.speaker)
-        (Prefix.to_string r.Bgp.Network.prefix)
-        (match r.Bgp.Network.route with Some e -> timed_route_of e | None -> "-"))
-    (Bgp.Network.Collector.log mux.Scenarios.collector)
+  let c = mux.Scenarios.collector in
+  Printf.sprintf "count %d" (Bgp.Network.Collector.count c)
+  :: List.map
+       (fun (r : Bgp.Network.update_record) ->
+         Printf.sprintf "%h %s %s %s" r.Bgp.Network.time (Asn.to_string r.Bgp.Network.speaker)
+           (Prefix.to_string r.Bgp.Network.prefix)
+           (match r.Bgp.Network.route with Some e -> timed_route_of e | None -> "-"))
+       (Bgp.Network.Collector.log c)
 
 let oracle_worlds = [ (1, 60); (7, 80); (13, 100) ]
 
