@@ -3,7 +3,7 @@ open Topology
 
 (* Probe-issue accounting (Obs): [meas.probes] mirrors the per-env
    [probes_sent] totals the experiments report, and each charge emits a
-   "meas.probe" trace event stamped with simulation time. The memo
+   "meas.probe" trace event stamped with the env's simulation clock. The memo
    counters give the reachability memo's hit rate, hits / (hits +
    misses), and how often it was invalidated. *)
 let m_probes = Obs.Metrics.counter "meas.probes"
@@ -38,14 +38,16 @@ type memo = {
 type env = {
   net : Bgp.Network.t;
   failures : Failure.set;
+  engine : Sim.Engine.t;
   mutable probes_sent : int;
   memo : memo;
 }
 
-let env net failures =
+let env ?engine net failures =
   {
     net;
     failures;
+    engine = Option.value engine ~default:(Bgp.Network.engine net);
     probes_sent = 0;
     memo = { verdicts = Key_tbl.create 64; stamp = 0; epoch = -1; version = -1 };
   }
@@ -57,7 +59,7 @@ let charge t n =
   Obs.Metrics.add m_probes n;
   if Obs.Trace.on () then
     Obs.Trace.event
-      ~ts:(Sim.Engine.now (Bgp.Network.engine t.net))
+      ~ts:(Sim.Engine.now t.engine)
       ~span:"meas.probe"
       [ ("n", Obs.Trace.Int n) ]
 

@@ -16,11 +16,13 @@ type memo
 type env = private {
   net : Bgp.Network.t;
   failures : Failure.set;
+  engine : Sim.Engine.t;
   mutable probes_sent : int;
   memo : memo;
 }
-(** A probing context: the control plane, the active failures, a
-    running count of probe packets and a reachability memo.
+(** A probing context: the control plane, the active failures, the
+    engine whose clock stamps the [meas.probe] trace events, a running
+    count of probe packets and a reachability memo.
 
     Pings, the reply legs of traceroutes and reverse traceroute's
     feasibility check need only yes/no reachability. They answer it from
@@ -35,7 +37,13 @@ type env = private {
     [dataplane.memo_misses] and [dataplane.memo_flushes] count the
     memo's hits, misses (walks) and flushes. *)
 
-val env : Bgp.Network.t -> Failure.set -> env
+val env : ?engine:Sim.Engine.t -> Bgp.Network.t -> Failure.set -> env
+(** [engine] is the engine the probing trial runs on (default: the
+    network's own). A trial on a view of a shared world
+    ([Workloads.Scenarios.view]) runs on its own engine, so its probes
+    must be stamped with that engine's clock, not the world's frozen
+    one. *)
+
 val reset_probe_count : env -> unit
 
 val charge : env -> int -> unit

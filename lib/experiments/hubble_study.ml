@@ -19,9 +19,6 @@ let paper_ratio_60_over_15 = 115.0 /. 275.0
 (* Silent failures injected per simulated day. *)
 let failures_per_day = 18.0
 
-(* Monitoring probes run between the central site, the vantage points and
-   the targets only, so shard worlds announce just those ASes'
-   infrastructure prefixes. *)
 type shard_result = {
   s_injected : int;
   s_detected : int;
@@ -32,15 +29,14 @@ type shard_result = {
   s_probes : int;
 }
 
-(* One shard: an independent world monitored for [days] simulated days
-   with its own PRNG. Incident rates merge linearly across shards (each
-   shard's H(d) is a per-day rate over its own window), so a week shards
-   into independent days. *)
-let run_shard ~ases ~days ~seed ~shard () =
-  let bed =
-    Scenarios.planetlab ~ases ~sites:14 ~target_count:20
-      ~infrastructure:Scenarios.Sites ~seed ()
-  in
+(* One shard: [days] simulated days of monitoring on its own view of the
+   world, with its own PRNG. Monitoring only probes the routes that exist
+   and the injected failures are [Data_only], so the shard's events (probe
+   rounds, failure arrivals and expiries) run on the view's engine and its
+   failures live in the view's set. Incident rates merge linearly across
+   shards (each shard's H(d) is a per-day rate over its own window), so a
+   week shards into independent days. *)
+let run_shard ~days ~seed ~shard bed =
   let rng = Prng.create ~seed:(seed + 6 + (977 * shard)) in
   let engine = bed.Scenarios.engine in
   let central = List.hd bed.Scenarios.vantage_points in
@@ -77,10 +73,16 @@ let run ~ases ~days ~jobs ~seed () =
      simulations — a decomposition fixed by [days], never by [jobs]. *)
   let shards = max 1 (int_of_float (ceil days)) in
   let shard_days = days /. float_of_int shards in
+  (* Monitoring probes run between the central site, the vantage points
+     and the targets only, so the world announces just those ASes'
+     infrastructure prefixes. Every shard reads the same converged
+     world. *)
+  let world =
+    Scenarios.planetlab ~ases ~sites:14 ~target_count:20 ~infrastructure:Scenarios.Sites ~seed ()
+  in
   let results =
-    Runner.run_trials ~jobs
-      (List.init shards (fun shard ->
-           run_shard ~ases ~days:shard_days ~seed ~shard))
+    Runner.run_views ~jobs world
+      (List.init shards (fun shard -> run_shard ~days:shard_days ~seed ~shard))
   in
   let sum f = List.fold_left (fun acc s -> acc + f s) 0 results in
   (* Each shard's H(d) is a per-day rate over shard_days; equal windows

@@ -27,7 +27,8 @@ type result = {
 val run : ases:int -> days:float -> jobs:int -> seed:int -> unit -> result
 (** Monitor an [ases]-AS PlanetLab world for [days] simulated days at 18
     injected failures a day, split into independent one-day shards run
-    on [jobs] workers. Deterministic in [seed]; the result does not
+    on [jobs] workers, each on its own {!Workloads.Scenarios.view} of the
+    one converged world. Deterministic in [seed]; the result does not
     depend on [jobs]. *)
 
 val to_tables : result -> Stats.Table.t list

@@ -2,13 +2,20 @@
 
    Every converted experiment decomposes into a fixed list of trial
    closures — a decomposition that is a pure function of the experiment's
-   parameters, never of the worker count — where each closure owns its
-   entire world (topology, network, engine, PRNG): it forks an immutable
-   template (Workloads.Template) that the driver built and converged
-   once, or rebuilds the world from the seed. Either way no two trials
-   share a mutable value. The pool returns results in submission order,
-   so results (and therefore every table) are bit-identical for any
-   ~jobs.
+   parameters, never of the worker count. No two trials share anything
+   a trial writes. Each kind of trial gets its world one way, chosen by
+   what it writes:
+   - rebuild, when worlds differ by seed (fleet, faults): the trial
+     builds its own world;
+   - fork, when the trial changes routes: it forks an immutable template
+     (Workloads.Template) that the driver built and converged once;
+   - view, when the trial only reads routes: it runs on a view of one
+     world the driver built once (Workloads.Scenarios.view, [run_views]),
+     which shares the world's graph and network read-only and owns its
+     failure set, probe env and engine. [run_views] checks after the
+     trials that the world was not written.
+   The pool returns results in submission order, so results (and
+   therefore every table) are bit-identical for any ~jobs.
 
    With tracing enabled each trial is bracketed by a "runner.trial"
    event carrying its wall-clock duration (from the injected Obs.Clock;
@@ -48,3 +55,22 @@ let observed_trial index thunk () =
 let run_trials ~jobs thunks =
   let thunks = List.mapi observed_trial thunks in
   Par.Pool.with_pool ~jobs (fun pool -> Par.Pool.run_trials pool thunks)
+
+(* What a trial that writes the shared world would move: a FIB install,
+   a delivered message, or an event scheduled on or run by the world's
+   engine. *)
+let footprint (world : Workloads.Scenarios.testbed) =
+  let net = world.Workloads.Scenarios.net and engine = world.Workloads.Scenarios.engine in
+  Printf.sprintf "fib_epoch %d, messages %d, clock %h, pending %d" (Bgp.Network.fib_epoch net)
+    (Bgp.Network.message_count net) (Sim.Engine.now engine) (Sim.Engine.pending engine)
+
+let run_views ~jobs world trials =
+  let before = footprint world in
+  let results =
+    run_trials ~jobs (List.map (fun trial () -> trial (Workloads.Scenarios.view world)) trials)
+  in
+  let after = footprint world in
+  if not (String.equal after before) then
+    failwith
+      (Printf.sprintf "Runner.run_views: a trial wrote the shared world (%s -> %s)" before after);
+  results

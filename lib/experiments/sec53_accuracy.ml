@@ -24,11 +24,13 @@ let paper_fraction_traceroute_differs = 0.40
 
 let shard_count = 8
 
-(* One shard: its own fork of the world + PRNG hunting [quota] isolatable
+(* One shard: its own view of the world + PRNG hunting [quota] isolatable
    failures. The shard decomposition is fixed (a pure function of
-   [failure_count]), so results don't depend on [jobs]. *)
-let run_shard ~template ~seed ~shard ~quota () =
-  let bed = Template.fork template in
+   [failure_count]), so results don't depend on [jobs]. Isolation only
+   probes the routes that exist, and the failures it places are
+   [Data_only] (they live in the view's own failure set), so a view is
+   all a shard needs. *)
+let run_shard ~seed ~shard ~quota bed =
   let rng = Prng.create ~seed:(seed + 5 + (131 * shard)) in
   let sites = Array.of_list bed.Scenarios.vantage_points in
   let responsiveness = Measurement.Responsiveness.create () in
@@ -111,17 +113,14 @@ let run ~ases ~failure_count ~jobs ~seed () =
   let quota shard =
     (failure_count / shards) + if shard < failure_count mod shards then 1 else 0
   in
-  (* Every shard starts from the same converged world. Isolation probes
-     run only between the PlanetLab sites (and walk to the transit
-     targets), so it announces infrastructure for those endpoints only —
-     a few dozen prefixes instead of one per AS. *)
-  let template =
-    Template.capture
-      (Scenarios.planetlab ~ases ~sites:24 ~infrastructure:Scenarios.Sites ~seed ())
-  in
+  (* Every shard reads the same converged world. Isolation probes run
+     only between the PlanetLab sites (and walk to the transit targets),
+     so it announces infrastructure for those endpoints only — a few
+     dozen prefixes instead of one per AS. *)
+  let world = Scenarios.planetlab ~ases ~sites:24 ~infrastructure:Scenarios.Sites ~seed () in
   let shard_cases =
-    Runner.run_trials ~jobs
-      (List.init shards (fun shard -> run_shard ~template ~seed ~shard ~quota:(quota shard)))
+    Runner.run_views ~jobs world
+      (List.init shards (fun shard -> run_shard ~seed ~shard ~quota:(quota shard)))
   in
   let cases = List.concat shard_cases in
   let isolated =

@@ -11,7 +11,12 @@
     so consistency is checked against it directly, which is strictly
     harder than the paper's proxy. *)
 
-type case
+type case = {
+  diagnosis : Lifeguard.Isolation.diagnosis;
+  correct : bool;  (** Blamed the failed AS or its far side. *)
+  direction_correct : bool;
+  traceroute_differs : bool;  (** Traceroute alone would blame another AS. *)
+}
 (** One injected failure and LIFEGUARD's diagnosis of it. *)
 
 type result = {
@@ -27,8 +32,17 @@ type result = {
 
 val run : ases:int -> failure_count:int -> jobs:int -> seed:int -> unit -> result
 (** Hunt [failure_count] isolatable failures in an [ases]-AS PlanetLab
-    world, split over a fixed number of share-nothing shards, each in
-    its own fork of the world, run on [jobs] workers. Deterministic in
-    [seed]; the result does not depend on [jobs]. *)
+    world, split over a fixed number of shards, each on its own
+    {!Workloads.Scenarios.view} of the one converged world, run on
+    [jobs] workers. Deterministic in [seed]; the result does not depend
+    on [jobs]. *)
+
+val run_shard :
+  seed:int -> shard:int -> quota:int -> Workloads.Scenarios.testbed -> case list
+(** One shard of {!run}: hunt up to [quota] isolatable failures in the
+    given testbed with shard [shard]'s PRNG, placing, isolating and
+    healing one [Data_only] failure at a time. {!run} passes a view of
+    its world; exported so that the view oracle in the tests can run
+    the same shard on a fork of that world too. *)
 
 val to_tables : result -> Stats.Table.t list

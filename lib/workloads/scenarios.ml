@@ -48,6 +48,15 @@ let settle bed ~seconds =
   Sim.Engine.schedule engine ~at:wake ignore;
   Sim.Engine.run ~until:wake engine
 
+(* A view shares everything of the world that a trial only reads (the
+   graph, the network and their generator output) and owns everything it
+   writes: the failure set, the probe env (memo and probe count) and the
+   engine its events run on, started at the world's clock. *)
+let view world =
+  let engine = Sim.Engine.create ~now:(Sim.Engine.now world.engine) () in
+  let failures = Dataplane.Failure.create () in
+  { world with engine; failures; probe = Dataplane.Probe.env ~engine world.net failures }
+
 type planetlab_infrastructure = Sites | Of of infrastructure
 
 let planetlab ?(ases = 318) ?(sites = 20) ?(target_count = 25) ?mrai ?infrastructure ~seed

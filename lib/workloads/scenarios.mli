@@ -27,6 +27,33 @@ val settle : testbed -> seconds:float -> unit
     expire so the next announcement propagates like the paper's
     experiments, which spaced announcements 90 minutes apart. *)
 
+val view : testbed -> testbed
+(** A view of a converged world: the testbed a trial that only {e reads}
+    routes runs on, so that many trials share one world instead of
+    forking or rebuilding it.
+
+    The view shares the world's [graph], [gen], [net], [vantage_points]
+    and [targets]. It owns a fresh, empty [failures] set, a fresh [probe]
+    env over it (its own reachability memo and probe count), and a fresh
+    [engine] whose clock starts at the world's. The probe env stamps its
+    trace events with that engine's clock.
+
+    What a view may do:
+    - probe, walk and look routes up in the shared network;
+    - add and remove [Data_only] failures in its own set;
+    - schedule events on, and run, its own engine.
+
+    What it may not do is anything that writes the shared network:
+    announce or withdraw a prefix, inject a [Control_and_data] failure
+    (that fails a session or a node), or run the world's engine (for
+    instance through {!Bgp.Network.run_until_quiet} or {!settle} on the
+    world). Views of one world may be used from several [Par.Pool]
+    domains at once only because nothing writes the world; the drivers
+    run their views through [Experiments.Runner.run_views], which checks
+    after the trials that the world was not written and raises if it
+    was. A view of a sharded world ({!bgpmux} with [shards > 1]) is not
+    supported: its reads synchronise shard engines. *)
+
 type infrastructure =
   | All  (** One infrastructure prefix per AS, announced and converged. *)
   | Endpoints_only of Asn.t list

@@ -1,5 +1,5 @@
 (** Template worlds: build and converge a world once, then fork it per
-    trial.
+    trial that changes routes.
 
     A template is an immutable snapshot of a quiescent world (its
     topology, engine, network, collector and failure set), taken with
@@ -33,10 +33,9 @@ val capture : 'a -> 'a t
     not changed and may go on being used. *)
 
 val fork : 'a t -> 'a
-(** A fresh, independent copy of the captured value. It collects the
-    heap first, so a run's peak memory does not grow with its number of
-    forks: one major cycle for a template of up to 1 MiB (a converged
-    control-plane-only BGP-Mux world, about 0.2 MiB at 318 ASes), a full
-    collection above that (a PlanetLab world with its sites'
-    infrastructure, about 1.6 MiB at 318 ASes), whose stale copy from
-    the last trial would otherwise stay in the heap. *)
+(** A fresh, independent copy of the captured value. It runs one major
+    GC cycle first, so a run's peak memory does not grow with its number
+    of forks. One cycle suits the templates the drivers fork, converged
+    control-plane-only BGP-Mux worlds (about 0.2 MiB at 318 ASes). A
+    trial that only reads routes does not fork at all: it runs on a
+    {!Scenarios.view} of one world. *)

@@ -226,6 +226,72 @@ let test_selective_pinned () =
         (Obs.Metrics.counter_value snap "bgp.delivered"))
     [ (42, 5549); (7, 5492) ]
 
+(* Views of one converged world (Runner.run_views): a trial that writes
+   the shared world through its view must make the driver-level check
+   raise, at any [jobs]; a trial that only reads must not. Each case gets
+   a fresh world, so one misuse cannot mask the next. *)
+let view_world () =
+  Workloads.Scenarios.planetlab ~ases:60 ~sites:4 ~target_count:3
+    ~infrastructure:Workloads.Scenarios.Sites ~seed:3 ()
+
+let test_view_guard () =
+  let open Workloads in
+  let misuses =
+    [
+      ( "Control_and_data failure",
+        fun (v : Scenarios.testbed) ->
+          Dataplane.Failure.inject v.Scenarios.net v.Scenarios.failures
+            (Dataplane.Failure.spec ~mode:Dataplane.Failure.Control_and_data
+               (Dataplane.Failure.Node (List.hd v.Scenarios.targets))) );
+      ( "announcement",
+        fun (v : Scenarios.testbed) ->
+          Bgp.Network.announce v.Scenarios.net ~origin:(List.hd v.Scenarios.vantage_points)
+            ~prefix:(Net.Prefix.of_string_exn "198.51.100.0/24") () );
+    ]
+  in
+  List.iter
+    (fun (what, misuse) ->
+      List.iter
+        (fun jobs ->
+          match Experiments.Runner.run_views ~jobs (view_world ()) [ ignore; misuse ] with
+          | _ -> Alcotest.failf "%s through a view at jobs %d: the check did not raise" what jobs
+          | exception Failure _ -> ())
+        [ 1; 2 ])
+    misuses;
+  (* A read-only trial: Data_only failures in its own set, probes, and
+     events on its own engine, which starts at the world's clock. *)
+  let reader (v : Scenarios.testbed) =
+    let src = List.hd v.Scenarios.vantage_points and dst = List.hd v.Scenarios.targets in
+    let t0 = Sim.Engine.now v.Scenarios.engine in
+    let spec = Dataplane.Failure.spec (Dataplane.Failure.Node dst) in
+    Sim.Engine.schedule v.Scenarios.engine ~at:(t0 +. 60.0) (fun () ->
+        Dataplane.Failure.inject v.Scenarios.net v.Scenarios.failures spec);
+    Sim.Engine.run ~until:(t0 +. 120.0) v.Scenarios.engine;
+    let ping () =
+      Dataplane.Probe.ping v.Scenarios.probe ~src
+        ~dst:(Dataplane.Forward.probe_address v.Scenarios.net dst)
+    in
+    let during = ping () in
+    Dataplane.Failure.heal v.Scenarios.net v.Scenarios.failures spec;
+    let after = ping () in
+    (t0, during, after, v.Scenarios.probe.Dataplane.Probe.probes_sent)
+  in
+  List.iter
+    (fun jobs ->
+      let world = view_world () in
+      let t0 = Sim.Engine.now world.Scenarios.engine in
+      let results = Experiments.Runner.run_views ~jobs world [ reader; reader ] in
+      List.iter
+        (fun (start, during, after, probes) ->
+          Alcotest.(check (float 0.0)) "a view's engine starts at the world's clock" t0 start;
+          Alcotest.(check bool) "the failure breaks the view's ping" false during;
+          Alcotest.(check bool) "healed" true after;
+          Alcotest.(check int) "each view counts its own probes" 2 probes)
+        results;
+      Alcotest.(check (float 0.0)) "the world's clock has not moved" t0
+        (Sim.Engine.now world.Scenarios.engine))
+    [ 1; 2 ]
+
 let suite =
   [
     Alcotest.test_case "fig1 shape" `Quick test_fig1;
@@ -243,4 +309,5 @@ let suite =
     Alcotest.test_case "flap damping vs spacing" `Slow test_damping;
     Alcotest.test_case "sec 5.2 loss rates pinned" `Slow test_loss_pinned;
     Alcotest.test_case "sec 5.2 selective result and BGP work pinned" `Slow test_selective_pinned;
+    Alcotest.test_case "a view writing its world raises" `Quick test_view_guard;
   ]

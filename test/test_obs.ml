@@ -177,10 +177,78 @@ let test_fig6_jobs_invariance () =
     (delivered snap4);
   reset_obs ()
 
+(* ---- a hubble view stamps its probes with its own clock ---- *)
+
+(* The [ts] of every "meas.probe" line, in order. *)
+let probe_stamps buf =
+  String.split_on_char '\n' (Buffer.contents buf)
+  |> List.filter_map (fun l ->
+         match span_of_line l with
+         | Some "meas.probe" ->
+             let start = String.length "{\"ts\":" in
+             let stop = String.index_from l start ',' in
+             Some (String.sub l start (stop - start))
+         | Some _ | None -> None)
+
+let hubble_world () =
+  Workloads.Scenarios.planetlab ~ases:60 ~sites:6 ~target_count:5
+    ~infrastructure:Workloads.Scenarios.Sites ~seed:11 ()
+
+(* Half a day of Hubble monitoring with silent-failure arrivals, on the
+   testbed's own engine and probe env (as each Hubble_study shard runs). *)
+let monitor (bed : Workloads.Scenarios.testbed) =
+  let open Workloads in
+  let engine = bed.Scenarios.engine in
+  let central = List.hd bed.Scenarios.vantage_points in
+  let hubble =
+    Measurement.Hubble.create ~env:bed.Scenarios.probe ~engine ~central
+      ~vantage_points:(List.tl bed.Scenarios.vantage_points) ~targets:bed.Scenarios.targets ()
+  in
+  let until = Sim.Engine.now engine +. 43200.0 in
+  Arrivals.start (Arrivals.create ()) ~rng:(Prng.create ~seed:5) ~bed ~src:central
+    ~targets:bed.Scenarios.targets ~mean_interarrival:3600.0 ~until ();
+  Sim.Engine.run ~until engine;
+  Measurement.Hubble.probe_count hubble
+
+let traced f =
+  reset_obs ();
+  let buf = Buffer.create (1 lsl 16) in
+  Obs.Trace.enable_buffer buf;
+  let r = f () in
+  Obs.Trace.close ();
+  (r, buf)
+
+let test_hubble_view_clock () =
+  (* The reference: the same monitoring on a world of its own. *)
+  let rebuilt, rebuilt_buf = traced (fun () -> monitor (hubble_world ())) in
+  let viewed, viewed_buf =
+    traced (fun () -> monitor (Workloads.Scenarios.view (hubble_world ())))
+  in
+  let stamps = probe_stamps rebuilt_buf in
+  Alcotest.(check bool) "probes traced" true (List.length stamps > 1);
+  Alcotest.(check bool) "stamps follow the clock" true
+    (List.hd stamps <> List.nth stamps (List.length stamps - 1));
+  Alcotest.(check int) "probe count: view = rebuilt world" rebuilt viewed;
+  Alcotest.(check (list string)) "meas.probe stamps: view = rebuilt world" stamps
+    (probe_stamps viewed_buf);
+  (* The driver's per-span counts do not depend on [jobs]. *)
+  let spans jobs =
+    snd
+      (traced (fun () ->
+           ignore (Experiments.Hubble_study.run ~ases:60 ~days:2.0 ~jobs ~seed:7 ())))
+    |> span_counts
+  in
+  let spans1 = spans 1 in
+  Alcotest.(check bool) "hubble traced probes" true (List.mem_assoc "meas.probe" spans1);
+  Alcotest.(check (list (pair string int))) "hubble span counts: jobs 2 = jobs 1" spans1
+    (spans 2);
+  reset_obs ()
+
 let suite =
   [
     Alcotest.test_case "disabled instruments stay cheap" `Quick test_disabled_cheap;
     Alcotest.test_case "trace JSONL round-trip" `Quick test_trace_roundtrip;
     Alcotest.test_case "metrics merge across 4 domains" `Quick test_merge_across_domains;
     Alcotest.test_case "fig6 trace counts are jobs-invariant" `Quick test_fig6_jobs_invariance;
+    Alcotest.test_case "hubble view probes use its clock" `Quick test_hubble_view_clock;
   ]

@@ -225,46 +225,97 @@ let test_fork_bgpmux () =
         (collector_log again))
     oracle_worlds
 
-let test_fork_planetlab () =
+(* View oracle: the trials that only read routes (accuracy, hubble) run
+   on views of one converged world instead of forks of it. A view must
+   give exactly what a fork gives, and what a trial does in its view must
+   stay in that view. *)
+
+let case_of (c : Experiments.Sec53_accuracy.case) =
+  Format.asprintf "%a correct=%b direction=%b differs=%b" Lifeguard.Isolation.pp_diagnosis
+    c.Experiments.Sec53_accuracy.diagnosis c.Experiments.Sec53_accuracy.correct
+    c.Experiments.Sec53_accuracy.direction_correct c.Experiments.Sec53_accuracy.traceroute_differs
+
+(* Every (vantage point, target) walk: its AS path and whether it
+   delivered. *)
+let walks (bed : Scenarios.testbed) =
+  List.concat_map
+    (fun src ->
+      List.map
+        (fun dst ->
+          let walk =
+            Dataplane.Forward.walk bed.Scenarios.net bed.Scenarios.failures ~src
+              ~dst:(Dataplane.Forward.probe_address bed.Scenarios.net dst)
+          in
+          String.concat " "
+            (List.map Asn.to_string (Dataplane.Forward.as_path_of_walk walk))
+          ^
+          match walk.Dataplane.Forward.outcome with
+          | Dataplane.Forward.Delivered -> ""
+          | Dataplane.Forward.Dropped _ | Dataplane.Forward.No_route _ | Dataplane.Forward.Loop
+            ->
+              " (lost)")
+        bed.Scenarios.targets)
+    bed.Scenarios.vantage_points
+
+let test_view_oracle () =
   List.iter
     (fun (seed, ases) ->
       let what = Printf.sprintf "planetlab seed %d, %d ASes" seed ases in
       let build () = Scenarios.planetlab ~ases ~sites:24 ~infrastructure:Scenarios.Sites ~seed () in
-      let fresh = build () in
-      let fork = Template.fork (Template.capture (build ())) in
-      check_same_world what fresh fork;
-      (* The same failure, placed with the same draws, breaks the same
-         paths in both. *)
-      let walks (bed : Scenarios.testbed) =
-        List.concat_map
-          (fun src ->
-            List.map
-              (fun dst ->
-                Dataplane.Forward.as_path_of_walk
-                  (Dataplane.Forward.walk bed.Scenarios.net bed.Scenarios.failures ~src
-                     ~dst:(Dataplane.Forward.probe_address bed.Scenarios.net dst))
-                |> List.map Asn.to_string |> String.concat " ")
-              bed.Scenarios.targets)
-          bed.Scenarios.vantage_points
+      let world = build () in
+      let template = Template.capture world in
+      (* Accuracy's shards through views equal the same shards through
+         per-shard forks of the same world, at any [jobs]. *)
+      let shards = 3 and quota = 3 in
+      let shard bed i =
+        List.map case_of (Experiments.Sec53_accuracy.run_shard ~seed ~shard:i ~quota bed)
       in
+      let via_forks = List.init shards (fun i -> shard (Template.fork template) i) in
+      Alcotest.(check bool) (what ^ ": shards found failures") true
+        (List.exists (fun cases -> cases <> []) via_forks);
+      List.iter
+        (fun jobs ->
+          Alcotest.(check (list (list string)))
+            (Printf.sprintf "%s: accuracy cases, views at jobs %d = forks" what jobs)
+            via_forks
+            (Experiments.Runner.run_views ~jobs world (List.init shards (fun i v -> shard v i))))
+        [ 1; 2 ];
+      (* The same failure, placed with the same draws through a view and
+         in a fresh world, breaks the same walks; the world and every
+         other view of it do not see it. *)
+      let intact = walks world in
+      (* On the first (vantage point, target) path with a transit hop. *)
       let inject (bed : Scenarios.testbed) =
         let rng = Prng.create ~seed in
-        let src = List.hd bed.Scenarios.vantage_points in
-        let dst = List.hd bed.Scenarios.targets in
         let shape =
           { Outage_gen.direction = Outage_gen.Forward; on_link = false; duration = 600.0 }
         in
-        match Scenarios.Placement.on_path rng bed ~src ~dst ~shape () with
+        let pairs =
+          List.concat_map
+            (fun src -> List.map (fun dst -> (src, dst)) bed.Scenarios.targets)
+            bed.Scenarios.vantage_points
+        in
+        match
+          List.find_map
+            (fun (src, dst) -> Scenarios.Placement.on_path rng bed ~src ~dst ~shape ())
+            pairs
+        with
         | Some placed ->
             Dataplane.Failure.inject bed.Scenarios.net bed.Scenarios.failures
               placed.Scenarios.Placement.spec;
             Asn.to_string placed.Scenarios.Placement.location
         | None -> "-"
       in
-      Alcotest.(check string) (what ^ ": placement") (inject fresh) (inject fork);
-      Alcotest.(check (list string)) (what ^ ": walks under the failure") (walks fresh)
-        (walks fork))
-    oracle_worlds
+      let fresh = build () in
+      let view = Scenarios.view world in
+      Alcotest.(check string) (what ^ ": placement") (inject fresh) (inject view);
+      let broken = walks fresh in
+      Alcotest.(check bool) (what ^ ": the failure breaks a walk") true (broken <> intact);
+      Alcotest.(check (list string)) (what ^ ": walks under the failure") broken (walks view);
+      Alcotest.(check (list string)) (what ^ ": another view's walks") intact
+        (walks (Scenarios.view world));
+      Alcotest.(check (list string)) (what ^ ": the world's walks") intact (walks world))
+    [ (1, 60); (7, 80) ]
 
 (* Sec52_selective forks the scout (baseline converged, no
    infrastructure) and then announces one feed's infrastructure prefix. *)
@@ -334,7 +385,7 @@ let suite =
     Alcotest.test_case "failure placement" `Quick test_placement;
     Alcotest.test_case "settle advances clock" `Quick test_settle_advances_clock;
     Alcotest.test_case "fork oracle: bgpmux with its baseline" `Quick test_fork_bgpmux;
-    Alcotest.test_case "fork oracle: planetlab with its sites" `Quick test_fork_planetlab;
+    Alcotest.test_case "view oracle: accuracy and placement" `Quick test_view_oracle;
     Alcotest.test_case "fork oracle: selective's feed worlds" `Quick test_fork_selective;
     Alcotest.test_case "converged paper world size" `Quick test_world_size;
     QCheck_alcotest.to_alcotest prop_durations_deterministic;
