@@ -1,13 +1,10 @@
 open Net
 
-(* A path is an immutable nearest-first array of ASNs plus two cached
-   integers: a salted structural hash (always valid) and an interner id
-   ([-1] until a [Path_store] adopts the node). Constructors build
-   uninterned nodes; stores stamp ids via [Internal.with_id]. Ids are
-   world-local, so [equal] never trusts them across values — it relies on
-   physical sharing (interned values of one world) and on the cached hash
-   to stay O(1) in practice. *)
-type t = { id : int; hash : int; asns : Asn.t array }
+(* A path is an immutable nearest-first array of ASNs plus its salted
+   structural hash, computed once at construction. [equal] relies on
+   physical sharing (a receiver keeps the sender's export by pointer) and
+   on the cached hash to stay O(1) in practice. *)
+type t = { hash : int; asns : Asn.t array }
 
 (* Fixed salt: deterministic across worlds (byte-identical tables at any
    [--jobs]) while decorrelating the path hash from the raw ASN values. *)
@@ -22,7 +19,7 @@ let hash_asns asns =
   Array.iter (fun a -> h := mix !h (Asn.to_int a)) asns;
   !h land max_int
 
-let of_array asns = { id = -1; hash = hash_asns asns; asns }
+let of_array asns = { hash = hash_asns asns; asns }
 let of_list l = of_array (Array.of_list l)
 let to_list t = Array.to_list t.asns
 let empty = of_array [||]
@@ -77,16 +74,17 @@ let poisoned_multi ~origin ~poisons =
   | [] -> invalid_arg "As_path.poisoned_multi: empty poison list"
   | _ :: _ -> of_list ((origin :: poisons) @ [ origin ])
 
-let structural_equal a b =
-  Array.length a.asns = Array.length b.asns
-  && (let n = Array.length a.asns in
-      let rec go i = i >= n || (Asn.equal a.asns.(i) b.asns.(i) && go (i + 1)) in
-      go 0)
+(* Top-level, so the walk builds no closure. *)
+let rec equal_from a b i =
+  i >= Array.length a || (Asn.equal a.(i) b.(i) && equal_from a b (i + 1))
 
-(* Interned values of one world are physically shared, so the common case
-   is the [==] hit; unequal values differ in the cached hash with high
-   probability. The structural walk only runs on a hash collision or when
-   comparing uninterned/cross-world values that happen to be equal. *)
+let structural_equal a b =
+  Array.length a.asns = Array.length b.asns && equal_from a.asns b.asns 0
+
+(* A route passed along from speaker to speaker keeps its path by
+   pointer, so the common case is the [==] hit; unequal values differ in
+   the cached hash with high probability. The structural walk only runs
+   on a hash collision or on distinct values that happen to be equal. *)
 let equal a b = a == b || (a.hash = b.hash && structural_equal a b)
 
 let to_string t =
@@ -94,7 +92,3 @@ let to_string t =
 
 let pp fmt t = Format.pp_print_string fmt (to_string t)
 
-module Internal = struct
-  let id t = t.id
-  let with_id t id = { t with id }
-end

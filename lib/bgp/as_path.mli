@@ -7,18 +7,16 @@
     is what poisoning exploits: the origin [O] announces [O-A-O] so that
     [A] drops the route and other ASes route around it.
 
-    Representation: a path is a hash-consed node — an immutable ASN array
-    plus a cached salted structural hash and an interner id. Constructors
-    build uninterned nodes; a per-world {!Path_store} deduplicates them so
-    that structurally-equal paths of one world are physically shared and
-    {!equal} is O(1) on the hot path. Interner ids are world-local and
-    never compared across worlds. *)
+    Representation: an immutable ASN array plus a salted structural hash,
+    computed once at construction. No table deduplicates paths: a speaker
+    exports a path by pointer and its neighbors keep that pointer, so the
+    copies of one route in a world are mostly one physical value, and
+    {!equal} settles on [==] or on the cached hash. *)
 
 open Net
 
 type t
-(** Nearest AS first, origin last. Immutable; structurally-equal values
-    interned by the same {!Path_store} are physically equal. *)
+(** Nearest AS first, origin last. Immutable. *)
 
 val empty : t
 val is_empty : t -> bool
@@ -34,7 +32,7 @@ val length : t -> int
     which is why it lowers preference). O(1). *)
 
 val prepend : Asn.t -> t -> t
-(** Returns a fresh uninterned node; intern it before storing in a RIB. *)
+(** Returns a fresh path; its hash is computed here, once. *)
 
 val contains : Asn.t -> t -> bool
 val exists : (Asn.t -> bool) -> t -> bool
@@ -73,14 +71,14 @@ val poisoned_multi : origin:Asn.t -> poisons:Asn.t list -> t
     see §7.1). *)
 
 val of_list : Asn.t list -> t
-(** Build an (uninterned) path from a nearest-first ASN list. *)
+(** Build a path from a nearest-first ASN list. *)
 
 val to_list : t -> Asn.t list
 
 val equal : t -> t -> bool
 (** Physical equality, then cached-hash comparison, then a structural walk
-    only on hash collision — O(1) on values interned by one store, and
-    O(1) with high probability on unequal values from anywhere. *)
+    only when the hashes agree: O(1) on one physical value, and O(1) with
+    high probability on unequal values. Allocates nothing. *)
 
 val hash : t -> int
 (** The cached salted structural hash (computed once at construction). *)
@@ -90,13 +88,3 @@ val pp : Format.formatter -> t -> unit
 
 val to_string : t -> string
 
-(** Interner plumbing for {!Path_store}; not for general use. *)
-module Internal : sig
-  val id : t -> int
-  (** The interner id, or [-1] if the node is uninterned. World-local:
-      meaningless to compare across worlds. *)
-
-  val with_id : t -> int -> t
-  (** A copy of the node carrying the given interner id (shares the ASN
-      array). *)
-end

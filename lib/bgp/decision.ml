@@ -25,15 +25,11 @@ let best entries =
            (fun acc e -> if compare_entries e acc > 0 then e else acc)
            first rest)
 
-(* No allocation: the winner is returned in the array's own [Some] box. *)
-let best_in_array (candidates : Route.entry option array) =
-  let rec go i acc =
-    if i = Array.length candidates then acc
-    else
-      match (candidates.(i), acc) with
-      | None, _ -> go (i + 1) acc
-      | Some _, None -> go (i + 1) candidates.(i)
-      | Some e, Some cur ->
-          go (i + 1) (if compare_entries e cur > 0 then candidates.(i) else acc)
-  in
-  go 0 None
+(* No case for empty cells: [Route.no_route] ranks below every real
+   entry, so it is also where the scan starts. Top-level, so the scan
+   builds no closure and allocates nothing. *)
+let rec best_from (cells : Route.entry array) i acc =
+  if i = Array.length cells then acc
+  else best_from cells (i + 1) (if compare_entries cells.(i) acc > 0 then cells.(i) else acc)
+
+let best_in_array cells = best_from cells 0 Route.no_route

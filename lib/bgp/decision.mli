@@ -11,8 +11,9 @@
     prepended baseline [O-O-O] (same length, same preference), so ASes
     not routing through [A] have no reason to explore alternatives.
 
-    The per-speaker tiebreak salt is no longer a parameter here: it is
-    baked into each entry at import time ([Route.make_entry ?salt]), so
+    The per-speaker tiebreak salt is no longer a parameter here: its rank
+    is baked into each entry at import time ([Route.make_entry
+    ~tiebreak]), so
     comparisons read the cached [path_len] and [tiebreak] fields instead
     of recomputing path length and a hash per comparison. *)
 
@@ -29,8 +30,10 @@ val best : Route.entry list -> Route.entry option
     is what makes real forward and reverse routes asymmetric. Entries
     built without a salt fall back to lowest-neighbor-ASN. *)
 
-val best_in_array : Route.entry option array -> Route.entry option
-(** Most preferred among the [Some] candidates of an array (a speaker's
-    adj-RIB-in for one prefix, one cell per session). Equal to {!best}
-    of those candidates in any order, because {!compare_entries} is
-    total over one prefix's candidates. *)
+val best_in_array : Route.entry array -> Route.entry
+(** Most preferred among the real entries of an array (a speaker's
+    adj-RIB-in for one prefix, one cell per session, {!Route.no_route}
+    where a session has no route), or {!Route.no_route} if there is
+    none. Equal to {!best} of those entries in any order, because
+    {!compare_entries} is total over one prefix's candidates.
+    Allocates nothing. *)

@@ -71,7 +71,7 @@ type boundary_msg = {
   b_action : Speaker.action;
 }
 
-(* The per-shard slice of the world: its own event queue, path interner
+(* The per-shard slice of the world: its own event queue, prefix ids
    and delivery accounting. A shard's state is touched only by its own
    window execution and by the control plane while every shard is
    quiescent. Legacy networks are a single shard whose engine IS the
@@ -90,11 +90,6 @@ type t = {
   engine : Sim.Engine.t;  (** the control engine *)
   graph : As_graph.t;
   speakers : Speaker.t Asn.Table.t;
-  store : Path_store.t;
-      (** The control-side path/announcement interner ({!announce} paths
-          live here). In legacy mode it is also the single shard's store,
-          shared by every speaker; in sharded mode each shard has its own
-          interner and paths are re-interned on shard entry. *)
   sessions : session array Asn.Table.t;
       (** sender -> pacing state of each directed session, in neighbor
           (ascending receiver ASN) order *)
@@ -144,7 +139,7 @@ let speaker t asn =
   | sp -> sp
   | exception Not_found -> invalid_arg (Printf.sprintf "Network: unknown %s" (Asn.to_string asn))
 
-let path_store t = t.store
+let path_store t = t.shards.(0).sstore
 
 let shard_ix t asn =
   if Array.length t.shards = 1 then 0
@@ -407,21 +402,14 @@ and send t sh ~from ~to_ action ~delay =
 
 (* Barrier injection: put one due message on its destination shard's
    queue. Runs on the control domain while shards are quiescent. An
-   announcement that crosses shards is re-interned here into the
-   destination shard's store, the one place a message changes stores:
-   [Speaker.receive] trusts a wire announcement to be its own store's. *)
+   announcement crosses shards as it is: it is immutable and holds no
+   prefix id, so the receiving shard may keep the sender's value. *)
 let inject_boundary t msg =
   let sh = t.shards.(msg.b_dst_shard) in
-  let action =
-    match msg.b_action with
-    | Speaker.Announce ann when msg.b_src_shard <> msg.b_dst_shard ->
-        Speaker.Announce (Path_store.intern_ann sh.sstore ann)
-    | action -> action
-  in
   sh.s_bgp_events <- sh.s_bgp_events + 1;
   Sim.Engine.schedule sh.sengine ~at:msg.b_arrival (fun () ->
       sh.s_bgp_events <- sh.s_bgp_events - 1;
-      deliver t sh ~from:msg.b_from ~to_:msg.b_to action)
+      deliver t sh ~from:msg.b_from ~to_:msg.b_to msg.b_action)
 
 (* Record a loc-RIB change of [asn] in each collector slice subscribed
    to it: count it and keep it as the latest route, and log it only where
@@ -443,7 +431,6 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
     | None -> fun _ -> Policy.default
   in
   let ases = As_graph.as_list graph in
-  let store = Path_store.create () in
   let shard_ix_tbl = Asn.Table.create 256 in
   let mk_shard six sengine sstore =
     {
@@ -458,7 +445,7 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
   in
   let shard_states =
     match shard_count with
-    | None -> [| mk_shard 0 engine store |]
+    | None -> [| mk_shard 0 engine (Path_store.create ()) |]
     | Some k ->
         (* Deterministic partition: a fixed seed keeps the cut a pure
            function of (graph, k), which the shard-count byte-equality
@@ -474,7 +461,7 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
   List.iter
     (fun asn ->
       let sstore =
-        if Array.length shard_states = 1 then store
+        if Array.length shard_states = 1 then shard_states.(0).sstore
         else shard_states.(Asn.Table.find shard_ix_tbl asn).sstore
       in
       let sp =
@@ -488,7 +475,6 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
       engine;
       graph;
       speakers;
-      store;
       sessions = Asn.Table.create 256;
       last_sent =
         Array.make
@@ -606,7 +592,7 @@ let announce t ~origin ~prefix ?per_neighbor () =
     match per_neighbor with
     | Some f -> f
     | None ->
-        let plain = Path_store.intern_path t.store (As_path.plain ~origin) in
+        let plain = As_path.plain ~origin in
         fun _ -> Some plain
   in
   Prefix.Table.replace t.owners prefix origin;

@@ -85,13 +85,10 @@ val engine : t -> Sim.Engine.t
 (** The shared discrete-event engine the network schedules on. *)
 
 val path_store : t -> Path_store.t
-(** This world's control-side path/announcement interner. Unsharded,
-    {!create} builds one store and hands it to every speaker, so
-    structurally-equal routes inside the world are physically shared; it
-    is never shared across worlds (lib/par worlds are share-nothing). In
-    sharded mode each shard has its own store and announcements are
-    re-interned as they cross a boundary; this store holds only the
-    control plane's own paths (those passed to {!announce}). *)
+(** This world's prefix ids. Unsharded, {!create} builds one store and
+    hands it to every speaker; in sharded mode each shard has its own,
+    and this is the first shard's. It is never shared across worlds
+    (lib/par worlds are share-nothing). *)
 
 val graph : t -> As_graph.t
 (** The annotated AS topology the speakers were built from. *)

@@ -1,15 +1,12 @@
-(** Per-world interner for AS paths and announcements, and the world's
-    dense prefix ids.
+(** A world's dense prefix ids, and the trie over them.
 
-    One store per simulated world: {!Network.create} builds it and threads
-    it through every {!Speaker.create}, so structurally-equal paths and
-    announcements inside a world collapse to one physical value and
-    [As_path.equal] / [Route.announcement_equal] settle on the [==] fast
-    path. There is deliberately no module-level default store — lib/par
-    worlds are share-nothing (LG-DOM-MUT), and a shared table would make
-    interner ids depend on world scheduling. Interning never changes what
-    a table prints, so experiment output stays byte-identical at any
-    [--jobs]. *)
+    One store per simulated world (in sharded mode, per shard):
+    {!Network.create} builds it and threads it through every
+    {!Speaker.create}, and each speaker indexes its per-prefix state by
+    the store's ids. There is deliberately no module-level default store:
+    lib/par worlds are share-nothing (LG-DOM-MUT). The store keeps no
+    paths or announcements; routes are shared by pointer between the
+    speakers that pass them on (see {!As_path}). *)
 
 open Net
 
@@ -17,21 +14,14 @@ type t
 
 val create : unit -> t
 
-val intern_path : t -> As_path.t -> As_path.t
-(** The store's canonical physical value for this path; stamps a fresh
-    world-local id on first sight. Idempotent. *)
-
-val intern_ann : t -> Route.announcement -> Route.announcement
-(** Canonical announcement (its path interned too). Idempotent. *)
-
 val prefix_id : t -> Prefix.t -> int
 (** The prefix's dense id in this store: [0], [1], ... in first-sight
     order, assigned on the first call for a prefix, so ids keep growing
     as sentinels and more-specific prefixes appear late in a run. A
     {!Speaker} indexes its per-prefix state (adj-RIB-in, loc-RIB,
-    adj-RIB-out, origination) by it. Ids are per store, like path ids:
-    every speaker of a world uses its world's store (in sharded mode,
-    its shard's), so an id is meaningful only inside the store that
+    adj-RIB-out, origination) by it. Ids are per store: every speaker
+    of a world uses its world's store (in sharded mode, its shard's),
+    so an id is meaningful only inside the store that
     assigned it. Ids are never printed or compared across stores, and
     output never depends on them. *)
 
@@ -54,8 +44,3 @@ val longest_match : t -> Ipv4.t -> ('s -> int -> 'a option) -> 's -> 'a option
     speaker's FIB entry in the prefix's slot; it allocates nothing of its
     own. *)
 
-val path_count : t -> int
-(** Distinct paths interned so far. *)
-
-val ann_count : t -> int
-(** Distinct announcements interned so far. *)

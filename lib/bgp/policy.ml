@@ -39,21 +39,21 @@ let local_pref_for config ~self ~neighbor ~rel =
   in
   Relationship.local_pref rel + jitter
 
-type import_verdict = Accepted of int | Rejected of string
+type import_verdict = Accepted | Rejected of string
 
-let import config ~self ~peers ~is_peer ~neighbor ~rel (ann : Route.announcement) =
+let import config ~self ~peers ~is_peer ~rel (ann : Route.announcement) =
   if As_path.count self ann.path >= config.loop_limit then Rejected "loop detected"
   else if
     config.reject_peers_in_customer_paths
     && Relationship.equal rel Relationship.Customer
     && As_path.exists (fun a -> is_peer peers a) ann.path
   then Rejected "peer AS in customer-announced path"
-  else Accepted (local_pref_for config ~self ~neighbor ~rel)
+  else Accepted
 
 (* Export is split into the per-neighbor predicate [export_allowed] and the
    neighbor-independent rewrite [export_ann], so a speaker syncing one
-   prefix toward many neighbors computes (and interns) the outgoing
-   announcement once and runs only the cheap predicate per neighbor. *)
+   prefix toward many neighbors computes the outgoing announcement once
+   and runs only the cheap predicate per neighbor. *)
 
 let export_allowed ~entry ~to_neighbor ~to_rel =
   let { Route.rel = learned_from; neighbor; _ } = entry in

@@ -58,24 +58,23 @@ val local_pref_for : config -> self:Asn.t -> neighbor:Asn.t -> rel:Relationship.
 (** The local preference assigned to a route from this neighbor,
     including the configured jitter. *)
 
-type import_verdict = Accepted of int | Rejected of string
-(** [Accepted local_pref], or a rejection with the reason (for logs and
-    tests). *)
+type import_verdict = Accepted | Rejected of string
+(** Acceptance, or a rejection with the reason (for logs and tests). *)
 
 val import :
   config ->
   self:Asn.t ->
   peers:'peers ->
   is_peer:('peers -> Asn.t -> bool) ->
-  neighbor:Asn.t ->
   rel:Relationship.t ->
   Route.announcement ->
   import_verdict
-(** Import policy for an announcement received from [neighbor]. Checks
-    loop prevention against [loop_limit], then the Cogent quirk, which
-    asks [is_peer peers a] whether AS [a] is a settlement-free peer of
-    [self]. The question takes its data as an argument, so a caller can
-    pass a top-level function and allocate nothing per call. *)
+(** Import policy for an announcement received from a neighbor that is
+    [rel] to [self]. Checks loop prevention against [loop_limit], then
+    the Cogent quirk, which asks [is_peer peers a] whether AS [a] is a
+    settlement-free peer of [self]. The question takes its data as an
+    argument, so a caller can pass a top-level function and allocate
+    nothing per call. *)
 
 (** Export is split in two so a speaker syncing one prefix toward many
     neighbors builds the outgoing announcement once: the loc-RIB [entry]

@@ -14,8 +14,9 @@ type announcement = {
 val announcement : prefix:Prefix.t -> path:As_path.t -> announcement
 
 val announcement_equal : announcement -> announcement -> bool
-(** Full attribute equality — used to suppress duplicate updates. O(1)
-    ([==]) on announcements interned by one world's {!Path_store}. *)
+(** Full attribute equality — used to suppress duplicate updates. O(1):
+    [==] on one physical value (what a neighbor's export usually is), and
+    otherwise the paths' cached hashes ({!As_path.equal}). *)
 
 type entry = {
   ann : announcement;
@@ -25,38 +26,50 @@ type entry = {
   learned_at : float;  (** Simulation time of import. *)
   path_len : int;  (** Cached [As_path.length ann.path]. *)
   tiebreak : int;
-      (** Cached per-speaker tiebreak rank (a 16-bit hash of the
-          importing speaker's salt and [neighbor], standing in for the
-          IGP-cost / router-id tiebreaks real routers apply; [0] when
-          imported without a salt).
-          Both caches exist because {!Decision.compare_entries} runs once
-          per candidate per update — the hottest comparison in the
-          simulator — and recomputing path length and hash rank there
-          dominated the decision step. *)
+      (** Per-speaker tiebreak rank ({!tiebreak_rank} of the importing
+          speaker's salt and [neighbor], standing in for the IGP-cost /
+          router-id tiebreaks real routers apply; [0] for local routes
+          and where no salt applies).
+          Both fields are cached because {!Decision.compare_entries}
+          runs once per candidate per update — the hottest comparison in
+          the simulator — and recomputing path length and hash rank
+          there dominated the decision step. *)
 }
 (** An adj-RIB-in / loc-RIB entry. Build with {!make_entry} or
     {!local_entry_of} so the cached fields stay consistent with [ann]. *)
 
+val tiebreak_rank : salt:int -> Asn.t -> int
+(** The 16-bit tiebreak rank of a neighbor for a speaker with this salt
+    (typically its ASN): an explicit integer mix, so decision tie-breaks
+    are pinned by this source alone. *)
+
 val make_entry :
-  ?salt:int ->
   ann:announcement ->
   neighbor:Asn.t ->
   rel:Relationship.t ->
   local_pref:int ->
+  tiebreak:int ->
   learned_at:float ->
-  unit ->
   entry
-(** Smart constructor: fills [path_len] and [tiebreak] from [ann],
-    [salt] and [neighbor]. [salt] is the importing speaker's tiebreak
-    salt (typically its ASN); omitting it gives rank [0], i.e. the
-    plain lowest-neighbor-ASN final tiebreak. *)
+(** Smart constructor: fills [path_len] from [ann]. [tiebreak] is the
+    rank to store, usually {!tiebreak_rank}; [0] gives the plain
+    lowest-neighbor-ASN final tiebreak. *)
 
 val local_entry_of : ann:announcement -> self:Asn.t -> now:float -> entry
 (** The locally-originated route for an announcement: highest
     preference, treated as customer-learned for export purposes
-    (exported to everyone). Taking a pre-built (typically interned)
-    announcement lets a speaker reuse one shared local announcement
-    across refreshes. *)
+    (exported to everyone). Taking a pre-built announcement lets a
+    speaker reuse one shared local announcement across refreshes. *)
 
 val is_local : entry -> bool
 (** Whether the entry is a local origination (neighbor = self). *)
+
+val no_route : entry
+(** The empty adj-RIB-in cell: what a {!Speaker} stores for a session
+    with no route, in place of an option box. {!Decision.compare_entries}
+    ranks it below every real entry. *)
+
+val is_route : entry -> bool
+(** Whether the entry is a real route, not {!no_route}. A field test,
+    so it also holds for a copy of {!no_route}, as in a world copied with
+    Marshal; never compare with {!no_route} by [==]. *)

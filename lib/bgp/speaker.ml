@@ -13,8 +13,8 @@ type action = Announce of Route.announcement | Withdraw of Prefix.t
 type origination = {
   per_neighbor : Asn.t -> As_path.t option;
   local_ann : Route.announcement;
-      (* The interned loc-RIB announcement ([self] plain path), built once
-         at [originate] so every [compute_best] reuses the same physical
+      (* The loc-RIB announcement ([self] plain path), built once at
+         [originate] so every [compute_best] reuses the same physical
          value and the refresh change-check settles on [==]. *)
 }
 
@@ -38,7 +38,8 @@ type session = {
 (* Everything the speaker holds for one prefix. Slots are found by the
    prefix's dense id in the speaker's [Path_store], and the per-neighbor
    RIBs are arrays indexed by [session.ix], so the update path does no
-   prefix- or neighbor-keyed hashing. *)
+   prefix- or neighbor-keyed hashing. An adj-RIB-in cell holds its entry
+   unboxed, [Route.no_route] when the session has none. *)
 type slot = {
   prefix : Prefix.t;
   mutable local : origination option;
@@ -48,7 +49,7 @@ type slot = {
           again whenever [best] is replaced. *)
   mutable fib : Route.entry option;
       (** The data-plane entry: [best] once {!install_fib} has caught up. *)
-  ins : Route.entry option array;  (** Adj-RIB-in: candidate per session. *)
+  ins : Route.entry array;  (** Adj-RIB-in: candidate per session. *)
   outs : Route.announcement option array;  (** Adj-RIB-out: last sent per session. *)
 }
 
@@ -56,13 +57,19 @@ type t = {
   self : Asn.t;
   config : Policy.config;
   store : Path_store.t;
-      (* The world's interner and prefix ids: shared with every other
-         speaker of the same [Network] (shard), never across worlds
-         (share-nothing). *)
+      (* The world's prefix ids: shared with every other speaker of the
+         same [Network] (shard), never across worlds (share-nothing). *)
   sessions : session array;
       (** By ascending neighbor ASN: the order of every export list, and
           what {!session}'s binary search relies on. *)
-  mutable slots : slot option array;  (** By prefix id; grown on demand. *)
+  mutable slots : slot array;
+      (** By prefix id, [vacant] where the prefix has no slot; grown on
+          demand. *)
+  vacant : slot;
+      (** The filler of [slots]: never written, and told apart by [==].
+          The speaker holds it, so a world copied with Marshal copies it
+          together with the cells that point to it and the test still
+          holds in the copy, which it would not for a module-level value. *)
   mutable loc_rib_size : int;  (** Slots with a [best]. *)
   fib_epoch : int ref;
       (** Bumped by every [install_fib]; shared by all speakers of a
@@ -76,6 +83,18 @@ type t = {
 
 and damp_state = { mutable penalty : float; mutable last : float; mutable suppressed : bool }
 
+(* A slot with nothing in it, for [k] sessions. *)
+let empty_slot prefix k =
+  {
+    prefix;
+    local = None;
+    best = None;
+    export = None;
+    fib = None;
+    ins = Array.make k Route.no_route;
+    outs = Array.make k None;
+  }
+
 let create ?store ?fib_epoch ~asn ~config ~neighbors () =
   let sessions =
     List.sort (fun (a, _) (b, _) -> Asn.compare a b) neighbors
@@ -88,6 +107,7 @@ let create ?store ?fib_epoch ~asn ~config ~neighbors () =
     store = (match store with Some s -> s | None -> Path_store.create ());
     sessions;
     slots = [||];
+    vacant = empty_slot Route.no_route.Route.ann.Route.prefix 0;
     loc_rib_size = 0;
     fib_epoch = (match fib_epoch with Some e -> e | None -> ref 0);
     on_best_change = None;
@@ -97,7 +117,6 @@ let create ?store ?fib_epoch ~asn ~config ~neighbors () =
   }
 
 let asn t = t.self
-let path_store t = t.store
 let set_on_best_change t f = t.on_best_change <- Some f
 let set_reuse_scheduler t f = t.reuse_scheduler <- Some f
 let set_fib_commit_hook t f = t.fib_commit <- Some f
@@ -200,32 +219,24 @@ let slot t prefix =
   let id = Path_store.prefix_id t.store prefix in
   let n = Array.length t.slots in
   if id >= n then begin
-    let grown = Array.make (max (id + 1) (2 * n)) None in
+    let grown = Array.make (max (id + 1) (2 * n)) t.vacant in
     Array.blit t.slots 0 grown 0 n;
     t.slots <- grown
   end;
-  match t.slots.(id) with
-  | Some slot -> slot
-  | None ->
-      let k = Array.length t.sessions in
-      let slot =
-        {
-          prefix;
-          local = None;
-          best = None;
-          export = None;
-          fib = None;
-          ins = Array.make k None;
-          outs = Array.make k None;
-        }
-      in
-      t.slots.(id) <- Some slot;
-      slot
+  let slot = t.slots.(id) in
+  if slot != t.vacant then slot
+  else begin
+    let slot = empty_slot prefix (Array.length t.sessions) in
+    t.slots.(id) <- slot;
+    slot
+  end
 
+(* The prefix's slot, or [vacant] (no origination, no best, no FIB) if it
+   has none; creates nothing. *)
 let find_slot t prefix =
   match Path_store.find_prefix_id t.store prefix with
   | Some id when id < Array.length t.slots -> t.slots.(id)
-  | Some _ | None -> None
+  | Some _ | None -> t.vacant
 
 let install_fib t prefix entry =
   incr t.fib_epoch;
@@ -239,8 +250,10 @@ let sorted_slots t keep =
   let acc = ref [] in
   for k = Array.length ids - 1 downto 0 do
     let id = ids.(k) in
-    if id < Array.length t.slots then
-      match t.slots.(id) with Some s when keep s -> acc := s :: !acc | Some _ | None -> ()
+    if id < Array.length t.slots then begin
+      let s = t.slots.(id) in
+      if s != t.vacant && keep s then acc := s :: !acc
+    end
   done;
   !acc
 
@@ -252,27 +265,29 @@ let damping_pending t =
 let compute_best t ~now slot =
   Obs.Metrics.incr m_decisions;
   match slot.local with
-  | Some { local_ann; _ } -> Some (Route.local_entry_of ~ann:local_ann ~self:t.self ~now)
+  | Some { local_ann; _ } -> Route.local_entry_of ~ann:local_ann ~self:t.self ~now
   | None ->
       if not (damping_pending t) then Decision.best_in_array slot.ins
       else
         (* Damped candidates are ineligible until their penalty decays. *)
-        Decision.best
-          (Array.fold_left
-             (fun acc cell ->
-               match cell with
-               | Some e when not (is_suppressed t ~now slot.prefix e.Route.neighbor) -> e :: acc
-               | Some _ | None -> acc)
-             [] slot.ins)
+        Array.fold_left
+          (fun acc e ->
+            if
+              Route.is_route e
+              && (not (is_suppressed t ~now slot.prefix e.Route.neighbor))
+              && Decision.compare_entries e acc > 0
+            then e
+            else acc)
+          Route.no_route slot.ins
 
 (* The announcement the loc-RIB best goes out as. It is the same toward
-   every neighbor and changes only with [best], so the slot keeps it,
-   interned, until [best] is replaced. *)
+   every neighbor and changes only with [best], so the slot keeps it
+   until [best] is replaced, and every neighbor receives this one value. *)
 let best_export t slot entry =
   match slot.export with
   | Some _ as out -> out
   | None ->
-      let out = Some (Path_store.intern_ann t.store (Policy.export_ann ~self:t.self ~entry)) in
+      let out = Some (Policy.export_ann ~self:t.self ~entry) in
       slot.export <- out;
       out
 
@@ -284,8 +299,7 @@ let desired t s slot =
     match slot.local with
     | Some { per_neighbor; _ } -> begin
         match per_neighbor s.asn with
-        | Some path ->
-            Some (Path_store.intern_ann t.store (Route.announcement ~prefix:slot.prefix ~path))
+        | Some path -> Some (Route.announcement ~prefix:slot.prefix ~path)
         | None -> None
       end
     | None -> begin
@@ -327,16 +341,18 @@ let sync_exports t slot =
    emitted nothing. *)
 let refresh_best ?(force_sync = false) t ~now slot =
   let old_best = slot.best in
-  let new_best = compute_best t ~now slot in
+  let e = compute_best t ~now slot in
   let changed =
-    match (old_best, new_best) with
-    | None, None -> false
-    | Some a, Some b ->
-        not (Route.announcement_equal a.Route.ann b.Route.ann)
-        || not (Asn.equal a.Route.neighbor b.Route.neighbor)
-    | _ -> true
+    match old_best with
+    | None -> Route.is_route e
+    | Some a ->
+        (not (Route.is_route e))
+        || (not (Route.announcement_equal a.Route.ann e.Route.ann))
+        || not (Asn.equal a.Route.neighbor e.Route.neighbor)
   in
   if changed then begin
+    (* Boxed only here: an unchanged best allocates nothing. *)
+    let new_best = if Route.is_route e then Some e else None in
     (match (old_best, new_best) with
     | None, Some _ -> t.loc_rib_size <- t.loc_rib_size + 1
     | Some _, None -> t.loc_rib_size <- t.loc_rib_size - 1
@@ -354,10 +370,7 @@ let refresh_best ?(force_sync = false) t ~now slot =
   if changed || force_sync then sync_exports t slot else []
 
 let originate t ~now ~prefix ~per_neighbor =
-  let local_ann =
-    Path_store.intern_ann t.store
-      (Route.announcement ~prefix ~path:(As_path.plain ~origin:t.self))
-  in
+  let local_ann = Route.announcement ~prefix ~path:(As_path.plain ~origin:t.self) in
   let slot = slot t prefix in
   slot.local <- Some { per_neighbor; local_ann };
   refresh_best ~force_sync:true t ~now slot
@@ -374,43 +387,31 @@ let receive t ~now ~from action =
     match action with
     | Withdraw prefix ->
         let slot = slot t prefix in
-        if Option.is_some slot.ins.(s.ix) then begin
+        if Route.is_route slot.ins.(s.ix) then begin
           ignore (note_flap t ~now prefix from);
-          slot.ins.(s.ix) <- None
+          slot.ins.(s.ix) <- Route.no_route
         end;
         refresh_best t ~now slot
     | Announce ann -> begin
-        (* Every announcement on the wire was interned by the sending
-           speaker, in the store this one shares (across shards,
-           {!Network} re-interns it at the boundary). Only an uninterned
-           one, handed in directly, needs the store. *)
-        let ann =
-          if As_path.Internal.id ann.Route.path < 0 then Path_store.intern_ann t.store ann
-          else ann
-        in
         let prefix = ann.Route.prefix in
         let slot = slot t prefix in
         (* A changed announcement from a neighbor that already had a route
            is a flap. *)
-        (match slot.ins.(s.ix) with
-        | Some previous
-          when not (Route.announcement_equal previous.Route.ann ann) ->
-            ignore (note_flap t ~now prefix from)
-        | Some _ | None -> ());
-        match
-          Policy.import t.config ~self:t.self ~peers:t.sessions ~is_peer ~neighbor:from
-            ~rel:s.rel ann
-        with
+        let previous = slot.ins.(s.ix) in
+        if Route.is_route previous && not (Route.announcement_equal previous.Route.ann ann) then
+          ignore (note_flap t ~now prefix from);
+        match Policy.import t.config ~self:t.self ~peers:t.sessions ~is_peer ~rel:s.rel ann with
         | Policy.Rejected _ ->
             (* An update that fails import replaces (removes) whatever this
                neighbor previously announced for the prefix. *)
-            slot.ins.(s.ix) <- None;
+            slot.ins.(s.ix) <- Route.no_route;
             refresh_best t ~now slot
-        | Policy.Accepted local_pref ->
+        | Policy.Accepted ->
             slot.ins.(s.ix) <-
-              Some
-                (Route.make_entry ~salt:(Asn.to_int t.self) ~ann ~neighbor:from
-                   ~rel:s.rel ~local_pref ~learned_at:now ());
+              Route.make_entry ~ann ~neighbor:from ~rel:s.rel
+                ~local_pref:(Policy.local_pref_for t.config ~self:t.self ~neighbor:from ~rel:s.rel)
+                ~tiebreak:(Route.tiebreak_rank ~salt:(Asn.to_int t.self) from)
+                ~learned_at:now;
             refresh_best t ~now slot
       end
   end
@@ -422,16 +423,16 @@ let session_down t ~now ~neighbor =
     s.down <- true;
     let i = s.ix in
     let affected =
-      sorted_slots t (fun slot -> Option.is_some slot.ins.(i) || Option.is_some slot.local)
+      sorted_slots t (fun slot -> Route.is_route slot.ins.(i) || Option.is_some slot.local)
     in
     (* Drop the neighbor's routes, and clear its adj-RIB-out so a later
        session_up re-announces from scratch. *)
     Array.iter
-      (function
-        | Some slot ->
-            slot.ins.(i) <- None;
-            slot.outs.(i) <- None
-        | None -> ())
+      (fun slot ->
+        if slot != t.vacant then begin
+          slot.ins.(i) <- Route.no_route;
+          slot.outs.(i) <- None
+        end)
       t.slots;
     List.concat_map (refresh_best t ~now) affected
   end
@@ -472,29 +473,22 @@ let refresh_prefix t ~prefix =
   Array.iter (fun s -> if not s.down then slot.outs.(s.ix) <- None) t.sessions;
   sync_exports t slot
 
-let best t prefix = match find_slot t prefix with Some slot -> slot.best | None -> None
+let best t prefix = (find_slot t prefix).best
+
 (* The FIB is the [fib] field of the slots, found through the world's
    prefix trie: the match is the most specific prefix covering the
-   address whose slot at this speaker holds an entry. Both readers below
-   are closed functions of (speaker, prefix id), so a walk allocates
-   nothing but what [fib_lookup] returns. *)
-let fib_slot t id =
-  if id < Array.length t.slots then
-    match t.slots.(id) with Some { fib = Some _; _ } as cell -> cell | Some _ | None -> None
-  else None
-
-let fib_at t id =
-  if id < Array.length t.slots then
-    match t.slots.(id) with Some slot -> slot.fib | None -> None
-  else None
+   address whose slot at this speaker holds an entry. The reader below is
+   a closed function of (speaker, prefix id) that returns the slot's own
+   box ([vacant]'s is [None]), so a walk allocates nothing but what
+   [fib_lookup] returns. An entry is installed for its own prefix, so
+   [fib_lookup] reads the matched prefix off the entry. *)
+let fib_at t id = if id < Array.length t.slots then t.slots.(id).fib else None
+let fib_find t ip = Path_store.longest_match t.store ip fib_at t
 
 let fib_lookup t ip =
-  match Path_store.longest_match t.store ip fib_slot t with
-  | Some { prefix; fib = Some e; _ } -> Some (prefix, e)
-  | Some { fib = None; _ } | None -> None
+  match fib_find t ip with Some e -> Some (e.Route.ann.Route.prefix, e) | None -> None
 
-let fib_find t ip = Path_store.longest_match t.store ip fib_at t
-let fib_entry t prefix = match find_slot t prefix with Some slot -> slot.fib | None -> None
+let fib_entry t prefix = (find_slot t prefix).fib
 
 let prefixes t =
   List.map (fun slot -> slot.prefix) (sorted_slots t (fun slot -> Option.is_some slot.best))

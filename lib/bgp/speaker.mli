@@ -29,19 +29,15 @@ val create :
 (** A speaker for [asn] with the given neighbor sessions, kept in
     ascending neighbor ASN order (the order {!Network.create} passes
     them in): every list of updates the speaker returns lists neighbors
-    in that order. [store] is the
-    world's path/announcement interner — {!Network.create} passes one
-    store to every speaker of a world so their RIBs share physical values;
-    a standalone speaker (tests) defaults to a private store. The speaker
+    in that order. [store] holds the world's prefix ids —
+    {!Network.create} passes one store to every speaker of a world; a
+    standalone speaker (tests) defaults to a private store. The speaker
     keeps its per-prefix state in slots indexed by the store's
     {!Path_store.prefix_id}. Never share a store across worlds: lib/par
     worlds are share-nothing.
     [fib_epoch] is the counter {!install_fib} bumps; {!Network.create}
     hands one counter to every speaker of a world (default: a private
     one). *)
-
-val path_store : t -> Path_store.t
-(** The interner this speaker stores paths and announcements in. *)
 
 val asn : t -> Asn.t
 (** The AS this speaker represents. *)
@@ -64,11 +60,9 @@ val receive : t -> now:float -> from:Asn.t -> action -> (Asn.t * action) list
     when [from] is not a neighbor (so do {!session_down} and
     {!session_up}).
 
-    An announcement whose path is interned is taken as this speaker's
-    store's canonical value and is not interned again: every speaker
-    interns what it sends, and {!Network} re-interns what crosses a
-    shard boundary. An uninterned one (built directly, as tests do) is
-    interned here. *)
+    The speaker keeps the announcement it is handed by pointer; a
+    neighbor's export is one value per loc-RIB best, so the copies of
+    one route in a world are mostly one physical value. *)
 
 val session_down : t -> now:float -> neighbor:Asn.t -> (Asn.t * action) list
 (** Drop every route learned from [neighbor] and stop exporting to it
@@ -126,7 +120,9 @@ val set_fib_commit_hook : t -> (Prefix.t -> Route.entry option -> unit) -> unit
 
 val install_fib : t -> Prefix.t -> Route.entry option -> unit
 (** Install (or remove, on [None]) the data-plane entry for a prefix, and
-    bump the FIB epoch. This is the only writer of the FIB. *)
+    bump the FIB epoch. This is the only writer of the FIB. The entry is
+    a route for that prefix: {!fib_lookup} reads the matched prefix off
+    it. *)
 
 val prefixes : t -> Prefix.t list
 (** All prefixes with a loc-RIB entry. *)

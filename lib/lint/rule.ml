@@ -69,8 +69,8 @@ let describe = function
       "List.mem/List.assoc inside a let rec or iteration closure, directly or through a \
        local helper that scans a captured list; quadratic scan — use a Set/Map/Hashtbl"
   | Perf_structeq ->
-      "structural =/compare on an interned BGP value (As_path.t / Route entry fields) \
-       outside lib/bgp; defeats O(1) hash-consed equality — use As_path.equal / \
+      "structural =/compare on a BGP path or route (As_path.t / Route entry fields) \
+       outside lib/bgp; skips the O(1) cached-hash equality — use As_path.equal / \
        Route.announcement_equal"
   | Perf_boxed ->
       "mutable record field of type int64 / int32 / nativeint in a library; every write \

@@ -42,9 +42,9 @@ let classify path =
        that owns the output channel, so the domain-safety and printing
        rules do not apply to it. *)
     obs_exempt = under_lib "obs" segs;
-    (* lib/bgp owns the interned representations, so its internals (the
-       interner, the structural fallback in As_path.equal) legitimately
-       compare structurally; the STRUCTEQ rule applies everywhere else. *)
+    (* lib/bgp owns the path and route representations, so its internals
+       (the structural fallback in As_path.equal) legitimately compare
+       structurally; the STRUCTEQ rule applies everywhere else. *)
     bgp_exempt = under_lib "bgp" segs;
     (* Workloads.Template copies worlds inside the running binary, the
        one use of Marshal whose output never leaves the process. *)
@@ -155,12 +155,12 @@ let is_option_sentinel (e : expression) =
 
 (* [As_path] functions whose result is an [As_path.t] (not a projection
    like [length] or a conversion like [to_list]) — comparing one of these
-   structurally defeats the interned O(1) equality. *)
+   structurally skips the O(1) pointer/cached-hash equality. *)
 let as_path_t_constructors =
   [ "empty"; "plain"; "prepended"; "poisoned"; "poisoned_multi"; "prepend"; "traversed";
     "of_list" ]
 
-(* Does this expression syntactically denote an interned BGP value? Purely
+(* Does this expression syntactically denote a BGP path or route? Purely
    syntactic (no types): a field access reaching through [Route]
    ([e.Bgp.Route.path], [e.Route.ann]) or an [As_path]-qualified
    identifier/application returning a path. *)
@@ -346,7 +346,7 @@ let scan_structure ~kind ~file str =
                module equal";
           if (not kind.bgp_exempt) && List.exists (fun (_, a) -> is_bgp_valued a) args then
             add Rule.Perf_structeq loc
-              "structural (in)equality on an interned BGP value defeats O(1) hash-consed \
+              "structural (in)equality on a BGP path or route skips the O(1) cached-hash \
                comparison; use As_path.equal / Route.announcement_equal"
         end
         else if
@@ -357,7 +357,7 @@ let scan_structure ~kind ~file str =
           && List.exists (fun (_, a) -> is_bgp_valued a) args
         then
           add Rule.Perf_structeq loc
-            "structural compare on an interned BGP value walks the whole path; compare \
+            "structural compare on a BGP path or route walks the whole path; compare \
              through As_path.equal / the cached hash instead"
         else if path_equal p [ "@" ] || path_equal p [ "List"; "append" ] then begin
           if !rec_depth > 0 || !fold_depth > 0 then

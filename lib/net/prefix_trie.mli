@@ -8,7 +8,8 @@
 
     The trie is updated in place: an insert walks the prefix's path and
     allocates only the nodes it adds. Each world keeps one trie from its
-    prefixes to their dense ids ([Bgp.Path_store]), and every speaker's
+    prefixes to their dense ids (in [Bgp.Path_store], which holds the ids
+    and nothing else), and every speaker's
     FIB lookup walks that trie with {!find_longest}, skipping the
     prefixes it holds no FIB entry for; the network's address-ownership
     map is a second trie. *)

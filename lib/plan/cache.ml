@@ -9,7 +9,6 @@ let m_demotions = Obs.Metrics.counter "plan.demotions"
 type t = {
   config : Decide.config;
   origin : Asn.t;
-  paths : Bgp.Path_store.t;
   mutable plans : Plan_store.t;
   mutable demoted : Asn.Set.t;
   mutable demotion_log : (Asn.t * string) list;
@@ -19,11 +18,10 @@ type t = {
   mutable demotions : int;
 }
 
-let create ?(seed = Plan_store.empty) ~config ~origin ~paths () =
+let create ?(seed = Plan_store.empty) ~config ~origin ~paths:_ () =
   {
     config;
     origin;
-    paths;
     plans = seed;
     demoted = Asn.Set.empty;
     demotion_log = [];
@@ -84,8 +82,7 @@ let lookup t graph ~now ~target ~diagnosis ~outage_age ~breaker_open =
                the very next age-gate recheck — is served from plan. *)
             t.plans <-
               Plan_store.add t.plans ~target ~cls
-                (Planner.remedy_for_class graph ~store:t.paths ~origin:t.origin
-                   ~target ~cls);
+                (Planner.remedy_for_class graph ~origin:t.origin ~target ~cls);
             miss t ~now ~target ?cls:(Some cls) ~result:"miss" ()
         | Some remedy ->
             if

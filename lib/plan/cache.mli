@@ -41,8 +41,9 @@ val create :
   paths:Bgp.Path_store.t ->
   unit ->
   t
-(** [seed] is the offline planner's failure map. [paths] interns
-    demand-planned poison paths. *)
+(** [seed] is the offline planner's failure map. [paths] is not read
+    (demand-planned poison paths need no per-world table); it stays
+    until the benchmark harness, which passes it, changes. *)
 
 val lookup :
   t ->

@@ -4,16 +4,15 @@
     Backed by a total-order map over {!Failure_class.compare}, so a
     store's contents do not depend on insertion order — the plan
     subsystem's analogue of the repo-wide byte-identical-tables
-    invariant. Poisoned AS paths inside remedies
-    are interned through the owning world's [Bgp.Path_store], so a plan
-    hit announces the same physical path a fresh decision would. *)
+    invariant. A remedy's poisoned AS path is built once, when the
+    remedy is planned, and every hit announces that one value. *)
 
 open Net
 
 type remedy =
   | Poison of { path : Bgp.As_path.t }
-      (** Poison the blamed AS; [path] is the interned [O-A-O]
-          announcement the remediation will make. *)
+      (** Poison the blamed AS; [path] is the [O-A-O] announcement the
+          remediation will make. *)
   | Selective_poison of { path : Bgp.As_path.t; via : Asn.t list }
       (** Poison through the providers in [via] only (§3.1.2). *)
   | Alternate_path

@@ -78,11 +78,9 @@ let blames q =
 
 let candidate_blames graph ~origin ~target = blames (queries graph ~origin ~target)
 
-let remedy_for q ~store ~blamed =
+let remedy_for q ~blamed =
   if reachable_around q blamed then begin
-    let path =
-      Bgp.Path_store.intern_path store (Bgp.As_path.poisoned ~origin:q.origin ~poison:blamed)
-    in
+    let path = Bgp.As_path.poisoned ~origin:q.origin ~poison:blamed in
     let direct_provider =
       match As_graph.relationship q.graph ~a:q.origin ~b:blamed with
       | Some Relationship.Provider -> true
@@ -93,13 +91,13 @@ let remedy_for q ~store ~blamed =
   end
   else Plan_store.Hopeless (hopeless_reason blamed)
 
-let remedy_for_class graph ~store ~origin ~target ~cls =
+let remedy_for_class graph ~origin ~target ~cls =
   match cls.Failure_class.direction with
   | Isolation.Reverse_failure | Isolation.Bidirectional ->
       if Asn.equal cls.Failure_class.blamed origin then
         Plan_store.Hopeless "failure is local; fix it directly"
       else
-        remedy_for (queries graph ~origin ~target) ~store ~blamed:cls.Failure_class.blamed
+        remedy_for (queries graph ~origin ~target) ~blamed:cls.Failure_class.blamed
   | Isolation.Forward_failure -> Plan_store.Alternate_path
   | Isolation.No_failure -> Plan_store.Hopeless "path works; nothing to repair"
   | Isolation.Destination_unreachable ->
@@ -113,7 +111,7 @@ let classes_of blamed =
         [ false; true ])
     [ Isolation.Reverse_failure; Isolation.Bidirectional ]
 
-let build ~graph ~store ~plan ~targets =
+let build ~graph ~store:_ ~plan ~targets =
   let origin = plan.Remediate.origin in
   List.fold_left
     (fun acc target ->
@@ -122,7 +120,7 @@ let build ~graph ~store ~plan ~targets =
         let q = queries graph ~origin ~target in
         List.fold_left
           (fun acc blamed ->
-            let remedy = remedy_for q ~store ~blamed in
+            let remedy = remedy_for q ~blamed in
             let acc =
               List.fold_left
                 (fun acc cls -> Plan_store.add acc ~target ~cls remedy)

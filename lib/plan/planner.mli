@@ -6,8 +6,8 @@
     potential blame verdict, and answers the decision process's
     feasibility question ahead of time: would a valley-free path around
     that AS still exist? Feasible classes get a poison remedy (the
-    [O-A-O] path interned in the world's path store — selective when the
-    blamed AS is one of the origin's direct providers), infeasible ones a
+    [O-A-O] path, built once per remedy — selective when the blamed AS
+    is one of the origin's direct providers), infeasible ones a
     hopeless remedy carrying the exact reason string the fresh decision
     would produce, and forward-direction classes the egress-switch advice.
 
@@ -39,7 +39,6 @@ val candidate_blames : As_graph.t -> origin:Asn.t -> target:Asn.t -> Asn.t list
 
 val remedy_for_class :
   As_graph.t ->
-  store:Bgp.Path_store.t ->
   origin:Asn.t ->
   target:Asn.t ->
   cls:Failure_class.t ->
@@ -57,4 +56,8 @@ val build :
   targets:Asn.t list ->
   Plan_store.t
 (** The full failure map for [targets]: every (target, failure-class)
-    pair with its precomputed remedy, in the store's canonical order. *)
+    pair with its precomputed remedy, in the store's canonical order.
+    [store] (the world's prefix ids) is not read: a plan's poison paths
+    need no per-world table.
+    The argument stays until the benchmark harness, which passes it,
+    changes. *)

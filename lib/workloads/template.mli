@@ -9,9 +9,12 @@
     again. Because the template itself is an immutable string, one
     template can be forked on every [Par.Pool] domain at once and the
     forked worlds still share nothing (LG-DOM-MUT). Physical sharing
-    inside the world survives the copy, so a fork's interned paths and
-    announcements keep their [==] fast paths against its own
-    [Bgp.Path_store].
+    inside the world survives the copy: routes the speakers pass on by
+    pointer stay one value in the fork, and a marker a speaker holds
+    (its vacant slot) is still the one its cells point to. A marker
+    compared with [==] against a module-level value is not: the fork
+    holds a copy of it, so such a marker must be told apart by a field
+    instead ([Bgp.Route.is_route]).
 
     Templates embed code pointers: they are valid only inside the
     running binary, never written to disk. This is the one module

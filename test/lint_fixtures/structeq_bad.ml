@@ -1,5 +1,5 @@
-(* must-flag: structural =/compare on interned BGP values defeats the
-   O(1) hash-consed equality. Four violations. *)
+(* must-flag: structural =/compare on BGP paths and routes skips the
+   O(1) cached-hash equality. Four violations. *)
 
 let same_ann a b = a.Bgp.Route.ann = b.Bgp.Route.ann
 let changed x y = x.Route.path <> y.Route.path

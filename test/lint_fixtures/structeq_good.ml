@@ -1,4 +1,4 @@
-(* must-pass: interned-aware comparisons through the module's own
+(* must-pass: comparisons through the module's own
    equality, or structural equality on scalar projections. *)
 
 let same_path p q = Bgp.As_path.equal p q

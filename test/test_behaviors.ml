@@ -44,12 +44,16 @@ let test_no_route_without_rib_entry () =
    every step of the order gets exercised. *)
 let prop_decision_is_key_maximum =
   let entry salt (neighbor, local_pref, len) =
-    Bgp.Route.make_entry ?salt
+    Bgp.Route.make_entry
       ~ann:
         (Bgp.Route.announcement ~prefix:production
            ~path:(Bgp.As_path.of_list (List.init len (fun i -> asn (900 + i)))))
       ~neighbor:(asn neighbor) ~rel:Topology.Relationship.Provider ~local_pref
-      ~learned_at:0.0 ()
+      ~tiebreak:
+        (match salt with
+        | Some salt -> Bgp.Route.tiebreak_rank ~salt (asn neighbor)
+        | None -> 0)
+      ~learned_at:0.0
   in
   let key (e : Bgp.Route.entry) =
     (e.local_pref, -e.path_len, -e.tiebreak, -Asn.to_int e.neighbor)
@@ -79,7 +83,7 @@ let test_export_table () =
   in
   let learned rel =
     Bgp.Route.make_entry ~ann ~neighbor:learned_from_asn ~rel ~local_pref:(local_pref rel)
-      ~learned_at:0.0 ()
+      ~tiebreak:0 ~learned_at:0.0
   in
   let local =
     Bgp.Route.local_entry_of

@@ -1,88 +1,54 @@
-(* Path_store invariants: physical sharing within a world, world-local
-   ids, share-nothing across worlds, allocation-free O(1) equality on
-   interned values, and the session_down adj-out-clearing regression. *)
+(* Route sharing without an interner: physical sharing within a world
+   (a receiver keeps its neighbor's export by pointer), share-nothing
+   across worlds, allocation-free equality on distinct values, and the
+   session_down adj-out-clearing regression. *)
 
 open Net
 open Topology
 open Helpers
 
-module Store = Bgp.Path_store
 module P = Bgp.As_path
 
-let test_intern_basics () =
-  let s = Store.create () in
-  let p1 = P.of_list [ asn 1; asn 2; asn 3 ] in
-  let p2 = P.of_list [ asn 1; asn 2; asn 3 ] in
-  Alcotest.(check int) "uninterned id is -1" (-1) (P.Internal.id p1);
-  let i1 = Store.intern_path s p1 in
-  let i2 = Store.intern_path s p2 in
-  Alcotest.(check bool) "equal paths collapse to one physical value" true (i1 == i2);
-  Alcotest.(check bool) "interned id stamped" true (P.Internal.id i1 >= 0);
-  Alcotest.(check bool) "interning is idempotent" true (Store.intern_path s i1 == i1);
-  Alcotest.(check int) "one distinct path" 1 (Store.path_count s);
-  let q = Store.intern_path s (P.of_list [ asn 9 ]) in
-  Alcotest.(check bool) "distinct paths get distinct ids" true
-    (P.Internal.id q <> P.Internal.id i1);
-  Alcotest.(check int) "two distinct paths" 2 (Store.path_count s)
+(* E and F both select [A B O] for the production prefix, learned from A:
+   both keep A's one export by pointer, so their RIB entries share one
+   physical announcement, and a fresh structural copy is equal to it. *)
+let best_ann net x =
+  match Bgp.Network.best_route net x production with
+  | Some entry -> entry.Bgp.Route.ann
+  | None -> Alcotest.fail "expected a best route"
 
-let test_intern_ann () =
-  let s = Store.create () in
-  let mk () =
-    Bgp.Route.announcement ~prefix:production ~path:(P.of_list [ asn 1; asn 2 ])
-  in
-  let a1 = Store.intern_ann s (mk ()) in
-  let a2 = Store.intern_ann s (mk ()) in
-  Alcotest.(check bool) "equal announcements collapse" true (a1 == a2);
-  Alcotest.(check bool) "the announcement's path is interned too" true
-    (a1.Bgp.Route.path == Store.intern_path s (P.of_list [ asn 1; asn 2 ]));
-  Alcotest.(check int) "one distinct announcement" 1 (Store.ann_count s);
-  Alcotest.(check bool) "announcement_equal hits the == fast path" true
-    (Bgp.Route.announcement_equal a1 a2)
-
-(* E and F both select [A B O] for the production prefix; inside one world
-   the shared interner must collapse their RIB entries onto one physical
-   announcement, and a fresh structural copy must intern to that value. *)
 let test_world_shares_paths () =
   let w = fig2_world () in
   Bgp.Network.announce w.net ~origin:o ~prefix:production ();
   converge w;
-  let store = Bgp.Network.path_store w.net in
-  let best_at x =
-    match Bgp.Network.best_route w.net x production with
-    | Some entry -> entry.Bgp.Route.ann
-    | None -> Alcotest.fail "expected a best route"
-  in
-  let at_e = best_at e and at_f = best_at f in
+  let at_e = best_ann w.net e and at_f = best_ann w.net f in
   check_path "E best is [A B O]" [ 30; 20; 10 ] (P.to_list at_e.Bgp.Route.path);
   Alcotest.(check bool) "E and F share one physical announcement" true (at_e == at_f);
-  let fresh =
-    Bgp.Route.announcement ~prefix:production ~path:(P.of_list [ a; b; o ])
-  in
-  Alcotest.(check bool) "a structural copy interns to the shared value" true
-    (Store.intern_ann store fresh == at_e)
+  let fresh = Bgp.Route.announcement ~prefix:production ~path:(P.of_list [ a; b; o ]) in
+  Alcotest.(check bool) "a structural copy is equal to the shared value" true
+    (Bgp.Route.announcement_equal fresh at_e && not (fresh == at_e))
 
+(* Two worlds built alike hold equal routes, never one physical value. *)
 let test_worlds_share_nothing () =
-  let s1 = Store.create () and s2 = Store.create () in
-  let p1 = Store.intern_path s1 (P.of_list [ asn 7; asn 8 ]) in
-  let p2 = Store.intern_path s2 (P.of_list [ asn 7; asn 8 ]) in
-  Alcotest.(check bool) "distinct stores keep distinct physical values" true
-    (not (p1 == p2));
+  let world () =
+    let w = fig2_world () in
+    Bgp.Network.announce w.net ~origin:o ~prefix:production ();
+    converge w;
+    best_ann w.net e
+  in
+  let in_one = world () and in_other = world () in
+  Alcotest.(check bool) "distinct worlds keep distinct physical values" true
+    (not (in_one == in_other || in_one.Bgp.Route.path == in_other.Bgp.Route.path));
   Alcotest.(check bool) "equal still answers structurally across worlds" true
-    (P.equal p1 p2);
-  (* ids are assigned per store in arrival order, so two worlds that do the
-     same work stamp the same ids — the property --jobs byte-identity rests on *)
-  Alcotest.(check int) "ids are world-local and deterministic" (P.Internal.id p1)
-    (P.Internal.id p2)
+    (Bgp.Route.announcement_equal in_one in_other)
 
 let test_equal_allocation_free () =
-  let s = Store.create () in
   let long last = P.of_list (List.init 500 (fun i -> asn (if i = 499 then last else i + 1))) in
-  let p = Store.intern_path s (long 500) in
-  let q = Store.intern_path s (long 500) in
-  Alcotest.(check bool) "interned long paths physically shared" true (p == q);
-  (* same length, differs only in the final element: worst case for a
-     structural walk, settled by the cached hash instead *)
-  let r = Store.intern_path s (long 9999) in
+  (* [p] and [q]: two distinct values of one path, which [equal] walks;
+     [r] differs from [p] only in the final element, the worst case for
+     a walk, which the cached hash settles instead. *)
+  let p = long 500 and q = long 500 and r = long 9999 in
+  Alcotest.(check bool) "equal paths are distinct values" true (not (p == q));
   let hits = ref 0 in
   let w0 = Gc.minor_words () in
   for _ = 1 to 10_000 do
@@ -128,8 +94,6 @@ let test_session_down_clears_adj_out () =
 
 let suite =
   [
-    Alcotest.test_case "intern_path basics" `Quick test_intern_basics;
-    Alcotest.test_case "intern_ann basics" `Quick test_intern_ann;
     Alcotest.test_case "one world shares physical values" `Quick test_world_shares_paths;
     Alcotest.test_case "worlds share nothing" `Quick test_worlds_share_nothing;
     Alcotest.test_case "equality is allocation-free" `Quick test_equal_allocation_free;

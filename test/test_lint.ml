@@ -77,7 +77,7 @@ let test_structeq_fixtures () =
   check_rule "structeq_bad" bad Rule.Perf_structeq 4;
   Alcotest.(check int) "structeq_good is clean" 0
     (count Rule.Perf_structeq (scan_fixture "structeq_good.ml"));
-  (* inside lib/bgp, structural comparison of the interned reps is legal *)
+  (* inside lib/bgp, structural comparison of its own representations is legal *)
   match Scan.scan_file ~kind:(Scan.classify "lib/bgp/as_path.ml") (fixture "structeq_bad.ml") with
   | Ok vs -> check_rule "structeq_bad under lib/bgp" vs Rule.Perf_structeq 0
   | Error e -> Alcotest.fail e

@@ -85,9 +85,7 @@ let test_selective_only_for_providers () =
     let cls =
       { Plan.Failure_class.blamed; direction = Lifeguard.Isolation.Reverse_failure; reversal = true }
     in
-    match
-      Plan.Planner.remedy_for_class graph ~store:(Bgp.Path_store.create ()) ~origin ~target ~cls
-    with
+    match Plan.Planner.remedy_for_class graph ~origin ~target ~cls with
     | Plan.Plan_store.Selective_poison { via; _ } ->
         "selective via " ^ String.concat "," (List.map Asn.to_string via)
     | Plan.Plan_store.Poison _ -> "poison"
