@@ -18,24 +18,6 @@ type update_record = {
   route : Route.entry option;
 }
 
-type session = {
-  peer : Asn.t;  (** The receiver. *)
-  ix : int;  (** The session's cell in the network's [last_sent]. *)
-  mutable pending : Speaker.action array;
-      (* The coalesced batch in [pending.(0 .. pending_n - 1)], sorted by
-         Prefix.compare with one action per prefix, so the MRAI flush
-         emits in an order fixed by the prefixes themselves. [[||]]
-         between rounds: an idle session holds no batch storage. *)
-  mutable pending_n : int;  (** Positive exactly while the MRAI timer is armed. *)
-}
-
-module Peer_prefix_tbl = Hashtbl.Make (struct
-  type t = Asn.t * Prefix.t
-
-  let equal (a1, p1) (a2, p2) = Asn.equal a1 a2 && Prefix.equal p1 p2
-  let hash (a, p) = ((Asn.hash a * 0x9E3779B1) lxor Prefix.hash p) land max_int
-end)
-
 (* Per-shard collector slice: a speaker's loc-RIB-change callback writes
    only into its own shard's slice, so recording needs no cross-domain
    state. Legacy (unsharded) networks have exactly one slice, making the
@@ -45,18 +27,6 @@ type collector_shard = {
       (** newest first; empty until a reader starts the log *)
   mutable clogging : bool;  (** the log was started ({!Collector.clear}) *)
   mutable ccount : int;  (** records seen since attach, logged or not *)
-  clatest : Route.entry option Peer_prefix_tbl.t;
-      (** Latest recorded route per (peer, prefix), so [current_route]
-          answers in O(1) instead of scanning the records. *)
-}
-
-type collector_state = {
-  cname : string;
-  cpeers : Asn.t list;
-  subs : collector_shard array;  (** one slice per shard *)
-  csync : unit -> unit;  (** catch shards up before a read *)
-  cshard_of : Asn.t -> int;
-  csharded : bool;
 }
 
 (* A cross-window BGP update: emitted into its source shard's outbox
@@ -65,7 +35,7 @@ type collector_state = {
 type boundary_msg = {
   b_arrival : float;
   b_from : Asn.t;
-  b_to : Asn.t;
+  b_session : Speaker.session;  (** the sender's session: [b_from] to its [asn] *)
   b_src_shard : int;
   b_dst_shard : int;
   b_action : Speaker.action;
@@ -90,12 +60,7 @@ type t = {
   engine : Sim.Engine.t;  (** the control engine *)
   graph : As_graph.t;
   speakers : Speaker.t Asn.Table.t;
-  sessions : session array Asn.Table.t;
-      (** sender -> pacing state of each directed session, in neighbor
-          (ascending receiver ASN) order *)
-  last_sent : float array;
-      (** When each session (by [ix]) last put updates on the wire: a flat
-          float array, so no session holds a boxed float. *)
+      (** Control-plane access by ASN; updates travel by session instead. *)
   mrai : float;
   owners : Asn.t Prefix.Table.t;
   mutable originations : (Asn.t -> As_path.t option) Prefix.Map.t;
@@ -113,6 +78,9 @@ type t = {
   shard_ix : int Asn.Table.t;  (** AS -> shard index; empty in legacy mode *)
   mutable barrier : boundary_msg Shard.Barrier.t option;  (** None = legacy *)
   fib_epoch : int ref;  (** Handed to every speaker, which bumps it on each FIB install. *)
+  changes : int ref;
+      (** The loc-RIB change counter, handed to every speaker like
+          [fib_epoch]: what a collector marks at attach and clear. *)
 }
 
 (* Deterministic per-pair pseudo-random factor in [0,1): mix the ASN pair
@@ -170,31 +138,6 @@ let sync t =
 
 let poke t = match t.barrier with None -> () | Some b -> Shard.Barrier.poke b
 
-(* The sessions [a] sends on, by ascending receiver ASN. *)
-let sessions_from t a =
-  match Asn.Table.find t.sessions a with
-  | out -> out
-  | exception Not_found -> invalid_arg (Printf.sprintf "Network: unknown %s" (Asn.to_string a))
-
-(* The position of the session to [b] in [out], or [-1]; no option, so
-   a lookup allocates nothing. *)
-let rec search out b lo hi =
-  if lo >= hi then -1
-  else begin
-    let mid = (lo + hi) lsr 1 in
-    match Asn.compare out.(mid).peer b with
-    | 0 -> mid
-    | c when c < 0 -> search out b (mid + 1) hi
-    | _ -> search out b lo mid
-  end
-
-let session out a b =
-  match search out b 0 (Array.length out) with
-  | -1 ->
-      invalid_arg
-        (Printf.sprintf "Network: no session %s -> %s" (Asn.to_string a) (Asn.to_string b))
-  | i -> out.(i)
-
 let action_prefix = function
   | Speaker.Announce ann -> ann.Route.prefix
   | Speaker.Withdraw p -> p
@@ -209,11 +152,14 @@ let rec batch_position pending prefix lo hi =
     else batch_position pending prefix lo mid
   end
 
-(* Coalesce [action] into the session's batch: only the latest state per
-   prefix matters, so a pending prefix is overwritten in place and a new
-   one is inserted at its sorted position. The array doubles when full;
-   nothing else is allocated. *)
-let coalesce s prefix action =
+(* Coalesce [action] into the session's MRAI batch, kept sorted by
+   Prefix.compare with one action per prefix, so the flush emits in an
+   order fixed by the prefixes themselves: a pending prefix is
+   overwritten in place and a new one is inserted at its sorted position.
+   The array doubles when full; nothing else is allocated. [pending] is
+   [[||]] between rounds (an idle session holds no batch storage), and
+   [pending_n] is positive exactly while the MRAI timer is armed. *)
+let coalesce (s : Speaker.session) prefix action =
   let n = s.pending_n in
   let i = batch_position s.pending prefix 0 n in
   if i < n && Prefix.equal (action_prefix s.pending.(i)) prefix then s.pending.(i) <- action
@@ -232,13 +178,16 @@ let count_sent = function
   | Speaker.Announce _ -> Obs.Metrics.incr m_announce_sent
   | Speaker.Withdraw _ -> Obs.Metrics.incr m_withdraw_sent
 
-(* Forward declaration to tie the delivery/emission knot. [sh] is always
-   the shard owning the acting speaker: the destination's for [deliver],
-   the sender's for [emit]/[schedule_delivery]. *)
-let rec deliver t sh ~from ~to_ action =
+(* The delivery/emission knot. An update travels as the sender's
+   session [s]: the receiver is [s.peer] and the update arrives on its
+   session [s.back], so a delivery looks nothing up. [sh] is always the
+   shard owning the acting speaker: the receiver's for [deliver], the
+   sender's [sp] for [emit] and after. *)
+let rec deliver t sh (s : Speaker.session) action =
   sh.s_delivered <- sh.s_delivered + 1;
   let now = Sim.Engine.now sh.sengine in
   Obs.Metrics.incr m_delivered;
+  let receiver = s.peer in
   if Obs.Trace.on () then begin
     let kind, prefix =
       match action with
@@ -247,32 +196,30 @@ let rec deliver t sh ~from ~to_ action =
     in
     Obs.Trace.event ~ts:now ~span:"bgp.deliver"
       [
-        ("from", Obs.Trace.Int (Asn.to_int from));
-        ("to", Obs.Trace.Int (Asn.to_int to_));
+        ("from", Obs.Trace.Int (Asn.to_int (Speaker.sessions receiver).(s.back).asn));
+        ("to", Obs.Trace.Int (Asn.to_int s.asn));
         ("prefix", Obs.Trace.Str (Prefix.to_string prefix));
         ("kind", Obs.Trace.Str kind);
       ]
   end;
-  let out = Speaker.receive (speaker t to_) ~now ~from action in
-  emit_all t to_ out
+  emit_all t sh receiver (Speaker.receive receiver ~now ~session:s.back action)
 
-and emit_all t from out =
-  match out with
+and emit_all t sh sp out =
+  match out with [] -> () | _ -> emit_each t sh sp (Speaker.sessions sp) out
+
+and emit_each t sh sp sessions = function
   | [] -> ()
-  | _ -> emit_each t (shard_for t from) (sessions_from t from) ~from out
+  | (ix, action) :: rest ->
+      emit t sh sp sessions.(ix) action;
+      emit_each t sh sp sessions rest
 
-and emit_each t sh sessions ~from = function
-  | [] -> ()
-  | (to_, action) :: rest ->
-      emit t sh (session sessions from to_) ~from ~to_ action;
-      emit_each t sh sessions ~from rest
-
-and emit t sh s ~from ~to_ action =
+and emit t sh sp s action =
   let now = Sim.Engine.now sh.sengine in
-  let last = t.last_sent.(s.ix) and mrai = jittered_mrai t from to_ in
+  let last_sent = Speaker.last_sent sp in
+  let last = last_sent.(s.ix) and mrai = jittered_mrai t (Speaker.asn sp) s.asn in
   if now -. last >= mrai && s.pending_n = 0 then begin
-    t.last_sent.(s.ix) <- now;
-    schedule_delivery t sh ~from ~to_ action
+    last_sent.(s.ix) <- now;
+    send_now t sh sp s action
   end
   else begin
     let armed = s.pending_n > 0 in
@@ -280,14 +227,14 @@ and emit t sh s ~from ~to_ action =
     if not armed then begin
       let fire_at = Float.max now (last +. mrai) in
       sh.s_bgp_events <- sh.s_bgp_events + 1;
-      Sim.Engine.schedule sh.sengine ~at:fire_at (fun () -> flush t sh s ~from ~to_)
+      Sim.Engine.schedule sh.sengine ~at:fire_at (fun () -> flush t sh sp s)
     end
   end
 
 (* The MRAI timer of session [s] fires: send the coalesced batch. *)
-and flush t sh s ~from ~to_ =
+and flush t sh sp s =
   sh.s_bgp_events <- sh.s_bgp_events - 1;
-  t.last_sent.(s.ix) <- Sim.Engine.now sh.sengine;
+  (Speaker.last_sent sp).(s.ix) <- Sim.Engine.now sh.sengine;
   let batch = s.pending and n = s.pending_n in
   s.pending <- [||];
   s.pending_n <- 0;
@@ -295,27 +242,28 @@ and flush t sh s ~from ~to_ =
   if Obs.Trace.on () then
     Obs.Trace.event ~ts:(Sim.Engine.now sh.sengine) ~span:"bgp.mrai"
       [
-        ("from", Obs.Trace.Int (Asn.to_int from));
-        ("to", Obs.Trace.Int (Asn.to_int to_));
+        ("from", Obs.Trace.Int (Asn.to_int (Speaker.asn sp)));
+        ("to", Obs.Trace.Int (Asn.to_int s.asn));
         ("batch", Obs.Trace.Int n);
       ];
-  match t.barrier with
-  | None -> send_batch t sh ~from ~to_ batch n
-  | Some _ ->
-      for i = 0 to n - 1 do
-        schedule_delivery t sh ~from ~to_ batch.(i)
-      done
+  send t sh sp s batch n
 
-(* The unsharded flush: the whole batch is one engine event, which
-   delivers it in batch (prefix) order. Scheduling one event per message
-   would give the same order: the messages share one delay, take
-   consecutive sequence numbers at one instant so no other event falls
-   between them, and whatever a delivery schedules comes after all of
-   them either way. The link-fault verdict is still drawn once per
-   message, in batch order; the survivors are compacted in place in the
-   detached [batch], so only duplicates allocate (their copies go out as
-   a second event at 1.5 times the delay). *)
-and send_batch t sh ~from ~to_ batch n =
+(* Put [batch.(0 .. n - 1)] (a detached array, in prefix order) on the
+   wire of session [s]. Fault injection samples once per message, in
+   batch order, after the MRAI batching decided what goes out: a dropped
+   update is silently lost (the far side keeps whatever it had), a
+   duplicated one arrives twice with the copy trailing by half a
+   propagation delay. The survivors are compacted in place, so only
+   duplicates allocate.
+
+   Unsharded, the survivors are one engine event, which delivers them in
+   batch order, and the copies a second one at 1.5 times the delay.
+   Scheduling one event per message would give the same order: the
+   messages share one delay, take consecutive sequence numbers at one
+   instant so no other event falls between them, and whatever a delivery
+   schedules comes after all of them either way. *)
+and send t sh sp (s : Speaker.session) batch n =
+  let from = Speaker.asn sp and to_ = s.asn in
   let delay = default_delay from to_ in
   let kept = ref 0 and dups = ref [] in
   for i = 0 to n - 1 do
@@ -334,93 +282,88 @@ and send_batch t sh ~from ~to_ batch n =
         incr kept;
         dups := action :: !dups
   done;
-  let kept = !kept in
-  if kept > 0 then begin
-    sh.s_bgp_events <- sh.s_bgp_events + kept;
-    Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
-        deliver_batch t sh ~from ~to_ batch kept)
-  end;
-  match !dups with
-  | [] -> ()
-  | dups ->
-      let copies = Array.of_list (List.rev dups) in
-      sh.s_bgp_events <- sh.s_bgp_events + Array.length copies;
-      Sim.Engine.schedule_after sh.sengine ~delay:(delay *. 1.5) (fun () ->
-          deliver_batch t sh ~from ~to_ copies (Array.length copies))
+  let kept = !kept and copies = Array.of_list (List.rev !dups) in
+  match t.barrier with
+  | None ->
+      if kept > 0 then schedule_batch t sh s batch kept ~delay;
+      if Array.length copies > 0 then
+        schedule_batch t sh s copies (Array.length copies) ~delay:(delay *. 1.5)
+  | Some _ ->
+      for i = 0 to kept - 1 do
+        wire t sh sp s batch.(i) ~delay
+      done;
+      Array.iter (fun action -> wire t sh sp s action ~delay:(delay *. 1.5)) copies
 
-and deliver_batch t sh ~from ~to_ batch n =
-  for i = 0 to n - 1 do
-    sh.s_bgp_events <- sh.s_bgp_events - 1;
-    deliver t sh ~from ~to_ batch.(i)
-  done
+and schedule_batch t sh s batch n ~delay =
+  sh.s_bgp_events <- sh.s_bgp_events + n;
+  Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
+      for i = 0 to n - 1 do
+        sh.s_bgp_events <- sh.s_bgp_events - 1;
+        deliver t sh s batch.(i)
+      done)
 
-and schedule_delivery t sh ~from ~to_ action =
+(* One update sent as soon as it is emitted: {!send} for a batch of one,
+   without allocating the batch. *)
+and send_now t sh sp (s : Speaker.session) action =
+  let from = Speaker.asn sp and to_ = s.asn in
   let delay = default_delay from to_ in
   count_sent action;
   match t.link_faults with
-  | None -> send t sh ~from ~to_ action ~delay
-  | Some verdict -> begin
-      (* Fault injection samples once per wire message, after the MRAI
-         batching decided what goes out: a dropped update is silently
-         lost (the far side keeps whatever it had), a duplicated one
-         arrives twice with the copy trailing by half a propagation
-         delay. *)
+  | None -> wire t sh sp s action ~delay
+  | Some verdict -> (
       match verdict ~from ~to_ with
-      | `Deliver -> send t sh ~from ~to_ action ~delay
+      | `Deliver -> wire t sh sp s action ~delay
       | `Drop -> ()
       | `Duplicate ->
-          send t sh ~from ~to_ action ~delay;
-          send t sh ~from ~to_ action ~delay:(delay *. 1.5)
-    end
+          wire t sh sp s action ~delay;
+          wire t sh sp s action ~delay:(delay *. 1.5))
 
-and send t sh ~from ~to_ action ~delay =
+(* One message on the wire. Sharded, every delivery — intra-shard
+   included — goes through the barrier outbox, so arrival order at each
+   speaker is the canonical (time, src, dst, prefix) order whatever the
+   partitioning. Engine sequence numbers differ across shard counts; the
+   outbox ordering is what makes results byte-identical for every K. *)
+and wire t sh sp s action ~delay =
   match t.barrier with
   | None ->
-      (* Legacy: direct scheduling on the (single, control) engine. *)
       sh.s_bgp_events <- sh.s_bgp_events + 1;
       Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
           sh.s_bgp_events <- sh.s_bgp_events - 1;
-          deliver t sh ~from ~to_ action)
+          deliver t sh s action)
   | Some _ ->
-      (* Sharded: every delivery — intra-shard included — goes through
-         the barrier outbox, so arrival order at each speaker is the
-         canonical (time, src, dst, prefix) order whatever the
-         partitioning. Engine sequence numbers differ across shard
-         counts; the outbox ordering is what makes results
-         byte-identical for every K. *)
       sh.outbox <-
         {
           b_arrival = Sim.Engine.now sh.sengine +. delay;
-          b_from = from;
-          b_to = to_;
+          b_from = Speaker.asn sp;
+          b_session = s;
           b_src_shard = sh.six;
-          b_dst_shard = shard_ix t to_;
+          b_dst_shard = shard_ix t s.asn;
           b_action = action;
         }
         :: sh.outbox;
       sh.outbox_n <- sh.outbox_n + 1
 
 (* Barrier injection: put one due message on its destination shard's
-   queue. Runs on the control domain while shards are quiescent. An
-   announcement crosses shards as it is: it is immutable and holds no
-   prefix id, so the receiving shard may keep the sender's value. *)
+   queue, for the same [deliver]. Runs on the control domain while
+   shards are quiescent. An announcement crosses shards as it is: it is
+   immutable and holds no prefix id, so the receiving shard may keep the
+   sender's value. *)
 let inject_boundary t msg =
   let sh = t.shards.(msg.b_dst_shard) in
   sh.s_bgp_events <- sh.s_bgp_events + 1;
   Sim.Engine.schedule sh.sengine ~at:msg.b_arrival (fun () ->
       sh.s_bgp_events <- sh.s_bgp_events - 1;
-      deliver t sh ~from:msg.b_from ~to_:msg.b_to msg.b_action)
+      deliver t sh msg.b_session msg.b_action)
 
 (* Record a loc-RIB change of [asn] in each collector slice subscribed
-   to it: count it and keep it as the latest route, and log it only where
-   a reader started the log. *)
+   to it: count it, and log it only where a reader started the log. The
+   latest route is the speaker's own ({!Collector.route_view}). *)
 let rec record_change asn ~now prefix route = function
   | [] -> ()
   | slice :: rest ->
       slice.ccount <- slice.ccount + 1;
       if slice.clogging then
         slice.crecords <- { time = now; speaker = asn; prefix; route } :: slice.crecords;
-      Peer_prefix_tbl.replace slice.clatest (asn, prefix) route;
       record_change asn ~now prefix route rest
 
 let create ~engine ~graph ?config_of ?(mrai = 30.0)
@@ -457,29 +400,27 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
             mk_shard i (Sim.Engine.create ~now:(Sim.Engine.now engine) ()) (Path_store.create ()))
   in
   let speakers = Asn.Table.create 256 in
-  let fib_epoch = ref 0 in
-  List.iter
-    (fun asn ->
-      let sstore =
-        if Array.length shard_states = 1 then shard_states.(0).sstore
-        else shard_states.(Asn.Table.find shard_ix_tbl asn).sstore
-      in
-      let sp =
-        Speaker.create ~store:sstore ~fib_epoch ~asn ~config:(config_of asn)
-          ~neighbors:(As_graph.neighbors graph asn) ()
-      in
-      Asn.Table.replace speakers asn sp)
-    ases;
+  let fib_epoch = ref 0 and changes = ref 0 in
+  let sps =
+    List.map
+      (fun asn ->
+        let sstore =
+          if Array.length shard_states = 1 then shard_states.(0).sstore
+          else shard_states.(Asn.Table.find shard_ix_tbl asn).sstore
+        in
+        let sp = Speaker.create ~store:sstore ~fib_epoch ~changes ~asn ~config:(config_of asn) () in
+        Asn.Table.replace speakers asn sp;
+        sp)
+      ases
+  in
+  (* Each directed session exists once, at its sender, wired to the
+     receiving speaker. *)
+  Speaker.connect sps ~neighbors:(As_graph.neighbors graph);
   let t =
     {
       engine;
       graph;
       speakers;
-      sessions = Asn.Table.create 256;
-      last_sent =
-        Array.make
-          (List.fold_left (fun n a -> n + List.length (As_graph.neighbors graph a)) 0 ases)
-          neg_infinity;
       mrai;
       owners = Prefix.Table.create 16;
       originations = Prefix.Map.empty;
@@ -490,6 +431,7 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
       shard_ix = shard_ix_tbl;
       barrier = None;
       fib_epoch;
+      changes;
     }
   in
   (match shard_count with
@@ -528,7 +470,7 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
             (fun m1 m2 ->
               match Asn.compare m1.b_from m2.b_from with
               | 0 -> begin
-                  match Asn.compare m1.b_to m2.b_to with
+                  match Asn.compare m1.b_session.asn m2.b_session.asn with
                   | 0 -> Prefix.compare (action_prefix m1.b_action) (action_prefix m2.b_action)
                   | c -> c
                 end
@@ -556,7 +498,7 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
           Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
               sh.s_bgp_events <- sh.s_bgp_events - 1;
               let out = Speaker.reevaluate sp ~now:(Sim.Engine.now sh.sengine) prefix in
-              emit_all t asn out));
+              emit_all t sh sp out));
       if fib_install_delay > 0.0 then begin
         (* The data plane trails the control plane by a deterministic
            per-AS RIB-to-FIB install latency. *)
@@ -568,23 +510,10 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
                 Speaker.install_fib sp prefix route))
       end)
     speakers;
-  (* Session pacing state per directed adjacency, in neighbor order
-     (ascending ASN, which [session]'s binary search relies on). *)
-  let next_ix = ref 0 in
-  List.iter
-    (fun a ->
-      let out =
-        Array.of_list
-          (List.map
-             (fun (b, _) ->
-               let ix = !next_ix in
-               incr next_ix;
-               { peer = b; ix; pending = [||]; pending_n = 0 })
-             (As_graph.neighbors graph a))
-      in
-      Asn.Table.replace t.sessions a out)
-    ases;
   t
+
+(* Send what a control-plane call made [sp] say, from its own shard. *)
+let emit_from t sp out = emit_all t (shard_for t (Speaker.asn sp)) sp out
 
 let announce t ~origin ~prefix ?per_neighbor () =
   sync t;
@@ -598,10 +527,8 @@ let announce t ~origin ~prefix ?per_neighbor () =
   Prefix.Table.replace t.owners prefix origin;
   t.originations <- Prefix.Map.add prefix per_neighbor t.originations;
   Prefix_trie.replace t.owner_trie prefix origin;
-  let out =
-    Speaker.originate (speaker t origin) ~now:(Sim.Engine.now t.engine) ~prefix ~per_neighbor
-  in
-  emit_all t origin out;
+  let sp = speaker t origin in
+  emit_from t sp (Speaker.originate sp ~now:(Sim.Engine.now t.engine) ~prefix ~per_neighbor);
   poke t
 
 let withdraw t ~origin ~prefix =
@@ -609,14 +536,14 @@ let withdraw t ~origin ~prefix =
   Prefix.Table.remove t.owners prefix;
   t.originations <- Prefix.Map.remove prefix t.originations;
   Prefix_trie.remove t.owner_trie prefix;
-  let out = Speaker.stop_originating (speaker t origin) ~now:(Sim.Engine.now t.engine) ~prefix in
-  emit_all t origin out;
+  let sp = speaker t origin in
+  emit_from t sp (Speaker.stop_originating sp ~now:(Sim.Engine.now t.engine) ~prefix);
   poke t
 
 let refresh t ~origin ~prefix =
   sync t;
-  let out = Speaker.refresh_prefix (speaker t origin) ~prefix in
-  emit_all t origin out;
+  let sp = speaker t origin in
+  emit_from t sp (Speaker.refresh_prefix sp ~prefix);
   poke t
 
 let owner_of_address t ip = Prefix_trie.lookup t.owner_trie ip
@@ -658,19 +585,21 @@ let run_until_quiet ?(timeout = 3600.0) t =
 let fail_link t ~a ~b =
   sync t;
   let now = Sim.Engine.now t.engine in
-  let out_a = Speaker.session_down (speaker t a) ~now ~neighbor:b in
-  let out_b = Speaker.session_down (speaker t b) ~now ~neighbor:a in
-  emit_all t a out_a;
-  emit_all t b out_b;
+  let sa = speaker t a and sb = speaker t b in
+  let out_a = Speaker.session_down sa ~now ~neighbor:b in
+  let out_b = Speaker.session_down sb ~now ~neighbor:a in
+  emit_from t sa out_a;
+  emit_from t sb out_b;
   poke t
 
 let restore_link t ~a ~b =
   sync t;
   let now = Sim.Engine.now t.engine in
-  let out_a = Speaker.session_up (speaker t a) ~now ~neighbor:b in
-  let out_b = Speaker.session_up (speaker t b) ~now ~neighbor:a in
-  emit_all t a out_a;
-  emit_all t b out_b;
+  let sa = speaker t a and sb = speaker t b in
+  let out_a = Speaker.session_up sa ~now ~neighbor:b in
+  let out_b = Speaker.session_up sb ~now ~neighbor:a in
+  emit_from t sa out_a;
+  emit_from t sb out_b;
   poke t
 
 let fail_node t asn =
@@ -694,7 +623,7 @@ let crash_node t asn =
   let sp = speaker t asn in
   let now = Sim.Engine.now t.engine in
   List.iter
-    (fun prefix -> emit_all t asn (Speaker.stop_originating sp ~now ~prefix))
+    (fun prefix -> emit_from t sp (Speaker.stop_originating sp ~now ~prefix))
     (Speaker.originated sp);
   poke t
 
@@ -705,7 +634,7 @@ let reoriginate t asn =
   List.iter
     (fun prefix ->
       match Prefix.Map.find_opt prefix t.originations with
-      | Some per_neighbor -> emit_all t asn (Speaker.originate sp ~now ~prefix ~per_neighbor)
+      | Some per_neighbor -> emit_from t sp (Speaker.originate sp ~now ~prefix ~per_neighbor)
       | None -> ())
     (owned_prefixes t asn);
   poke t
@@ -714,20 +643,28 @@ let set_link_faults t f = t.link_faults <- f
 
 module Collector = struct
   type net = t
-  type t = collector_state
+
+  type t = {
+    cname : string;
+    subscribed : Asn.t list;  (** the peers in the world, sorted, once each *)
+    subs : collector_shard array;  (** one slice per shard *)
+    cnet : net;
+    mutable mark : int;
+        (** the world's loc-RIB change counter at attach or the latest
+            clear: a peer's route is in view once its stamp is above it *)
+  }
 
   let attach (net : net) ~name ~peers =
-    let k = Array.length net.shards in
+    let subscribed = List.filter (Asn.Table.mem net.feeds) (List.sort_uniq Asn.compare peers) in
     let c =
       {
         cname = name;
-        cpeers = peers;
+        subscribed;
         subs =
-          Array.init k (fun _ ->
-              { crecords = []; clogging = false; ccount = 0; clatest = Peer_prefix_tbl.create 64 });
-        csync = (fun () -> sync net);
-        cshard_of = (fun asn -> shard_ix net asn);
-        csharded = Option.is_some net.barrier;
+          Array.init (Array.length net.shards) (fun _ ->
+              { crecords = []; clogging = false; ccount = 0 });
+        cnet = net;
+        mark = !(net.changes);
       }
     in
     (* Each peer of the world writes to its own shard's slice; a peer
@@ -735,14 +672,12 @@ module Collector = struct
        never changes a loc-RIB. *)
     List.iter
       (fun peer ->
-        match Asn.Table.find_opt net.feeds peer with
-        | Some feeds -> feeds := c.subs.(shard_ix net peer) :: !feeds
-        | None -> ())
-      (List.sort_uniq Asn.compare peers);
+        let feeds = Asn.Table.find net.feeds peer in
+        feeds := c.subs.(shard_ix net peer) :: !feeds)
+      subscribed;
     c
 
   let name c = c.cname
-  let peers c = c.cpeers
 
   (* Sharded logs merge the per-shard slices in the canonical
      (time, speaker) order — per-speaker record order is preserved by
@@ -750,8 +685,8 @@ module Collector = struct
      the merged log is a pure function of what happened, not of the
      partitioning. The legacy path is the original single-slice log. *)
   let log c =
-    c.csync ();
-    if not c.csharded then List.rev c.subs.(0).crecords
+    sync c.cnet;
+    if Option.is_none c.cnet.barrier then List.rev c.subs.(0).crecords
     else
       Array.to_list c.subs
       |> List.concat_map (fun s -> List.rev s.crecords)
@@ -763,26 +698,28 @@ module Collector = struct
   let since c time = List.filter (fun r -> r.time >= time) (log c)
 
   let count c =
-    c.csync ();
+    sync c.cnet;
     Array.fold_left (fun n s -> n + s.ccount) 0 c.subs
 
   let clear c =
     Array.iter
       (fun s ->
         s.crecords <- [];
-        s.clogging <- true;
-        Peer_prefix_tbl.reset s.clatest)
-      c.subs
+        s.clogging <- true)
+      c.subs;
+    c.mark <- !(c.cnet.changes)
 
-  let current_route c ~peer ~prefix =
-    c.csync ();
-    match Peer_prefix_tbl.find_opt c.subs.(c.cshard_of peer).clatest (peer, prefix) with
-    | Some route -> route
-    | None -> None
-
+  (* Every loc-RIB change stamps its slot with the world's counter and,
+     at a subscribed peer, is recorded here with the new best; so the
+     latest recorded route is the speaker's best exactly when its stamp
+     is above the mark. *)
   let route_view c ~peer ~prefix =
-    c.csync ();
-    Peer_prefix_tbl.find_opt c.subs.(c.cshard_of peer).clatest (peer, prefix)
+    sync c.cnet;
+    if not (List.exists (Asn.equal peer) c.subscribed) then None
+    else begin
+      let sp = speaker c.cnet peer in
+      if Speaker.change_stamp sp prefix > c.mark then Some (Speaker.best sp prefix) else None
+    end
 end
 
 let message_count t =

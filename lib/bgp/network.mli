@@ -8,9 +8,12 @@
     also hosts route collectors — passive feeds recording each peer's
     loc-RIB changes with timestamps — which is how the paper (and this
     reproduction) measures convergence and poisoning efficacy. A
-    collector always keeps each peer's latest route and a count of its
-    records; it keeps the records themselves only once a reader has
-    started its log ({!Collector.clear}).
+    collector keeps its records only once a reader has started its log
+    ({!Collector.clear}); a peer's latest route is the peer's own.
+
+    An update travels as its sender's {!Speaker.session} record, which
+    holds the receiving speaker, the MRAI batch and the MRAI clock's
+    index, so delivery does no table lookup and no session search.
 
     Observability: deliveries feed the [bgp.delivered],
     [bgp.updates.announce], [bgp.updates.withdraw] and [bgp.mrai_rounds]
@@ -183,9 +186,9 @@ val set_link_faults :
 (** Passive feeds recording peers' loc-RIB changes.
 
     A collector retains only what a reader reads. Every collector keeps
-    its peers' latest routes ({!current_route}, {!route_view}: the
-    remediation watchdog) and a count of the records it has seen
-    ({!count}: the fleet's [collector_updates]). The record list behind
+    a count of the records it has seen ({!count}: the fleet's
+    [collector_updates]); its peers' latest routes ({!route_view}: the
+    remediation watchdog) are their own bests. The record list behind
     {!log} and {!since} exists only once a reader starts it with
     {!clear}, which every convergence measurement does before its event
     ({!Convergence.analyze} reads {!since}). A collector nobody clears,
@@ -202,7 +205,6 @@ module Collector : sig
       log is not started: call {!clear} to start it. *)
 
   val name : t -> string
-  val peers : t -> Asn.t list
 
   val log : t -> update_record list
   (** The records since the latest {!clear}, oldest first; [[]] if the
@@ -216,18 +218,16 @@ module Collector : sig
       {!clear} does not reset it. *)
 
   val clear : t -> unit
-  (** Drop every record and every latest route, and start the log: from
-      now on the collector keeps each record for {!log}. *)
-
-  val current_route : t -> peer:Asn.t -> prefix:Prefix.t -> Route.entry option
-  (** The peer's best route as of its latest record; [None] when the feed
-      has no record for that (peer, prefix) or the peer lost the route. *)
+  (** Drop every record, move the mark (below) to now, and start the
+      log: from now on the collector keeps each record for {!log}. *)
 
   val route_view : t -> peer:Asn.t -> prefix:Prefix.t -> Route.entry option option
-  (** Like {!current_route} but distinguishing the feed having no record
-      at all ([None]) from the peer having explicitly lost the route
-      ([Some None]) — the distinction the remediation watchdog needs to
-      tell "no data" from "collateral damage". *)
+  (** The peer's route as of its latest record since {!attach} or the
+      latest {!clear} — [None]: no such record; [Some None]: the peer
+      lost the route, which the watchdog tells from "no data". That is
+      [Some (]{!Speaker.best}[)] exactly when the peer is subscribed and
+      its {!Speaker.change_stamp} is above the world's change counter at
+      that attach or clear, so no table keeps it. *)
 end
 
 val message_count : t -> int

@@ -21,7 +21,6 @@ type entry = {
   neighbor : Asn.t;
   rel : Relationship.t;
   local_pref : int;
-  learned_at : float;
   path_len : int;
   tiebreak : int;
 }
@@ -33,14 +32,14 @@ let tiebreak_rank ~salt neighbor =
   let z = z lxor (z lsr 16) in
   z land 0xFFFF
 
-let make_entry ~ann ~neighbor ~rel ~local_pref ~tiebreak ~learned_at =
-  { ann; neighbor; rel; local_pref; learned_at; path_len = As_path.length ann.path; tiebreak }
+let make_entry ~ann ~neighbor ~rel ~local_pref ~tiebreak =
+  { ann; neighbor; rel; local_pref; path_len = As_path.length ann.path; tiebreak }
 
 let local_pref_local = 400
 
-let local_entry_of ~ann ~self ~now =
+let local_entry_of ~ann ~self =
   make_entry ~ann ~neighbor:self ~rel:Relationship.Customer ~local_pref:local_pref_local
-    ~tiebreak:0 ~learned_at:now
+    ~tiebreak:0
 
 let is_local e = e.local_pref = local_pref_local
 
@@ -54,7 +53,6 @@ let no_route =
     neighbor = Asn.of_int 0;
     rel = Relationship.Provider;
     local_pref = min_int;
-    learned_at = 0.0;
     path_len = 0;
     tiebreak = 0;
   }

@@ -23,7 +23,6 @@ type entry = {
   neighbor : Asn.t;  (** The neighbor it was learned from (self if local). *)
   rel : Relationship.t;  (** What that neighbor is to us. *)
   local_pref : int;
-  learned_at : float;  (** Simulation time of import. *)
   path_len : int;  (** Cached [As_path.length ann.path]. *)
   tiebreak : int;
       (** Per-speaker tiebreak rank ({!tiebreak_rank} of the importing
@@ -49,13 +48,12 @@ val make_entry :
   rel:Relationship.t ->
   local_pref:int ->
   tiebreak:int ->
-  learned_at:float ->
   entry
 (** Smart constructor: fills [path_len] from [ann]. [tiebreak] is the
     rank to store, usually {!tiebreak_rank}; [0] gives the plain
     lowest-neighbor-ASN final tiebreak. *)
 
-val local_entry_of : ann:announcement -> self:Asn.t -> now:float -> entry
+val local_entry_of : ann:announcement -> self:Asn.t -> entry
 (** The locally-originated route for an announcement: highest
     preference, treated as customer-learned for export purposes
     (exported to everyone). Taking a pre-built announcement lets a

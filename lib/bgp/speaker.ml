@@ -27,14 +27,6 @@ end
 
 module Damp_tbl = Hashtbl.Make (Damp_key)
 
-(* One record per neighbor session, by ascending neighbor ASN. *)
-type session = {
-  asn : Asn.t;
-  rel : Relationship.t;  (** Our relationship to the neighbor. *)
-  ix : int;  (** Position in [sessions]: the session's cell in every slot. *)
-  mutable down : bool;
-}
-
 (* Everything the speaker holds for one prefix. Slots are found by the
    prefix's dense id in the speaker's [Path_store], and the per-neighbor
    RIBs are arrays indexed by [session.ix], so the update path does no
@@ -51,17 +43,32 @@ type slot = {
       (** The data-plane entry: [best] once {!install_fib} has caught up. *)
   ins : Route.entry array;  (** Adj-RIB-in: candidate per session. *)
   outs : Route.announcement option array;  (** Adj-RIB-out: last sent per session. *)
+  mutable stamp : int;  (** [changes] at [best]'s latest change; [0]: never. *)
 }
 
-type t = {
+(* One record per directed session, by ascending neighbor ASN. *)
+type session = {
+  asn : Asn.t;
+  rel : Relationship.t;
+  ix : int;
+  peer : t;
+  back : int;
+  mutable down : bool;
+  mutable pending : action array;
+  mutable pending_n : int;
+}
+
+and t = {
   self : Asn.t;
   config : Policy.config;
   store : Path_store.t;
       (* The world's prefix ids: shared with every other speaker of the
          same [Network] (shard), never across worlds (share-nothing). *)
-  sessions : session array;
+  mutable sessions : session array;
       (** By ascending neighbor ASN: the order of every export list, and
-          what {!session}'s binary search relies on. *)
+          what {!session}'s binary search relies on. Set by {!connect}. *)
+  mutable last_sent : float array;
+      (** By session: flat, so no session holds a boxed float. *)
   mutable slots : slot array;
       (** By prefix id, [vacant] where the prefix has no slot; grown on
           demand. *)
@@ -74,6 +81,7 @@ type t = {
   fib_epoch : int ref;
       (** Bumped by every [install_fib]; shared by all speakers of a
           {!Network}, so one read tells whether any FIB in the world moved. *)
+  changes : int ref;  (** Bumped by every loc-RIB change; shared like [fib_epoch]. *)
   mutable on_best_change : (now:float -> Prefix.t -> Route.entry option -> unit) option;
   mutable fib_commit : (Prefix.t -> Route.entry option -> unit) option;
   mutable damp : damp_state Damp_tbl.t option;
@@ -93,23 +101,21 @@ let empty_slot prefix k =
     fib = None;
     ins = Array.make k Route.no_route;
     outs = Array.make k None;
+    stamp = 0;
   }
 
-let create ?store ?fib_epoch ~asn ~config ~neighbors () =
-  let sessions =
-    List.sort (fun (a, _) (b, _) -> Asn.compare a b) neighbors
-    |> List.mapi (fun ix (n, rel) -> { asn = n; rel; ix; down = false })
-    |> Array.of_list
-  in
+let create ?store ?fib_epoch ?changes ~asn ~config () =
   {
     self = asn;
     config;
     store = (match store with Some s -> s | None -> Path_store.create ());
-    sessions;
+    sessions = [||];
+    last_sent = [||];
     slots = [||];
     vacant = empty_slot Route.no_route.Route.ann.Route.prefix 0;
     loc_rib_size = 0;
     fib_epoch = (match fib_epoch with Some e -> e | None -> ref 0);
+    changes = (match changes with Some c -> c | None -> ref 0);
     on_best_change = None;
     fib_commit = None;
     damp = None;
@@ -117,6 +123,8 @@ let create ?store ?fib_epoch ~asn ~config ~neighbors () =
   }
 
 let asn t = t.self
+let sessions t = t.sessions
+let last_sent t = t.last_sent
 let set_on_best_change t f = t.on_best_change <- Some f
 let set_reuse_scheduler t f = t.reuse_scheduler <- Some f
 let set_fib_commit_hook t f = t.fib_commit <- Some f
@@ -214,6 +222,27 @@ let session t n =
            (Asn.to_string n))
   | i -> t.sessions.(i)
 
+let connect speakers ~neighbors =
+  let fail what a = invalid_arg ("Speaker.connect: " ^ what ^ " " ^ Asn.to_string a) in
+  let table = Asn.Table.create 256 in
+  List.iter
+    (fun sp ->
+      if Array.length sp.sessions > 0 || Array.length sp.slots > 0 then fail "in use:" sp.self;
+      let by_asn (a, _) (b, _) = Asn.compare a b in
+      Asn.Table.replace table sp.self (sp, Array.of_list (List.sort by_asn (neighbors sp.self))))
+    speakers;
+  Asn.Table.iter
+    (fun self (sp, nbrs) ->
+      let wire ix (n, rel) =
+        let peer, theirs = try Asn.Table.find table n with Not_found -> fail "unknown" n in
+        match Array.find_index (fun (m, _) -> Asn.equal m self) theirs with
+        | Some back -> { asn = n; rel; ix; peer; back; down = false; pending = [||]; pending_n = 0 }
+        | None -> fail "no way back from" n
+      in
+      sp.sessions <- Array.mapi wire nbrs;
+      sp.last_sent <- Array.make (Array.length nbrs) neg_infinity)
+    table
+
 (* The prefix's slot, created (and [slots] grown) on first use. *)
 let slot t prefix =
   let id = Path_store.prefix_id t.store prefix in
@@ -238,9 +267,13 @@ let find_slot t prefix =
   | Some id when id < Array.length t.slots -> t.slots.(id)
   | Some _ | None -> t.vacant
 
-let install_fib t prefix entry =
+(* The one FIB write. A loc-RIB change installs through the slot it
+   already holds, so an update costs one prefix lookup, not two. *)
+let install t slot entry =
   incr t.fib_epoch;
-  (slot t prefix).fib <- entry
+  slot.fib <- entry
+
+let install_fib t prefix entry = install t (slot t prefix) entry
 
 (* The slots satisfying [keep], in [Prefix.compare] order: every list the
    speaker builds across prefixes is in that order, never in id order.
@@ -265,7 +298,7 @@ let damping_pending t =
 let compute_best t ~now slot =
   Obs.Metrics.incr m_decisions;
   match slot.local with
-  | Some { local_ann; _ } -> Route.local_entry_of ~ann:local_ann ~self:t.self ~now
+  | Some { local_ann; _ } -> Route.local_entry_of ~ann:local_ann ~self:t.self
   | None ->
       if not (damping_pending t) then Decision.best_in_array slot.ins
       else
@@ -325,10 +358,10 @@ let sync_exports t slot =
     | Some d, Some c when Route.announcement_equal d c -> ()
     | Some d, _ ->
         slot.outs.(i) <- desired;
-        updates := (s.asn, Announce d) :: !updates
+        updates := (i, Announce d) :: !updates
     | None, Some _ ->
         slot.outs.(i) <- None;
-        updates := (s.asn, Withdraw prefix) :: !updates
+        updates := (i, Withdraw prefix) :: !updates
   done;
   List.rev !updates
 
@@ -359,10 +392,12 @@ let refresh_best ?(force_sync = false) t ~now slot =
     | _ -> ());
     slot.best <- new_best;
     slot.export <- None;
+    incr t.changes;
+    slot.stamp <- !(t.changes);
     Obs.Metrics.observe_max m_loc_rib t.loc_rib_size;
     (match t.fib_commit with
     | Some commit -> commit slot.prefix new_best
-    | None -> install_fib t slot.prefix new_best);
+    | None -> install t slot new_best);
     match t.on_best_change with
     | Some f -> f ~now slot.prefix new_best
     | None -> ()
@@ -380,8 +415,9 @@ let stop_originating t ~now ~prefix =
   slot.local <- None;
   refresh_best ~force_sync:true t ~now slot
 
-let receive t ~now ~from action =
-  let s = session t from in
+let receive t ~now ~session action =
+  let s = t.sessions.(session) in
+  let from = s.asn in
   if s.down then []
   else begin
     match action with
@@ -410,8 +446,7 @@ let receive t ~now ~from action =
             slot.ins.(s.ix) <-
               Route.make_entry ~ann ~neighbor:from ~rel:s.rel
                 ~local_pref:(Policy.local_pref_for t.config ~self:t.self ~neighbor:from ~rel:s.rel)
-                ~tiebreak:(Route.tiebreak_rank ~salt:(Asn.to_int t.self) from)
-                ~learned_at:now;
+                ~tiebreak:(Route.tiebreak_rank ~salt:(Asn.to_int t.self) from);
             refresh_best t ~now slot
       end
   end
@@ -459,7 +494,7 @@ let session_up t ~now ~neighbor =
           match desired t s slot with
           | Some d as out ->
               slot.outs.(s.ix) <- out;
-              Some (neighbor, Announce d)
+              Some (s.ix, Announce d)
           | None -> None)
         all
   end
@@ -474,6 +509,7 @@ let refresh_prefix t ~prefix =
   sync_exports t slot
 
 let best t prefix = (find_slot t prefix).best
+let change_stamp t prefix = (find_slot t prefix).stamp
 
 (* The FIB is the [fib] field of the slots, found through the world's
    prefix trie: the match is the most specific prefix covering the

@@ -6,6 +6,10 @@
     neighbors. Delivery timing (link delays, MRAI pacing) is the
     {!Network}'s job, which keeps this module synchronously testable.
 
+    Each directed session is one {!session} record at its sender. An
+    update a speaker returns names its session by index, and the network
+    delivers it by pointer, as [receive s.peer ~session:s.back].
+
     Observability: every run of the decision process increments the
     [bgp.decisions] counter, and each loc-RIB change records the table's
     size into the [bgp.loc_rib] max-gauge (see {!Obs.Metrics}). *)
@@ -18,57 +22,76 @@ type t
 type action = Announce of Route.announcement | Withdraw of Prefix.t
 (** An update destined to one neighbor. *)
 
+type session = {
+  asn : Asn.t;  (** The neighbor. *)
+  rel : Relationship.t;  (** Our relationship to the neighbor. *)
+  ix : int;  (** This session's position in {!sessions}. *)
+  peer : t;  (** The neighbor's speaker. *)
+  back : int;  (** The index of the reverse session at [peer]. *)
+  mutable down : bool;  (** Written by the speaker only. *)
+  mutable pending : action array;  (** The {!Network}'s MRAI batch. *)
+  mutable pending_n : int;
+}
+
 val create :
   ?store:Path_store.t ->
   ?fib_epoch:int ref ->
+  ?changes:int ref ->
   asn:Asn.t ->
   config:Policy.config ->
-  neighbors:(Asn.t * Relationship.t) list ->
   unit ->
   t
-(** A speaker for [asn] with the given neighbor sessions, kept in
-    ascending neighbor ASN order (the order {!Network.create} passes
-    them in): every list of updates the speaker returns lists neighbors
-    in that order. [store] holds the world's prefix ids —
-    {!Network.create} passes one store to every speaker of a world; a
-    standalone speaker (tests) defaults to a private store. The speaker
-    keeps its per-prefix state in slots indexed by the store's
-    {!Path_store.prefix_id}. Never share a store across worlds: lib/par
-    worlds are share-nothing.
-    [fib_epoch] is the counter {!install_fib} bumps; {!Network.create}
-    hands one counter to every speaker of a world (default: a private
-    one). *)
+(** A speaker for [asn], with no sessions until {!connect}. [store]
+    holds the world's prefix ids — {!Network.create} passes one store to
+    every speaker of a world; a standalone speaker (tests) defaults to a
+    private store. The speaker keeps its per-prefix state in slots
+    indexed by the store's {!Path_store.prefix_id}. Never share a store
+    across worlds: lib/par worlds are share-nothing.
+    [fib_epoch] ({!install_fib}) and [changes] ({!change_stamp}) are
+    counters {!Network.create} shares among a world's speakers. *)
+
+val connect : t list -> neighbors:(Asn.t -> (Asn.t * Relationship.t) list) -> unit
+(** Give each listed speaker, once, a session per neighbor [neighbors]
+    names for it, in ascending neighbor ASN order (the order of every
+    update list it returns), each to the listed speaker of that ASN.
+    Raises [Invalid_argument] on a neighbor not listed or not naming the
+    speaker back, and on a speaker with sessions or prefixes already. *)
+
+val sessions : t -> session array
+(** The sessions, by [ix]. *)
+
+val last_sent : t -> float array
+(** The {!Network}'s MRAI clock of each session, by [ix]. *)
 
 val asn : t -> Asn.t
 (** The AS this speaker represents. *)
 
 val originate :
-  t -> now:float -> prefix:Prefix.t -> per_neighbor:(Asn.t -> As_path.t option) -> (Asn.t * action) list
+  t -> now:float -> prefix:Prefix.t -> per_neighbor:(Asn.t -> As_path.t option) -> (int * action) list
 (** Start (or change) originating [prefix]. [per_neighbor] gives the AS
     path announced to each neighbor — [Some [asn]] for a plain
     announcement, a poisoned or prepended path for remediation, or [None]
     to withhold the prefix from that neighbor (selective advertising /
-    selective poisoning). Returns the updates to send. *)
+    selective poisoning). Returns the updates to send, by session index. *)
 
-val stop_originating : t -> now:float -> prefix:Prefix.t -> (Asn.t * action) list
+val stop_originating : t -> now:float -> prefix:Prefix.t -> (int * action) list
 (** Withdraw a locally-originated prefix everywhere. *)
 
-val receive : t -> now:float -> from:Asn.t -> action -> (Asn.t * action) list
-(** Process one update from a neighbor: import policy, loc-RIB decision,
-    and the resulting exports. A rejected announcement acts as an implicit
-    withdraw of that neighbor's previous route. Raises [Invalid_argument]
-    when [from] is not a neighbor (so do {!session_down} and
-    {!session_up}).
+val receive : t -> now:float -> session:int -> action -> (int * action) list
+(** Process one update arriving on the session of index [session]:
+    import policy, loc-RIB decision, and the resulting exports. A
+    rejected announcement acts as an implicit withdraw of that neighbor's
+    previous route.
 
     The speaker keeps the announcement it is handed by pointer; a
     neighbor's export is one value per loc-RIB best, so the copies of
     one route in a world are mostly one physical value. *)
 
-val session_down : t -> now:float -> neighbor:Asn.t -> (Asn.t * action) list
+val session_down : t -> now:float -> neighbor:Asn.t -> (int * action) list
 (** Drop every route learned from [neighbor] and stop exporting to it
-    until {!session_up}. *)
+    until {!session_up}. Both raise [Invalid_argument] on a non-neighbor. *)
 
-val session_up : t -> now:float -> neighbor:Asn.t -> (Asn.t * action) list
+val session_up : t -> now:float -> neighbor:Asn.t -> (int * action) list
 (** Re-enable the session and produce the full-table advertisement for
     that neighbor. When {!damping_pending} is false this takes a fast
     path that exports the current loc-RIB toward only the revived
@@ -83,7 +106,7 @@ val damping_pending : t -> bool
     decaying). While true, {!session_up} uses its conservative slow
     path. *)
 
-val refresh_prefix : t -> prefix:Prefix.t -> (Asn.t * action) list
+val refresh_prefix : t -> prefix:Prefix.t -> (int * action) list
 (** Force a re-advertisement of the current desired export for [prefix]
     toward every up neighbor, even when the adj-RIB-out says it was
     already sent. This is the idempotent re-announce primitive the
@@ -93,6 +116,11 @@ val refresh_prefix : t -> prefix:Prefix.t -> (Asn.t * action) list
 
 val best : t -> Prefix.t -> Route.entry option
 (** Current loc-RIB best route for exactly this prefix. *)
+
+val change_stamp : t -> Prefix.t -> int
+(** The [changes] counter's value at this prefix's latest loc-RIB change
+    here ([0]: none), so a stamp above an earlier reading of the counter
+    means the best changed since. *)
 
 val fib_lookup : t -> Ipv4.t -> (Prefix.t * Route.entry) option
 (** Longest-prefix match against the FIB — the data plane's view. By
@@ -139,7 +167,7 @@ val set_reuse_scheduler : t -> (delay:float -> Prefix.t -> unit) -> unit
     hook to schedule a {!reevaluate} once the penalty will have decayed
     below the reuse threshold. Wired by the {!Network}. *)
 
-val reevaluate : t -> now:float -> Prefix.t -> (Asn.t * action) list
+val reevaluate : t -> now:float -> Prefix.t -> (int * action) list
 (** Re-run the decision process for a prefix (e.g. after a damping
     penalty decays); returns the updates to send. *)
 

@@ -92,3 +92,25 @@ let path_of_best = function
 
 let check_path msg expected actual =
   Alcotest.(check (list int)) msg expected (List.map Asn.to_int actual)
+
+(* A standalone speaker for [asn], wired to one stub speaker per
+   neighbor: a speaker has no sessions until [Speaker.connect]. The stubs
+   only ever receive. *)
+let standalone_speaker ?store ~asn:self ~config ~neighbors () =
+  let sp = Bgp.Speaker.create ?store ~asn:self ~config () in
+  let stubs =
+    List.map (fun (n, _) -> Bgp.Speaker.create ~asn:n ~config:Bgp.Policy.default ()) neighbors
+  in
+  Bgp.Speaker.connect (sp :: stubs) ~neighbors:(fun a ->
+      if Asn.equal a self then neighbors else [ (self, Relationship.Customer) ]);
+  sp
+
+(* The index of [sp]'s session to neighbor [n]. *)
+let session_ix sp n =
+  Option.get
+    (Array.find_index (fun (s : Bgp.Speaker.session) -> Asn.equal s.asn n) (Bgp.Speaker.sessions sp))
+
+(* A speaker's updates with each session index replaced by its
+   neighbor's ASN. *)
+let by_neighbor sp updates =
+  List.map (fun (ix, action) -> ((Bgp.Speaker.sessions sp).(ix).Bgp.Speaker.asn, action)) updates

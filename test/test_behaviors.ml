@@ -53,7 +53,6 @@ let prop_decision_is_key_maximum =
         (match salt with
         | Some salt -> Bgp.Route.tiebreak_rank ~salt (asn neighbor)
         | None -> 0)
-      ~learned_at:0.0
   in
   let key (e : Bgp.Route.entry) =
     (e.local_pref, -e.path_len, -e.tiebreak, -Asn.to_int e.neighbor)
@@ -83,12 +82,12 @@ let test_export_table () =
   in
   let learned rel =
     Bgp.Route.make_entry ~ann ~neighbor:learned_from_asn ~rel ~local_pref:(local_pref rel)
-      ~tiebreak:0 ~learned_at:0.0
+      ~tiebreak:0
   in
   let local =
     Bgp.Route.local_entry_of
       ~ann:(Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list [ self ]))
-      ~self ~now:0.0
+      ~self
   in
   let allowed entry ~to_neighbor to_rel =
     Bgp.Policy.export_allowed ~entry ~to_neighbor ~to_rel

@@ -185,7 +185,7 @@ let test_decision_prefers_customer () =
       ~ann:(Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list path))
       ~neighbor:(asn neighbor) ~rel
       ~local_pref:(Topology.Relationship.local_pref rel)
-      ~tiebreak:0 ~learned_at:0.0
+      ~tiebreak:0
   in
   let open Topology in
   let customer = mk ~rel:Relationship.Customer ~path:[ asn 2; asn 7; asn 8; asn 9 ] ~neighbor:2 in
@@ -204,7 +204,7 @@ let test_decision_tiebreaks () =
     Bgp.Route.make_entry
       ~ann:(Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list path))
       ~neighbor:(asn neighbor) ~rel:Relationship.Provider ~local_pref:100
-      ~tiebreak:0 ~learned_at:0.0
+      ~tiebreak:0
   in
   let short = mk ~path:[ asn 3; asn 9 ] ~neighbor:3 in
   let long = mk ~path:[ asn 4; asn 5; asn 9 ] ~neighbor:4 in

@@ -67,7 +67,7 @@ let test_equal_allocation_free () =
    as already-sent. *)
 let test_session_down_clears_adj_out () =
   let sp =
-    Bgp.Speaker.create ~asn:(asn 100) ~config:Bgp.Policy.default
+    standalone_speaker ~asn:(asn 100) ~config:Bgp.Policy.default
       ~neighbors:[ (asn 200, Relationship.Customer); (asn 201, Relationship.Customer) ]
       ()
   in
@@ -79,12 +79,13 @@ let test_session_down_clears_adj_out () =
   let downs = Bgp.Speaker.session_down sp ~now:1. ~neighbor:(asn 200) in
   Alcotest.(check int) "leaf session_down sends nothing" 0 (List.length downs);
   let ups2 =
-    Bgp.Speaker.originate sp ~now:2. ~prefix:production
-      ~per_neighbor:(fun _ -> Some (P.prepended ~origin:(asn 100) ~copies:2))
+    by_neighbor sp
+      (Bgp.Speaker.originate sp ~now:2. ~prefix:production
+         ~per_neighbor:(fun _ -> Some (P.prepended ~origin:(asn 100) ~copies:2)))
   in
   Alcotest.(check bool) "no update leaks to the downed neighbor" true
     (List.for_all (fun (n, _) -> not (Asn.equal n (asn 200))) ups2);
-  match Bgp.Speaker.session_up sp ~now:3. ~neighbor:(asn 200) with
+  match by_neighbor sp (Bgp.Speaker.session_up sp ~now:3. ~neighbor:(asn 200)) with
   | [ (n, Bgp.Speaker.Announce ann) ] ->
       Alcotest.(check bool) "re-announce goes to the revived neighbor" true
         (Asn.equal n (asn 200));

@@ -104,9 +104,12 @@ let mux_fingerprint ~shards =
   let views =
     List.map
       (fun feed ->
-        route_str
-          (Bgp.Network.Collector.current_route mux.Scenarios.collector ~peer:feed
-             ~prefix:Scenarios.production_prefix))
+        match
+          Bgp.Network.Collector.route_view mux.Scenarios.collector ~peer:feed
+            ~prefix:Scenarios.production_prefix
+        with
+        | Some route -> route_str route
+        | None -> "no record")
       mux.Scenarios.feeds
   in
   (Bgp.Network.message_count net, views, log)

@@ -142,18 +142,23 @@ let route_of (e : Bgp.Route.entry) =
   Printf.sprintf "%s from %s" (Bgp.As_path.to_string e.Bgp.Route.ann.Bgp.Route.path)
     (Asn.to_string e.Bgp.Route.neighbor)
 
-let timed_route_of (e : Bgp.Route.entry) =
-  Printf.sprintf "%s at %h" (route_of e) e.Bgp.Route.learned_at
+(* The route with its slot's change stamp: the world's loc-RIB change
+   counter at the latest change of that best. Equal stamps everywhere
+   mean the two worlds made every loc-RIB change in the same order. *)
+let stamped_route_of speaker prefix e =
+  Printf.sprintf "%s, change %d" (route_of e) (Bgp.Speaker.change_stamp speaker prefix)
 
 (* Every AS's loc-RIB, every prefix in it. *)
-let loc_ribs ?(route = timed_route_of) net =
+let loc_ribs ?(route = stamped_route_of) net =
   List.concat_map
     (fun asn ->
       let speaker = Bgp.Network.speaker net asn in
       List.map
         (fun prefix ->
           Printf.sprintf "%s %s: %s" (Asn.to_string asn) (Prefix.to_string prefix)
-            (match Bgp.Speaker.best speaker prefix with Some e -> route e | None -> "-"))
+            (match Bgp.Speaker.best speaker prefix with
+            | Some e -> route speaker prefix e
+            | None -> "-"))
         (List.sort Prefix.compare (Bgp.Speaker.prefixes speaker)))
     (Topology.As_graph.as_list (Bgp.Network.graph net))
 
@@ -165,6 +170,8 @@ let check_same_world what (a : Scenarios.testbed) (b : Scenarios.testbed) =
   Alcotest.(check int) (what ^ ": messages") (Bgp.Network.message_count a.Scenarios.net)
     (Bgp.Network.message_count b.Scenarios.net)
 
+let routes_only _ _ e = route_of e
+
 (* The record count, then the log (empty until a round starts it). *)
 let collector_log mux =
   let c = mux.Scenarios.collector in
@@ -173,7 +180,7 @@ let collector_log mux =
        (fun (r : Bgp.Network.update_record) ->
          Printf.sprintf "%h %s %s %s" r.Bgp.Network.time (Asn.to_string r.Bgp.Network.speaker)
            (Prefix.to_string r.Bgp.Network.prefix)
-           (match r.Bgp.Network.route with Some e -> timed_route_of e | None -> "-"))
+           (match r.Bgp.Network.route with Some e -> route_of e | None -> "-"))
        (Bgp.Network.Collector.log c)
 
 let oracle_worlds = [ (1, 60); (7, 80); (13, 100) ]
@@ -368,22 +375,23 @@ let test_fork_selective () =
           in
           P.converge_baseline fresh;
           Alcotest.(check (list string)) (what ^ ": routes of a fresh Endpoints_only world")
-            (loc_ribs ~route:route_of fresh.Scenarios.bed.Scenarios.net)
-            (loc_ribs ~route:route_of fork.Scenarios.bed.Scenarios.net))
+            (loc_ribs ~route:routes_only fresh.Scenarios.bed.Scenarios.net)
+            (loc_ribs ~route:routes_only fork.Scenarios.bed.Scenarios.net))
         (List.filteri (fun i _ -> i < 3) feeds))
     oracle_worlds
 
 (* The converged 318-AS paper world (the BGP-Mux baseline the drivers
    fork per trial) stays small: every trial unmarshals it, and a larger
    world is a slower fork and a larger heap. The bound is the size the
-   world reached once it kept only its routes (207,890 B), plus 5%. *)
+   world reached once each update travelled through its session record
+   and a route no longer kept its import time (202,110 B), plus 5%. *)
 let test_world_size () =
   let module P = Experiments.Poisoning in
   let mux = P.mux ~ases:318 ~seed:42 () in
   P.converge_baseline mux;
   let bytes = String.length (Template.capture mux :> string) in
-  Alcotest.(check bool) (Printf.sprintf "captured world is %d B, want <= 218284" bytes) true
-    (bytes <= 218_284)
+  Alcotest.(check bool) (Printf.sprintf "captured world is %d B, want <= 212215" bytes) true
+    (bytes <= 212_215)
 
 let prop_durations_deterministic =
   QCheck.Test.make ~name:"outage durations deterministic per seed" ~count:20
