@@ -25,11 +25,6 @@ let to_list t = Array.to_list t.asns
 let empty = of_array [||]
 let is_empty t = Array.length t.asns = 0
 let length t = Array.length t.asns
-let hash t = t.hash
-
-let origin t =
-  let n = Array.length t.asns in
-  if n = 0 then None else Some t.asns.(n - 1)
 
 let first_hop t = if Array.length t.asns = 0 then None else Some t.asns.(0)
 

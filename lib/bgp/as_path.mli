@@ -21,9 +21,6 @@ type t
 val empty : t
 val is_empty : t -> bool
 
-val origin : t -> Asn.t option
-(** The last AS (the originator), if the path is non-empty. O(1). *)
-
 val first_hop : t -> Asn.t option
 (** The head of the path — the next-hop AS from the receiver's view. O(1). *)
 
@@ -41,16 +38,12 @@ val fold : ('a -> Asn.t -> 'a) -> 'a -> t -> 'a
 val count : Asn.t -> t -> int
 (** Occurrences of an AS in the path. *)
 
-val traversed : origin:Asn.t -> t -> t
-(** The portion of the path that traffic actually traverses: everything
-    before the first occurrence of [origin]. A poisoned announcement
-    [X-Y-O-A-O] contains the poisoned AS [A] textually, but packets only
-    cross [X-Y] before reaching the origin — so "does this route avoid
-    [A]?" must be asked of the traversed portion. *)
-
 val traverses : origin:Asn.t -> target:Asn.t -> t -> bool
 (** [traverses ~origin ~target path]: does the traffic using this path
-    actually cross [target]? *)
+    actually cross [target]? Only the portion before the first occurrence
+    of [origin] counts: a poisoned announcement [X-Y-O-A-O] contains the
+    poisoned AS [A] textually, but packets only cross [X-Y] before
+    reaching the origin. *)
 
 val plain : origin:Asn.t -> t
 (** The ordinary origination path [O]. *)
@@ -70,18 +63,12 @@ val poisoned_multi : origin:Asn.t -> poisons:Asn.t list -> t
     accept one occurrence of their own number, by inserting it twice —
     see §7.1). *)
 
-val of_list : Asn.t list -> t
-(** Build a path from a nearest-first ASN list. *)
-
 val to_list : t -> Asn.t list
 
 val equal : t -> t -> bool
 (** Physical equality, then cached-hash comparison, then a structural walk
     only when the hashes agree: O(1) on one physical value, and O(1) with
     high probability on unequal values. Allocates nothing. *)
-
-val hash : t -> int
-(** The cached salted structural hash (computed once at construction). *)
 
 val pp : Format.formatter -> t -> unit
 (** Prints as ["O A O"] style: space-separated ASNs, nearest first. *)

@@ -16,15 +16,6 @@ let compare_entries (a : Route.entry) (b : Route.entry) =
     end
   | c -> c
 
-let best entries =
-  match entries with
-  | [] -> None
-  | first :: rest ->
-      Some
-        (List.fold_left
-           (fun acc e -> if compare_entries e acc > 0 then e else acc)
-           first rest)
-
 (* No case for empty cells: [Route.no_route] ranks below every real
    entry, so it is also where the scan starts. Top-level, so the scan
    builds no closure and allocates nothing. *)

@@ -23,17 +23,14 @@ val compare_entries : Route.entry -> Route.entry -> int
     -neighbor)]. Total order over candidate entries for one prefix
     (entries built with the same salt). *)
 
-val best : Route.entry list -> Route.entry option
-(** Most preferred entry, [None] on the empty list. Entries carry their
-    speaker's tiebreak rank (see {!Route.make_entry}): each AS breaks
-    exact ties in its own idiosyncratic (but deterministic) order, which
-    is what makes real forward and reverse routes asymmetric. Entries
-    built without a salt fall back to lowest-neighbor-ASN. *)
-
 val best_in_array : Route.entry array -> Route.entry
 (** Most preferred among the real entries of an array (a speaker's
     adj-RIB-in for one prefix, one cell per session, {!Route.no_route}
     where a session has no route), or {!Route.no_route} if there is
-    none. Equal to {!best} of those entries in any order, because
-    {!compare_entries} is total over one prefix's candidates.
-    Allocates nothing. *)
+    none. The result does not depend on the order of the cells, because
+    {!compare_entries} is total over one prefix's candidates. Entries
+    carry their speaker's tiebreak rank (see {!Route.make_entry}): each
+    AS breaks exact ties in its own idiosyncratic (but deterministic)
+    order, which is what makes real forward and reverse routes
+    asymmetric. Entries built without a salt fall back to
+    lowest-neighbor-ASN. Allocates nothing. *)

@@ -531,6 +531,7 @@ let announce t ~origin ~prefix ?per_neighbor () =
   emit_from t sp (Speaker.originate sp ~now:(Sim.Engine.now t.engine) ~prefix ~per_neighbor);
   poke t
 
+(* lint: allow LG-DEAD-EXPORT (seam: withdrawal tests in test_bgp.ml) *)
 let withdraw t ~origin ~prefix =
   sync t;
   Prefix.Table.remove t.owners prefix;
@@ -645,7 +646,6 @@ module Collector = struct
   type net = t
 
   type t = {
-    cname : string;
     subscribed : Asn.t list;  (** the peers in the world, sorted, once each *)
     subs : collector_shard array;  (** one slice per shard *)
     cnet : net;
@@ -654,11 +654,10 @@ module Collector = struct
             clear: a peer's route is in view once its stamp is above it *)
   }
 
-  let attach (net : net) ~name ~peers =
+  let attach (net : net) ~peers =
     let subscribed = List.filter (Asn.Table.mem net.feeds) (List.sort_uniq Asn.compare peers) in
     let c =
       {
-        cname = name;
         subscribed;
         subs =
           Array.init (Array.length net.shards) (fun _ ->
@@ -676,8 +675,6 @@ module Collector = struct
         feeds := c.subs.(shard_ix net peer) :: !feeds)
       subscribed;
     c
-
-  let name c = c.cname
 
   (* Sharded logs merge the per-shard slices in the canonical
      (time, speaker) order — per-speaker record order is preserved by

@@ -77,13 +77,6 @@ val barrier_history : t -> (float * int * int) list
 (** With [record_barriers]: per-barrier [(window start, messages
     injected, cross-shard messages injected)] rows, oldest first. *)
 
-val sync : t -> unit
-(** Catch every shard up to the control clock (run all barrier windows
-    due so far, inline). Control-plane entry points — {!announce},
-    {!fail_link}, {!best_route}, the collector reads, … — do this
-    implicitly; call it directly only before inspecting a {!speaker}
-    raw. No-op on unsharded networks. *)
-
 val engine : t -> Sim.Engine.t
 (** The shared discrete-event engine the network schedules on. *)
 
@@ -121,8 +114,10 @@ val owner_of_address : t -> Ipv4.t -> (Prefix.t * Asn.t) option
 
 val speaker : t -> Asn.t -> Speaker.t
 (** Direct access to an AS's speaker (read-mostly: RIB inspection). On a
-    sharded network this is raw access: call {!sync} first if the
-    barrier may be behind the control clock. *)
+    sharded network this is raw access: the shards catch up to the
+    control clock only at a control-plane call ({!announce},
+    {!best_route}, {!message_count}, …), so make one first if the
+    barrier may be behind. *)
 
 val best_route : t -> Asn.t -> Prefix.t -> Route.entry option
 (** [best_route t asn prefix] is [asn]'s loc-RIB best route for exactly
@@ -134,15 +129,16 @@ val fib_lookup : t -> Asn.t -> Ipv4.t -> (Prefix.t * Route.entry) option
 
 val fib_find : t -> Asn.t -> Ipv4.t -> Route.entry option
 (** {!fib_lookup} without the matched prefix, allocating nothing
-    ({!Speaker.fib_find} after the same {!sync}). *)
+    ({!Speaker.fib_find} after the same catch-up of the shards). *)
 
 val fib_epoch : t -> int
 (** The world's forwarding epoch: a counter bumped by every
     {!Speaker.install_fib} of every speaker — immediate and delayed
     installs alike, since that function is the only FIB writer. While it
     is unchanged, every {!fib_lookup} answers as it did. Reading it
-    first {!sync}s the shards, so a sharded network never reports the
-    epoch of a FIB state the control clock has already moved past. *)
+    first catches the shards up to the control clock, so a sharded
+    network never reports the epoch of a FIB state the control clock
+    has already moved past. *)
 
 val run_until_quiet : ?timeout:float -> t -> unit
 (** Drive the engine until no BGP events remain queued (or [timeout]
@@ -189,7 +185,7 @@ val set_link_faults :
     a count of the records it has seen ({!count}: the fleet's
     [collector_updates]); its peers' latest routes ({!route_view}: the
     remediation watchdog) are their own bests. The record list behind
-    {!log} and {!since} exists only once a reader starts it with
+    {!since} exists only once a reader starts it with
     {!clear}, which every convergence measurement does before its event
     ({!Convergence.analyze} reads {!since}). A collector nobody clears,
     such as the watchdog's or a fleet world's, retains no records. *)
@@ -197,21 +193,16 @@ module Collector : sig
   type net := t
   type t
 
-  val attach : net -> name:string -> peers:Asn.t list -> t
+  val attach : net -> peers:Asn.t list -> t
   (** Record every loc-RIB change of each peer from now on. The
       collector subscribes to each peer once, however often [peers]
       names it; a change of an AS that is not a peer reaches no
       collector, and a name outside the world is never recorded. The
       log is not started: call {!clear} to start it. *)
 
-  val name : t -> string
-
-  val log : t -> update_record list
-  (** The records since the latest {!clear}, oldest first; [[]] if the
-      log was never started. *)
-
   val since : t -> float -> update_record list
-  (** Records of {!log} with [time >=] the given instant, oldest first. *)
+  (** The records since the latest {!clear} with [time >=] the given
+      instant, oldest first; [[]] if the log was never started. *)
 
   val count : t -> int
   (** Records seen since {!attach}, whether or not the log keeps them;
@@ -219,7 +210,7 @@ module Collector : sig
 
   val clear : t -> unit
   (** Drop every record, move the mark (below) to now, and start the
-      log: from now on the collector keeps each record for {!log}. *)
+      log: from now on the collector keeps each record for {!since}. *)
 
   val route_view : t -> peer:Asn.t -> prefix:Prefix.t -> Route.entry option option
   (** The peer's route as of its latest record since {!attach} or the

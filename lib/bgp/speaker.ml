@@ -290,6 +290,8 @@ let sorted_slots t keep =
   done;
   !acc
 
+(* Whether any route-flap damping records are live (suppressed or still
+   decaying). While true, [session_up] uses its conservative slow path. *)
 let damping_pending t =
   match t.damp with Some d -> Damp_tbl.length d <> 0 | None -> false
 
@@ -524,8 +526,10 @@ let fib_find t ip = Path_store.longest_match t.store ip fib_at t
 let fib_lookup t ip =
   match fib_find t ip with Some e -> Some (e.Route.ann.Route.prefix, e) | None -> None
 
+(* lint: allow LG-DEAD-EXPORT (oracle: test_dataplane.ml's FIB script) *)
 let fib_entry t prefix = (find_slot t prefix).fib
 
+(* lint: allow LG-DEAD-EXPORT (oracle: test_workloads.ml's loc-RIB dumps) *)
 let prefixes t =
   List.map (fun slot -> slot.prefix) (sorted_slots t (fun slot -> Option.is_some slot.best))
 

@@ -93,18 +93,14 @@ val session_down : t -> now:float -> neighbor:Asn.t -> (int * action) list
 
 val session_up : t -> now:float -> neighbor:Asn.t -> (int * action) list
 (** Re-enable the session and produce the full-table advertisement for
-    that neighbor. When {!damping_pending} is false this takes a fast
+    that neighbor. When no route-flap damping records are live
+    (suppressed or still decaying) this takes a fast
     path that exports the current loc-RIB toward only the revived
     neighbor; with damping state live it re-runs the full decision
     process per prefix (a suppression may lift lazily and move a best).
     Both paths advertise the same routes — including a poison applied by
     a same-instant {!originate} or {!refresh_prefix}, in either relative
     order. *)
-
-val damping_pending : t -> bool
-(** Whether any route-flap damping records are live (suppressed or still
-    decaying). While true, {!session_up} uses its conservative slow
-    path. *)
 
 val refresh_prefix : t -> prefix:Prefix.t -> (int * action) list
 (** Force a re-advertisement of the current desired export for [prefix]

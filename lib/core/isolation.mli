@@ -19,8 +19,6 @@ type direction =
   | Destination_unreachable  (** No vantage point reaches the target: not isolatable. *)
   | No_failure  (** The path works after all (transient). *)
 
-val direction_to_string : direction -> string
-
 type blame =
   | Blamed_as of Asn.t
   | Blamed_link of Asn.t * Asn.t  (** Failure pinned to an inter-AS link. *)

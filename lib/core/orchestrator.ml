@@ -13,8 +13,8 @@ let default_config =
     decision_latency = 0.0;
   }
 
-let monitor_interval = 30.0
-let detection_lag = float_of_int Measurement.Monitor.default_fail_threshold *. monitor_interval
+let detection_lag =
+  float_of_int Measurement.Monitor.fail_threshold *. Measurement.Monitor.interval
 
 let max_isolation_attempts = 3
 let retry_backoff = 60.0
@@ -40,6 +40,7 @@ type hooks = {
   plan_demote : (poison:Asn.t -> reason:string -> unit) option;
 }
 
+(* lint: allow LG-DEAD-EXPORT (seam: test_lifeguard.ml and test_plan.ml set one hook) *)
 let no_hooks =
   {
     probe_gate = None;
@@ -97,11 +98,6 @@ let pp_event fmt = function
 type state = Idle | Isolating | Poisoned of Asn.t
 
 type outcome = Repaired | Stood_down of string | Gave_up_on of string
-
-let pp_outcome fmt = function
-  | Repaired -> Format.pp_print_string fmt "repaired"
-  | Stood_down reason -> Format.fprintf fmt "stood down: %s" reason
-  | Gave_up_on reason -> Format.fprintf fmt "gave up: %s" reason
 
 let log_src = Logs.Src.create "lifeguard.orchestrator" ~doc:"LIFEGUARD control loop"
 
@@ -223,8 +219,7 @@ let create ?(config = default_config) ?(hooks = no_hooks) ?journal ~env ~atlas ~
   (* Attach the watchdog feed before the baseline goes out, so the
      vantage views are populated by the baseline convergence itself. *)
   let collector =
-    Bgp.Network.Collector.attach env.Dataplane.Probe.net ~name:"lifeguard-watchdog"
-      ~peers:vantage_points
+    Bgp.Network.Collector.attach env.Dataplane.Probe.net ~peers:vantage_points
   in
   Remediate.announce_baseline env.Dataplane.Probe.net plan;
   {
@@ -700,8 +695,7 @@ let watch t ~targets =
   let origin = t.plan.Remediate.origin in
   Measurement.Atlas.refresh_all t.atlas t.env ~vps:[ origin ] ~dsts:targets ~now:(now t);
   let monitor =
-    Measurement.Monitor.create ~env:t.env ~engine:(engine t)
-      ~interval:monitor_interval ~responsiveness:t.responsiveness
+    Measurement.Monitor.create ~env:t.env ~engine:(engine t) ~responsiveness:t.responsiveness
       ~on_outage:(fun outage ->
         match
           Bgp.Network.owner_of_address t.env.Dataplane.Probe.net
@@ -723,6 +717,7 @@ let watch t ~targets =
   in
   t.monitors <- monitor :: t.monitors
 
+(* lint: allow LG-DEAD-EXPORT (seam: the state-machine tests in test_lifeguard.ml) *)
 let state t : state =
   match t.active with
   | Some ap -> Poisoned ap.ap_target
@@ -737,11 +732,11 @@ let awaiting_repair t =
 let reannounce_count t = t.reannounced
 let rollback_count t = t.rolled_back
 let breaker_trip_count t = t.breaker_trips
+(* lint: allow LG-DEAD-EXPORT (seam: test_lifeguard.ml's watchdog tests) *)
 let breaker_open t ~target = Hashtbl.mem t.breaker target
 let events t = List.rev t.events
 let outcomes t = List.rev t.outcomes
 let monitors t = List.rev t.monitors
-let plan t = t.plan
 let collector t = t.collector
 
 (* The state-ownership contract: everything mutable in this module that

@@ -44,17 +44,14 @@ val default_config : config
     vantage feed shows in force within 3600 s of its first announcement
     never propagated and is rolled back. *)
 
-val monitor_interval : float
-(** Ping-pair period of the built-in monitors: 30 s. *)
-
 val recheck_interval : float
 (** Sentinel re-test period while a poison stands: 120 s. *)
 
 val detection_lag : float
 (** How long an outage has already lasted when a monitor declares it:
-    {!Measurement.Monitor.default_fail_threshold} failed rounds of
-    {!monitor_interval}, i.e. 120 s. The age gate counts from this
-    estimated start. *)
+    {!Measurement.Monitor.fail_threshold} failed rounds of
+    {!Measurement.Monitor.interval}, i.e. 120 s. The age gate counts
+    from this estimated start. *)
 
 (** Hooks let a harness (the fleet service) inject probe budgets and
     chaos without the orchestrator knowing about either. All default to
@@ -140,8 +137,6 @@ type state = Idle | Isolating | Poisoned of Asn.t
     give-up reason. *)
 type outcome = Repaired | Stood_down of string | Gave_up_on of string
 
-val pp_outcome : Format.formatter -> outcome -> unit
-
 type t
 
 val create :
@@ -200,8 +195,6 @@ val outcomes : t -> (float * Asn.t * outcome) list
 
 val monitors : t -> Measurement.Monitor.t list
 (** Monitors started by {!watch}, oldest first. *)
-
-val plan : t -> Remediate.plan
 
 val collector : t -> Bgp.Network.Collector.t
 (** The watchdog's vantage-feed collector — exposed so reconciliation

@@ -19,6 +19,9 @@ let plan ?sentinel ~origin ~production () =
   | None -> ());
   { origin; production; sentinel }
 
+(* An address inside the sentinel but outside the production prefix —
+   probe replies to it must ride the (unpoisoned) sentinel route, which
+   is what makes repair detectable while the poison is still in place. *)
 let sentinel_unused_address t =
   match t.sentinel with
   | None -> None

@@ -28,11 +28,6 @@ val plan : ?sentinel:Prefix.t -> origin:Asn.t -> production:Prefix.t -> unit -> 
 (** Validates that [sentinel] covers [production] and is strictly less
     specific. *)
 
-val sentinel_unused_address : plan -> Ipv4.t option
-(** An address inside the sentinel but outside the production prefix —
-    probe replies to it must ride the (unpoisoned) sentinel route, which
-    is what makes repair detectable while the poison is still in place. *)
-
 val announce_baseline : Bgp.Network.t -> plan -> unit
 (** Announce production ([O-O-O]) and the sentinel (plain [O]). *)
 

@@ -22,6 +22,7 @@ let spec_equal a b =
 type set = { mutable specs : spec list; mutable version : int }
 
 let create () = { specs = []; version = 0 }
+(* lint: allow LG-DEAD-EXPORT (seam: test_dataplane.ml's scripts heal a live failure) *)
 let active t = t.specs
 let version t = t.version
 
@@ -31,7 +32,6 @@ let write t specs =
 
 let add t spec = write t (spec :: t.specs)
 let remove t spec = write t (List.filter (fun s -> not (spec_equal s spec)) t.specs)
-let clear t = write t []
 
 let toward_matches spec dst =
   match spec.toward with

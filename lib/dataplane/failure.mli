@@ -42,15 +42,13 @@ val active : set -> spec list
 
 val add : set -> spec -> unit
 val remove : set -> spec -> unit
-(** Remove a failure equal to [spec]; no-op when absent. *)
-
-val clear : set -> unit
-(** [add], [remove] and [clear] are the only writers of a set; each one
-    bumps its {!version}. *)
+(** Remove a failure equal to [spec]; no-op when absent. [add] and
+    [remove] are the only writers of a set; each one bumps its
+    {!version}. *)
 
 val version : set -> int
-(** A counter that moves on every {!add}, {!remove} and {!clear} (even a
-    [remove] of an absent failure). While it is unchanged, {!blocks_hop}
+(** A counter that moves on every {!add} and {!remove} (even a [remove]
+    of an absent failure). While it is unchanged, {!blocks_hop}
     and {!blocks_source} answer as they did: what {!Probe}'s reachability
     memo checks before reusing a verdict. *)
 

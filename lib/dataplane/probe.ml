@@ -63,6 +63,8 @@ let charge t n =
       ~span:"meas.probe"
       [ ("n", Obs.Trace.Int n) ]
 
+(* The AS that would answer probes to this address: the owner of the
+   router address, or the AS originating the covering prefix. *)
 let responder t ip =
   match As_graph.owner_of_address (Bgp.Network.graph t.net) ip with
   | Some asn -> Some asn

@@ -59,10 +59,6 @@ val delivers : env -> src:Asn.t -> dst:Ipv4.t -> bool
     verdict path for every yes/no data-plane question asked in a loop,
     such as the loss and ablation samplers. *)
 
-val responder : env -> Ipv4.t -> Asn.t option
-(** The AS that would answer probes to this address: the owner of the
-    router address, or the AS originating the covering prefix. *)
-
 val ping : env -> src:Asn.t -> dst:Ipv4.t -> bool
 (** Echo request from [src]'s first router to [dst] and reply back to
     [src]'s infrastructure address. True iff both directions deliver. *)

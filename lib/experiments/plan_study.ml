@@ -92,6 +92,7 @@ let run ?(config = default_config) ?(targets = 40) ?(jobs = 1) ~seed () =
     computed = merge computed_reports;
   }
 
+(* Hits over lookups, in [0, 1]; [0.] when there were no lookups. *)
 let hit_rate m =
   let lookups = m.plan_hits + m.plan_misses in
   if lookups = 0 then 0.0 else float_of_int m.plan_hits /. float_of_int lookups

@@ -43,9 +43,6 @@ val run :
     result is a pure function of [(config, targets, seed)]; [jobs] never
     changes a byte of output. *)
 
-val hit_rate : mode -> float
-(** Hits over lookups, in [0, 1]; [0.] when there were no lookups. *)
-
 val to_tables : result -> Stats.Table.t list
 (** Two tables: plan-cache effectiveness (hits/misses/hit rate,
     invalidations, demotions) and planned-vs-computed repair latency

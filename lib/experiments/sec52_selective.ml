@@ -102,6 +102,7 @@ let undisturbed_ok mux ~feeds =
    feed's infrastructure prefix needs announcing. Converging it after the
    baseline rather than before leaves every loc-RIB as it is in a fresh
    [Endpoints_only [feed]] world (test_workloads pins this). *)
+(* lint: allow LG-DEAD-EXPORT (seam: test_workloads.ml's fork oracle) *)
 let feed_world template ~feed =
   let mux = Template.fork template in
   let net = mux.Scenarios.bed.Scenarios.net in

@@ -30,6 +30,7 @@ let shard_count = 8
    probes the routes that exist, and the failures it places are
    [Data_only] (they live in the view's own failure set), so a view is
    all a shard needs. *)
+(* lint: allow LG-DEAD-EXPORT (seam: test_workloads.ml's view oracle) *)
 let run_shard ~seed ~shard ~quota bed =
   let rng = Prng.create ~seed:(seed + 5 + (131 * shard)) in
   let sites = Array.of_list bed.Scenarios.vantage_points in

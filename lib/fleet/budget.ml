@@ -20,6 +20,7 @@ let refill t ~now =
     t.updated <- now
   end
 
+(* Take [cost] tokens if available; refusal consumes nothing. *)
 let admit t ~now ~cost =
   if cost < 0 then invalid_arg "Budget.admit: negative cost";
   refill t ~now;

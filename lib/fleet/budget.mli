@@ -14,16 +14,6 @@ val create : rate:float -> burst:float -> unit -> t
 (** A bucket refilling at [rate] tokens/second, holding at most [burst],
     initially full. *)
 
-val admit : t -> now:float -> cost:int -> bool
-(** Take [cost] tokens if available; refusal consumes nothing. [now] must
-    be the current simulation time (buckets refill lazily from it). *)
-
-val granted : t -> int
-(** Total cost admitted. *)
-
-val denied : t -> int
-(** Total cost refused. *)
-
 (** The fleet's admission point: one global bucket that every vantage
     point draws on. *)
 type scheduler
@@ -32,7 +22,9 @@ val scheduler : global:t -> unit -> scheduler
 
 val admit_vp : scheduler -> vp:Asn.t -> now:float -> cost:int -> bool
 (** Admit a request made on behalf of vantage point [vp] through the
-    global bucket. *)
+    global bucket: take [cost] tokens if available; refusal consumes
+    nothing. [now] must be the current simulation time (buckets refill
+    lazily from it). *)
 
 val capture : scheduler -> string
 (** Canonical rendering of the global bucket's token level and counters,

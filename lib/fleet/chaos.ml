@@ -11,6 +11,7 @@ let none = { probe_loss = 0.0; vp_mtbf = 0.0; atlas_staleness = 0.0 }
 (* Mean VP downtime per crash (s). *)
 let vp_mttr = 1800.0
 
+(* Returns the config; raises [Invalid_argument] on out-of-range knobs. *)
 let validate c =
   if c.probe_loss < 0.0 || c.probe_loss > 1.0 then
     invalid_arg "Chaos: probe_loss must be in [0,1]";

@@ -18,12 +18,10 @@ type config = {
 val none : config
 (** All knobs off. *)
 
-val validate : config -> config
-(** Returns the config; raises [Invalid_argument] on out-of-range knobs. *)
-
 type t
 
 val create : ?config:config -> rng:Prng.t -> engine:Sim.Engine.t -> unit -> t
+(** Raises [Invalid_argument] on out-of-range knobs. *)
 
 val start : t -> vantage_points:Asn.t list -> until:float -> unit
 (** Arm the VP crash/recover renewal process (no-op when [vp_mtbf] is 0):

@@ -10,8 +10,6 @@ type t = int M.t
 
 let key rule file = Rule.id rule ^ " " ^ file
 
-let empty = M.empty
-
 let of_violations vs =
   List.fold_left
     (fun m (v : Source_scan.violation) ->

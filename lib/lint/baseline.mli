@@ -7,12 +7,10 @@
 
 type t
 
-val empty : t
-
 val of_violations : Source_scan.violation list -> t
 
 val load : string -> (t, string) result
-(** A missing file loads as {!empty} (everything is "new"). *)
+(** A missing file loads as the empty baseline (everything is "new"). *)
 
 val save : string -> t -> unit
 

@@ -1,4 +1,5 @@
-(* Interprocedural call graph over the library tree.
+(* Interprocedural call graph over the library tree and the files that
+   call into it (bin/, examples/, perfbench/).
 
    One pass parses every .ml handed in (the driver parses once and shares
    the AST with the syntactic scan), collects the module-level value
@@ -41,7 +42,6 @@ type def = {
 
 type t = {
   defs : def array;
-  by_display : (string, int) Hashtbl.t;
   sccs : int list list;  (** callee-first: each SCC after all it calls into *)
 }
 
@@ -116,6 +116,7 @@ type pre_def = {
   pd_scope : string list;  (** enclosing module path (path minus name) *)
   pd_line : int;
   pd_col : int;
+  pd_named : bool;  (** false for [let () = ...] and toplevel expressions *)
   pd_mutable : bool;
   pd_body : expression;
 }
@@ -208,7 +209,7 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
   let lib_of_dir = Hashtbl.create 8 in
   let umbrella = Hashtbl.create 8 in (* capitalized lib name -> dir *)
   List.iter
-    (fun (f, _, _) ->
+    (fun (f, _, (kind : Source_scan.file_kind)) ->
       let dir = Filename.dirname f in
       let mods =
         match Hashtbl.find_opt dirs dir with
@@ -218,7 +219,8 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
             Hashtbl.add dirs dir m;
             let lib = lib_name_of_dir dir in
             Hashtbl.add lib_of_dir dir lib;
-            Hashtbl.replace umbrella (String.capitalize_ascii lib) dir;
+            (* Only libraries can be named from another directory. *)
+            if kind.in_lib then Hashtbl.replace umbrella (String.capitalize_ascii lib) dir;
             m
       in
       Hashtbl.replace mods (module_name_of_file f) f)
@@ -241,27 +243,34 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
         }
       in
       Hashtbl.add infos f fi;
+      let push scope path loc rhs ~named =
+        let p = loc.Location.loc_start in
+        pre :=
+          {
+            pd_file = f;
+            pd_path = path;
+            pd_scope = scope;
+            pd_line = p.Lexing.pos_lnum;
+            pd_col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
+            pd_named = named;
+            pd_mutable = named && (not (is_fun_expr rhs)) && creates_mutable rhs;
+            pd_body = rhs;
+          }
+          :: !pre;
+        incr n_defs
+      in
       let add_def scope name loc rhs =
         let path = scope @ [ name ] in
         let key = joined path in
         if not (Hashtbl.mem fi.fi_defs key) then begin
-          let id = !n_defs in
-          incr n_defs;
-          Hashtbl.add fi.fi_defs key id;
-          let p = loc.Location.loc_start in
-          pre :=
-            {
-              pd_file = f;
-              pd_path = path;
-              pd_scope = scope;
-              pd_line = p.Lexing.pos_lnum;
-              pd_col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
-              pd_mutable = (not (is_fun_expr rhs)) && creates_mutable rhs;
-              pd_body = rhs;
-            }
-            :: !pre
+          Hashtbl.add fi.fi_defs key !n_defs;
+          push scope path loc rhs ~named:true
         end
       in
+      (* [let () = ...], [let _ = ...] and bare toplevel expressions: no
+         name to call them by, but their references count (a bin or
+         example file often does all its work in one). *)
+      let add_unnamed scope loc rhs = push scope (scope @ [ "()" ]) loc rhs ~named:false in
       let rec pat_names (p : pattern) =
         match p.ppat_desc with
         | Ppat_var { txt; loc } -> [ (txt, loc) ]
@@ -283,10 +292,12 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
             | Pstr_value (_, vbs) ->
                 List.iter
                   (fun vb ->
-                    List.iter
-                      (fun (name, loc) -> add_def scope name loc vb.pvb_expr)
-                      (pat_names vb.pvb_pat))
+                    match pat_names vb.pvb_pat with
+                    | [] -> add_unnamed scope vb.pvb_loc vb.pvb_expr
+                    | names ->
+                        List.iter (fun (name, loc) -> add_def scope name loc vb.pvb_expr) names)
                   vbs
+            | Pstr_eval (e, _) -> add_unnamed scope si.pstr_loc e
             | Pstr_module { pmb_name = { txt = Some m; _ }; pmb_expr; _ } -> (
                 match module_shape pmb_expr with
                 (* lint: allow LG-PERF-APPEND (one element at bounded module depth) *)
@@ -335,7 +346,7 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
           Hashtbl.add export_tables pd.pd_file t;
           t
     in
-    match tbl with None -> true | Some t -> Hashtbl.mem t (joined pd.pd_path)
+    pd.pd_named && match tbl with None -> true | Some t -> Hashtbl.mem t (joined pd.pd_path)
   in
   let display_of (pd : pre_def) =
     let fi = Hashtbl.find infos pd.pd_file in
@@ -424,18 +435,13 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
                       | Some f' when rest2 <> [] -> lookup_deep ~depth f' rest2
                       | Some f' -> lookup_in_file f' rest2
                       | None -> (
-                          (* alias inside the umbrella file, e.g.
-                             Experiments.R with module R = Runner *)
+                          (* a value or alias of the umbrella module itself,
+                             e.g. Prng.int, or Experiments.R with
+                             module R = Runner *)
                           let lib = Hashtbl.find lib_of_dir dir' in
                           match module_file dir' (String.capitalize_ascii lib) with
                           | None -> None
-                          | Some uf -> (
-                              match Hashtbl.find_opt infos uf with
-                              | None -> None
-                              | Some ufi -> (
-                                  match expand_alias ufi [] rest with
-                                  | Some p' -> resolve_abs ~depth:(depth + 1) dir' p'
-                                  | None -> None)))))))
+                          | Some uf -> lookup_deep ~depth uf rest)))))
   and lookup_deep ~depth f path =
     match lookup_in_file f path with
     | Some id -> Some id
@@ -471,18 +477,23 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
     | Some id -> Some id
     | None -> (
         (* file-level opens applicable to this scope + local opens *)
+        let file_opens =
+          List.filter_map
+            (fun (oscope, p) ->
+              let rec prefix a b =
+                match (a, b) with
+                | [], _ -> true
+                | x :: xs, y :: ys when String.equal x y -> prefix xs ys
+                | _ -> false
+              in
+              if prefix oscope scope then Some p else None)
+            fi.fi_opens
+        in
+        (* An opened path may itself be relative to an earlier open:
+           [open Workloads] then [let open Scenarios.Case_study in]. *)
+        let opens = local_opens @ file_opens in
         let opens =
-          local_opens
-          @ List.filter_map
-              (fun (oscope, p) ->
-                let rec prefix a b =
-                  match (a, b) with
-                  | [], _ -> true
-                  | x :: xs, y :: ys when String.equal x y -> prefix xs ys
-                  | _ -> false
-                in
-                if prefix oscope scope then Some p else None)
-              fi.fi_opens
+          opens @ List.concat_map (fun o -> List.map (fun fo -> fo @ o) file_opens) opens
         in
         let via_open =
           List.find_map
@@ -614,9 +625,4 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
   for v = 0 to n - 1 do
     if index.(v) = -1 then strongconnect v
   done;
-  let by_display = Hashtbl.create n in
-  Array.iter (fun d -> if not (Hashtbl.mem by_display d.display) then
-                         Hashtbl.add by_display d.display d.id) defs;
-  { defs; by_display; sccs = List.rev !sccs }
-
-let find t display = Hashtbl.find_opt t.by_display display
+  { defs; sccs = List.rev !sccs }

@@ -1,5 +1,7 @@
-(** Interprocedural call graph over the library tree (functor-free,
-    untyped, heuristic — see the .ml header).
+(** Interprocedural call graph over the library tree and its callers
+    (functor-free, untyped, heuristic — see the .ml header). Unnamed
+    toplevel items ([let () = ...]) are definitions too, never exported,
+    so their references count.
 
     Built from already-parsed structures so the driver parses each file
     exactly once. Resolution understands sibling modules
@@ -29,7 +31,6 @@ type def = {
 
 type t = {
   defs : def array;
-  by_display : (string, int) Hashtbl.t;
   sccs : int list list;
       (** Tarjan SCCs in callee-first order: every SCC appears after all
           SCCs it has edges into, so one forward sweep is a fixpoint *)
@@ -39,6 +40,3 @@ val build : files:(string * Parsetree.structure * Source_scan.file_kind) list ->
 (** Build the graph over the given parsed files. Files are sorted by
     path and definitions numbered in source order, so the graph — and
     everything derived from it — is deterministic. *)
-
-val find : t -> string -> int option
-(** Look up a definition by display name, e.g. ["Fleet.Service.run"]. *)

@@ -12,10 +12,15 @@ module Effects = Effects
 module Pragma = Pragma
 module Report = Report
 
-let default_dirs = [ "lib"; "bin"; "examples" ]
+let default_dirs = [ "lib"; "bin"; "examples"; "perfbench" ]
+
+(* perfbench/ is the benchmark: scanned for the library references it
+   makes (a caller for LG-DEAD-EXPORT), never checked itself. *)
+let references_only f = List.mem "perfbench" (String.split_on_char '/' f)
 
 (* Skip hidden and build dirs so the pass can run unchanged from a dune
    sandbox (_build/default), where .objs/ etc. sit next to sources. *)
+(* lint: allow LG-DEAD-EXPORT (seam: test_lint.ml's mli fixtures) *)
 let rec collect_ml_files acc path =
   if Sys.file_exists path && Sys.is_directory path then
     Array.to_list (Sys.readdir path)
@@ -49,29 +54,57 @@ let parse_all ?kind ~dirs () =
     files;
   (files, List.rev !parsed, List.rev !errors)
 
-let callgraph_files parsed =
-  List.filter (fun (_, _, (k : Source_scan.file_kind)) -> k.Source_scan.in_lib) parsed
-
+(* lint: allow LG-DEAD-EXPORT (seam: test_lint.ml's real-tree effect summaries) *)
 let analyse ?kind ~dirs () =
   let _, parsed, errors = parse_all ?kind ~dirs () in
-  let cg = Callgraph.build ~files:(callgraph_files parsed) in
-  (Effects.analyse cg, errors)
+  (Effects.analyse (Callgraph.build ~files:parsed), errors)
 
+(* LG-DEAD-EXPORT: an exported library definition that no definition of
+   another scanned file references. Same-file references do not count
+   (they make a case for dropping it from the .mli, not for keeping it
+   exported), and test/ is never scanned, so a name only tests call is
+   dead too. *)
+let dead_exports (cg : Callgraph.t) =
+  let defs = cg.Callgraph.defs in
+  let used = Array.make (Array.length defs) false in
+  Array.iter
+    (fun (d : Callgraph.def) ->
+      List.iter
+        (fun (callee, _) ->
+          if not (String.equal defs.(callee).Callgraph.file d.Callgraph.file) then
+            used.(callee) <- true)
+        d.Callgraph.calls)
+    defs;
+  Array.fold_right
+    (fun (d : Callgraph.def) acc ->
+      if d.Callgraph.kind.Source_scan.in_lib && d.Callgraph.exported && not used.(d.Callgraph.id)
+      then
+        {
+          Source_scan.rule = Rule.Dead_export;
+          file = d.Callgraph.file;
+          line = d.Callgraph.line;
+          col = d.Callgraph.col;
+          message =
+            Printf.sprintf "%s is exported but no other file references it" d.Callgraph.display;
+        }
+        :: acc
+      else acc)
+    defs []
+
+(* lint: allow LG-DEAD-EXPORT (seam: test_lint.ml's fixture directories) *)
 let scan ?kind ~dirs () =
   let files, parsed, errors = parse_all ?kind ~dirs () in
   let violations = ref [] in
   List.iter
     (fun (f, ast, k) ->
-      violations := List.rev_append (Source_scan.scan_ast ~kind:k ~file:f ast) !violations)
+      if not (references_only f) then
+        violations := List.rev_append (Source_scan.scan_ast ~kind:k ~file:f ast) !violations)
     parsed;
   let force_lib = match kind with Some k -> k.Source_scan.in_lib | None -> false in
   let mli = Source_scan.mli_violations ~force_lib files in
-  let eff =
-    match callgraph_files parsed with
-    | [] -> []
-    | lib_files -> Effects.violations (Effects.analyse (Callgraph.build ~files:lib_files))
-  in
-  let all = List.concat [ mli; eff; !violations ] in
+  let cg = Callgraph.build ~files:parsed in
+  let eff = Effects.violations (Effects.analyse cg) in
+  let all = List.concat [ mli; eff; dead_exports cg; !violations ] in
   {
     violations = Pragma.filter (List.sort Source_scan.compare_violation all);
     errors;
@@ -136,8 +169,8 @@ let usage =
   "lifeguard_lint [--check | --update-baseline | --effects] [--format FMT]\n\
   \               [--baseline FILE] [--root DIR] [--treat-as-lib] [DIR ...]\n\
    Static analysis for domain-safety, determinism and hot-path hygiene,\n\
-   including the interprocedural LG-EFF-* effect rules.\n\
-   FMT is one of: text github. Default directories: lib bin examples."
+   including the interprocedural LG-EFF-* effect rules and LG-DEAD-EXPORT.\n\
+   FMT is one of: text github. Default directories: lib bin examples perfbench."
 
 let main ?(out = Format.std_formatter) argv =
   let check = ref false in

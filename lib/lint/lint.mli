@@ -2,7 +2,7 @@
     the domain-safety, determinism and hot-path rules the parallel
     experiment runner depends on — per-file syntactic rules plus the
     interprocedural {!Callgraph}/{!Effects} pass behind the [LG-EFF-*]
-    family. See DESIGN.md, "Static analysis". *)
+    family and [LG-DEAD-EXPORT]. See DESIGN.md, "Static analysis". *)
 
 module Rule = Rule
 module Source_scan = Source_scan
@@ -24,15 +24,17 @@ type report = {
 val scan : ?kind:Source_scan.file_kind -> dirs:string list -> unit -> report
 (** Scan every [.ml] under [dirs] (sorted, deterministic): each file is
     parsed once and shared between the syntactic pass, the
-    [LG-MLI-MISSING] filesystem pass, and the interprocedural
-    [LG-EFF-*] pass over the library files. Pragma-suppressed
-    violations are dropped. [kind] overrides per-path classification —
-    tests use {!Source_scan.lib_kind} to force library strictness on
-    fixtures. *)
+    [LG-MLI-MISSING] filesystem pass, and the interprocedural pass over
+    one call graph of all the files ([LG-EFF-*] and [LG-DEAD-EXPORT] on
+    the library files; the others are callers). Files under a
+    [perfbench] directory are read for their references only: no rule is
+    checked on them. Pragma-suppressed violations are dropped. [kind]
+    overrides per-path classification — tests use
+    {!Source_scan.lib_kind} to force library strictness on fixtures. *)
 
 val analyse : ?kind:Source_scan.file_kind -> dirs:string list -> unit -> Effects.t * (string * string) list
-(** Build the callgraph over the library files under [dirs] and infer
-    effect summaries; also returns parse errors. *)
+(** Build the callgraph over the files under [dirs] and infer effect
+    summaries; also returns parse errors. *)
 
 val main : ?out:Format.formatter -> string array -> int
 (** The CLI ([bin/lifeguard_lint]): returns the exit code. Informational

@@ -37,6 +37,7 @@ let find_marker line =
   in
   go 0
 
+(* lint: allow LG-DEAD-EXPORT (seam: test_lint.ml's pragma unit test) *)
 let of_lines lines =
   List.rev
   @@ snd
@@ -64,6 +65,7 @@ let load path =
           in
           of_lines (go []))
 
+(* lint: allow LG-DEAD-EXPORT (seam: test_lint.ml's pragma unit test) *)
 let suppresses t ~rule ~line =
   List.exists
     (fun (pline, rules) ->

@@ -9,12 +9,9 @@
 type t
 (** The pragmas of one file. *)
 
-val load : string -> t
-(** Text-scan a file for pragma comments. Unreadable files load as
-    no-pragmas. *)
-
 val of_lines : string list -> t
-(** Same scan over in-memory lines (for tests). *)
+(** Text-scan lines for pragma comments (the unit under {!filter}, which
+    reads files, unreadable ones as no-pragmas). *)
 
 val suppresses : t -> rule:string -> line:int -> bool
 (** Does a pragma on [line] or [line - 1] name [rule]? *)

@@ -17,11 +17,12 @@ type t =
   | Eff_random
   | Eff_globalmut
   | Plan_stale
+  | Dead_export
 
 let all =
   [ Dom_mut; Det_random; Det_clock; Det_polyeq; Det_hashkey; Perf_append; Perf_scan;
     Perf_structeq; Perf_boxed; Mli_missing; Obs_printf; Rob_exn; Rob_snapshot; Rob_marshal; Eff_clock;
-    Eff_random; Eff_globalmut; Plan_stale ]
+    Eff_random; Eff_globalmut; Plan_stale; Dead_export ]
 
 let id = function
   | Dom_mut -> "LG-DOM-MUT"
@@ -42,6 +43,7 @@ let id = function
   | Eff_random -> "LG-EFF-RANDOM"
   | Eff_globalmut -> "LG-EFF-GLOBALMUT"
   | Plan_stale -> "LG-PLAN-STALE"
+  | Dead_export -> "LG-DEAD-EXPORT"
 
 let of_id s =
   let rec find = function
@@ -108,3 +110,6 @@ let describe = function
        clock, Random, or module-level mutable state, directly or transitively; \
        precomputed plans must be a pure function of the world or they are stale the \
        moment they are built — take every input as an argument"
+  | Dead_export ->
+      "exported library value that nothing outside its own file references (tests do not \
+       count); delete it, or drop it from the .mli if its own module still uses it"

@@ -45,7 +45,11 @@ type t =
           [planner.ml]) reaches the clock, [Random], or module-level
           mutable state — directly or transitively, exemptions
           notwithstanding. Precomputed plans must be pure functions of
-          the world (see {!Effects.planner_file}). *)
+          the world. *)
+  | Dead_export
+      (** exported [lib/] value that no other scanned file references:
+          the callers that count are [lib/], [bin/], [examples/] and
+          [perfbench/], never [test/] *)
 
 val all : t list
 

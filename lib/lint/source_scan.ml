@@ -645,6 +645,7 @@ let scan_ast ?kind ~file ast =
   let kind = match kind with Some k -> k | None -> classify file in
   scan_structure ~kind ~file ast
 
+(* lint: allow LG-DEAD-EXPORT (seam: test_lint.ml's single-file fixtures) *)
 let scan_file ?kind path =
   match parse_file path with
   | Ok ast -> Ok (scan_ast ?kind ~file:path ast)

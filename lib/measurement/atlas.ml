@@ -41,6 +41,7 @@ let push existing ~now path =
       { taken_at = now; path } :: rest
   | _ -> { taken_at = now; path } :: existing
 
+(* Store an observed forward path (vp first). *)
 let record_forward t ~vp ~dst ~now path =
   let s = state t ~vp ~dst in
   s.forward <- push s.forward ~now path
@@ -70,9 +71,6 @@ let noting_hit result =
 
 let latest_forward t ~vp ~dst ?before () =
   noting_hit (latest ~before (state t ~vp ~dst).forward)
-
-let latest_reverse t ~vp ~dst ?before () =
-  noting_hit (latest ~before (state t ~vp ~dst).reverse)
 
 let candidate_hops t ~vp ~dst =
   let s = state t ~vp ~dst in

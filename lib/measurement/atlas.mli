@@ -19,27 +19,23 @@ type t
 
 val create : unit -> t
 
-val record_forward : t -> vp:Asn.t -> dst:Asn.t -> now:float -> Asn.t list -> unit
-(** Store an observed forward path (vp first). *)
-
 val forward_history : t -> vp:Asn.t -> dst:Asn.t -> snapshot list
 (** Newest first. *)
 
 val reverse_history : t -> vp:Asn.t -> dst:Asn.t -> snapshot list
 
 val latest_forward : t -> vp:Asn.t -> dst:Asn.t -> ?before:float -> unit -> snapshot option
-val latest_reverse : t -> vp:Asn.t -> dst:Asn.t -> ?before:float -> unit -> snapshot option
+(** The newest forward snapshot, or the newest taken at or before
+    [before]. *)
 
 val candidate_hops : t -> vp:Asn.t -> dst:Asn.t -> Asn.Set.t
 (** Every AS seen on any stored path between the pair — the isolation
     suspect universe. *)
 
-val refresh : t -> Dataplane.Probe.env -> vp:Asn.t -> dst:Asn.t -> now:float -> unit
-(** Measure the current forward path (traceroute) and reverse path
-    (reverse traceroute emulation, using [vp] itself as the spoof helper)
-    and record both. Probe costs accrue on the environment. *)
-
 val refresh_all : t -> Dataplane.Probe.env -> vps:Asn.t list -> dsts:Asn.t list -> now:float -> unit
-(** Refresh every (vp, dst) pair. *)
+(** For every (vp, dst) pair, measure the current forward path
+    (traceroute) and reverse path (reverse traceroute emulation, using
+    [vp] itself as the spoof helper) and record both. Probe costs accrue
+    on the environment. *)
 
 val pair_count : t -> int

@@ -12,11 +12,6 @@ type incident = {
   mutable total_vps : int;
 }
 
-let duration i ~now =
-  match i.ended_at with
-  | Some ended -> ended -. i.started_at
-  | None -> now -. i.started_at
-
 let is_poisonable i = i.classification = Partial
 
 type target_state = {
@@ -29,7 +24,6 @@ type target_state = {
 
 type t = {
   env : Dataplane.Probe.env;
-  engine : Sim.Engine.t;
   central : Asn.t;
   vantage_points : Asn.t list;
   states : target_state list;
@@ -91,7 +85,10 @@ let tick t now =
      upgraded (Hubble re-probes continuously). *)
   t
 
-let create ~env ~engine ?(fail_threshold = 3) ~central ~vantage_points ~targets () =
+(* Consecutive failed rounds that trigger classification. *)
+let fail_threshold = 3
+
+let create ~env ~engine ~central ~vantage_points ~targets () =
   let states =
     List.map
       (fun asn ->
@@ -105,7 +102,7 @@ let create ~env ~engine ?(fail_threshold = 3) ~central ~vantage_points ~targets 
       targets
   in
   let t =
-    { env; engine; central; vantage_points; states; history = []; probes = 0 }
+    { env; central; vantage_points; states; history = []; probes = 0 }
   in
   Sim.Engine.schedule_every engine ~every:120.0 (* Hubble's rate *) (fun now ->
       ignore (tick t now);

@@ -28,8 +28,6 @@ type incident = {
   mutable total_vps : int;
 }
 
-val duration : incident -> now:float -> float
-
 val is_poisonable : incident -> bool
 (** Partial incidents are candidates for poisoning-based repair. *)
 
@@ -38,14 +36,13 @@ type t
 val create :
   env:Dataplane.Probe.env ->
   engine:Sim.Engine.t ->
-  ?fail_threshold:int ->
   central:Asn.t ->
   vantage_points:Asn.t list ->
   targets:Asn.t list ->
   unit ->
   t
 (** Start monitoring: the [central] site pings each target every 120 s
-    (Hubble's rate); [fail_threshold] (default 3) consecutive failures
+    (Hubble's rate); 3 consecutive failures
     trigger distributed classification from [vantage_points]. Runs until
     the engine stops being driven. *)
 

@@ -8,11 +8,6 @@ type outage = {
   mutable ended_at : float option;
 }
 
-let duration o ~now =
-  match o.ended_at with
-  | Some ended -> ended -. o.started_at
-  | None -> now -. o.started_at
-
 type target_state = {
   address : Ipv4.t;
   mutable consecutive_failures : int;
@@ -22,9 +17,6 @@ type target_state = {
 
 type t = {
   env : Dataplane.Probe.env;
-  engine : Sim.Engine.t;
-  interval : float;
-  fail_threshold : int;
   on_outage : outage -> unit;
   responsiveness : Responsiveness.t option;
   src_ip : Ipv4.t option;
@@ -32,11 +24,12 @@ type t = {
   loss : (unit -> bool) option;
   vp : Asn.t;
   targets : target_state list;
-  mutable stopped : bool;
-  mutable history : outage list;  (** newest first *)
   mutable pairs_sent : int;
   mutable pairs_skipped : int;
 }
+
+let interval = 30.0
+let fail_threshold = 4
 
 let probe_target t state now =
   t.pairs_sent <- t.pairs_sent + 1;
@@ -64,7 +57,7 @@ let probe_target t state now =
   else begin
     if state.consecutive_failures = 0 then state.first_failure_at <- now;
     state.consecutive_failures <- state.consecutive_failures + 1;
-    if state.consecutive_failures = t.fail_threshold && Option.is_none state.current then begin
+    if state.consecutive_failures = fail_threshold && Option.is_none state.current then begin
       let o =
         {
           vp = t.vp;
@@ -75,24 +68,15 @@ let probe_target t state now =
         }
       in
       state.current <- Some o;
-      t.history <- o :: t.history;
       t.on_outage o
     end
   end
 
-let default_fail_threshold = 4
-
-let create ~env ~engine ?(interval = 30.0) ?(fail_threshold = default_fail_threshold)
-    ?(on_outage = ignore) ?responsiveness ?src_ip ?gate ?loss ~vp
+let create ~env ~engine ?(on_outage = ignore) ?responsiveness ?src_ip ?gate ?loss ~vp
     ~targets () =
-  if interval <= 0.0 then invalid_arg "Monitor.create: interval must be positive";
-  if fail_threshold < 1 then invalid_arg "Monitor.create: threshold must be >= 1";
   let t =
     {
       env;
-      engine;
-      interval;
-      fail_threshold;
       on_outage;
       responsiveness;
       src_ip;
@@ -104,31 +88,24 @@ let create ~env ~engine ?(interval = 30.0) ?(fail_threshold = default_fail_thres
           (fun address ->
             { address; consecutive_failures = 0; first_failure_at = 0.0; current = None })
           targets;
-      stopped = false;
-      history = [];
       pairs_sent = 0;
       pairs_skipped = 0;
     }
   in
   Sim.Engine.schedule_every engine ~every:interval (fun now ->
-      if t.stopped then `Stop
-      else begin
-        List.iter
-          (fun state ->
-            (* Budget gate: a denied round is skipped outright — no probe,
-               no state change — so budget pressure slows detection rather
-               than fabricating failures. *)
-            let granted =
-              match t.gate with Some admit -> admit ~now ~cost:1 | None -> true
-            in
-            if granted then probe_target t state now
-            else t.pairs_skipped <- t.pairs_skipped + 1)
-          t.targets;
-        `Continue
-      end);
+      List.iter
+        (fun state ->
+          (* Budget gate: a denied round is skipped outright — no probe,
+             no state change — so budget pressure slows detection rather
+             than fabricating failures. *)
+          let granted =
+            match t.gate with Some admit -> admit ~now ~cost:1 | None -> true
+          in
+          if granted then probe_target t state now
+          else t.pairs_skipped <- t.pairs_skipped + 1)
+        t.targets;
+      `Continue);
   t
 
-let stop t = t.stopped <- true
-let outages t = List.rev t.history
 let probe_count t = t.pairs_sent
 let skipped_count t = t.pairs_skipped

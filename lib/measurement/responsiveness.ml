@@ -3,15 +3,12 @@ open Topology
 
 (* An address absent from [answered] was never probed; present, it maps
    to whether any probe of it was answered. *)
-type t = {
-  silent : unit Ipv4.Table.t;
-  answered : bool Ipv4.Table.t;
-  mutable observations : int;
-}
+type t = { silent : unit Ipv4.Table.t; answered : bool Ipv4.Table.t }
 
-let create () =
-  { silent = Ipv4.Table.create 64; answered = Ipv4.Table.create 256; observations = 0 }
+let create () = { silent = Ipv4.Table.create 64; answered = Ipv4.Table.create 256 }
 
+(* Mark an address as never answering probes (router ICMP policy). The
+   data plane still forwards through it. *)
 let configure_silent t ip = Ipv4.Table.replace t.silent ip ()
 
 let configure_silent_fraction t rng graph ~fraction =
@@ -26,14 +23,8 @@ let configure_silent_fraction t rng graph ~fraction =
 let is_silent t ip = Ipv4.Table.mem t.silent ip
 
 let note t ip success =
-  t.observations <- t.observations + 1;
   if success then Ipv4.Table.replace t.answered ip true
   else if not (Ipv4.Table.mem t.answered ip) then Ipv4.Table.replace t.answered ip false
-
-let ever_responded t ip =
-  match Ipv4.Table.find t.answered ip with
-  | answered -> answered
-  | exception Not_found -> false
 
 let expect_response t ip =
   (not (is_silent t ip))
@@ -41,5 +32,3 @@ let expect_response t ip =
   match Ipv4.Table.find t.answered ip with
   | answered -> answered
   | exception Not_found -> true
-
-let observation_count t = t.observations

@@ -12,25 +12,14 @@ type t
 
 val create : unit -> t
 
-val configure_silent : t -> Ipv4.t -> unit
-(** Mark an address as never answering probes (router ICMP policy). The
-    data plane still forwards through it. *)
-
 val configure_silent_fraction : t -> Prng.t -> Topology.As_graph.t -> fraction:float -> unit
 (** Mark a random [fraction] of all router addresses silent — experiment
     setup matching the real-world mix of filtered routers. *)
 
-val is_silent : t -> Ipv4.t -> bool
-
 val note : t -> Ipv4.t -> bool -> unit
 (** Record a probe result for an address. *)
-
-val ever_responded : t -> Ipv4.t -> bool
-(** Whether any recorded probe of this address succeeded. *)
 
 val expect_response : t -> Ipv4.t -> bool
 (** Whether silence from this address is evidence of a problem: it is not
     configured silent, and it responded at some point in the past (or has
     never been probed, in which case we optimistically expect a reply). *)
-
-val observation_count : t -> int

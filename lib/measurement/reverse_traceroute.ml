@@ -30,6 +30,8 @@ let support_hash t asn salt =
   let z = z lxor (z lsr 16) in
   float_of_int (z land 0xFFFF) /. 65536.0
 
+(* Whether an AS's border router answers record-route (deterministic per
+   router address): three routers in four do. *)
 let supports_rr t asn = support_hash t asn 0x5252 < rr_support
 let supports_ts t asn = support_hash t asn 0x5453 < ts_support
 

@@ -46,10 +46,6 @@ type t
 
 val create : env:Dataplane.Probe.env -> vantage_points:Asn.t list -> unit -> t
 
-val supports_rr : t -> Asn.t -> bool
-(** Whether an AS's border router answers record-route (deterministic per
-    router address): three routers in four do. *)
-
 val measure :
   t -> from_:Asn.t -> to_ip:Ipv4.t -> ?cached:Asn.t list -> unit -> measurement option
 (** Measure the path from [from_] back to [to_ip]'s network.

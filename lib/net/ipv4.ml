@@ -32,12 +32,6 @@ let of_string s =
     end
   | _ -> None
 
-let of_string_exn s =
-  match of_string s with
-  | Some t -> t
-  | None -> invalid_arg ("Ipv4.of_string_exn: " ^ s)
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
 let equal = Int32.equal
 let compare = Int32.unsigned_compare
 let add t n = Int32.add t (Int32.of_int n)

@@ -17,11 +17,7 @@ val of_octets : int -> int -> int -> int -> t
 val of_string : string -> t option
 (** Parse dotted-quad notation. *)
 
-val of_string_exn : string -> t
-(** Like {!of_string}, raising [Invalid_argument] on a malformed input. *)
-
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 
 val compare : t -> t -> int

@@ -28,8 +28,6 @@ let of_string_exn s =
   | Some t -> t
   | None -> invalid_arg ("Prefix.of_string_exn: " ^ s)
 
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let equal a b = Ipv4.equal a.network b.network && Int.equal a.length b.length
 
 let compare a b =
@@ -58,6 +56,7 @@ let split t =
 
 let first_address t = t.network
 
+(* Number of addresses covered, saturating at [max_int] for /0. *)
 let size t =
   if t.length = 0 then max_int else 1 lsl (32 - t.length)
 

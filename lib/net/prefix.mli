@@ -15,14 +15,13 @@ val make : Ipv4.t -> int -> t
 (** [make addr len] for [len] in [\[0, 32\]]; host bits of [addr] are
     cleared. Raises [Invalid_argument] on a bad length. *)
 
-val of_string : string -> t option
-(** Parse ["a.b.c.d/len"]. *)
-
 val of_string_exn : string -> t
+(** Parse ["a.b.c.d/len"]; raises [Invalid_argument] on a malformed
+    input. *)
+
 val network : t -> Ipv4.t
 val length : t -> int
 val to_string : t -> string
-val pp : Format.formatter -> t -> unit
 val equal : t -> t -> bool
 val compare : t -> t -> int
 
@@ -47,9 +46,6 @@ val first_address : t -> Ipv4.t
 val nth_address : t -> int -> Ipv4.t
 (** [nth_address p i] is the [i]-th address of [p]; raises if out of
     range. *)
-
-val size : t -> int
-(** Number of addresses covered, saturating at [max_int] for /0. *)
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t

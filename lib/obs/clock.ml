@@ -3,5 +3,4 @@
 
 let source : (unit -> float) ref = ref (fun () -> 0.0)
 let set f = source := f
-let clear () = source := fun () -> 0.0
 let now () = !source ()

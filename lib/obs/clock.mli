@@ -11,9 +11,6 @@ val set : (unit -> float) -> unit
 (** Install the wall-clock source (e.g. [Unix.gettimeofday]). Call once,
     from the outermost binary, before any domains are spawned. *)
 
-val clear : unit -> unit
-(** Remove the source; {!now} returns [0.] again. *)
-
 val now : unit -> float
 (** Current wall-clock reading from the installed source, or [0.] when
     none is installed. *)

@@ -110,6 +110,7 @@ let enable_file path =
   install
     { write = (fun s -> output_string oc s); close_sink = (fun () -> close_out oc) }
 
+(* lint: allow LG-DEAD-EXPORT (seam: test_obs.ml and test_bgp_more.ml read traces from memory) *)
 let enable_buffer target =
   install
     { write = (fun s -> Buffer.add_string target s); close_sink = ignore }

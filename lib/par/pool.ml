@@ -45,8 +45,6 @@ let create ?jobs () =
     t.workers <- List.init (jobs - 1) (fun _ -> Domain.spawn (fun () -> worker_loop t));
   t
 
-let jobs t = t.jobs
-
 (* The caller's share of a batch: pop tasks until the queue is empty. *)
 let rec help t =
   Mutex.lock t.lock;

@@ -133,4 +133,3 @@ let hits t = t.hits
 let misses t = t.misses
 let invalidations t = t.invalidations
 let demotions t = t.demotions
-let size t = Plan_store.cardinal t.plans

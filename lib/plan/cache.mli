@@ -72,4 +72,3 @@ val hits : t -> int
 val misses : t -> int
 val invalidations : t -> int
 val demotions : t -> int
-val size : t -> int

@@ -43,6 +43,7 @@ let create ~seed =
 
 let[@inline] rotl x k = Int64.logor (Int64.shift_left x k) (Int64.shift_right_logical x (64 - k))
 
+(* Next raw 64-bit output. *)
 let[@inline] bits64 t =
   let s0 = get t 0 and s1 = get t 8 and s2 = get t 16 and s3 = get t 24 in
   let result = Int64.mul (rotl (Int64.mul s1 5L) 7) 9L in
@@ -57,8 +58,6 @@ let[@inline] bits64 t =
 let split t =
   let seed = Int64.to_int (bits64 t) in
   create ~seed
-
-let copy = Bytes.copy
 
 let[@inline] float t =
   (* 53 high-quality bits mapped to [0,1). *)
@@ -83,7 +82,6 @@ let int t n =
   in
   if n = 1 then 0 else draw ()
 
-let bool t = Int64.logand (bits64 t) 1L = 1L
 let bernoulli t ~p = float t < p
 
 let pick t arr =

@@ -20,21 +20,11 @@ val split : t -> t
     lets sub-experiments consume randomness without perturbing each
     other. *)
 
-val copy : t -> t
-(** [copy t] duplicates the current state; the copy and the original then
-    produce identical streams. *)
-
-val bits64 : t -> int64
-(** Next raw 64-bit output. *)
-
 val float : t -> float
 (** [float t] is uniform in [\[0, 1)]. *)
 
 val int : t -> int -> int
 (** [int t n] is uniform in [\[0, n)]. Requires [n > 0]. *)
-
-val bool : t -> bool
-(** Fair coin flip. *)
 
 val bernoulli : t -> p:float -> bool
 (** [bernoulli t ~p] is [true] with probability [p]. *)
@@ -62,8 +52,6 @@ module Dist : sig
       tails for [shape <= 2]. *)
 
   val lognormal : t -> mu:float -> sigma:float -> float
-  (** Log-normal: [exp] of a normal with parameters [mu], [sigma]. *)
-
-  val normal : t -> mu:float -> sigma:float -> float
-  (** Normal via Box–Muller. *)
+  (** Log-normal: [exp] of a normal (Box–Muller) with parameters [mu],
+      [sigma]. *)
 end

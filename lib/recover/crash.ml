@@ -20,7 +20,6 @@ let boundary_of_string = function
   | "after-effect" -> Some After_effect
   | _ -> None
 
-let boundaries = [ Before_write; After_write; After_effect ]
 
 let () =
   Printexc.register_printer (function

@@ -26,6 +26,3 @@ type spec = { boundary : boundary; append : int }
 val boundary_equal : boundary -> boundary -> bool
 val boundary_to_string : boundary -> string
 val boundary_of_string : string -> boundary option
-
-val boundaries : boundary list
-(** All three classes, for crash-matrix sweeps. *)

@@ -50,6 +50,7 @@ let check_crash j boundary =
       raise (Crash.Crashed { boundary; append = j.appends })
   | _ -> ()
 
+(* Still inside the replay prefix. *)
 let replaying_now j = j.seq < Array.length j.expected
 
 let trace_replay_done j ~at =
@@ -88,7 +89,6 @@ let logged j ~at action ~effect =
   if in_prefix && not (replaying_now j) then trace_replay_done j ~at
 
 let length j = j.seq
-let appended j = max 0 (j.seq - Array.length j.expected)
 let replayed j = min j.seq (Array.length j.expected)
 let lines j = List.rev j.lines
 

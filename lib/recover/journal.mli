@@ -49,14 +49,8 @@ val logged : t -> at:float -> Record.action -> effect:(unit -> unit) -> unit
 val length : t -> int
 (** Records appended so far (replayed + fresh). *)
 
-val appended : t -> int
-(** Fresh records past the replay prefix. *)
-
 val replayed : t -> int
 (** Records verified against the replay prefix so far. *)
-
-val replaying_now : t -> bool
-(** Still inside the replay prefix. *)
 
 val lines : t -> string list
 (** Every persisted line, oldest first. *)

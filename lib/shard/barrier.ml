@@ -55,7 +55,6 @@ let create ~control ~lookahead ~shards ?(record_history = false) hooks =
     history = [];
   }
 
-let frontier t = t.frontier
 let backlog t = t.backlog_len
 let barriers t = t.barriers
 let cut_messages t = t.cut_msgs

@@ -88,9 +88,6 @@ val sync_all : 'msg t -> now:float -> unit
     control time [now] — changes freshness, never results. No-op when
     the frontier is already at or past [now]. *)
 
-val frontier : 'msg t -> float
-(** The time every shard has been advanced to: all events strictly
-    before it have run, none at or after it. *)
 
 val backlog : 'msg t -> int
 (** Messages swept but not yet injected (in flight across windows). *)

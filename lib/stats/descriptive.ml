@@ -4,15 +4,6 @@ let mean xs =
   if Array.length xs = 0 then invalid_arg "Descriptive.mean: empty sample";
   sum xs /. float_of_int (Array.length xs)
 
-let variance xs =
-  let n = Array.length xs in
-  if n < 2 then invalid_arg "Descriptive.variance: need >= 2 samples";
-  let m = mean xs in
-  let acc = Array.fold_left (fun acc x -> acc +. ((x -. m) *. (x -. m))) 0.0 xs in
-  acc /. float_of_int (n - 1)
-
-let stddev xs = sqrt (variance xs)
-
 let min_max xs =
   if Array.length xs = 0 then invalid_arg "Descriptive.min_max: empty sample";
   Array.fold_left

@@ -9,12 +9,6 @@ val mean : float array -> float
 val sum : float array -> float
 (** Sum of the sample. *)
 
-val variance : float array -> float
-(** Unbiased sample variance (n-1 denominator). Requires length >= 2. *)
-
-val stddev : float array -> float
-(** Square root of {!variance}. *)
-
 val min_max : float array -> float * float
 (** Smallest and largest element. Raises on an empty sample. *)
 

@@ -48,23 +48,4 @@ let quantile t q =
   done;
   t.xs.(!lo)
 
-let support t = (t.xs.(0), t.xs.(Array.length t.xs - 1))
-
-let series t ~points =
-  if points < 2 then invalid_arg "Ecdf.series: need >= 2 points";
-  let lo, hi = support t in
-  let positions =
-    if lo > 0.0 && hi > lo then begin
-      let llo = log lo and lhi = log hi in
-      List.init points (fun i ->
-          let f = float_of_int i /. float_of_int (points - 1) in
-          exp (llo +. (f *. (lhi -. llo))))
-    end
-    else
-      List.init points (fun i ->
-          let f = float_of_int i /. float_of_int (points - 1) in
-          lo +. (f *. (hi -. lo)))
-  in
-  List.map (fun x -> (x, eval t x)) positions
-
 let series_at t xs = List.map (fun x -> (x, eval t x)) xs

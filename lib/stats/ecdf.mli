@@ -23,13 +23,5 @@ val quantile : t -> float -> float
 (** [quantile t q] for [q] in [(0, 1\]]: smallest value [x] with
     [eval t x >= q]. *)
 
-val support : t -> float * float
-(** Smallest and largest sample value. *)
-
-val series : t -> points:int -> (float * float) list
-(** [series t ~points] samples the CDF at [points] log-spaced positions
-    across its support (linearly spaced if the support includes
-    non-positive values), for plotting or printing. *)
-
 val series_at : t -> float list -> (float * float) list
 (** Evaluate the CDF at the given x positions. *)

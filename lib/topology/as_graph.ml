@@ -61,16 +61,6 @@ let add_link t ~a ~b ~rel =
   nb.degree <- nb.degree + 1;
   t.links <- t.links + 1
 
-let remove_link t ~a ~b =
-  let na = node t a and nb = node t b in
-  if Asn.Map.mem b na.adj then begin
-    na.adj <- Asn.Map.remove b na.adj;
-    nb.adj <- Asn.Map.remove a nb.adj;
-    na.degree <- na.degree - 1;
-    nb.degree <- nb.degree - 1;
-    t.links <- t.links - 1
-  end
-
 let relationship t ~a ~b =
   match Asn.Table.find_opt t.nodes a with
   | None -> None
@@ -82,13 +72,7 @@ let neighbors t asn =
 
 let iter_neighbors t asn f = Asn.Map.iter f (node t asn).adj
 
-let neighbors_where t asn keep =
-  List.filter_map (fun (n, rel) -> if keep rel then Some n else None) (neighbors t asn)
-
-let customers t asn = neighbors_where t asn (Relationship.equal Relationship.Customer)
-let providers t asn = neighbors_where t asn (Relationship.equal Relationship.Provider)
-let peers t asn = neighbors_where t asn (Relationship.equal Relationship.Peer)
-
+(* lint: allow LG-DEAD-EXPORT (oracle: test_topology.ml's generator digests) *)
 let tier t asn = (node t asn).tier
 let routers t asn = (node t asn).routers
 
@@ -104,18 +88,7 @@ let as_list t =
   |> List.sort Asn.compare
 
 let as_count t = Asn.Table.length t.nodes
-let link_count t = t.links
 let degree t asn = (node t asn).degree
-
-let is_stub t asn =
-  not (Asn.Map.exists (fun _ rel -> Relationship.equal rel Relationship.Customer) (node t asn).adj)
-
-let copy t =
-  let nodes = Asn.Table.create (Asn.Table.length t.nodes) in
-  Asn.Table.iter
-    (fun asn n -> Asn.Table.replace nodes asn { n with routers = Array.copy n.routers })
-    t.nodes;
-  { nodes; links = t.links; address_owner = Ipv4.Table.copy t.address_owner }
 
 let pp_stats fmt t =
   let tiers = Hashtbl.create 8 in

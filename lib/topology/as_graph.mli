@@ -27,9 +27,6 @@ val add_link : t -> a:Asn.t -> b:Asn.t -> rel:Relationship.t -> unit
     {e a} (e.g. [~rel:Customer] makes [b] a customer of [a]). Both ASes
     must exist; re-adding an existing link raises [Invalid_argument]. *)
 
-val remove_link : t -> a:Asn.t -> b:Asn.t -> unit
-(** Remove the link if present. *)
-
 val mem : t -> Asn.t -> bool
 val relationship : t -> a:Asn.t -> b:Asn.t -> Relationship.t option
 (** What [b] is to [a], if adjacent. *)
@@ -41,10 +38,6 @@ val neighbors : t -> Asn.t -> (Asn.t * Relationship.t) list
 val iter_neighbors : t -> Asn.t -> (Asn.t -> Relationship.t -> unit) -> unit
 (** [iter_neighbors t asn f] calls [f] on what {!neighbors} lists, in the
     same order, without building the list. *)
-
-val customers : t -> Asn.t -> Asn.t list
-val providers : t -> Asn.t -> Asn.t list
-val peers : t -> Asn.t -> Asn.t list
 
 val tier : t -> Asn.t -> int
 val routers : t -> Asn.t -> router array
@@ -58,14 +51,7 @@ val as_list : t -> Asn.t list
 (** All ASes, ascending. *)
 
 val as_count : t -> int
-val link_count : t -> int
 val degree : t -> Asn.t -> int
-
-val is_stub : t -> Asn.t -> bool
-(** True when the AS has no customers (an edge network). *)
-
-val copy : t -> t
-(** Deep copy; mutations of the copy do not affect the original. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: AS count, link count, per-tier counts. *)

@@ -10,13 +10,6 @@ let equal a b =
   | Customer, Customer | Provider, Provider | Peer, Peer -> true
   | (Customer | Provider | Peer), _ -> false
 
-let to_string = function
-  | Customer -> "customer"
-  | Provider -> "provider"
-  | Peer -> "peer"
-
-let pp fmt t = Format.pp_print_string fmt (to_string t)
-
 let local_pref = function
   | Customer -> 300
   | Peer -> 200

@@ -19,8 +19,6 @@ val invert : t -> t
     [Provider], and vice versa; [Peer] is symmetric. *)
 
 val equal : t -> t -> bool
-val pp : Format.formatter -> t -> unit
-val to_string : t -> string
 
 val local_pref : t -> int
 (** Conventional local preference for routes learned from a neighbor of

@@ -3,6 +3,7 @@ open Net
 (* Valley-free check: walk the path tracking whether we are still allowed
    to go "up" (customer->provider) or sideways (one peer edge), after which
    only "down" (provider->customer) edges are legal. *)
+(* lint: allow LG-DEAD-EXPORT (oracle: test_topology.ml and test_invariants.ml) *)
 let valley_free graph path =
   let rec go can_go_up = function
     | [] | [ _ ] -> true

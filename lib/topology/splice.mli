@@ -38,10 +38,6 @@ module Tuples : sig
   val of_paths : Asn.t list list -> t
   (** Index every length-3 AS subpath (and the length-2 prefixes/suffixes
       at path ends) of the observed paths. *)
-
-  val observed : t -> Asn.t -> Asn.t -> Asn.t -> bool
-  (** [observed t a b c] holds when the subpath [a-b-c] (or its reverse)
-      appears in some observed path. *)
 end
 
 val splice_around :

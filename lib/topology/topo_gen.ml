@@ -10,6 +10,9 @@ type params = {
   multihoming : (float * int) list;
 }
 
+(* A ~320-AS Internet: 8 tier-1s, 40 tier-2s, 70 tier-3s, 200 stubs —
+   large enough for stable poisoning statistics, small enough that a full
+   evaluation run completes in seconds. *)
 let default_params =
   {
     tier1 = 8;

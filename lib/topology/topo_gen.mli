@@ -23,16 +23,11 @@ type params = {
           (0.25, 3) ]]. Weights must sum to ~1. *)
 }
 
-val default_params : params
-(** A ~320-AS Internet: 8 tier-1s, 40 tier-2s, 70 tier-3s, 200 stubs —
-    large enough for stable poisoning statistics, small enough that a full
-    evaluation run completes in seconds. *)
-
 val min_ases : int
 (** The smallest AS count {!sized} accepts. *)
 
 val sized : int -> params
-(** [sized n] scales {!default_params} to roughly [n] ASes, preserving the
+(** [sized n] scales the default parameters to roughly [n] ASes, preserving the
     tier proportions. Raises [Invalid_argument] when [n < min_ases]. *)
 
 type t = {
@@ -44,8 +39,10 @@ type t = {
 }
 
 val generate : ?params:params -> seed:int -> unit -> t
-(** Generate a topology. The graph is always connected: every AS has a
-    chain of providers reaching the tier-1 clique. *)
+(** Generate a topology ([params] defaults to a ~320-AS Internet: 8
+    tier-1s, 40 tier-2s, 70 tier-3s, 200 stubs). The graph is always
+    connected: every AS has a chain of providers reaching the tier-1
+    clique. *)
 
 val transit_ases : t -> Asn.t list
 (** All non-stub ASes (tiers 1–3). *)

@@ -18,8 +18,6 @@ type params = {
   cap : float;  (** Truncation for the heavy tail (s). *)
 }
 
-val default_params : params
-
 val duration : ?params:params -> Prng.t -> float
 (** One outage duration in seconds. *)
 

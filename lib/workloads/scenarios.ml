@@ -152,7 +152,7 @@ let bgpmux ?(ases = 318) ?mrai ?fib_install_delay ?infrastructure ?shards
     testbed_of_graph ?mrai ~config_of:jittered_config ?fib_install_delay ~gen ?infrastructure
       ?shards ?record_barriers ~vantage_points ~targets:[] graph
   in
-  let collector = Bgp.Network.Collector.attach bed.net ~name:"collector" ~peers:feeds in
+  let collector = Bgp.Network.Collector.attach bed.net ~peers:feeds in
   let plan =
     Lifeguard.Remediate.plan ~sentinel:sentinel_prefix ~origin ~production:production_prefix ()
   in

@@ -5,7 +5,17 @@ open Net
 open Topology
 
 let asn = Asn.of_int
+let ipv4 s = Option.get (Ipv4.of_string s)
 let prefix = Prefix.of_string_exn
+
+(* An AS path from a nearest-first list, built with the library's own
+   [prepend]. *)
+let as_path l = List.fold_right Bgp.As_path.prepend l Bgp.As_path.empty
+
+(* The most preferred of [entries], by the speaker's own decision scan. *)
+let best_of entries =
+  let best = Bgp.Decision.best_in_array (Array.of_list entries) in
+  if Bgp.Route.is_route best then Some best else None
 
 (* Reference longest-prefix match over a list of (prefix, value)
    bindings: the binding of the longest prefix covering [ip]. *)

@@ -47,7 +47,7 @@ let prop_decision_is_key_maximum =
     Bgp.Route.make_entry
       ~ann:
         (Bgp.Route.announcement ~prefix:production
-           ~path:(Bgp.As_path.of_list (List.init len (fun i -> asn (900 + i)))))
+           ~path:(as_path (List.init len (fun i -> asn (900 + i)))))
       ~neighbor:(asn neighbor) ~rel:Topology.Relationship.Provider ~local_pref
       ~tiebreak:
         (match salt with
@@ -65,7 +65,7 @@ let prop_decision_is_key_maximum =
               (triple (int_range 1 12) (oneofl [ 100; 200; 300 ]) (int_range 1 3))))
        (fun (salt, candidates) ->
          let entries = List.map (entry salt) candidates in
-         match (Bgp.Decision.best entries, entries) with
+         match (best_of entries, entries) with
          | None, [] -> true
          | Some best, _ :: _ ->
              List.for_all (fun e -> compare (key e) (key best) <= 0) entries
@@ -78,7 +78,7 @@ let test_export_table () =
   let open Topology.Relationship in
   let self = asn 100 and learned_from_asn = asn 7 and other = asn 8 in
   let ann =
-    Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list [ asn 7; asn 9 ])
+    Bgp.Route.announcement ~prefix:production ~path:(as_path [ asn 7; asn 9 ])
   in
   let learned rel =
     Bgp.Route.make_entry ~ann ~neighbor:learned_from_asn ~rel ~local_pref:(local_pref rel)
@@ -86,7 +86,7 @@ let test_export_table () =
   in
   let local =
     Bgp.Route.local_entry_of
-      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list [ self ]))
+      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(as_path [ self ]))
       ~self
   in
   let allowed entry ~to_neighbor to_rel =
@@ -106,6 +106,7 @@ let test_export_table () =
       (Provider, Provider, false);
     ]
   in
+  let to_string = function Customer -> "customer" | Provider -> "provider" | Peer -> "peer" in
   List.iter
     (fun (from_rel, to_rel, expected) ->
       let name = Printf.sprintf "%s-learned to %s" (to_string from_rel) (to_string to_rel) in
@@ -137,10 +138,11 @@ let test_isolation_with_silent_routers () =
   let atlas = Measurement.Atlas.create () in
   Measurement.Atlas.refresh_all atlas w.probe ~vps:[ o ] ~dsts:[ e ] ~now:0.0;
   let responsiveness = Measurement.Responsiveness.create () in
-  (* B's router never answers probes; its silence must not be mistaken
-     for unreachability, and A must still get the blame. *)
-  Measurement.Responsiveness.configure_silent responsiveness
-    (Topology.As_graph.router_address w.graph b 0);
+  (* B's router has never answered a probe; its silence must not be
+     mistaken for unreachability, and A must still get the blame. *)
+  Measurement.Responsiveness.note responsiveness
+    (Topology.As_graph.router_address w.graph b 0)
+    false;
   Dataplane.Failure.add w.failures
     (Dataplane.Failure.spec ~toward:sentinel (Dataplane.Failure.Node a));
   let ctx =
@@ -185,8 +187,8 @@ let test_isolation_blames_link_far_side () =
     }
   in
   let diagnosis = Lifeguard.Isolation.isolate ctx ~src:o ~dst:e in
-  Alcotest.(check string) "reverse failure" "reverse"
-    (Lifeguard.Isolation.direction_to_string diagnosis.Lifeguard.Isolation.direction);
+  Alcotest.(check bool) "reverse failure" true
+    (diagnosis.Lifeguard.Isolation.direction = Lifeguard.Isolation.Reverse_failure);
   (* The horizon from O's side: A still reaches O (the failure is only on
      the E->A traversal), E does not: blame lands on E's side of the
      broken link. *)

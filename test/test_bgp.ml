@@ -182,7 +182,7 @@ let test_link_failure_control_plane () =
 let test_decision_prefers_customer () =
   let mk ~rel ~path ~neighbor =
     Bgp.Route.make_entry
-      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list path))
+      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(as_path path))
       ~neighbor:(asn neighbor) ~rel
       ~local_pref:(Topology.Relationship.local_pref rel)
       ~tiebreak:0
@@ -191,10 +191,10 @@ let test_decision_prefers_customer () =
   let customer = mk ~rel:Relationship.Customer ~path:[ asn 2; asn 7; asn 8; asn 9 ] ~neighbor:2 in
   let peer = mk ~rel:Relationship.Peer ~path:[ asn 3; asn 9 ] ~neighbor:3 in
   let provider = mk ~rel:Relationship.Provider ~path:[ asn 4; asn 9 ] ~neighbor:4 in
-  (match Bgp.Decision.best [ provider; peer; customer ] with
+  (match best_of [ provider; peer; customer ] with
   | Some best -> Alcotest.(check int) "customer wins" 2 (Asn.to_int best.Bgp.Route.neighbor)
   | None -> Alcotest.fail "no best");
-  match Bgp.Decision.best [ provider; peer ] with
+  match best_of [ provider; peer ] with
   | Some best -> Alcotest.(check int) "peer beats provider" 3 (Asn.to_int best.Bgp.Route.neighbor)
   | None -> Alcotest.fail "no best"
 
@@ -202,19 +202,19 @@ let test_decision_tiebreaks () =
   let open Topology in
   let mk ~path ~neighbor =
     Bgp.Route.make_entry
-      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list path))
+      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(as_path path))
       ~neighbor:(asn neighbor) ~rel:Relationship.Provider ~local_pref:100
       ~tiebreak:0
   in
   let short = mk ~path:[ asn 3; asn 9 ] ~neighbor:3 in
   let long = mk ~path:[ asn 4; asn 5; asn 9 ] ~neighbor:4 in
-  (match Bgp.Decision.best [ long; short ] with
+  (match best_of [ long; short ] with
   | Some best -> Alcotest.(check int) "shorter path wins" 3 (Asn.to_int best.Bgp.Route.neighbor)
   | None -> Alcotest.fail "no best");
   (* Same preference and length, no salt: lowest neighbor ASN wins. *)
   let x = mk ~path:[ asn 3; asn 9 ] ~neighbor:3 in
   let y = mk ~path:[ asn 4; asn 9 ] ~neighbor:4 in
-  match Bgp.Decision.best [ y; x ] with
+  match best_of [ y; x ] with
   | Some best ->
       Alcotest.(check int) "lowest neighbor ASN tiebreak" 3 (Asn.to_int best.Bgp.Route.neighbor)
   | None -> Alcotest.fail "no best"

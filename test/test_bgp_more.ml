@@ -5,9 +5,11 @@ open Net
 open Helpers
 
 let test_traversed_strips_origination_tail () =
-  let path = Bgp.As_path.of_list (List.map asn [ 12; 13; 10; 30; 10 ]) in
-  Alcotest.(check (list int)) "traversed" [ 12; 13 ]
-    (List.map Asn.to_int (Bgp.As_path.to_list (Bgp.As_path.traversed ~origin:(asn 10) path)));
+  let path = as_path (List.map asn [ 12; 13; 10; 30; 10 ]) in
+  Alcotest.(check bool) "traverses the first hop" true
+    (Bgp.As_path.traverses ~origin:(asn 10) ~target:(asn 12) path);
+  Alcotest.(check bool) "does not traverse the origin" false
+    (Bgp.As_path.traverses ~origin:(asn 10) ~target:(asn 10) path);
   Alcotest.(check bool) "does not traverse the poison" false
     (Bgp.As_path.traverses ~origin:(asn 10) ~target:(asn 30) path);
   Alcotest.(check bool) "traverses a real transit" true
@@ -15,11 +17,11 @@ let test_traversed_strips_origination_tail () =
 
 let test_collector_records_changes () =
   let w = fig2_world () in
-  let collector = Bgp.Network.Collector.attach w.net ~name:"rv" ~peers:[ e; d ] in
+  let collector = Bgp.Network.Collector.attach w.net ~peers:[ e; d ] in
   Bgp.Network.Collector.clear collector (* start the log *);
   Bgp.Network.announce w.net ~origin:o ~prefix:production ();
   converge w;
-  let log = Bgp.Network.Collector.log collector in
+  let log = Bgp.Network.Collector.since collector neg_infinity in
   Alcotest.(check bool) "records exist" true (List.length log >= 2);
   List.iter
     (fun (r : Bgp.Network.update_record) ->
@@ -33,11 +35,11 @@ let test_collector_records_changes () =
   | Some None | None -> Alcotest.fail "collector lost E's route");
   Bgp.Network.Collector.clear collector;
   Alcotest.(check int) "clear empties the log" 0
-    (List.length (Bgp.Network.Collector.log collector))
+    (List.length (Bgp.Network.Collector.since collector neg_infinity))
 
 let test_convergence_metrics () =
   let w = fig2_world () in
-  let collector = Bgp.Network.Collector.attach w.net ~name:"rv" ~peers:[ b; c; d; e; f ] in
+  let collector = Bgp.Network.Collector.attach w.net ~peers:[ b; c; d; e; f ] in
   Bgp.Network.announce w.net ~origin:o ~prefix:production
     ~per_neighbor:(fun _ -> Some (Bgp.As_path.prepended ~origin:o ~copies:3))
     ();
@@ -71,7 +73,7 @@ let test_mrai_coalesces () =
   (* Three quick re-announcements within one MRAI window: the far AS must
      see far fewer updates than announcements. *)
   let w = world_of_graph ~mrai:30.0 (fig2_graph ()) in
-  let collector = Bgp.Network.Collector.attach w.net ~name:"rv" ~peers:[ d ] in
+  let collector = Bgp.Network.Collector.attach w.net ~peers:[ d ] in
   Bgp.Network.announce w.net ~origin:o ~prefix:production ();
   converge w;
   Bgp.Network.Collector.clear collector;
@@ -88,7 +90,7 @@ let test_mrai_coalesces () =
     List.length
       (List.filter
          (fun (r : Bgp.Network.update_record) -> Asn.equal r.Bgp.Network.speaker d)
-         (Bgp.Network.Collector.log collector))
+         (Bgp.Network.Collector.since collector neg_infinity))
   in
   Alcotest.(check bool)
     (Printf.sprintf "D saw %d < 3 updates" updates_at_d)
@@ -108,7 +110,7 @@ let test_mrai_coalesces () =
 let test_mrai_batch_in_prefix_order () =
   let w = world_of_graph ~mrai:30.0 (fig2_graph ()) in
   let n, _ = List.hd (Topology.As_graph.neighbors w.graph o) in
-  let collector = Bgp.Network.Collector.attach w.net ~name:"rv" ~peers:[ n ] in
+  let collector = Bgp.Network.Collector.attach w.net ~peers:[ n ] in
   Bgp.Network.Collector.clear collector (* start the log *);
   let announce p = Bgp.Network.announce w.net ~origin:o ~prefix:p () in
   announce (prefix "198.51.100.0/24");
@@ -130,7 +132,7 @@ let test_mrai_batch_in_prefix_order () =
         if List.exists (Prefix.equal r.Bgp.Network.prefix) batch then
           Some (Prefix.to_string r.Bgp.Network.prefix)
         else None)
-      (Bgp.Network.Collector.log collector)
+      (Bgp.Network.Collector.since collector neg_infinity)
   in
   Alcotest.(check (list string)) "batch arrives in prefix order"
     (List.map Prefix.to_string (List.sort Prefix.compare batch))
@@ -144,7 +146,7 @@ let test_mrai_batch_one_event () =
   List.iter (fun n -> Topology.As_graph.add_as g (asn n)) [ 1; 2 ];
   Topology.As_graph.add_link g ~a:(asn 1) ~b:(asn 2) ~rel:Topology.Relationship.Provider;
   let w = world_of_graph ~mrai:30.0 g in
-  let collector = Bgp.Network.Collector.attach w.net ~name:"rv" ~peers:[ asn 2 ] in
+  let collector = Bgp.Network.Collector.attach w.net ~peers:[ asn 2 ] in
   let announce p = Bgp.Network.announce w.net ~origin:(asn 1) ~prefix:p () in
   (* The first update goes out at once and starts the MRAI window; the
      rest wait for the timer. *)
@@ -161,7 +163,7 @@ let test_mrai_batch_one_event () =
   Alcotest.(check int) "one dispatch delivered the whole batch" (List.length batch)
     (Bgp.Network.message_count w.net - delivered);
   Alcotest.(check int) "nothing left queued" 0 (Sim.Engine.pending w.engine);
-  let log = Bgp.Network.Collector.log collector in
+  let log = Bgp.Network.Collector.since collector neg_infinity in
   Alcotest.(check (list string)) "in prefix order"
     (List.map Prefix.to_string (List.sort Prefix.compare batch))
     (List.map (fun (r : Bgp.Network.update_record) -> Prefix.to_string r.Bgp.Network.prefix) log);
@@ -349,7 +351,7 @@ let prop_decision_total_order =
         Bgp.Route.make_entry
           ~ann:
             (Bgp.Route.announcement ~prefix:production
-               ~path:(Bgp.As_path.of_list (List.init (1 + len) (fun i -> asn (500 + i)))))
+               ~path:(as_path (List.init (1 + len) (fun i -> asn (500 + i)))))
           ~neighbor:(asn (1 + neighbor))
           ~rel
           ~local_pref:(Topology.Relationship.local_pref rel)
@@ -359,8 +361,8 @@ let prop_decision_total_order =
   QCheck.Test.make ~name:"decision independent of candidate order" ~count:200
     QCheck.(list_of_size (QCheck.Gen.int_range 1 8) entry_gen)
     (fun entries ->
-      let best1 = Bgp.Decision.best entries in
-      let best2 = Bgp.Decision.best (List.rev entries) in
+      let best1 = best_of entries in
+      let best2 = best_of (List.rev entries) in
       match (best1, best2) with
       | Some x, Some y ->
           Asn.equal x.Bgp.Route.neighbor y.Bgp.Route.neighbor
@@ -406,14 +408,14 @@ let test_flap_damping_suppresses_and_reuses () =
     ignore
       (Bgp.Speaker.receive speaker ~now ~session:(session_ix speaker (asn 200))
          (Bgp.Speaker.Announce
-            (Bgp.Route.announcement ~prefix:production ~path:(Bgp.As_path.of_list path))))
+            (Bgp.Route.announcement ~prefix:production ~path:(as_path path))))
   in
   (* Also a stable candidate from the other neighbor. *)
   ignore
     (Bgp.Speaker.receive speaker ~now:0.0 ~session:(session_ix speaker (asn 201))
        (Bgp.Speaker.Announce
           (Bgp.Route.announcement ~prefix:production
-             ~path:(Bgp.As_path.of_list [ asn 201; asn 900; asn 901 ]))));
+             ~path:(as_path [ asn 201; asn 900; asn 901 ]))));
   announce ~now:1.0 [ asn 200; asn 901; asn 900 ];
   (* Three changed announcements in quick succession: ~3000 penalty,
      over the 2000 suppression threshold (two would decay to ~1990);
@@ -451,7 +453,7 @@ let test_no_damping_without_config () =
       (Bgp.Speaker.receive speaker ~now:(float_of_int i) ~session:(session_ix speaker (asn 200))
          (Bgp.Speaker.Announce
             (Bgp.Route.announcement ~prefix:production
-               ~path:(Bgp.As_path.of_list [ asn 200; asn (900 + (i mod 2)) ]))))
+               ~path:(as_path [ asn 200; asn (900 + (i mod 2)) ]))))
   done;
   Alcotest.(check (list int)) "nothing suppressed without damping" []
     (List.map Asn.to_int (Bgp.Speaker.suppressed_candidates speaker production));
@@ -465,7 +467,7 @@ let test_no_damping_without_config () =
    the full per-prefix refresh, including when the loc-RIB it exports
    already holds a poison applied moments earlier in the same window —
    this pins that equivalence, for the fast path and (with flap history
-   forcing {!Bgp.Speaker.damping_pending}) the slow path. *)
+   live, so that damping records exist) the slow path. *)
 let session_up_poison_run ~damping ~poison_first =
   let config_of _ =
     if damping then
@@ -500,10 +502,6 @@ let session_up_poison_run ~damping ~poison_first =
     restore ();
     poison ()
   end;
-  if damping then
-    Alcotest.(check bool)
-      "flap history forces the session_up slow path" true
-      (Bgp.Speaker.damping_pending (Bgp.Network.speaker w.net e));
   converge w;
   List.map
     (fun n ->
@@ -758,7 +756,7 @@ module Speaker_model = struct
             (fun ((q, k), e) ->
               if Prefix.equal q p && not (suppressed m ~now (q, k)) then Some e else None)
             m.ins
-          |> Bgp.Decision.best
+          |> best_of
     in
     m.best <- (match best with Some e -> set p e m.best | None -> remove p m.best)
 
@@ -860,7 +858,7 @@ module Speaker_model = struct
             let p = prefix_at i j in
             let n = fst neighbors.(k) in
             let ann =
-              Bgp.Route.announcement ~prefix:p ~path:(Bgp.As_path.of_list (n :: List.map asn rest))
+              Bgp.Route.announcement ~prefix:p ~path:(as_path (n :: List.map asn rest))
             in
             let send () = Bgp.Speaker.receive sp ~now ~session:k (Bgp.Speaker.Announce ann) in
             sent m (send ());
@@ -992,10 +990,14 @@ module Fib_model = struct
   (* Each pool prefix's first, second and last address, and one address
      no pool prefix covers. *)
   let addresses =
-    Ipv4.of_string_exn "192.0.2.1"
+    ipv4 "192.0.2.1"
     :: List.concat_map
          (fun p ->
-           [ Prefix.first_address p; Prefix.nth_address p 1; Prefix.nth_address p (Prefix.size p - 1) ])
+           [
+             Prefix.first_address p;
+             Prefix.nth_address p 1;
+             Prefix.nth_address p ((1 lsl (32 - Prefix.length p)) - 1);
+           ])
          (Array.to_list pool)
 
   let run ~delayed ops =
@@ -1018,7 +1020,7 @@ module Fib_model = struct
       installed := (match e with Some e -> (p, e) :: others | None -> others)
     in
     let announce receiver n j len =
-      let path = Bgp.As_path.of_list (n :: List.init len (fun i -> asn (900 + i))) in
+      let path = as_path (n :: List.init len (fun i -> asn (900 + i))) in
       ignore
         (Bgp.Speaker.receive receiver ~now:0.0 ~session:(session_ix receiver n)
            (Bgp.Speaker.Announce (Bgp.Route.announcement ~prefix:pool.(j) ~path)))
@@ -1132,7 +1134,7 @@ let test_flap_resync_order_and_export () =
       (Bgp.Speaker.receive sp ~now:0.0 ~session:(session_ix sp from)
          (Bgp.Speaker.Announce
             (Bgp.Route.announcement ~prefix:(prefix p)
-               ~path:(Bgp.As_path.of_list (List.map asn path)))))
+               ~path:(as_path (List.map asn path)))))
   in
   let first_seen = [ "192.0.2.0/24"; "10.0.0.0/8"; "172.16.0.0/12"; "10.1.0.0/16" ] in
   List.iter (fun p -> ignore (announce ~from:(asn 200) p [ 200; 900; 901 ])) first_seen;
@@ -1273,7 +1275,7 @@ let collector_script ~shards =
   let first = List.filteri (fun i _ -> i < 12) ases in
   let second = List.filteri (fun i _ -> i >= 6 && i < 20) ases in
   let outside = asn 999_999 in
-  let c1 = Bgp.Network.Collector.attach net ~name:"c1" ~peers:first in
+  let c1 = Bgp.Network.Collector.attach net ~peers:first in
   Bgp.Network.Collector.clear c1 (* start the log *);
   Bgp.Network.announce net ~origin ~prefix:p1 ();
   poll ();
@@ -1281,8 +1283,7 @@ let collector_script ~shards =
   (* c2 sees the changes from this one on. *)
   let attached = List.length (changes ()) in
   let c2 =
-    Bgp.Network.Collector.attach net ~name:"c2"
-      ~peers:((outside :: second) @ [ List.nth second 0 ])
+    Bgp.Network.Collector.attach net ~peers:((outside :: second) @ [ List.nth second 0 ])
   in
   Bgp.Network.Collector.clear c2;
   let provider = fst (List.hd (As_graph.neighbors graph origin)) in
@@ -1312,9 +1313,9 @@ let test_collector_subscriptions () =
   Alcotest.(check bool)
     "some AS outside every collector changed its best" true
     (List.exists (fun (_, a, _, _) -> not (List.mem a peers_of_any)) changes);
-  List.iter
-    (fun (c, peers, since) ->
-      let name = Bgp.Network.Collector.name c in
+  List.iteri
+    (fun i (c, peers, since) ->
+      let name = Printf.sprintf "collector %d" (i + 1) in
       let want =
         List.filteri (fun i (_, a, _, _) -> i >= since && List.mem a peers) changes
         |> List.map record_line
@@ -1323,7 +1324,7 @@ let test_collector_subscriptions () =
       Alcotest.(check (list string))
         (name ^ ": log = its peers' best changes")
         want
-        (render (Bgp.Network.Collector.log c));
+        (render (Bgp.Network.Collector.since c neg_infinity));
       List.iter
         (fun a ->
           List.iter
@@ -1353,13 +1354,13 @@ let test_collector_subscriptions () =
       log
   in
   let _, sharded, _, _ = collector_script ~shards:(Some 2) in
-  List.iter2
-    (fun (c, _, _) (c', _, _) ->
+  List.iteri
+    (fun i ((c, _, _), (c', _, _)) ->
       Alcotest.(check (list string))
-        (Bgp.Network.Collector.name c ^ ": 2 shards = unsharded")
-        (render (canonical (Bgp.Network.Collector.log c)))
-        (render (Bgp.Network.Collector.log c')))
-    collectors sharded
+        (Printf.sprintf "collector %d: 2 shards = unsharded" (i + 1))
+        (render (canonical (Bgp.Network.Collector.since c neg_infinity)))
+        (render (Bgp.Network.Collector.since c' neg_infinity)))
+    (List.combine collectors sharded)
 
 (* Collector retention. A scripted flap storm on a 40-AS world: two
    prefixes go out, then links flap one at a time, each phase starting
@@ -1413,9 +1414,9 @@ let flap_storm ?(poll = ignore) ?(converged = fun _ _ -> ()) ?(mid = ignore) ~sh
 let watched_storm ~shards =
   let module C = Bgp.Network.Collector in
   let watch net ~peers =
-    let quiet = C.attach net ~name:"quiet" ~peers in
-    let twin = C.attach net ~name:"twin" ~peers in
-    let late = C.attach net ~name:"late" ~peers in
+    let quiet = C.attach net ~peers in
+    let twin = C.attach net ~peers in
+    let late = C.attach net ~peers in
     C.clear twin;
     let reference, changes = best_changes net ~ases:peers ~prefixes:storm_prefixes in
     (quiet, twin, late, peers, reference, changes, ref 0)
@@ -1445,22 +1446,24 @@ let test_collector_retains_only_started_log () =
   let (quiet, twin, late), changes, late_from = watched_storm ~shards:None in
   let reference ~from = List.filteri (fun i _ -> i >= from) changes |> List.map record_line in
   Alcotest.(check (list string)) "twin: log = the peers' best changes" (reference ~from:0)
-    (render (C.log twin));
+    (render (C.since twin neg_infinity));
   Alcotest.(check bool) "late started mid-run" true
     (late_from > 0 && late_from < List.length changes);
   Alcotest.(check (list string)) "late: log = the changes since its start"
-    (reference ~from:late_from) (render (C.log late));
-  Alcotest.(check int) "quiet: no log" 0 (List.length (C.log quiet));
-  Alcotest.(check int) "quiet: count = twin's records" (List.length (C.log twin)) (C.count quiet);
+    (reference ~from:late_from) (render (C.since late neg_infinity));
+  Alcotest.(check int) "quiet: no log" 0 (List.length (C.since quiet neg_infinity));
+  Alcotest.(check int) "quiet: count = twin's records"
+    (List.length (C.since twin neg_infinity))
+    (C.count quiet);
   Alcotest.(check int) "late: count since attach" (C.count twin) (C.count late);
   (* The 2-shard world counts the same records. *)
   let (quiet2, twin2, late2), _, _ = watched_storm ~shards:(Some 2) in
   Alcotest.(check (list int)) "2 shards: counts"
     (List.map C.count [ quiet; twin; late ])
     (List.map C.count [ quiet2; twin2; late2 ]);
-  Alcotest.(check int) "2 shards: quiet has no log" 0 (List.length (C.log quiet2));
-  Alcotest.(check int) "2 shards: twin's log" (List.length (C.log twin))
-    (List.length (C.log twin2));
+  Alcotest.(check int) "2 shards: quiet has no log" 0 (List.length (C.since quiet2 neg_infinity));
+  Alcotest.(check int) "2 shards: twin's log" (List.length (C.since twin neg_infinity))
+    (List.length (C.since twin2 neg_infinity));
   (* Retention: from the converged baseline to the storm's end, a world
      watched by [quiet] alone grows as much as the same world without a
      collector, although the storm brings it dozens of records; a
@@ -1478,7 +1481,7 @@ let test_collector_retains_only_started_log () =
   in
   let bare, _ = growth (fun _ ~peers:_ -> None) in
   let watched, records =
-    growth (fun net ~peers -> Some (C.attach net ~name:"quiet" ~peers))
+    growth (fun net ~peers -> Some (C.attach net ~peers))
   in
   Alcotest.(check bool) (Printf.sprintf "the storm brought %d records" records) true (records > 50);
   Alcotest.(check bool)
@@ -1499,13 +1502,17 @@ let test_collector_views_read_the_speaker () =
   let module C = Bgp.Network.Collector in
   let outside = asn 999_999 in
   let watch net ~peers =
-    let never = C.attach net ~name:"never" ~peers:(outside :: peers) in
-    let at_attach = C.attach net ~name:"at-attach" ~peers in
+    let never = C.attach net ~peers:(outside :: peers) in
+    let at_attach = C.attach net ~peers in
     C.clear at_attach;
-    let mid = C.attach net ~name:"mid-burst" ~peers in
+    let mid = C.attach net ~peers in
     let ases = Topology.As_graph.as_list (Bgp.Network.graph net) in
     let reference, changes = best_changes net ~ases ~prefixes:storm_prefixes in
-    let views = List.map (fun c -> (c, Hashtbl.create 64)) [ never; at_attach; mid ] in
+    let views =
+      List.map
+        (fun (name, c) -> (name, c, Hashtbl.create 64))
+        [ ("never", never); ("at-attach", at_attach); ("mid-burst", mid) ]
+    in
     (outside :: ases, peers, views, mid, reference, changes, ref 0)
   in
   let polls = ref 0 and outside_changes = ref 0 in
@@ -1516,12 +1523,12 @@ let test_collector_views_read_the_speaker () =
     List.iteri
       (fun i (_, a, p, r) ->
         if i >= !seen then
-          if List.mem a peers then List.iter (fun (_, map) -> Hashtbl.replace map (a, p) r) views
+          if List.mem a peers then List.iter (fun (_, _, map) -> Hashtbl.replace map (a, p) r) views
           else incr outside_changes)
       all;
     seen := List.length all;
     List.iter
-      (fun (c, map) ->
+      (fun (name, c, map) ->
         List.iter
           (fun a ->
             List.iter
@@ -1529,7 +1536,7 @@ let test_collector_views_read_the_speaker () =
                 let want = Hashtbl.find_opt map (a, p) in
                 let got = Option.map route_key (C.route_view c ~peer:a ~prefix:p) in
                 if got <> want then
-                  Alcotest.failf "%s: view of %d at poll %d: want %s, got %s" (C.name c)
+                  Alcotest.failf "%s: view of %d at poll %d: want %s, got %s" name
                     (Asn.to_int a) !polls
                     (match want with None -> "no record" | Some _ -> "a record")
                     (match got with None -> "no record" | Some _ -> "a record"))
@@ -1539,7 +1546,7 @@ let test_collector_views_read_the_speaker () =
   in
   let mid (_, _, views, mid, _, _, _) =
     C.clear mid;
-    Hashtbl.reset (List.assq mid views)
+    List.iter (fun (_, c, map) -> if c == mid then Hashtbl.reset map) views
   in
   ignore (flap_storm ~poll ~mid ~shards:None ~watch ());
   Alcotest.(check bool) "ASes outside every collector changed their best" true

@@ -7,18 +7,19 @@ open Net
 (* Token buckets. *)
 
 let test_budget_bucket () =
-  let b = Fleet.Budget.create ~rate:2.0 ~burst:10.0 () in
+  let s = Fleet.Budget.scheduler ~global:(Fleet.Budget.create ~rate:2.0 ~burst:10.0 ()) () in
+  let admit ~now ~cost = Fleet.Budget.admit_vp s ~vp:(Asn.of_int 101) ~now ~cost in
   (* Starts full: 10 tokens. *)
-  Alcotest.(check bool) "full bucket admits" true (Fleet.Budget.admit b ~now:0.0 ~cost:10);
-  Alcotest.(check bool) "empty bucket refuses" false (Fleet.Budget.admit b ~now:0.0 ~cost:1);
+  Alcotest.(check bool) "full bucket admits" true (admit ~now:0.0 ~cost:10);
+  Alcotest.(check bool) "empty bucket refuses" false (admit ~now:0.0 ~cost:1);
   (* Refusal consumes nothing; 3 s at 2/s refills 6. *)
-  Alcotest.(check bool) "refill admits" true (Fleet.Budget.admit b ~now:3.0 ~cost:6);
-  Alcotest.(check bool) "but no more" false (Fleet.Budget.admit b ~now:3.0 ~cost:1);
+  Alcotest.(check bool) "refill admits" true (admit ~now:3.0 ~cost:6);
+  Alcotest.(check bool) "but no more" false (admit ~now:3.0 ~cost:1);
   (* The bucket never overflows [burst]. *)
-  Alcotest.(check bool) "capped at burst" false (Fleet.Budget.admit b ~now:1000.0 ~cost:11);
-  Alcotest.(check bool) "burst itself fits" true (Fleet.Budget.admit b ~now:1000.0 ~cost:10);
-  Alcotest.(check int) "granted accounting" 26 (Fleet.Budget.granted b);
-  Alcotest.(check int) "denied accounting" 13 (Fleet.Budget.denied b)
+  Alcotest.(check bool) "capped at burst" false (admit ~now:1000.0 ~cost:11);
+  Alcotest.(check bool) "burst itself fits" true (admit ~now:1000.0 ~cost:10);
+  Alcotest.(check int) "granted accounting" 26 (Fleet.Budget.scheduler_granted s);
+  Alcotest.(check int) "denied accounting" 13 (Fleet.Budget.scheduler_denied s)
 
 let test_budget_scheduler () =
   let global = Fleet.Budget.create ~rate:1.0 ~burst:10.0 () in
@@ -81,8 +82,11 @@ let test_chaos_vp_crashes () =
 
 let test_chaos_validation () =
   let raises f = Alcotest.(check bool) "rejects" true (try ignore (f ()); false with Invalid_argument _ -> true) in
-  raises (fun () -> Fleet.Chaos.validate { Fleet.Chaos.none with Fleet.Chaos.probe_loss = 1.5 });
-  raises (fun () -> Fleet.Chaos.validate { Fleet.Chaos.none with Fleet.Chaos.vp_mtbf = -1.0 })
+  let create config =
+    Fleet.Chaos.create ~config ~rng:(Prng.create ~seed:1) ~engine:(Sim.Engine.create ()) ()
+  in
+  raises (fun () -> create { Fleet.Chaos.none with Fleet.Chaos.probe_loss = 1.5 });
+  raises (fun () -> create { Fleet.Chaos.none with Fleet.Chaos.vp_mtbf = -1.0 })
 
 (* ------------------------------------------------------------------ *)
 (* The service loop. *)

@@ -69,10 +69,7 @@ let prop_no_self_in_traversed =
     (fun seed ->
       let net, graph, origin = build_world seed in
       for_all_routes net graph (fun asn entry ->
-          let traversed =
-            Bgp.As_path.traversed ~origin entry.Bgp.Route.ann.Bgp.Route.path
-          in
-          not (Bgp.As_path.contains asn traversed)))
+          not (Bgp.As_path.traverses ~origin ~target:asn entry.Bgp.Route.ann.Bgp.Route.path)))
 
 let prop_paths_valley_free =
   QCheck.Test.make ~name:"converged loc-RIB paths are valley-free" ~count:12
@@ -86,10 +83,11 @@ let prop_paths_valley_free =
              route has no links at all. *)
           Asn.equal asn origin
           ||
-          let traversed =
-            Bgp.As_path.to_list
-              (Bgp.As_path.traversed ~origin entry.Bgp.Route.ann.Bgp.Route.path)
+          let rec traversed = function
+            | x :: rest when not (Asn.equal x origin) -> x :: traversed rest
+            | _ -> []
           in
+          let traversed = traversed (Bgp.As_path.to_list entry.Bgp.Route.ann.Bgp.Route.path) in
           let path = (asn :: traversed) @ [ origin ] in
           Splice.valley_free graph path))
 

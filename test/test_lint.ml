@@ -135,7 +135,7 @@ let test_baseline_semantics () =
   let base = Baseline.of_violations vs in
   let clean = Baseline.check base vs in
   Alcotest.(check int) "own violations grandfathered" 0 (List.length clean.Baseline.fresh);
-  let fresh = Baseline.check Baseline.empty vs in
+  let fresh = Baseline.check (Baseline.of_violations []) vs in
   Alcotest.(check bool) "empty baseline flags everything" true
     (List.length fresh.Baseline.fresh > 0);
   let stale = Baseline.check base [] in
@@ -254,6 +254,27 @@ let test_plan_fixtures () =
   Alcotest.(check int) "plan_good parses" 0 (List.length good.Lint.errors);
   check_rule "plan_good" good.Lint.violations Rule.Plan_stale 0
 
+(* LG-DEAD-EXPORT: each tree is a lib/ plus a bin-like root, scanned with
+   per-path classification, so bin/ only ever counts as a caller. dead_bad
+   has an export nobody calls and one only its own file calls; in
+   dead_good every export is reached from another file — inside
+   [let () =], through [open], through a module alias, from a sibling
+   module — or carries the pragma. *)
+let test_dead_export_fixtures () =
+  Alcotest.(check bool) "LG-DEAD-EXPORT is a rule" true
+    (Option.is_some (Rule.of_id "LG-DEAD-EXPORT"));
+  let bad = Lint.scan ~dirs:[ fixture "dead_bad" ] () in
+  Alcotest.(check int) "dead_bad parses" 0 (List.length bad.Lint.errors);
+  check_rule "dead_bad" bad.Lint.violations Rule.Dead_export 2;
+  List.iter
+    (fun needle ->
+      Alcotest.(check bool) needle true
+        (List.exists (contains ~needle) (messages_of Rule.Dead_export bad)))
+    [ "Parts.Unused.nobody"; "Parts.Selfish.helper" ];
+  let good = Lint.scan ~dirs:[ fixture "dead_good" ] () in
+  Alcotest.(check int) "dead_good parses" 0 (List.length good.Lint.errors);
+  check_rule "dead_good" good.Lint.violations Rule.Dead_export 0
+
 (* The real planner is certified pure by the same pass the fixtures
    exercise: the shipped baseline has no LG-PLAN-STALE entries, so
    test_real_tree failing would catch a regression — this test makes the
@@ -351,6 +372,7 @@ let suite =
     Alcotest.test_case "check refuses a stale baseline" `Quick test_check_stale_baseline;
     Alcotest.test_case "effect fixtures (LG-EFF-*)" `Quick test_eff_fixtures;
     Alcotest.test_case "planner purity fixtures (LG-PLAN-STALE)" `Quick test_plan_fixtures;
+    Alcotest.test_case "dead-export fixtures (LG-DEAD-EXPORT)" `Quick test_dead_export_fixtures;
     Alcotest.test_case "real planner certified pure" `Quick test_real_planner_pure;
     Alcotest.test_case "pragma suppressions" `Quick test_pragma;
     Alcotest.test_case "report formats (sarif/json/github)" `Quick test_report_formats;

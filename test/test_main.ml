@@ -8,7 +8,7 @@ let () =
       ("topology", Test_topology.suite);
       ("bgp", Test_bgp.suite);
       ("bgp-more", Test_bgp_more.suite);
-      ("interner", Test_interner.suite);
+      ("sharing", Test_sharing.suite);
       ("dataplane", Test_dataplane.suite);
       ("measurement", Test_measurement.suite);
       ("lifeguard", Test_lifeguard.suite);

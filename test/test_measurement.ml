@@ -11,50 +11,54 @@ let ready_world () =
 let addr w x = Dataplane.Forward.probe_address w.net x
 
 let test_atlas_record_and_history () =
+  let w = ready_world () in
   let atlas = Measurement.Atlas.create () in
-  let p1 = List.map asn [ 1; 2; 3 ] and p2 = List.map asn [ 1; 4; 3 ] in
-  Measurement.Atlas.record_forward atlas ~vp:(asn 1) ~dst:(asn 3) ~now:10.0 p1;
-  Measurement.Atlas.record_forward atlas ~vp:(asn 1) ~dst:(asn 3) ~now:20.0 p1;
-  Measurement.Atlas.record_forward atlas ~vp:(asn 1) ~dst:(asn 3) ~now:30.0 p2;
-  let history = Measurement.Atlas.forward_history atlas ~vp:(asn 1) ~dst:(asn 3) in
+  let refresh now = Measurement.Atlas.refresh_all atlas w.probe ~vps:[ e ] ~dsts:[ o ] ~now in
+  refresh 10.0;
+  refresh 20.0;
+  (* E loses its session to A and reroutes through D. *)
+  Bgp.Network.fail_link w.net ~a ~b:e;
+  converge w;
+  refresh 30.0;
+  let history = Measurement.Atlas.forward_history atlas ~vp:e ~dst:o in
   Alcotest.(check int) "identical consecutive snapshots collapse" 2 (List.length history);
   (match history with
   | newest :: older :: _ ->
-      Alcotest.(check (list int)) "newest is the change" [ 1; 4; 3 ]
+      Alcotest.(check (list int)) "newest is the change" [ 60; 50; 40; 20; 10 ]
         (List.map Asn.to_int newest.Measurement.Atlas.path);
       Alcotest.(check (float 0.001)) "older keeps its refreshed time" 20.0
         older.Measurement.Atlas.taken_at
   | _ -> Alcotest.fail "history shape");
-  (match Measurement.Atlas.latest_forward atlas ~vp:(asn 1) ~dst:(asn 3) ~before:25.0 () with
+  (match Measurement.Atlas.latest_forward atlas ~vp:e ~dst:o ~before:25.0 () with
   | Some snap ->
-      Alcotest.(check (list int)) "as-of query" [ 1; 2; 3 ]
+      Alcotest.(check (list int)) "as-of query" [ 60; 30; 20; 10 ]
         (List.map Asn.to_int snap.Measurement.Atlas.path)
   | None -> Alcotest.fail "latest_forward ~before");
-  let hops = Measurement.Atlas.candidate_hops atlas ~vp:(asn 1) ~dst:(asn 3) in
-  Alcotest.(check (list int)) "candidate universe" [ 1; 2; 3; 4 ]
+  let hops = Measurement.Atlas.candidate_hops atlas ~vp:e ~dst:o in
+  Alcotest.(check (list int)) "candidate universe" [ 10; 20; 30; 40; 50; 60 ]
     (List.map Asn.to_int (Asn.Set.elements hops))
 
 let test_atlas_refresh () =
   let w = ready_world () in
   let atlas = Measurement.Atlas.create () in
-  Measurement.Atlas.refresh atlas w.probe ~vp:e ~dst:o ~now:5.0;
+  Measurement.Atlas.refresh_all atlas w.probe ~vps:[ e ] ~dsts:[ o ] ~now:5.0;
   (match Measurement.Atlas.latest_forward atlas ~vp:e ~dst:o () with
   | Some snap ->
       Alcotest.(check (list int)) "forward path measured" [ 60; 30; 20; 10 ]
         (List.map Asn.to_int snap.Measurement.Atlas.path)
   | None -> Alcotest.fail "no forward snapshot");
-  (match Measurement.Atlas.latest_reverse atlas ~vp:e ~dst:o () with
-  | Some snap ->
+  (match Measurement.Atlas.reverse_history atlas ~vp:e ~dst:o with
+  | snap :: _ ->
       Alcotest.(check (list int)) "reverse path measured (dst first)" [ 10; 20; 30; 60 ]
         (List.map Asn.to_int snap.Measurement.Atlas.path)
-  | None -> Alcotest.fail "no reverse snapshot");
+  | [] -> Alcotest.fail "no reverse snapshot");
   Alcotest.(check int) "one pair" 1 (Measurement.Atlas.pair_count atlas)
 
 let test_monitor_detects_outage_and_recovery () =
   let w = ready_world () in
   let detected = ref [] in
-  let monitor =
-    Measurement.Monitor.create ~env:w.probe ~engine:w.engine ~interval:30.0 ~fail_threshold:4
+  let _monitor =
+    Measurement.Monitor.create ~env:w.probe ~engine:w.engine
       ~on_outage:(fun outage -> detected := outage :: !detected)
       ~vp:o ~targets:[ addr w e ] ()
   in
@@ -79,24 +83,21 @@ let test_monitor_detects_outage_and_recovery () =
   | _ -> Alcotest.fail "expected one outage");
   Dataplane.Failure.remove w.failures spec;
   Sim.Engine.run ~until:500.0 w.engine;
-  (match Measurement.Monitor.outages monitor with
-  | [ outage ] ->
-      Alcotest.(check bool) "recovery seen" true
-        (Option.is_some outage.Measurement.Monitor.ended_at);
-      Alcotest.(check bool) "closed with duration" true
-        (Measurement.Monitor.duration outage ~now:500.0 > 0.0)
-  | _ -> Alcotest.fail "history");
-  Measurement.Monitor.stop monitor;
-  let sent = Measurement.Monitor.probe_count monitor in
-  Sim.Engine.run ~until:700.0 w.engine;
-  Alcotest.(check int) "stopped monitors stop probing" sent
-    (Measurement.Monitor.probe_count monitor)
+  (* The record handed to [on_outage] is closed in place on recovery. *)
+  match !detected with
+  | [ outage ] -> (
+      match outage.Measurement.Monitor.ended_at with
+      | Some ended ->
+          Alcotest.(check bool) "closed with duration" true
+            (ended > outage.Measurement.Monitor.started_at)
+      | None -> Alcotest.fail "recovery not seen")
+  | _ -> Alcotest.fail "expected one outage"
 
 let test_monitor_threshold_not_crossed_by_blips () =
   let w = ready_world () in
   let detected = ref 0 in
   let _monitor =
-    Measurement.Monitor.create ~env:w.probe ~engine:w.engine ~interval:30.0 ~fail_threshold:4
+    Measurement.Monitor.create ~env:w.probe ~engine:w.engine
       ~on_outage:(fun _ -> incr detected)
       ~vp:o ~targets:[ addr w e ] ()
   in
@@ -115,21 +116,15 @@ let test_monitor_threshold_not_crossed_by_blips () =
 
 let test_responsiveness_db () =
   let db = Measurement.Responsiveness.create () in
-  let ip1 = Ipv4.of_string_exn "10.0.1.1" and ip2 = Ipv4.of_string_exn "10.0.2.1" in
+  let ip1 = ipv4 "10.0.1.1" and ip2 = ipv4 "10.0.2.1" in
   Alcotest.(check bool) "unknown: optimistic" true (Measurement.Responsiveness.expect_response db ip1);
-  Measurement.Responsiveness.configure_silent db ip1;
-  Alcotest.(check bool) "silent: no expectation" false
-    (Measurement.Responsiveness.expect_response db ip1);
   Measurement.Responsiveness.note db ip2 true;
   Measurement.Responsiveness.note db ip2 false;
-  Alcotest.(check bool) "ever responded" true (Measurement.Responsiveness.ever_responded db ip2);
   Alcotest.(check bool) "history says expect" true
     (Measurement.Responsiveness.expect_response db ip2);
-  Alcotest.(check int) "observations counted" 2 (Measurement.Responsiveness.observation_count db);
-  let ip3 = Ipv4.of_string_exn "10.0.3.1" in
+  let ip3 = ipv4 "10.0.3.1" in
   Measurement.Responsiveness.note db ip3 false;
   Measurement.Responsiveness.note db ip3 false;
-  Alcotest.(check bool) "never answered" false (Measurement.Responsiveness.ever_responded db ip3);
   Alcotest.(check bool) "never answered: silence expected" false
     (Measurement.Responsiveness.expect_response db ip3)
 
@@ -138,13 +133,14 @@ let test_configure_silent_fraction () =
   let db = Measurement.Responsiveness.create () in
   let rng = Prng.create ~seed:3 in
   Measurement.Responsiveness.configure_silent_fraction db rng g ~fraction:1.0;
-  (* With fraction 1, every router is silent. *)
+  (* With fraction 1, every router is silent: even never-probed ones are
+     not expected to answer. *)
   List.iter
     (fun a ->
       Array.iter
         (fun r ->
-          Alcotest.(check bool) "all silent" true
-            (Measurement.Responsiveness.is_silent db r.Topology.As_graph.address))
+          Alcotest.(check bool) "all silent: no expectation" false
+            (Measurement.Responsiveness.expect_response db r.Topology.As_graph.address))
         (Topology.As_graph.routers g a))
     (Topology.As_graph.as_list g)
 
@@ -211,16 +207,25 @@ let test_reverse_traceroute_infeasible () =
 
 let test_option_support_deterministic () =
   let w = ready_world () in
+  Bgp.Network.announce w.net ~origin:o ~prefix:production ();
+  converge w;
   (* Support is a property of the router, not of the measurer: two
-     measurers with different vantage points agree on every AS. *)
-  let rt1 = Measurement.Reverse_traceroute.create ~env:w.probe ~vantage_points:[ d ] () in
-  let rt2 = Measurement.Reverse_traceroute.create ~env:w.probe ~vantage_points:[ o; f ] () in
-  List.iter
-    (fun x ->
-      Alcotest.(check bool) "measurers agree on rr support"
-        (Measurement.Reverse_traceroute.supports_rr rt1 x)
-        (Measurement.Reverse_traceroute.supports_rr rt2 x))
-    [ o; b; a; c; d; e; f ]
+     measurers with different vantage points, each within record-route
+     range of every hop, reveal each hop by the same technique. *)
+  let hows vantage_points =
+    let rt = Measurement.Reverse_traceroute.create ~env:w.probe ~vantage_points () in
+    match
+      Measurement.Reverse_traceroute.measure rt ~from_:e ~to_ip:(Prefix.nth_address production 1)
+        ()
+    with
+    | Some m ->
+        List.map
+          (fun (h : Measurement.Reverse_traceroute.hop) -> (Asn.to_int h.asn, h.how))
+          m.Measurement.Reverse_traceroute.path
+    | None -> Alcotest.fail "measurement infeasible"
+  in
+  Alcotest.(check bool) "measurers agree on how each hop was revealed" true
+    (hows [ d ] = hows [ o; f ])
 
 let suite =
   suite

@@ -2,7 +2,7 @@
 
 open Net
 
-let ip = Ipv4.of_string_exn
+let ip = Helpers.ipv4
 let pfx = Prefix.of_string_exn
 
 let test_ipv4_roundtrip () =
@@ -29,8 +29,11 @@ let test_prefix_parse_canonicalize () =
   let p = pfx "10.1.2.3/24" in
   Alcotest.(check string) "host bits cleared" "10.1.2.0/24" (Prefix.to_string p);
   Alcotest.(check int) "length" 24 (Prefix.length p);
-  Alcotest.(check bool) "bad length" true (Prefix.of_string "10.0.0.0/33" = None);
-  Alcotest.(check bool) "no slash" true (Prefix.of_string "10.0.0.0" = None)
+  let rejects s =
+    match Prefix.of_string_exn s with exception Invalid_argument _ -> true | _ -> false
+  in
+  Alcotest.(check bool) "bad length" true (rejects "10.0.0.0/33");
+  Alcotest.(check bool) "no slash" true (rejects "10.0.0.0")
 
 let test_prefix_membership () =
   let p = pfx "203.0.112.0/23" in
@@ -51,7 +54,10 @@ let test_prefix_split_and_addresses () =
       Alcotest.(check string) "high half" "203.0.113.0/24" (Prefix.to_string high)
   | None -> Alcotest.fail "split failed");
   Alcotest.(check bool) "/32 does not split" true (Prefix.split (pfx "10.0.0.1/32") = None);
-  Alcotest.(check int) "size /23" 512 (Prefix.size p);
+  Alcotest.(check string) "size /23: last" "203.0.113.255"
+    (Ipv4.to_string (Prefix.nth_address p 511));
+  Alcotest.(check bool) "size /23: past the end" true
+    (match Prefix.nth_address p 512 with exception Invalid_argument _ -> true | _ -> false);
   Alcotest.(check string) "first" "203.0.112.0" (Ipv4.to_string (Prefix.first_address p));
   Alcotest.(check string) "nth" "203.0.112.7" (Ipv4.to_string (Prefix.nth_address p 7))
 
@@ -176,9 +182,7 @@ let prop_find_longest_is_lookup =
 
 let prop_prefix_roundtrip =
   QCheck.Test.make ~name:"prefix string roundtrip" ~count:300 arbitrary_prefix (fun p ->
-      match Prefix.of_string (Prefix.to_string p) with
-      | Some q -> Prefix.equal p q
-      | None -> false)
+      Prefix.equal p (Prefix.of_string_exn (Prefix.to_string p)))
 
 let prop_split_partitions =
   QCheck.Test.make ~name:"split halves partition the parent" ~count:300
@@ -187,7 +191,8 @@ let prop_split_partitions =
       match Prefix.split p with
       | None -> Prefix.length p = 32
       | Some (low, high) ->
-          let address = Ipv4.add (Prefix.first_address p) (offset mod Prefix.size p) in
+          let size = 1 lsl (32 - Prefix.length p) in
+          let address = Ipv4.add (Prefix.first_address p) (offset mod size) in
           let in_low = Prefix.mem address low and in_high = Prefix.mem address high in
           Prefix.mem address p && (in_low <> in_high))
 

@@ -3,12 +3,12 @@
    traced fig6 run. *)
 
 (* Alcotest runs every suite in one process and obs state is global, so
-   each test starts and ends from a known-clean slate. *)
+   each test starts and ends from a known-clean slate. (No test installs
+   a wall-clock source.) *)
 let reset_obs () =
   Obs.Trace.close ();
   Obs.Metrics.disable ();
-  Obs.Metrics.reset ();
-  Obs.Clock.clear ()
+  Obs.Metrics.reset ()
 
 (* ---- disabled instruments must keep the engine hot loop cheap ---- *)
 

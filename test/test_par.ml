@@ -3,6 +3,9 @@
    checks render full result tables and require them byte-identical for
    jobs 1, 2 and 4 — the pool's core contract. *)
 
+(* [f] over [xs] on the pool, results in the order of [xs]. *)
+let map pool f xs = Par.Pool.run_trials pool (List.map (fun x () -> f x) xs)
+
 let test_default_jobs () =
   Alcotest.(check bool) "at least one worker" true (Par.Pool.default_jobs () >= 1)
 
@@ -25,7 +28,7 @@ let test_map_order () =
           Alcotest.(check (list int))
             (Printf.sprintf "submission order at jobs=%d" jobs)
             expected
-            (Par.Pool.map pool spin_then_square xs)))
+            (map pool spin_then_square xs)))
     [ 1; 2; 4 ]
 
 let test_run_trials () =
@@ -56,22 +59,22 @@ let test_exception_earliest () =
 
 let test_pool_reuse () =
   Par.Pool.with_pool ~jobs:2 (fun pool ->
-      Alcotest.(check int) "jobs recorded" 2 (Par.Pool.jobs pool);
-      Alcotest.(check (list int)) "first batch" [ 2; 3; 4 ] (Par.Pool.map pool succ [ 1; 2; 3 ]);
+      Alcotest.(check (list int)) "first batch" [ 2; 3; 4 ] (map pool succ [ 1; 2; 3 ]);
       Alcotest.(check (list string))
         "second batch, different type" [ "1"; "2" ]
-        (Par.Pool.map pool string_of_int [ 1; 2 ]);
-      Alcotest.(check (list int)) "empty input" [] (Par.Pool.map pool succ []))
+        (map pool string_of_int [ 1; 2 ]);
+      Alcotest.(check (list int)) "empty input" [] (map pool succ []))
 
 let test_shutdown () =
-  let pool = Par.Pool.create ~jobs:2 () in
-  Alcotest.(check (list int)) "works before shutdown" [ 1 ] (Par.Pool.map pool succ [ 0 ]);
-  Par.Pool.shutdown pool;
-  Par.Pool.shutdown pool;
-  (* Idempotent. *)
+  (* [with_pool] shuts its pool down on the way out. *)
+  let pool =
+    Par.Pool.with_pool ~jobs:2 (fun pool ->
+        Alcotest.(check (list int)) "works before shutdown" [ 1 ] (map pool succ [ 0 ]);
+        pool)
+  in
   Alcotest.check_raises "map after shutdown rejected"
     (Invalid_argument "Par.Pool.map: pool is shut down") (fun () ->
-      ignore (Par.Pool.map pool succ [ 0 ]))
+      ignore (map pool succ [ 0 ]))
 
 (* [jobs = N] runs a batch on N domains, the caller of [map] included:
    every task a worker takes waits until the caller has run one, so the
@@ -95,7 +98,7 @@ let test_jobs_domains () =
         self
       in
       let domains =
-        Par.Pool.with_pool ~jobs (fun pool -> Par.Pool.map pool task (List.init (4 * jobs) Fun.id))
+        Par.Pool.with_pool ~jobs (fun pool -> map pool task (List.init (4 * jobs) Fun.id))
         |> List.sort_uniq Int.compare
       in
       Alcotest.(check bool)

@@ -161,10 +161,14 @@ let test_miss_demand_plans_then_hits () =
    plan memoizes cannot go stale: after a link failure and a router
    crash the seeded plans still hit, and each verdict equals a fresh
    decision over the same world. *)
+
+(* The plan count, read off the snapshot rendering ("size=N ..."). *)
+let cache_size cache = Scanf.sscanf (Plan.Cache.capture cache) "size=%d " Fun.id
+
 let test_plans_survive_faults () =
   let w, rplan, ctx = plan_world () in
   let cache = seeded_cache w rplan in
-  let size_before = Plan.Cache.size cache in
+  let size_before = cache_size cache in
   Dataplane.Failure.add w.failures reverse_failure_spec;
   let diagnosis = Lifeguard.Isolation.isolate ctx ~src:o ~dst:e in
   Bgp.Network.fail_link w.net ~a:e ~b:d;
@@ -188,7 +192,7 @@ let test_plans_survive_faults () =
     [ a; b ];
   Alcotest.(check int) "both lookups hit" 2 (Plan.Cache.hits cache);
   Alcotest.(check int) "nothing invalidated" 0 (Plan.Cache.invalidations cache);
-  Alcotest.(check int) "no plan dropped" size_before (Plan.Cache.size cache)
+  Alcotest.(check int) "no plan dropped" size_before (cache_size cache)
 
 (* The demand-plan oracle on a generated world: for every target and
    every candidate blame, in the reverse and bidirectional classes with
@@ -352,7 +356,7 @@ let test_no_service_when_breaker_open () =
   let cache = seeded_cache w rplan in
   Dataplane.Failure.add w.failures reverse_failure_spec;
   let diagnosis = Lifeguard.Isolation.isolate ctx ~src:o ~dst:e in
-  let size_before = Plan.Cache.size cache in
+  let size_before = cache_size cache in
   (match
      Plan.Cache.lookup cache w.graph ~now:0.0 ~target:e ~diagnosis ~outage_age:400.0
        ~breaker_open:(fun x -> Asn.equal x a)
@@ -362,7 +366,7 @@ let test_no_service_when_breaker_open () =
   Alcotest.(check int) "no hit" 0 (Plan.Cache.hits cache);
   Alcotest.(check int) "counted as invalidation" 1 (Plan.Cache.invalidations cache);
   Alcotest.(check bool) "plans poisoning the open AS were dropped" true
-    (Plan.Cache.size cache < size_before)
+    (cache_size cache < size_before)
 
 (* Watchdog divergence, end to end: the poison is served from the plan,
    never propagates (the O->B wire is down), the watchdog rolls it back —
@@ -477,8 +481,11 @@ let test_recurring_workload_wins () =
   let r = Experiments.Plan_study.run ~jobs:2 ~seed:42 () in
   let planned = r.Experiments.Plan_study.planned in
   let computed = r.Experiments.Plan_study.computed in
+  let hits = planned.Experiments.Plan_study.plan_hits in
   Alcotest.(check bool) "hit rate >= 60%" true
-    (Experiments.Plan_study.hit_rate planned >= 0.6);
+    (hits > 0
+    && float_of_int hits
+       >= 0.6 *. float_of_int (hits + planned.Experiments.Plan_study.plan_misses));
   let median = function
     | [] -> Alcotest.fail "expected confirmed reroutes"
     | samples -> Stats.Ecdf.quantile (Stats.Ecdf.of_samples (Array.of_list samples)) 0.5

@@ -9,7 +9,7 @@ open Workloads
 (* The partitioner. *)
 
 let gen_318 seed =
-  (Topo_gen.generate ~params:Topo_gen.default_params ~seed ()).Topo_gen.graph
+  (Topo_gen.generate ~seed ()).Topo_gen.graph
 
 let edge_count g =
   List.fold_left (fun acc a -> acc + As_graph.degree g a) 0 (As_graph.as_list g) / 2
@@ -94,7 +94,7 @@ let mux_fingerprint ~shards =
     | Some e -> Bgp.As_path.to_string e.Bgp.Route.ann.Bgp.Route.path
   in
   let log =
-    Bgp.Network.Collector.log mux.Scenarios.collector
+    Bgp.Network.Collector.since mux.Scenarios.collector neg_infinity
     |> List.map (fun r ->
            Printf.sprintf "%.3f %s %s %s" r.Bgp.Network.time
              (Asn.to_string r.Bgp.Network.speaker)

@@ -24,7 +24,7 @@ let test_world_shares_paths () =
   let at_e = best_ann w.net e and at_f = best_ann w.net f in
   check_path "E best is [A B O]" [ 30; 20; 10 ] (P.to_list at_e.Bgp.Route.path);
   Alcotest.(check bool) "E and F share one physical announcement" true (at_e == at_f);
-  let fresh = Bgp.Route.announcement ~prefix:production ~path:(P.of_list [ a; b; o ]) in
+  let fresh = Bgp.Route.announcement ~prefix:production ~path:(as_path [ a; b; o ]) in
   Alcotest.(check bool) "a structural copy is equal to the shared value" true
     (Bgp.Route.announcement_equal fresh at_e && not (fresh == at_e))
 
@@ -43,7 +43,7 @@ let test_worlds_share_nothing () =
     (Bgp.Route.announcement_equal in_one in_other)
 
 let test_equal_allocation_free () =
-  let long last = P.of_list (List.init 500 (fun i -> asn (if i = 499 then last else i + 1))) in
+  let long last = as_path (List.init 500 (fun i -> asn (if i = 499 then last else i + 1))) in
   (* [p] and [q]: two distinct values of one path, which [equal] walks;
      [r] differs from [p] only in the final element, the worst case for
      a walk, which the cached hash settles instead. *)

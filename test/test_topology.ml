@@ -32,22 +32,31 @@ let test_relationship_algebra () =
   Alcotest.(check bool) "prefer peer over provider" true
     (Relationship.local_pref Relationship.Peer > Relationship.local_pref Relationship.Provider)
 
+(* Links counted from both ends. *)
+let link_count g =
+  List.fold_left (fun n a -> n + As_graph.degree g a) 0 (As_graph.as_list g) / 2
+
+(* [x]'s neighbors that are [rel] to it. *)
+let neighbors_by g x rel =
+  List.filter_map
+    (fun (n, r) -> if Relationship.equal r rel then Some n else None)
+    (As_graph.neighbors g x)
+
 let test_graph_basics () =
   let g = small_graph () in
   Alcotest.(check int) "as count" 6 (As_graph.as_count g);
-  Alcotest.(check int) "link count" 5 (As_graph.link_count g);
+  Alcotest.(check int) "link count" 5 (link_count g);
   Alcotest.(check bool) "relationship from 1's view" true
     (As_graph.relationship g ~a:(asn 1) ~b:(asn 2) = Some Relationship.Provider);
   Alcotest.(check bool) "inverted from 2's view" true
     (As_graph.relationship g ~a:(asn 2) ~b:(asn 1) = Some Relationship.Customer);
   Alcotest.(check bool) "non-adjacent" true (As_graph.relationship g ~a:(asn 1) ~b:(asn 6) = None);
   Alcotest.(check (list int)) "providers of 1" [ 2 ]
-    (List.map Asn.to_int (As_graph.providers g (asn 1)));
+    (List.map Asn.to_int (neighbors_by g (asn 1) Relationship.Provider));
   Alcotest.(check (list int)) "customers of 3" [ 2 ]
-    (List.map Asn.to_int (As_graph.customers g (asn 3)));
-  Alcotest.(check (list int)) "peers of 3" [ 4 ] (List.map Asn.to_int (As_graph.peers g (asn 3)));
-  Alcotest.(check bool) "1 is a stub" true (As_graph.is_stub g (asn 1));
-  Alcotest.(check bool) "2 is not" false (As_graph.is_stub g (asn 2));
+    (List.map Asn.to_int (neighbors_by g (asn 3) Relationship.Customer));
+  Alcotest.(check (list int)) "peers of 3" [ 4 ]
+    (List.map Asn.to_int (neighbors_by g (asn 3) Relationship.Peer));
   Alcotest.(check int) "degree of 3" 2 (As_graph.degree g (asn 3))
 
 let test_graph_errors () =
@@ -60,21 +69,6 @@ let test_graph_errors () =
     (raises (fun () -> As_graph.add_link g ~a:(asn 1) ~b:(asn 1) ~rel:Relationship.Peer));
   Alcotest.(check bool) "unknown AS" true (raises (fun () -> ignore (As_graph.neighbors g (asn 99))))
 
-let test_remove_link_and_copy () =
-  let g = small_graph () in
-  let copy = As_graph.copy g in
-  let degree3 = As_graph.degree g (asn 3) in
-  As_graph.remove_link g ~a:(asn 3) ~b:(asn 4);
-  As_graph.remove_link g ~a:(asn 3) ~b:(asn 4);
-  Alcotest.(check int) "link removed" 4 (As_graph.link_count g);
-  Alcotest.(check int) "degree drops once" (degree3 - 1) (As_graph.degree g (asn 3));
-  Alcotest.(check int) "copy's degree unaffected" degree3 (As_graph.degree copy (asn 3));
-  Alcotest.(check bool) "no longer adjacent" true
-    (As_graph.relationship g ~a:(asn 3) ~b:(asn 4) = None);
-  Alcotest.(check int) "copy unaffected" 5 (As_graph.link_count copy);
-  Alcotest.(check bool) "copy still adjacent" true
-    (As_graph.relationship copy ~a:(asn 3) ~b:(asn 4) = Some Relationship.Peer)
-
 let test_router_addresses () =
   let g = As_graph.create () in
   As_graph.add_as g ~routers:3 (asn 42);
@@ -83,9 +77,9 @@ let test_router_addresses () =
   Alcotest.(check string) "address derivation" "10.0.42.1"
     (Ipv4.to_string (As_graph.router_address g (asn 42) 0));
   Alcotest.(check bool) "reverse lookup" true
-    (As_graph.owner_of_address g (Ipv4.of_string_exn "10.0.42.2") = Some (asn 42));
+    (As_graph.owner_of_address g (Helpers.ipv4 "10.0.42.2") = Some (asn 42));
   Alcotest.(check bool) "unknown address" true
-    (As_graph.owner_of_address g (Ipv4.of_string_exn "10.0.43.1") = None)
+    (As_graph.owner_of_address g (Helpers.ipv4 "10.0.43.1") = None)
 
 let test_valley_free () =
   let g = small_graph () in
@@ -136,9 +130,6 @@ let test_policy_respects_valley () =
 let test_tuples_and_splice () =
   let p ns = List.map asn ns in
   let tuples = Splice.Tuples.of_paths [ p [ 1; 2; 3; 4 ]; p [ 5; 3; 6 ] ] in
-  Alcotest.(check bool) "observed subpath" true (Splice.Tuples.observed tuples (asn 1) (asn 2) (asn 3));
-  Alcotest.(check bool) "reverse observed" true (Splice.Tuples.observed tuples (asn 4) (asn 3) (asn 2));
-  Alcotest.(check bool) "unobserved" false (Splice.Tuples.observed tuples (asn 1) (asn 3) (asn 6));
   (* Splice: from 1 via 2-3, into destination 6 via 5-3-6, joint at 3;
      tuple (2,3,6) must be checked. It was never observed, so the splice
      must fail; after adding a path containing it, the splice succeeds. *)
@@ -146,10 +137,15 @@ let test_tuples_and_splice () =
   let to_dst = [ p [ 5; 3; 6 ] ] in
   Alcotest.(check bool) "splice blocked by tuple test" true
     (Splice.splice_around ~from_src ~to_dst ~tuples ~avoid:(asn 4) ~dst:(asn 6) = None);
-  let tuples' = Splice.Tuples.of_paths [ p [ 1; 2; 3; 4 ]; p [ 5; 3; 6 ]; p [ 2; 3; 6 ] ] in
-  match Splice.splice_around ~from_src ~to_dst ~tuples:tuples' ~avoid:(asn 4) ~dst:(asn 6) with
-  | Some joined -> Alcotest.(check (list int)) "spliced path" [ 1; 2; 3; 6 ] (List.map Asn.to_int joined)
-  | None -> Alcotest.fail "splice should succeed"
+  (* The tuple counts as observed in either direction. *)
+  List.iter
+    (fun observed ->
+      let tuples' = Splice.Tuples.of_paths [ p [ 1; 2; 3; 4 ]; p [ 5; 3; 6 ]; p observed ] in
+      match Splice.splice_around ~from_src ~to_dst ~tuples:tuples' ~avoid:(asn 4) ~dst:(asn 6) with
+      | Some joined ->
+          Alcotest.(check (list int)) "spliced path" [ 1; 2; 3; 6 ] (List.map Asn.to_int joined)
+      | None -> Alcotest.fail "splice should succeed")
+    [ [ 2; 3; 6 ]; [ 6; 3; 2 ] ]
 
 let test_generator_structure () =
   let t = Topo_gen.generate ~seed:99 () in
@@ -170,7 +166,8 @@ let test_generator_structure () =
      tier-1 (graph connected under valley-free routing). *)
   List.iter
     (fun s ->
-      Alcotest.(check bool) "stub has a provider" true (As_graph.providers g s <> []))
+      Alcotest.(check bool) "stub has a provider" true
+        (neighbors_by g s Relationship.Provider <> []))
     t.Topo_gen.stub_list;
   let a_tier1 = List.hd t.Topo_gen.tier1 in
   List.iter
@@ -183,8 +180,8 @@ let test_generator_structure () =
 
 let test_generator_determinism () =
   let a = Topo_gen.generate ~seed:7 () and b = Topo_gen.generate ~seed:7 () in
-  Alcotest.(check int) "same link count" (As_graph.link_count a.Topo_gen.graph)
-    (As_graph.link_count b.Topo_gen.graph);
+  Alcotest.(check int) "same link count" (link_count a.Topo_gen.graph)
+    (link_count b.Topo_gen.graph);
   let la = As_graph.as_list a.Topo_gen.graph and lb = As_graph.as_list b.Topo_gen.graph in
   Alcotest.(check (list int)) "same ASes" (List.map Asn.to_int la) (List.map Asn.to_int lb);
   List.iter2
@@ -206,7 +203,13 @@ let graph_digest g =
         (Printf.sprintf "%d:%d:%d;" (Asn.to_int a) (As_graph.tier g a) (As_graph.degree g a));
       List.iter
         (fun (n, rel) ->
-          Buffer.add_string b (Printf.sprintf "%d%s," (Asn.to_int n) (Relationship.to_string rel)))
+          let rel =
+            match rel with
+            | Relationship.Customer -> "customer"
+            | Relationship.Provider -> "provider"
+            | Relationship.Peer -> "peer"
+          in
+          Buffer.add_string b (Printf.sprintf "%d%s," (Asn.to_int n) rel))
         (As_graph.neighbors g a);
       Buffer.add_char b '\n')
     (As_graph.as_list g);
@@ -216,7 +219,7 @@ let test_generator_digests () =
   List.iter
     (fun (ases, links, digest) ->
       let g = (Topo_gen.generate ~params:(Topo_gen.sized ases) ~seed:42 ()).Topo_gen.graph in
-      Alcotest.(check int) (Printf.sprintf "%d-AS links" ases) links (As_graph.link_count g);
+      Alcotest.(check int) (Printf.sprintf "%d-AS links" ases) links (link_count g);
       Alcotest.(check string) (Printf.sprintf "%d-AS digest" ases) digest (graph_digest g))
     [
       (318, 1105, "dff036f2b55cd1bebf57ef4b7b43fb4a");
@@ -365,7 +368,6 @@ let suite =
     Alcotest.test_case "relationship algebra" `Quick test_relationship_algebra;
     Alcotest.test_case "graph basics" `Quick test_graph_basics;
     Alcotest.test_case "graph errors" `Quick test_graph_errors;
-    Alcotest.test_case "remove link / copy" `Quick test_remove_link_and_copy;
     Alcotest.test_case "router addresses" `Quick test_router_addresses;
     Alcotest.test_case "valley-free check" `Quick test_valley_free;
     Alcotest.test_case "policy reachability" `Quick test_policy_reachable;
