@@ -647,13 +647,23 @@ let fleet_cmd =
     close_in ic;
     s
   in
+  (* Replace [file] by [text] atomically: a crash leaves the old file or
+     the new one, never a mix. *)
+  let write_atomically file text =
+    let tmp = file ^ ".tmp" in
+    let c = open_out_bin tmp in
+    output_string c text;
+    close_out c;
+    Sys.rename tmp file
+  in
   (* Daemon mode: one durable world. The journal is appended live and
      flushed per line, so a kill leaves at worst one unterminated final
-     line: resume drops it as a torn write, and [Journal.parse_lines]
-     refuses interior corruption. A resumed journal is rewritten only
-     once re-execution has verified its whole prefix, so a refused resume
-     leaves it as it was. The snapshot file is atomically rewritten per
-     mark. A refusal is one line on stderr and exit 2; a crash exits 3. *)
+     line: [Journal.parse_lines] drops it as a torn write and refuses any
+     complete line that does not parse. A resumed journal is rewritten
+     only once re-execution has verified its whole prefix, so a refused
+     resume leaves it as it was. The snapshot file is atomically
+     rewritten per mark. A refusal is one line on stderr and exit 2; a
+     crash exits 3. *)
   let run_daemon ~config ~seed ~journal_file ~resume_file ~snapshot_file ~snapshot_every ~crash =
     let refuse msg =
       prerr_endline ("lifeguard: " ^ msg);
@@ -666,14 +676,7 @@ let fleet_cmd =
       match resume_file with
       | None -> []
       | Some f -> (
-          (* Every persisted line ends in a newline: whatever follows the
-             last one is torn, even when it happens to parse. *)
-          let complete =
-            match List.rev (String.split_on_char '\n' (read "journal" f)) with
-            | _unterminated :: lines -> List.rev lines
-            | [] -> []
-          in
-          match Recover.Journal.parse_lines complete with
+          match Recover.Journal.parse_lines (read "journal" f) with
           | Ok records -> List.map Recover.Record.to_line records
           | Error e -> refuse (Printf.sprintf "corrupt journal %s: %s" f e))
     in
@@ -704,11 +707,8 @@ let fleet_cmd =
       match !oc with
       | Some c -> c
       | None ->
-          let tmp = out_journal ^ ".tmp" in
-          let c = open_out_bin tmp in
-          List.iter (fun l -> output_string c (l ^ "\n")) journal_lines;
-          close_out c;
-          Sys.rename tmp out_journal;
+          write_atomically out_journal
+            (String.concat "" (List.map (fun l -> l ^ "\n") journal_lines));
           let c = open_out_gen [ Open_wronly; Open_append; Open_binary ] 0o644 out_journal in
           oc := Some c;
           c
@@ -725,12 +725,7 @@ let fleet_cmd =
     let snapshot_sink s =
       match snapshot_file with
       | None -> ()
-      | Some f ->
-          let tmp = f ^ ".tmp" in
-          let sc = open_out_bin tmp in
-          output_string sc (Recover.Snapshot.render s);
-          close_out sc;
-          Sys.rename tmp f
+      | Some f -> write_atomically f (Recover.Snapshot.render s)
     in
     let snapshot_every = if snapshot_every > 0.0 then Some snapshot_every else None in
     let outcome =

@@ -12,12 +12,20 @@
    read from the dune file when it disagrees with the directory, e.g.
    lib/core -> lifeguard).
 
-   Like the rest of lifeguard-lint this is untyped and heuristic: a
-   reference that cannot be resolved becomes an "external" (Effects
-   interprets the primitive ones — Unix.gettimeofday, Random.int, ...),
-   and a bare name shadowed by a local binding may over-approximate an
-   edge. Over-approximation errs toward reporting, and reports land in
-   the baseline, not the build. *)
+   Effect signals are not recognised here: Source_scan's per-file pass
+   records them as sites. A definition collects the sites its body holds
+   for Effects to seed from — a reference that resolves to no definition
+   (Unix.gettimeofday, Random.int, ...) and a catch-all handler — and a
+   creator site in its right-hand side makes it a mutable global.
+
+   Paths are flattened with [Longident.flatten]: a value or module path
+   in an expression, an [open] or an alias never holds a functor
+   application, the one case it refuses.
+
+   Like the rest of lifeguard-lint this is untyped and heuristic: a bare
+   name shadowed by a local binding may over-approximate an edge.
+   Over-approximation errs toward reporting, and reports land in the
+   baseline, not the build. *)
 
 open Parsetree
 
@@ -32,12 +40,13 @@ type def = {
       (** listed in the sibling [.mli] (or no [.mli]: everything is) *)
   mutable_global : bool;
       (** module-level non-function binding whose RHS builds a mutable
-          container — the state [LG-EFF-GLOBALMUT] protects *)
+          container (holds a [Global_mut] site) — the state
+          [LG-EFF-GLOBALMUT] protects *)
   kind : Source_scan.file_kind;
   mutable calls : (int * int) list;  (** resolved (callee id, line), source order *)
-  mutable externals : (string list * int) list;
-      (** unresolved qualified/primitive references (path, line) *)
-  mutable catchall_line : int option;  (** first catch-all [try] handler *)
+  mutable sites : Source_scan.site list;
+      (** signal sites of its body: references that resolve to no
+          definition, and catch-all handlers; walk order *)
 }
 
 type t = {
@@ -45,55 +54,18 @@ type t = {
   sccs : int list list;  (** callee-first: each SCC after all it calls into *)
 }
 
-(* ---------------- small syntactic helpers (mirrors Source_scan) ------- *)
-
-let path_of_lident li =
-  let rec go acc = function
-    | Longident.Lident s -> Some (s :: acc)
-    | Longident.Ldot (l, s) -> go (s :: acc) l
-    | Longident.Lapply _ -> None
-  in
-  go [] li
-
-let is_fun_expr e =
-  let rec go e =
-    match e.pexp_desc with
-    | Pexp_fun _ | Pexp_function _ -> true
-    | Pexp_constraint (e, _) | Pexp_newtype (_, e) -> go e
-    | _ -> false
-  in
-  go e
-
-let mutable_creators =
-  [ [ "ref" ]; [ "Hashtbl"; "create" ]; [ "Buffer"; "create" ]; [ "Array"; "make" ];
-    [ "Array"; "init" ]; [ "Array"; "create_float" ]; [ "Bytes"; "create" ];
-    [ "Bytes"; "make" ]; [ "Queue"; "create" ]; [ "Stack"; "create" ];
-    [ "Atomic"; "make" ] ]
-
-let path_equal a b = List.equal String.equal a b
 let joined p = String.concat "." p
 
-let creates_mutable rhs =
-  let found = ref false in
-  let it =
-    {
-      Ast_iterator.default_iterator with
-      expr =
-        (fun it e ->
-          (match e.pexp_desc with
-          | Pexp_fun _ | Pexp_function _ -> ()
-          | Pexp_apply ({ pexp_desc = Pexp_ident { txt; _ }; _ }, _) -> (
-              match path_of_lident txt with
-              | Some p when List.exists (path_equal p) mutable_creators -> found := true
-              | _ -> ())
-          | _ -> ());
-          match e.pexp_desc with
-          | Pexp_fun _ | Pexp_function _ -> ()
-          | _ -> Ast_iterator.default_iterator.expr it e);
-    }
-  in
-  it.expr it rhs;
-  !found
+(* Is module scope [a] an enclosing scope of (or equal to) [b]? *)
+let rec is_prefix a b =
+  match (a, b) with
+  | [], _ -> true
+  | x :: xs, y :: ys when String.equal x y -> is_prefix xs ys
+  | _ -> false
+
+(* Does [outer] span [l]? *)
+let within (outer : Location.t) (l : Location.t) =
+  outer.loc_start.pos_cnum <= l.loc_start.pos_cnum && l.loc_end.pos_cnum <= outer.loc_end.pos_cnum
 
 (* ---------------- per-file collection -------------------------------- *)
 
@@ -108,6 +80,8 @@ type file_info = {
   mutable fi_aliases : (string list * string * string list) list;
   (* opens: (scope they appear in, opened path) *)
   mutable fi_opens : (string list * string list) list;
+  (* reference and handler sites, by start offset *)
+  fi_sites : (int, Source_scan.site) Hashtbl.t;
 }
 
 type pre_def = {
@@ -128,88 +102,66 @@ let module_name_of_file f =
    file when present (lib/core is library `lifeguard`), the directory
    basename otherwise (fixture corpora have no dune). *)
 let lib_name_of_dir dir =
-  let from_dune path =
-    match open_in_bin path with
-    | exception Sys_error _ -> None
-    | ic ->
-        Fun.protect
-          ~finally:(fun () -> close_in_noerr ic)
-          (fun () ->
-            let len = in_channel_length ic in
-            let text = really_input_string ic len in
-            let n = String.length text in
-            let rec find i =
-              if i + 5 > n then None
-              else if String.sub text i 5 = "(name" then begin
-                let rec skip j =
-                  if j < n && (text.[j] = ' ' || text.[j] = '\n' || text.[j] = '\t') then
-                    skip (j + 1)
-                  else j
-                in
-                let s = skip (i + 5) in
-                let rec tok j =
-                  if
-                    j < n
-                    && (match text.[j] with
-                       | 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> true
-                       | _ -> false)
-                  then tok (j + 1)
-                  else j
-                in
-                let e = tok s in
-                if e > s then Some (String.sub text s (e - s)) else None
-              end
-              else find (i + 1)
-            in
-            find 0)
+  let name_in text =
+    let n = String.length text in
+    let rec skip ok j = if j < n && ok text.[j] then skip ok (j + 1) else j in
+    let rec find i =
+      if i + 5 > n then None
+      else if String.equal (String.sub text i 5) "(name" then begin
+        let s = skip (function ' ' | '\n' | '\t' -> true | _ -> false) (i + 5) in
+        let e =
+          skip (function 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '_' | '-' -> true | _ -> false) s
+        in
+        if e > s then Some (String.sub text s (e - s)) else None
+      end
+      else find (i + 1)
+    in
+    find 0
   in
-  match from_dune (Filename.concat dir "dune") with
-  | Some n -> n
-  | None -> Filename.basename dir
+  match In_channel.with_open_bin (Filename.concat dir "dune") In_channel.input_all with
+  | exception Sys_error _ -> Filename.basename dir
+  | text -> Option.value (name_in text) ~default:(Filename.basename dir)
 
 (* Exported value paths of a file, per its sibling .mli. [None] means no
    (readable) .mli: the whole surface is exported. *)
 let exports_of_mli ml_path =
   let mli = Filename.remove_extension ml_path ^ ".mli" in
-  if not (Sys.file_exists mli) then None
-  else
-    match
-      let ic = open_in_bin mli in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let lexbuf = Lexing.from_channel ic in
-          Location.init lexbuf mli;
-          Parse.interface lexbuf)
-    with
-    | exception _ -> None
-    | items ->
-        let out = Hashtbl.create 32 in
-        let rec walk prefix items =
-          List.iter
-            (fun (si : signature_item) ->
-              match si.psig_desc with
-              | Psig_value vd -> Hashtbl.replace out (prefix ^ vd.pval_name.txt) ()
-              | Psig_module { pmd_name = { txt = Some m; _ }; pmd_type; _ } -> (
-                  match pmd_type.pmty_desc with
-                  | Pmty_signature s -> walk (prefix ^ m ^ ".") s
-                  | _ -> ())
-              | _ -> ())
-            items
-        in
-        walk "" items;
-        Some out
+  match
+    In_channel.with_open_bin mli (fun ic ->
+        let lexbuf = Lexing.from_channel ic in
+        Location.init lexbuf mli;
+        Parse.interface lexbuf)
+  with
+  | exception _ -> None
+  | items ->
+      let out = Hashtbl.create 32 in
+      let rec walk prefix items =
+        List.iter
+          (fun (si : signature_item) ->
+            match si.psig_desc with
+            | Psig_value vd -> Hashtbl.replace out (prefix ^ vd.pval_name.txt) ()
+            | Psig_module { pmd_name = { txt = Some m; _ }; pmd_type; _ } -> (
+                match pmd_type.pmty_desc with
+                | Pmty_signature s -> walk (prefix ^ m ^ ".") s
+                | _ -> ())
+            | _ -> ())
+          items
+      in
+      walk "" items;
+      Some out
 
 (* ---------------- build ---------------------------------------------- *)
 
-let build ~(files : (string * structure * Source_scan.file_kind) list) =
-  let files = List.sort (fun (a, _, _) (b, _, _) -> String.compare a b) files in
+let build ~(files : Source_scan.scanned list) =
+  let files =
+    List.sort (fun (a : Source_scan.scanned) b -> String.compare a.file b.file) files
+  in
   (* Directory tables. *)
   let dirs = Hashtbl.create 8 in (* dir -> (Module name -> file path) *)
   let lib_of_dir = Hashtbl.create 8 in
   let umbrella = Hashtbl.create 8 in (* capitalized lib name -> dir *)
   List.iter
-    (fun (f, _, (kind : Source_scan.file_kind)) ->
+    (fun { Source_scan.file = f; kind; _ } ->
       let dir = Filename.dirname f in
       let mods =
         match Hashtbl.find_opt dirs dir with
@@ -230,7 +182,12 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
   let pre = ref [] in (* pre_defs, reversed *)
   let n_defs = ref 0 in
   List.iter
-    (fun (f, str, kind) ->
+    (fun { Source_scan.file = f; kind; ast; sites; _ } ->
+      let creators, others =
+        List.partition
+          (fun (s : Source_scan.site) -> match s.signal with Global_mut -> true | _ -> false)
+          sites
+      in
       let fi =
         {
           fi_path = f;
@@ -240,9 +197,13 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
           fi_defs = Hashtbl.create 32;
           fi_aliases = [];
           fi_opens = [];
+          fi_sites = Hashtbl.create 16;
         }
       in
       Hashtbl.add infos f fi;
+      List.iter
+        (fun (s : Source_scan.site) -> Hashtbl.replace fi.fi_sites s.loc.loc_start.pos_cnum s)
+        others;
       let push scope path loc rhs ~named =
         let p = loc.Location.loc_start in
         pre :=
@@ -253,7 +214,9 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
             pd_line = p.Lexing.pos_lnum;
             pd_col = p.Lexing.pos_cnum - p.Lexing.pos_bol;
             pd_named = named;
-            pd_mutable = named && (not (is_fun_expr rhs)) && creates_mutable rhs;
+            pd_mutable =
+              named
+              && List.exists (fun (s : Source_scan.site) -> within rhs.pexp_loc s.loc) creators;
             pd_body = rhs;
           }
           :: !pre;
@@ -281,8 +244,7 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
         match me.pmod_desc with
         | Pmod_structure s -> `Structure s
         | Pmod_constraint (me, _) -> module_shape me
-        | Pmod_ident { txt; _ } -> (
-            match path_of_lident txt with Some p -> `Alias p | None -> `Other)
+        | Pmod_ident { txt; _ } -> `Alias (Longident.flatten txt)
         | _ -> `Other
       in
       let rec walk_str scope items =
@@ -313,26 +275,15 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
                     | Some m, `Alias p -> fi.fi_aliases <- (scope, m, p) :: fi.fi_aliases
                     | _ -> ())
                   mbs
-            | Pstr_open { popen_expr; _ } -> (
-                match popen_expr.pmod_desc with
-                | Pmod_ident { txt; _ } -> (
-                    match path_of_lident txt with
-                    | Some p -> fi.fi_opens <- (scope, p) :: fi.fi_opens
-                    | None -> ())
-                | _ -> ())
-            | Pstr_include { pincl_mod; _ } -> (
-                (* `include M` re-exports M's values unqualified: treat as
-                   an open for resolution purposes. *)
-                match pincl_mod.pmod_desc with
-                | Pmod_ident { txt; _ } -> (
-                    match path_of_lident txt with
-                    | Some p -> fi.fi_opens <- (scope, p) :: fi.fi_opens
-                    | None -> ())
-                | _ -> ())
+            | Pstr_open { popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }
+            (* `include M` re-exports M's values unqualified: treat as an
+               open for resolution purposes. *)
+            | Pstr_include { pincl_mod = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ } ->
+                fi.fi_opens <- (scope, Longident.flatten txt) :: fi.fi_opens
             | _ -> ())
           items
       in
-      walk_str [] str)
+      walk_str [] ast)
     files;
   let pre = Array.of_list (List.rev !pre) in
   (* Materialize defs with displays and exports. *)
@@ -368,8 +319,7 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
           mutable_global = pd.pd_mutable;
           kind = (Hashtbl.find infos pd.pd_file).fi_kind;
           calls = [];
-          externals = [];
-          catchall_line = None;
+          sites = [];
         })
       pre
   in
@@ -385,17 +335,7 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
     match path with
     | [] -> None
     | head :: rest ->
-        let applicable (ascope, name, _) =
-          String.equal name head
-          &&
-          let rec prefix a b =
-            match (a, b) with
-            | [], _ -> true
-            | x :: xs, y :: ys when String.equal x y -> prefix xs ys
-            | _ -> false
-          in
-          prefix ascope scope
-        in
+        let applicable (ascope, name, _) = String.equal name head && is_prefix ascope scope in
         (* innermost (longest scope) applicable alias wins *)
         let best =
           List.fold_left
@@ -479,14 +419,7 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
         (* file-level opens applicable to this scope + local opens *)
         let file_opens =
           List.filter_map
-            (fun (oscope, p) ->
-              let rec prefix a b =
-                match (a, b) with
-                | [], _ -> true
-                | x :: xs, y :: ys when String.equal x y -> prefix xs ys
-                | _ -> false
-              in
-              if prefix oscope scope then Some p else None)
+            (fun (oscope, p) -> if is_prefix oscope scope then Some p else None)
             fi.fi_opens
         in
         (* An opened path may itself be relative to an earlier open:
@@ -507,7 +440,7 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
         | Some id -> Some id
         | None -> resolve_abs ~depth:0 fi.fi_dir path)
   in
-  (* Pass 2: edges, externals, catch-alls per definition body. *)
+  (* Pass 2: edges and signal sites per definition body. *)
   Array.iteri
     (fun id pd ->
       let def = defs.(id) in
@@ -515,39 +448,25 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
       let local_opens = ref [] in
       let local_aliases = ref [] in
       let calls = ref [] in
-      let externals = ref [] in
+      let sites = ref [] in
+      let attach (loc : Location.t) =
+        Option.iter
+          (fun s -> sites := s :: !sites)
+          (Hashtbl.find_opt fi.fi_sites loc.loc_start.pos_cnum)
+      in
       let seen_edges = Hashtbl.create 8 in
       let reference txt (loc : Location.t) =
-        match path_of_lident txt with
-        | None -> ()
-        | Some p -> (
-            let line = loc.Location.loc_start.Lexing.pos_lnum in
-            match
-              resolve fi ~scope:pd.pd_scope ~local_opens:!local_opens
-                ~local_aliases:!local_aliases p
-            with
-            | Some callee when callee <> id ->
-                if not (Hashtbl.mem seen_edges callee) then begin
-                  Hashtbl.add seen_edges callee ();
-                  calls := (callee, line) :: !calls
-                end
-            | Some _ -> ()
-            | None -> if List.length p > 1 then externals := (p, line) :: !externals
-              else
-                (* bare names only matter when they are stdlib primitives
-                   (print_endline, open_in, ...): keep them for Effects,
-                   which filters against its primitive tables. *)
-                externals := (p, line) :: !externals)
-      in
-      let is_catch_all (p : pattern) =
-        let rec go p =
-          match p.ppat_desc with
-          | Ppat_any -> true
-          | Ppat_alias (p, _) | Ppat_constraint (p, _) -> go p
-          | Ppat_or (a, b) -> go a || go b
-          | _ -> false
-        in
-        go p
+        match
+          resolve fi ~scope:pd.pd_scope ~local_opens:!local_opens ~local_aliases:!local_aliases
+            (Longident.flatten txt)
+        with
+        | Some callee when callee <> id ->
+            if not (Hashtbl.mem seen_edges callee) then begin
+              Hashtbl.add seen_edges callee ();
+              calls := (callee, loc.loc_start.pos_lnum) :: !calls
+            end
+        | Some _ -> ()
+        | None -> attach loc
       in
       let it =
         {
@@ -557,36 +476,24 @@ let build ~(files : (string * structure * Source_scan.file_kind) list) =
               match e.pexp_desc with
               | Pexp_ident { txt; loc } -> reference txt loc
               | Pexp_try (_, cases) ->
-                  if Option.is_none def.catchall_line then
-                    List.iter
-                      (fun c ->
-                        if is_catch_all c.pc_lhs && Option.is_none def.catchall_line then
-                          def.catchall_line <-
-                            Some c.pc_lhs.ppat_loc.Location.loc_start.Lexing.pos_lnum)
-                      cases;
+                  List.iter (fun c -> attach c.pc_lhs.ppat_loc) cases;
                   Ast_iterator.default_iterator.expr it e
               | Pexp_open ({ popen_expr = { pmod_desc = Pmod_ident { txt; _ }; _ }; _ }, body)
-                -> (
-                  match path_of_lident txt with
-                  | Some p ->
-                      local_opens := p :: !local_opens;
-                      it.expr it body;
-                      local_opens := List.tl !local_opens
-                  | None -> it.expr it body)
+                ->
+                  local_opens := Longident.flatten txt :: !local_opens;
+                  it.expr it body;
+                  local_opens := List.tl !local_opens
               | Pexp_letmodule
-                  ({ txt = Some m; _ }, { pmod_desc = Pmod_ident { txt; _ }; _ }, body) -> (
-                  match path_of_lident txt with
-                  | Some p ->
-                      local_aliases := (m, p) :: !local_aliases;
-                      it.expr it body;
-                      local_aliases := List.tl !local_aliases
-                  | None -> it.expr it body)
+                  ({ txt = Some m; _ }, { pmod_desc = Pmod_ident { txt; _ }; _ }, body) ->
+                  local_aliases := (m, Longident.flatten txt) :: !local_aliases;
+                  it.expr it body;
+                  local_aliases := List.tl !local_aliases
               | _ -> Ast_iterator.default_iterator.expr it e);
         }
       in
       it.expr it pd.pd_body;
       def.calls <- List.rev !calls;
-      def.externals <- List.rev !externals)
+      def.sites <- List.rev !sites)
     pre;
   (* ---------------- Tarjan SCC (callee-first emission order) ---------- *)
   let n = Array.length defs in

@@ -8,8 +8,8 @@
     ([Speaker.create]), library umbrella modules ([Bgp.Speaker.create],
     with library names read from dune files — lib/core is [Lifeguard]),
     file-level and [let open] opens, and module aliases
-    ([module R = Retry]). Unresolved references are kept as "externals"
-    for {!Effects} to interpret. *)
+    ([module R = Retry]). Each definition collects the signal sites
+    {!Source_scan} recorded in its body, for {!Effects} to seed from. *)
 
 type def = {
   id : int;
@@ -21,12 +21,13 @@ type def = {
   exported : bool;
       (** listed in the sibling [.mli]; no [.mli] exports everything *)
   mutable_global : bool;
-      (** module-level non-function binding building a mutable container *)
+      (** module-level non-function binding building a mutable container:
+          its right-hand side holds a [Global_mut] site *)
   kind : Source_scan.file_kind;
   mutable calls : (int * int) list;  (** resolved (callee id, line), source order *)
-  mutable externals : (string list * int) list;
-      (** unresolved references (path, line) — primitives live here *)
-  mutable catchall_line : int option;
+  mutable sites : Source_scan.site list;
+      (** its body's reference sites that resolve to no definition, and
+          its catch-all handler sites, in walk order *)
 }
 
 type t = {
@@ -36,7 +37,7 @@ type t = {
           SCCs it has edges into, so one forward sweep is a fixpoint *)
 }
 
-val build : files:(string * Parsetree.structure * Source_scan.file_kind) list -> t
+val build : files:Source_scan.scanned list -> t
 (** Build the graph over the given parsed files. Files are sorted by
     path and definitions numbered in source order, so the graph — and
     everything derived from it — is deterministic. *)

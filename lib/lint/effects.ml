@@ -1,10 +1,11 @@
 (* Per-function effect summaries over the {!Callgraph}, propagated to a
    fixpoint over SCCs.
 
-   Seeds come from the same syntactic signals the per-file detectors key
-   on (wall-clock reads, [Random], stdout printers, catch-all handlers,
-   file/process I/O) plus one interprocedural signal the per-file pass
-   cannot see: an edge into a module-level mutable binding of any file.
+   Seeds are the signal sites Source_scan recorded and Callgraph attached
+   to each definition (wall-clock reads, [Random], stdout printers,
+   catch-all handlers, file/process I/O), plus one interprocedural signal
+   the per-file pass cannot see: an edge into a module-level mutable
+   binding of any file.
    Propagation is the transitive closure: [effects f = seed f U union
    (effects callee)]. Within an SCC every member reaches every other, so
    all members share the SCC's union; SCCs are processed callee-first, so
@@ -17,7 +18,7 @@
    sanctioned randomness home — otherwise every instrumented function in
    the tree would inherit [Global_mut] from a [Metrics.incr]. *)
 
-type eff = Clock | Random | Global_mut | Prints | Catchall | Io
+type eff = Source_scan.signal = Clock | Random | Global_mut | Prints | Catchall | Io
 
 let all_effects = [ Clock; Random; Global_mut; Prints; Catchall; Io ]
 
@@ -30,7 +31,7 @@ let label = function
   | Io -> "io"
 
 type origin =
-  | Prim of string * int  (** primitive path as written, line of the use *)
+  | Prim of string  (** the signal site: its path as written *)
   | Call of int * int  (** callee def id, call-site line *)
   | Global of int * int  (** mutable-global def id, reference line *)
 
@@ -54,45 +55,6 @@ type t = {
   direct : origin option array array;  (** the seeds only *)
 }
 
-(* ---------------- seed tables ---------------------------------------- *)
-
-let clock_paths = [ [ "Sys"; "time" ]; [ "Unix"; "gettimeofday" ]; [ "Unix"; "time" ] ]
-
-let printf_qualified = [ [ "Printf"; "printf" ]; [ "Format"; "printf" ] ]
-
-let printf_bare =
-  [ "print_endline"; "print_string"; "print_newline"; "print_int"; "print_float"; "print_char" ]
-
-let io_bare = [ "open_in"; "open_in_bin"; "open_out"; "open_out_bin"; "input_line"; "read_line" ]
-
-let io_sys =
-  [ "command"; "readdir"; "remove"; "rename"; "getenv"; "getenv_opt"; "chdir"; "getcwd";
-    "file_exists"; "is_directory" ]
-
-let path_equal a b = List.equal String.equal a b
-
-let normalize = function "Stdlib" :: rest -> rest | p -> p
-
-(* The seed an external reference plants, if any. *)
-let seed_of_external ~(kind : Source_scan.file_kind) path =
-  let p = normalize path in
-  if List.exists (path_equal p) clock_paths then Some Clock
-  else
-    match p with
-    | "Random" :: _ when not kind.prng_exempt -> Some Random
-    | "Unix" :: _ -> Some Io
-    | [ "Sys"; f ] when List.mem f io_sys -> Some Io
-    | [ "Filename"; ("temp_file" | "open_temp_file") ] -> Some Io
-    | ("In_channel" | "Out_channel") :: _ -> Some Io
-    | [ name ] when List.mem name io_bare -> Some Io
-    | _ ->
-        if
-          (not kind.obs_exempt)
-          && (List.exists (path_equal p) printf_qualified
-             || match p with [ name ] -> List.mem name printf_bare | _ -> false)
-        then Some Prints
-        else None
-
 (* ---------------- propagation ---------------------------------------- *)
 
 let analyse (cg : Callgraph.t) =
@@ -108,15 +70,15 @@ let analyse (cg : Callgraph.t) =
         let i = idx eff in
         if Option.is_none slots.(i) then slots.(i) <- Some origin
       in
+      let kind = d.Callgraph.kind in
       List.iter
-        (fun (path, line) ->
-          match seed_of_external ~kind:d.Callgraph.kind path with
-          | Some eff -> add eff (Prim (String.concat "." path, line))
-          | None -> ())
-        d.Callgraph.externals;
-      (match d.Callgraph.catchall_line with
-      | Some line -> add Catchall (Prim ("try ... with _ ->", line))
-      | None -> ());
+        (fun (s : Source_scan.site) ->
+          match s.signal with
+          | Random when kind.Source_scan.prng_exempt -> ()
+          | Prints when kind.Source_scan.obs_exempt -> ()
+          | Catchall -> add Catchall (Prim "try ... with _ ->")
+          | eff -> add eff (Prim (String.concat "." s.path)))
+        d.Callgraph.sites;
       List.iter
         (fun (callee, line) ->
           let c = cg.Callgraph.defs.(callee) in
@@ -193,7 +155,7 @@ let trace t id eff =
     d.Callgraph.display
     ::
     (match t.witness.(id).(i) with
-    | Some (Prim (p, _)) -> [ p ]
+    | Some (Prim p) -> [ p ]
     | Some (Global (g, _)) ->
         [ t.cg.Callgraph.defs.(g).Callgraph.display ^ " (module-level mutable)" ]
     | Some (Call (c, _)) -> if Hashtbl.mem visited c then [ "..." ] else go c

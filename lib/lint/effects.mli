@@ -2,8 +2,9 @@
     rule family.
 
     The lattice is the powerset of six effect atoms; [analyse] seeds
-    them from the same syntactic signals the per-file detectors use
-    (plus edges into module-level mutable bindings) and propagates
+    them from the signal sites {!Source_scan} recorded and
+    {!Callgraph} attached to each definition (plus edges into
+    module-level mutable bindings) and propagates
     [effects f = seed f U union (effects callee)] to a fixpoint over
     SCCs, callee-first. Seeds inside the declared-exempt modules
     ([lib/obs] for state/printing, [lib/prng] for randomness) are not

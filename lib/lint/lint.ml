@@ -38,26 +38,25 @@ type report = {
   errors : (string * string) list;  (** file, parse error *)
 }
 
-(* Parse every file once; the syntactic pass and the callgraph share the
-   ASTs. Library files (or everything, under a forced kind) feed the
-   interprocedural pass. *)
-let parse_all ?kind ~dirs () =
+(* Parse every file once and run the per-file pass over it: its rule
+   reports, and the signal sites the callgraph hands to Effects. *)
+let scan_all ?kind ~dirs () =
   let files = List.fold_left collect_ml_files [] dirs |> List.sort String.compare in
-  let parsed = ref [] in
+  let scanned = ref [] in
   let errors = ref [] in
   List.iter
     (fun f ->
       let k = match kind with Some k -> k | None -> Source_scan.classify f in
       match Source_scan.parse_file f with
-      | Ok ast -> parsed := (f, ast, k) :: !parsed
+      | Ok ast -> scanned := Source_scan.scan_ast ~kind:k ~file:f ast :: !scanned
       | Error e -> errors := (f, e) :: !errors)
     files;
-  (files, List.rev !parsed, List.rev !errors)
+  (files, List.rev !scanned, List.rev !errors)
 
 (* lint: allow LG-DEAD-EXPORT (seam: test_lint.ml's real-tree effect summaries) *)
 let analyse ?kind ~dirs () =
-  let _, parsed, errors = parse_all ?kind ~dirs () in
-  (Effects.analyse (Callgraph.build ~files:parsed), errors)
+  let _, scanned, errors = scan_all ?kind ~dirs () in
+  (Effects.analyse (Callgraph.build ~files:scanned), errors)
 
 (* LG-DEAD-EXPORT: an exported library definition that no definition of
    another scanned file references. Same-file references do not count
@@ -93,18 +92,18 @@ let dead_exports (cg : Callgraph.t) =
 
 (* lint: allow LG-DEAD-EXPORT (seam: test_lint.ml's fixture directories) *)
 let scan ?kind ~dirs () =
-  let files, parsed, errors = parse_all ?kind ~dirs () in
-  let violations = ref [] in
-  List.iter
-    (fun (f, ast, k) ->
-      if not (references_only f) then
-        violations := List.rev_append (Source_scan.scan_ast ~kind:k ~file:f ast) !violations)
-    parsed;
+  let files, scanned, errors = scan_all ?kind ~dirs () in
+  let direct =
+    List.fold_left
+      (fun acc (s : Source_scan.scanned) ->
+        if references_only s.file then acc else List.rev_append s.violations acc)
+      [] scanned
+  in
   let force_lib = match kind with Some k -> k.Source_scan.in_lib | None -> false in
   let mli = Source_scan.mli_violations ~force_lib files in
-  let cg = Callgraph.build ~files:parsed in
+  let cg = Callgraph.build ~files:scanned in
   let eff = Effects.violations (Effects.analyse cg) in
-  let all = List.concat [ mli; eff; dead_exports cg; !violations ] in
+  let all = List.concat [ mli; eff; dead_exports cg; direct ] in
   {
     violations = Pragma.filter (List.sort Source_scan.compare_violation all);
     errors;

@@ -23,18 +23,20 @@ type report = {
 
 val scan : ?kind:Source_scan.file_kind -> dirs:string list -> unit -> report
 (** Scan every [.ml] under [dirs] (sorted, deterministic): each file is
-    parsed once and shared between the syntactic pass, the
-    [LG-MLI-MISSING] filesystem pass, and the interprocedural pass over
-    one call graph of all the files ([LG-EFF-*] and [LG-DEAD-EXPORT] on
-    the library files; the others are callers). Files under a
+    parsed and scanned once. The per-file pass's reports join the
+    [LG-MLI-MISSING] filesystem pass and the interprocedural pass over
+    one call graph of all the files, seeded from the same per-file
+    pass's signal sites ([LG-EFF-*] and [LG-DEAD-EXPORT] on the library
+    files; the others are callers). Files under a
     [perfbench] directory are read for their references only: no rule is
     checked on them. Pragma-suppressed violations are dropped. [kind]
     overrides per-path classification — tests use
     {!Source_scan.lib_kind} to force library strictness on fixtures. *)
 
 val analyse : ?kind:Source_scan.file_kind -> dirs:string list -> unit -> Effects.t * (string * string) list
-(** Build the callgraph over the files under [dirs] and infer effect
-    summaries; also returns parse errors. *)
+(** Run {!scan}'s per-file pass over the files under [dirs], build the
+    callgraph from its signal sites and infer effect summaries; also
+    returns parse errors. *)
 
 val main : ?out:Format.formatter -> string array -> int
 (** The CLI ([bin/lifeguard_lint]): returns the exit code. Informational

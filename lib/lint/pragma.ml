@@ -52,18 +52,9 @@ let of_lines lines =
        (1, []) lines
 
 let load path =
-  match open_in_bin path with
+  match In_channel.with_open_bin path In_channel.input_all with
   | exception Sys_error _ -> []
-  | ic ->
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let rec go acc =
-            match input_line ic with
-            | exception End_of_file -> List.rev acc
-            | line -> go (line :: acc)
-          in
-          of_lines (go []))
+  | text -> of_lines (String.split_on_char '\n' text)
 
 (* lint: allow LG-DEAD-EXPORT (seam: test_lint.ml's pragma unit test) *)
 let suppresses t ~rule ~line =

@@ -98,10 +98,17 @@ let iteration_components =
 
 let fold_components = [ "fold"; "fold_left"; "fold_right" ]
 
+(* The effect signals. This is the one place each is recognised: the
+   per-file rules report from the sites [scan_structure] records, and
+   Callgraph attaches the same sites to definitions as Effects' seeds. *)
+type signal = Clock | Random | Global_mut | Prints | Catchall | Io
+
+type site = { signal : signal; path : string list; loc : Location.t }
+
 let mutable_creators =
   [ [ "ref" ]; [ "Hashtbl"; "create" ]; [ "Buffer"; "create" ]; [ "Array"; "make" ];
     [ "Array"; "init" ]; [ "Array"; "create_float" ]; [ "Bytes"; "create" ];
-    [ "Bytes"; "make" ]; [ "Queue"; "create" ]; [ "Stack"; "create" ] ]
+    [ "Bytes"; "make" ]; [ "Queue"; "create" ]; [ "Stack"; "create" ]; [ "Atomic"; "make" ] ]
 
 let clock_paths = [ [ "Sys"; "time" ]; [ "Unix"; "gettimeofday" ]; [ "Unix"; "time" ] ]
 
@@ -112,6 +119,12 @@ let printf_qualified = [ [ "Printf"; "printf" ]; [ "Format"; "printf" ] ]
 
 let printf_bare =
   [ "print_endline"; "print_string"; "print_newline"; "print_int"; "print_float"; "print_char" ]
+
+let io_bare = [ "open_in"; "open_in_bin"; "open_out"; "open_out_bin"; "input_line"; "read_line" ]
+
+let io_sys =
+  [ "command"; "readdir"; "remove"; "rename"; "getenv"; "getenv_opt"; "chdir"; "getcwd";
+    "file_exists"; "is_directory" ]
 
 (* Boxed integer types: a mutable field of one allocates on every write. *)
 let boxed_int_types =
@@ -125,6 +138,24 @@ let path_equal a b = List.equal String.equal a b
 let path_mem p l = List.exists (path_equal p) l
 
 let joined p = String.concat "." p
+let name_mem name l = List.exists (String.equal name) l
+
+(* [Stdlib.Sys.time] is [Sys.time]. *)
+let unqualified = function "Stdlib" :: rest -> rest | p -> p
+
+(* The signal a value path names, if any. Creators are not here: they are
+   signals only where a module-level binding applies one. *)
+let signal_of_path path =
+  match unqualified path with
+  | p when path_mem p clock_paths -> Some Clock
+  | "Random" :: _ -> Some Random
+  | [ name ] when name_mem name printf_bare -> Some Prints
+  | p when path_mem p printf_qualified -> Some Prints
+  | "Unix" :: _ | ("In_channel" | "Out_channel") :: _ -> Some Io
+  | [ "Filename"; ("temp_file" | "open_temp_file") ] -> Some Io
+  | [ "Sys"; f ] when name_mem f io_sys -> Some Io
+  | [ name ] when name_mem name io_bare -> Some Io
+  | _ -> None
 
 let is_fun_expr e =
   let rec go e =
@@ -292,34 +323,45 @@ let scan_structure ~kind ~file str =
              (joined p))
     | _ -> ()
   in
+  (* Record an effect-signal site and report it under the per-file rule
+     that owns it, if that rule applies to this file. *)
+  let sites = ref [] in
+  let site signal path loc =
+    sites := { signal; path; loc } :: !sites;
+    match signal with
+    | Random when not kind.prng_exempt ->
+        add Rule.Det_random loc "use the seeded Prng instead of Random"
+    | Clock when kind.in_lib ->
+        add Rule.Det_clock loc
+          (Printf.sprintf "%s reads the wall clock; thread simulation time instead" (joined path))
+    | Prints
+      when kind.in_lib && (not kind.obs_exempt)
+           && not (match path with [ name ] -> locally_defined name | _ -> false) ->
+        add Rule.Obs_printf loc
+          (Printf.sprintf
+             "%s writes to stdout from a library; use the table writers or Obs tracing"
+             (joined path))
+    | Catchall when kind.in_lib ->
+        add Rule.Rob_exn loc
+          "catch-all exception handler swallows programming errors along with the expected \
+           failure; match the specific exceptions"
+    | Global_mut when kind.in_lib && not kind.obs_exempt ->
+        add Rule.Dom_mut loc
+          (Printf.sprintf "module-level %s: mutable state shared across Par worker domains"
+             (joined path))
+    | _ -> ()
+  in
   let check_ident_path p loc =
     check_marshal p loc;
-    if (not kind.prng_exempt) && (match p with "Random" :: _ -> true | _ -> false) then
-      add Rule.Det_random loc "use the seeded Prng instead of Random"
-    else if kind.in_lib then begin
-      if path_mem p clock_paths then
-        add Rule.Det_clock loc
-          (Printf.sprintf "%s reads the wall clock; thread simulation time instead" (joined p));
+    Option.iter (fun s -> site s p loc) (signal_of_path p);
+    if kind.in_lib then begin
       if
         (path_equal p [ "compare" ] && not (locally_defined "compare"))
         || path_equal p [ "Stdlib"; "compare" ]
         || path_equal p [ "Pervasives"; "compare" ]
       then add Rule.Det_polyeq loc "polymorphic compare; use the module-specific compare"
       else if path_equal p [ "Hashtbl"; "hash" ] && not (locally_defined "hash") then
-        add Rule.Det_polyeq loc "polymorphic Hashtbl.hash; use a module-specific hash";
-      if not kind.obs_exempt then begin
-        let bare_printer =
-          match p with
-          | [ name ] -> List.exists (String.equal name) printf_bare && not (locally_defined name)
-          | [ "Stdlib"; name ] -> List.exists (String.equal name) printf_bare
-          | _ -> false
-        in
-        if path_mem p printf_qualified || bare_printer then
-          add Rule.Obs_printf loc
-            (Printf.sprintf
-               "%s writes to stdout from a library; use the table writers or Obs tracing"
-               (joined p))
-      end
+        add Rule.Det_polyeq loc "polymorphic Hashtbl.hash; use a module-specific hash"
     end
   in
   let check_apply f args loc =
@@ -405,14 +447,10 @@ let scan_structure ~kind ~file str =
                 it.expr it body;
                 local_helpers := outer
             | Pexp_try (_, cases) ->
-                if kind.in_lib then
-                  List.iter
-                    (fun c ->
-                      if is_catch_all_pattern c.pc_lhs then
-                        add Rule.Rob_exn c.pc_lhs.ppat_loc
-                          "catch-all exception handler swallows programming errors along \
-                           with the expected failure; match the specific exceptions")
-                    cases;
+                List.iter
+                  (fun c ->
+                    if is_catch_all_pattern c.pc_lhs then site Catchall [] c.pc_lhs.ppat_loc)
+                  cases;
                 Ast_iterator.default_iterator.expr it e
             | Pexp_apply (f, args) ->
                 check_apply f args e.pexp_loc;
@@ -488,11 +526,8 @@ let scan_structure ~kind ~file str =
             | Pexp_fun _ | Pexp_function _ -> ()
             | Pexp_apply (f, _) ->
                 (match callee_path f with
-                | Some p when path_mem p mutable_creators ->
-                    add Rule.Dom_mut e.pexp_loc
-                      (Printf.sprintf
-                         "module-level %s: mutable state shared across Par worker domains"
-                         (joined p))
+                | Some p when path_mem (unqualified p) mutable_creators ->
+                    site Global_mut p e.pexp_loc
                 | _ -> ());
                 Ast_iterator.default_iterator.expr mit e
             | _ -> Ast_iterator.default_iterator.expr mit e);
@@ -504,8 +539,7 @@ let scan_structure ~kind ~file str =
   and walk_item (si : structure_item) =
     match si.pstr_desc with
     | Pstr_value (rf, vbs) ->
-        if kind.in_lib && not kind.obs_exempt then
-          List.iter (fun vb -> if not (is_fun_expr vb.pvb_expr) then scan_mutable_rhs vb.pvb_expr) vbs;
+        List.iter (fun vb -> if not (is_fun_expr vb.pvb_expr) then scan_mutable_rhs vb.pvb_expr) vbs;
         let bump = match rf with Asttypes.Recursive -> true | _ -> false in
         if bump then incr rec_depth;
         List.iter (fun vb -> it.value_binding it vb) vbs;
@@ -625,31 +659,33 @@ let scan_structure ~kind ~file str =
                    name))
           (List.rev !flagged_fields)
   end;
-  List.rev !out
-
-let parse_impl path =
-  let ic = open_in_bin path in
-  Fun.protect
-    ~finally:(fun () -> close_in_noerr ic)
-    (fun () ->
-      let lexbuf = Lexing.from_channel ic in
-      Location.init lexbuf path;
-      Parse.implementation lexbuf)
+  (List.rev !out, List.rev !sites)
 
 let parse_file path =
-  match parse_impl path with
+  match
+    In_channel.with_open_bin path (fun ic ->
+        let lexbuf = Lexing.from_channel ic in
+        Location.init lexbuf path;
+        Parse.implementation lexbuf)
+  with
   | ast -> Ok ast
   | exception e -> Error (Printexc.to_string e)
 
-let scan_ast ?kind ~file ast =
-  let kind = match kind with Some k -> k | None -> classify file in
-  scan_structure ~kind ~file ast
+type scanned = {
+  file : string;
+  kind : file_kind;
+  ast : structure;
+  violations : violation list;
+  sites : site list;
+}
+
+let scan_ast ~kind ~file ast =
+  let violations, sites = scan_structure ~kind ~file ast in
+  { file; kind; ast; violations; sites }
 
 (* lint: allow LG-DEAD-EXPORT (seam: test_lint.ml's single-file fixtures) *)
-let scan_file ?kind path =
-  match parse_file path with
-  | Ok ast -> Ok (scan_ast ?kind ~file:path ast)
-  | Error e -> Error e
+let scan_file ~kind path =
+  Result.map (fun ast -> (scan_ast ~kind ~file:path ast).violations) (parse_file path)
 
 let mli_violations ?(force_lib = false) files =
   List.filter_map
@@ -671,7 +707,7 @@ let mli_violations ?(force_lib = false) files =
       else None)
     files
 
-let compare_violation a b =
+let compare_violation (a : violation) (b : violation) =
   let c = String.compare a.file b.file in
   if c <> 0 then c
   else

@@ -11,8 +11,9 @@ type file_kind = {
           observability state and the trace sink, so [LG-DOM-MUT] and
           [LG-OBS-PRINTF] do not apply *)
   bgp_exempt : bool;
-      (** under [lib/bgp]: owns the interned path/route representations,
-          so [LG-PERF-STRUCTEQ] does not apply to its internals *)
+      (** under [lib/bgp]: owns the path/route representations (and
+          [As_path.equal]'s structural fallback), so [LG-PERF-STRUCTEQ]
+          does not apply to its internals *)
   marshal_exempt : bool;
       (** [lib/workloads/template.ml]: the one place [Marshal] is legal
           ([LG-ROB-MARSHAL]) *)
@@ -33,16 +34,47 @@ type violation = {
   message : string;
 }
 
+(** An effect signal. This pass is the only place one is recognised:
+    its per-file rules report from the sites, and {!Callgraph} attaches
+    the same sites to definitions as the seeds of {!Effects}. *)
+type signal =
+  | Clock  (** [Sys.time], [Unix.gettimeofday], [Unix.time] *)
+  | Random  (** any [Random.*] path *)
+  | Global_mut
+      (** a mutable-container creator ([ref], [Hashtbl.create],
+          [Atomic.make], ...) applied, outside any function, in the
+          right-hand side of a module-level non-function binding *)
+  | Prints  (** a stdout printer ([Printf.printf], [print_endline], ...) *)
+  | Catchall  (** a catch-all [try ... with _ ->] handler arm *)
+  | Io  (** file, process or environment I/O ([open_in], [Sys.readdir], [Unix.*], ...) *)
+
+type site = {
+  signal : signal;
+  path : string list;
+      (** the value path as written ([Stdlib.]-qualified paths count);
+          [[]] for {!Catchall} *)
+  loc : Location.t;  (** the identifier, the application or the handler pattern *)
+}
+
 val parse_file : string -> (Parsetree.structure, string) result
 (** Parse one implementation file; [Error] describes a parse failure.
     The driver parses each file once and shares the AST between this
     pass and {!Callgraph}. *)
 
-val scan_ast : ?kind:file_kind -> file:string -> Parsetree.structure -> violation list
-(** Run the syntactic rules over an already-parsed structure. *)
+type scanned = {
+  file : string;
+  kind : file_kind;
+  ast : Parsetree.structure;
+  violations : violation list;  (** the per-file rules' reports *)
+  sites : site list;  (** every signal site of the file, in walk order *)
+}
 
-val scan_file : ?kind:file_kind -> string -> (violation list, string) result
-(** [parse_file] + [scan_ast]. [kind] defaults to [classify path]. *)
+val scan_ast : kind:file_kind -> file:string -> Parsetree.structure -> scanned
+(** Run the syntactic rules over an already-parsed structure. Sites are
+    recorded whatever [kind] says; only the reports depend on it. *)
+
+val scan_file : kind:file_kind -> string -> (violation list, string) result
+(** [parse_file] + [scan_ast], keeping the reports. *)
 
 val mli_violations : ?force_lib:bool -> string list -> violation list
 (** The [LG-MLI-MISSING] pass: every library [.ml] in the list without a

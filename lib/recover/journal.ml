@@ -23,13 +23,11 @@ type t = {
   mutable seq : int;  (** next record's journal position *)
   mutable appends : int;  (** logged actions so far, for the crash spec *)
   mutable lines : string list;  (** persisted lines, newest first *)
+  mutable records : Record.t list;  (** [lines]' records, newest first *)
   mutable replay_started : float;
       (** simulation time of the first replayed append (for the
           [recover.replay] span); NaN until replay begins *)
 }
-
-let create ?(sink = fun (_ : string) -> ()) ?crash () =
-  { sink; expected = [||]; crash; seq = 0; appends = 0; lines = []; replay_started = Float.nan }
 
 let replaying ?(sink = fun (_ : string) -> ()) ?crash ~expected () =
   {
@@ -39,8 +37,11 @@ let replaying ?(sink = fun (_ : string) -> ()) ?crash ~expected () =
     seq = 0;
     appends = 0;
     lines = [];
+    records = [];
     replay_started = Float.nan;
   }
+
+let create ?sink ?crash () = replaying ?sink ?crash ~expected:[] ()
 
 let check_crash j boundary =
   match j.crash with
@@ -65,7 +66,8 @@ let trace_replay_done j ~at =
 let logged j ~at action ~effect =
   j.appends <- j.appends + 1;
   check_crash j Crash.Before_write;
-  let line = Record.to_line { Record.seq = j.seq; at; action } in
+  let record = { Record.seq = j.seq; at; action } in
+  let line = Record.to_line record in
   (* Replay verification: while inside the persisted prefix, the
      re-executed run must reproduce the stored line byte-for-byte.
      Divergence means the resumed world is not the crashed world (wrong
@@ -82,6 +84,7 @@ let logged j ~at action ~effect =
   else Obs.Metrics.incr m_appends;
   j.seq <- j.seq + 1;
   j.lines <- line :: j.lines;
+  j.records <- record :: j.records;
   j.sink line;
   check_crash j Crash.After_write;
   effect ();
@@ -92,26 +95,18 @@ let length j = j.seq
 let replayed j = min j.seq (Array.length j.expected)
 let lines j = List.rev j.lines
 
-let records j =
-  List.rev_map
-    (fun line ->
-      match Record.of_line line with
-      | Ok r -> r
-      | Error msg -> invalid_arg (Printf.sprintf "Journal.records: %s" msg))
-    j.lines
+let records j = List.rev j.records
 
-(* A journal file recovered after a crash may end mid-line (the process
-   died inside a write). Parsing tolerates exactly that: a trailing
-   malformed line is dropped; a malformed line in the interior is
-   corruption and refuses to load. *)
-let parse_lines lines =
+(* A journal file recovered after a crash may end mid-line: the process
+   died inside a write. Every persisted line ends in a newline, and the
+   record codec escapes newlines inside a field, so whatever follows the
+   last newline is that torn write and is dropped, even when it happens
+   to parse. A complete line that does not parse, the last one included,
+   is corruption and refuses to load. *)
+let parse_lines text =
   let rec go acc = function
-    | [] -> Ok (List.rev acc)
-    | line :: rest -> begin
-        match (Record.of_line line, rest) with
-        | Ok r, _ -> go (r :: acc) rest
-        | Error _, [] -> Ok (List.rev acc)
-        | Error msg, _ :: _ -> Error msg
-      end
+    | [] | [ _ ] -> Ok (List.rev acc)
+    | "" :: rest -> go acc rest
+    | line :: rest -> Result.bind (Record.of_line line) (fun r -> go (r :: acc) rest)
   in
-  go [] (List.filter (fun l -> String.length l > 0) lines)
+  go [] (String.split_on_char '\n' text)

@@ -56,10 +56,10 @@ val lines : t -> string list
 (** Every persisted line, oldest first. *)
 
 val records : t -> Record.t list
-(** {!lines}, parsed. Raises [Invalid_argument] on a malformed line
-    (cannot happen for lines this journal produced). *)
+(** The records behind {!lines}, oldest first. *)
 
-val parse_lines : string list -> (Record.t list, string) result
-(** Parse a recovered journal (empty lines skipped). A malformed {e
-    final} line is a torn write and is dropped; malformed interior
-    lines are corruption and return [Error]. *)
+val parse_lines : string -> (Record.t list, string) result
+(** Parse the lines of a recovered journal file, given its whole text
+    (empty lines skipped). Whatever follows the last newline is a torn
+    write and is dropped; every complete line must parse, and the first
+    that does not is corruption and returns [Error]. *)

@@ -24,6 +24,10 @@ let test_det_fixtures () =
   check_rule "det_bad" bad Rule.Det_clock 2;
   check_rule "det_bad" bad Rule.Det_polyeq 3;
   check_rule "det_bad" bad Rule.Det_hashkey 1;
+  (* a [Stdlib.] prefix names the same Random and clock *)
+  let stdlib = scan_fixture "det_stdlib_bad.ml" in
+  check_rule "det_stdlib_bad" stdlib Rule.Det_random 1;
+  check_rule "det_stdlib_bad" stdlib Rule.Det_clock 1;
   Alcotest.(check int) "det_good is clean" 0 (List.length (scan_fixture "det_good.ml"));
   (* tuple and record keys built at a Hashtbl call site *)
   check_rule "det_hashkey_bad" (scan_fixture "det_hashkey_bad.ml") Rule.Det_hashkey 4;
@@ -34,6 +38,7 @@ let test_dom_fixtures () =
   let bad = scan_fixture "dom_bad.ml" in
   check_rule "dom_bad" bad Rule.Dom_mut 5;
   Alcotest.(check int) "dom_good is clean" 0 (List.length (scan_fixture "dom_good.ml"));
+  check_rule "dom_atomic_bad" (scan_fixture "dom_atomic_bad.ml") Rule.Dom_mut 1;
   (* outside lib/, module-level state is the executable's business *)
   (match Scan.scan_file ~kind:{ Scan.lib_kind with Scan.in_lib = false } (fixture "dom_bad.ml") with
   | Ok vs -> check_rule "dom_bad outside lib" vs Rule.Dom_mut 0

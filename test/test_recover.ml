@@ -60,27 +60,37 @@ let journal_of_n n =
   Alcotest.(check int) "every effect ran" n !effects;
   j
 
+(* A journal file's text: every persisted line ends in a newline. *)
+let file_text lines = String.concat "" (List.map (fun l -> l ^ "\n") lines)
+
 let test_journal_corruption () =
   let j = journal_of_n 5 in
   let lines = Recover.Journal.lines j in
   Alcotest.(check int) "five lines" 5 (List.length lines);
-  (* A torn final line is a half-written append: dropped, prefix kept. *)
-  let torn =
-    match List.rev lines with
-    | last :: rest -> List.rev (String.sub last 0 (String.length last / 2) :: rest)
-    | [] -> []
-  in
+  (* A torn final line is a half-written append, with no newline yet:
+     dropped, prefix kept. *)
+  let text = file_text lines in
+  let last = List.nth lines 4 in
+  let torn = String.sub text 0 (String.length text - 1 - (String.length last / 2)) in
   (match Recover.Journal.parse_lines torn with
   | Ok rs -> Alcotest.(check int) "torn tail dropped" 4 (List.length rs)
   | Error e -> Alcotest.failf "torn tail must parse: %s" e);
-  (* The same damage in the interior is corruption, not a torn write. *)
-  let corrupt = List.mapi (fun i l -> if i = 1 then "garb|age" else l) lines in
-  (match Recover.Journal.parse_lines corrupt with
-  | Ok _ -> Alcotest.fail "interior corruption must not parse"
-  | Error _ -> ());
-  (match Recover.Journal.parse_lines lines with
+  (* The same damage on a complete line is corruption, not a torn write:
+     in the interior, and at the end, since a torn write cannot end in a
+     newline. *)
+  List.iter
+    (fun at ->
+      let corrupt = file_text (List.mapi (fun i l -> if i = at then "garb|age" else l) lines) in
+      match Recover.Journal.parse_lines corrupt with
+      | Ok _ -> Alcotest.failf "a malformed complete line %d must not parse" at
+      | Error _ -> ())
+    [ 1; 4 ];
+  (match Recover.Journal.parse_lines text with
   | Ok rs -> Alcotest.(check int) "clean journal parses" 5 (List.length rs)
-  | Error e -> Alcotest.failf "clean journal must parse: %s" e)
+  | Error e -> Alcotest.failf "clean journal must parse: %s" e);
+  (* The records a journal keeps are the ones its lines parse to. *)
+  Alcotest.(check (list string)) "records render as the lines" lines
+    (List.map Recover.Record.to_line (Recover.Journal.records j))
 
 (* ---------- replay: verification and divergence ---------- *)
 
@@ -434,25 +444,23 @@ let prop_record =
 
 let prop_journal =
   total "Journal.parse_lines is total" (damaged (lazy [ String.concat "\n" record_lines ]))
-    (fun text ->
-      match Recover.Journal.parse_lines (lines_of text) with Ok _ | Error _ -> true)
+    (fun text -> match Recover.Journal.parse_lines text with Ok _ | Error _ -> true)
 
-(* A journal cut anywhere is a torn write: it always loads, as a prefix
-   of what was persisted. *)
+(* A journal cut anywhere is a torn write: it always loads, as exactly the
+   complete lines before the cut. *)
 let prop_journal_truncated =
-  let text = String.concat "\n" record_lines ^ "\n" in
+  let text = file_text record_lines in
   total "Journal.parse_lines loads every truncation as a prefix"
     QCheck.(int_bound (String.length text))
     (fun k ->
-      match Recover.Journal.parse_lines (lines_of (String.sub text 0 k)) with
+      let cut = String.sub text 0 k in
+      let complete = List.length (lines_of cut) - 1 in
+      match Recover.Journal.parse_lines cut with
       | Error _ -> false
       | Ok rs ->
-          let got = List.map Recover.Record.to_line rs in
-          let n = List.length got in
-          n <= List.length record_lines
-          && List.for_all2 String.equal
-               (List.filteri (fun i _ -> i < n - 1) got)
-               (List.filteri (fun i _ -> i < n - 1) record_lines))
+          List.equal String.equal
+            (List.map Recover.Record.to_line rs)
+            (List.filteri (fun i _ -> i < complete) record_lines))
 
 let reference_snapshots f = lazy (List.map f (snd (Lazy.force reference_run)))
 
