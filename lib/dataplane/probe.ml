@@ -83,10 +83,10 @@ let walk_and_store m t ~src ~dst key =
   Key_tbl.replace m.verdicts key ((m.stamp lsl 1) lor Bool.to_int verdict);
   verdict
 
-(* [Forward.delivers], answered from the memo while neither the world's
-   forwarding epoch nor the failure set's version has moved since the
-   verdict was computed: every input of the walk is then unchanged. *)
-let delivers t ~src ~dst =
+(* Flush the memo if the world's forwarding epoch or the failure set's
+   version has moved since the live verdicts were computed: while neither
+   has, every input of a walk is unchanged. *)
+let sync t =
   let m = t.memo in
   let epoch = Bgp.Network.fib_epoch t.net and version = Failure.version t.failures in
   if epoch <> m.epoch || version <> m.version then begin
@@ -95,6 +95,12 @@ let delivers t ~src ~dst =
     m.stamp <- m.stamp + 1;
     Obs.Metrics.incr m_memo_flushes
   end;
+  m
+
+let stamp t = (sync t).stamp
+
+let delivers t ~src ~dst =
+  let m = sync t in
   let a = Asn.to_int src in
   if a >= max_memo_asn then Forward.delivers t.net t.failures ~src ~dst
   else begin

@@ -59,6 +59,32 @@ val delivers : env -> src:Asn.t -> dst:Ipv4.t -> bool
     verdict path for every yes/no data-plane question asked in a loop,
     such as the loss and ablation samplers. *)
 
+val stamp : env -> int
+(** The reachability memo's flush counter, read after the check every
+    {!delivers} makes first (flush if the data plane moved). Two equal
+    stamps of one env bracket an interval in which every probe of this
+    module answers as it did: each {!delivers} verdict, each {!ping},
+    each traceroute walk and each responder lookup. The stamp moves
+    whenever {!Bgp.Network.fib_epoch} or {!Failure.version} does, and
+    both only grow, so a stamp never returns to an earlier value. The
+    one other input of a probe, the network's prefix-owner table
+    ({!Bgp.Network.owner_of_address}), changes only when a prefix is
+    announced or withdrawn. That also changes the origin's local best
+    route, which installs a FIB entry and so moves the epoch. With a
+    modelled FIB install delay the install trails the table change,
+    and no stamp holder runs on such a world. Stamps of different envs
+    are unrelated.
+
+    A periodic prober keeps each result with the stamp it was measured
+    at. While the stamp is unchanged it reuses the result and
+    {!charge}s the probes a fresh measurement would have sent:
+    [Measurement.Monitor], [Measurement.Hubble] and
+    [Measurement.Atlas.refresh_all]. Each reads the stamp just before
+    the measurement it guards, whose first {!delivers} would have made
+    the same flush, so [dataplane.memo_flushes] does not move. A reused
+    result skips only memo hits, so [dataplane.memo_hits] is the one
+    counter it moves. *)
+
 val ping : env -> src:Asn.t -> dst:Ipv4.t -> bool
 (** Echo request from [src]'s first router to [dst] and reply back to
     [src]'s infrastructure address. True iff both directions deliver. *)

@@ -281,26 +281,56 @@ let flat_key (t : core_type) =
 let scan_structure ~kind ~file str =
   let out = ref [] in
   let add rule loc msg = out := violation rule file loc msg :: !out in
-  (* Modules that define their own [compare] / [hash] may use the bare
-     name; only unqualified uses of the *polymorphic* ones are flagged. *)
-  let toplevel_names = Hashtbl.create 16 in
-  let rec collect_names items =
+  (* Modules that define their own [compare] / [hash] / printer may use
+     the bare name; only unqualified uses of the *polymorphic* or stdout
+     ones are flagged. A bare name is bound locally when a module-level
+     binding of it sits in an enclosing module scope of the reference:
+     the rule {!Callgraph} resolves references by, so a printer this pass
+     exempts is one no prints seed is taken from. *)
+  let bindings = Hashtbl.create 16 in
+  let rec pat_names (p : pattern) =
+    match p.ppat_desc with
+    | Ppat_var { txt; _ } -> [ txt ]
+    | Ppat_constraint (p, _) | Ppat_alias (p, _) -> pat_names p
+    | _ -> []
+  in
+  let rec structure_of me =
+    match me.pmod_desc with
+    | Pmod_structure s -> Some s
+    | Pmod_constraint (me, _) -> structure_of me
+    | _ -> None
+  in
+  let rec collect_names scope items =
     List.iter
       (fun (si : structure_item) ->
+        let nested { pmb_name; pmb_expr; _ } =
+          match (pmb_name.txt, structure_of pmb_expr) with
+          (* lint: allow LG-PERF-APPEND (one element at bounded module depth) *)
+          | Some m, Some s -> collect_names (scope @ [ m ]) s
+          | _ -> ()
+        in
         match si.pstr_desc with
         | Pstr_value (_, vbs) ->
             List.iter
-              (fun vb ->
-                match vb.pvb_pat.ppat_desc with
-                | Ppat_var { txt; _ } -> Hashtbl.replace toplevel_names txt ()
-                | _ -> ())
+              (fun vb -> List.iter (fun n -> Hashtbl.add bindings n scope) (pat_names vb.pvb_pat))
               vbs
-        | Pstr_module { pmb_expr = { pmod_desc = Pmod_structure s; _ }; _ } -> collect_names s
+        | Pstr_module mb -> nested mb
+        | Pstr_recmodule mbs -> List.iter nested mbs
         | _ -> ())
       items
   in
-  collect_names str;
-  let locally_defined name = Hashtbl.mem toplevel_names name in
+  collect_names [] str;
+  (* The module path the walk is in. *)
+  let scope = ref [] in
+  let rec encloses outer inner =
+    match (outer, inner) with
+    | [], _ -> true
+    | x :: xs, y :: ys -> String.equal x y && encloses xs ys
+    | _ :: _, [] -> false
+  in
+  let locally_defined name =
+    List.exists (fun s -> encloses s !scope) (Hashtbl.find_all bindings name)
+  in
   let rec_depth = ref 0 in
   let loop_depth = ref 0 in
   let fold_depth = ref 0 in
@@ -355,13 +385,14 @@ let scan_structure ~kind ~file str =
     check_marshal p loc;
     Option.iter (fun s -> site s p loc) (signal_of_path p);
     if kind.in_lib then begin
-      if
-        (path_equal p [ "compare" ] && not (locally_defined "compare"))
-        || path_equal p [ "Stdlib"; "compare" ]
-        || path_equal p [ "Pervasives"; "compare" ]
-      then add Rule.Det_polyeq loc "polymorphic compare; use the module-specific compare"
-      else if path_equal p [ "Hashtbl"; "hash" ] && not (locally_defined "hash") then
-        add Rule.Det_polyeq loc "polymorphic Hashtbl.hash; use a module-specific hash"
+      match (p, unqualified p) with
+      | [ "compare" ], _ when locally_defined "compare" -> ()
+      | [ "Hashtbl"; "hash" ], _ when locally_defined "hash" -> ()
+      | _, ([ "compare" ] | [ "Pervasives"; "compare" ]) ->
+          add Rule.Det_polyeq loc "polymorphic compare; use the module-specific compare"
+      | _, [ "Hashtbl"; "hash" ] ->
+          add Rule.Det_polyeq loc "polymorphic Hashtbl.hash; use a module-specific hash"
+      | _ -> ()
     end
   in
   let check_apply f args loc =
@@ -544,10 +575,16 @@ let scan_structure ~kind ~file str =
         if bump then incr rec_depth;
         List.iter (fun vb -> it.value_binding it vb) vbs;
         if bump then decr rec_depth
-    | Pstr_module mb -> walk_module_expr mb.pmb_expr
-    | Pstr_recmodule mbs -> List.iter (fun mb -> walk_module_expr mb.pmb_expr) mbs
+    | Pstr_module mb -> walk_module mb
+    | Pstr_recmodule mbs -> List.iter walk_module mbs
     | Pstr_include incl -> walk_module_expr incl.pincl_mod
     | _ -> Ast_iterator.default_iterator.structure_item it si
+  and walk_module { pmb_name; pmb_expr; _ } =
+    let outer = !scope in
+    (* lint: allow LG-PERF-APPEND (one element at bounded module depth) *)
+    Option.iter (fun m -> scope := outer @ [ m ]) pmb_name.txt;
+    walk_module_expr pmb_expr;
+    scope := outer
   and walk_module_expr me =
     match me.pmod_desc with
     (* A nested module's structure is still module level; a functor body

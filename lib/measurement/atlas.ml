@@ -9,9 +9,21 @@ let m_miss = Obs.Metrics.counter "meas.atlas.miss"
 
 type snapshot = { taken_at : float; path : Asn.t list }
 
+(* The pair's last measurement, with the env and [Probe.stamp] it was
+   taken under and the probes each half charged. *)
+type measured = {
+  env : Dataplane.Probe.env;
+  stamp : int;
+  forward_path : Asn.t list;
+  forward_probes : int;
+  reverse_path : Asn.t list option;  (** [None]: reverse traceroute infeasible. *)
+  reverse_probes : int;
+}
+
 type pair_state = {
   mutable forward : snapshot list;  (** newest first *)
   mutable reverse : snapshot list;
+  mutable last : measured option;
 }
 
 type t = { pairs : (int, pair_state) Hashtbl.t }
@@ -27,7 +39,7 @@ let state t ~vp ~dst =
   match Hashtbl.find_opt t.pairs k with
   | Some s -> s
   | None ->
-      let s = { forward = []; reverse = [] } in
+      let s = { forward = []; reverse = []; last = None } in
       Hashtbl.replace t.pairs k s;
       s
 
@@ -40,17 +52,6 @@ let push existing ~now path =
                                                 && List.for_all2 Asn.equal prev path ->
       { taken_at = now; path } :: rest
   | _ -> { taken_at = now; path } :: existing
-
-(* Store an observed forward path (vp first). *)
-let record_forward t ~vp ~dst ~now path =
-  let s = state t ~vp ~dst in
-  s.forward <- push s.forward ~now path
-
-(* Store an observed reverse path, listed destination first (the path
-   packets take from [dst] back to [vp]). *)
-let record_reverse t ~vp ~dst ~now path =
-  let s = state t ~vp ~dst in
-  s.reverse <- push s.reverse ~now path
 
 let forward_history t ~vp ~dst = (state t ~vp ~dst).forward
 let reverse_history t ~vp ~dst = (state t ~vp ~dst).reverse
@@ -81,24 +82,50 @@ let candidate_hops t ~vp ~dst =
   in
   add (add Asn.Set.empty s.forward) s.reverse
 
-let refresh t env ~vp ~dst ~now =
-  let dst_address = Dataplane.Forward.probe_address env.Dataplane.Probe.net dst in
-  let tr = Dataplane.Probe.traceroute env ~src:vp ~dst:dst_address in
-  let forward_path =
-    List.map (fun th -> th.Dataplane.Probe.hop.Dataplane.Forward.asn) tr.Dataplane.Probe.hops
+let hop_asns (trace : Dataplane.Probe.trace) =
+  List.map (fun th -> th.Dataplane.Probe.hop.Dataplane.Forward.asn) trace.hops
+
+let measure env ~vp ~dst ~stamp =
+  let net = env.Dataplane.Probe.net in
+  let sent () = env.Dataplane.Probe.probes_sent in
+  let before = sent () in
+  let tr = Dataplane.Probe.traceroute env ~src:vp ~dst:(Dataplane.Forward.probe_address net dst) in
+  let forward_probes = sent () - before in
+  let reverse =
+    Dataplane.Probe.reverse_traceroute env ~vantage_points:[ vp ] ~from_:dst
+      ~to_ip:(Dataplane.Forward.probe_address net vp)
   in
-  record_forward t ~vp ~dst ~now forward_path;
-  let vp_address = Dataplane.Forward.probe_address env.Dataplane.Probe.net vp in
-  match
-    Dataplane.Probe.reverse_traceroute env ~vantage_points:[ vp ] ~from_:dst ~to_ip:vp_address
-  with
-  | Some rtrace ->
-      let reverse_path =
-        List.map
-          (fun th -> th.Dataplane.Probe.hop.Dataplane.Forward.asn)
-          rtrace.Dataplane.Probe.hops
-      in
-      record_reverse t ~vp ~dst ~now reverse_path
+  {
+    env;
+    stamp;
+    forward_path = hop_asns tr;
+    forward_probes;
+    reverse_path = Option.map hop_asns reverse;
+    reverse_probes = sent () - before - forward_probes;
+  }
+
+(* While the data plane has not moved since the pair's last measurement,
+   a fresh one would walk the same paths and charge the same probes:
+   charge them, in the same order, and record the same paths. *)
+let refresh t env ~vp ~dst ~now =
+  let s = state t ~vp ~dst in
+  let stamp = Dataplane.Probe.stamp env in
+  let m =
+    match s.last with
+    | Some m when m.env == env && m.stamp = stamp ->
+        Dataplane.Probe.charge env m.forward_probes;
+        if Option.is_some m.reverse_path then Dataplane.Probe.charge env m.reverse_probes;
+        m
+    | Some _ | None ->
+        let m = measure env ~vp ~dst ~stamp in
+        s.last <- Some m;
+        m
+  in
+  (* The forward path is listed vp first, the reverse path destination
+     first (the path packets take from [dst] back to [vp]). *)
+  s.forward <- push s.forward ~now m.forward_path;
+  match m.reverse_path with
+  | Some path -> s.reverse <- push s.reverse ~now path
   | None -> ()
 
 let refresh_all t env ~vps ~dsts ~now =

@@ -36,6 +36,14 @@ val refresh_all : t -> Dataplane.Probe.env -> vps:Asn.t list -> dsts:Asn.t list 
 (** For every (vp, dst) pair, measure the current forward path
     (traceroute) and reverse path (reverse traceroute emulation, using
     [vp] itself as the spoof helper) and record both. Probe costs accrue
-    on the environment. *)
+    on the environment.
+
+    A pair keeps its last measurement: the forward path, the reverse
+    path (or none, when reverse traceroute was infeasible), the probes
+    each half charged, and the env and {!Dataplane.Probe.stamp} it was
+    taken under. Refreshed in the same env at the same stamp, the pair
+    charges those probes in the same order and records those paths;
+    the histories, [probes_sent] and [meas.probes] end exactly as a
+    fresh measurement would leave them. *)
 
 val pair_count : t -> int

@@ -20,6 +20,8 @@ type target_state = {
   mutable consecutive_failures : int;
   mutable first_failure_at : float;
   mutable open_incident : incident option;
+  mutable measured_at : int;  (** [Probe.stamp] of [reachable]; -1 before the first round. *)
+  mutable reachable : bool;
 }
 
 type t = {
@@ -67,7 +69,21 @@ let tick t now =
   List.iter
     (fun state ->
       t.probes <- t.probes + 1;
-      let ok = Dataplane.Probe.ping t.env ~src:t.central ~dst:state.address in
+      (* The central ping answers as it did while the data plane has not
+         moved since the last round: charge it and reuse the verdict. *)
+      let stamp = Dataplane.Probe.stamp t.env in
+      let ok =
+        if stamp = state.measured_at then begin
+          Dataplane.Probe.charge t.env 1;
+          state.reachable
+        end
+        else begin
+          let ok = Dataplane.Probe.ping t.env ~src:t.central ~dst:state.address in
+          state.measured_at <- stamp;
+          state.reachable <- ok;
+          ok
+        end
+      in
       if ok then begin
         (match state.open_incident with
         | Some incident -> incident.ended_at <- Some now
@@ -98,6 +114,8 @@ let create ~env ~engine ~central ~vantage_points ~targets () =
           consecutive_failures = 0;
           first_failure_at = 0.0;
           open_incident = None;
+          measured_at = -1;
+          reachable = false;
         })
       targets
   in

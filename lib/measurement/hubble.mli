@@ -44,7 +44,12 @@ val create :
 (** Start monitoring: the [central] site pings each target every 120 s
     (Hubble's rate); 3 consecutive failures
     trigger distributed classification from [vantage_points]. Runs until
-    the engine stops being driven. *)
+    the engine stops being driven.
+
+    Like a {!Monitor} pair, a target's central ping reuses the verdict
+    of the last one while {!Dataplane.Probe.stamp} is unchanged, and
+    still charges its probe. Classification pings are always sent
+    fresh. *)
 
 val incidents : t -> incident list
 (** All incidents, oldest first (open ones included). *)

@@ -13,6 +13,8 @@ type target_state = {
   mutable consecutive_failures : int;
   mutable first_failure_at : float;
   mutable current : outage option;
+  mutable measured_at : int;  (** [Probe.stamp] of [delivered]; -1 before the first pair. *)
+  mutable delivered : bool;
 }
 
 type t = {
@@ -34,11 +36,25 @@ let fail_threshold = 4
 let probe_target t state now =
   t.pairs_sent <- t.pairs_sent + 1;
   (* A "pair" of pings: in the simulator both probes of a pair see the
-     same network state, so one delivery check decides the pair. *)
+     same network state, so one delivery check decides the pair. While
+     the data plane has not moved since the last pair, that check would
+     answer as it did: charge its ping and reuse the verdict. *)
+  let stamp = Dataplane.Probe.stamp t.env in
   let delivered =
-    match t.src_ip with
-    | Some src_ip -> Dataplane.Probe.ping_from t.env ~src:t.vp ~src_ip ~dst:state.address
-    | None -> Dataplane.Probe.ping t.env ~src:t.vp ~dst:state.address
+    if stamp = state.measured_at then begin
+      Dataplane.Probe.charge t.env 1;
+      state.delivered
+    end
+    else begin
+      let delivered =
+        match t.src_ip with
+        | Some src_ip -> Dataplane.Probe.ping_from t.env ~src:t.vp ~src_ip ~dst:state.address
+        | None -> Dataplane.Probe.ping t.env ~src:t.vp ~dst:state.address
+      in
+      state.measured_at <- stamp;
+      state.delivered <- delivered;
+      delivered
+    end
   in
   (* Chaos hook: a lost pair looks exactly like an unreachable target —
      the failure-counting logic below cannot tell the difference, which
@@ -86,7 +102,14 @@ let create ~env ~engine ?(on_outage = ignore) ?responsiveness ?src_ip ?gate ?los
       targets =
         List.map
           (fun address ->
-            { address; consecutive_failures = 0; first_failure_at = 0.0; current = None })
+            {
+              address;
+              consecutive_failures = 0;
+              first_failure_at = 0.0;
+              current = None;
+              measured_at = -1;
+              delivered = false;
+            })
           targets;
       pairs_sent = 0;
       pairs_skipped = 0;

@@ -48,8 +48,15 @@ val create :
     [gate] is consulted once per target per round with [cost:1] (one ping
     pair); when it refuses, the round is skipped for that target — no
     probe, no failure-count change (see {!skipped_count}). [loss] is a
-    chaos hook sampled once per sent pair; returning [true] makes the
-    pair count as failed even if the network delivered it. *)
+    chaos hook sampled once per delivered pair; returning [true] makes
+    the pair count as failed even though the network delivered it.
+
+    Each target keeps its last pair's verdict with the
+    {!Dataplane.Probe.stamp} it was measured at. A pair sent while the
+    stamp is unchanged reuses that verdict and charges its one ping,
+    as a fresh pair would; the gate, the [loss] draw, the
+    [responsiveness] note and the failure counting run as for any
+    pair. *)
 
 val probe_count : t -> int
 (** Ping pairs sent so far. *)

@@ -15,6 +15,11 @@ let scan_fixture name =
 let count rule vs =
   List.length (List.filter (fun (v : Scan.violation) -> String.equal (Rule.id v.rule) (Rule.id rule)) vs)
 
+let contains ~needle hay =
+  let n = String.length needle and h = String.length hay in
+  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
+  go 0
+
 let check_rule name vs rule expected =
   Alcotest.(check int) (name ^ ": " ^ Rule.id rule) expected (count rule vs)
 
@@ -28,6 +33,7 @@ let test_det_fixtures () =
   let stdlib = scan_fixture "det_stdlib_bad.ml" in
   check_rule "det_stdlib_bad" stdlib Rule.Det_random 1;
   check_rule "det_stdlib_bad" stdlib Rule.Det_clock 1;
+  check_rule "det_stdlib_bad" stdlib Rule.Det_polyeq 1;
   Alcotest.(check int) "det_good is clean" 0 (List.length (scan_fixture "det_good.ml"));
   (* tuple and record keys built at a Hashtbl call site *)
   check_rule "det_hashkey_bad" (scan_fixture "det_hashkey_bad.ml") Rule.Det_hashkey 4;
@@ -52,6 +58,17 @@ let test_obs_fixtures () =
   let bad = scan_fixture "obs_bad.ml" in
   check_rule "obs_bad" bad Rule.Obs_printf 4;
   Alcotest.(check int) "obs_good is clean" 0 (List.length (scan_fixture "obs_good.ml"));
+  (* A printer bound in a nested module does not shadow the bare name
+     outside it: the rule and the prints seed agree. *)
+  check_rule "obs_scope_bad" (scan_fixture "obs_scope_bad.ml") Rule.Obs_printf 1;
+  (let eff, _ = Lint.analyse ~kind:Scan.lib_kind ~dirs:[ fixture "obs_scope_bad.ml" ] () in
+   match
+     List.find_opt
+       (fun (name, _) -> String.ends_with ~suffix:"Obs_scope_bad.shout" name)
+       (Lint.Effects.summary_rows eff)
+   with
+   | Some (_, row) -> Alcotest.(check bool) ("shout prints: " ^ row) true (contains ~needle:"prints" row)
+   | None -> Alcotest.fail "no effect summary row for shout");
   (* outside lib/, printing is the executable's business *)
   match Scan.scan_file ~kind:(Scan.classify "bin/lifeguard_cli.ml") (fixture "obs_bad.ml") with
   | Ok vs -> check_rule "obs_bad outside lib" vs Rule.Obs_printf 0
@@ -184,11 +201,6 @@ let messages_of rule (r : Lint.report) =
     (fun (v : Scan.violation) ->
       if String.equal (Rule.id v.rule) (Rule.id rule) then Some v.Scan.message else None)
     r.Lint.violations
-
-let contains ~needle hay =
-  let n = String.length needle and h = String.length hay in
-  let rec go i = i + n <= h && (String.sub hay i n = needle || go (i + 1)) in
-  go 0
 
 let test_eff_fixtures () =
   let bad = scan_dir "eff_bad" in

@@ -234,3 +234,179 @@ let suite =
       Alcotest.test_case "reverse traceroute infeasible" `Quick test_reverse_traceroute_infeasible;
       Alcotest.test_case "option support model" `Quick test_option_support_deterministic;
     ]
+
+(* Stamp reuse: a monitor round or an atlas refresh under an unchanged
+   [Probe.stamp] must give exactly what a fresh measurement gives. *)
+
+(* The reference verdict of one ping pair: both walks done fresh, the
+   responder looked up fresh. *)
+let fresh_ping w ~src ~reply_to ~dst =
+  Dataplane.Forward.delivers w.net w.failures ~src ~dst
+  &&
+  let responder =
+    match Topology.As_graph.owner_of_address w.graph dst with
+    | Some asn -> Some asn
+    | None -> Option.map snd (Bgp.Network.owner_of_address w.net dst)
+  in
+  match responder with
+  | Some r -> Dataplane.Forward.delivers w.net w.failures ~src:r ~dst:reply_to
+  | None -> false
+
+(* The outages a monitor must report for a verdict sequence: one per run
+   of [Monitor.fail_threshold] failed pairs, as (started, detected). *)
+let expected_outages rounds =
+  let _, _, _, acc =
+    List.fold_left
+      (fun (fails, first, open_, acc) (now, ok) ->
+        if ok then (0, first, false, acc)
+        else begin
+          let first = if fails = 0 then now else first in
+          let fails = fails + 1 in
+          if fails = Measurement.Monitor.fail_threshold && not open_ then
+            (fails, first, true, (first, now) :: acc)
+          else (fails, first, open_, acc)
+        end)
+      (0, 0.0, false, []) rounds
+  in
+  List.rev acc
+
+let test_monitor_reuse_matches_fresh () =
+  let w = ready_world () in
+  let plan = Lifeguard.Remediate.plan ~sentinel ~origin:o ~production () in
+  Lifeguard.Remediate.announce_baseline w.net plan;
+  converge w;
+  let in_production = Prefix.nth_address production 1 in
+  (* One target per monitor, so the [loss] hook (sampled only on a
+     delivered pair) tells each round's verdict, and the [gate] (asked
+     just before the pair) computes the reference at the same instant. *)
+  let watch ~vp ~src_ip ~target =
+    let reply_to = Option.value src_ip ~default:(addr w vp) in
+    let reference = ref [] and delivered = ref [] and outages = ref [] in
+    let m =
+      Measurement.Monitor.create ~env:w.probe ~engine:w.engine ?src_ip
+        ~on_outage:(fun ou ->
+          outages :=
+            (ou.Measurement.Monitor.started_at, ou.Measurement.Monitor.detected_at) :: !outages)
+        ~gate:(fun ~now ~cost:_ ->
+          reference := (now, fresh_ping w ~src:vp ~reply_to ~dst:target) :: !reference;
+          true)
+        ~loss:(fun () ->
+          delivered := Sim.Engine.now w.engine :: !delivered;
+          false)
+        ~vp ~targets:[ target ] ()
+    in
+    (m, reference, delivered, outages)
+  in
+  let monitors =
+    [
+      watch ~vp:o ~src_ip:(Some in_production) ~target:(addr w e);
+      watch ~vp:o ~src_ip:(Some in_production) ~target:(addr w f);
+      watch ~vp:e ~src_ip:None ~target:(addr w o);
+    ]
+  in
+  let run_for seconds = Sim.Engine.run ~until:(Sim.Engine.now w.engine +. seconds) w.engine in
+  let toward_production = Dataplane.Failure.spec ~toward:production (Dataplane.Failure.Node a) in
+  (* Nothing monitored crosses D -> C toward F's routers. *)
+  let elsewhere =
+    Dataplane.Failure.spec
+      ~toward:(Dataplane.Forward.infrastructure_prefix f)
+      (Dataplane.Failure.Link_dir (d, c))
+  in
+  run_for 100.0;
+  (* Replies into production die in A: an outage for E and F. *)
+  Dataplane.Failure.add w.failures toward_production;
+  run_for 150.0;
+  (* The poison moves E's FIB onto D; F, captive, stays cut off. *)
+  Lifeguard.Remediate.poison w.net plan ~target:a;
+  converge w;
+  run_for 100.0;
+  (* A new failure version that breaks no monitored walk. *)
+  Dataplane.Failure.add w.failures elsewhere;
+  run_for 100.0;
+  Dataplane.Failure.remove w.failures toward_production;
+  run_for 100.0;
+  Lifeguard.Remediate.unpoison w.net plan;
+  converge w;
+  run_for 100.0;
+  let pairs =
+    List.fold_left
+      (fun total (m, reference, delivered, outages) ->
+        let reference = List.rev !reference in
+        let verdicts =
+          List.map (fun (now, _) -> (now, List.mem now !delivered)) reference
+        in
+        Alcotest.(check (list (pair (float 0.0) bool))) "each round's verdict" reference verdicts;
+        Alcotest.(check (list (pair (float 0.0) (float 0.0))))
+          "outages reported" (expected_outages reference) (List.rev !outages);
+        Alcotest.(check int) "pairs sent" (List.length reference)
+          (Measurement.Monitor.probe_count m);
+        total + List.length reference)
+      0 monitors
+  in
+  Alcotest.(check bool) "the script both fails and heals pairs" true
+    (List.exists
+       (fun (_, reference, _, _) ->
+         List.exists snd !reference && List.exists (fun (_, ok) -> not ok) !reference)
+       monitors);
+  Alcotest.(check int) "probes sent" pairs w.probe.Dataplane.Probe.probes_sent
+
+let test_atlas_reuse_matches_fresh () =
+  let w = ready_world () in
+  let atlas = Measurement.Atlas.create () and reference = Measurement.Atlas.create () in
+  let vps = [ o; e ] and dsts = [ f; d ] in
+  let snaps = List.map (fun s -> (s.Measurement.Atlas.taken_at, List.map Asn.to_int s.path)) in
+  let refresh now =
+    let before = w.probe.Dataplane.Probe.probes_sent in
+    Measurement.Atlas.refresh_all atlas w.probe ~vps ~dsts ~now;
+    (* A new env has no memo and no stamp in common with [w.probe], so
+       the reference atlas measures afresh every time. *)
+    let fresh = Dataplane.Probe.env w.net w.failures in
+    Measurement.Atlas.refresh_all reference fresh ~vps ~dsts ~now;
+    Alcotest.(check int)
+      (Printf.sprintf "probes at %.0f" now)
+      fresh.Dataplane.Probe.probes_sent
+      (w.probe.Dataplane.Probe.probes_sent - before);
+    List.iter
+      (fun vp ->
+        List.iter
+          (fun dst ->
+            let same what history =
+              Alcotest.(check (list (pair (float 0.0) (list int))))
+                (Printf.sprintf "%s %d->%d at %.0f" what (Asn.to_int vp) (Asn.to_int dst) now)
+                (snaps (history reference ~vp ~dst))
+                (snaps (history atlas ~vp ~dst))
+            in
+            same "forward" Measurement.Atlas.forward_history;
+            same "reverse" Measurement.Atlas.reverse_history)
+          dsts)
+      vps
+  in
+  refresh 10.0;
+  refresh 20.0;
+  (* E reroutes through D. *)
+  Bgp.Network.fail_link w.net ~a ~b:e;
+  converge w;
+  refresh 30.0;
+  refresh 40.0;
+  (* Nothing reaches F's routers through A: O and E can no longer
+     stimulate F, so reverse traceroute from F is infeasible. *)
+  let cut_f =
+    Dataplane.Failure.spec ~toward:(Dataplane.Forward.infrastructure_prefix f)
+      (Dataplane.Failure.Node a)
+  in
+  Dataplane.Failure.add w.failures cut_f;
+  refresh 50.0;
+  refresh 60.0;
+  Alcotest.(check bool) "F's reverse path was not refreshed" true
+    (match Measurement.Atlas.reverse_history atlas ~vp:o ~dst:f with
+    | newest :: _ -> newest.Measurement.Atlas.taken_at = 40.0
+    | [] -> false);
+  Dataplane.Failure.remove w.failures cut_f;
+  refresh 70.0
+
+let suite =
+  suite
+  @ [
+      Alcotest.test_case "monitor reuse = fresh rounds" `Quick test_monitor_reuse_matches_fresh;
+      Alcotest.test_case "atlas reuse = fresh refreshes" `Quick test_atlas_reuse_matches_fresh;
+    ]
