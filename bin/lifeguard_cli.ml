@@ -1013,7 +1013,7 @@ let paper_cmd =
     let x = timed in
     let run_if cond f = if cond then Some (f ()) else None in
     with_obs obs (fun () ->
-        Printf.printf "LIFEGUARD reproduction benchmark harness (seed %d%s)\n" seed
+        Printf.printf "LIFEGUARD reproduction: the paper's tables and figures (seed %d%s)\n" seed
           (if quick_run then ", quick mode" else "");
         if wanted "fig1" then ignore (fig1 x s ~seed);
         if wanted "fig5" then ignore (fig5 x s ~seed);

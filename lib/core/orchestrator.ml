@@ -99,10 +99,6 @@ type state = Idle | Isolating | Poisoned of Asn.t
 
 type outcome = Repaired | Stood_down of string | Gave_up_on of string
 
-let log_src = Logs.Src.create "lifeguard.orchestrator" ~doc:"LIFEGUARD control loop"
-
-module Log = (val Logs.src_log log_src : Logs.LOG)
-
 (* Where an in-flight pipeline stands, and so what its [p_due] deadline
    means. Declared after [state], so a bare [Isolating] is this type's
    unless the expected type says otherwise. *)
@@ -165,7 +161,6 @@ type t = {
       (** (target, poison, planned) FIFO awaiting the prefix *)
   mutable last_announce : float;
   mutable events : (float * event) list;  (** newest first *)
-  mutable outcomes : (float * Asn.t * outcome) list;  (** newest first *)
   mutable monitors : Measurement.Monitor.t list;
   outage_started : (Asn.t, float) Hashtbl.t;
       (** First-failure estimate per target, persisted across isolation
@@ -180,28 +175,21 @@ type t = {
       (** Per-target circuit breaker: ASes whose poisons were rolled back
           (flushed, filtered, never propagated, or collateral) are not
           poisoned again. *)
-  mutable reannounced : int;
-  mutable rolled_back : int;
   mutable breaker_trips : int;
-  journal : Recover.Journal.t option;
-      (** Write-ahead journal for externally-visible actions; [None] runs
-          the exact pre-journal code path. *)
+  journal : Recover.Journal.t;
+      (** Write-ahead journal for externally-visible actions, and the one
+          record of them: outcomes, re-announces and rollbacks are read
+          back from it. *)
 }
 
 let engine t = Bgp.Network.engine t.env.Dataplane.Probe.net
 let now t = Sim.Engine.now (engine t)
 
 (* Route an externally-visible action through the write-ahead journal:
-   record first, effect second. With no journal the effect runs bare —
-   byte-identical to the pre-journal controller. *)
-let journaled t action ~effect =
-  match t.journal with
-  | None -> effect ()
-  | Some j -> Recover.Journal.logged j ~at:(now t) action ~effect
+   record first, effect second. *)
+let journaled t action ~effect = Recover.Journal.logged t.journal ~at:(now t) action ~effect
 
-let log t event =
-  Log.info (fun m -> m "t=%.0f %a" (now t) pp_event event);
-  t.events <- (now t, event) :: t.events
+let log t event = t.events <- (now t, event) :: t.events
 
 let finish t target outcome =
   let kind, reason =
@@ -210,12 +198,10 @@ let finish t target outcome =
     | Stood_down reason -> (Recover.Record.Stood_down, reason)
     | Gave_up_on reason -> (Recover.Record.Gave_up, reason)
   in
-  journaled t
-    (Recover.Record.Outcome { target; kind; reason })
-    ~effect:(fun () -> t.outcomes <- (now t, target, outcome) :: t.outcomes)
+  journaled t (Recover.Record.Outcome { target; kind; reason }) ~effect:ignore
 
-let create ?(config = default_config) ?(hooks = no_hooks) ?journal ~env ~atlas ~responsiveness
-    ~plan ~vantage_points () =
+let create ?(config = default_config) ?(hooks = no_hooks) ?(journal = Recover.Journal.create ())
+    ~env ~atlas ~responsiveness ~plan ~vantage_points () =
   (* Attach the watchdog feed before the baseline goes out, so the
      vantage views are populated by the baseline convergence itself. *)
   let collector =
@@ -235,13 +221,10 @@ let create ?(config = default_config) ?(hooks = no_hooks) ?journal ~env ~atlas ~
     queue = Queue.create ();
     last_announce = neg_infinity;
     events = [];
-    outcomes = [];
     monitors = [];
     outage_started = Hashtbl.create 8;
     collector;
     breaker = Hashtbl.create 4;
-    reannounced = 0;
-    rolled_back = 0;
     breaker_trips = 0;
     journal;
   }
@@ -306,7 +289,6 @@ let roll_now t ap ~pump =
         ~effect:(fun () -> Remediate.unpoison t.env.Dataplane.Probe.net t.plan);
       t.active <- None;
       t.last_announce <- now t;
-      t.rolled_back <- t.rolled_back + 1;
       log t Unpoisoned;
       List.iter
         (fun target -> give_up t ~target ap.ap_rollback_reason)
@@ -409,7 +391,6 @@ let watchdog_tick t ap ~pump =
               ~effect:(fun () -> Remediate.reannounce t.env.Dataplane.Probe.net t.plan);
             t.last_announce <- now t;
             ap.ap_announcements <- ap.ap_announcements + 1;
-            t.reannounced <- t.reannounced + 1;
             log t (Poison_reannounced { target = ap.ap_target; announcement = ap.ap_announcements })
           end
           (* else: spacing not yet satisfied; the next tick retries *)
@@ -609,8 +590,7 @@ let run_decision t p diagnosis =
       | None ->
           (* [decision_latency] models the wall-clock cost of running the
              decision process from scratch; a plan hit above skips it. At
-             the default 0 the fresh path is inline and event ordering is
-             exactly the pre-planning one. *)
+             the default 0 the fresh verdict acts inline, in this event. *)
           if t.config.decision_latency <= 0.0 then act ~planned:false (decide_fresh ())
           else begin
             p.p_phase <- Deciding;
@@ -729,13 +709,40 @@ let queued_poisons t = Queue.length t.queue
 let awaiting_repair t =
   match t.active with Some ap -> List.length ap.ap_affected | None -> 0
 
-let reannounce_count t = t.reannounced
-let rollback_count t = t.rolled_back
+let count_records t f =
+  List.fold_left
+    (fun n r -> if f r.Recover.Record.action then n + 1 else n)
+    0
+    (Recover.Journal.records t.journal)
+
+let reannounce_count t =
+  count_records t (function Recover.Record.Poison_reannounce _ -> true | _ -> false)
+
+let rollback_count t =
+  count_records t (function
+    | Recover.Record.Unpoison { repaired = false; _ } -> true
+    | _ -> false)
+
 let breaker_trip_count t = t.breaker_trips
 (* lint: allow LG-DEAD-EXPORT (seam: test_lifeguard.ml's watchdog tests) *)
 let breaker_open t ~target = Hashtbl.mem t.breaker target
 let events t = List.rev t.events
-let outcomes t = List.rev t.outcomes
+
+let outcomes t =
+  List.filter_map
+    (fun { Recover.Record.at; action; _ } ->
+      match action with
+      | Recover.Record.Outcome { target; kind; reason } ->
+          let outcome =
+            match kind with
+            | Recover.Record.Repaired -> Repaired
+            | Recover.Record.Stood_down -> Stood_down reason
+            | Recover.Record.Gave_up -> Gave_up_on reason
+          in
+          Some (at, target, outcome)
+      | _ -> None)
+    (Recover.Journal.records t.journal)
+
 let monitors t = List.rev t.monitors
 let collector t = t.collector
 
@@ -752,8 +759,7 @@ let capture t =
   let fl = Recover.Record.float_field and asn = Asn.to_string in
   let b01 x = if x then "1" else "0" in
   let opt_fl = function None -> "-" | Some f -> fl f in
-  line "counts %d %d %d %d %d %d" t.reannounced t.rolled_back t.breaker_trips
-    (List.length t.events) (List.length t.outcomes) (List.length t.monitors);
+  line "counts %d %d %d" t.breaker_trips (List.length t.events) (List.length t.monitors);
   line "last_announce %s" (fl t.last_announce);
   Hashtbl.fold (fun _ p acc -> p :: acc) t.pipelines []
   |> List.sort (fun p q -> Asn.compare p.p_target q.p_target)

@@ -29,7 +29,7 @@ type config = {
           from scratch; charged before acting on every fresh verdict. A
           plan-cache hit skips it — that is the fast-reroute win the
           plan experiment measures. Default 0: fresh decisions act
-          inline, preserving the pre-planning event order exactly. *)
+          inline, in the same event as the isolation that led to them. *)
 }
 
 val default_config : config
@@ -151,11 +151,12 @@ val create :
   unit ->
   t
 (** Announce the plan's baseline and stand ready. The caller drives the
-    engine; LIFEGUARD schedules its own follow-ups on it. With [journal],
-    every externally-visible action (poison, re-announce, unpoison,
-    breaker trip, plan demotion, terminal outcome) is appended to the
-    write-ahead journal {e before} it takes effect; without it, the code
-    path is byte-identical to the pre-journal controller. *)
+    engine; LIFEGUARD schedules its own follow-ups on it. Every
+    externally-visible action (poison, re-announce, unpoison, breaker
+    trip, plan demotion, terminal outcome) is appended to [journal]
+    (default: a fresh in-memory {!Recover.Journal.create}) {e before} it
+    takes effect. The journal is the one record of those actions:
+    {!outcomes}, {!reannounce_count} and {!rollback_count} read it. *)
 
 val watch : t -> targets:Asn.t list -> unit
 (** Start monitors from the origin toward each target's infrastructure
@@ -174,10 +175,12 @@ val awaiting_repair : t -> int
 (** Targets attached to the standing poison, waiting on the sentinel. *)
 
 val reannounce_count : t -> int
-(** Watchdog re-announcements across the run (excluding initial sends). *)
+(** Watchdog re-announcements across the run (excluding initial sends):
+    the journal's [Poison_reannounce] records. *)
 
 val rollback_count : t -> int
-(** Poisons the watchdog withdrew as failed. *)
+(** Poisons the watchdog withdrew as failed: the journal's [Unpoison]
+    records with [repaired = false]. *)
 
 val breaker_trip_count : t -> int
 (** Poison verdicts refused because the target's breaker was open. *)
@@ -189,9 +192,11 @@ val events : t -> (float * event) list
 (** Timestamped event log, oldest first. *)
 
 val outcomes : t -> (float * Asn.t * outcome) list
-(** Terminal state per handled target, oldest first: [Repaired] when the
-    sentinel confirmed the repair and the poison was withdrawn,
-    [Stood_down] when the pipeline ended without (or before) a poison. *)
+(** Terminal state per handled target, oldest first, read from the
+    journal's [Outcome] records: [Repaired] when the sentinel confirmed
+    the repair and the poison was withdrawn, [Stood_down] when the
+    pipeline ended without (or before) a poison, [Gave_up_on] when the
+    repair itself failed. *)
 
 val monitors : t -> Measurement.Monitor.t list
 (** Monitors started by {!watch}, oldest first. *)
@@ -204,6 +209,8 @@ val capture : t -> string
 (** Canonical rendering of the controller's own state, the orchestrator
     share of the snapshot digest: pipelines (with phase and deadline),
     the active poison and its watchdog deadlines, the poison queue,
-    pacing, outage-start estimates, breaker set, counters and the
-    event/outcome/monitor log lengths. Pure read — capturing never
-    perturbs the run. *)
+    pacing, outage-start estimates, breaker set, the breaker-trip count
+    and the event and monitor log lengths. What the journal holds
+    (outcomes, re-announces, rollbacks) is covered by the snapshot's
+    journal length and by replay verification instead. Pure read —
+    capturing never perturbs the run. *)

@@ -30,6 +30,7 @@ type result = {
   poisons : int;
   unpoisons : int;
   time_to_repair : float list;  (** Pooled across worlds, ascending. *)
+  time_to_confirm : float list;  (** Pooled across worlds, ascending. *)
   monitor_pairs : int;
   monitor_skipped : int;
   probes_sent : int;
@@ -51,6 +52,10 @@ type result = {
   router_crashes : int;
   updates_dropped : int;
   updates_duplicated : int;
+  plan_hits : int;
+  plan_misses : int;
+  plan_invalidations : int;
+  plan_demotions : int;
 }
 
 let worlds ~config ~targets ~seed =
@@ -64,18 +69,15 @@ let worlds ~config ~targets ~seed =
         Fleet.Service.run ~config:{ config with Fleet.Service.target_count = count }
           ~seed:(seed + i) ())
 
-let run ?(config = Fleet.Service.default_config) ?(targets = 250) ?(jobs = 1) ~seed () =
-  if targets <= 0 then invalid_arg "Fleet_study.run: targets must be positive";
-  let trials = worlds ~config ~targets ~seed in
-  let shards = List.length trials in
-  let reports = Runner.run_trials ~jobs trials in
+let merge ~targets ~days reports =
   let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
   let sumf f = List.fold_left (fun acc r -> acc +. f r) 0.0 reports in
+  let pool f = List.sort Float.compare (List.concat_map f reports) in
   let open Fleet.Service in
   {
-    shards;
+    shards = List.length reports;
     targets;
-    days = config.duration /. 86400.0;
+    days;
     injected = sum (fun r -> r.injected);
     drawn = sum (fun r -> r.drawn);
     unplaceable = sum (fun r -> r.unplaceable);
@@ -86,8 +88,8 @@ let run ?(config = Fleet.Service.default_config) ?(targets = 250) ?(jobs = 1) ~s
     unfinished = sum (fun r -> r.unfinished);
     poisons = sum (fun r -> r.poisons);
     unpoisons = sum (fun r -> r.unpoisons);
-    time_to_repair =
-      List.sort Float.compare (List.concat_map (fun r -> r.time_to_repair) reports);
+    time_to_repair = pool (fun r -> r.time_to_repair);
+    time_to_confirm = pool (fun r -> r.time_to_confirm);
     monitor_pairs = sum (fun r -> r.monitor_pairs);
     monitor_skipped = sum (fun r -> r.monitor_skipped);
     probes_sent = sum (fun r -> r.probes_sent);
@@ -112,7 +114,16 @@ let run ?(config = Fleet.Service.default_config) ?(targets = 250) ?(jobs = 1) ~s
     router_crashes = sum (fun r -> r.router_crashes);
     updates_dropped = sum (fun r -> r.updates_dropped);
     updates_duplicated = sum (fun r -> r.updates_duplicated);
+    plan_hits = sum (fun r -> r.plan_hits);
+    plan_misses = sum (fun r -> r.plan_misses);
+    plan_invalidations = sum (fun r -> r.plan_invalidations);
+    plan_demotions = sum (fun r -> r.plan_demotions);
   }
+
+let run ?(config = Fleet.Service.default_config) ?(targets = 250) ?(jobs = 1) ~seed () =
+  if targets <= 0 then invalid_arg "Fleet_study.run: targets must be positive";
+  merge ~targets ~days:(config.Fleet.Service.duration /. 86400.0)
+    (Runner.run_trials ~jobs (worlds ~config ~targets ~seed))
 
 let ttr_cdf r =
   match r.time_to_repair with

@@ -20,6 +20,10 @@ type result = {
   poisons : int;
   unpoisons : int;
   time_to_repair : float list;  (** Pooled across worlds, ascending (s). *)
+  time_to_confirm : float list;
+      (** Detection-to-confirmed-reroute latencies, pooled across worlds,
+          ascending (s): the window decision latency (and so planning)
+          moves. *)
   monitor_pairs : int;
   monitor_skipped : int;
   probes_sent : int;
@@ -41,6 +45,10 @@ type result = {
   router_crashes : int;
   updates_dropped : int;
   updates_duplicated : int;  (** ...zero when [config.faults] is [none]. *)
+  plan_hits : int;  (** Decisions served from the plan cache... *)
+  plan_misses : int;
+  plan_invalidations : int;
+  plan_demotions : int;  (** ...all zero unless [config.planning]. *)
 }
 
 val worlds :
@@ -50,9 +58,14 @@ val worlds :
     [config.target_count] targets each, the last taking the remainder;
     world [i] runs at seed [seed + i]. *)
 
+val merge : targets:int -> days:float -> Fleet.Service.report list -> result
+(** The one merge of world reports: counts and per-day rates sum (the
+    worlds observe the same [days]-long window in parallel), latencies
+    pool into ascending lists, and [shards] is the number of reports. *)
+
 val run :
   ?config:Fleet.Service.config -> ?targets:int -> ?jobs:int -> seed:int -> unit -> result
-(** Run the {!worlds} of [targets] (default 250) and merge them.
+(** Run the {!worlds} of [targets] (default 250) and {!merge} them.
     Deterministic in [(config, targets, seed)]. *)
 
 val ttr_cdf : result -> Stats.Ecdf.t option

@@ -10,32 +10,15 @@
     failure map saves, and the hit-rate table says how often the map had
     the answer ready.
 
-    Worlds decompose and merge exactly as in {!Fleet_study}
-    ([config.target_count] targets per world, world seeds [seed + i]),
-    and both modes of one world share a seed — so the comparison is
-    paired, and every table is byte-identical at any [--jobs]. *)
-
-type mode = {
-  detected : int;
-  repaired : int;
-  stood_down : int;
-  gave_up : int;
-  poisons : int;
-  time_to_repair : float list;  (** Pooled across worlds, ascending. *)
-  time_to_confirm : float list;  (** Pooled across worlds, ascending. *)
-  plan_hits : int;
-  plan_misses : int;
-  plan_invalidations : int;
-  plan_demotions : int;
-}
+    Worlds decompose and merge as in {!Fleet_study} ({!Fleet_study.worlds}
+    and {!Fleet_study.merge}), and both modes of one world share a seed
+    — so the comparison is paired, and every table is byte-identical at
+    any [--jobs]. *)
 
 type result = {
-  worlds : int;
-  targets : int;
-  days : float;
   decision_latency : float;
-  planned : mode;
-  computed : mode;
+  planned : Fleet_study.result;
+  computed : Fleet_study.result;
 }
 
 (* The recurring-outage workload: few targets failing often, so the same
@@ -54,25 +37,6 @@ let default_config =
     decision_latency = 180.0;
   }
 
-let merge reports =
-  let open Fleet.Service in
-  let sum f = List.fold_left (fun acc r -> acc + f r) 0 reports in
-  {
-    detected = sum (fun r -> r.detected);
-    repaired = sum (fun r -> r.repaired);
-    stood_down = sum (fun r -> r.stood_down);
-    gave_up = sum (fun r -> r.gave_up);
-    poisons = sum (fun r -> r.poisons);
-    time_to_repair =
-      List.sort Float.compare (List.concat_map (fun r -> r.time_to_repair) reports);
-    time_to_confirm =
-      List.sort Float.compare (List.concat_map (fun r -> r.time_to_confirm) reports);
-    plan_hits = sum (fun r -> r.plan_hits);
-    plan_misses = sum (fun r -> r.plan_misses);
-    plan_invalidations = sum (fun r -> r.plan_invalidations);
-    plan_demotions = sum (fun r -> r.plan_demotions);
-  }
-
 let run ?(config = default_config) ?(targets = 40) ?(jobs = 1) ~seed () =
   if targets <= 0 then invalid_arg "Plan_study.run: targets must be positive";
   let arm planning = Fleet_study.worlds ~config:{ config with planning } ~targets ~seed in
@@ -81,19 +45,18 @@ let run ?(config = default_config) ?(targets = 40) ?(jobs = 1) ~seed () =
   (* One trial list, planned worlds first: paired seeds, fixed order, and
      the worker pool drains both modes concurrently. *)
   let reports = Runner.run_trials ~jobs (planned @ arm false) in
-  let planned_reports = List.filteri (fun i _ -> i < worlds) reports in
-  let computed_reports = List.filteri (fun i _ -> i >= worlds) reports in
+  let merge keep =
+    Fleet_study.merge ~targets ~days:(config.Fleet.Service.duration /. 86400.0)
+      (List.filteri (fun i _ -> keep i) reports)
+  in
   {
-    worlds;
-    targets;
-    days = config.Fleet.Service.duration /. 86400.0;
     decision_latency = config.Fleet.Service.decision_latency;
-    planned = merge planned_reports;
-    computed = merge computed_reports;
+    planned = merge (fun i -> i < worlds);
+    computed = merge (fun i -> i >= worlds);
   }
 
 (* Hits over lookups, in [0, 1]; [0.] when there were no lookups. *)
-let hit_rate m =
+let hit_rate (m : Fleet_study.result) =
   let lookups = m.plan_hits + m.plan_misses in
   if lookups = 0 then 0.0 else float_of_int m.plan_hits /. float_of_int lookups
 
@@ -112,8 +75,8 @@ let to_tables r =
   let p = r.planned in
   Stats.Table.add_rows cache
     [
-      [ "observation window (days)"; Stats.Table.cell_float ~decimals:2 r.days ];
-      [ "worlds x targets"; Printf.sprintf "%d x ~%d" r.worlds (r.targets / r.worlds) ];
+      [ "observation window (days)"; Stats.Table.cell_float ~decimals:2 p.days ];
+      [ "worlds x targets"; Printf.sprintf "%d x ~%d" p.shards (p.targets / p.shards) ];
       [ "lookups (hits + misses)"; Stats.Table.cell_int (p.plan_hits + p.plan_misses) ];
       [ "  served from plan (hits)"; Stats.Table.cell_int p.plan_hits ];
       [ "  computed fresh (misses)"; Stats.Table.cell_int p.plan_misses ];

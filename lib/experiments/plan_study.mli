@@ -6,31 +6,14 @@
     simulated seconds per fresh decision round; plan hits skip it, so the
     latency table measures exactly what precomputation buys. *)
 
-(** One arm's merged counters and pooled repair times. *)
-type mode = {
-  detected : int;
-  repaired : int;
-  stood_down : int;
-  gave_up : int;
-  poisons : int;
-  time_to_repair : float list;  (** Pooled across worlds, ascending. *)
-  time_to_confirm : float list;
-      (** Detection-to-confirmed-reroute latencies, pooled, ascending —
-          the window decision latency (and thus planning) moves. *)
-  plan_hits : int;
-  plan_misses : int;
-  plan_invalidations : int;
-  plan_demotions : int;
-}
-
 type result = {
-  worlds : int;  (** Independent worlds per arm. *)
-  targets : int;  (** Total targets across worlds. *)
-  days : float;  (** Observation window per world, in days. *)
   decision_latency : float;  (** Cost of one fresh decision round, seconds. *)
-  planned : mode;  (** Plan cache consulted before every decision. *)
-  computed : mode;  (** Every remediation computed from scratch. *)
+  planned : Fleet_study.result;  (** Plan cache consulted before every decision. *)
+  computed : Fleet_study.result;  (** Every remediation computed from scratch. *)
 }
+(** Both arms merged by {!Fleet_study.merge} over the same world
+    decomposition, so either arm's [shards], [targets] and [days] are
+    the study's worlds, total targets and window. *)
 
 val default_config : Fleet.Service.config
 (** Few targets failing often (recurring outages), chaos and
@@ -39,9 +22,10 @@ val default_config : Fleet.Service.config
 val run :
   ?config:Fleet.Service.config -> ?targets:int -> ?jobs:int -> seed:int -> unit -> result
 (** [run ~seed ()] decomposes [targets] (default 40) into worlds as
-    {!Fleet_study.worlds} does (world seeds shared by both arms) and runs both arms — in parallel when [jobs > 1]. The
-    result is a pure function of [(config, targets, seed)]; [jobs] never
-    changes a byte of output. *)
+    {!Fleet_study.worlds} does (world seeds shared by both arms) and
+    runs both arms — in parallel when [jobs > 1]. The result is a pure
+    function of [(config, targets, seed)]; [jobs] never changes a byte
+    of output. *)
 
 val to_tables : result -> Stats.Table.t list
 (** Two tables: plan-cache effectiveness (hits/misses/hit rate,

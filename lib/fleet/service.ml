@@ -15,9 +15,8 @@ type config = {
   faults : Bgp.Faults.config;
   planning : bool;
       (** Precompute remediation plans offline and consult the plan cache
-          before every fresh decision (default false: the legacy
-          compute-every-time pipeline, byte-identical to before the knob
-          existed). *)
+          before every fresh decision (default false: every remediation
+          is computed when it is needed). *)
   decision_latency : float;
       (** Modeled cost of a fresh decision (simulated seconds); plan hits
           skip it. Default 0. *)
@@ -202,7 +201,7 @@ let pick_targets rng mux ~count =
   let count = min count (List.length pool) in
   Array.to_list (Prng.sample_without_replacement rng count (Array.of_list pool))
 
-(* Durable-run plumbing threaded into [run_in]: the write-ahead journal
+(* What every world's controller records into: the write-ahead journal
    every orchestrator action flows through, the snapshot cadence, the
    snapshot to verify replay fidelity against when resuming, and where
    captured snapshots go. *)
@@ -229,7 +228,7 @@ type outcome =
       snapshot : Recover.Snapshot.t option;
     }
 
-let run_in ?(config = default_config) ?durable ~seed () =
+let run_in ~config ~durable ~seed () =
   let mux =
     Scenarios.bgpmux ~ases:config.ases ~infrastructure:Scenarios.No_infrastructure ~seed ()
   in
@@ -310,8 +309,7 @@ let run_in ?(config = default_config) ?durable ~seed () =
     }
   in
   let orch =
-    Lifeguard.Orchestrator.create ~config:orch_config ~hooks
-      ?journal:(match durable with Some d -> Some d.d_journal | None -> None)
+    Lifeguard.Orchestrator.create ~config:orch_config ~hooks ~journal:durable.d_journal
       ~env:bed.Scenarios.probe ~atlas ~responsiveness ~plan:mux.Scenarios.plan
       ~vantage_points:bed.Scenarios.vantage_points ()
   in
@@ -462,14 +460,14 @@ let run_in ?(config = default_config) ?durable ~seed () =
   in
   (* Snapshot marks: pure-read captures on the simulation clock, armed
      after every other recurring timer so their extra heap events shift
-     sequence numbers uniformly without reordering anything — a durable
-     run is byte-identical to a plain one. When resuming, re-execution
+     sequence numbers uniformly without reordering anything — a run with
+     marks is byte-identical to one without. When resuming, re-execution
      reaching the persisted snapshot's mark must capture the exact same
      bytes; anything else means replay infidelity and raises
      [Snapshot.Mismatch] rather than silently diverging. *)
   let marks_done = ref 0 in
-  (match durable with
-  | Some ({ d_snapshot_every = Some every_s; _ } as d) when every_s > 0.0 ->
+  (match durable.d_snapshot_every with
+  | Some every_s when every_s > 0.0 ->
       let fp = config_fingerprint ~config ~seed in
       Sim.Engine.schedule_every engine ~every:every_s ~until:horizon (fun _ ->
           let mark = !marks_done + 1 in
@@ -485,20 +483,20 @@ let run_in ?(config = default_config) ?durable ~seed () =
               mark;
               seed;
               config_fp = fp;
-              journal_len = Recover.Journal.length d.d_journal;
+              journal_len = Recover.Journal.length durable.d_journal;
               state =
                 Recover.Snapshot.digest
                   (Lifeguard.Orchestrator.capture orch ^ Budget.capture sched ^ plan);
               head = render_report head;
             }
           in
-          (match d.d_verify with
+          (match durable.d_verify with
           | Some expected when expected.Recover.Snapshot.mark = mark ->
               if not (Recover.Snapshot.equal snap expected) then
                 raise (Recover.Snapshot.Mismatch { mark })
           | _ -> ());
           marks_done := mark;
-          d.d_on_snapshot snap;
+          durable.d_on_snapshot snap;
           `Continue)
   | _ -> ());
   Sim.Engine.run ~until:horizon engine;
@@ -507,54 +505,56 @@ let run_in ?(config = default_config) ?durable ~seed () =
   Obs.Metrics.add m_isolation_retries report.isolation_retries;
   (* Recovery accounting: reconcile the journal against the collector's
      ground truth (the exactly-once verdict). *)
-  let recovery =
-    match durable with
-    | None -> None
-    | Some d ->
-        let j = d.d_journal in
-        let prefix = mux.Scenarios.plan.Lifeguard.Remediate.production in
-        let watchdog = Lifeguard.Orchestrator.collector orch in
-        let poisoned_views =
-          List.map
-            (fun vp ->
-              let carried =
-                match Bgp.Network.Collector.route_view watchdog ~peer:vp ~prefix with
-                | Some (Some entry) -> begin
-                    (* A poisoned announcement is [O; p; O]: at any view
-                       the path's origin-side tail reads O, p, O (the
-                       baseline's prepend padding is excluded because
-                       p = O there). *)
-                    match List.rev (Bgp.As_path.to_list entry.Bgp.Route.ann.Bgp.Route.path) with
-                    | o2 :: p :: o1 :: _
-                      when Asn.equal o1 origin && Asn.equal o2 origin
-                           && not (Asn.equal p origin) ->
-                        Some p
-                    | _ -> None
-                  end
-                | Some None | None -> None
-              in
-              (vp, carried))
-            bed.Scenarios.vantage_points
+  let j = durable.d_journal in
+  let prefix = mux.Scenarios.plan.Lifeguard.Remediate.production in
+  let watchdog = Lifeguard.Orchestrator.collector orch in
+  let poisoned_views =
+    List.map
+      (fun vp ->
+        let carried =
+          match Bgp.Network.Collector.route_view watchdog ~peer:vp ~prefix with
+          | Some (Some entry) -> begin
+              (* A poisoned announcement is [O; p; O]: at any view the
+                 path's origin-side tail reads O, p, O (the baseline's
+                 prepend padding is excluded because p = O there). *)
+              match List.rev (Bgp.As_path.to_list entry.Bgp.Route.ann.Bgp.Route.path) with
+              | o2 :: p :: o1 :: _
+                when Asn.equal o1 origin && Asn.equal o2 origin && not (Asn.equal p origin) ->
+                  Some p
+              | _ -> None
+            end
+          | Some None | None -> None
         in
-        let rc =
-          Recover.Reconcile.check ~replayed:(Recover.Journal.replayed j)
-            ~grace:(2.0 *. Lifeguard.Orchestrator.recheck_interval)
-            ~horizon:(Sim.Engine.now engine) ~poisoned_views (Recover.Journal.records j)
-        in
-        Some
-          {
-            rc_reconcile = rc;
-            rc_journal = Recover.Journal.lines j;
-            rc_replayed = Recover.Journal.replayed j;
-            rc_marks = !marks_done;
-          }
+        (vp, carried))
+      bed.Scenarios.vantage_points
   in
-  (report, recovery)
+  let rc =
+    Recover.Reconcile.check ~replayed:(Recover.Journal.replayed j)
+      ~grace:(2.0 *. Lifeguard.Orchestrator.recheck_interval)
+      ~horizon:(Sim.Engine.now engine) ~poisoned_views (Recover.Journal.records j)
+  in
+  ( report,
+    {
+      rc_reconcile = rc;
+      rc_journal = Recover.Journal.lines j;
+      rc_replayed = Recover.Journal.replayed j;
+      rc_marks = !marks_done;
+    } )
 
-let run ?(config = default_config) ~seed () = fst (run_in ~config ~seed ())
+(* A world with an in-memory journal, no snapshot marks and no sinks. *)
+let run ?(config = default_config) ~seed () =
+  let durable =
+    {
+      d_journal = Recover.Journal.create ();
+      d_snapshot_every = None;
+      d_verify = None;
+      d_on_snapshot = ignore;
+    }
+  in
+  fst (run_in ~config ~durable ~seed ())
 
-(* The durable entry point: same world, same schedule, plus the
-   write-ahead journal, optional snapshot marks, and crash injection.
+(* The durable entry point: the same world as [run], with the journal's
+   sink and replay prefix, optional snapshot marks, and crash injection.
    Recovery is deterministic re-execution — the resumed run replays from
    t = 0 with the persisted journal as its expected prefix (byte-for-byte
    verified, [Journal.Divergence] otherwise) and the persisted snapshot
@@ -589,8 +589,7 @@ let run_durable ?(config = default_config) ~seed ?(journal = []) ?snapshot ?cras
     }
   in
   match run_in ~config ~durable ~seed () with
-  | report, Some recovery -> Finished { report; recovery }
-  | _, None -> assert false (* run_in always returns recovery when durable *)
+  | report, recovery -> Finished { report; recovery }
   | exception Recover.Crash.Crashed { boundary; append } ->
       Interrupted
         { boundary; append; journal = Recover.Journal.lines j; snapshot = !last_snap }

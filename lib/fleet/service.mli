@@ -35,9 +35,8 @@ type config = {
       (** Precompute remediation plans offline ([Plan.Planner] over this
           world's graph) and consult the plan cache before every fresh
           decision, dropping plans against breaker-open ASes and
-          demoting them on watchdog divergence. Default false:
-          the legacy compute-every-time pipeline, byte-identical to
-          before the knob existed. *)
+          demoting them on watchdog divergence. Default false: every
+          remediation is computed when it is needed. *)
   decision_latency : float;
       (** Modeled cost of computing a remediation from scratch (simulated
           seconds); plan-cache hits skip it. Default 0. *)
@@ -107,13 +106,17 @@ type report = {
 
 val run : ?config:config -> seed:int -> unit -> report
 (** Build the world, run the service for [config.duration] simulated
-    seconds, and account for everything. Deterministic in [(config, seed)]. *)
+    seconds, and account for everything. Deterministic in [(config, seed)].
+    This is {!run_durable}'s world with an in-memory journal, no snapshot
+    marks and no sinks, so its report equals a [run_durable] report of
+    the same [(config, seed)] byte for byte. *)
 
 (** {1 Durable (crash-tolerant) runs}
 
-    A durable run is the same simulation with a write-ahead operations
-    journal: every externally visible controller action is serialized
-    and persisted {e before} its effect executes. Recovery is
+    Every world's controller records its externally visible actions in a
+    write-ahead operations journal: each is serialized and persisted
+    {e before} its effect executes. {!run_durable} hands the caller that
+    journal's lines, snapshot marks and crash injection. Recovery is
     deterministic re-execution — the resumed run replays from [t = 0]
     with the persisted journal as its expected prefix, verifying each
     re-derived action byte-for-byte ({!Recover.Journal.Divergence}

@@ -1,6 +1,6 @@
 (** Plain-text table rendering for experiment output.
 
-    The benchmark harness prints one table per reproduced paper table or
+    [lifeguard paper] prints one table per reproduced paper table or
     figure; this module keeps the formatting in one place so the output
     stays aligned and diff-friendly. *)
 

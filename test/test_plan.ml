@@ -481,18 +481,18 @@ let test_recurring_workload_wins () =
   let r = Experiments.Plan_study.run ~jobs:2 ~seed:42 () in
   let planned = r.Experiments.Plan_study.planned in
   let computed = r.Experiments.Plan_study.computed in
-  let hits = planned.Experiments.Plan_study.plan_hits in
+  let hits = planned.Experiments.Fleet_study.plan_hits in
   Alcotest.(check bool) "hit rate >= 60%" true
     (hits > 0
     && float_of_int hits
-       >= 0.6 *. float_of_int (hits + planned.Experiments.Plan_study.plan_misses));
+       >= 0.6 *. float_of_int (hits + planned.Experiments.Fleet_study.plan_misses));
   let median = function
     | [] -> Alcotest.fail "expected confirmed reroutes"
     | samples -> Stats.Ecdf.quantile (Stats.Ecdf.of_samples (Array.of_list samples)) 0.5
   in
   Alcotest.(check bool) "planned median reroute strictly faster" true
-    (median planned.Experiments.Plan_study.time_to_confirm
-    < median computed.Experiments.Plan_study.time_to_confirm)
+    (median planned.Experiments.Fleet_study.time_to_confirm
+    < median computed.Experiments.Fleet_study.time_to_confirm)
 
 let suite =
   [

@@ -249,15 +249,39 @@ let test_snapshot_roundtrip () =
   | exception Invalid_argument _ -> ()
   | _ -> Alcotest.fail "foreign snapshot must be refused"
 
-let test_durable_inert () =
+let test_marks_inert () =
   let config = fleet_config in
   let plain = render (Fleet.Service.run ~config ~seed:42 ()) in
-  let bare, _ = finished "bare" (Fleet.Service.run_durable ~config ~seed:42 ()) in
   let marked, _ =
     finished "marked" (Fleet.Service.run_durable ~config ~seed:42 ~snapshot_every:2700.0 ())
   in
-  Alcotest.(check (list string)) "durable-off == durable-on" plain (render bare);
   Alcotest.(check (list string)) "snapshot marks are inert" plain (render marked)
+
+(* Exactly-once under control-plane faults: at twice the fault study's
+   profile, flaps, crashes and lost updates make the watchdog work, and
+   still no poison goes out twice and no view keeps a poison the journal
+   withdrew. Seed 43 ends with a poison standing at the horizon, so the
+   open-episode branch of reconciliation is covered too. *)
+let test_faults_exactly_once () =
+  let config =
+    {
+      Fleet.Service.default_config with
+      Fleet.Service.duration = 21600.0;
+      target_count = 25;
+      faults = Bgp.Faults.scale Experiments.Fault_study.default_profile 2.0;
+    }
+  in
+  List.iter
+    (fun (seed, open_at_horizon) ->
+      let label = Printf.sprintf "seed %d" seed in
+      let _, rc = finished label (Fleet.Service.run_durable ~config ~seed ()) in
+      let r = rc.Fleet.Service.rc_reconcile in
+      Alcotest.(check bool) (label ^ ": clean") true r.Recover.Reconcile.clean;
+      Alcotest.(check int) (label ^ ": double poisons") 0 r.Recover.Reconcile.double_poisons;
+      Alcotest.(check int) (label ^ ": orphaned") 0 r.Recover.Reconcile.orphaned;
+      Alcotest.(check bool) (label ^ ": poison open at horizon") open_at_horizon
+        (Option.is_some r.Recover.Reconcile.active_at_horizon))
+    [ (42, false); (43, true) ]
 
 let test_crash_matrix () =
   let config = fleet_config in
@@ -508,7 +532,9 @@ let suite =
     Alcotest.test_case "reconcile: doubles, orphans, settling" `Quick test_reconcile_rules;
     Alcotest.test_case "snapshot render/parse round-trip + fingerprint" `Quick
       test_snapshot_roundtrip;
-    Alcotest.test_case "durable mode is byte-inert" `Quick test_durable_inert;
+    Alcotest.test_case "snapshot marks are byte-inert" `Quick test_marks_inert;
+    Alcotest.test_case "exactly-once under control-plane faults" `Quick
+      test_faults_exactly_once;
     Alcotest.test_case "crash matrix: byte-identical resume at every boundary" `Quick
       test_crash_matrix;
     Alcotest.test_case "altered snapshot raises Mismatch at its mark" `Quick
