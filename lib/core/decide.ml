@@ -12,15 +12,16 @@ let pp_verdict fmt = function
   | Wait reason -> Format.fprintf fmt "wait (%s)" reason
   | Hopeless reason -> Format.fprintf fmt "hopeless (%s)" reason
 
-let alternate_path_exists graph ~src ~origin ~avoid =
-  Splice.policy_reachable graph ~src ~dst:origin ~avoiding:(Asn.Set.singleton avoid)
+let alternate_path_exists search graph ~src ~origin ~avoid =
+  Splice.policy_reachable search graph ~src ~dst:origin ~avoiding:(Asn.Set.singleton avoid)
 
 let decide ?feasible config graph ~origin ~diagnosis ~outage_age =
   let open Isolation in
   let feasible =
     match feasible with
     | Some f -> f
-    | None -> fun ~src ~avoid -> alternate_path_exists graph ~src ~origin ~avoid
+    | None ->
+        fun ~src ~avoid -> alternate_path_exists (Splice.context ()) graph ~src ~origin ~avoid
   in
   match diagnosis.direction with
   | No_failure -> Hopeless "path works; nothing to repair"

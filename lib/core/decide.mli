@@ -27,10 +27,11 @@ type verdict =
 val pp_verdict : Format.formatter -> verdict -> unit
 
 val alternate_path_exists :
-  As_graph.t -> src:Asn.t -> origin:Asn.t -> avoid:Asn.t -> bool
+  Splice.context -> As_graph.t -> src:Asn.t -> origin:Asn.t -> avoid:Asn.t -> bool
 (** Would [src] still have a valley-free path to [origin] if every route
     through [avoid] disappeared? The a-priori feasibility check behind the
-    paper's 90%-of-simulated-poisonings result (§5.1). *)
+    paper's 90%-of-simulated-poisonings result (§5.1), run in the given
+    search context. *)
 
 val decide :
   ?feasible:(src:Asn.t -> avoid:Asn.t -> bool) ->
@@ -44,7 +45,8 @@ val decide :
     bidirectional failures are poison candidates here — forward failures
     are better fixed by switching egress (§2.3), which the origin can do
     locally. [feasible] overrides the alternate-path check (default
-    {!alternate_path_exists} on [graph]); a precomputed plan passes its
+    {!alternate_path_exists} on [graph], in a search context made for
+    this call); a precomputed plan passes its
     memoized feasibility bit here so a cache hit routes through the exact
     same verdict construction as a fresh decision. *)
 

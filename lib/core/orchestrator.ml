@@ -97,8 +97,6 @@ let pp_event fmt = function
 
 type state = Idle | Isolating | Poisoned of Asn.t
 
-type outcome = Repaired | Stood_down of string | Gave_up_on of string
-
 (* Where an in-flight pipeline stands, and so what its [p_due] deadline
    means. Declared after [state], so a bare [Isolating] is this type's
    unless the expected type says otherwise. *)
@@ -191,14 +189,8 @@ let journaled t action ~effect = Recover.Journal.logged t.journal ~at:(now t) ac
 
 let log t event = t.events <- (now t, event) :: t.events
 
-let finish t target outcome =
-  let kind, reason =
-    match outcome with
-    | Repaired -> (Recover.Record.Repaired, "")
-    | Stood_down reason -> (Recover.Record.Stood_down, reason)
-    | Gave_up_on reason -> (Recover.Record.Gave_up, reason)
-  in
-  journaled t (Recover.Record.Outcome { target; kind; reason }) ~effect:ignore
+let finish t target kind reason =
+  journaled t (Recover.Record.Outcome { Recover.Record.target; kind; reason }) ~effect:ignore
 
 let create ?(config = default_config) ?(hooks = no_hooks) ?(journal = Recover.Journal.create ())
     ~env ~atlas ~responsiveness ~plan ~vantage_points () =
@@ -265,7 +257,7 @@ let stand_down t ~target reason =
   Hashtbl.remove t.outage_started target;
   Hashtbl.remove t.pipelines target;
   log t (Gave_up reason);
-  finish t target (Stood_down reason)
+  finish t target Recover.Record.Stood_down reason
 
 (* A terminal failure of the repair itself (retry budgets, deadlines,
    the circuit breaker): same bookkeeping as a stand-down, but the
@@ -275,7 +267,7 @@ let give_up t ~target reason =
   Hashtbl.remove t.outage_started target;
   Hashtbl.remove t.pipelines target;
   log t (Gave_up reason);
-  finish t target (Gave_up_on reason)
+  finish t target Recover.Record.Gave_up reason
 
 (* The paced half of a rollback: withdraw, give up on every covered
    target, free the prefix. Runs inline or from the spacing timer. *)
@@ -409,7 +401,9 @@ let unpoison_now t ap ~pump =
       t.active <- None;
       t.last_announce <- now t;
       log t Unpoisoned;
-      List.iter (fun target -> finish t target Repaired) (List.rev ap.ap_affected);
+      List.iter
+        (fun target -> finish t target Recover.Record.Repaired "")
+        (List.rev ap.ap_affected);
       pump ()
   | _ -> ()
 
@@ -459,7 +453,7 @@ let rec apply_poison t ~vp ~target ~poison_target ~planned =
   else if target_reachable t ~vp ~target then begin
     Hashtbl.remove t.outage_started target;
     log t (Gave_up "outage resolved before poisoning");
-    finish t target (Stood_down "outage resolved before poisoning");
+    finish t target Recover.Record.Stood_down "outage resolved before poisoning";
     pump_queue t
   end
   else begin
@@ -731,16 +725,7 @@ let events t = List.rev t.events
 let outcomes t =
   List.filter_map
     (fun { Recover.Record.at; action; _ } ->
-      match action with
-      | Recover.Record.Outcome { target; kind; reason } ->
-          let outcome =
-            match kind with
-            | Recover.Record.Repaired -> Repaired
-            | Recover.Record.Stood_down -> Stood_down reason
-            | Recover.Record.Gave_up -> Gave_up_on reason
-          in
-          Some (at, target, outcome)
-      | _ -> None)
+      match action with Recover.Record.Outcome o -> Some (at, o) | _ -> None)
     (Recover.Journal.records t.journal)
 
 let monitors t = List.rev t.monitors

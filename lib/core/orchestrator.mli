@@ -129,14 +129,6 @@ type state = Idle | Isolating | Poisoned of Asn.t
 (** Coarse position in the per-prefix machine: [Poisoned] while any
     poison is announced, else [Isolating] while any pipeline runs. *)
 
-(** Terminal state of one target's outage: [Repaired] when the sentinel
-    confirmed the repair, [Stood_down] when there was nothing to do
-    (transient, hopeless diagnosis), [Gave_up_on] when the repair itself
-    failed — retry budgets exhausted, the pipeline timed out, the poison
-    was rolled back, or the circuit breaker refused it — with the
-    give-up reason. *)
-type outcome = Repaired | Stood_down of string | Gave_up_on of string
-
 type t
 
 val create :
@@ -191,11 +183,11 @@ val breaker_open : t -> target:Asn.t -> bool
 val events : t -> (float * event) list
 (** Timestamped event log, oldest first. *)
 
-val outcomes : t -> (float * Asn.t * outcome) list
-(** Terminal state per handled target, oldest first, read from the
-    journal's [Outcome] records: [Repaired] when the sentinel confirmed
-    the repair and the poison was withdrawn, [Stood_down] when the
-    pipeline ended without (or before) a poison, [Gave_up_on] when the
+val outcomes : t -> (float * Recover.Record.outcome) list
+(** Terminal state per handled target, oldest first, with its time: the
+    journal's [Outcome] records as written. [Repaired] when the sentinel
+    confirmed the repair and the poison was withdrawn, [Stood_down] when
+    the pipeline ended without (or before) a poison, [Gave_up] when the
     repair itself failed. *)
 
 val monitors : t -> Measurement.Monitor.t list

@@ -42,6 +42,7 @@ let run ~ases ~outage_count ~seed () =
   let tuples = Topology.Splice.Tuples.of_paths paths in
   let sites = Array.of_list bed.Scenarios.vantage_points in
   let graph = bed.Scenarios.graph in
+  let search = Topology.Splice.context () in
   let outages = ref 0 and with_alt = ref 0 in
   let long_outages = ref 0 and long_with_alt = ref 0 in
   let persisted = ref 0 and persistence_cases = ref 0 in
@@ -127,7 +128,7 @@ let run ~ases ~outage_count ~seed () =
           match spliced with
           | Some p ->
               if
-                Topology.Splice.policy_reachable graph ~src ~dst
+                Topology.Splice.policy_reachable search graph ~src ~dst
                   ~avoiding:(Asn.Set.singleton failed_as)
                 && not (List.exists (Asn.equal failed_as) p)
               then incr persisted

@@ -36,6 +36,7 @@ let poison_trial mux target =
   let net = mux.Workloads.Scenarios.bed.Workloads.Scenarios.net in
   let graph = mux.Workloads.Scenarios.bed.Workloads.Scenarios.graph in
   let origin = mux.Workloads.Scenarios.origin in
+  let search = Topology.Splice.context () in
   let peers_via =
     List.filter
       (fun peer -> Option.value ~default:false (peer_route_contains mux peer target))
@@ -53,7 +54,7 @@ let poison_trial mux target =
           | Some true | None -> false
         in
         let predicted =
-          Lifeguard.Decide.alternate_path_exists graph ~src:peer ~origin ~avoid:target
+          Lifeguard.Decide.alternate_path_exists search graph ~src:peer ~origin ~avoid:target
         in
         (* Captive: every policy path from the peer to the origin crosses
            the poisoned AS. *)
@@ -74,6 +75,7 @@ let simulate mux =
   let net = mux.Workloads.Scenarios.bed.Workloads.Scenarios.net in
   let graph = mux.Workloads.Scenarios.bed.Workloads.Scenarios.graph in
   let origin = mux.Workloads.Scenarios.origin in
+  let search = Topology.Splice.context () in
   List.fold_left
     (fun (cases, alt) peer ->
       match Bgp.Network.best_route net peer Workloads.Scenarios.production_prefix with
@@ -91,7 +93,7 @@ let simulate mux =
           List.fold_left
             (fun (cases, alt) a ->
               ( cases + 1,
-                if Lifeguard.Decide.alternate_path_exists graph ~src:peer ~origin ~avoid:a
+                if Lifeguard.Decide.alternate_path_exists search graph ~src:peer ~origin ~avoid:a
                 then alt + 1
                 else alt ))
             (cases, alt)

@@ -63,10 +63,11 @@ let forward_avoidable_for mux ~dst =
   | last :: penultimate :: _ when Asn.equal last dst ->
       (* A path from some provider to dst that avoids the penultimate AS
          routes around the failed link. *)
+      let search = Topology.Splice.context () in
       Some
         (List.exists
            (fun provider ->
-             Topology.Splice.policy_reachable graph ~src:provider ~dst
+             Topology.Splice.policy_reachable search graph ~src:provider ~dst
                ~avoiding:(Asn.Set.singleton penultimate))
            mux.Scenarios.providers)
   | _ -> None

@@ -377,15 +377,15 @@ let run_in ~config ~durable ~seed () =
     let repaired = ref 0 and stood_down = ref 0 and gave_up = ref 0 in
     let ttr = ref [] in
     List.iter
-      (fun (at, target, outcome) ->
-        match outcome with
-        | Lifeguard.Orchestrator.Repaired ->
+      (fun (at, { Recover.Record.target; kind; _ }) ->
+        match kind with
+        | Recover.Record.Repaired ->
             incr repaired;
             (match detection_before ~target ~at with
             | Some dt -> ttr := (at -. dt) :: !ttr
             | None -> ())
-        | Lifeguard.Orchestrator.Stood_down _ -> incr stood_down
-        | Lifeguard.Orchestrator.Gave_up_on _ -> incr gave_up)
+        | Recover.Record.Stood_down -> incr stood_down
+        | Recover.Record.Gave_up -> incr gave_up)
       (Lifeguard.Orchestrator.outcomes orch);
     let time_to_confirm =
       List.filter_map

@@ -8,8 +8,12 @@ type outage = {
   mutable ended_at : float option;
 }
 
+(* What a target last wrote to the responsiveness database. *)
+type noted = Unnoted | Noted_failed | Noted_answered
+
 type target_state = {
   address : Ipv4.t;
+  mutable noted : noted;
   mutable consecutive_failures : int;
   mutable first_failure_at : float;
   mutable current : outage option;
@@ -62,9 +66,15 @@ let probe_target t state now =
   let ok =
     delivered && (match t.loss with Some lost -> not (lost ()) | None -> true)
   in
-  (match t.responsiveness with
-  | Some db -> Responsiveness.note db state.address ok
-  | None -> ());
+  (* An entry only moves from absent to false to true, and monitors are
+     its only writers: after this target noted an answer, no note can
+     change it, and after it noted a failure, another failure cannot.
+     Skipping those notes is exact even when monitors share an address. *)
+  (match (t.responsiveness, state.noted, ok) with
+  | None, _, _ | Some _, Noted_answered, _ | Some _, Noted_failed, false -> ()
+  | Some db, (Unnoted | Noted_failed), _ ->
+      Responsiveness.note db state.address ok;
+      state.noted <- (if ok then Noted_answered else Noted_failed));
   if ok then begin
     (match state.current with Some o -> o.ended_at <- Some now | None -> ());
     state.current <- None;
@@ -104,6 +114,7 @@ let create ~env ~engine ?(on_outage = ignore) ?responsiveness ?src_ip ?gate ?los
           (fun address ->
             {
               address;
+              noted = Unnoted;
               consecutive_failures = 0;
               first_failure_at = 0.0;
               current = None;

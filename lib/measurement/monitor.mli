@@ -56,7 +56,11 @@ val create :
     stamp is unchanged reuses that verdict and charges its one ping,
     as a fresh pair would; the gate, the [loss] draw, the
     [responsiveness] note and the failure counting run as for any
-    pair. *)
+    pair.
+
+    Each target also keeps what it last noted in [responsiveness], and
+    skips a note that cannot change the database: any note after an
+    answer, a failure after a failure (see {!Responsiveness.note}). *)
 
 val probe_count : t -> int
 (** Ping pairs sent so far. *)

@@ -17,7 +17,11 @@ val configure_silent_fraction : t -> Prng.t -> Topology.As_graph.t -> fraction:f
     setup matching the real-world mix of filtered routers. *)
 
 val note : t -> Ipv4.t -> bool -> unit
-(** Record a probe result for an address. *)
+(** Record a probe result for an address. An address's entry only moves
+    forward: from absent to "never answered" (a failure) to "answered"
+    (a success); a failure noted after a success changes nothing.
+    {!Monitor} is the only caller, and relies on this to skip notes
+    that cannot change the entry. *)
 
 val expect_response : t -> Ipv4.t -> bool
 (** Whether silence from this address is evidence of a problem: it is not

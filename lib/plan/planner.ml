@@ -10,18 +10,20 @@ let hopeless_reason blamed =
    one runs between [target] and [origin], in one direction, around at
    most one AS, so it packs into an int key. A memo is made per target
    inside one [build] (or per [candidate_blames] / [remedy_for_class]
-   call) and never outlives it, so the planner stays a pure function of
-   the graph. *)
+   call) and never outlives it, and so is the search context the call's
+   targets share, so the planner stays a pure function of the graph. *)
 module Int_tbl = Hashtbl.Make (Int)
 
 type queries = {
+  search : Splice.context;
   graph : As_graph.t;
   origin : Asn.t;
   target : Asn.t;
   memo : Asn.t list option Int_tbl.t;
 }
 
-let queries graph ~origin ~target = { graph; origin; target; memo = Int_tbl.create 16 }
+let queries search graph ~origin ~target =
+  { search; graph; origin; target; memo = Int_tbl.create 16 }
 
 (* [Splice.policy_path] from target to origin ([toward_origin]) or back,
    avoiding [around] when given. *)
@@ -33,7 +35,7 @@ let path q ~toward_origin ~around =
   | None ->
       let src, dst = if toward_origin then (q.target, q.origin) else (q.origin, q.target) in
       let avoiding = match around with None -> Asn.Set.empty | Some a -> Asn.Set.singleton a in
-      let p = Splice.policy_path q.graph ~src ~dst ~avoiding in
+      let p = Splice.policy_path q.search q.graph ~src ~dst ~avoiding in
       Int_tbl.replace q.memo key p;
       p
 
@@ -76,7 +78,8 @@ let blames q =
   in
   Asn.Set.elements union
 
-let candidate_blames graph ~origin ~target = blames (queries graph ~origin ~target)
+let candidate_blames graph ~origin ~target =
+  blames (queries (Splice.context ()) graph ~origin ~target)
 
 let remedy_for q ~blamed =
   if reachable_around q blamed then begin
@@ -97,7 +100,8 @@ let remedy_for_class graph ~origin ~target ~cls =
       if Asn.equal cls.Failure_class.blamed origin then
         Plan_store.Hopeless "failure is local; fix it directly"
       else
-        remedy_for (queries graph ~origin ~target) ~blamed:cls.Failure_class.blamed
+        remedy_for (queries (Splice.context ()) graph ~origin ~target)
+          ~blamed:cls.Failure_class.blamed
   | Isolation.Forward_failure -> Plan_store.Alternate_path
   | Isolation.No_failure -> Plan_store.Hopeless "path works; nothing to repair"
   | Isolation.Destination_unreachable ->
@@ -113,11 +117,12 @@ let classes_of blamed =
 
 let build ~graph ~store:_ ~plan ~targets =
   let origin = plan.Remediate.origin in
+  let search = Splice.context () in
   List.fold_left
     (fun acc target ->
       if Asn.equal target origin then acc
       else
-        let q = queries graph ~origin ~target in
+        let q = queries search graph ~origin ~target in
         List.fold_left
           (fun acc blamed ->
             let remedy = remedy_for q ~blamed in

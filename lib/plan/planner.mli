@@ -23,7 +23,8 @@
     each (source, destination, avoided AS) question is asked once, an
     endpoint is never avoidable, and an AS off the unconstrained
     target-to-origin path needs no search, since that path avoids it.
-    The memo is made inside the call and dropped with it, so purity
+    The memo is made inside the call and dropped with it, as is the one
+    {!Topology.Splice.context} the call's searches share, so purity
     holds and no answer outlives the graph it was computed from. *)
 
 open Net

@@ -1,6 +1,7 @@
 open Net
 
 type outcome_kind = Repaired | Stood_down | Gave_up
+type outcome = { target : Asn.t; kind : outcome_kind; reason : string }
 
 type action =
   | Poison_announce of { target : Asn.t; poison : Asn.t; planned : bool }
@@ -8,7 +9,7 @@ type action =
   | Unpoison of { poison : Asn.t; repaired : bool; reason : string }
   | Breaker_trip of { poison : Asn.t; reason : string }
   | Plan_demotion of { poison : Asn.t; reason : string }
-  | Outcome of { target : Asn.t; kind : outcome_kind; reason : string }
+  | Outcome of outcome
 
 type t = { seq : int; at : float; action : action }
 

@@ -20,6 +20,16 @@ open Net
 
 type outcome_kind = Repaired | Stood_down | Gave_up
 
+type outcome = { target : Asn.t; kind : outcome_kind; reason : string }
+(** Terminal state of one target's outage: [Repaired] when the sentinel
+    confirmed the repair, [Stood_down] when there was nothing to do
+    (transient, hopeless diagnosis), [Gave_up] when the repair itself
+    failed — retry budgets exhausted, the pipeline timed out, the poison
+    was rolled back, or the circuit breaker refused it. [reason] is the
+    stand-down or give-up reason, empty for [Repaired]. The controller
+    journals it and reads it back in this one shape
+    ([Lifeguard.Orchestrator.outcomes]). *)
+
 type action =
   | Poison_announce of { target : Asn.t; poison : Asn.t; planned : bool }
       (** [poison] announced for the production prefix to repair
@@ -35,9 +45,7 @@ type action =
   | Plan_demotion of { poison : Asn.t; reason : string }
       (** A served plan diverged from its watchdog outcome; the cache
           entry is demoted back to compute-fresh. *)
-  | Outcome of { target : Asn.t; kind : outcome_kind; reason : string }
-      (** Terminal per-outage outcome ([reason] is empty for
-          [Repaired]). *)
+  | Outcome of outcome  (** Terminal per-outage outcome. *)
 
 type t = { seq : int; at : float; action : action }
 (** [seq] is the journal position (0-based), [at] simulation time. *)

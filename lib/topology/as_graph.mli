@@ -29,15 +29,34 @@ val add_link : t -> a:Asn.t -> b:Asn.t -> rel:Relationship.t -> unit
 
 val mem : t -> Asn.t -> bool
 val relationship : t -> a:Asn.t -> b:Asn.t -> Relationship.t option
-(** What [b] is to [a], if adjacent. *)
+(** What [b] is to [a], if adjacent: a binary search over [a]'s
+    neighbours. [None] also when [a] is unknown. *)
 
 val neighbors : t -> Asn.t -> (Asn.t * Relationship.t) list
 (** Neighbors of an AS with their relationship (what the neighbor is to
-    this AS), in ascending ASN order. Raises if the AS is unknown. *)
+    this AS), in ascending ASN order. Raises [Invalid_argument] if the
+    AS is unknown. *)
 
-val iter_neighbors : t -> Asn.t -> (Asn.t -> Relationship.t -> unit) -> unit
-(** [iter_neighbors t asn f] calls [f] on what {!neighbors} lists, in the
-    same order, without building the list. *)
+(** {1 Dense ids}
+
+    Each AS gets a dense id at {!add_as}: the first AS added is [0], the
+    next [1], and so on up to [as_count t - 1]. An id indexes the graph's
+    own adjacency arrays, so a search can mark ASes in an [int array]
+    instead of a table ({!Splice} does). *)
+
+val id : t -> Asn.t -> int
+(** The dense id of an AS. Raises [Invalid_argument] if the AS is unknown. *)
+
+val asn_of_id : t -> int -> Asn.t
+
+val neighbor_ids : t -> int -> int array
+(** The dense ids of the neighbours of the AS with this id, in the order
+    {!neighbors} lists them (ascending ASN). The array is the graph's
+    own: a caller must not write to it. *)
+
+val neighbor_rels : t -> int -> Relationship.t array
+(** What each neighbour in {!neighbor_ids} is to this AS, at the same
+    index. The graph's own array, like {!neighbor_ids}. *)
 
 val tier : t -> Asn.t -> int
 val routers : t -> Asn.t -> router array
@@ -51,7 +70,9 @@ val as_list : t -> Asn.t list
 (** All ASes, ascending. *)
 
 val as_count : t -> int
+
 val degree : t -> Asn.t -> int
+(** The number of links of an AS. Raises [Invalid_argument] if the AS is unknown. *)
 
 val pp_stats : Format.formatter -> t -> unit
 (** One-line summary: AS count, link count, per-tier counts. *)

@@ -22,58 +22,99 @@ let valley_free graph path =
 
 (* Two-phase BFS over (AS, phase) states: phase [up] may still climb to a
    provider or cross one peer edge, phase [down] only descends to
-   customers. A state packs into one int, [asn * 2 + phase]. [pred] maps
-   each reached state to the state it was reached from (the start state
-   to itself) and doubles as the visited set, so a query allocates one
-   small table, the queue cells and the returned path. *)
-module Int_tbl = Hashtbl.Make (Int)
+   customers. A state packs into one int, [id * 2 + phase], over the
+   graph's dense AS ids. The context holds the search's arrays:
+   [mark.(s) = gen] when state [s] was reached in the current search,
+   [pred.(s)] the state it was reached from (the start state itself),
+   and [queue] the FIFO, in which each state appears at most once. A new
+   search bumps [gen] instead of clearing [mark], so a query allocates
+   only the path it returns. *)
+type context = {
+  mutable mark : int array;
+  mutable pred : int array;
+  mutable queue : int array;
+  mutable gen : int;
+  mutable tail : int;
+}
+
+let context () = { mark = [||]; pred = [||]; queue = [||]; gen = 0; tail = 0 }
 
 let up = 0
 let down = 1
-let state asn phase = (Asn.to_int asn * 2) + phase
-let asn_of s = Asn.of_int (s / 2)
 
-let search graph ~src ~dst ~avoiding =
+let visit ctx s cur =
+  if ctx.mark.(s) <> ctx.gen then begin
+    ctx.mark.(s) <- ctx.gen;
+    ctx.pred.(s) <- cur;
+    ctx.queue.(ctx.tail) <- s;
+    ctx.tail <- ctx.tail + 1
+  end
+
+(* Expand queued states from [head] on, in FIFO order and each AS's
+   neighbours in ascending ASN order, until one of [dst]'s two states is
+   reached; that state, or [-1]. *)
+let rec drain ctx graph dst head =
+  if ctx.mark.(dst + up) = ctx.gen then dst + up
+  else if ctx.mark.(dst + down) = ctx.gen then dst + down
+  else if head >= ctx.tail then -1
+  else begin
+    let cur = ctx.queue.(head) in
+    let climbing = cur land 1 = up in
+    let ids = As_graph.neighbor_ids graph (cur / 2)
+    and rels = As_graph.neighbor_rels graph (cur / 2) in
+    for k = 0 to Array.length ids - 1 do
+      let s = ids.(k) * 2 in
+      match rels.(k) with
+      | Relationship.Customer -> visit ctx (s + down) cur
+      | Provider -> if climbing then visit ctx (s + up) cur
+      | Peer -> if climbing then visit ctx (s + down) cur
+    done;
+    drain ctx graph dst (head + 1)
+  end
+
+let policy_path ctx graph ~src ~dst ~avoiding =
   if Asn.Set.mem src avoiding || Asn.Set.mem dst avoiding then None
   else if Asn.equal src dst then Some [ src ]
   else begin
-    let start = state src up in
-    let pred = Int_tbl.create 64 in
-    Int_tbl.replace pred start start;
-    let queue = Queue.create () in
-    Queue.push start queue;
-    let found = ref (-1) in
-    let current = ref start in
-    let visit next next_phase =
-      let s = state next next_phase in
-      if (not (Int_tbl.mem pred s)) && not (Asn.Set.mem next avoiding) then begin
-        Int_tbl.replace pred s !current;
-        if Asn.equal next dst then found := s else Queue.push s queue
-      end
-    in
-    let step next (rel : Relationship.t) =
-      match rel with
-      | Customer -> visit next down
-      | Provider -> if !current land 1 = up then visit next up
-      | Peer -> if !current land 1 = up then visit next down
-    in
-    while !found < 0 && not (Queue.is_empty queue) do
-      current := Queue.pop queue;
-      As_graph.iter_neighbors graph (asn_of !current) step
-    done;
-    if !found < 0 then None
+    let start = As_graph.id graph src * 2 in
+    if not (As_graph.mem graph dst) then None
     else begin
-      let rec unwind acc s =
-        let prev = Int_tbl.find pred s in
-        if Int.equal prev s then asn_of s :: acc else unwind (asn_of s :: acc) prev
-      in
-      Some (unwind [] !found)
+      let states = 2 * As_graph.as_count graph in
+      if Array.length ctx.mark < states then begin
+        ctx.mark <- Array.make states 0;
+        ctx.pred <- Array.make states 0;
+        ctx.queue <- Array.make states 0;
+        ctx.gen <- 0
+      end;
+      ctx.gen <- ctx.gen + 1;
+      (* An avoided AS is never entered: both its states start reached. *)
+      Asn.Set.iter
+        (fun a ->
+          if As_graph.mem graph a then begin
+            let s = As_graph.id graph a * 2 in
+            ctx.mark.(s + up) <- ctx.gen;
+            ctx.mark.(s + down) <- ctx.gen
+          end)
+        avoiding;
+      ctx.mark.(start) <- ctx.gen;
+      ctx.pred.(start) <- start;
+      ctx.queue.(0) <- start;
+      ctx.tail <- 1;
+      let found = drain ctx graph (As_graph.id graph dst * 2) 0 in
+      if found < 0 then None
+      else begin
+        let rec unwind acc s =
+          let acc = As_graph.asn_of_id graph (s / 2) :: acc in
+          let prev = ctx.pred.(s) in
+          if Int.equal prev s then acc else unwind acc prev
+        in
+        Some (unwind [] found)
+      end
     end
   end
 
-let policy_path graph ~src ~dst ~avoiding = search graph ~src ~dst ~avoiding
-let policy_reachable graph ~src ~dst ~avoiding =
-  Option.is_some (search graph ~src ~dst ~avoiding)
+let policy_reachable ctx graph ~src ~dst ~avoiding =
+  Option.is_some (policy_path ctx graph ~src ~dst ~avoiding)
 
 module Tuples = struct
   (* Keys are (a,b,c) triples of raw ASN ints, stored in both orientations

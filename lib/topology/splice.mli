@@ -20,16 +20,31 @@ val valley_free : As_graph.t -> Asn.t list -> bool
     segments, at most one peering edge, then downhill. Unknown links make
     the path invalid. *)
 
-val policy_reachable : As_graph.t -> src:Asn.t -> dst:Asn.t -> avoiding:Asn.Set.t -> bool
+type context
+(** The scratch arrays of the valley-free search, indexed by the graph's
+    dense AS ids ({!As_graph.id}) and grown to the graph on first use.
+    A caller that asks many questions (one plan build, one decision)
+    makes one context and passes it to each; answers never depend on it.
+    A context is mutable: it must not be shared between domains, so it
+    is neither module-level nor stored in a graph, which views share. *)
+
+val context : unit -> context
+
+val policy_reachable :
+  context -> As_graph.t -> src:Asn.t -> dst:Asn.t -> avoiding:Asn.Set.t -> bool
 (** Is there a valley-free path from [src] to [dst] that touches no AS in
     [avoiding]? Implemented as a two-phase BFS ("still allowed to go up"
     vs. "now strictly downhill"), linear in the number of links. [src] or
     [dst] being in [avoiding] yields [false]; [src = dst] yields [true]
-    (when not avoided). *)
+    (when not avoided); otherwise an unknown [src] raises
+    [Invalid_argument] and an unknown [dst] yields [false]. *)
 
-val policy_path : As_graph.t -> src:Asn.t -> dst:Asn.t -> avoiding:Asn.Set.t -> Asn.t list option
+val policy_path :
+  context -> As_graph.t -> src:Asn.t -> dst:Asn.t -> avoiding:Asn.Set.t -> Asn.t list option
 (** Like {!policy_reachable} but materializes a shortest such path
-    (source first). *)
+    (source first). Of several shortest paths it returns the one the
+    BFS reaches first, expanding states in FIFO order and each AS's
+    neighbours in ascending ASN order. *)
 
 (** The three-tuple export-policy test over a corpus of observed paths. *)
 module Tuples : sig

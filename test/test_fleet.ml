@@ -34,6 +34,39 @@ let test_budget_scheduler () =
   Alcotest.(check string) "capture is the global bucket" "bucket global 0x0p+0 0x1p+0 11 5\n"
     (Fleet.Budget.capture s)
 
+(* The snapshot digest reads [capture], so its bytes are pinned over a
+   run of fractional refills, denials, a zero cost, a clock that steps
+   back and a refill capped at the burst. The expected lines were
+   captured from the bucket before its level moved into a float-only
+   record. *)
+let test_budget_capture_pin () =
+  let s = Fleet.Budget.scheduler ~global:(Fleet.Budget.create ~rate:0.3 ~burst:2.5 ()) () in
+  let step (now, cost) =
+    let ok = Fleet.Budget.admit_vp s ~vp:(Asn.of_int 7) ~now ~cost in
+    Printf.sprintf "%b %s" ok (Fleet.Budget.capture s)
+  in
+  Alcotest.(check (list string)) "captures"
+    [
+      "true bucket global 0x1.8p+0 0x0p+0 1 0\n";
+      "false bucket global 0x1.8p+0 0x0p+0 1 2\n";
+      "true bucket global 0x1.35c28f5c28f5cp-1 0x1.6666666666666p-2 2 2\n";
+      "true bucket global 0x1.47ae147ae148p-7 0x1.b333333333333p+0 3 2\n";
+      "false bucket global 0x1.e666666666666p-2 0x1.ap+1 3 4\n";
+      "true bucket global 0x1.e666666666666p-2 0x1.ap+1 3 4\n";
+      "false bucket global 0x1.e666666666666p-2 0x1.ap+1 3 5\n";
+      "false bucket global 0x1.4p+1 0x1.4333333333333p+3 3 8\n";
+      "true bucket global 0x1.8p+0 0x1.4333333333333p+3 4 8\n";
+      "true bucket global 0x1.35c28f5c28f5cp-1 0x1.4e66666666666p+3 5 8\n";
+      "true bucket global 0x1p-1 0x1.9p+8 7 8\n";
+      "false bucket global 0x1.2e147ae147bp-1 0x1.904cccccccccdp+8 7 11\n";
+      "true bucket global 0x1.1eb851eb85p-4 0x1.91e6666666666p+8 8 11\n";
+    ]
+    (List.map step
+       [
+         (0.0, 1); (0.0, 2); (0.35, 1); (1.7, 1); (3.25, 2); (3.25, 0); (2.0, 1); (10.1, 3);
+         (10.1, 1); (10.45, 1); (400.0, 2); (400.3, 3); (401.9, 1);
+       ])
+
 let test_budget_validation () =
   let raises f = Alcotest.(check bool) "rejects" true (try ignore (f ()); false with Invalid_argument _ -> true) in
   raises (fun () -> Fleet.Budget.create ~rate:(-1.0) ~burst:10.0 ());
@@ -327,6 +360,7 @@ let suite =
     Alcotest.test_case "budget: token bucket" `Quick test_budget_bucket;
     Alcotest.test_case "budget: scheduler is the global bucket" `Quick test_budget_scheduler;
     Alcotest.test_case "budget: validation" `Quick test_budget_validation;
+    Alcotest.test_case "budget: capture bytes pinned" `Quick test_budget_capture_pin;
     Alcotest.test_case "chaos: deterministic coins" `Quick test_chaos_determinism;
     Alcotest.test_case "chaos: VP crash/recover" `Quick test_chaos_vp_crashes;
     Alcotest.test_case "chaos: validation" `Quick test_chaos_validation;

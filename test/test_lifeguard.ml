@@ -103,12 +103,13 @@ let test_decide_gates () =
 
 let test_alternate_path_exists () =
   let w, _, _, _ = lifeguard_world () in
+  let search = Topology.Splice.context () in
   Alcotest.(check bool) "E can avoid A" true
-    (Lifeguard.Decide.alternate_path_exists w.graph ~src:e ~origin:o ~avoid:a);
+    (Lifeguard.Decide.alternate_path_exists search w.graph ~src:e ~origin:o ~avoid:a);
   Alcotest.(check bool) "F cannot avoid A" false
-    (Lifeguard.Decide.alternate_path_exists w.graph ~src:f ~origin:o ~avoid:a);
+    (Lifeguard.Decide.alternate_path_exists search w.graph ~src:f ~origin:o ~avoid:a);
   Alcotest.(check bool) "nobody avoids B (sole provider)" false
-    (Lifeguard.Decide.alternate_path_exists w.graph ~src:e ~origin:o ~avoid:b)
+    (Lifeguard.Decide.alternate_path_exists search w.graph ~src:e ~origin:o ~avoid:b)
 
 let test_plan_validation () =
   let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
@@ -297,10 +298,10 @@ let test_orchestrator_isolation_retries () =
        (function _, Lifeguard.Orchestrator.Diagnosed _ -> true | _ -> false)
        events);
   (match Lifeguard.Orchestrator.outcomes orc with
-  | [ (_, target, Lifeguard.Orchestrator.Gave_up_on reason) ] ->
+  | [ (_, { Recover.Record.target; kind = Gave_up; reason }) ] ->
       Alcotest.(check int) "target" (Asn.to_int e) (Asn.to_int target);
       Alcotest.(check string) "terminal give-up" "isolation retry budget exhausted" reason
-  | _ -> Alcotest.fail "expected exactly one Gave_up_on outcome");
+  | _ -> Alcotest.fail "expected exactly one Gave_up outcome");
   Alcotest.(check int) "no pipeline left" 0 (Lifeguard.Orchestrator.active_pipelines orc)
 
 (* Two overlapping outages on disjoint prefixes: one reverse failure at A
@@ -374,14 +375,14 @@ let test_orchestrator_reentrancy () =
   let outcomes = Lifeguard.Orchestrator.outcomes orc in
   let outcome_of target =
     List.find_map
-      (fun (_, t', oc) -> if Asn.equal t' target then Some oc else None)
+      (fun (_, o) -> if Asn.equal o.Recover.Record.target target then Some o.kind else None)
       outcomes
   in
   (match outcome_of e with
-  | Some Lifeguard.Orchestrator.Repaired -> ()
+  | Some Recover.Record.Repaired -> ()
   | _ -> Alcotest.fail "expected E repaired");
   (match outcome_of f with
-  | Some (Lifeguard.Orchestrator.Stood_down _) -> ()
+  | Some Recover.Record.Stood_down -> ()
   | _ -> Alcotest.fail "expected F stood down");
   check_path "E back on the short path" [ 30; 20; 10; 10; 10 ]
     (path_of_best (Bgp.Network.best_route w.net e production))
@@ -473,8 +474,8 @@ let test_orchestrator_queue_not_dropped () =
   Alcotest.(check int) "every outage reached a terminal outcome" 3 (List.length outcomes);
   let repaired =
     List.filter
-      (fun (_, _, oc) ->
-        match oc with Lifeguard.Orchestrator.Repaired -> true | _ -> false)
+      (fun (_, o) ->
+        match o.Recover.Record.kind with Recover.Record.Repaired -> true | _ -> false)
       outcomes
   in
   Alcotest.(check int) "round 1 and the announced round-2 poison repaired" 2
@@ -548,7 +549,7 @@ let test_watchdog_reannounce_after_lost_poison () =
   Alcotest.(check bool) "breaker never opened" false
     (Lifeguard.Orchestrator.breaker_open orc ~target:a);
   (match Lifeguard.Orchestrator.outcomes orc with
-  | [ (_, t', Lifeguard.Orchestrator.Repaired) ] ->
+  | [ (_, { Recover.Record.target = t'; kind = Repaired; _ }) ] ->
       Alcotest.(check int) "E repaired" 60 (Asn.to_int t')
   | _ -> Alcotest.fail "expected exactly one Repaired outcome")
 
@@ -591,10 +592,10 @@ let test_watchdog_rollback_and_breaker () =
   let outcomes = Lifeguard.Orchestrator.outcomes orc in
   Alcotest.(check bool) "terminal outcomes recorded" true (List.length outcomes >= 1);
   List.iter
-    (fun (_, _, oc) ->
-      match oc with
-      | Lifeguard.Orchestrator.Gave_up_on _ -> ()
-      | Lifeguard.Orchestrator.Repaired | Lifeguard.Orchestrator.Stood_down _ ->
+    (fun (_, o) ->
+      match o.Recover.Record.kind with
+      | Recover.Record.Gave_up -> ()
+      | Recover.Record.Repaired | Recover.Record.Stood_down ->
           Alcotest.fail "expected give-ups only")
     outcomes
 
@@ -627,7 +628,7 @@ let test_watchdog_session_reset_resync () =
     (Lifeguard.Orchestrator.state orc = Lifeguard.Orchestrator.Idle);
   Alcotest.(check int) "no rollback" 0 (Lifeguard.Orchestrator.rollback_count orc);
   (match Lifeguard.Orchestrator.outcomes orc with
-  | [ (_, _, Lifeguard.Orchestrator.Repaired) ] -> ()
+  | [ (_, { Recover.Record.kind = Repaired; _ }) ] -> ()
   | _ -> Alcotest.fail "expected exactly one Repaired outcome")
 
 let suite =

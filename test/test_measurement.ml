@@ -128,6 +128,51 @@ let test_responsiveness_db () =
   Alcotest.(check bool) "never answered: silence expected" false
     (Measurement.Responsiveness.expect_response db ip3)
 
+(* Two monitors note one address in one responsiveness database, each
+   skipping the notes its own last note makes moot. Scripted losses
+   decide every pair; after every round the database must expect a
+   response exactly when a database fed every pair does. *)
+let test_monitor_notes_match_every_pair () =
+  let interval = Measurement.Monitor.interval in
+  let falls = ref 0 and sampled = ref 0 in
+  for seed = 1 to 25 do
+    let w = ready_world () in
+    let db = Measurement.Responsiveness.create ()
+    and every_pair = Measurement.Responsiveness.create () in
+    let target = addr w e in
+    let rng = Prng.create ~seed in
+    (* Mostly failures at first, so the entry sits at "never answered"
+       for a while before a success moves it. *)
+    let scripted () =
+      let pairs = ref 0 in
+      fun () ->
+        incr pairs;
+        incr sampled;
+        let answered = Prng.bernoulli rng ~p:(if !pairs <= 3 then 0.1 else 0.4) in
+        Measurement.Responsiveness.note every_pair target answered;
+        not answered
+    in
+    let start monitor_loss =
+      ignore
+        (Measurement.Monitor.create ~env:w.probe ~engine:w.engine ~responsiveness:db
+           ~loss:monitor_loss ~vp:o ~targets:[ target ] ())
+    in
+    start (scripted ());
+    start (scripted ());
+    let t0 = Sim.Engine.now w.engine in
+    for round = 1 to 10 do
+      Sim.Engine.run ~until:(t0 +. (float_of_int round *. interval) +. 1.0) w.engine;
+      let expected = Measurement.Responsiveness.expect_response every_pair target in
+      if not expected then incr falls;
+      Alcotest.(check bool)
+        (Printf.sprintf "seed %d round %d" seed round)
+        expected
+        (Measurement.Responsiveness.expect_response db target)
+    done
+  done;
+  Alcotest.(check int) "every pair was scripted" (25 * 2 * 10) !sampled;
+  Alcotest.(check bool) "some rounds end at never-answered" true (!falls > 0)
+
 let test_configure_silent_fraction () =
   let g = fig2_graph () in
   let db = Measurement.Responsiveness.create () in
@@ -151,6 +196,8 @@ let suite =
     Alcotest.test_case "monitor detects and recovers" `Quick test_monitor_detects_outage_and_recovery;
     Alcotest.test_case "monitor ignores blips" `Quick test_monitor_threshold_not_crossed_by_blips;
     Alcotest.test_case "responsiveness db" `Quick test_responsiveness_db;
+    Alcotest.test_case "shared address: monitor notes = every pair" `Quick
+      test_monitor_notes_match_every_pair;
     Alcotest.test_case "silent fraction" `Quick test_configure_silent_fraction;
   ]
 

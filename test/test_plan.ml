@@ -271,7 +271,7 @@ let test_demand_plan_oracle () =
    paths around each of those. *)
 let fresh_candidate_blames graph ~origin ~target =
   let mids ~src ~dst ~avoiding =
-    match Topology.Splice.policy_path graph ~src ~dst ~avoiding with
+    match Topology.Splice.(policy_path (context ())) graph ~src ~dst ~avoiding with
     | None -> []
     | Some p -> List.filter (fun a -> not (Asn.equal a origin || Asn.equal a target)) p
   in
@@ -312,7 +312,7 @@ let test_planner_oracle () =
               (List.map Asn.to_int blames);
             let free =
               Option.value ~default:[]
-                (Topology.Splice.policy_path graph ~src:target ~dst:origin
+                (Topology.Splice.(policy_path (context ())) graph ~src:target ~dst:origin
                    ~avoiding:Asn.Set.empty)
             in
             List.iter
@@ -326,7 +326,8 @@ let test_planner_oracle () =
                   }
                 in
                 let fresh =
-                  Topology.Splice.policy_reachable graph ~src:target ~dst:origin
+                  Topology.Splice.(policy_reachable (context ())) graph ~src:target
+                    ~dst:origin
                     ~avoiding:(Asn.Set.singleton blamed)
                 in
                 if fresh then incr feasible else incr infeasible;

@@ -98,14 +98,16 @@ let test_valley_free () =
 let test_policy_reachable () =
   let g = small_graph () in
   let reachable ?(avoiding = []) src dst =
-    Splice.policy_reachable g ~src:(asn src) ~dst:(asn dst)
+    Splice.policy_reachable (Splice.context ()) g ~src:(asn src) ~dst:(asn dst)
       ~avoiding:(Asn.Set.of_list (List.map asn avoiding))
   in
   Alcotest.(check bool) "across the peering" true (reachable 1 6);
   Alcotest.(check bool) "self" true (reachable 1 1);
   Alcotest.(check bool) "avoiding the only transit fails" false (reachable 1 6 ~avoiding:[ 3 ]);
   Alcotest.(check bool) "avoiding an endpoint fails" false (reachable 1 6 ~avoiding:[ 6 ]);
-  match Splice.policy_path g ~src:(asn 1) ~dst:(asn 6) ~avoiding:Asn.Set.empty with
+  match
+    Splice.policy_path (Splice.context ()) g ~src:(asn 1) ~dst:(asn 6) ~avoiding:Asn.Set.empty
+  with
   | Some p -> Alcotest.(check (list int)) "path materializes" [ 1; 2; 3; 4; 5; 6 ] (List.map Asn.to_int p)
   | None -> Alcotest.fail "no path found"
 
@@ -122,10 +124,11 @@ let test_policy_respects_valley () =
   As_graph.add_link g ~a:(asn 1) ~b:(asn 2) ~rel:Relationship.Provider;
   As_graph.add_link g ~a:(asn 3) ~b:(asn 2) ~rel:Relationship.Provider;
   As_graph.add_link g ~a:(asn 3) ~b:(asn 4) ~rel:Relationship.Provider;
+  let search = Splice.context () in
   Alcotest.(check bool) "valley path rejected" false
-    (Splice.policy_reachable g ~src:(asn 1) ~dst:(asn 4) ~avoiding:Asn.Set.empty);
+    (Splice.policy_reachable search g ~src:(asn 1) ~dst:(asn 4) ~avoiding:Asn.Set.empty);
   Alcotest.(check bool) "but 1 reaches 3" true
-    (Splice.policy_reachable g ~src:(asn 1) ~dst:(asn 3) ~avoiding:Asn.Set.empty)
+    (Splice.policy_reachable search g ~src:(asn 1) ~dst:(asn 3) ~avoiding:Asn.Set.empty)
 
 let test_tuples_and_splice () =
   let p ns = List.map asn ns in
@@ -175,7 +178,7 @@ let test_generator_structure () =
       Alcotest.(check bool)
         (Printf.sprintf "%s reaches tier-1" (Asn.to_string a))
         true
-        (Splice.policy_reachable g ~src:a ~dst:a_tier1 ~avoiding:Asn.Set.empty))
+        (Splice.policy_reachable (Splice.context ()) g ~src:a ~dst:a_tier1 ~avoiding:Asn.Set.empty))
     (As_graph.as_list g)
 
 let test_generator_determinism () =
@@ -235,6 +238,7 @@ let test_generator_digests () =
    before the search stopped allocating per query, so a change to that
    tie-breaking fails here. *)
 let policy_path_digest g =
+  let search = Splice.context () in
   let ases = Array.of_list (As_graph.as_list g) in
   let n = Array.length ases in
   let b = Buffer.create (1 lsl 20) in
@@ -248,7 +252,7 @@ let policy_path_digest g =
     (fun i src ->
       Array.iteri
         (fun j dst ->
-          let free = Splice.policy_path g ~src ~dst ~avoiding:Asn.Set.empty in
+          let free = Splice.policy_path search g ~src ~dst ~avoiding:Asn.Set.empty in
           let avoid =
             match free with
             | Some p when List.length p >= 3 -> List.nth p (List.length p / 2)
@@ -256,7 +260,7 @@ let policy_path_digest g =
           in
           Buffer.add_string b (Printf.sprintf "%d>%d/%d:" i j (Asn.to_int avoid));
           add_path free;
-          add_path (Splice.policy_path g ~src ~dst ~avoiding:(Asn.Set.singleton avoid));
+          add_path (Splice.policy_path search g ~src ~dst ~avoiding:(Asn.Set.singleton avoid));
           Buffer.add_char b '\n')
         ases)
     ases;
@@ -266,12 +270,16 @@ let test_policy_path_digest () =
   let g = (Topo_gen.generate ~params:(Topo_gen.sized 150) ~seed:42 ()).Topo_gen.graph in
   List.iter
     (fun a ->
-      let seen = ref [] in
-      As_graph.iter_neighbors g a (fun n rel -> seen := (n, rel) :: !seen);
+      let i = As_graph.id g a in
+      let dense =
+        List.combine
+          (Array.to_list (Array.map (As_graph.asn_of_id g) (As_graph.neighbor_ids g i)))
+          (Array.to_list (As_graph.neighbor_rels g i))
+      in
       Alcotest.(check bool)
-        (Printf.sprintf "iter_neighbors %s = neighbors" (Asn.to_string a))
+        (Printf.sprintf "dense adjacency of %s = neighbors" (Asn.to_string a))
         true
-        (List.rev !seen = As_graph.neighbors g a))
+        (Asn.equal (As_graph.asn_of_id g i) a && dense = As_graph.neighbors g a))
     (As_graph.as_list g);
   Alcotest.(check string) "all-pairs policy_path digest" "90515e6ac94efc6fb4df3e630cf39526"
     (policy_path_digest g)
@@ -332,7 +340,10 @@ let prop_policy_path_shortest =
       let avoiding =
         Asn.Set.of_list (List.init (Prng.int rng 3) (fun _ -> Prng.pick rng all))
       in
-      match (Splice.policy_path g ~src ~dst ~avoiding, relaxed_distance g ~src ~dst ~avoiding) with
+      match
+        ( Splice.policy_path (Splice.context ()) g ~src ~dst ~avoiding,
+          relaxed_distance g ~src ~dst ~avoiding )
+      with
       | None, None -> true
       | Some path, Some d ->
           Asn.equal (List.hd path) src
@@ -341,6 +352,153 @@ let prop_policy_path_shortest =
           && Splice.valley_free g path
           && List.length path - 1 = d
       | Some _, None | None, Some _ -> false)
+
+(* A random Gao–Rexford graph: up to 25 ASes with scattered ASNs, added
+   in a random order so that dense ids do not follow ASN order, each with
+   a rank. An AS may buy transit from a higher-ranked one and peer with
+   an equal-ranked one. The links are added in a random order, each from
+   a random end. Returns the graph, its ASNs and its link count. *)
+let random_gao_rexford rng =
+  let n = 1 + Prng.int rng 25 in
+  let asns = Array.init n (fun i -> asn (1 + (i * 7) + Prng.int rng 7)) in
+  Prng.shuffle rng asns;
+  let g = As_graph.create () in
+  Array.iter (fun a -> As_graph.add_as g a) asns;
+  let rank = Array.map (fun _ -> Prng.int rng 3) asns in
+  let links = ref [] in
+  for i = 0 to n - 1 do
+    for j = i + 1 to n - 1 do
+      if Prng.bernoulli rng ~p:0.3 then
+        let rel : Relationship.t =
+          if rank.(i) < rank.(j) then Provider
+          else if rank.(i) > rank.(j) then Customer
+          else Peer
+        in
+        links := (asns.(i), asns.(j), rel) :: !links
+    done
+  done;
+  let links = Array.of_list !links in
+  Prng.shuffle rng links;
+  Array.iter
+    (fun (a, b, rel) ->
+      if Prng.bernoulli rng ~p:0.5 then As_graph.add_link g ~a ~b ~rel
+      else As_graph.add_link g ~a:b ~b:a ~rel:(Relationship.invert rel))
+    links;
+  (g, asns, Array.length links)
+
+(* The valley-free search written plainly over [As_graph.neighbors]
+   lists: a FIFO of (AS, may climb) states, each AS's neighbours in list
+   order, a table of predecessors, and the first state reached at [dst]
+   ends it. *)
+let reference_path g ~src ~dst ~avoiding =
+  if Asn.Set.mem src avoiding || Asn.Set.mem dst avoiding then None
+  else if Asn.equal src dst then Some [ src ]
+  else begin
+    let start = (Asn.to_int src, true) in
+    let pred = Hashtbl.create 64 in
+    Hashtbl.replace pred start start;
+    let queue = Queue.create () in
+    Queue.push start queue;
+    let found = ref None in
+    while Option.is_none !found && not (Queue.is_empty queue) do
+      let ((a, climbing) as cur) = Queue.pop queue in
+      List.iter
+        (fun (n, (rel : Relationship.t)) ->
+          let next =
+            match rel with
+            | Customer -> Some false
+            | Provider -> if climbing then Some true else None
+            | Peer -> if climbing then Some false else None
+          in
+          match next with
+          | Some c when Option.is_none !found ->
+              let s = (Asn.to_int n, c) in
+              if (not (Hashtbl.mem pred s)) && not (Asn.Set.mem n avoiding) then begin
+                Hashtbl.replace pred s cur;
+                if Asn.equal n dst then found := Some s else Queue.push s queue
+              end
+          | _ -> ())
+        (As_graph.neighbors g (asn a))
+    done;
+    let rec unwind acc s =
+      let prev = Hashtbl.find pred s in
+      let acc = asn (fst s) :: acc in
+      if prev = s then acc else unwind acc prev
+    in
+    Option.map (unwind []) !found
+  end
+
+let prop_dense_adjacency =
+  QCheck.Test.make ~name:"adjacency: ascending, inverted on the far side, degree = links"
+    ~count:200 QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let g, asns, links = random_gao_rexford (Prng.create ~seed) in
+      let raises f = try ignore (f ()); false with Invalid_argument _ -> true in
+      let unknown = asn 9999 in
+      let ascending l =
+        let rec go = function
+          | a :: (b :: _ as rest) -> Asn.compare a b < 0 && go rest
+          | [] | [ _ ] -> true
+        in
+        go (List.map fst l)
+      in
+      Array.for_all
+        (fun a ->
+          let nbrs = As_graph.neighbors g a in
+          ascending nbrs
+          && As_graph.degree g a = List.length nbrs
+          && List.for_all
+               (fun (n, rel) ->
+                 As_graph.relationship g ~a ~b:n = Some rel
+                 && As_graph.relationship g ~a:n ~b:a = Some (Relationship.invert rel))
+               nbrs)
+        asns
+      && Array.fold_left (fun acc a -> acc + As_graph.degree g a) 0 asns = 2 * links
+      && raises (fun () -> As_graph.neighbors g unknown)
+      && raises (fun () -> As_graph.degree g unknown)
+      && raises (fun () -> As_graph.id g unknown)
+      && As_graph.relationship g ~a:unknown ~b:asns.(0) = None)
+
+(* One context serves every case, whatever the graph's size, so a stale
+   mark from an earlier, larger or smaller graph would show here. *)
+let shared_search = Splice.context ()
+
+let prop_policy_path_reference =
+  QCheck.Test.make ~name:"policy_path and policy_reachable = a reference BFS" ~count:200
+    QCheck.(int_range 0 100_000)
+    (fun seed ->
+      let rng = Prng.create ~seed in
+      let g, asns, _ = random_gao_rexford rng in
+      let query () =
+        let src = Prng.pick rng asns in
+        let dst = if Prng.bernoulli rng ~p:0.1 then src else Prng.pick rng asns in
+        (* Random avoided ASes: sometimes an endpoint, sometimes an AS
+           the graph does not have. *)
+        let avoiding =
+          Asn.Set.of_list
+            (List.init (Prng.int rng 4) (fun _ ->
+                 match Prng.int rng 6 with
+                 | 0 -> src
+                 | 1 -> dst
+                 | 2 -> asn 9999
+                 | _ -> Prng.pick rng asns))
+        in
+        let expected = reference_path g ~src ~dst ~avoiding in
+        Splice.policy_path shared_search g ~src ~dst ~avoiding = expected
+        && Splice.policy_path (Splice.context ()) g ~src ~dst ~avoiding = expected
+        && Splice.policy_reachable shared_search g ~src ~dst ~avoiding
+           = Option.is_some expected
+      in
+      let unknown = asn 9999 and known = asns.(0) in
+      List.for_all (fun () -> query ()) (List.init 20 (fun _ -> ()))
+      && Splice.policy_path shared_search g ~src:known ~dst:unknown ~avoiding:Asn.Set.empty
+         = None
+      && (try
+            ignore
+              (Splice.policy_path shared_search g ~src:unknown ~dst:known
+                 ~avoiding:Asn.Set.empty);
+            false
+          with Invalid_argument _ -> true))
 
 let prop_invert_involutive =
   let rel =
@@ -360,8 +518,8 @@ let prop_policy_reachable_symmetric =
       let all = Array.of_list (As_graph.as_list g) in
       let rng = Prng.create ~seed in
       let a = Prng.pick rng all and b = Prng.pick rng all in
-      Splice.policy_reachable g ~src:a ~dst:b ~avoiding:Asn.Set.empty
-      = Splice.policy_reachable g ~src:b ~dst:a ~avoiding:Asn.Set.empty)
+      Splice.policy_reachable (Splice.context ()) g ~src:a ~dst:b ~avoiding:Asn.Set.empty
+      = Splice.policy_reachable (Splice.context ()) g ~src:b ~dst:a ~avoiding:Asn.Set.empty)
 
 let suite =
   [
@@ -380,4 +538,6 @@ let suite =
     QCheck_alcotest.to_alcotest prop_invert_involutive;
     QCheck_alcotest.to_alcotest prop_policy_reachable_symmetric;
     QCheck_alcotest.to_alcotest prop_policy_path_shortest;
+    QCheck_alcotest.to_alcotest prop_dense_adjacency;
+    QCheck_alcotest.to_alcotest prop_policy_path_reference;
   ]

@@ -389,15 +389,15 @@ let test_fork_selective () =
 (* The converged 318-AS paper world (the BGP-Mux baseline the drivers
    fork per trial) stays small: every trial unmarshals it, and a larger
    world is a slower fork and a larger heap. The bound is the size the
-   world reached once each update travelled through its session record
-   and a route no longer kept its import time (202,110 B), plus 5%. *)
+   world reached once the AS graph kept its adjacency in sorted arrays
+   instead of maps (197,625 B), plus 5%. *)
 let test_world_size () =
   let module P = Experiments.Poisoning in
   let mux = P.mux ~ases:318 ~seed:42 () in
   P.converge_baseline mux;
   let bytes = String.length (Template.capture mux :> string) in
-  Alcotest.(check bool) (Printf.sprintf "captured world is %d B, want <= 212215" bytes) true
-    (bytes <= 212_215)
+  Alcotest.(check bool) (Printf.sprintf "captured world is %d B, want <= 207506" bytes) true
+    (bytes <= 207_506)
 
 let prop_durations_deterministic =
   QCheck.Test.make ~name:"outage durations deterministic per seed" ~count:20
