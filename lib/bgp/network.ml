@@ -50,6 +50,10 @@ type shard_state = {
   six : int;
   sengine : Sim.Engine.t;
   sstore : Path_store.t;
+  mutable emitter : Speaker.emitter;
+      (** {!emit} from this shard, built once at {!create}: the one
+          emitter every speaker of the shard is handed, so a delivery
+          builds no closure. *)
   mutable s_bgp_events : int;  (** BGP events queued in this shard's engine *)
   mutable s_delivered : int;
   mutable outbox : boundary_msg list;  (** reversed emission order *)
@@ -62,13 +66,14 @@ type t = {
   speakers : Speaker.t Asn.Table.t;
       (** Control-plane access by ASN; updates travel by session instead. *)
   mrai : float;
-  owners : Asn.t Prefix.Table.t;
   mutable originations : (Asn.t -> As_path.t option) Prefix.Map.t;
       (** Administrative intent: the latest per-neighbor path function
           each originated prefix was announced with. Survives a router
           crash (the config outlives the loc-RIB) so {!reoriginate} can
           re-originate from it. *)
-  owner_trie : Asn.t Prefix_trie.t;
+  owners : Asn.t Prefix_trie.t;
+      (** Each originated prefix's origin: the address-ownership map
+          ({!owner_of_address} is its longest match). *)
   mutable link_faults : (from:Asn.t -> to_:Asn.t -> [ `Deliver | `Drop | `Duplicate ]) option;
   feeds : collector_shard list ref Asn.Table.t;
       (** AS -> the collector slices subscribed to its loc-RIB changes,
@@ -178,12 +183,13 @@ let count_sent = function
   | Speaker.Announce _ -> Obs.Metrics.incr m_announce_sent
   | Speaker.Withdraw _ -> Obs.Metrics.incr m_withdraw_sent
 
-(* The delivery/emission knot. An update travels as the sender's
-   session [s]: the receiver is [s.peer] and the update arrives on its
-   session [s.back], so a delivery looks nothing up. [sh] is always the
-   shard owning the acting speaker: the receiver's for [deliver], the
-   sender's [sp] for [emit] and after. *)
-let rec deliver t sh (s : Speaker.session) action =
+(* Delivery and emission. An update travels as the sender's session
+   [s]: the receiver is [s.peer] and the update arrives on its session
+   [s.back], so a delivery looks nothing up. [sh] is always the shard
+   owning the acting speaker: the receiver's for [deliver], whose
+   updates go out through that shard's emitter (which is [emit]), and
+   the sender's [sp] for [emit] and after. *)
+let deliver sh (s : Speaker.session) action =
   sh.s_delivered <- sh.s_delivered + 1;
   let now = Sim.Engine.now sh.sengine in
   Obs.Metrics.incr m_delivered;
@@ -202,18 +208,9 @@ let rec deliver t sh (s : Speaker.session) action =
         ("kind", Obs.Trace.Str kind);
       ]
   end;
-  emit_all t sh receiver (Speaker.receive receiver ~now ~session:s.back action)
+  Speaker.receive receiver ~emit:sh.emitter ~now ~session:s.back action
 
-and emit_all t sh sp out =
-  match out with [] -> () | _ -> emit_each t sh sp (Speaker.sessions sp) out
-
-and emit_each t sh sp sessions = function
-  | [] -> ()
-  | (ix, action) :: rest ->
-      emit t sh sp sessions.(ix) action;
-      emit_each t sh sp sessions rest
-
-and emit t sh sp s action =
+let rec emit t sh sp (s : Speaker.session) action =
   let now = Sim.Engine.now sh.sengine in
   let last_sent = Speaker.last_sent sp in
   let last = last_sent.(s.ix) and mrai = jittered_mrai t (Speaker.asn sp) s.asn in
@@ -285,21 +282,21 @@ and send t sh sp (s : Speaker.session) batch n =
   let kept = !kept and copies = Array.of_list (List.rev !dups) in
   match t.barrier with
   | None ->
-      if kept > 0 then schedule_batch t sh s batch kept ~delay;
+      if kept > 0 then schedule_batch sh s batch kept ~delay;
       if Array.length copies > 0 then
-        schedule_batch t sh s copies (Array.length copies) ~delay:(delay *. 1.5)
+        schedule_batch sh s copies (Array.length copies) ~delay:(delay *. 1.5)
   | Some _ ->
       for i = 0 to kept - 1 do
         wire t sh sp s batch.(i) ~delay
       done;
       Array.iter (fun action -> wire t sh sp s action ~delay:(delay *. 1.5)) copies
 
-and schedule_batch t sh s batch n ~delay =
+and schedule_batch sh s batch n ~delay =
   sh.s_bgp_events <- sh.s_bgp_events + n;
   Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
       for i = 0 to n - 1 do
         sh.s_bgp_events <- sh.s_bgp_events - 1;
-        deliver t sh s batch.(i)
+        deliver sh s batch.(i)
       done)
 
 (* One update sent as soon as it is emitted: {!send} for a batch of one,
@@ -329,7 +326,7 @@ and wire t sh sp s action ~delay =
       sh.s_bgp_events <- sh.s_bgp_events + 1;
       Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
           sh.s_bgp_events <- sh.s_bgp_events - 1;
-          deliver t sh s action)
+          deliver sh s action)
   | Some _ ->
       sh.outbox <-
         {
@@ -353,7 +350,7 @@ let inject_boundary t msg =
   sh.s_bgp_events <- sh.s_bgp_events + 1;
   Sim.Engine.schedule sh.sengine ~at:msg.b_arrival (fun () ->
       sh.s_bgp_events <- sh.s_bgp_events - 1;
-      deliver t sh msg.b_session msg.b_action)
+      deliver sh msg.b_session msg.b_action)
 
 (* Record a loc-RIB change of [asn] in each collector slice subscribed
    to it: count it, and log it only where a reader started the log. The
@@ -380,6 +377,7 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
       six;
       sengine;
       sstore;
+      emitter = (fun _ _ _ -> ());
       s_bgp_events = 0;
       s_delivered = 0;
       outbox = [];
@@ -422,9 +420,8 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
       graph;
       speakers;
       mrai;
-      owners = Prefix.Table.create 16;
       originations = Prefix.Map.empty;
-      owner_trie = Prefix_trie.create ();
+      owners = Prefix_trie.create ();
       link_faults = None;
       feeds = Asn.Table.create 256;
       shards = shard_states;
@@ -434,6 +431,7 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
       changes;
     }
   in
+  Array.iter (fun sh -> sh.emitter <- (fun sp s action -> emit t sh sp s action)) t.shards;
   (match shard_count with
   | None -> ()
   | Some _ ->
@@ -497,8 +495,7 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
           sh.s_bgp_events <- sh.s_bgp_events + 1;
           Sim.Engine.schedule_after sh.sengine ~delay (fun () ->
               sh.s_bgp_events <- sh.s_bgp_events - 1;
-              let out = Speaker.reevaluate sp ~now:(Sim.Engine.now sh.sengine) prefix in
-              emit_all t sh sp out));
+              Speaker.reevaluate sp ~emit:sh.emitter ~now:(Sim.Engine.now sh.sengine) prefix));
       if fib_install_delay > 0.0 then begin
         (* The data plane trails the control plane by a deterministic
            per-AS RIB-to-FIB install latency. *)
@@ -512,8 +509,8 @@ let create ~engine ~graph ?config_of ?(mrai = 30.0)
     speakers;
   t
 
-(* Send what a control-plane call made [sp] say, from its own shard. *)
-let emit_from t sp out = emit_all t (shard_for t (Speaker.asn sp)) sp out
+(* The emitter of [sp]'s own shard, for a control-plane call to [sp]. *)
+let emitter_of t sp = (shard_for t (Speaker.asn sp)).emitter
 
 let announce t ~origin ~prefix ?per_neighbor () =
   sync t;
@@ -524,30 +521,28 @@ let announce t ~origin ~prefix ?per_neighbor () =
         let plain = As_path.plain ~origin in
         fun _ -> Some plain
   in
-  Prefix.Table.replace t.owners prefix origin;
+  Prefix_trie.replace t.owners prefix origin;
   t.originations <- Prefix.Map.add prefix per_neighbor t.originations;
-  Prefix_trie.replace t.owner_trie prefix origin;
   let sp = speaker t origin in
-  emit_from t sp (Speaker.originate sp ~now:(Sim.Engine.now t.engine) ~prefix ~per_neighbor);
+  Speaker.originate sp ~emit:(emitter_of t sp) ~now:(Sim.Engine.now t.engine) ~prefix ~per_neighbor;
   poke t
 
 (* lint: allow LG-DEAD-EXPORT (seam: withdrawal tests in test_bgp.ml) *)
 let withdraw t ~origin ~prefix =
   sync t;
-  Prefix.Table.remove t.owners prefix;
+  Prefix_trie.remove t.owners prefix;
   t.originations <- Prefix.Map.remove prefix t.originations;
-  Prefix_trie.remove t.owner_trie prefix;
   let sp = speaker t origin in
-  emit_from t sp (Speaker.stop_originating sp ~now:(Sim.Engine.now t.engine) ~prefix);
+  Speaker.stop_originating sp ~emit:(emitter_of t sp) ~now:(Sim.Engine.now t.engine) ~prefix;
   poke t
 
 let refresh t ~origin ~prefix =
   sync t;
   let sp = speaker t origin in
-  emit_from t sp (Speaker.refresh_prefix sp ~prefix);
+  Speaker.refresh_prefix sp ~emit:(emitter_of t sp) ~prefix;
   poke t
 
-let owner_of_address t ip = Prefix_trie.lookup t.owner_trie ip
+let owner_of_address t ip = Prefix_trie.lookup t.owners ip
 
 let best_route t asn prefix =
   sync t;
@@ -587,20 +582,16 @@ let fail_link t ~a ~b =
   sync t;
   let now = Sim.Engine.now t.engine in
   let sa = speaker t a and sb = speaker t b in
-  let out_a = Speaker.session_down sa ~now ~neighbor:b in
-  let out_b = Speaker.session_down sb ~now ~neighbor:a in
-  emit_from t sa out_a;
-  emit_from t sb out_b;
+  Speaker.session_down sa ~emit:(emitter_of t sa) ~now ~neighbor:b;
+  Speaker.session_down sb ~emit:(emitter_of t sb) ~now ~neighbor:a;
   poke t
 
 let restore_link t ~a ~b =
   sync t;
   let now = Sim.Engine.now t.engine in
   let sa = speaker t a and sb = speaker t b in
-  let out_a = Speaker.session_up sa ~now ~neighbor:b in
-  let out_b = Speaker.session_up sb ~now ~neighbor:a in
-  emit_from t sa out_a;
-  emit_from t sb out_b;
+  Speaker.session_up sa ~emit:(emitter_of t sa) ~now ~neighbor:b;
+  Speaker.session_up sb ~emit:(emitter_of t sb) ~now ~neighbor:a;
   poke t
 
 let fail_node t asn =
@@ -610,7 +601,7 @@ let restore_node t asn =
   List.iter (fun (n, _) -> restore_link t ~a:asn ~b:n) (As_graph.neighbors t.graph asn)
 
 let owned_prefixes t asn =
-  Prefix.Table.fold (fun p o acc -> if Asn.equal o asn then p :: acc else acc) t.owners []
+  Prefix_trie.fold (fun p o acc -> if Asn.equal o asn then p :: acc else acc) t.owners []
   |> List.sort Prefix.compare
 
 (* A crash loses the whole loc-RIB: sessions drop (flushing the adj-RIBs
@@ -624,7 +615,7 @@ let crash_node t asn =
   let sp = speaker t asn in
   let now = Sim.Engine.now t.engine in
   List.iter
-    (fun prefix -> emit_from t sp (Speaker.stop_originating sp ~now ~prefix))
+    (fun prefix -> Speaker.stop_originating sp ~emit:(emitter_of t sp) ~now ~prefix)
     (Speaker.originated sp);
   poke t
 
@@ -635,7 +626,7 @@ let reoriginate t asn =
   List.iter
     (fun prefix ->
       match Prefix.Map.find_opt prefix t.originations with
-      | Some per_neighbor -> emit_from t sp (Speaker.originate sp ~now ~prefix ~per_neighbor)
+      | Some per_neighbor -> Speaker.originate sp ~emit:(emitter_of t sp) ~now ~prefix ~per_neighbor
       | None -> ())
     (owned_prefixes t asn);
   poke t

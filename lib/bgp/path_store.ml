@@ -1,6 +1,6 @@
 open Net
 
-(* Per-world dense prefix ids, and the trie over them.
+(* Per-world dense prefix ids, in one prefix table.
 
    Per-world is load-bearing: lib/par worlds are share-nothing (LG-DOM-MUT
    forbids module-level tables in libraries), so each [Network.create]
@@ -9,12 +9,10 @@ open Net
    no output depends on them. *)
 
 type t = {
-  prefix_ids : int Prefix.Table.t;
-      (* Dense prefix ids, assigned in first-sight order: the table's
-         length is the next id. *)
-  prefix_trie : int Prefix_trie.t;
-      (* The same ids by prefix, for longest-prefix match: one trie per
-         world answers every speaker's FIB lookup. *)
+  prefix_ids : int Prefix_trie.t;
+      (* Dense prefix ids, assigned in first-sight order (the table's
+         length is the next id): the exact match of a prefix's slot, and
+         the longest match every speaker's FIB lookup runs. *)
   mutable ordered : int array;
       (* The ids in [Prefix.compare] order of their prefixes; stale (and
          rebuilt on the next read) once a new prefix has been given an
@@ -23,25 +21,23 @@ type t = {
 
 (* The table starts at the hashtable minimum and grows with the world: a
    fixed large start would be most of a small world's size. *)
-let create () =
-  { prefix_ids = Prefix.Table.create 16; prefix_trie = Prefix_trie.create (); ordered = [||] }
+let create () = { prefix_ids = Prefix_trie.create (); ordered = [||] }
 
 let prefix_id t prefix =
-  match Prefix.Table.find t.prefix_ids prefix with
-  | id -> id
-  | exception Not_found ->
-      let id = Prefix.Table.length t.prefix_ids in
-      Prefix.Table.add t.prefix_ids prefix id;
-      Prefix_trie.replace t.prefix_trie prefix id;
+  match Prefix_trie.find t.prefix_ids prefix with
+  | Some id -> id
+  | None ->
+      let id = Prefix_trie.length t.prefix_ids in
+      Prefix_trie.replace t.prefix_ids prefix id;
       id
 
 let ordered_prefix_ids t =
-  if Array.length t.ordered <> Prefix.Table.length t.prefix_ids then
+  if Array.length t.ordered <> Prefix_trie.length t.prefix_ids then
     t.ordered <-
-      Prefix.Table.fold (fun p id acc -> (p, id) :: acc) t.prefix_ids []
+      Prefix_trie.fold (fun p id acc -> (p, id) :: acc) t.prefix_ids []
       |> List.sort (fun (a, _) (b, _) -> Prefix.compare a b)
       |> List.map snd |> Array.of_list;
   t.ordered
 
-let find_prefix_id t prefix = Prefix.Table.find_opt t.prefix_ids prefix
-let longest_match t ip f s = Prefix_trie.find_longest t.prefix_trie ip f s
+let find_prefix_id t prefix = Prefix_trie.find t.prefix_ids prefix
+let longest_match t ip f s = Prefix_trie.find_longest t.prefix_ids ip f s

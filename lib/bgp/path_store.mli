@@ -1,4 +1,4 @@
-(** A world's dense prefix ids, and the trie over them.
+(** A world's dense prefix ids, in one {!Prefix_trie} table.
 
     One store per simulated world (in sharded mode, per shard):
     {!Network.create} builds it and threads it through every
@@ -33,14 +33,14 @@ val ordered_prefix_ids : t -> int array
     prefixes, instead of sorting its slots. *)
 
 val find_prefix_id : t -> Prefix.t -> int option
-(** The prefix's id if {!prefix_id} has assigned one; assigns nothing. *)
+(** The prefix's id if {!prefix_id} has assigned one; assigns nothing
+    and allocates nothing. *)
 
 val longest_match : t -> Ipv4.t -> ('s -> int -> 'a option) -> 's -> 'a option
-(** [longest_match t ip f s] walks the store's prefixes that cover [ip]
-    from the least to the most specific and returns [f s id] for the
-    deepest one whose [f s id] is not [None]: {!Prefix_trie.find_longest}
-    over a trie from each prefix to its id, filled by {!prefix_id}. A
-    {!Speaker}'s FIB lookup is this walk, with an [f] that reads the
-    speaker's FIB entry in the prefix's slot; it allocates nothing of its
-    own. *)
+(** [longest_match t ip f s] tries the store's prefixes that cover [ip]
+    from the most to the least specific and returns the first [f s id]
+    that is not [None]: {!Prefix_trie.find_longest} over the table from
+    each prefix to its id that {!prefix_id} fills. A {!Speaker}'s FIB
+    lookup is this search, with an [f] that reads the speaker's FIB
+    entry in the prefix's slot; it allocates nothing of its own. *)
 

@@ -49,7 +49,7 @@ let is_local e = e.local_pref = local_pref_local
    below every real entry. *)
 let no_route =
   {
-    ann = { prefix = Prefix.make (Ipv4.of_int32 0l) 0; path = As_path.empty };
+    ann = { prefix = Prefix.make (Ipv4.of_int 0) 0; path = As_path.empty };
     neighbor = Asn.of_int 0;
     rel = Relationship.Provider;
     local_pref = min_int;

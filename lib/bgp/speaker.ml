@@ -36,13 +36,17 @@ type slot = {
   prefix : Prefix.t;
   mutable local : origination option;
   mutable best : Route.entry option;  (** The loc-RIB entry. *)
-  mutable export : Route.announcement option;
-      (** {!best_export} of [best] once something has built it; [None]
-          again whenever [best] is replaced. *)
+  mutable export : action option;
+      (** [Some (Announce a)] with [a] the {!best_export} of [best] once
+          something has built it; [None] again whenever [best] is
+          replaced. Every neighbor's adj-RIB-out cell and every update
+          sent for this best are this one value and its [Announce]. *)
   mutable fib : Route.entry option;
       (** The data-plane entry: [best] once {!install_fib} has caught up. *)
   ins : Route.entry array;  (** Adj-RIB-in: candidate per session. *)
-  outs : Route.announcement option array;  (** Adj-RIB-out: last sent per session. *)
+  outs : action option array;
+      (** Adj-RIB-out: the [Some (Announce _)] last sent per session,
+          [None] when nothing is announced there. *)
   mutable stamp : int;  (** [changes] at [best]'s latest change; [0]: never. *)
 }
 
@@ -65,8 +69,9 @@ and t = {
       (* The world's prefix ids: shared with every other speaker of the
          same [Network] (shard), never across worlds (share-nothing). *)
   mutable sessions : session array;
-      (** By ascending neighbor ASN: the order of every export list, and
-          what {!session}'s binary search relies on. Set by {!connect}. *)
+      (** By ascending neighbor ASN: the order in which one prefix's
+          updates are emitted, and what {!session}'s binary search relies
+          on. Set by {!connect}. *)
   mutable last_sent : float array;
       (** By session: flat, so no session holds a boxed float. *)
   mutable slots : slot array;
@@ -90,6 +95,8 @@ and t = {
 }
 
 and damp_state = { mutable penalty : float; mutable last : float; mutable suppressed : bool }
+
+type emitter = t -> session -> action -> unit
 
 (* A slot with nothing in it, for [k] sessions. *)
 let empty_slot prefix k =
@@ -315,26 +322,46 @@ let compute_best t ~now slot =
             else acc)
           Route.no_route slot.ins
 
-(* The announcement the loc-RIB best goes out as. It is the same toward
-   every neighbor and changes only with [best], so the slot keeps it
-   until [best] is replaced, and every neighbor receives this one value. *)
+(* The loc-RIB best after session [ix]'s adj-RIB-in cell became [cell],
+   without a scan where none is needed. With no local origination and no
+   damping state, [best] is the maximum of the cells (no_route when all
+   are empty), and {!Decision.compare_entries} is a total order over
+   entries from distinct neighbors. So when the cell did not hold the
+   best, the new maximum is the larger of the best and the cell; when it
+   did and its new entry ranks no lower, the new entry is the maximum.
+   Only a best that got worse, a local origination or live damping
+   state (which can make any cell ineligible) needs the full scan. *)
+let decide_after t ~now slot ix cell =
+  if Option.is_some slot.local || damping_pending t then compute_best t ~now slot
+  else begin
+    Obs.Metrics.incr m_decisions;
+    let best = match slot.best with Some b -> b | None -> Route.no_route in
+    if Route.is_route best && Asn.equal best.Route.neighbor t.sessions.(ix).asn then
+      if Decision.compare_entries cell best >= 0 then cell else Decision.best_in_array slot.ins
+    else if Decision.compare_entries cell best > 0 then cell
+    else best
+  end
+
+(* The update the loc-RIB best goes out as. It is the same toward every
+   neighbor and changes only with [best], so the slot keeps it until
+   [best] is replaced, and every neighbor receives this one value. *)
 let best_export t slot entry =
   match slot.export with
   | Some _ as out -> out
   | None ->
-      let out = Some (Policy.export_ann ~self:t.self ~entry) in
+      let out = Some (Announce (Policy.export_ann ~self:t.self ~entry)) in
       slot.export <- out;
       out
 
-(* Desired announcement toward session [s] for the slot's prefix, or
-   None. *)
+(* Desired update toward session [s] for the slot's prefix:
+   [Some (Announce _)], or [None] for nothing. *)
 let desired t s slot =
   if s.down then None
   else begin
     match slot.local with
     | Some { per_neighbor; _ } -> begin
         match per_neighbor s.asn with
-        | Some path -> Some (Route.announcement ~prefix:slot.prefix ~path)
+        | Some path -> Some (Announce (Route.announcement ~prefix:slot.prefix ~path))
         | None -> None
       end
     | None -> begin
@@ -347,25 +374,21 @@ let desired t s slot =
       end
   end
 
-(* Diff desired exports against adj-RIB-out; mutate adj-RIB-out and return
-   the updates to put on the wire, in neighbor order. *)
-let sync_exports t slot =
-  let prefix = slot.prefix in
-  let updates = ref [] in
+(* Diff desired exports against adj-RIB-out, mutate adj-RIB-out and hand
+   each update to [emit] as it is found, in session order. *)
+let sync_exports t ~emit slot =
   for i = 0 to Array.length t.sessions - 1 do
     let s = t.sessions.(i) in
-    let desired = desired t s slot in
-    match (desired, slot.outs.(i)) with
+    match (desired t s slot, slot.outs.(i)) with
     | None, None -> ()
-    | Some d, Some c when Route.announcement_equal d c -> ()
-    | Some d, _ ->
-        slot.outs.(i) <- desired;
-        updates := (i, Announce d) :: !updates
+    | Some (Announce d), Some (Announce c) when Route.announcement_equal d c -> ()
+    | (Some update as out), _ ->
+        slot.outs.(i) <- out;
+        emit t s update
     | None, Some _ ->
         slot.outs.(i) <- None;
-        updates := (i, Withdraw prefix) :: !updates
-  done;
-  List.rev !updates
+        emit t s (Withdraw slot.prefix)
+  done
 
 (* [force_sync] matters when per-neighbor desired exports can move without
    the loc-RIB best changing: an origination change (the local best keeps
@@ -374,9 +397,8 @@ let sync_exports t slot =
    sync whenever the best is unchanged — with an unchanged loc-RIB, every
    desired export is unchanged too, so the old unconditional scan provably
    emitted nothing. *)
-let refresh_best ?(force_sync = false) t ~now slot =
+let commit ~force_sync t ~emit ~now slot e =
   let old_best = slot.best in
-  let e = compute_best t ~now slot in
   let changed =
     match old_best with
     | None -> Route.is_route e
@@ -404,32 +426,38 @@ let refresh_best ?(force_sync = false) t ~now slot =
     | Some f -> f ~now slot.prefix new_best
     | None -> ()
   end;
-  if changed || force_sync then sync_exports t slot else []
+  if changed || force_sync then sync_exports t ~emit slot
 
-let originate t ~now ~prefix ~per_neighbor =
+(* The full decision process over the slot, then {!commit}. *)
+let refresh_best ?(force_sync = false) t ~emit ~now slot =
+  commit ~force_sync t ~emit ~now slot (compute_best t ~now slot)
+
+(* Session [ix]'s adj-RIB-in cell becomes [cell]: store it, decide with
+   {!decide_after} and commit. *)
+let set_cell t ~emit ~now slot ix cell =
+  slot.ins.(ix) <- cell;
+  commit ~force_sync:false t ~emit ~now slot (decide_after t ~now slot ix cell)
+
+let originate t ~emit ~now ~prefix ~per_neighbor =
   let local_ann = Route.announcement ~prefix ~path:(As_path.plain ~origin:t.self) in
   let slot = slot t prefix in
   slot.local <- Some { per_neighbor; local_ann };
-  refresh_best ~force_sync:true t ~now slot
+  refresh_best ~force_sync:true t ~emit ~now slot
 
-let stop_originating t ~now ~prefix =
+let stop_originating t ~emit ~now ~prefix =
   let slot = slot t prefix in
   slot.local <- None;
-  refresh_best ~force_sync:true t ~now slot
+  refresh_best ~force_sync:true t ~emit ~now slot
 
-let receive t ~now ~session action =
+let receive t ~emit ~now ~session action =
   let s = t.sessions.(session) in
   let from = s.asn in
-  if s.down then []
-  else begin
+  if not s.down then begin
     match action with
     | Withdraw prefix ->
         let slot = slot t prefix in
-        if Route.is_route slot.ins.(s.ix) then begin
-          ignore (note_flap t ~now prefix from);
-          slot.ins.(s.ix) <- Route.no_route
-        end;
-        refresh_best t ~now slot
+        if Route.is_route slot.ins.(s.ix) then ignore (note_flap t ~now prefix from);
+        set_cell t ~emit ~now slot s.ix Route.no_route
     | Announce ann -> begin
         let prefix = ann.Route.prefix in
         let slot = slot t prefix in
@@ -442,21 +470,18 @@ let receive t ~now ~session action =
         | Policy.Rejected _ ->
             (* An update that fails import replaces (removes) whatever this
                neighbor previously announced for the prefix. *)
-            slot.ins.(s.ix) <- Route.no_route;
-            refresh_best t ~now slot
+            set_cell t ~emit ~now slot s.ix Route.no_route
         | Policy.Accepted ->
-            slot.ins.(s.ix) <-
-              Route.make_entry ~ann ~neighbor:from ~rel:s.rel
-                ~local_pref:(Policy.local_pref_for t.config ~self:t.self ~neighbor:from ~rel:s.rel)
-                ~tiebreak:(Route.tiebreak_rank ~salt:(Asn.to_int t.self) from);
-            refresh_best t ~now slot
+            set_cell t ~emit ~now slot s.ix
+              (Route.make_entry ~ann ~neighbor:from ~rel:s.rel
+                 ~local_pref:(Policy.local_pref_for t.config ~self:t.self ~neighbor:from ~rel:s.rel)
+                 ~tiebreak:(Route.tiebreak_rank ~salt:(Asn.to_int t.self) from))
       end
   end
 
-let session_down t ~now ~neighbor =
+let session_down t ~emit ~now ~neighbor =
   let s = session t neighbor in
-  if s.down then []
-  else begin
+  if not s.down then begin
     s.down <- true;
     let i = s.ix in
     let affected =
@@ -471,53 +496,52 @@ let session_down t ~now ~neighbor =
           slot.outs.(i) <- None
         end)
       t.slots;
-    List.concat_map (refresh_best t ~now) affected
+    List.iter (refresh_best t ~emit ~now) affected
   end
 
-let session_up t ~now ~neighbor =
+let session_up t ~emit ~now ~neighbor =
   let s = session t neighbor in
-  if not s.down then []
-  else begin
+  if s.down then begin
     s.down <- false;
     let all = sorted_slots t (fun slot -> Option.is_some slot.best || Option.is_some slot.local) in
     if damping_pending t then
       (* With damping state live, re-running the decision process can
          lazily lift suppressions and move bests — keep the full refresh
          so that timing is unchanged. *)
-      List.concat_map (refresh_best ~force_sync:true t ~now) all
+      List.iter (refresh_best ~force_sync:true t ~emit ~now) all
     else
       (* No damping: nothing about the loc-RIB moved while the session was
          down that isn't already in the slots' bests, and session_down
          cleared this neighbor's adj-RIB-out — so the only possible
          updates are announcements of current state toward the revived
          neighbor. Same output, without an all-neighbors sync per prefix. *)
-      List.filter_map
+      List.iter
         (fun slot ->
           match desired t s slot with
-          | Some d as out ->
+          | Some update as out ->
               slot.outs.(s.ix) <- out;
-              Some (s.ix, Announce d)
-          | None -> None)
+              emit t s update
+          | None -> ())
         all
   end
 
-let refresh_prefix t ~prefix =
+let refresh_prefix t ~emit ~prefix =
   (* Forget what was last sent so [sync_exports] re-emits the current
      desired announcement even when it is unchanged: the receiving side
      may have flushed or lost it (session reset, filtered update), which
      the diff against our own adj-RIB-out cannot see. *)
   let slot = slot t prefix in
   Array.iter (fun s -> if not s.down then slot.outs.(s.ix) <- None) t.sessions;
-  sync_exports t slot
+  sync_exports t ~emit slot
 
 let best t prefix = (find_slot t prefix).best
 let change_stamp t prefix = (find_slot t prefix).stamp
 
 (* The FIB is the [fib] field of the slots, found through the world's
-   prefix trie: the match is the most specific prefix covering the
+   prefix table: the match is the most specific prefix covering the
    address whose slot at this speaker holds an entry. The reader below is
    a closed function of (speaker, prefix id) that returns the slot's own
-   box ([vacant]'s is [None]), so a walk allocates nothing but what
+   box ([vacant]'s is [None]), so a search allocates nothing but what
    [fib_lookup] returns. An entry is installed for its own prefix, so
    [fib_lookup] reads the matched prefix off the entry. *)
 let fib_at t id = if id < Array.length t.slots then t.slots.(id).fib else None
@@ -536,7 +560,7 @@ let prefixes t =
 let originated t =
   List.map (fun slot -> slot.prefix) (sorted_slots t (fun slot -> Option.is_some slot.local))
 
-let reevaluate t ~now prefix = refresh_best t ~now (slot t prefix)
+let reevaluate t ~emit ~now prefix = refresh_best t ~emit ~now (slot t prefix)
 
 let suppressed_candidates t prefix =
   match t.damp with

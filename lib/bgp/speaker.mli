@@ -2,13 +2,22 @@
 
     Pure protocol state machine: it holds the adj-RIB-in, loc-RIB, FIB and
     adj-RIB-out for its AS and, given an incoming update or a local
-    origination change, returns the updates that should be sent to
-    neighbors. Delivery timing (link delays, MRAI pacing) is the
-    {!Network}'s job, which keeps this module synchronously testable.
+    origination change, hands each update it decides to send to an
+    {!emitter} at once: no list of updates is built. Delivery timing (link
+    delays, MRAI pacing) is the {!Network}'s job, which keeps this module
+    synchronously testable: a test's emitter just collects the updates.
 
     Each directed session is one {!session} record at its sender. An
-    update a speaker returns names its session by index, and the network
-    delivers it by pointer, as [receive s.peer ~session:s.back].
+    update goes out with its session, and the network delivers it by
+    pointer, as [receive s.peer ~session:s.back].
+
+    The decision process is incremental on the receive path: the new best
+    is the larger of the old best and the changed adj-RIB-in cell, and
+    the adj-RIB-in is scanned only when the cell that held the best got
+    worse, when damping state is live, or when the prefix is originated
+    locally. The result is the full scan's, because
+    {!Decision.compare_entries} totally orders entries from distinct
+    neighbors.
 
     Observability: every run of the decision process increments the
     [bgp.decisions] counter, and each loc-RIB change records the table's
@@ -33,6 +42,15 @@ type session = {
   mutable pending_n : int;
 }
 
+type emitter = t -> session -> action -> unit
+(** Where a speaker's updates go: [emit sp s update] sends [update] from
+    [sp] on its session [s]. It is called as each update is decided; for
+    one prefix, in ascending session order, and across prefixes in
+    [Prefix.compare] order. Every announcement of one loc-RIB best is
+    one physical [Announce] value. An emitter must not call back into a
+    speaker; the {!Network}'s only queues the update for its MRAI batch
+    or the wire. *)
+
 val create :
   ?store:Path_store.t ->
   ?fib_epoch:int ref ->
@@ -52,8 +70,8 @@ val create :
 
 val connect : t list -> neighbors:(Asn.t -> (Asn.t * Relationship.t) list) -> unit
 (** Give each listed speaker, once, a session per neighbor [neighbors]
-    names for it, in ascending neighbor ASN order (the order of every
-    update list it returns), each to the listed speaker of that ASN.
+    names for it, in ascending neighbor ASN order (the order in which it
+    emits one prefix's updates), each to the listed speaker of that ASN.
     Raises [Invalid_argument] on a neighbor not listed or not naming the
     speaker back, and on a speaker with sessions or prefixes already. *)
 
@@ -67,17 +85,22 @@ val asn : t -> Asn.t
 (** The AS this speaker represents. *)
 
 val originate :
-  t -> now:float -> prefix:Prefix.t -> per_neighbor:(Asn.t -> As_path.t option) -> (int * action) list
+  t ->
+  emit:emitter ->
+  now:float ->
+  prefix:Prefix.t ->
+  per_neighbor:(Asn.t -> As_path.t option) ->
+  unit
 (** Start (or change) originating [prefix]. [per_neighbor] gives the AS
     path announced to each neighbor — [Some [asn]] for a plain
     announcement, a poisoned or prepended path for remediation, or [None]
     to withhold the prefix from that neighbor (selective advertising /
-    selective poisoning). Returns the updates to send, by session index. *)
+    selective poisoning). The updates to send go to [emit]. *)
 
-val stop_originating : t -> now:float -> prefix:Prefix.t -> (int * action) list
+val stop_originating : t -> emit:emitter -> now:float -> prefix:Prefix.t -> unit
 (** Withdraw a locally-originated prefix everywhere. *)
 
-val receive : t -> now:float -> session:int -> action -> (int * action) list
+val receive : t -> emit:emitter -> now:float -> session:int -> action -> unit
 (** Process one update arriving on the session of index [session]:
     import policy, loc-RIB decision, and the resulting exports. A
     rejected announcement acts as an implicit withdraw of that neighbor's
@@ -87,11 +110,11 @@ val receive : t -> now:float -> session:int -> action -> (int * action) list
     neighbor's export is one value per loc-RIB best, so the copies of
     one route in a world are mostly one physical value. *)
 
-val session_down : t -> now:float -> neighbor:Asn.t -> (int * action) list
+val session_down : t -> emit:emitter -> now:float -> neighbor:Asn.t -> unit
 (** Drop every route learned from [neighbor] and stop exporting to it
     until {!session_up}. Both raise [Invalid_argument] on a non-neighbor. *)
 
-val session_up : t -> now:float -> neighbor:Asn.t -> (int * action) list
+val session_up : t -> emit:emitter -> now:float -> neighbor:Asn.t -> unit
 (** Re-enable the session and produce the full-table advertisement for
     that neighbor. When no route-flap damping records are live
     (suppressed or still decaying) this takes a fast
@@ -102,7 +125,7 @@ val session_up : t -> now:float -> neighbor:Asn.t -> (int * action) list
     a same-instant {!originate} or {!refresh_prefix}, in either relative
     order. *)
 
-val refresh_prefix : t -> prefix:Prefix.t -> (int * action) list
+val refresh_prefix : t -> emit:emitter -> prefix:Prefix.t -> unit
 (** Force a re-advertisement of the current desired export for [prefix]
     toward every up neighbor, even when the adj-RIB-out says it was
     already sent. This is the idempotent re-announce primitive the
@@ -124,9 +147,9 @@ val fib_lookup : t -> Ipv4.t -> (Prefix.t * Route.entry) option
     by the {!Network} when modeling RIB-to-FIB install latency) can delay
     the data plane behind the control plane, the window in which real
     routers blackhole or loop packets during convergence. The FIB entry
-    of a prefix is a field of the speaker's slot for it; the match walks
-    the world's prefix trie ({!Path_store.longest_match}) and keeps the
-    most specific prefix whose slot holds an entry. *)
+    of a prefix is a field of the speaker's slot for it; the match probes
+    the world's prefix table ({!Path_store.longest_match}) longest length
+    first and keeps the most specific prefix whose slot holds an entry. *)
 
 val fib_find : t -> Ipv4.t -> Route.entry option
 (** [Option.map snd (fib_lookup t ip)] without allocating: the per-hop
@@ -163,9 +186,9 @@ val set_reuse_scheduler : t -> (delay:float -> Prefix.t -> unit) -> unit
     hook to schedule a {!reevaluate} once the penalty will have decayed
     below the reuse threshold. Wired by the {!Network}. *)
 
-val reevaluate : t -> now:float -> Prefix.t -> (int * action) list
+val reevaluate : t -> emit:emitter -> now:float -> Prefix.t -> unit
 (** Re-run the decision process for a prefix (e.g. after a damping
-    penalty decays); returns the updates to send. *)
+    penalty decays); the updates to send go to [emit]. *)
 
 val suppressed_candidates : t -> Prefix.t -> Asn.t list
 (** Neighbors whose route for this prefix is currently damped. *)

@@ -22,7 +22,7 @@ let responding_router graph asn ~dst =
   let i =
     if n = 1 then 0
     else begin
-      let z = (Asn.to_int asn * 0x9E3779B1) lxor (Int32.to_int (Ipv4.to_int32 dst) * 0x85EBCA6B) in
+      let z = (Asn.to_int asn * 0x9E3779B1) lxor (Ipv4.signed dst * 0x85EBCA6B) in
       let z = z lxor (z lsr 16) in
       (z land max_int) mod n
     end

@@ -104,7 +104,7 @@ let delivers t ~src ~dst =
   let a = Asn.to_int src in
   if a >= max_memo_asn then Forward.delivers t.net t.failures ~src ~dst
   else begin
-    let key = (a lsl 32) lor (Int32.to_int (Ipv4.to_int32 dst) land 0xFFFF_FFFF) in
+    let key = (a lsl 32) lor Ipv4.to_int dst in
     match Key_tbl.find m.verdicts key with
     | entry when entry lsr 1 = m.stamp ->
         Obs.Metrics.incr m_memo_hits;

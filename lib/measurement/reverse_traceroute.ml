@@ -26,7 +26,7 @@ let create ~env ~vantage_points () = { env; vantage_points }
    and cannot drift with the runtime's generic [Hashtbl.hash]. *)
 let support_hash t asn salt =
   let address = Dataplane.Forward.probe_address t.env.Dataplane.Probe.net asn in
-  let z = (Int32.to_int (Ipv4.to_int32 address) * 0x9E3779B1) lxor (salt * 0x85EBCA6B) in
+  let z = (Ipv4.signed address * 0x9E3779B1) lxor (salt * 0x85EBCA6B) in
   let z = z lxor (z lsr 16) in
   float_of_int (z land 0xFFFF) /. 65536.0
 

@@ -1,5 +1,5 @@
 (** Internet addressing primitives: AS numbers, IPv4 addresses, CIDR
-    prefixes and a longest-prefix-match trie.
+    prefixes and a longest-prefix-match table.
 
     This interface pins the library surface to exactly these four
     modules; helper code stays internal. *)

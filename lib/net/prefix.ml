@@ -1,16 +1,23 @@
-type t = { network : Ipv4.t; length : int }
+(* A prefix packs into one immediate int, [network lsl 6 lor length]:
+   the length fits in six bits, and the int order is the order by
+   (unsigned network, length). *)
+type t = int
 
-let mask_of_length len =
-  if len = 0 then 0l else Int32.shift_left (-1l) (32 - len)
+let length_bits = 6
+let length_mask = (1 lsl length_bits) - 1
+
+(* The network bits of a [len]-bit prefix, as an unsigned 32-bit mask. *)
+let mask_of_length len = if len = 0 then 0 else (0xFFFF_FFFF lsl (32 - len)) land 0xFFFF_FFFF
+let pack network len = (network lsl length_bits) lor len
 
 let make addr len =
   if len < 0 || len > 32 then invalid_arg "Prefix.make: length out of [0,32]";
-  let network = Ipv4.of_int32 (Int32.logand (Ipv4.to_int32 addr) (mask_of_length len)) in
-  { network; length = len }
+  pack (Ipv4.to_int addr land mask_of_length len) len
 
-let network t = t.network
-let length t = t.length
-let to_string t = Printf.sprintf "%s/%d" (Ipv4.to_string t.network) t.length
+let length t = t land length_mask
+let network_bits t = t lsr length_bits
+let network t = Ipv4.of_int (network_bits t)
+let to_string t = Printf.sprintf "%s/%d" (Ipv4.to_string (network t)) (length t)
 
 let of_string s =
   match String.index_opt s '/' with
@@ -28,48 +35,37 @@ let of_string_exn s =
   | Some t -> t
   | None -> invalid_arg ("Prefix.of_string_exn: " ^ s)
 
-let equal a b = Ipv4.equal a.network b.network && Int.equal a.length b.length
-
-let compare a b =
-  match Ipv4.compare a.network b.network with
-  | 0 -> Int.compare a.length b.length
-  | c -> c
-
-let mem ip t =
-  let m = mask_of_length t.length in
-  Int32.equal (Int32.logand (Ipv4.to_int32 ip) m) (Ipv4.to_int32 t.network)
+let equal = Int.equal
+let compare = Int.compare
+let mem ip t = Ipv4.to_int ip land mask_of_length (length t) = network_bits t
 
 let contains_prefix ~outer ~inner =
-  outer.length <= inner.length && mem inner.network outer
+  length outer <= length inner
+  && network_bits inner land mask_of_length (length outer) = network_bits outer
 
 let split t =
-  if t.length >= 32 then None
+  let len = length t in
+  if len >= 32 then None
   else begin
-    let len = t.length + 1 in
-    let low = { network = t.network; length = len } in
-    let high_bit = Int32.shift_left 1l (32 - len) in
-    let high =
-      { network = Ipv4.of_int32 (Int32.logor (Ipv4.to_int32 t.network) high_bit); length = len }
-    in
+    let low = pack (network_bits t) (len + 1) in
+    let high = pack (network_bits t lor (1 lsl (31 - len))) (len + 1) in
     Some (low, high)
   end
 
-let first_address t = t.network
+let first_address = network
 
 (* Number of addresses covered, saturating at [max_int] for /0. *)
-let size t =
-  if t.length = 0 then max_int else 1 lsl (32 - t.length)
+let size t = if length t = 0 then max_int else 1 lsl (32 - length t)
 
 let nth_address t i =
-  if i < 0 || (t.length > 0 && i >= size t) then
+  if i < 0 || (length t > 0 && i >= size t) then
     invalid_arg "Prefix.nth_address: index out of range";
-  Ipv4.add t.network i
+  Ipv4.add (network t) i
 
-(* Explicit integer mix, not the polymorphic [Hashtbl.hash]: the network
-   address is a boxed int32 the generic hash would chase, and prefix-keyed
-   tables sit on the BGP hot path. *)
+(* Explicit integer mix of the network, read signed as when it was an
+   [int32], and the length. *)
 let hash t =
-  let z = (Int32.to_int (Ipv4.to_int32 t.network) * 0x9E3779B1) lxor (t.length * 0x85EBCA6B) in
+  let z = (Ipv4.signed (network t) * 0x9E3779B1) lxor (length t * 0x85EBCA6B) in
   (z lxor (z lsr 16)) land max_int
 
 module Ord = struct
@@ -80,10 +76,3 @@ end
 
 module Set = Set.Make (Ord)
 module Map = Map.Make (Ord)
-
-module Table = Hashtbl.Make (struct
-  type nonrec t = t
-
-  let equal = equal
-  let hash = hash
-end)

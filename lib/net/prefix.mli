@@ -7,9 +7,11 @@
     {!contains_prefix} and {!compare_specificity} encode those
     relationships. *)
 
-type t
+type t [@@immediate]
 (** A prefix: network address plus mask length. The network address is
-    canonicalized (host bits cleared) on construction. *)
+    canonicalized (host bits cleared) on construction. A prefix is one
+    immediate int, [network lsl 6 lor length], so storing one allocates
+    nothing and {!compare} is an int comparison. *)
 
 val make : Ipv4.t -> int -> t
 (** [make addr len] for [len] in [\[0, 32\]]; host bits of [addr] are
@@ -19,15 +21,15 @@ val of_string_exn : string -> t
 (** Parse ["a.b.c.d/len"]; raises [Invalid_argument] on a malformed
     input. *)
 
-val network : t -> Ipv4.t
 val length : t -> int
 val to_string : t -> string
 val equal : t -> t -> bool
 val compare : t -> t -> int
+(** By unsigned network address, then length. *)
 
 val hash : t -> int
-(** Explicit integer mix of network address and mask length (not the
-    polymorphic [Hashtbl.hash], which would walk the boxed address). *)
+(** Explicit integer mix of the network address ({!Ipv4.signed}) and
+    the mask length, not the polymorphic [Hashtbl.hash]. *)
 
 val mem : Ipv4.t -> t -> bool
 (** [mem ip p] tests whether [ip] falls inside [p]. *)
@@ -49,7 +51,3 @@ val nth_address : t -> int -> Ipv4.t
 
 module Set : Set.S with type elt = t
 module Map : Map.S with type key = t
-
-module Table : Hashtbl.S with type key = t
-(** Hashtbl keyed by prefixes via {!hash} and {!equal} — use this instead
-    of a polymorphic [(Prefix.t, _) Hashtbl.t]. *)

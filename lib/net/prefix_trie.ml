@@ -1,98 +1,135 @@
-(* A path-uncompressed binary trie over address bits, updated in place.
-   Prefix lengths are at most 32, and the tables in this reproduction
-   hold at most a few thousand prefixes, so the simple representation is
-   plenty fast and easy to verify. An insert touches the nodes on its
-   path and allocates only the nodes it adds (and the [Some] it stores);
-   the node record is inline in the constructor, so a lookup follows
-   exactly one pointer per bit. *)
+(* Exact-match tables probed longest length first. All bindings sit in
+   one open-addressing table keyed by the prefix (an immediate int that
+   already holds the length), which is one exact-match table per length
+   sharing its storage; [lengths] lists the lengths with a binding, so a
+   lookup probes once per length present, longest first, and stops at
+   the first hit. Linear probing with backward-shift removal keeps every
+   binding reachable from its home slot without tombstones, and an empty
+   slot is a [None] value. *)
 
-type 'a node =
-  | Leaf
-  | Node of { mutable value : 'a option; mutable zero : 'a node; mutable one : 'a node }
+type 'a t = {
+  mutable keys : Prefix.t array;
+  mutable vals : 'a option array;  (** [None]: an empty slot. *)
+  mutable size : int;
+  counts : int array;  (** Bindings per prefix length. *)
+  mutable lengths : int array;  (** The lengths with a binding, longest first. *)
+}
 
-(* The root is always a [Node], so every update has a record to write. *)
-type 'a t = 'a node
+let no_prefix = Prefix.make (Ipv4.of_int 0) 0
 
-let create () = Node { value = None; zero = Leaf; one = Leaf }
+let create () =
+  {
+    keys = Array.make 8 no_prefix;
+    vals = Array.make 8 None;
+    size = 0;
+    counts = Array.make 33 0;
+    lengths = [||];
+  }
 
-let bit_at addr i =
-  (* Bit [i] counting from the most significant (i = 0 is the /1 bit). *)
-  Int32.logand (Int32.shift_right_logical (Ipv4.to_int32 addr) (31 - i)) 1l = 1l
+let[@inline] home keys p = Prefix.hash p land (Array.length keys - 1)
 
-(* The update loops are top-level functions rather than closures over
-   the prefix, so an update allocates nothing but new nodes and the
-   stored [Some]. *)
-let rec replace_from addr len v node depth =
-  match node with
-  | Leaf -> ()
-  | Node n ->
-      if depth = len then n.value <- Some v
-      else if bit_at addr depth then begin
-        (match n.one with Leaf -> n.one <- create () | Node _ -> ());
-        replace_from addr len v n.one (depth + 1)
+(* The slot holding [p], or the empty slot that ends its probe run. *)
+let rec slot_from keys vals p i =
+  match vals.(i) with
+  | None -> i
+  | Some _ ->
+      if Prefix.equal keys.(i) p then i
+      else slot_from keys vals p ((i + 1) land (Array.length keys - 1))
+
+let[@inline] slot t p = slot_from t.keys t.vals p (home t.keys p)
+
+(* The bound value's own box, so a probe allocates nothing. *)
+let[@inline] find t p = t.vals.(slot t p)
+
+let length t = t.size
+
+let fold f t acc =
+  let acc = ref acc in
+  Array.iteri (fun i v -> match v with Some v -> acc := f t.keys.(i) v !acc | None -> ()) t.vals;
+  !acc
+
+let refresh_lengths t =
+  let acc = ref [] in
+  for len = 0 to 32 do
+    if t.counts.(len) > 0 then acc := len :: !acc
+  done;
+  t.lengths <- Array.of_list !acc
+
+(* Double the table once it would be more than half full. *)
+let grow t =
+  let keys = t.keys and vals = t.vals in
+  let n = 2 * Array.length keys in
+  t.keys <- Array.make n no_prefix;
+  t.vals <- Array.make n None;
+  Array.iteri
+    (fun i v ->
+      match v with
+      | None -> ()
+      | Some _ ->
+          let j = slot t keys.(i) in
+          t.keys.(j) <- keys.(i);
+          t.vals.(j) <- v)
+    vals
+
+let rec replace t prefix v =
+  let i = slot t prefix in
+  match t.vals.(i) with
+  | Some _ -> t.vals.(i) <- Some v
+  | None when 2 * (t.size + 1) > Array.length t.keys ->
+      grow t;
+      replace t prefix v
+  | None ->
+      t.keys.(i) <- prefix;
+      t.vals.(i) <- Some v;
+      t.size <- t.size + 1;
+      let len = Prefix.length prefix in
+      t.counts.(len) <- t.counts.(len) + 1;
+      if t.counts.(len) = 1 then refresh_lengths t
+
+(* Fill the hole at [hole] from the rest of its probe run: the entry at
+   [j] may move into it unless its home lies cyclically in (hole, j]. *)
+let rec shift_back t hole j =
+  let mask = Array.length t.keys - 1 in
+  match t.vals.(j) with
+  | None -> t.vals.(hole) <- None
+  | Some _ as v ->
+      if (j - home t.keys t.keys.(j)) land mask >= (j - hole) land mask then begin
+        t.keys.(hole) <- t.keys.(j);
+        t.vals.(hole) <- v;
+        shift_back t j ((j + 1) land mask)
       end
-      else begin
-        (match n.zero with Leaf -> n.zero <- create () | Node _ -> ());
-        replace_from addr len v n.zero (depth + 1)
-      end
+      else shift_back t hole ((j + 1) land mask)
 
-let replace t prefix v = replace_from (Prefix.network prefix) (Prefix.length prefix) v t 0
+let remove t prefix =
+  let i = slot t prefix in
+  match t.vals.(i) with
+  | None -> ()
+  | Some _ ->
+      t.size <- t.size - 1;
+      let len = Prefix.length prefix in
+      t.counts.(len) <- t.counts.(len) - 1;
+      if t.counts.(len) = 0 then refresh_lengths t;
+      shift_back t i ((i + 1) land (Array.length t.keys - 1))
 
-let is_empty = function
-  | Leaf -> true
-  | Node { value = None; zero = Leaf; one = Leaf } -> true
-  | Node _ -> false
+let rec lookup_from t ip k =
+  if k = Array.length t.lengths then None
+  else begin
+    let p = Prefix.make ip t.lengths.(k) in
+    match find t p with Some v -> Some (p, v) | None -> lookup_from t ip (k + 1)
+  end
 
-(* Clear the binding and prune the nodes it leaves holding nothing, so
-   the trie has the same shape as one built without the prefix. *)
-let rec remove_from addr len node depth =
-  match node with
-  | Leaf -> ()
-  | Node n ->
-      if depth = len then n.value <- None
-      else if bit_at addr depth then begin
-        remove_from addr len n.one (depth + 1);
-        if is_empty n.one then n.one <- Leaf
-      end
-      else begin
-        remove_from addr len n.zero (depth + 1);
-        if is_empty n.zero then n.zero <- Leaf
-      end
+let lookup t ip = lookup_from t ip 0
 
-let remove t prefix = remove_from (Prefix.network prefix) (Prefix.length prefix) t 0
+(* The first [Some] that [f s] gives, longest length first, is returned
+   as is, so the walk allocates nothing of its own; [f] is passed its
+   state [s] rather than closing over it, so a caller with a closed [f]
+   allocates nothing either. *)
+let rec find_longest_from t ip f s k =
+  if k = Array.length t.lengths then None
+  else begin
+    match find t (Prefix.make ip t.lengths.(k)) with
+    | Some v -> ( match f s v with Some _ as found -> found | None -> find_longest_from t ip f s (k + 1))
+    | None -> find_longest_from t ip f s (k + 1)
+  end
 
-let lookup t ip =
-  (* Walk down following the address bits, remembering the deepest value. *)
-  let rec go t depth best =
-    match t with
-    | Leaf -> best
-    | Node { value; zero; one } ->
-        let best =
-          match value with
-          | Some v -> Some (Prefix.make ip depth, v)
-          | None -> best
-        in
-        if depth >= 32 then best
-        else if bit_at ip depth then go one (depth + 1) best
-        else go zero (depth + 1) best
-  in
-  go t 0 None
-
-(* The deepest [Some] that [f s] gives for a value met on the way down
-   is returned as is, so the walk allocates nothing of its own; [f] is
-   passed its state [s] rather than closing over it, so a caller with a
-   closed [f] allocates nothing either. *)
-let rec find_longest_from ip f s t depth best =
-  match t with
-  | Leaf -> best
-  | Node { value; zero; one } ->
-      let best =
-        match value with
-        | Some v -> ( match f s v with Some _ as found -> found | None -> best)
-        | None -> best
-      in
-      if depth >= 32 then best
-      else if bit_at ip depth then find_longest_from ip f s one (depth + 1) best
-      else find_longest_from ip f s zero (depth + 1) best
-
-let find_longest t ip f s = find_longest_from ip f s t 0 None
+let find_longest t ip f s = find_longest_from t ip f s 0

@@ -115,6 +115,16 @@ let standalone_speaker ?store ~asn:self ~config ~neighbors () =
       if Asn.equal a self then neighbors else [ (self, Relationship.Customer) ]);
   sp
 
+(* An emitter that drops every update. *)
+let discard : Bgp.Speaker.emitter = fun _ _ _ -> ()
+
+(* The updates a speaker emits while [f emit] runs, in emission order,
+   each with its session index. *)
+let updates f =
+  let acc = ref [] in
+  f (fun _ (s : Bgp.Speaker.session) action -> acc := (s.ix, action) :: !acc);
+  List.rev !acc
+
 (* The index of [sp]'s session to neighbor [n]. *)
 let session_ix sp n =
   Option.get

@@ -316,7 +316,7 @@ let test_pragma () =
   let r = scan_dir "pragma" in
   check_rule "pragma" r.Lint.violations Rule.Det_clock 1
 
-let test_report_formats () =
+let test_report_format_github () =
   let r = scan_dir "eff_bad" in
   (* Workflow commands: one ::warning per violation, file= anchored. *)
   let gh = Lint.Report.render Lint.Report.Github ~violations:r.Lint.violations in
@@ -392,7 +392,7 @@ let suite =
     Alcotest.test_case "dead-export fixtures (LG-DEAD-EXPORT)" `Quick test_dead_export_fixtures;
     Alcotest.test_case "real planner certified pure" `Quick test_real_planner_pure;
     Alcotest.test_case "pragma suppressions" `Quick test_pragma;
-    Alcotest.test_case "report formats (sarif/json/github)" `Quick test_report_formats;
+    Alcotest.test_case "github report format" `Quick test_report_format_github;
     Alcotest.test_case "--effects CLI table" `Quick test_effects_cli;
     Alcotest.test_case "real tree effect summaries" `Quick test_real_tree_effects;
     Alcotest.test_case "real tree vs shipped baseline" `Quick test_real_tree;

@@ -196,6 +196,154 @@ let prop_split_partitions =
           let in_low = Prefix.mem address low and in_high = Prefix.mem address high in
           Prefix.mem address p && (in_low <> in_high))
 
+(* The representation against a reference model over [int32], the type
+   addresses and prefix networks had before they became immediate ints:
+   every operation must agree with the model, on both sides of
+   128.0.0.0 (where a signed [int32] changes sign) and at /0 and /32. *)
+module Int32_model = struct
+  let addr (a, b, c, d) =
+    Int32.logor
+      (Int32.shift_left (Int32.of_int a) 24)
+      (Int32.logor
+         (Int32.shift_left (Int32.of_int b) 16)
+         (Int32.logor (Int32.shift_left (Int32.of_int c) 8) (Int32.of_int d)))
+
+  let mask len = if len = 0 then 0l else Int32.shift_left (-1l) (32 - len)
+
+  let to_string x =
+    let o shift = Int32.to_int (Int32.logand (Int32.shift_right_logical x shift) 0xFFl) in
+    Printf.sprintf "%d.%d.%d.%d" (o 24) (o 16) (o 8) (o 0)
+
+  (* A prefix: (network, length). *)
+  let prefix x len = (Int32.logand x (mask len), len)
+
+  let compare (n1, l1) (n2, l2) =
+    match Int32.unsigned_compare n1 n2 with 0 -> Int.compare l1 l2 | c -> c
+
+  let mem x (n, l) = Int32.equal (Int32.logand x (mask l)) n
+  let contains ~outer:(no, lo) ~inner:(ni, li) = lo <= li && mem ni (no, lo)
+
+  let split (n, l) =
+    if l >= 32 then None
+    else Some ((n, l + 1), (Int32.logor n (Int32.shift_left 1l (31 - l)), l + 1))
+end
+
+(* Octets biased toward the edges: 0, 127, 128 and 255 in the first
+   octet put addresses on both sides of the sign change. *)
+let arbitrary_octets =
+  let octet = QCheck.Gen.(oneof [ oneofl [ 0; 1; 127; 128; 254; 255 ]; int_range 0 255 ]) in
+  QCheck.make
+    ~print:(fun (a, b, c, d) -> Printf.sprintf "%d.%d.%d.%d" a b c d)
+    QCheck.Gen.(quad octet octet octet octet)
+
+let arbitrary_length = QCheck.make QCheck.Gen.(oneof [ oneofl [ 0; 1; 31; 32 ]; int_range 0 32 ])
+
+let sign c = Int.compare c 0
+
+let prop_representation =
+  QCheck.Test.make ~name:"ipv4/prefix agree with the int32 model" ~count:1000
+    QCheck.(
+      quad (pair arbitrary_octets arbitrary_length) (pair arbitrary_octets arbitrary_length)
+        arbitrary_octets (int_range 0 0xFFFF))
+    (fun ((o1, l1), (o2, l2), o3, k) ->
+      let module M = Int32_model in
+      let ip (a, b, c, d) = Ipv4.of_octets a b c d in
+      let a1 = ip o1 and a2 = ip o2 and a3 = ip o3 in
+      let x1 = M.addr o1 and x2 = M.addr o2 and x3 = M.addr o3 in
+      let p1 = Prefix.make a1 l1 and p2 = Prefix.make a2 l2 in
+      let m1 = M.prefix x1 l1 and m2 = M.prefix x2 l2 in
+      let same_prefix p (n, l) =
+        Int32.equal (Ipv4.to_int32 (Prefix.first_address p)) n && Prefix.length p = l
+      in
+      let model_string (n, l) = Printf.sprintf "%s/%d" (M.to_string n) l in
+      (* Addresses. *)
+      Int32.equal (Ipv4.to_int32 a1) x1
+      && Ipv4.compare (Ipv4.of_int32 x1) a1 = 0
+      && sign (Ipv4.compare a1 a2) = sign (Int32.unsigned_compare x1 x2)
+      && Ipv4.signed a1 = Int32.to_int x1
+      && Ipv4.to_string a1 = M.to_string x1
+      && Option.map Ipv4.to_int32 (Ipv4.of_string (M.to_string x1)) = Some x1
+      && Int32.equal (Ipv4.to_int32 (Ipv4.add a1 k)) (Int32.add x1 (Int32.of_int k))
+      (* Prefixes. *)
+      && same_prefix p1 m1
+      && sign (Prefix.compare p1 p2) = sign (M.compare m1 m2)
+      && Prefix.equal p1 p2 = (M.compare m1 m2 = 0)
+      && Prefix.mem a3 p1 = M.mem x3 m1
+      && Prefix.contains_prefix ~outer:p1 ~inner:p2 = M.contains ~outer:m1 ~inner:m2
+      && (match (Prefix.split p1, M.split m1) with
+         | None, None -> true
+         | Some (lo, hi), Some (mlo, mhi) -> same_prefix lo mlo && same_prefix hi mhi
+         | _ -> false)
+      && (let i = if l1 = 0 then k else k land ((1 lsl (32 - l1)) - 1) in
+          Int32.equal
+            (Ipv4.to_int32 (Prefix.nth_address p1 i))
+            (Int32.add (fst m1) (Int32.of_int i)))
+      && Prefix.to_string p1 = model_string m1
+      && Prefix.equal (Prefix.of_string_exn (model_string m1)) p1)
+
+(* The hashes keyed by an address, pinned at the values they had when
+   addresses were [int32]: bucket orders and router choices follow
+   them. *)
+let test_hash_pins () =
+  List.iter
+    (fun (p, h) -> Alcotest.(check int) ("Prefix.hash " ^ p) h (Prefix.hash (pfx p)))
+    [
+      ("0.0.0.0/0", 0);
+      ("10.0.0.0/8", 445342800710112774);
+      ("127.255.255.255/32", 1088731864924329886);
+      ("128.0.0.0/1", 3523068091054215040);
+      ("203.0.113.0/24", 2251402437137367717);
+      ("255.255.255.255/32", 4611545350251878302);
+      ("192.0.2.128/25", 1761606058610303045);
+    ];
+  List.iter
+    (fun (a, h, signed) ->
+      Alcotest.(check int) ("Ipv4.hash " ^ a) h (Ipv4.hash (ip a));
+      Alcotest.(check int) ("Ipv4.signed " ^ a) signed (Ipv4.signed (ip a)))
+    [
+      ("0.0.0.0", 0, 0);
+      ("10.1.2.3", 445515749054520998, 167838211);
+      ("127.255.255.255", 1088671360522477808, 2147483647);
+      ("128.0.0.0", 3523014639118063932, -2147483648);
+      ("203.0.113.9", 2251458589780354410, -889163511);
+      ("255.255.255.255", 4611686003901954484, -1);
+    ]
+
+(* The data plane's router choice (an integer mix of the AS and the
+   destination) pinned for destinations above 128.0.0.0: AS 20 has three
+   routers and AS 30 two, and each hop shows the one the mix picks. *)
+let test_router_choice_pins () =
+  let open Topology in
+  let g = As_graph.create () in
+  let a = Asn.of_int 10 and b = Asn.of_int 20 and c = Asn.of_int 30 in
+  As_graph.add_as g ~routers:1 a;
+  As_graph.add_as g ~routers:3 b;
+  As_graph.add_as g ~routers:2 c;
+  As_graph.add_link g ~a:b ~b:a ~rel:Relationship.Customer;
+  As_graph.add_link g ~a:b ~b:c ~rel:Relationship.Customer;
+  let engine = Sim.Engine.create () in
+  let net = Bgp.Network.create ~engine ~graph:g () in
+  Dataplane.Forward.announce_infrastructure net;
+  Bgp.Network.announce net ~origin:c ~prefix:(pfx "203.0.113.0/24") ();
+  Bgp.Network.run_until_quiet net;
+  let failures = Dataplane.Failure.create () in
+  let hops i =
+    let w = Dataplane.Forward.walk net failures ~src:a ~dst:(Ipv4.add (ip "203.0.113.9") (i * 37)) in
+    String.concat " " (List.map (fun (h : Dataplane.Forward.hop) -> Ipv4.to_string h.address) w.hops)
+  in
+  Alcotest.(check (list string))
+    "hop addresses"
+    [
+      "10.0.10.1 10.0.20.3 10.0.30.1";
+      "10.0.10.1 10.0.20.3 10.0.30.2";
+      "10.0.10.1 10.0.20.2 10.0.30.1";
+      "10.0.10.1 10.0.20.2 10.0.30.1";
+      "10.0.10.1 10.0.20.1 10.0.30.2";
+      "10.0.10.1 10.0.20.2 10.0.30.1";
+      "10.0.10.1 10.0.20.3 10.0.30.2";
+    ]
+    (List.init 7 hops)
+
 let suite =
   [
     Alcotest.test_case "ipv4 roundtrip" `Quick test_ipv4_roundtrip;
@@ -210,4 +358,7 @@ let suite =
     QCheck_alcotest.to_alcotest prop_find_longest_is_lookup;
     QCheck_alcotest.to_alcotest prop_prefix_roundtrip;
     QCheck_alcotest.to_alcotest prop_split_partitions;
+    QCheck_alcotest.to_alcotest prop_representation;
+    Alcotest.test_case "address hashes pinned" `Quick test_hash_pins;
+    Alcotest.test_case "router choice pinned" `Quick test_router_choice_pins;
   ]

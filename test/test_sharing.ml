@@ -73,19 +73,23 @@ let test_session_down_clears_adj_out () =
   in
   let plain = P.plain ~origin:(asn 100) in
   let ups =
-    Bgp.Speaker.originate sp ~now:0. ~prefix:production ~per_neighbor:(fun _ -> Some plain)
+    updates (fun emit ->
+        Bgp.Speaker.originate sp ~emit ~now:0. ~prefix:production ~per_neighbor:(fun _ -> Some plain))
   in
   Alcotest.(check int) "announced to both neighbors" 2 (List.length ups);
-  let downs = Bgp.Speaker.session_down sp ~now:1. ~neighbor:(asn 200) in
+  let downs = updates (fun emit -> Bgp.Speaker.session_down sp ~emit ~now:1. ~neighbor:(asn 200)) in
   Alcotest.(check int) "leaf session_down sends nothing" 0 (List.length downs);
   let ups2 =
     by_neighbor sp
-      (Bgp.Speaker.originate sp ~now:2. ~prefix:production
-         ~per_neighbor:(fun _ -> Some (P.prepended ~origin:(asn 100) ~copies:2)))
+      (updates (fun emit ->
+           Bgp.Speaker.originate sp ~emit ~now:2. ~prefix:production
+             ~per_neighbor:(fun _ -> Some (P.prepended ~origin:(asn 100) ~copies:2))))
   in
   Alcotest.(check bool) "no update leaks to the downed neighbor" true
     (List.for_all (fun (n, _) -> not (Asn.equal n (asn 200))) ups2);
-  match by_neighbor sp (Bgp.Speaker.session_up sp ~now:3. ~neighbor:(asn 200)) with
+  match
+    by_neighbor sp (updates (fun emit -> Bgp.Speaker.session_up sp ~emit ~now:3. ~neighbor:(asn 200)))
+  with
   | [ (n, Bgp.Speaker.Announce ann) ] ->
       Alcotest.(check bool) "re-announce goes to the revived neighbor" true
         (Asn.equal n (asn 200));

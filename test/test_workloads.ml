@@ -390,7 +390,10 @@ let test_fork_selective () =
    fork per trial) stays small: every trial unmarshals it, and a larger
    world is a slower fork and a larger heap. The bound is the size the
    world reached once the AS graph kept its adjacency in sorted arrays
-   instead of maps (197,625 B), plus 5%. *)
+   instead of maps (197,625 B), plus 5%. Immediate prefixes left it at
+   201,020 B: the world holds fewer words (91,465 -> 89,980 reachable),
+   but Marshal writes a packed prefix above 2^32 as an 8-byte int where
+   it wrote a back-reference to one shared record before. *)
 let test_world_size () =
   let module P = Experiments.Poisoning in
   let mux = P.mux ~ases:318 ~seed:42 () in
