@@ -122,20 +122,27 @@ let check_ases ases =
   check (ases >= least) (Printf.sprintf "--ases must be at least %d (got %d)" least ases)
 
 let jobs =
+  (* The OCaml runtime's domain limit ([Max_domains] in caml/domain.h):
+     past it [Domain.spawn] raises in the middle of a run. *)
+  let max_jobs = 128 in
   let doc =
-    "Worker domains for trial-level parallelism (default: the machine's \
-     recommended domain count). Results are identical for every value; \
-     1 forces the sequential path."
+    Printf.sprintf
+      "Worker domains for trial-level parallelism, 1 to %d (default: the machine's \
+       recommended domain count). Results are identical for every value; \
+       1 forces the sequential path."
+      max_jobs
   in
   let raw = Arg.(value & opt int (Par.Pool.default_jobs ()) & info [ "jobs"; "j" ] ~docv:"N" ~doc) in
-  (* Checked here rather than by a converter, so a zero is one stderr
-     line and exit 2 like every other out-of-range flag (a converter
-     error would exit 124), once for all the subcommands that take it. *)
-  let positive n =
+  (* Checked here rather than by a converter, so an out-of-range value is
+     one stderr line and exit 2 like every other out-of-range flag (a
+     converter error would exit 124), once for all the subcommands that
+     take it, and before any domain starts. *)
+  let in_range n =
     check_positive_i "--jobs" n;
+    check (n <= max_jobs) (Printf.sprintf "--jobs must be at most %d (got %d)" max_jobs n);
     n
   in
-  Term.(const positive $ raw)
+  Term.(const in_range $ raw)
 
 (* Observability options, shared by every experiment subcommand. *)
 type obs_opts = { trace : string option; metrics : bool }

@@ -7,13 +7,18 @@
     often it rolled a failed poison back, when the circuit breaker gave
     up on a target, and what the faults cost in repair rate and time to
     repair. Intensity 0 is the fault-free control — by construction it
-    is byte-identical to {!Fleet_study} with [Bgp.Faults.none]. *)
+    is byte-identical to {!Fleet_study} with [Bgp.Faults.none].
+
+    Every intensity's {!Fleet_study.worlds} run as one trial list
+    ({!Runner.run_arms}, highest intensity first), and each intensity's
+    reports merge with {!Fleet_study.merge}, so a row equals that
+    intensity's {!Fleet_study.run} at any [--jobs]. *)
 
 type row = { intensity : float; result : Fleet_study.result }
 
 type result = {
   profile : Bgp.Faults.config;  (** The intensity-1 fault profile. *)
-  rows : row list;  (** One fleet study per intensity, ascending. *)
+  rows : row list;  (** One merged fleet per intensity, ascending. *)
 }
 
 (* The intensity-1.0 anchor: every class on, at rates that make faults
@@ -37,16 +42,22 @@ let run ?(config = Fleet.Service.default_config) ?(profile = default_profile)
     ?(intensities = default_intensities) ?(targets = 100) ?(jobs = 1) ~seed () =
   if intensities = [] then invalid_arg "Fault_study.run: intensities must be non-empty";
   let profile = Bgp.Faults.validate profile in
-  let rows =
-    List.map
-      (fun intensity ->
-        if intensity < 0.0 then invalid_arg "Fault_study.run: intensity must be >= 0";
-        let faults = Bgp.Faults.scale profile intensity in
-        let config = { config with Fleet.Service.faults } in
-        { intensity; result = Fleet_study.run ~config ~targets ~jobs ~seed () })
-      (List.sort Float.compare intensities)
+  if List.exists (fun intensity -> intensity < 0.0) intensities then
+    invalid_arg "Fault_study.run: intensity must be >= 0";
+  if targets <= 0 then invalid_arg "Fault_study.run: targets must be positive";
+  let ascending = List.sort Float.compare intensities in
+  let arm intensity =
+    let faults = Bgp.Faults.scale profile intensity in
+    Fleet_study.worlds ~config:{ config with Fleet.Service.faults } ~targets ~seed
   in
-  { profile; rows }
+  (* Highest intensity first: its worlds cost the most, so the cheaper
+     ones fill the domains around them. *)
+  let arms = List.rev (Runner.run_arms ~jobs (List.rev_map arm ascending)) in
+  let merge = Fleet_study.merge ~targets ~days:(config.Fleet.Service.duration /. 86400.0) in
+  {
+    profile;
+    rows = List.map2 (fun intensity reports -> { intensity; result = merge reports }) ascending arms;
+  }
 
 let to_tables r =
   let cell_intensity i = Stats.Table.cell_float ~decimals:1 i in

@@ -8,7 +8,7 @@ type row = { intensity : float; result : Fleet_study.result }
 
 type result = {
   profile : Bgp.Faults.config;  (** The intensity-1 fault profile. *)
-  rows : row list;  (** One fleet study per intensity, ascending. *)
+  rows : row list;  (** One merged fleet per intensity, ascending. *)
 }
 
 val default_profile : Bgp.Faults.config
@@ -27,11 +27,15 @@ val run :
   seed:int ->
   unit ->
   result
-(** One {!Fleet_study.run} per intensity, each with the profile scaled
-    by {!Bgp.Faults.scale}. Same seed across rows, so the outage
-    workload is held fixed and only the fault schedule varies.
+(** The {!Fleet_study.worlds} of every intensity, each with the
+    profile scaled by {!Bgp.Faults.scale}, run as one trial list
+    (highest intensity first) and merged per intensity by
+    {!Fleet_study.merge}: each row's [result] is that intensity's
+    {!Fleet_study.run}. Same seed across rows, so the outage workload
+    is held fixed and only the fault schedule varies.
     Deterministic in [(config, profile, intensities, targets, seed)] and
     invariant under [jobs]. Raises [Invalid_argument] on an invalid
-    profile, an empty intensity list, or a negative intensity. *)
+    profile, an empty intensity list, a negative intensity or
+    non-positive [targets], before any world runs. *)
 
 val to_tables : result -> Stats.Table.t list

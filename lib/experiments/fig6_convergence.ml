@@ -65,19 +65,20 @@ let run ~ases ~max_poisons ~jobs ~seed () =
     let template = Poisoning.template ~ases ~seed ~baseline () in
     List.map (fun target () -> poison_round (Template.fork template) ~target) targets
   in
-  let outcomes =
-    Runner.run_trials ~jobs
-      (trials (fun origin -> Bgp.As_path.prepended ~origin ~copies:3)
-      @ trials (fun origin -> Bgp.As_path.plain ~origin))
-  in
   let collect outcomes =
     ( List.concat_map (fun (reports, _) -> reports) outcomes,
       List.filter_map (fun (_, global) -> global) outcomes )
   in
-  let n = List.length targets in
-  let prepend_reports, prepend_globals = collect (List.filteri (fun i _ -> i < n) outcomes) in
-  let noprepend_reports, noprepend_globals =
-    collect (List.filteri (fun i _ -> i >= n) outcomes)
+  let (prepend_reports, prepend_globals), (noprepend_reports, noprepend_globals) =
+    match
+      Runner.run_arms ~jobs
+        [
+          trials (fun origin -> Bgp.As_path.prepended ~origin ~copies:3);
+          trials (fun origin -> Bgp.As_path.plain ~origin);
+        ]
+    with
+    | [ prepend; noprepend ] -> (collect prepend, collect noprepend)
+    | _ -> assert false
   in
   let split which reports =
     List.filter (fun r -> r.Bgp.Convergence.affected = which) reports

@@ -12,8 +12,9 @@
 
     Worlds decompose and merge as in {!Fleet_study} ({!Fleet_study.worlds}
     and {!Fleet_study.merge}), and both modes of one world share a seed
-    — so the comparison is paired, and every table is byte-identical at
-    any [--jobs]. *)
+    — so the comparison is paired. Both arms run as one trial list
+    ({!Runner.run_arms}, planned worlds first), so every table is
+    byte-identical at any [--jobs]. *)
 
 type result = {
   decision_latency : float;
@@ -40,20 +41,15 @@ let default_config =
 let run ?(config = default_config) ?(targets = 40) ?(jobs = 1) ~seed () =
   if targets <= 0 then invalid_arg "Plan_study.run: targets must be positive";
   let arm planning = Fleet_study.worlds ~config:{ config with planning } ~targets ~seed in
-  let planned = arm true in
-  let worlds = List.length planned in
-  (* One trial list, planned worlds first: paired seeds, fixed order, and
-     the worker pool drains both modes concurrently. *)
-  let reports = Runner.run_trials ~jobs (planned @ arm false) in
-  let merge keep =
-    Fleet_study.merge ~targets ~days:(config.Fleet.Service.duration /. 86400.0)
-      (List.filteri (fun i _ -> keep i) reports)
-  in
-  {
-    decision_latency = config.Fleet.Service.decision_latency;
-    planned = merge (fun i -> i < worlds);
-    computed = merge (fun i -> i >= worlds);
-  }
+  let merge = Fleet_study.merge ~targets ~days:(config.Fleet.Service.duration /. 86400.0) in
+  match Runner.run_arms ~jobs [ arm true; arm false ] with
+  | [ planned; computed ] ->
+      {
+        decision_latency = config.Fleet.Service.decision_latency;
+        planned = merge planned;
+        computed = merge computed;
+      }
+  | _ -> assert false
 
 (* Hits over lookups, in [0, 1]; [0.] when there were no lookups. *)
 let hit_rate (m : Fleet_study.result) =

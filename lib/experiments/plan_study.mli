@@ -23,7 +23,8 @@ val run :
   ?config:Fleet.Service.config -> ?targets:int -> ?jobs:int -> seed:int -> unit -> result
 (** [run ~seed ()] decomposes [targets] (default 40) into worlds as
     {!Fleet_study.worlds} does (world seeds shared by both arms) and
-    runs both arms — in parallel when [jobs > 1]. The result is a pure
+    runs both arms as one trial list, planned worlds first
+    ({!Runner.run_arms}), on up to [jobs] domains. The result is a pure
     function of [(config, targets, seed)]; [jobs] never changes a byte
     of output. *)
 

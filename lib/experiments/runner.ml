@@ -14,7 +14,7 @@
      which shares the world's graph and network read-only and owns its
      failure set, probe env and engine. [run_views] checks after the
      trials that the world was not written.
-   The pool returns results in submission order, so results (and
+   Par.Pool returns results in submission order, so results (and
    therefore every table) are bit-identical for any ~jobs.
 
    With tracing enabled each trial is bracketed by a "runner.trial"
@@ -52,9 +52,17 @@ let observed_trial index thunk () =
         raise e
   end
 
-let run_trials ~jobs thunks =
-  let thunks = List.mapi observed_trial thunks in
-  Par.Pool.with_pool ~jobs (fun pool -> Par.Pool.run_trials pool thunks)
+let run_trials ~jobs thunks = Par.Pool.run_trials ~jobs (List.mapi observed_trial thunks)
+
+let run_arms ~jobs arms =
+  let lengths = List.map List.length arms in
+  (* Nothing reads [arms] past this point, so a trial that has run, and
+     the template its arm forks, can be collected while later ones run. *)
+  let results = Array.of_list (run_trials ~jobs (List.concat arms)) in
+  snd
+    (List.fold_left_map
+       (fun start n -> (start + n, Array.to_list (Array.sub results start n)))
+       0 lengths)
 
 (* What a trial that writes the shared world would move: a FIB install,
    a delivered message, or an event scheduled on or run by the world's

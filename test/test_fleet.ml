@@ -327,6 +327,33 @@ let test_fault_study_jobs_invariant () =
   in
   Alcotest.(check string) "jobs 1 = jobs 2" (render ~jobs:1) (render ~jobs:2)
 
+(* Every intensity's worlds run as one trial list, split back per
+   intensity: each row must be exactly that intensity's fleet study run
+   alone, so a split off by one world fails here. *)
+let test_fault_study_rows_are_fleet_studies () =
+  let config = { small_config with Fleet.Service.duration = 10800.0 } in
+  let profile = Experiments.Fault_study.default_profile in
+  let r =
+    Experiments.Fault_study.run ~config ~profile ~intensities:[ 0.0; 2.0 ] ~targets:20 ~jobs:2
+      ~seed:7 ()
+  in
+  Alcotest.(check (list (float 0.0)))
+    "rows ascending" [ 0.0; 2.0 ]
+    (List.map (fun row -> row.Experiments.Fault_study.intensity) r.Experiments.Fault_study.rows);
+  List.iter
+    (fun { Experiments.Fault_study.intensity; result } ->
+      let faults = Bgp.Faults.scale profile intensity in
+      let alone =
+        Experiments.Fleet_study.run ~config:{ config with Fleet.Service.faults } ~targets:20
+          ~jobs:1 ~seed:7 ()
+      in
+      Alcotest.(check int) (Printf.sprintf "intensity %.1f: worlds" intensity) 2 result.shards;
+      Alcotest.(check bool)
+        (Printf.sprintf "intensity %.1f: row = its fleet study alone" intensity)
+        true
+        (compare alone result = 0))
+    r.Experiments.Fault_study.rows
+
 (* ------------------------------------------------------------------ *)
 (* The fleet study: jobs-invariance is the whole point of sharding. *)
 
@@ -375,6 +402,8 @@ let suite =
     Alcotest.test_case "faults: disabled injector is inert" `Quick test_service_faults_off_inert;
     Alcotest.test_case "fault study: validation" `Quick test_fault_study_validation;
     Alcotest.test_case "fault study: jobs-invariant" `Quick test_fault_study_jobs_invariant;
+    Alcotest.test_case "fault study: rows are per-intensity fleet studies" `Quick
+      test_fault_study_rows_are_fleet_studies;
     Alcotest.test_case "study: byte-identical across jobs" `Quick test_study_jobs_invariant;
     Alcotest.test_case "study: worlds merge by summation" `Quick test_study_merge;
   ]

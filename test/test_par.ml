@@ -1,10 +1,11 @@
-(* The domain worker pool: submission-order results, determinism across
-   jobs counts, failure propagation, and lifecycle. The experiment-level
+(* One-shot trial parallelism: submission-order results, determinism
+   across jobs counts, failure propagation, the domain count, and the
+   runner's split of one trial list into arms. The experiment-level
    checks render full result tables and require them byte-identical for
    jobs 1, 2 and 4 — the pool's core contract. *)
 
-(* [f] over [xs] on the pool, results in the order of [xs]. *)
-let map pool f xs = Par.Pool.run_trials pool (List.map (fun x () -> f x) xs)
+(* [f] over [xs] on [jobs] domains, results in the order of [xs]. *)
+let map ~jobs f xs = Par.Pool.run_trials ~jobs (List.map (fun x () -> f x) xs)
 
 let test_default_jobs () =
   Alcotest.(check bool) "at least one worker" true (Par.Pool.default_jobs () >= 1)
@@ -24,21 +25,19 @@ let test_map_order () =
   let expected = List.map (fun i -> i * i) xs in
   List.iter
     (fun jobs ->
-      Par.Pool.with_pool ~jobs (fun pool ->
-          Alcotest.(check (list int))
-            (Printf.sprintf "submission order at jobs=%d" jobs)
-            expected
-            (map pool spin_then_square xs)))
+      Alcotest.(check (list int))
+        (Printf.sprintf "submission order at jobs=%d" jobs)
+        expected
+        (map ~jobs spin_then_square xs))
     [ 1; 2; 4 ]
 
 let test_run_trials () =
-  Par.Pool.with_pool ~jobs:3 (fun pool ->
-      let thunks = List.init 10 (fun i () -> 2 * i) in
-      Alcotest.(check (list int))
-        "thunk results in order"
-        (List.init 10 (fun i -> 2 * i))
-        (Par.Pool.run_trials pool thunks);
-      Alcotest.(check (list int)) "empty batch" [] (Par.Pool.run_trials pool []))
+  let thunks = List.init 10 (fun i () -> 2 * i) in
+  Alcotest.(check (list int))
+    "thunk results in order"
+    (List.init 10 (fun i -> 2 * i))
+    (Par.Pool.run_trials ~jobs:3 thunks);
+  Alcotest.(check (list int)) "empty batch" [] (Par.Pool.run_trials ~jobs:3 [])
 
 let test_exception_earliest () =
   (* Two failing trials: the one submitted first must surface, no matter
@@ -49,7 +48,7 @@ let test_exception_earliest () =
   in
   List.iter
     (fun jobs ->
-      match Par.Pool.with_pool ~jobs (fun pool -> Par.Pool.run_trials pool thunks) with
+      match Par.Pool.run_trials ~jobs thunks with
       | _ -> Alcotest.fail "expected a failure to propagate"
       | exception Failure msg ->
           Alcotest.(check string)
@@ -57,32 +56,14 @@ let test_exception_earliest () =
             "trial-2" msg)
     [ 1; 4 ]
 
-let test_pool_reuse () =
-  Par.Pool.with_pool ~jobs:2 (fun pool ->
-      Alcotest.(check (list int)) "first batch" [ 2; 3; 4 ] (map pool succ [ 1; 2; 3 ]);
-      Alcotest.(check (list string))
-        "second batch, different type" [ "1"; "2" ]
-        (map pool string_of_int [ 1; 2 ]);
-      Alcotest.(check (list int)) "empty input" [] (map pool succ []))
-
-let test_shutdown () =
-  (* [with_pool] shuts its pool down on the way out. *)
-  let pool =
-    Par.Pool.with_pool ~jobs:2 (fun pool ->
-        Alcotest.(check (list int)) "works before shutdown" [ 1 ] (map pool succ [ 0 ]);
-        pool)
-  in
-  Alcotest.check_raises "map after shutdown rejected"
-    (Invalid_argument "Par.Pool.map: pool is shut down") (fun () ->
-      ignore (map pool succ [ 0 ]))
-
-(* [jobs = N] runs a batch on N domains, the caller of [map] included:
-   every task a worker takes waits until the caller has run one, so the
-   batch finishes only if the caller takes tasks too (a pool whose caller
-   just waits would spin each worker task out to its bound and fail). *)
+(* [jobs = N] runs a batch on N domains, the caller of [map] included,
+   and never on more domains than the batch has tasks: every task a
+   worker takes waits until the caller has run one, so the batch finishes
+   only if the caller takes tasks too (a pool whose caller just waits
+   would spin each worker task out to its bound and fail). *)
 let test_jobs_domains () =
   List.iter
-    (fun jobs ->
+    (fun (jobs, tasks) ->
       let caller = (Domain.self () :> int) in
       let caller_ran = Atomic.make false in
       let task _ =
@@ -97,18 +78,34 @@ let test_jobs_domains () =
         end;
         self
       in
-      let domains =
-        Par.Pool.with_pool ~jobs (fun pool -> map pool task (List.init (4 * jobs) Fun.id))
-        |> List.sort_uniq Int.compare
-      in
+      let domains = map ~jobs task (List.init tasks Fun.id) |> List.sort_uniq Int.compare in
+      let bound = min jobs tasks in
       Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d: the caller ran tasks" jobs)
+        (Printf.sprintf "jobs=%d, %d tasks: the caller ran tasks" jobs tasks)
         true (List.mem caller domains);
       Alcotest.(check bool)
-        (Printf.sprintf "jobs=%d: at most %d domains (%d)" jobs jobs (List.length domains))
+        (Printf.sprintf "jobs=%d, %d tasks: at most %d domains (%d)" jobs tasks bound
+           (List.length domains))
         true
-        (List.length domains <= jobs))
-    [ 2; 3 ]
+        (List.length domains <= bound))
+    [ (2, 8); (3, 12); (4, 2) ]
+
+(* [Runner.run_arms] hands each arm back exactly its own results, in
+   order, whatever the arms' lengths. *)
+let test_run_arms () =
+  List.iter
+    (fun jobs ->
+      List.iter
+        (fun lengths ->
+          let arms = List.mapi (fun a n -> List.init n (fun i () -> (100 * a) + i)) lengths in
+          Alcotest.(check (list (list int)))
+            (Printf.sprintf "arms [%s] at jobs=%d"
+               (String.concat "; " (List.map string_of_int lengths))
+               jobs)
+            (List.map (List.map (fun trial -> trial ())) arms)
+            (Experiments.Runner.run_arms ~jobs arms))
+        [ [ 3; 1; 4 ]; [ 2; 0; 3 ]; [ 0 ]; [] ])
+    [ 1; 2 ]
 
 (* ------------------------------------------------------------------ *)
 (* Experiment-level determinism: the rendered tables — every digit —
@@ -143,9 +140,8 @@ let suite =
     Alcotest.test_case "map keeps submission order" `Quick test_map_order;
     Alcotest.test_case "run_trials" `Quick test_run_trials;
     Alcotest.test_case "earliest failure wins" `Quick test_exception_earliest;
-    Alcotest.test_case "pool reuse across batches" `Quick test_pool_reuse;
-    Alcotest.test_case "shutdown semantics" `Quick test_shutdown;
     Alcotest.test_case "fig6 invariant under jobs" `Slow test_fig6_jobs_invariant;
     Alcotest.test_case "efficacy invariant under jobs" `Slow test_efficacy_jobs_invariant;
     Alcotest.test_case "jobs N runs on N domains" `Quick test_jobs_domains;
+    Alcotest.test_case "run_arms returns each arm's results" `Quick test_run_arms;
   ]

@@ -474,6 +474,27 @@ let test_tables_jobs_invariant () =
         (render_tables small_config ~jobs))
     [ 2; 4 ]
 
+(* Both arms run as one trial list, split back per arm: each must be
+   exactly the fleet study with planning on or off, so a split off by
+   one world fails here. *)
+let test_arms_are_fleet_studies () =
+  let r = Experiments.Plan_study.run ~config:small_config ~targets:20 ~jobs:2 ~seed:7 () in
+  let alone planning =
+    Experiments.Fleet_study.run ~config:{ small_config with planning } ~targets:20 ~jobs:1
+      ~seed:7 ()
+  in
+  List.iter
+    (fun (name, planning, arm) ->
+      Alcotest.(check int) (name ^ ": worlds") 2 arm.Experiments.Fleet_study.shards;
+      Alcotest.(check bool)
+        (name ^ " = its fleet study alone")
+        true
+        (compare (alone planning) arm = 0))
+    [
+      ("planned", true, r.Experiments.Plan_study.planned);
+      ("computed", false, r.Experiments.Plan_study.computed);
+    ]
+
 (* The headline claims on the recurring-outage workload, pinned at the
    benchmark's default scale: most lookups are served from plan, and the
    planned arm's median reroute is strictly faster than computing every
@@ -513,6 +534,7 @@ let suite =
     Alcotest.test_case "watchdog divergence demotes to compute-fresh" `Quick
       test_watchdog_divergence_demotes;
     Alcotest.test_case "experiment tables: jobs invariant" `Quick test_tables_jobs_invariant;
+    Alcotest.test_case "plan study: arms are fleet studies" `Quick test_arms_are_fleet_studies;
     Alcotest.test_case "recurring workload: hit rate + faster reroute" `Quick
       test_recurring_workload_wins;
   ]
