@@ -7,11 +7,13 @@
     is what poisoning exploits: the origin [O] announces [O-A-O] so that
     [A] drops the route and other ASes route around it.
 
-    Representation: an immutable ASN array plus a salted structural hash,
-    computed once at construction. No table deduplicates paths: a speaker
-    exports a path by pointer and its neighbors keep that pointer, so the
-    copies of one route in a world are mostly one physical value, and
-    {!equal} settles on [==] or on the cached hash. *)
+    Representation: one immutable int array, its salted structural hash
+    at index 0 (computed once, at construction) and the ASNs at indices
+    1.., nearest first. ASNs are immediate ({!Net.Asn.t}), so a path is
+    one flat block. No table deduplicates paths: a speaker exports a
+    path by pointer and its neighbors keep that pointer, so the copies of
+    one route in a world are mostly one physical value, and {!equal}
+    settles on [==] or on the cached hash. *)
 
 open Net
 
@@ -64,6 +66,10 @@ val poisoned_multi : origin:Asn.t -> poisons:Asn.t list -> t
     see §7.1). *)
 
 val to_list : t -> Asn.t list
+
+val hash : t -> int
+(** The cached structural hash: non-negative, and equal for equal
+    paths. O(1). *)
 
 val equal : t -> t -> bool
 (** Physical equality, then cached-hash comparison, then a structural walk

@@ -11,26 +11,33 @@
     prepended baseline [O-O-O] (same length, same preference), so ASes
     not routing through [A] have no reason to explore alternatives.
 
-    The per-speaker tiebreak salt is no longer a parameter here: its rank
-    is baked into each entry at import time ([Route.make_entry
-    ~tiebreak]), so
-    comparisons read the cached [path_len] and [tiebreak] fields instead
-    of recomputing path length and a hash per comparison. *)
+    This is the one definition of the order. A {!Speaker} compares the
+    routes in its adj-RIB-in, which are the neighbors' announcements:
+    it reads each one's preference off its session as it compares, and
+    leaves the rank to be computed here, only on a tie in preference and
+    length. A loc-RIB {!Route.entry} carries all four fields. *)
 
-val compare_entries : Route.entry -> Route.entry -> int
-(** [compare_entries a b > 0] when [a] is preferred over [b]: the
-    lexicographic order on the key [(local_pref, -path_len, -tiebreak,
-    -neighbor)]. Total order over candidate entries for one prefix
-    (entries built with the same salt). *)
+open Net
 
-val best_in_array : Route.entry array -> Route.entry
-(** Most preferred among the real entries of an array (a speaker's
-    adj-RIB-in for one prefix, one cell per session, {!Route.no_route}
-    where a session has no route), or {!Route.no_route} if there is
-    none. The result does not depend on the order of the cells, because
-    {!compare_entries} is total over one prefix's candidates. Entries
-    carry their speaker's tiebreak rank (see {!Route.make_entry}): each
-    AS breaks exact ties in its own idiosyncratic (but deterministic)
-    order, which is what makes real forward and reverse routes
-    asymmetric. Entries built without a salt fall back to
-    lowest-neighbor-ASN. Allocates nothing. *)
+val compare :
+  salt:int ->
+  pref_a:int ->
+  len_a:int ->
+  rank_a:int ->
+  neighbor_a:Asn.t ->
+  pref_b:int ->
+  len_b:int ->
+  rank_b:int ->
+  neighbor_b:Asn.t ->
+  int
+(** [compare ... > 0] when route [a] (local preference [pref_a], path
+    length [len_a], tiebreak rank [rank_a], learned from [neighbor_a]) is
+    preferred over route [b]: the lexicographic order on the key
+    [(pref, -len, -rank, -neighbor)]. A negative rank stands for the
+    neighbor's rank under [salt], {!Route.tiebreak_rank}[ ~salt], which
+    is then computed only when preference and length tie. It is a total
+    order over routes from distinct neighbors, so the best of a set does
+    not depend on the order in which it is scanned: each AS breaks exact
+    ties in its own idiosyncratic (but deterministic) order, which is
+    what makes real forward and reverse routes asymmetric. Allocates
+    nothing. *)

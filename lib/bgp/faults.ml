@@ -169,22 +169,25 @@ let sorted_links graph =
 
 let start t ?(protect = []) ~until () =
   let graph = Network.graph t.net in
-  let links = sorted_links graph in
-  if t.config.session_flap_mtbf > 0.0 then
-    List.iter
-      (fun (a, b) ->
-        schedule_link_fault t ~mtbf:t.config.session_flap_mtbf
-          ~mttr:t.config.session_flap_downtime
-          ~count:(fun () -> t.session_flaps <- t.session_flaps + 1)
-          ~a ~b ~until)
-      links;
-  if t.config.link_mtbf > 0.0 then
-    List.iter
-      (fun (a, b) ->
-        schedule_link_fault t ~mtbf:t.config.link_mtbf ~mttr:t.config.link_mttr
-          ~count:(fun () -> t.link_failures <- t.link_failures + 1)
-          ~a ~b ~until)
-      links;
+  (* Built only for a link process: a world with neither pays nothing. *)
+  if t.config.session_flap_mtbf > 0.0 || t.config.link_mtbf > 0.0 then begin
+    let links = sorted_links graph in
+    if t.config.session_flap_mtbf > 0.0 then
+      List.iter
+        (fun (a, b) ->
+          schedule_link_fault t ~mtbf:t.config.session_flap_mtbf
+            ~mttr:t.config.session_flap_downtime
+            ~count:(fun () -> t.session_flaps <- t.session_flaps + 1)
+            ~a ~b ~until)
+        links;
+    if t.config.link_mtbf > 0.0 then
+      List.iter
+        (fun (a, b) ->
+          schedule_link_fault t ~mtbf:t.config.link_mtbf ~mttr:t.config.link_mttr
+            ~count:(fun () -> t.link_failures <- t.link_failures + 1)
+            ~a ~b ~until)
+        links
+  end;
   if t.config.router_mtbf > 0.0 then begin
     let routers =
       List.filter

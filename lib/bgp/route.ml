@@ -44,17 +44,7 @@ let local_entry_of ~ann ~self =
 let is_local e = e.local_pref = local_pref_local
 
 (* Told apart by a field, never by [==]: a world copied with Marshal
-   (Template.fork) holds a copy of this value, at another address. Real
-   preferences are positive, so [min_int] marks it and also ranks it
-   below every real entry. *)
-let no_route =
-  {
-    ann = { prefix = Prefix.make (Ipv4.of_int 0) 0; path = As_path.empty };
-    neighbor = Asn.of_int 0;
-    rel = Relationship.Provider;
-    local_pref = min_int;
-    path_len = 0;
-    tiebreak = 0;
-  }
-
-let is_route e = e.local_pref <> min_int
+   (Template.fork) holds a copy of this value, at another address. A
+   real announcement's path is never empty. *)
+let no_route = { prefix = Prefix.make (Ipv4.of_int 0) 0; path = As_path.empty }
+let is_route a = not (As_path.is_empty a.path)

@@ -28,14 +28,15 @@ type entry = {
       (** Per-speaker tiebreak rank ({!tiebreak_rank} of the importing
           speaker's salt and [neighbor], standing in for the IGP-cost /
           router-id tiebreaks real routers apply; [0] for local routes
-          and where no salt applies).
-          Both fields are cached because {!Decision.compare_entries}
-          runs once per candidate per update — the hottest comparison in
-          the simulator — and recomputing path length and hash rank
-          there dominated the decision step. *)
+          and where no salt applies). *)
 }
-(** An adj-RIB-in / loc-RIB entry. Build with {!make_entry} or
-    {!local_entry_of} so the cached fields stay consistent with [ann]. *)
+(** A loc-RIB entry: the best route of one prefix at one speaker, as
+    {!Speaker.best}, the FIB, route collectors and the data plane see it.
+    A speaker's adj-RIB-in keeps the neighbors' announcements themselves
+    and builds an entry only when its best changes; every field but
+    [ann] is a fact of the session the route came in on. Build with
+    {!make_entry} or {!local_entry_of} so [path_len] stays consistent
+    with [ann]. *)
 
 val tiebreak_rank : salt:int -> Asn.t -> int
 (** The 16-bit tiebreak rank of a neighbor for a speaker with this salt
@@ -62,12 +63,12 @@ val local_entry_of : ann:announcement -> self:Asn.t -> entry
 val is_local : entry -> bool
 (** Whether the entry is a local origination (neighbor = self). *)
 
-val no_route : entry
+val no_route : announcement
 (** The empty adj-RIB-in cell: what a {!Speaker} stores for a session
-    with no route, in place of an option box. {!Decision.compare_entries}
-    ranks it below every real entry. *)
+    with no route, in place of an option box. Its path is empty, which
+    no real announcement's is ({!announcement} refuses one). *)
 
-val is_route : entry -> bool
-(** Whether the entry is a real route, not {!no_route}. A field test,
-    so it also holds for a copy of {!no_route}, as in a world copied with
-    Marshal; never compare with {!no_route} by [==]. *)
+val is_route : announcement -> bool
+(** Whether the cell holds a real announcement, not {!no_route}: a test
+    of the path, so it also holds for a copy of {!no_route}, as in a
+    world copied with Marshal; never compare with {!no_route} by [==]. *)

@@ -10,6 +10,13 @@ let m_loc_rib = Obs.Metrics.gauge "bgp.loc_rib"
 
 type action = Announce of Route.announcement | Withdraw of Prefix.t
 
+(* What an adj-RIB-out cell holds where nothing is announced, and a
+   slot's [export] before anything has built it: a [Withdraw], told apart
+   by its constructor, so a copy made by Marshal still reads as nothing.
+   Any [Withdraw] means the same; a withdrawal sent on a session is kept
+   in its cell as is. *)
+let nothing = Withdraw Route.no_route.Route.prefix
+
 type origination = {
   per_neighbor : Asn.t -> As_path.t option;
   local_ann : Route.announcement;
@@ -30,23 +37,26 @@ module Damp_tbl = Hashtbl.Make (Damp_key)
 (* Everything the speaker holds for one prefix. Slots are found by the
    prefix's dense id in the speaker's [Path_store], and the per-neighbor
    RIBs are arrays indexed by [session.ix], so the update path does no
-   prefix- or neighbor-keyed hashing. An adj-RIB-in cell holds its entry
-   unboxed, [Route.no_route] when the session has none. *)
+   prefix- or neighbor-keyed hashing. An adj-RIB-in cell holds the
+   neighbor's announcement itself, by pointer, and [Route.no_route] when
+   the session has none: what an entry would add (neighbor, relationship,
+   preference, rank) is a fact of the session, so the decision reads it
+   there and an entry is built only for the loc-RIB best. *)
 type slot = {
   prefix : Prefix.t;
   mutable local : origination option;
   mutable best : Route.entry option;  (** The loc-RIB entry. *)
-  mutable export : action option;
-      (** [Some (Announce a)] with [a] the {!best_export} of [best] once
-          something has built it; [None] again whenever [best] is
+  mutable export : action;
+      (** [Announce a] with [a] the {!best_export} of [best] once
+          something has built it; [nothing] again whenever [best] is
           replaced. Every neighbor's adj-RIB-out cell and every update
-          sent for this best are this one value and its [Announce]. *)
+          sent for this best are this one [Announce] value. *)
   mutable fib : Route.entry option;
       (** The data-plane entry: [best] once {!install_fib} has caught up. *)
-  ins : Route.entry array;  (** Adj-RIB-in: candidate per session. *)
-  outs : action option array;
-      (** Adj-RIB-out: the [Some (Announce _)] last sent per session,
-          [None] when nothing is announced there. *)
+  ins : Route.announcement array;  (** Adj-RIB-in: announcement per session. *)
+  outs : action array;
+      (** Adj-RIB-out: the [Announce] last sent per session, a
+          [Withdraw] ([nothing]) when nothing is announced there. *)
   mutable stamp : int;  (** [changes] at [best]'s latest change; [0]: never. *)
 }
 
@@ -104,10 +114,10 @@ let empty_slot prefix k =
     prefix;
     local = None;
     best = None;
-    export = None;
+    export = nothing;
     fib = None;
     ins = Array.make k Route.no_route;
-    outs = Array.make k None;
+    outs = Array.make k nothing;
     stamp = 0;
   }
 
@@ -119,7 +129,7 @@ let create ?store ?fib_epoch ?changes ~asn ~config () =
     sessions = [||];
     last_sent = [||];
     slots = [||];
-    vacant = empty_slot Route.no_route.Route.ann.Route.prefix 0;
+    vacant = empty_slot Route.no_route.Route.prefix 0;
     loc_rib_size = 0;
     fib_epoch = (match fib_epoch with Some e -> e | None -> ref 0);
     changes = (match changes with Some c -> c | None -> ref 0);
@@ -302,92 +312,165 @@ let sorted_slots t keep =
 let damping_pending t =
   match t.damp with Some d -> Damp_tbl.length d <> 0 | None -> false
 
-(* The loc-RIB best for a prefix: a local origination wins outright;
-   otherwise the decision process over the adj-RIB-in candidates. *)
+(* --- The decision process ---
+
+   A decision names the route that wins as the index of the session
+   whose adj-RIB-in cell holds it, [none] when no cell holds a route; a
+   local origination wins outright, which {!commit} reads off the slot.
+   Preference and rank are facts of the session, worked out as the
+   decision compares ({!Decision.compare} computes a rank only on a
+   tie), and a {!Route.entry} is built only when the best changes. *)
+
+let none = -1
+
+(* What {!decide_after} returns when the best is unchanged. *)
+let keep = -2
+
+(* The local preference of a route learned on session [s]. *)
+let pref t s = Policy.local_pref_for t.config ~self:t.self ~neighbor:s.asn ~rel:s.rel
+
+(* Session [s]'s cell [a], of preference [pref], against route [b]:
+   {!Decision.compare} with [a]'s rank left for it to compute. *)
+let compare_cell t s (a : Route.announcement) ~pref ~pref_b ~len_b ~rank_b ~neighbor_b =
+  Decision.compare ~salt:(Asn.to_int t.self) ~pref_a:pref ~len_a:(As_path.length a.path)
+    ~rank_a:(-1) ~neighbor_a:s.asn ~pref_b ~len_b ~rank_b ~neighbor_b
+
+(* The winning cell of [slot.ins] from index [i] on, against the winner
+   [w] so far (of preference [wpref]). With [damped], suppressed routes
+   are ineligible; every route's suppression is looked at, in session
+   order, because the look lifts a suppression whose penalty decayed.
+   Top-level, so the scan builds no closure and allocates nothing. *)
+let rec best_cell t ~now slot ~damped i w wpref =
+  if i = Array.length slot.ins then w
+  else begin
+    let a = slot.ins.(i) and s = t.sessions.(i) in
+    if Route.is_route a && not (damped && is_suppressed t ~now slot.prefix s.asn) then begin
+      let p = pref t s in
+      if
+        w = none
+        || compare_cell t s a ~pref:p ~pref_b:wpref
+             ~len_b:(As_path.length slot.ins.(w).Route.path)
+             ~rank_b:(-1) ~neighbor_b:t.sessions.(w).asn
+           > 0
+      then best_cell t ~now slot ~damped (i + 1) i p
+      else best_cell t ~now slot ~damped (i + 1) w wpref
+    end
+    else best_cell t ~now slot ~damped (i + 1) w wpref
+  end
+
+(* The full decision process over the slot. *)
 let compute_best t ~now slot =
   Obs.Metrics.incr m_decisions;
   match slot.local with
-  | Some { local_ann; _ } -> Route.local_entry_of ~ann:local_ann ~self:t.self
-  | None ->
-      if not (damping_pending t) then Decision.best_in_array slot.ins
-      else
-        (* Damped candidates are ineligible until their penalty decays. *)
-        Array.fold_left
-          (fun acc e ->
-            if
-              Route.is_route e
-              && (not (is_suppressed t ~now slot.prefix e.Route.neighbor))
-              && Decision.compare_entries e acc > 0
-            then e
-            else acc)
-          Route.no_route slot.ins
+  | Some _ -> none
+  | None -> best_cell t ~now slot ~damped:(damping_pending t) 0 none 0
 
-(* The loc-RIB best after session [ix]'s adj-RIB-in cell became [cell],
-   without a scan where none is needed. With no local origination and no
-   damping state, [best] is the maximum of the cells (no_route when all
-   are empty), and {!Decision.compare_entries} is a total order over
-   entries from distinct neighbors. So when the cell did not hold the
-   best, the new maximum is the larger of the best and the cell; when it
-   did and its new entry ranks no lower, the new entry is the maximum.
-   Only a best that got worse, a local origination or live damping
-   state (which can make any cell ineligible) needs the full scan. *)
-let decide_after t ~now slot ix cell =
+(* The loc-RIB best after session [ix]'s adj-RIB-in cell changed, without
+   a scan where none is needed. With no local origination and no damping
+   state, [best] is the maximum of the cells ([None] when all are empty),
+   and {!Decision.compare} is a total order over routes from distinct
+   neighbors. So when the cell did not hold the best, the new maximum is
+   the larger of the best and the cell; when it did, its new route ranks
+   no lower exactly when its path is no longer (session, preference and
+   rank are the same), and then it is the maximum. Only a best that got
+   worse, a local origination or live damping state (which can make any
+   cell ineligible) needs the full scan. *)
+let decide_after t ~now slot ix =
   if Option.is_some slot.local || damping_pending t then compute_best t ~now slot
   else begin
     Obs.Metrics.incr m_decisions;
-    let best = match slot.best with Some b -> b | None -> Route.no_route in
-    if Route.is_route best && Asn.equal best.Route.neighbor t.sessions.(ix).asn then
-      if Decision.compare_entries cell best >= 0 then cell else Decision.best_in_array slot.ins
-    else if Decision.compare_entries cell best > 0 then cell
-    else best
+    let cell = slot.ins.(ix) and s = t.sessions.(ix) in
+    match slot.best with
+    | None -> if Route.is_route cell then ix else none
+    | Some b when Asn.equal b.Route.neighbor s.asn ->
+        if Route.is_route cell && As_path.length cell.Route.path <= b.Route.path_len then ix
+        else best_cell t ~now slot ~damped:false 0 none 0
+    | Some b ->
+        if
+          Route.is_route cell
+          && compare_cell t s cell ~pref:(pref t s) ~pref_b:b.Route.local_pref
+               ~len_b:b.Route.path_len ~rank_b:b.Route.tiebreak ~neighbor_b:b.Route.neighbor
+             > 0
+        then ix
+        else keep
   end
+
+(* Whether the loc-RIB best [best] is already the route that wins with
+   [w]: the local route where the prefix is originated here, otherwise
+   session [w]'s cell. *)
+let holds t slot w best =
+  match (best, slot.local) with
+  | None, Some _ -> false
+  | None, None -> w = none
+  | Some (b : Route.entry), Some { local_ann; _ } ->
+      Asn.equal b.neighbor t.self && Route.announcement_equal b.ann local_ann
+  | Some b, None ->
+      w <> none
+      && Asn.equal b.neighbor t.sessions.(w).asn
+      && Route.announcement_equal b.ann slot.ins.(w)
+
+(* The loc-RIB entry of the route that wins with [w]: built here, and
+   only here, once the best has changed. *)
+let entry_of t slot w =
+  match slot.local with
+  | Some { local_ann; _ } -> Some (Route.local_entry_of ~ann:local_ann ~self:t.self)
+  | None when w = none -> None
+  | None ->
+      let s = t.sessions.(w) in
+      Some
+        (Route.make_entry ~ann:slot.ins.(w) ~neighbor:s.asn ~rel:s.rel ~local_pref:(pref t s)
+           ~tiebreak:(Route.tiebreak_rank ~salt:(Asn.to_int t.self) s.asn))
 
 (* The update the loc-RIB best goes out as. It is the same toward every
    neighbor and changes only with [best], so the slot keeps it until
    [best] is replaced, and every neighbor receives this one value. *)
 let best_export t slot entry =
   match slot.export with
-  | Some _ as out -> out
-  | None ->
-      let out = Some (Announce (Policy.export_ann ~self:t.self ~entry)) in
+  | Announce _ as out -> out
+  | Withdraw _ ->
+      let out = Announce (Policy.export_ann ~self:t.self ~entry) in
       slot.export <- out;
       out
 
-(* Desired update toward session [s] for the slot's prefix:
-   [Some (Announce _)], or [None] for nothing. *)
+(* Desired update toward session [s] for the slot's prefix: an
+   [Announce], or [nothing]. *)
 let desired t s slot =
-  if s.down then None
+  if s.down then nothing
   else begin
     match slot.local with
     | Some { per_neighbor; _ } -> begin
         match per_neighbor s.asn with
-        | Some path -> Some (Announce (Route.announcement ~prefix:slot.prefix ~path))
-        | None -> None
+        | Some path -> Announce (Route.announcement ~prefix:slot.prefix ~path)
+        | None -> nothing
       end
     | None -> begin
         match slot.best with
-        | None -> None
+        | None -> nothing
         | Some entry ->
             if Policy.export_allowed ~entry ~to_neighbor:s.asn ~to_rel:s.rel then
               best_export t slot entry
-            else None
+            else nothing
       end
   end
 
 (* Diff desired exports against adj-RIB-out, mutate adj-RIB-out and hand
-   each update to [emit] as it is found, in session order. *)
+   each update to [emit] as it is found, in session order. [wd] is this
+   sync's one withdrawal, built at the first session that needs it and
+   sent on every such session. *)
 let sync_exports t ~emit slot =
+  let wd = ref nothing in
   for i = 0 to Array.length t.sessions - 1 do
     let s = t.sessions.(i) in
     match (desired t s slot, slot.outs.(i)) with
-    | None, None -> ()
-    | Some (Announce d), Some (Announce c) when Route.announcement_equal d c -> ()
-    | (Some update as out), _ ->
+    | Withdraw _, Withdraw _ -> ()
+    | Announce d, Announce c when Route.announcement_equal d c -> ()
+    | (Announce _ as out), _ ->
         slot.outs.(i) <- out;
-        emit t s update
-    | None, Some _ ->
-        slot.outs.(i) <- None;
-        emit t s (Withdraw slot.prefix)
+        emit t s out
+    | Withdraw _, Announce _ ->
+        if !wd == nothing then wd := Withdraw slot.prefix;
+        slot.outs.(i) <- !wd;
+        emit t s !wd
   done
 
 (* [force_sync] matters when per-neighbor desired exports can move without
@@ -397,25 +480,17 @@ let sync_exports t ~emit slot =
    sync whenever the best is unchanged — with an unchanged loc-RIB, every
    desired export is unchanged too, so the old unconditional scan provably
    emitted nothing. *)
-let commit ~force_sync t ~emit ~now slot e =
+let commit ~force_sync t ~emit ~now slot w =
   let old_best = slot.best in
-  let changed =
-    match old_best with
-    | None -> Route.is_route e
-    | Some a ->
-        (not (Route.is_route e))
-        || (not (Route.announcement_equal a.Route.ann e.Route.ann))
-        || not (Asn.equal a.Route.neighbor e.Route.neighbor)
-  in
+  let changed = not (holds t slot w old_best) in
   if changed then begin
-    (* Boxed only here: an unchanged best allocates nothing. *)
-    let new_best = if Route.is_route e then Some e else None in
+    let new_best = entry_of t slot w in
     (match (old_best, new_best) with
     | None, Some _ -> t.loc_rib_size <- t.loc_rib_size + 1
     | Some _, None -> t.loc_rib_size <- t.loc_rib_size - 1
     | _ -> ());
     slot.best <- new_best;
-    slot.export <- None;
+    slot.export <- nothing;
     incr t.changes;
     slot.stamp <- !(t.changes);
     Obs.Metrics.observe_max m_loc_rib t.loc_rib_size;
@@ -433,10 +508,11 @@ let refresh_best ?(force_sync = false) t ~emit ~now slot =
   commit ~force_sync t ~emit ~now slot (compute_best t ~now slot)
 
 (* Session [ix]'s adj-RIB-in cell becomes [cell]: store it, decide with
-   {!decide_after} and commit. *)
+   {!decide_after} and commit what changed. *)
 let set_cell t ~emit ~now slot ix cell =
   slot.ins.(ix) <- cell;
-  commit ~force_sync:false t ~emit ~now slot (decide_after t ~now slot ix cell)
+  let w = decide_after t ~now slot ix in
+  if w <> keep then commit ~force_sync:false t ~emit ~now slot w
 
 let originate t ~emit ~now ~prefix ~per_neighbor =
   let local_ann = Route.announcement ~prefix ~path:(As_path.plain ~origin:t.self) in
@@ -464,18 +540,14 @@ let receive t ~emit ~now ~session action =
         (* A changed announcement from a neighbor that already had a route
            is a flap. *)
         let previous = slot.ins.(s.ix) in
-        if Route.is_route previous && not (Route.announcement_equal previous.Route.ann ann) then
+        if Route.is_route previous && not (Route.announcement_equal previous ann) then
           ignore (note_flap t ~now prefix from);
         match Policy.import t.config ~self:t.self ~peers:t.sessions ~is_peer ~rel:s.rel ann with
         | Policy.Rejected _ ->
             (* An update that fails import replaces (removes) whatever this
                neighbor previously announced for the prefix. *)
             set_cell t ~emit ~now slot s.ix Route.no_route
-        | Policy.Accepted ->
-            set_cell t ~emit ~now slot s.ix
-              (Route.make_entry ~ann ~neighbor:from ~rel:s.rel
-                 ~local_pref:(Policy.local_pref_for t.config ~self:t.self ~neighbor:from ~rel:s.rel)
-                 ~tiebreak:(Route.tiebreak_rank ~salt:(Asn.to_int t.self) from))
+        | Policy.Accepted -> set_cell t ~emit ~now slot s.ix ann
       end
   end
 
@@ -493,7 +565,7 @@ let session_down t ~emit ~now ~neighbor =
       (fun slot ->
         if slot != t.vacant then begin
           slot.ins.(i) <- Route.no_route;
-          slot.outs.(i) <- None
+          slot.outs.(i) <- nothing
         end)
       t.slots;
     List.iter (refresh_best t ~emit ~now) affected
@@ -518,10 +590,10 @@ let session_up t ~emit ~now ~neighbor =
       List.iter
         (fun slot ->
           match desired t s slot with
-          | Some update as out ->
+          | Announce _ as out ->
               slot.outs.(s.ix) <- out;
-              emit t s update
-          | None -> ())
+              emit t s out
+          | Withdraw _ -> ())
         all
   end
 
@@ -531,7 +603,7 @@ let refresh_prefix t ~emit ~prefix =
      may have flushed or lost it (session reset, filtered update), which
      the diff against our own adj-RIB-out cannot see. *)
   let slot = slot t prefix in
-  Array.iter (fun s -> if not s.down then slot.outs.(s.ix) <- None) t.sessions;
+  Array.iter (fun s -> if not s.down then slot.outs.(s.ix) <- nothing) t.sessions;
   sync_exports t ~emit slot
 
 let best t prefix = (find_slot t prefix).best

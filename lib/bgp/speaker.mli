@@ -11,13 +11,23 @@
     update goes out with its session, and the network delivers it by
     pointer, as [receive s.peer ~session:s.back].
 
+    An adj-RIB-in cell is the neighbor's {!Route.announcement} itself,
+    kept by pointer ({!Route.no_route}, told apart by its empty path, where
+    the session has none); an adj-RIB-out cell is the {!action} last sent
+    on the session, a [Withdraw] where nothing is announced. Neither cell
+    copies a fact of the session: the decision reads each cell's local
+    preference off its session as it compares, and {!Decision.compare}
+    computes the tiebreak rank only on a tie in preference and length. A
+    {!Route.entry} is built only when the loc-RIB best changes, so
+    {!best}, the FIB, the FIB-commit hook and {!set_on_best_change} see
+    one entry per best.
+
     The decision process is incremental on the receive path: the new best
     is the larger of the old best and the changed adj-RIB-in cell, and
     the adj-RIB-in is scanned only when the cell that held the best got
     worse, when damping state is live, or when the prefix is originated
-    locally. The result is the full scan's, because
-    {!Decision.compare_entries} totally orders entries from distinct
-    neighbors.
+    locally. The result is the full scan's, because {!Decision.compare}
+    totally orders routes from distinct neighbors.
 
     Observability: every run of the decision process increments the
     [bgp.decisions] counter, and each loc-RIB change records the table's
@@ -106,9 +116,11 @@ val receive : t -> emit:emitter -> now:float -> session:int -> action -> unit
     rejected announcement acts as an implicit withdraw of that neighbor's
     previous route.
 
-    The speaker keeps the announcement it is handed by pointer; a
-    neighbor's export is one value per loc-RIB best, so the copies of
-    one route in a world are mostly one physical value. *)
+    The speaker keeps the announcement it is handed by pointer, as the
+    session's adj-RIB-in cell, and builds nothing for it unless it
+    becomes the best; a neighbor's export is one value per loc-RIB best,
+    so the copies of one route in a world are mostly one physical
+    value. *)
 
 val session_down : t -> emit:emitter -> now:float -> neighbor:Asn.t -> unit
 (** Drop every route learned from [neighbor] and stop exporting to it

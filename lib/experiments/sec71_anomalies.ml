@@ -135,40 +135,28 @@ let run ~ases ~jobs ~seed () =
   let scout = build_world ~ases ~seed in
   let relaxed = scout.w_relaxed in
   let feeds = scout.w_feeds in
-  let thunks =
-    List.map
-      (fun target () -> Loop (loop_trial ~ases ~seed target ()))
-      relaxed
-    @ [
-        (fun () -> Tier1 (tier1_trial ~ases ~seed ~via_filtering:true ()));
-        (fun () -> Tier1 (tier1_trial ~ases ~seed ~via_filtering:false ()));
-      ]
-  in
-  let outcomes = Runner.run_trials ~jobs thunks in
-  let relevant = ref 0 and single_ineffective = ref 0 and double_effective = ref 0 in
-  let tier1_counts = ref [] in
-  List.iter
-    (function
-      | Loop None -> ()
-      | Loop (Some (survived, doubled)) ->
-          incr relevant;
-          if survived then incr single_ineffective;
-          if doubled then incr double_effective
-      | Tier1 n -> tier1_counts := n :: !tier1_counts)
-    outcomes;
-  let via_filter, via_clean =
-    match List.rev !tier1_counts with
-    | [ f; c ] -> (f, c)
-    | _ -> assert false
-  in
-  {
-    relaxed_ases = !relevant;
-    single_poison_ineffective = !single_ineffective;
-    double_poison_effective = !double_effective;
-    tier1_poison_via_filter_reached = via_filter;
-    tier1_poison_via_clean_reached = via_clean;
-    feeds = List.length feeds;
-  }
+  let loops = List.map (fun target () -> Loop (loop_trial ~ases ~seed target ())) relaxed in
+  let tier1 via_filtering () = Tier1 (tier1_trial ~ases ~seed ~via_filtering ()) in
+  match Runner.run_arms ~jobs [ loops; [ tier1 true; tier1 false ] ] with
+  | [ loops; [ Tier1 via_filter; Tier1 via_clean ] ] ->
+      let relevant = ref 0 and single_ineffective = ref 0 and double_effective = ref 0 in
+      List.iter
+        (function
+          | Loop (Some (survived, doubled)) ->
+              incr relevant;
+              if survived then incr single_ineffective;
+              if doubled then incr double_effective
+          | Loop None | Tier1 _ -> ())
+        loops;
+      {
+        relaxed_ases = !relevant;
+        single_poison_ineffective = !single_ineffective;
+        double_poison_effective = !double_effective;
+        tier1_poison_via_filter_reached = via_filter;
+        tier1_poison_via_clean_reached = via_clean;
+        feeds = List.length feeds;
+      }
+  | _ -> assert false
 
 let to_tables r =
   let t =

@@ -5,8 +5,9 @@
     network. The type is abstract to keep ASNs from mixing with other
     integers (router ids, counts, ...). *)
 
-type t
-(** An AS number. *)
+type t [@@immediate]
+(** An AS number: an immediate int, so an array or record field of ASNs
+    holds them unboxed and storing one allocates nothing. *)
 
 val of_int : int -> t
 (** [of_int n] for [n >= 0]. Raises [Invalid_argument] on negatives. *)

@@ -14,7 +14,8 @@
     (its vacant slot) is still the one its cells point to. A marker
     compared with [==] against a module-level value is not: the fork
     holds a copy of it, so such a marker must be told apart by a field
-    instead ([Bgp.Route.is_route]).
+    ([Bgp.Route.is_route]) or by its constructor (a speaker's [Withdraw]
+    for "nothing announced") instead.
 
     Templates embed code pointers: they are valid only inside the
     running binary, never written to disk. This is the one module

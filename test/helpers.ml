@@ -12,10 +12,20 @@ let prefix = Prefix.of_string_exn
    [prepend]. *)
 let as_path l = List.fold_right Bgp.As_path.prepend l Bgp.As_path.empty
 
-(* The most preferred of [entries], by the speaker's own decision scan. *)
+(* [Decision.compare] over two loc-RIB entries, which carry all four of
+   its fields: the oracle the speaker's decision over its adj-RIB-in
+   cells is checked against. *)
+let compare_entries (a : Bgp.Route.entry) (b : Bgp.Route.entry) =
+  Bgp.Decision.compare ~salt:0 ~pref_a:a.local_pref ~len_a:a.path_len ~rank_a:a.tiebreak
+    ~neighbor_a:a.neighbor ~pref_b:b.local_pref ~len_b:b.path_len ~rank_b:b.tiebreak
+    ~neighbor_b:b.neighbor
+
+(* The most preferred of [entries] by {!compare_entries}. *)
 let best_of entries =
-  let best = Bgp.Decision.best_in_array (Array.of_list entries) in
-  if Bgp.Route.is_route best then Some best else None
+  List.fold_left
+    (fun acc e ->
+      match acc with Some b when compare_entries e b <= 0 -> acc | Some _ | None -> Some e)
+    None entries
 
 (* Reference longest-prefix match over a list of (prefix, value)
    bindings: the binding of the longest prefix covering [ip]. *)

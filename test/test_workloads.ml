@@ -393,7 +393,11 @@ let test_fork_selective () =
    instead of maps (197,625 B), plus 5%. Immediate prefixes left it at
    201,020 B: the world holds fewer words (91,465 -> 89,980 reachable),
    but Marshal writes a packed prefix above 2^32 as an 8-byte int where
-   it wrote a back-reference to one shared record before. *)
+   it wrote a back-reference to one shared record before. Adj-RIB-in
+   cells that keep the neighbor's announcement, with an entry only per
+   loc-RIB best, and flat AS paths took it to 200,186 B (84,317
+   reachable words after a compaction); that size plus 5% would be above
+   this bound, so the bound stays. *)
 let test_world_size () =
   let module P = Experiments.Poisoning in
   let mux = P.mux ~ases:318 ~seed:42 () in
