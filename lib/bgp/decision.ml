@@ -1,15 +1,15 @@
 open Net
 
-let rank ~salt r neighbor = if r >= 0 then r else Route.tiebreak_rank ~salt neighbor
-
 (* The rank is the last thing compared but the one that costs a hash
    mix, so it is worked out only on a tie in preference and length. *)
-let compare ~salt ~pref_a ~len_a ~rank_a ~neighbor_a ~pref_b ~len_b ~rank_b ~neighbor_b =
+let compare ~salt ~pref_a ~len_a ~neighbor_a ~pref_b ~len_b ~neighbor_b =
   match Int.compare pref_a pref_b with
   | 0 -> begin
       match Int.compare len_b len_a with
       | 0 -> begin
-          match Int.compare (rank ~salt rank_b neighbor_b) (rank ~salt rank_a neighbor_a) with
+          match
+            Int.compare (Route.tiebreak_rank ~salt neighbor_b) (Route.tiebreak_rank ~salt neighbor_a)
+          with
           | 0 -> Asn.compare neighbor_b neighbor_a
           | c -> c
         end

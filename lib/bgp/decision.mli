@@ -14,8 +14,8 @@
     This is the one definition of the order. A {!Speaker} compares the
     routes in its adj-RIB-in, which are the neighbors' announcements:
     it reads each one's preference off its session as it compares, and
-    leaves the rank to be computed here, only on a tie in preference and
-    length. A loc-RIB {!Route.entry} carries all four fields. *)
+    the rank is computed here from the neighbor, only on a tie in
+    preference and length. *)
 
 open Net
 
@@ -23,21 +23,18 @@ val compare :
   salt:int ->
   pref_a:int ->
   len_a:int ->
-  rank_a:int ->
   neighbor_a:Asn.t ->
   pref_b:int ->
   len_b:int ->
-  rank_b:int ->
   neighbor_b:Asn.t ->
   int
 (** [compare ... > 0] when route [a] (local preference [pref_a], path
-    length [len_a], tiebreak rank [rank_a], learned from [neighbor_a]) is
-    preferred over route [b]: the lexicographic order on the key
-    [(pref, -len, -rank, -neighbor)]. A negative rank stands for the
-    neighbor's rank under [salt], {!Route.tiebreak_rank}[ ~salt], which
-    is then computed only when preference and length tie. It is a total
-    order over routes from distinct neighbors, so the best of a set does
-    not depend on the order in which it is scanned: each AS breaks exact
-    ties in its own idiosyncratic (but deterministic) order, which is
-    what makes real forward and reverse routes asymmetric. Allocates
-    nothing. *)
+    length [len_a], learned from [neighbor_a]) is preferred over route
+    [b]: the lexicographic order on the key [(pref, -len, -rank,
+    -neighbor)], where a route's rank is its neighbor's
+    {!Route.tiebreak_rank}[ ~salt] (the deciding speaker's ASN). It is a
+    total order over routes from distinct neighbors, so the best of a
+    set does not depend on the order in which it is scanned: each AS
+    breaks exact ties in its own idiosyncratic (but deterministic) order,
+    which is what makes real forward and reverse routes asymmetric.
+    Allocates nothing. *)

@@ -55,12 +55,9 @@ let import config ~self ~peers ~is_peer ~rel (ann : Route.announcement) =
    prefix toward many neighbors computes the outgoing announcement once
    and runs only the cheap predicate per neighbor. *)
 
-let export_allowed ~entry ~to_neighbor ~to_rel =
-  let { Route.rel = learned_from; neighbor; _ } = entry in
-  (not (Asn.equal to_neighbor neighbor && not (Route.is_local entry)))
-  && Relationship.export_ok ~learned_from ~to_:to_rel
+let export_allowed ~from_neighbor ~from_rel ~to_neighbor ~to_rel =
+  (not (Asn.equal to_neighbor from_neighbor))
+  && Relationship.export_ok ~learned_from:from_rel ~to_:to_rel
 
-let export_ann ~self ~entry =
-  let ann = entry.Route.ann in
-  if Route.is_local entry then ann
-  else { ann with Route.path = As_path.prepend self ann.Route.path }
+let export_ann ~self (ann : Route.announcement) =
+  { ann with Route.path = As_path.prepend self ann.Route.path }

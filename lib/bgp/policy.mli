@@ -48,7 +48,9 @@ type config = {
           within a relationship class; non-zero values make forward and
           reverse AS paths asymmetric, as on the real Internet. 0 (the
           default) keeps preferences purely relationship-based. Must stay
-          below the 100-point class separation. *)
+          below the 100-point class separation, so a jittered preference
+          never crosses into the next class: {!Speaker.create} refuses a
+          value outside [\[0, 99\]]. *)
 }
 
 val default : config
@@ -77,16 +79,19 @@ val import :
     nothing per call. *)
 
 (** Export is split in two so a speaker syncing one prefix toward many
-    neighbors builds the outgoing announcement once: the loc-RIB [entry]
-    goes to a neighbor when {!export_allowed} holds, as {!export_ann}.
-    Export rules are the same for every AS. *)
+    neighbors builds the outgoing announcement once: a loc-RIB best
+    learned from a neighbor goes to another neighbor when
+    {!export_allowed} holds, as {!export_ann}. Export rules are the same
+    for every AS. A local origination is not exported through these: its
+    speaker announces each neighbor the path it was told to. *)
 
-val export_allowed : entry:Route.entry -> to_neighbor:Asn.t -> to_rel:Relationship.t -> bool
-(** Whether [entry] is exported to the neighbor: Gao–Rexford valley-free
-    export ({!Relationship.export_ok}) and never back to the neighbor the
-    route was learned from. Cheap — no allocation. *)
+val export_allowed :
+  from_neighbor:Asn.t -> from_rel:Relationship.t -> to_neighbor:Asn.t -> to_rel:Relationship.t -> bool
+(** Whether a route learned from [from_neighbor], which is [from_rel] to
+    us, is exported to [to_neighbor], which is [to_rel] to us: Gao–Rexford
+    valley-free export ({!Relationship.export_ok}) and never back to the
+    neighbor the route was learned from. Cheap — no allocation. *)
 
-val export_ann : self:Asn.t -> entry:Route.entry -> Route.announcement
-(** The announcement sent when {!export_allowed} holds: [entry]'s,
-    with [self] prepended unless the entry is local. The same toward every
-    permitted neighbor. *)
+val export_ann : self:Asn.t -> Route.announcement -> Route.announcement
+(** The announcement sent when {!export_allowed} holds: the learned one
+    with [self] prepended. The same toward every permitted neighbor. *)

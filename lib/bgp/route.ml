@@ -1,5 +1,4 @@
 open Net
-open Topology
 
 type announcement = {
   prefix : Prefix.t;
@@ -16,14 +15,7 @@ let announcement ~prefix ~path =
 let announcement_equal a b =
   a == b || (Prefix.equal a.prefix b.prefix && As_path.equal a.path b.path)
 
-type entry = {
-  ann : announcement;
-  neighbor : Asn.t;
-  rel : Relationship.t;
-  local_pref : int;
-  path_len : int;
-  tiebreak : int;
-}
+type entry = { ann : announcement; neighbor : Asn.t }
 
 (* Explicit integer mix, not the polymorphic [Hashtbl.hash], so decision
    tie-breaks are pinned by this source alone. *)
@@ -31,17 +23,6 @@ let tiebreak_rank ~salt neighbor =
   let z = (salt * 0x9E3779B1) lxor (Asn.to_int neighbor * 0x5F3759DF) in
   let z = z lxor (z lsr 16) in
   z land 0xFFFF
-
-let make_entry ~ann ~neighbor ~rel ~local_pref ~tiebreak =
-  { ann; neighbor; rel; local_pref; path_len = As_path.length ann.path; tiebreak }
-
-let local_pref_local = 400
-
-let local_entry_of ~ann ~self =
-  make_entry ~ann ~neighbor:self ~rel:Relationship.Customer ~local_pref:local_pref_local
-    ~tiebreak:0
-
-let is_local e = e.local_pref = local_pref_local
 
 (* Told apart by a field, never by [==]: a world copied with Marshal
    (Template.fork) holds a copy of this value, at another address. A

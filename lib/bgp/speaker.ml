@@ -39,13 +39,17 @@ module Damp_tbl = Hashtbl.Make (Damp_key)
    RIBs are arrays indexed by [session.ix], so the update path does no
    prefix- or neighbor-keyed hashing. An adj-RIB-in cell holds the
    neighbor's announcement itself, by pointer, and [Route.no_route] when
-   the session has none: what an entry would add (neighbor, relationship,
-   preference, rank) is a fact of the session, so the decision reads it
-   there and an entry is built only for the loc-RIB best. *)
+   the session has none: the relationship, preference and rank of a
+   route are facts of its session, so the decision reads them there, and
+   an entry (announcement and neighbor) is built only for the loc-RIB
+   best. *)
 type slot = {
   prefix : Prefix.t;
   mutable local : origination option;
   mutable best : Route.entry option;  (** The loc-RIB entry. *)
+  mutable best_ix : int;
+      (** The session whose cell [best] is; [none] when [best] is [None]
+          or local. *)
   mutable export : action;
       (** [Announce a] with [a] the {!best_export} of [best] once
           something has built it; [nothing] again whenever [best] is
@@ -108,12 +112,17 @@ and damp_state = { mutable penalty : float; mutable last : float; mutable suppre
 
 type emitter = t -> session -> action -> unit
 
+(* The [best_ix] of a slot whose best no session holds, and the decision
+   naming no session's cell. *)
+let none = -1
+
 (* A slot with nothing in it, for [k] sessions. *)
 let empty_slot prefix k =
   {
     prefix;
     local = None;
     best = None;
+    best_ix = none;
     export = nothing;
     fib = None;
     ins = Array.make k Route.no_route;
@@ -122,6 +131,9 @@ let empty_slot prefix k =
   }
 
 let create ?store ?fib_epoch ?changes ~asn ~config () =
+  if config.Policy.pref_jitter < 0 || config.Policy.pref_jitter > 99 then
+    invalid_arg
+      (Printf.sprintf "Speaker.create: pref_jitter %d outside [0, 99]" config.Policy.pref_jitter);
   {
     self = asn;
     config;
@@ -319,9 +331,9 @@ let damping_pending t =
    local origination wins outright, which {!commit} reads off the slot.
    Preference and rank are facts of the session, worked out as the
    decision compares ({!Decision.compare} computes a rank only on a
-   tie), and a {!Route.entry} is built only when the best changes. *)
-
-let none = -1
+   tie), and a {!Route.entry} is built only when the best changes. The
+   slot keeps the winner's index, so the next decision compares against
+   the best's cell and session the same way. *)
 
 (* What {!decide_after} returns when the best is unchanged. *)
 let keep = -2
@@ -329,11 +341,14 @@ let keep = -2
 (* The local preference of a route learned on session [s]. *)
 let pref t s = Policy.local_pref_for t.config ~self:t.self ~neighbor:s.asn ~rel:s.rel
 
-(* Session [s]'s cell [a], of preference [pref], against route [b]:
-   {!Decision.compare} with [a]'s rank left for it to compute. *)
-let compare_cell t s (a : Route.announcement) ~pref ~pref_b ~len_b ~rank_b ~neighbor_b =
-  Decision.compare ~salt:(Asn.to_int t.self) ~pref_a:pref ~len_a:(As_path.length a.path)
-    ~rank_a:(-1) ~neighbor_a:s.asn ~pref_b ~len_b ~rank_b ~neighbor_b
+(* Cell [i] of [slot.ins], of preference [pref], against cell [w], of
+   preference [pref_w]: {!Decision.compare} of the two routes. *)
+let compare_cell t slot i ~pref w ~pref_w =
+  Decision.compare ~salt:(Asn.to_int t.self) ~pref_a:pref
+    ~len_a:(As_path.length slot.ins.(i).Route.path)
+    ~neighbor_a:t.sessions.(i).asn ~pref_b:pref_w
+    ~len_b:(As_path.length slot.ins.(w).Route.path)
+    ~neighbor_b:t.sessions.(w).asn
 
 (* The winning cell of [slot.ins] from index [i] on, against the winner
    [w] so far (of preference [wpref]). With [damped], suppressed routes
@@ -343,16 +358,12 @@ let compare_cell t s (a : Route.announcement) ~pref ~pref_b ~len_b ~rank_b ~neig
 let rec best_cell t ~now slot ~damped i w wpref =
   if i = Array.length slot.ins then w
   else begin
-    let a = slot.ins.(i) and s = t.sessions.(i) in
-    if Route.is_route a && not (damped && is_suppressed t ~now slot.prefix s.asn) then begin
+    let s = t.sessions.(i) in
+    if Route.is_route slot.ins.(i) && not (damped && is_suppressed t ~now slot.prefix s.asn)
+    then begin
       let p = pref t s in
-      if
-        w = none
-        || compare_cell t s a ~pref:p ~pref_b:wpref
-             ~len_b:(As_path.length slot.ins.(w).Route.path)
-             ~rank_b:(-1) ~neighbor_b:t.sessions.(w).asn
-           > 0
-      then best_cell t ~now slot ~damped (i + 1) i p
+      if w = none || compare_cell t slot i ~pref:p w ~pref_w:wpref > 0 then
+        best_cell t ~now slot ~damped (i + 1) i p
       else best_cell t ~now slot ~damped (i + 1) w wpref
     end
     else best_cell t ~now slot ~damped (i + 1) w wpref
@@ -368,67 +379,63 @@ let compute_best t ~now slot =
 (* The loc-RIB best after session [ix]'s adj-RIB-in cell changed, without
    a scan where none is needed. With no local origination and no damping
    state, [best] is the maximum of the cells ([None] when all are empty),
-   and {!Decision.compare} is a total order over routes from distinct
-   neighbors. So when the cell did not hold the best, the new maximum is
-   the larger of the best and the cell; when it did, its new route ranks
-   no lower exactly when its path is no longer (session, preference and
-   rank are the same), and then it is the maximum. Only a best that got
-   worse, a local origination or live damping state (which can make any
-   cell ineligible) needs the full scan. *)
+   held by cell [best_ix], and {!Decision.compare} is a total order over
+   routes from distinct neighbors. So when the cell did not hold the
+   best, the new maximum is the larger of the two cells; when it did,
+   its new route ranks no lower exactly when its path is no longer than
+   the best's (session, preference and rank are the same), and then it
+   is the maximum. Only a best that got worse, a local origination or
+   live damping state (which can make any cell ineligible) needs the
+   full scan. *)
 let decide_after t ~now slot ix =
   if Option.is_some slot.local || damping_pending t then compute_best t ~now slot
   else begin
     Obs.Metrics.incr m_decisions;
-    let cell = slot.ins.(ix) and s = t.sessions.(ix) in
-    match slot.best with
-    | None -> if Route.is_route cell then ix else none
-    | Some b when Asn.equal b.Route.neighbor s.asn ->
-        if Route.is_route cell && As_path.length cell.Route.path <= b.Route.path_len then ix
-        else best_cell t ~now slot ~damped:false 0 none 0
-    | Some b ->
-        if
-          Route.is_route cell
-          && compare_cell t s cell ~pref:(pref t s) ~pref_b:b.Route.local_pref
-               ~len_b:b.Route.path_len ~rank_b:b.Route.tiebreak ~neighbor_b:b.Route.neighbor
-             > 0
-        then ix
-        else keep
+    let cell = slot.ins.(ix) and b = slot.best_ix in
+    if b = none then if Route.is_route cell then ix else none
+    else if b = ix then begin
+      match slot.best with
+      | Some e
+        when Route.is_route cell
+             && As_path.length cell.Route.path <= As_path.length e.Route.ann.Route.path ->
+          ix
+      | Some _ | None -> best_cell t ~now slot ~damped:false 0 none 0
+    end
+    else if
+      Route.is_route cell
+      && compare_cell t slot ix ~pref:(pref t t.sessions.(ix)) b ~pref_w:(pref t t.sessions.(b))
+         > 0
+    then ix
+    else keep
   end
 
-(* Whether the loc-RIB best [best] is already the route that wins with
-   [w]: the local route where the prefix is originated here, otherwise
-   session [w]'s cell. *)
-let holds t slot w best =
-  match (best, slot.local) with
+(* Whether the loc-RIB best is already the route that wins with [w]: the
+   local route where the prefix is originated here, otherwise session
+   [w]'s cell. *)
+let holds t slot w =
+  match (slot.best, slot.local) with
   | None, Some _ -> false
   | None, None -> w = none
-  | Some (b : Route.entry), Some { local_ann; _ } ->
+  | Some b, Some { local_ann; _ } ->
       Asn.equal b.neighbor t.self && Route.announcement_equal b.ann local_ann
-  | Some b, None ->
-      w <> none
-      && Asn.equal b.neighbor t.sessions.(w).asn
-      && Route.announcement_equal b.ann slot.ins.(w)
+  | Some b, None -> w <> none && w = slot.best_ix && Route.announcement_equal b.ann slot.ins.(w)
 
 (* The loc-RIB entry of the route that wins with [w]: built here, and
    only here, once the best has changed. *)
 let entry_of t slot w =
   match slot.local with
-  | Some { local_ann; _ } -> Some (Route.local_entry_of ~ann:local_ann ~self:t.self)
+  | Some { local_ann; _ } -> Some { Route.ann = local_ann; neighbor = t.self }
   | None when w = none -> None
-  | None ->
-      let s = t.sessions.(w) in
-      Some
-        (Route.make_entry ~ann:slot.ins.(w) ~neighbor:s.asn ~rel:s.rel ~local_pref:(pref t s)
-           ~tiebreak:(Route.tiebreak_rank ~salt:(Asn.to_int t.self) s.asn))
+  | None -> Some { Route.ann = slot.ins.(w); neighbor = t.sessions.(w).asn }
 
 (* The update the loc-RIB best goes out as. It is the same toward every
    neighbor and changes only with [best], so the slot keeps it until
    [best] is replaced, and every neighbor receives this one value. *)
-let best_export t slot entry =
+let best_export t slot (b : Route.entry) =
   match slot.export with
   | Announce _ as out -> out
   | Withdraw _ ->
-      let out = Announce (Policy.export_ann ~self:t.self ~entry) in
+      let out = Announce (Policy.export_ann ~self:t.self b.ann) in
       slot.export <- out;
       out
 
@@ -446,9 +453,12 @@ let desired t s slot =
     | None -> begin
         match slot.best with
         | None -> nothing
-        | Some entry ->
-            if Policy.export_allowed ~entry ~to_neighbor:s.asn ~to_rel:s.rel then
-              best_export t slot entry
+        | Some b ->
+            let from = t.sessions.(slot.best_ix) in
+            if
+              Policy.export_allowed ~from_neighbor:from.asn ~from_rel:from.rel
+                ~to_neighbor:s.asn ~to_rel:s.rel
+            then best_export t slot b
             else nothing
       end
   end
@@ -481,15 +491,15 @@ let sync_exports t ~emit slot =
    desired export is unchanged too, so the old unconditional scan provably
    emitted nothing. *)
 let commit ~force_sync t ~emit ~now slot w =
-  let old_best = slot.best in
-  let changed = not (holds t slot w old_best) in
+  let changed = not (holds t slot w) in
   if changed then begin
     let new_best = entry_of t slot w in
-    (match (old_best, new_best) with
+    (match (slot.best, new_best) with
     | None, Some _ -> t.loc_rib_size <- t.loc_rib_size + 1
     | Some _, None -> t.loc_rib_size <- t.loc_rib_size - 1
     | _ -> ());
     slot.best <- new_best;
+    slot.best_ix <- w;
     slot.export <- nothing;
     incr t.changes;
     slot.stamp <- !(t.changes);

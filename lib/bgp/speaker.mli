@@ -15,19 +15,22 @@
     kept by pointer ({!Route.no_route}, told apart by its empty path, where
     the session has none); an adj-RIB-out cell is the {!action} last sent
     on the session, a [Withdraw] where nothing is announced. Neither cell
-    copies a fact of the session: the decision reads each cell's local
+    copies a fact of the session: the decision reads each route's local
     preference off its session as it compares, and {!Decision.compare}
     computes the tiebreak rank only on a tie in preference and length. A
-    {!Route.entry} is built only when the loc-RIB best changes, so
-    {!best}, the FIB, the FIB-commit hook and {!set_on_best_change} see
-    one entry per best.
+    {!Route.entry} (the route and its neighbor) is built only when the
+    loc-RIB best changes, so {!best}, the FIB, the FIB-commit hook and
+    {!set_on_best_change} see one entry per best; the speaker itself
+    keeps the index of the session whose cell is the best, and compares
+    and exports through that session.
 
     The decision process is incremental on the receive path: the new best
-    is the larger of the old best and the changed adj-RIB-in cell, and
-    the adj-RIB-in is scanned only when the cell that held the best got
-    worse, when damping state is live, or when the prefix is originated
-    locally. The result is the full scan's, because {!Decision.compare}
-    totally orders routes from distinct neighbors.
+    is the larger of the best's cell and the changed adj-RIB-in cell,
+    compared as the full scan compares them, and the adj-RIB-in is
+    scanned only when the cell that held the best got worse, when damping
+    state is live, or when the prefix is originated locally. The result
+    is the full scan's, because {!Decision.compare} totally orders routes
+    from distinct neighbors.
 
     Observability: every run of the decision process increments the
     [bgp.decisions] counter, and each loc-RIB change records the table's
@@ -76,7 +79,10 @@ val create :
     indexed by the store's {!Path_store.prefix_id}. Never share a store
     across worlds: lib/par worlds are share-nothing.
     [fib_epoch] ({!install_fib}) and [changes] ({!change_stamp}) are
-    counters {!Network.create} shares among a world's speakers. *)
+    counters {!Network.create} shares among a world's speakers. Raises
+    [Invalid_argument] when [config]'s [pref_jitter] is outside
+    [\[0, 99\]]: a larger jitter could lift a route into the next
+    relationship class. *)
 
 val connect : t list -> neighbors:(Asn.t -> (Asn.t * Relationship.t) list) -> unit
 (** Give each listed speaker, once, a session per neighbor [neighbors]

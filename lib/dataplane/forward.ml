@@ -32,17 +32,18 @@ let responding_router graph asn ~dst =
 let max_hops = 64
 
 (* One forwarding decision, shared by [walk] and [delivers] so the two
-   cannot drift apart: at [current], the FIB entry picks the next AS; the
-   packet then either loops back to an AS [seen] already, is dropped by a
-   failure on the hop, or moves on. *)
+   cannot drift apart: at [current], the FIB entry picks the next AS, and
+   an entry naming [current] itself (a local origination) means the
+   packet has arrived; otherwise it either loops back to an AS [seen]
+   already, is dropped by a failure on the hop, or moves on. *)
 type step = Arrive | Halt of outcome | Hop of Asn.t
 
 let next_hop net failures ~seen ~dst current =
   match Bgp.Network.fib_find net current dst with
   | None -> Halt (No_route current)
-  | Some entry when Bgp.Route.is_local entry -> Arrive
   | Some { Bgp.Route.neighbor = next; _ } ->
-      if seen next then Halt Loop
+      if Asn.equal next current then Arrive
+      else if seen next then Halt Loop
       else begin
         match Failure.blocks_hop failures ~from_:current ~to_:next ~dst with
         | Some by -> Halt (Dropped { at = next; by })

@@ -71,9 +71,9 @@ let describe = function
       "List.mem/List.assoc inside a let rec or iteration closure, directly or through a \
        local helper that scans a captured list; quadratic scan — use a Set/Map/Hashtbl"
   | Perf_structeq ->
-      "structural =/compare on a BGP path or route (As_path.t / Route entry fields) \
-       outside lib/bgp; skips the O(1) cached-hash equality — use As_path.equal / \
-       Route.announcement_equal"
+      "structural =/compare on a BGP path or route (an As_path.t, an announcement's \
+       path or an entry's ann) outside lib/bgp; skips the O(1) cached-hash equality — \
+       use As_path.equal / Route.announcement_equal"
   | Perf_boxed ->
       "mutable record field of type int64 / int32 / nativeint in a library; every write \
        boxes a fresh value on the heap — keep the words unboxed (e.g. in a Bytes buffer \

@@ -13,9 +13,9 @@ type t =
       (** [List.mem]/[List.assoc] inside a [let rec] or iteration closure, directly or
           through a local helper that scans a captured list *)
   | Perf_structeq
-      (** structural [=]/[compare] on a BGP value ([As_path.t], [Route]
-          entry fields) outside [lib/bgp], whose own equality is [==] or
-          the cached hash *)
+      (** structural [=]/[compare] on a BGP value (an [As_path.t], an
+          announcement's [path] or an entry's [ann]) outside [lib/bgp],
+          whose own equality is [==] or the cached hash *)
   | Perf_boxed
       (** [mutable] record field of type [int64], [int32] or [nativeint]
           in [lib/]: each write allocates a box *)

@@ -12,20 +12,42 @@ let prefix = Prefix.of_string_exn
    [prepend]. *)
 let as_path l = List.fold_right Bgp.As_path.prepend l Bgp.As_path.empty
 
-(* [Decision.compare] over two loc-RIB entries, which carry all four of
-   its fields: the oracle the speaker's decision over its adj-RIB-in
-   cells is checked against. *)
-let compare_entries (a : Bgp.Route.entry) (b : Bgp.Route.entry) =
-  Bgp.Decision.compare ~salt:0 ~pref_a:a.local_pref ~len_a:a.path_len ~rank_a:a.tiebreak
-    ~neighbor_a:a.neighbor ~pref_b:b.local_pref ~len_b:b.path_len ~rank_b:b.tiebreak
-    ~neighbor_b:b.neighbor
+(* The decision's oracle. A candidate is one route as the speaker of
+   ASN [self] ranks it, in a record of the tests' own, so the oracle
+   shares no type with the code it checks: its preference is
+   [Policy.local_pref_for] of its session and its rank the neighbor's
+   [Route.tiebreak_rank] under [self]. *)
+type candidate = { from : Asn.t; path : Bgp.As_path.t; pref : int; rank : int }
 
-(* The most preferred of [entries] by {!compare_entries}. *)
-let best_of entries =
+let candidate ?(config = Bgp.Policy.default) ~self ~from ~rel path =
+  {
+    from;
+    path;
+    pref = Bgp.Policy.local_pref_for config ~self ~neighbor:from ~rel;
+    rank = Bgp.Route.tiebreak_rank ~salt:(Asn.to_int self) from;
+  }
+
+(* The order as documented: the lexicographic order on the key
+   (preference, -length, -rank, -neighbor ASN), written out. *)
+let compare_candidates a b =
+  let key c = (c.pref, -Bgp.As_path.length c.path, -c.rank, -Asn.to_int c.from) in
+  Stdlib.compare (key a) (key b)
+
+(* The greatest of [cs] under [compare], the first of equals. *)
+let max_by compare cs =
   List.fold_left
-    (fun acc e ->
-      match acc with Some b when compare_entries e b <= 0 -> acc | Some _ | None -> Some e)
-    None entries
+    (fun acc c -> match acc with Some b when compare c b <= 0 -> acc | Some _ | None -> Some c)
+    None cs
+
+(* The most preferred of [cs], by the documented order. *)
+let best_of cs = max_by compare_candidates cs
+
+(* [Decision.compare] over two candidates of the speaker [self]: what
+   the oracle checks. *)
+let decide ~self a b =
+  Bgp.Decision.compare ~salt:(Asn.to_int self) ~pref_a:a.pref
+    ~len_a:(Bgp.As_path.length a.path) ~neighbor_a:a.from ~pref_b:b.pref
+    ~len_b:(Bgp.As_path.length b.path) ~neighbor_b:b.from
 
 (* Reference longest-prefix match over a list of (prefix, value)
    bindings: the binding of the longest prefix covering [ip]. *)

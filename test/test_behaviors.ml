@@ -37,60 +37,47 @@ let test_no_route_without_rib_entry () =
   Alcotest.(check bool) "delivers is false" false
     (Dataplane.Forward.delivers w.net w.failures ~src:stub ~dst)
 
-(* The decision process as an oracle: the best candidate is the maximum
-   of the documented key (local_pref, -path_len, -tiebreak, -neighbor).
-   Few distinct values per field keep ties on the leading fields common,
-   and unsalted lists (every tiebreak 0) reach the neighbor step, so
-   every step of the order gets exercised. *)
+(* [Decision.compare] against the documented order: the best by the
+   one is the best by the other, the maximum of the key (preference,
+   -length, -rank, -neighbor). Few distinct neighbors, relationships and
+   lengths keep ties on the leading fields common, and where the speaker
+   is AS 100 the neighbors AS 200 and AS 26214 share a rank, so every
+   step of the order gets exercised. *)
 let prop_decision_is_key_maximum =
-  let entry salt (neighbor, local_pref, len) =
-    Bgp.Route.make_entry
-      ~ann:
-        (Bgp.Route.announcement ~prefix:production
-           ~path:(as_path (List.init len (fun i -> asn (900 + i)))))
-      ~neighbor:(asn neighbor) ~rel:Topology.Relationship.Provider ~local_pref
-      ~tiebreak:
-        (match salt with
-        | Some salt -> Bgp.Route.tiebreak_rank ~salt (asn neighbor)
-        | None -> 0)
-  in
-  let key (e : Bgp.Route.entry) =
-    (e.local_pref, -e.path_len, -e.tiebreak, -Asn.to_int e.neighbor)
-  in
+  let rels = Topology.Relationship.[ Customer; Peer; Provider ] in
   QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 42 |])
     (QCheck.Test.make ~name:"decision best = maximum of its key" ~count:300
        QCheck.(
-         pair (option (int_bound 1000))
+         triple
+           (oneof [ always 100; int_range 1 1000 ])
+           (oneofl [ 0; 8 ])
            (list_of_size (Gen.int_range 0 8)
-              (triple (int_range 1 12) (oneofl [ 100; 200; 300 ]) (int_range 1 3))))
-       (fun (salt, candidates) ->
-         let entries = List.map (entry salt) candidates in
-         match (best_of entries, entries) with
-         | None, [] -> true
-         | Some best, _ :: _ ->
-             List.for_all (fun e -> compare (key e) (key best) <= 0) entries
+              (triple (oneofl [ 200; 26214; 3; 4; 5; 12 ]) (oneofl rels) (int_range 1 3))))
+       (fun (self, jitter, routes) ->
+         let self = asn self and config = { Bgp.Policy.default with pref_jitter = jitter } in
+         let cs =
+           List.map
+             (fun (from, rel, len) ->
+               candidate ~config ~self ~from:(asn from) ~rel
+                 (as_path (List.init len (fun i -> asn (900 + i)))))
+             routes
+         in
+         match (max_by (decide ~self) cs, best_of cs) with
+         | None, None -> true
+         | Some a, Some b -> compare_candidates a b = 0
          | _ -> false))
 
 let test_export_table () =
-  (* Every (learned from, sent to) pair of relationships, for a learned
-     and a locally originated route, plus no echo to the learning
-     neighbor. *)
+  (* Every (learned from, sent to) pair of relationships, plus no echo to
+     the learning neighbor. A local origination is not in the table: its
+     speaker announces each neighbor the path it was told to. *)
   let open Topology.Relationship in
   let self = asn 100 and learned_from_asn = asn 7 and other = asn 8 in
   let ann =
     Bgp.Route.announcement ~prefix:production ~path:(as_path [ asn 7; asn 9 ])
   in
-  let learned rel =
-    Bgp.Route.make_entry ~ann ~neighbor:learned_from_asn ~rel ~local_pref:(local_pref rel)
-      ~tiebreak:0
-  in
-  let local =
-    Bgp.Route.local_entry_of
-      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(as_path [ self ]))
-      ~self
-  in
-  let allowed entry ~to_neighbor to_rel =
-    Bgp.Policy.export_allowed ~entry ~to_neighbor ~to_rel
+  let allowed from_rel ~to_neighbor to_rel =
+    Bgp.Policy.export_allowed ~from_neighbor:learned_from_asn ~from_rel ~to_neighbor ~to_rel
   in
   (* (learned from, sent to, exported) *)
   let table =
@@ -110,24 +97,13 @@ let test_export_table () =
   List.iter
     (fun (from_rel, to_rel, expected) ->
       let name = Printf.sprintf "%s-learned to %s" (to_string from_rel) (to_string to_rel) in
-      Alcotest.(check bool) name expected (allowed (learned from_rel) ~to_neighbor:other to_rel);
+      Alcotest.(check bool) name expected (allowed from_rel ~to_neighbor:other to_rel);
       Alcotest.(check bool) (name ^ ": no echo") false
-        (allowed (learned from_rel) ~to_neighbor:learned_from_asn to_rel))
+        (allowed from_rel ~to_neighbor:learned_from_asn to_rel))
     table;
-  List.iter
-    (fun to_rel ->
-      Alcotest.(check bool) ("local to " ^ to_string to_rel) true
-        (allowed local ~to_neighbor:other to_rel))
-    [ Customer; Peer; Provider ];
-  (* The exported announcement prepends [self] to a learned route and
-     leaves a local one as originated. *)
-  let exported entry =
-    List.map Asn.to_int
-      (Bgp.As_path.to_list (Bgp.Policy.export_ann ~self ~entry).Bgp.Route.path)
-  in
+  (* The exported announcement prepends [self] to the learned route. *)
   Alcotest.(check (list int)) "learned route prepends self" [ 100; 7; 9 ]
-    (exported (learned Customer));
-  Alcotest.(check (list int)) "local route as originated" [ 100 ] (exported local)
+    (List.map Asn.to_int (Bgp.As_path.to_list (Bgp.Policy.export_ann ~self ann).Bgp.Route.path))
 
 let test_isolation_with_silent_routers () =
   let w = fig2_world () in

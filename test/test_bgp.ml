@@ -180,44 +180,42 @@ let test_link_failure_control_plane () =
     (path_of_best (Bgp.Network.best_route w.net e production))
 
 let test_decision_prefers_customer () =
-  let mk ~rel ~path ~neighbor =
-    Bgp.Route.make_entry
-      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(as_path path))
-      ~neighbor:(asn neighbor) ~rel
-      ~local_pref:(Topology.Relationship.local_pref rel)
-      ~tiebreak:0
-  in
   let open Topology in
+  let self = asn 1 in
+  let mk ~rel ~path ~neighbor = candidate ~self ~from:(asn neighbor) ~rel (as_path path) in
   let customer = mk ~rel:Relationship.Customer ~path:[ asn 2; asn 7; asn 8; asn 9 ] ~neighbor:2 in
   let peer = mk ~rel:Relationship.Peer ~path:[ asn 3; asn 9 ] ~neighbor:3 in
   let provider = mk ~rel:Relationship.Provider ~path:[ asn 4; asn 9 ] ~neighbor:4 in
-  (match best_of [ provider; peer; customer ] with
-  | Some best -> Alcotest.(check int) "customer wins" 2 (Asn.to_int best.Bgp.Route.neighbor)
-  | None -> Alcotest.fail "no best");
-  match best_of [ provider; peer ] with
-  | Some best -> Alcotest.(check int) "peer beats provider" 3 (Asn.to_int best.Bgp.Route.neighbor)
-  | None -> Alcotest.fail "no best"
+  let winner cs =
+    match max_by (decide ~self) cs with Some c -> Asn.to_int c.from | None -> Alcotest.fail "no best"
+  in
+  Alcotest.(check int) "customer wins" 2 (winner [ provider; peer; customer ]);
+  Alcotest.(check int) "peer beats provider" 3 (winner [ provider; peer ])
 
 let test_decision_tiebreaks () =
   let open Topology in
-  let mk ~path ~neighbor =
-    Bgp.Route.make_entry
-      ~ann:(Bgp.Route.announcement ~prefix:production ~path:(as_path path))
-      ~neighbor:(asn neighbor) ~rel:Relationship.Provider ~local_pref:100
-      ~tiebreak:0
+  let winner ~self cs =
+    match max_by (decide ~self) cs with Some c -> Asn.to_int c.from | None -> Alcotest.fail "no best"
   in
-  let short = mk ~path:[ asn 3; asn 9 ] ~neighbor:3 in
-  let long = mk ~path:[ asn 4; asn 5; asn 9 ] ~neighbor:4 in
-  (match best_of [ long; short ] with
-  | Some best -> Alcotest.(check int) "shorter path wins" 3 (Asn.to_int best.Bgp.Route.neighbor)
-  | None -> Alcotest.fail "no best");
-  (* Same preference and length, no salt: lowest neighbor ASN wins. *)
-  let x = mk ~path:[ asn 3; asn 9 ] ~neighbor:3 in
-  let y = mk ~path:[ asn 4; asn 9 ] ~neighbor:4 in
-  match best_of [ y; x ] with
-  | Some best ->
-      Alcotest.(check int) "lowest neighbor ASN tiebreak" 3 (Asn.to_int best.Bgp.Route.neighbor)
-  | None -> Alcotest.fail "no best"
+  let mk ~self ~path ~neighbor =
+    candidate ~self ~from:(asn neighbor) ~rel:Relationship.Provider (as_path path)
+  in
+  let self = asn 1 in
+  let short = mk ~self ~path:[ asn 3; asn 9 ] ~neighbor:3 in
+  let long = mk ~self ~path:[ asn 4; asn 5; asn 9 ] ~neighbor:4 in
+  Alcotest.(check int) "shorter path wins" 3 (winner ~self [ long; short ]);
+  (* Same preference and length: the lower rank wins, here over the
+     lower neighbor ASN (AS 1 ranks AS 4 at 64551 and AS 5 at 64201). *)
+  let x = mk ~self ~path:[ asn 4; asn 9 ] ~neighbor:4 in
+  let y = mk ~self ~path:[ asn 5; asn 9 ] ~neighbor:5 in
+  Alcotest.(check int) "lowest rank tiebreak" 5 (winner ~self [ x; y ]);
+  (* Same rank too (AS 100 ranks AS 200 and AS 26214 both 4489): the
+     lowest neighbor ASN wins. *)
+  let self = asn 100 in
+  let x = mk ~self ~path:[ asn 200; asn 9 ] ~neighbor:200 in
+  let y = mk ~self ~path:[ asn 26214; asn 9 ] ~neighbor:26214 in
+  Alcotest.(check int) "equal ranks" x.rank y.rank;
+  Alcotest.(check int) "lowest neighbor ASN tiebreak" 200 (winner ~self [ y; x ])
 
 let test_as_path_constructors () =
   let p = Bgp.As_path.poisoned ~origin:(asn 1) ~poison:(asn 7) in

@@ -330,7 +330,8 @@ let force_loop (m : Sc.mux) pairs =
         match (walk.Dataplane.Forward.outcome, walk.Dataplane.Forward.hops) with
         | Dataplane.Forward.Delivered, _ :: { Dataplane.Forward.asn = hop; _ } :: _ -> (
             match Bgp.Network.fib_lookup net hop dst with
-            | Some (prefix, entry) when not (Bgp.Route.is_local entry) -> (src, hop, prefix, entry)
+            | Some (prefix, entry) when not (Asn.equal entry.Bgp.Route.neighbor hop) ->
+                (src, hop, prefix, entry)
             | Some _ | None -> pick rest)
         | _ -> pick rest)
   in
