@@ -105,6 +105,7 @@ and t = {
   mutable fib_commit : (Prefix.t -> Route.entry option -> unit) option;
   mutable damp : damp_state Damp_tbl.t option;
       (** Created on the first flap: only a damping config ever flaps. *)
+  mutable suppressed_count : int;  (** Records of [damp] with [suppressed] set. *)
   mutable reuse_scheduler : (delay:float -> Prefix.t -> unit) option;
 }
 
@@ -148,6 +149,7 @@ let create ?store ?fib_epoch ?changes ~asn ~config () =
     on_best_change = None;
     fib_commit = None;
     damp = None;
+    suppressed_count = 0;
     reuse_scheduler = None;
   }
 
@@ -192,6 +194,7 @@ let note_flap t ~now prefix neighbor =
       state.last <- now;
       if (not state.suppressed) && state.penalty >= cfg.Policy.suppress_threshold then begin
         state.suppressed <- true;
+        t.suppressed_count <- t.suppressed_count + 1;
         (* Ask for a wake-up when the penalty will have decayed to the
            reuse threshold. *)
         (match t.reuse_scheduler with
@@ -219,6 +222,7 @@ let is_suppressed t ~now prefix neighbor =
               state.penalty <- p;
               state.last <- now;
               state.suppressed <- false;
+              t.suppressed_count <- t.suppressed_count - 1;
               false
             end
             else true
@@ -319,10 +323,11 @@ let sorted_slots t keep =
   done;
   !acc
 
-(* Whether any route-flap damping records are live (suppressed or still
-   decaying). While true, [session_up] uses its conservative slow path. *)
-let damping_pending t =
-  match t.damp with Some d -> Damp_tbl.length d <> 0 | None -> false
+(* Whether any route is suppressed. Only a suppressed record can make a
+   cell ineligible or be lifted by a look, so while none is, the
+   decision needs no damping scan and [session_up] no slow path; a
+   record still decaying below the threshold changes neither. *)
+let damping_pending t = t.suppressed_count <> 0
 
 (* --- The decision process ---
 

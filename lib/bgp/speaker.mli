@@ -27,8 +27,9 @@
     The decision process is incremental on the receive path: the new best
     is the larger of the best's cell and the changed adj-RIB-in cell,
     compared as the full scan compares them, and the adj-RIB-in is
-    scanned only when the cell that held the best got worse, when damping
-    state is live, or when the prefix is originated locally. The result
+    scanned only when the cell that held the best got worse, while
+    damping suppresses a route, or when the prefix is originated
+    locally. The result
     is the full scan's, because {!Decision.compare} totally orders routes
     from distinct neighbors.
 
@@ -134,10 +135,10 @@ val session_down : t -> emit:emitter -> now:float -> neighbor:Asn.t -> unit
 
 val session_up : t -> emit:emitter -> now:float -> neighbor:Asn.t -> unit
 (** Re-enable the session and produce the full-table advertisement for
-    that neighbor. When no route-flap damping records are live
-    (suppressed or still decaying) this takes a fast
+    that neighbor. While route-flap damping suppresses no route (records
+    that are only decaying do not count) this takes a fast
     path that exports the current loc-RIB toward only the revived
-    neighbor; with damping state live it re-runs the full decision
+    neighbor; while one is suppressed it re-runs the full decision
     process per prefix (a suppression may lift lazily and move a best).
     Both paths advertise the same routes — including a poison applied by
     a same-instant {!originate} or {!refresh_prefix}, in either relative

@@ -26,7 +26,7 @@ let recheck_interval = 120.0
 let poison_deadline = 3600.0
 
 type hooks = {
-  probe_gate : (now:float -> cost:int -> bool) option;
+  probe_gate : (now:float -> n:int -> int) option;
   monitor_loss : (unit -> bool) option;
   isolation_attempt : (target:Asn.t -> attempt:int -> [ `Proceed | `Lost | `Denied ]) option;
   vantage_filter : (Asn.t -> bool) option;

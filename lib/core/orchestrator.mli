@@ -57,9 +57,10 @@ val detection_lag : float
     chaos without the orchestrator knowing about either. All default to
     absent = unrestricted. *)
 type hooks = {
-  probe_gate : (now:float -> cost:int -> bool) option;
-      (** Budget admission for monitor probe pairs; refusal skips the
-          round (see {!Measurement.Monitor.create}). *)
+  probe_gate : (now:float -> n:int -> int) option;
+      (** Budget admission for monitor probe pairs, counted: admit up to
+          [n] pairs and return how many were admitted. A refused pair
+          skips its target's round (see {!Measurement.Monitor.create}). *)
   monitor_loss : (unit -> bool) option;
       (** Chaos: sampled per monitor pair; [true] drops the pair. *)
   isolation_attempt : (target:Asn.t -> attempt:int -> [ `Proceed | `Lost | `Denied ]) option;

@@ -99,6 +99,15 @@ let sync t =
 
 let stamp t = (sync t).stamp
 
+(* [stamp t = s] without [sync]'s write: a stamp [stamp] returned earlier
+   is still current exactly when neither input moved since the last
+   sync and no sync has moved the stamp past it. *)
+let stamp_holds t s =
+  let m = t.memo in
+  m.stamp = s
+  && Bgp.Network.fib_epoch t.net = m.epoch
+  && Failure.version t.failures = m.version
+
 let delivers t ~src ~dst =
   let m = sync t in
   let a = Asn.to_int src in

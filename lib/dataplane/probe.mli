@@ -85,6 +85,14 @@ val stamp : env -> int
     result skips only memo hits, so [dataplane.memo_hits] is the one
     counter it moves. *)
 
+val stamp_holds : env -> int -> bool
+(** [stamp_holds env s] is [stamp env = s] for a stamp [s] that {!stamp}
+    returned earlier, but it never flushes: when the data plane has moved
+    it answers [false] and leaves the flush (and its
+    [dataplane.memo_flushes] count) to the next {!stamp} or probe, as if
+    it had not looked. [Measurement.Monitor] asks it before a round it
+    may skip whole. *)
+
 val ping : env -> src:Asn.t -> dst:Ipv4.t -> bool
 (** Echo request from [src]'s first router to [dst] and reply back to
     [src]'s infrastructure address. True iff both directions deliver. *)

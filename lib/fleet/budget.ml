@@ -35,6 +35,25 @@ let admit t ~now ~cost =
     false
   end
 
+(* [n] unit admissions at one [now], in one step: after the first
+   refill the rest are no-ops, each grant takes exactly one token while
+   [tokens >= 1] (for 1 <= x < 2^53, [x -. 1.0] is exact, so [m] such
+   subtractions equal one subtraction of [m]), and the first refusal
+   leaves the level where every later one finds it. Zero admissions
+   do not refill: a refill in two steps can round differently from one. *)
+let admit_units t ~now ~n =
+  if n < 0 then invalid_arg "Budget.admit_units: negative count";
+  if n = 0 then 0
+  else begin
+    let l = t.level in
+    refill l ~now;
+    let m = if l.tokens >= float_of_int n then n else int_of_float l.tokens in
+    l.tokens <- l.tokens -. float_of_int m;
+    t.granted <- t.granted + m;
+    t.denied <- t.denied + (n - m);
+    m
+  end
+
 let granted t = t.granted
 let denied t = t.denied
 

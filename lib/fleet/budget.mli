@@ -14,6 +14,14 @@ val create : rate:float -> burst:float -> unit -> t
 (** A bucket refilling at [rate] tokens/second, holding at most [burst],
     initially full. *)
 
+val admit_units : t -> now:float -> n:int -> int
+(** Admit up to [n] requests of one token each: refill once from [now],
+    grant [m = min n ⌊tokens⌋], take [m] tokens and count [m] granted
+    and [n - m] denied; returns [m]. The bucket ends exactly as [n]
+    single-token admissions at the same [now] would leave it: the first
+    [m] granted, the rest refused; [n = 0] leaves it untouched. [n]
+    must not be negative. *)
+
 (** The fleet's admission point: one global bucket that every vantage
     point draws on. *)
 type scheduler

@@ -252,9 +252,8 @@ let run_in ~config ~durable ~seed () =
       ~rng:(Prng.create ~seed:(seed + 4057))
       ~net:bed.Scenarios.net ()
   in
-  let sched =
-    Budget.scheduler ~global:(Budget.create ~rate:probe_rate ~burst:probe_burst ()) ()
-  in
+  let bucket = Budget.create ~rate:probe_rate ~burst:probe_burst () in
+  let sched = Budget.scheduler ~global:bucket () in
   (* The plan cache, seeded offline by the planner over this world's
      graph. Faults only drop sessions and never change the graph, so its
      plans stay valid for the whole run. *)
@@ -274,9 +273,12 @@ let run_in ~config ~durable ~seed () =
   in
   let hooks =
     {
-      Lifeguard.Orchestrator.probe_gate =
-        Some (fun ~now ~cost -> Budget.admit_vp sched ~vp:origin ~now ~cost);
-      monitor_loss = Some (fun () -> Chaos.lose_probe chaos);
+      Lifeguard.Orchestrator.probe_gate = Some (Budget.admit_units bucket);
+      (* At zero loss [Chaos.lose_probe] draws nothing, so no hook is the
+         same run, and it lets the monitor skip its quiet rounds whole. *)
+      monitor_loss =
+        (if config.chaos.Chaos.probe_loss = 0.0 then None
+         else Some (fun () -> Chaos.lose_probe chaos));
       isolation_attempt =
         Some
           (fun ~target:_ ~attempt:_ ->

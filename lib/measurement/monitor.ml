@@ -26,12 +26,15 @@ type t = {
   on_outage : outage -> unit;
   responsiveness : Responsiveness.t option;
   src_ip : Ipv4.t option;
-  gate : (now:float -> cost:int -> bool) option;
+  gate : (now:float -> n:int -> int) option;
   loss : (unit -> bool) option;
   vp : Asn.t;
-  targets : target_state list;
+  targets : target_state array;
   mutable pairs_sent : int;
   mutable pairs_skipped : int;
+  mutable quiet_stamp : int;
+      (** The stamp the last full round ended on with every target
+          settled (see [settled]); -1 when it did not. *)
 }
 
 let interval = 30.0
@@ -98,6 +101,49 @@ let probe_target t state now =
     end
   end
 
+(* Admit up to [n] pairs at [now]; returns how many were admitted. *)
+let admit t ~now ~n = match t.gate with Some gate -> gate ~now ~n | None -> n
+
+(* A target whose next pair at stamp [s] changes nothing. Its last pair
+   was sent at [measured_at] and saw [delivered], so with no [loss] hook
+   a target measured at [s] and delivered had an ok last pair: no
+   streak, no open outage, and an answer noted (when there is a
+   database). A pair at [s] repeats that pair exactly. *)
+let settled s state = state.measured_at = s && state.delivered
+
+(* Every target in turn: admitted one pair at a time, so an isolation
+   that a detection starts mid-round draws on the budget before the
+   targets after it. The round is quiet-ready when it leaves every
+   target settled at a stamp that still holds. *)
+let full_round t now =
+  Array.iter
+    (fun state ->
+      (* Budget gate: a denied round is skipped outright — no probe,
+         no state change — so budget pressure slows detection rather
+         than fabricating failures. *)
+      if admit t ~now ~n:1 = 1 then probe_target t state now
+      else t.pairs_skipped <- t.pairs_skipped + 1)
+    t.targets;
+  t.quiet_stamp <-
+    (match (t.loss, t.targets) with
+    | None, [||] | Some _, _ -> -1
+    | None, _ ->
+        let s = t.targets.(0).measured_at in
+        if Array.for_all (settled s) t.targets && Dataplane.Probe.stamp_holds t.env s then s
+        else -1)
+
+(* A round at the stamp the last full round left every target settled
+   at: each admitted pair would reuse its delivered verdict and change
+   nothing, and no pair would call [on_outage], so nothing draws on the
+   budget between the pairs. Admitting, charging and counting them in
+   one step leaves the state the full round would. *)
+let quiet_round t now =
+  let n = Array.length t.targets in
+  let m = admit t ~now ~n in
+  t.pairs_sent <- t.pairs_sent + m;
+  t.pairs_skipped <- t.pairs_skipped + (n - m);
+  Dataplane.Probe.charge t.env m
+
 let create ~env ~engine ?(on_outage = ignore) ?responsiveness ?src_ip ?gate ?loss ~vp
     ~targets () =
   let t =
@@ -110,34 +156,31 @@ let create ~env ~engine ?(on_outage = ignore) ?responsiveness ?src_ip ?gate ?los
       loss;
       vp;
       targets =
-        List.map
-          (fun address ->
-            {
-              address;
-              noted = Unnoted;
-              consecutive_failures = 0;
-              first_failure_at = 0.0;
-              current = None;
-              measured_at = -1;
-              delivered = false;
-            })
-          targets;
+        Array.of_list
+          (List.map
+             (fun address ->
+               {
+                 address;
+                 noted = Unnoted;
+                 consecutive_failures = 0;
+                 first_failure_at = 0.0;
+                 current = None;
+                 measured_at = -1;
+                 delivered = false;
+               })
+             targets);
       pairs_sent = 0;
       pairs_skipped = 0;
+      quiet_stamp = -1;
     }
   in
   Sim.Engine.schedule_every engine ~every:interval (fun now ->
-      List.iter
-        (fun state ->
-          (* Budget gate: a denied round is skipped outright — no probe,
-             no state change — so budget pressure slows detection rather
-             than fabricating failures. *)
-          let granted =
-            match t.gate with Some admit -> admit ~now ~cost:1 | None -> true
-          in
-          if granted then probe_target t state now
-          else t.pairs_skipped <- t.pairs_skipped + 1)
-        t.targets;
+      (* A traced run takes the full round, so each pair keeps its own
+         [meas.probe] event. *)
+      if t.quiet_stamp >= 0 && (not (Obs.Trace.on ()))
+         && Dataplane.Probe.stamp_holds t.env t.quiet_stamp
+      then quiet_round t now
+      else full_round t now;
       `Continue);
   t
 

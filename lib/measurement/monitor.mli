@@ -33,7 +33,7 @@ val create :
   ?on_outage:(outage -> unit) ->
   ?responsiveness:Responsiveness.t ->
   ?src_ip:Ipv4.t ->
-  ?gate:(now:float -> cost:int -> bool) ->
+  ?gate:(now:float -> n:int -> int) ->
   ?loss:(unit -> bool) ->
   vp:Asn.t ->
   targets:Ipv4.t list ->
@@ -45,11 +45,13 @@ val create :
     [responsiveness] when provided. [src_ip] overrides the address replies are sent to (a
     LIFEGUARD origin monitors from inside its production prefix).
 
-    [gate] is consulted once per target per round with [cost:1] (one ping
-    pair); when it refuses, the round is skipped for that target — no
-    probe, no failure-count change (see {!skipped_count}). [loss] is a
-    chaos hook sampled once per delivered pair; returning [true] makes
-    the pair count as failed even though the network delivered it.
+    [gate ~now ~n] admits up to [n] ping pairs and returns how many it
+    admitted. A round asks it once per target with [n:1], in target
+    order (a quiet round, below, asks once for all of them); a target
+    it refuses is skipped for the round — no probe, no
+    failure-count change (see {!skipped_count}). [loss] is a chaos hook
+    sampled once per delivered pair; returning [true] makes the pair
+    count as failed even though the network delivered it.
 
     Each target keeps its last pair's verdict with the
     {!Dataplane.Probe.stamp} it was measured at. A pair sent while the
@@ -60,7 +62,22 @@ val create :
 
     Each target also keeps what it last noted in [responsiveness], and
     skips a note that cannot change the database: any note after an
-    answer, a failure after a failure (see {!Responsiveness.note}). *)
+    answer, a failure after a failure (see {!Responsiveness.note}).
+
+    {b Quiet rounds.} A round that ends with no [loss] hook and every
+    target {e settled} — measured and delivered at the current stamp,
+    which leaves it no failure streak, no open outage, and an answer
+    noted in [responsiveness] (when there is one) — remembers that
+    stamp. While {!Dataplane.Probe.stamp_holds} it, the next round is
+    quiet: each pair
+    it would send reuses a delivered verdict and changes no state, and
+    none calls [on_outage], so nothing else draws on [gate] within the
+    round. A quiet round asks [gate] once with [n] = the target count,
+    counts the [m] admitted pairs as sent and the rest as skipped, and
+    {!Dataplane.Probe.charge}s [m] pings at once: the same counts,
+    budget and state as [n] single-target steps. Any other round, and
+    every round while {!Obs.Trace.on} (so each pair keeps its own
+    [meas.probe] event), takes the per-target path above. *)
 
 val probe_count : t -> int
 (** Ping pairs sent so far. *)

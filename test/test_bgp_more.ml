@@ -519,8 +519,9 @@ let test_no_damping_without_config () =
    only the revived neighbor; the audit showed that path equivalent to
    the full per-prefix refresh, including when the loc-RIB it exports
    already holds a poison applied moments earlier in the same window —
-   this pins that equivalence, for the fast path and (with flap history
-   live, so that damping records exist) the slow path. *)
+   this pins that equivalence, without damping and with flap history
+   live (damping records that suppress nothing, which take the same
+   fast path). *)
 let session_up_poison_run ~damping ~poison_first =
   let config_of _ =
     if damping then
@@ -533,7 +534,7 @@ let session_up_poison_run ~damping ~poison_first =
   if damping then begin
     (* One clean route flap first — withdraw and re-announce, which lands
        at E as real Withdraw/Announce updates — so damping records exist
-       (slow path) without suppressing anything yet. *)
+       without suppressing anything yet. *)
     Bgp.Network.withdraw w.net ~origin:o ~prefix:production;
     converge w;
     Bgp.Network.announce w.net ~origin:o ~prefix:production ();
@@ -577,7 +578,103 @@ let test_session_up_poison_same_window () =
   let slow1 = session_up_poison_run ~damping:true ~poison_first:true in
   let slow2 = session_up_poison_run ~damping:true ~poison_first:false in
   Alcotest.(check (list (pair int (list int))))
-    "slow path: poison/restore order is immaterial" slow1 slow2
+    "flap history: poison/restore order is immaterial" slow1 slow2
+
+(* After a suppression lifts, a damped speaker keeps decaying records
+   but suppresses nothing, so its decision and [session_up] take the
+   same fast paths as a speaker without damping. Over a script of
+   spaced-out flaps (none enough to suppress again), withdrawals and a
+   session reset, it must emit what an undamped twin emits and hold the
+   same loc-RIB, step by step. *)
+let test_damping_lifted_matches_undamped () =
+  let open Topology in
+  let mk config =
+    standalone_speaker ~asn:(asn 100) ~config
+      ~neighbors:
+        [
+          (asn 200, Relationship.Provider);
+          (asn 201, Relationship.Provider);
+          (asn 300, Relationship.Customer);
+        ]
+      ()
+  in
+  let damped = mk damped_config and plain = mk Bgp.Policy.default in
+  let customer = prefix "198.51.100.0/24" in
+  let receive sp ~now n action =
+    by_neighbor sp
+      (updates (fun emit -> Bgp.Speaker.receive sp ~emit ~now ~session:(session_ix sp (asn n)) action))
+  in
+  let announce ~now n p path sp =
+    receive sp ~now n
+      (Bgp.Speaker.Announce
+         (Bgp.Route.announcement ~prefix:p ~path:(as_path (List.map asn path))))
+  in
+  let withdraw ~now n p sp = receive sp ~now n (Bgp.Speaker.Withdraw p) in
+  let down ~now n sp =
+    by_neighbor sp (updates (fun emit -> Bgp.Speaker.session_down sp ~emit ~now ~neighbor:(asn n)))
+  in
+  let up ~now n sp =
+    by_neighbor sp (updates (fun emit -> Bgp.Speaker.session_up sp ~emit ~now ~neighbor:(asn n)))
+  in
+  let render updates =
+    List.map
+      (fun (n, action) ->
+        match action with
+        | Bgp.Speaker.Announce ann ->
+            Printf.sprintf "%d %s %s" (Asn.to_int n) (Prefix.to_string ann.Bgp.Route.prefix)
+              (Bgp.As_path.to_string ann.Bgp.Route.path)
+        | Bgp.Speaker.Withdraw p -> Printf.sprintf "%d withdraw %s" (Asn.to_int n) (Prefix.to_string p))
+      updates
+  in
+  let loc_rib sp =
+    List.map
+      (fun p ->
+        match Bgp.Speaker.best sp p with
+        | Some e ->
+            Printf.sprintf "%s via %d: %s" (Prefix.to_string p)
+              (Asn.to_int e.Bgp.Route.neighbor)
+              (Bgp.As_path.to_string e.Bgp.Route.ann.Bgp.Route.path)
+        | None -> Prefix.to_string p ^ " none")
+      [ production; customer ]
+  in
+  let both f = (f damped, f plain) in
+  (* Set-up: a customer route, a stable provider route, and three quick
+     flaps from 200 that suppress it at the damped speaker only. *)
+  ignore (both (announce ~now:0.0 300 customer [ 300 ]));
+  ignore (both (announce ~now:0.0 201 production [ 201; 900; 901 ]));
+  List.iteri
+    (fun i path -> ignore (both (announce ~now:(float_of_int (1 + (10 * i))) 200 production path)))
+    [ [ 200; 901; 900 ]; [ 200; 900 ]; [ 200; 902; 900 ]; [ 200; 900 ] ];
+  Alcotest.(check (list int)) "200 suppressed at the damped speaker" [ 200 ]
+    (List.map Asn.to_int (Bgp.Speaker.suppressed_candidates damped production));
+  Bgp.Speaker.reevaluate damped ~emit:discard ~now:4000.0 production;
+  Alcotest.(check (list int)) "suppression lifted" []
+    (List.map Asn.to_int (Bgp.Speaker.suppressed_candidates damped production));
+  Alcotest.(check (list string)) "same loc-RIB once lifted" (loc_rib plain) (loc_rib damped);
+  let steps =
+    [
+      ("200 flaps once", announce ~now:4100.0 200 production [ 200; 903; 900 ]);
+      ("201 withdraws", withdraw ~now:4200.0 201 production);
+      ("200 down", down ~now:4300.0 200);
+      ("201 returns", announce ~now:4350.0 201 production [ 201; 900 ]);
+      ("200 up", up ~now:4400.0 200);
+      ("200 re-announces", announce ~now:4450.0 200 production [ 200; 900 ]);
+      ("200 withdraws", withdraw ~now:9000.0 200 production);
+      ("200 returns", announce ~now:9100.0 200 production [ 200; 904; 900 ]);
+      ("300 withdraws", withdraw ~now:9200.0 300 customer);
+      ("201 down", down ~now:9300.0 201);
+      ("300 returns", announce ~now:9350.0 300 customer [ 300 ]);
+      ("201 up", up ~now:9400.0 201);
+    ]
+  in
+  List.iter
+    (fun (what, step) ->
+      let d, p = both step in
+      Alcotest.(check (list string)) (what ^ ": updates") (render p) (render d);
+      Alcotest.(check (list string)) (what ^ ": loc-RIB") (loc_rib plain) (loc_rib damped);
+      Alcotest.(check (list int)) (what ^ ": nothing suppressed") []
+        (List.map Asn.to_int (Bgp.Speaker.suppressed_candidates damped production)))
+    steps
 
 (* The allocation of the BGP update path, pinned: minor words per
    delivered update over five poisons of a converged 100-AS world (986
@@ -1924,6 +2021,8 @@ let suite =
       Alcotest.test_case "no damping unless configured" `Quick test_no_damping_without_config;
       Alcotest.test_case "session_up vs same-window poison (fig2)" `Quick
         test_session_up_poison_same_window;
+      Alcotest.test_case "damping: lifted suppression = undamped twin" `Quick
+        test_damping_lifted_matches_undamped;
       Alcotest.test_case "words per delivered update" `Quick test_words_per_update;
       Alcotest.test_case "world size is history-independent" `Quick
         test_history_independent_size;

@@ -67,6 +67,63 @@ let test_budget_capture_pin () =
          (10.1, 1); (10.45, 1); (400.0, 2); (400.3, 3); (401.9, 1);
        ])
 
+(* [admit_units ~n] against [n] single-token admissions at the same
+   [now], on twin buckets: the same grants after every step and the same
+   capture bytes. Rates and bursts are fractional, the clock moves by
+   fractions of a second (or not at all), and an occasional larger
+   admission through [admit_vp] leaves fractional token levels. *)
+let prop_admit_units_is_unit_admissions =
+  let gen =
+    QCheck.Gen.(
+      triple (int_range 1 400) (int_range 10 600)
+        (list_size (int_range 1 40) (triple (int_range 0 90) (int_range 0 30) (int_range 0 4))))
+  in
+  let print (r, b, steps) =
+    Printf.sprintf "rate %d/100 burst %d/10 steps [%s]" r b
+      (String.concat "; "
+         (List.map (fun (dt, n, c) -> Printf.sprintf "(%d, %d, %d)" dt n c) steps))
+  in
+  QCheck.Test.make ~count:500 ~name:"budget: admit_units = n unit admissions"
+    (QCheck.make ~print gen)
+    (fun (r, b, steps) ->
+      let rate = float_of_int r /. 100.0 and burst = float_of_int b /. 10.0 in
+      let bucket = Fleet.Budget.create ~rate ~burst () in
+      let counted = Fleet.Budget.scheduler ~global:bucket () in
+      let units = Fleet.Budget.scheduler ~global:(Fleet.Budget.create ~rate ~burst ()) () in
+      let vp = Asn.of_int 7 in
+      let now = ref 0.0 in
+      List.for_all
+        (fun (dt, n, cost) ->
+          now := !now +. (float_of_int dt /. 7.0);
+          let now = !now in
+          if cost > 0 then begin
+            ignore (Fleet.Budget.admit_vp counted ~vp ~now ~cost);
+            ignore (Fleet.Budget.admit_vp units ~vp ~now ~cost)
+          end;
+          let m = Fleet.Budget.admit_units bucket ~now ~n in
+          let singles = ref 0 in
+          for _ = 1 to n do
+            if Fleet.Budget.admit_vp units ~vp ~now ~cost:1 then incr singles
+          done;
+          m = !singles
+          && Fleet.Budget.capture counted = Fleet.Budget.capture units
+          && Fleet.Budget.scheduler_granted counted = Fleet.Budget.scheduler_granted units)
+        steps)
+
+(* A partial grant, by hand: 2.5 tokens admit 2 of 5 and keep the half;
+   asking for none does not even refill. *)
+let test_budget_admit_units_partial () =
+  let bucket = Fleet.Budget.create ~rate:0.5 ~burst:2.5 () in
+  let s = Fleet.Budget.scheduler ~global:bucket () in
+  Alcotest.(check int) "two of five" 2 (Fleet.Budget.admit_units bucket ~now:0.0 ~n:5);
+  Alcotest.(check int) "none of one" 0 (Fleet.Budget.admit_units bucket ~now:0.0 ~n:1);
+  Alcotest.(check int) "one after 1 s" 1 (Fleet.Budget.admit_units bucket ~now:1.0 ~n:3);
+  Alcotest.(check int) "zero asks nothing" 0 (Fleet.Budget.admit_units bucket ~now:3.0 ~n:0);
+  Alcotest.(check string) "capture" "bucket global 0x0p+0 0x1p+0 3 6\n" (Fleet.Budget.capture s);
+  Alcotest.(check bool) "negative count rejected" true
+    (try ignore (Fleet.Budget.admit_units bucket ~now:1.0 ~n:(-1)); false
+     with Invalid_argument _ -> true)
+
 let test_budget_validation () =
   let raises f = Alcotest.(check bool) "rejects" true (try ignore (f ()); false with Invalid_argument _ -> true) in
   raises (fun () -> Fleet.Budget.create ~rate:(-1.0) ~burst:10.0 ());
@@ -388,6 +445,8 @@ let suite =
     Alcotest.test_case "budget: scheduler is the global bucket" `Quick test_budget_scheduler;
     Alcotest.test_case "budget: validation" `Quick test_budget_validation;
     Alcotest.test_case "budget: capture bytes pinned" `Quick test_budget_capture_pin;
+    QCheck_alcotest.to_alcotest prop_admit_units_is_unit_admissions;
+    Alcotest.test_case "budget: a partial counted grant" `Quick test_budget_admit_units_partial;
     Alcotest.test_case "chaos: deterministic coins" `Quick test_chaos_determinism;
     Alcotest.test_case "chaos: VP crash/recover" `Quick test_chaos_vp_crashes;
     Alcotest.test_case "chaos: validation" `Quick test_chaos_validation;

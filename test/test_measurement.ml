@@ -334,9 +334,9 @@ let test_monitor_reuse_matches_fresh () =
         ~on_outage:(fun ou ->
           outages :=
             (ou.Measurement.Monitor.started_at, ou.Measurement.Monitor.detected_at) :: !outages)
-        ~gate:(fun ~now ~cost:_ ->
+        ~gate:(fun ~now ~n ->
           reference := (now, fresh_ping w ~src:vp ~reply_to ~dst:target) :: !reference;
-          true)
+          n)
         ~loss:(fun () ->
           delivered := Sim.Engine.now w.engine :: !delivered;
           false)
@@ -451,9 +451,76 @@ let test_atlas_reuse_matches_fresh () =
   Dataplane.Failure.remove w.failures cut_f;
   refresh 70.0
 
+(* One monitor over six targets through a failure, its recovery, a
+   poison and its withdrawal, behind a probe bucket too small for every
+   pair (5.4 tokens per 30-s round against 6 targets, and each detection
+   draws 4 more, as an isolation would). Run plain, it skips its quiet
+   rounds whole; with a [loss] hook that never loses, every round takes
+   the per-target path. Both must leave the same counts, outages,
+   responsiveness entries and bucket. *)
+let quiet_round_run ~forced_full =
+  let w = ready_world () in
+  let plan = Lifeguard.Remediate.plan ~sentinel ~origin:o ~production () in
+  Lifeguard.Remediate.announce_baseline w.net plan;
+  converge w;
+  let bucket = Fleet.Budget.create ~rate:0.18 ~burst:8.0 () in
+  let sched = Fleet.Budget.scheduler ~global:bucket () in
+  let db = Measurement.Responsiveness.create () in
+  let targets = List.map (addr w) [ e; f; d; c; b; a ] in
+  let outages = ref [] and counted_rounds = ref 0 in
+  let m =
+    Measurement.Monitor.create ~env:w.probe ~engine:w.engine ~responsiveness:db
+      ~src_ip:(Prefix.nth_address production 1)
+      ~on_outage:(fun ou ->
+        outages :=
+          Measurement.Monitor.(ou.target, ou.started_at, ou.detected_at) :: !outages;
+        ignore (Fleet.Budget.admit_units bucket ~now:(Sim.Engine.now w.engine) ~n:4))
+      ~gate:(fun ~now ~n ->
+        if n > 1 then incr counted_rounds;
+        Fleet.Budget.admit_units bucket ~now ~n)
+      ?loss:(if forced_full then Some (fun () -> false) else None)
+      ~vp:o ~targets ()
+  in
+  let run_for seconds = Sim.Engine.run ~until:(Sim.Engine.now w.engine +. seconds) w.engine in
+  let toward_production = Dataplane.Failure.spec ~toward:production (Dataplane.Failure.Node a) in
+  run_for 600.0;
+  Dataplane.Failure.add w.failures toward_production;
+  run_for 300.0;
+  Lifeguard.Remediate.poison w.net plan ~target:a;
+  converge w;
+  run_for 600.0;
+  Dataplane.Failure.remove w.failures toward_production;
+  run_for 300.0;
+  Lifeguard.Remediate.unpoison w.net plan;
+  converge w;
+  run_for 900.0;
+  ( ( Measurement.Monitor.probe_count m,
+      Measurement.Monitor.skipped_count m,
+      w.probe.Dataplane.Probe.probes_sent ),
+    List.rev_map
+      (fun (t, s, d) -> (Ipv4.to_string t, s, d))
+      !outages,
+    List.map (Measurement.Responsiveness.expect_response db) targets,
+    Fleet.Budget.capture sched,
+    !counted_rounds )
+
+let test_quiet_round_matches_full () =
+  let counts, outages, notes, bucket, counted = quiet_round_run ~forced_full:false in
+  let counts', outages', notes', bucket', counted' = quiet_round_run ~forced_full:true in
+  let sent, skipped, _ = counts in
+  Alcotest.(check (triple int int int)) "pairs sent, skipped and probes" counts' counts;
+  Alcotest.(check (list (triple string (float 0.0) (float 0.0)))) "outages" outages' outages;
+  Alcotest.(check (list bool)) "responsiveness" notes' notes;
+  Alcotest.(check string) "bucket" bucket' bucket;
+  Alcotest.(check bool) "the script detects outages" true (outages <> []);
+  Alcotest.(check bool) "the bucket denies pairs" true (skipped > 0 && sent > 0);
+  Alcotest.(check int) "a forced-full run admits one pair at a time" 0 counted';
+  Alcotest.(check bool) "the plain run takes quiet rounds" true (counted > 0)
+
 let suite =
   suite
   @ [
       Alcotest.test_case "monitor reuse = fresh rounds" `Quick test_monitor_reuse_matches_fresh;
+      Alcotest.test_case "monitor quiet rounds = full rounds" `Quick test_quiet_round_matches_full;
       Alcotest.test_case "atlas reuse = fresh refreshes" `Quick test_atlas_reuse_matches_fresh;
     ]
